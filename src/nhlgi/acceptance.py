@@ -41,8 +41,7 @@ from .scan import (
     DEFAULT_THETA_GRID,
     ScanResult,
     k3max_vs_noise,
-    maximize_k3,
-    maximize_speed,
+    maximize_family,
 )
 
 __all__ = [
@@ -83,13 +82,7 @@ class ScanBundle:
 def scan_bundle(budget: int | None = None, seed: int = 0) -> ScanBundle:
     budget = DEFAULT_SCAN_BUDGET if budget is None else int(budget)
     thetas = DEFAULT_THETA_GRID
-    children = np.random.SeedSequence(seed).spawn(2 * len(thetas))
-    k3_results, speed_results = [], []
-    for i, theta in enumerate(thetas):
-        seed_k3 = int(children[2 * i].generate_state(1)[0])
-        seed_v = int(children[2 * i + 1].generate_state(1)[0])
-        k3_results.append(maximize_k3(theta, budget=budget, seed=seed_k3))
-        speed_results.append(maximize_speed(theta, budget=budget, seed=seed_v))
+    k3_results, speed_results = maximize_family(thetas, budget=budget, seed=seed)
     return ScanBundle(thetas=thetas, k3=k3_results, speed=speed_results, budget=budget, seed=seed)
 
 

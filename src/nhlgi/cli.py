@@ -47,11 +47,9 @@ from .scan import (
     DEFAULT_KAPPA_GRID,
     DEFAULT_NOISE_BUDGET,
     DEFAULT_THETA_GRID,
-    ScanConfig,
     ScanConfigError,
     k3max_vs_noise,
-    maximize_k3,
-    maximize_speed,
+    maximize_family,
 )
 
 __all__ = ["main", "build_parser"]
@@ -282,26 +280,9 @@ def _cmd_noise(args) -> int:
     return 0
 
 
-def _scan_config(args) -> ScanConfig | None:
-    if getattr(args, "workers", None) is None:
-        return None
-    return ScanConfig(workers=args.workers)
-
-
 def _cmd_scan(args) -> int:
     thetas = args.theta
-    config = _scan_config(args)
-    children = np.random.SeedSequence(args.seed).spawn(2 * len(thetas))
-    k3_results, speed_results = [], []
-    for i, theta in enumerate(thetas):
-        seed_k3 = int(children[2 * i].generate_state(1)[0])
-        seed_v = int(children[2 * i + 1].generate_state(1)[0])
-        k3_results.append(
-            maximize_k3(theta, budget=args.budget, seed=seed_k3, config=config)
-        )
-        speed_results.append(
-            maximize_speed(theta, budget=args.budget, seed=seed_v, config=config)
-        )
+    k3_results, speed_results = maximize_family(thetas, budget=args.budget, seed=args.seed)
     metadata = {
         "command": "scan",
         "version": __version__,
@@ -336,7 +317,6 @@ def _cmd_noisescan(args) -> int:
         kappa_grid=grid,
         budget=args.budget,
         seed=args.seed,
-        config=_scan_config(args),
     )
     metadata = {
         "command": "noisescan",
@@ -471,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--theta", type=_float_list, default=list(DEFAULT_THETA_GRID))
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=None)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_scan)
 
@@ -484,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"grid (default: {len(DEFAULT_KAPPA_GRID)} decades up to 1e5)")
     sub.add_argument("--budget", type=int, default=DEFAULT_NOISE_BUDGET)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--workers", type=int, default=None)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_noisescan)
 

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, exp_2x2, pauli_vector
+from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector
 
 __all__ = [
     "THETA_MAX",
@@ -327,7 +327,11 @@ def bloch_to_abn(s, h: NHHamiltonian) -> np.ndarray:
 
 def evolve_pure(h: NHHamiltonian, psi0, t: float) -> np.ndarray:
     """Renormalised pure-state evolution ``exp(-i H t) psi0 / ||...||``."""
-    psi0 = validate_pure(psi0)
+    return _evolve_pure(h, validate_pure(psi0), t)
+
+
+def _evolve_pure(h: NHHamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
+    """:func:`evolve_pure` for a state the caller has already validated."""
     v = h.propagator(t) @ psi0
     norm = float(np.linalg.norm(v))
     if norm < _NORM_FLOOR:
@@ -593,11 +597,11 @@ def speed(h: NHHamiltonian, psi0, t: float, step: float = 1e-4) -> float:
     psi0 = validate_pure(psi0)
     if step <= 0.0 or not np.isfinite(step):
         raise ValueError("step must be positive and finite")
-    base = evolve_pure(h, psi0, t)
+    base = _evolve_pure(h, psi0, t)
 
     def defect(hh: float) -> float:
-        fwd = evolve_pure(h, psi0, t + hh)
-        bwd = evolve_pure(h, psi0, t - hh)
+        fwd = _evolve_pure(h, psi0, t + hh)
+        bwd = _evolve_pure(h, psi0, t - hh)
         p_f = abs(complex(np.vdot(base, fwd))) ** 2
         p_b = abs(complex(np.vdot(base, bwd))) ** 2
         return (2.0 - p_f - p_b) / (2.0 * hh * hh)

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import NHHamiltonian, THETA_MAX, validate_pure
-from .lgi import JointTable, LgiResult, Observable
+from .lgi import LgiResult, Observable, _eigenstates, pure_protocol
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -117,6 +117,14 @@ def build_metric(theta: float) -> Metric:
     return Metric(theta=theta, eta=eta)
 
 
+@lru_cache(maxsize=128)
+def _eta(theta: float) -> np.ndarray:
+    """The verified metric of ``theta``, built once and shared read-only."""
+    eta = build_metric(theta).eta
+    eta.flags.writeable = False
+    return eta
+
+
 def build_HT(theta: float) -> np.ndarray:
     """Hermitian total Hamiltonian on ancilla (x) system.
 
@@ -154,8 +162,7 @@ class EmbeddedState:
             raise ValueError("embedded state must have 4 components")
         if abs(float(np.linalg.norm(self.vector)) - 1.0) > 1e-12:
             raise ValueError("embedded state must be normalised")
-        eta = build_metric(self.theta).eta
-        slaved = eta @ self.vector[:2]
+        slaved = _eta(self.theta) @ self.vector[:2]
         if float(np.linalg.norm(self.vector[2:] - slaved)) > 1e-8 * max(
             1.0, float(np.linalg.norm(slaved))
         ):
@@ -173,7 +180,7 @@ class EmbeddedState:
 def build_psi_T(theta: float, psi) -> EmbeddedState:
     """Embed a normalised system state into the ancilla-extended space."""
     psi = validate_pure(psi)
-    eta = build_metric(theta).eta
+    eta = _eta(theta)
     weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta @ psi, eta @ psi)))
     n_t = 1.0 / math.sqrt(weight)
     vec = np.concatenate([n_t * psi, n_t * (eta @ psi)])
@@ -212,28 +219,6 @@ def evolve_and_postselect(
     return upper / math.sqrt(p_select), p_select
 
 
-def _embedded_joint(
-    theta: float, psi0: np.ndarray, q: Observable, t_i: float, t_j: float
-) -> JointTable:
-    psi_i, _ = evolve_and_postselect(theta, psi0, t_i)
-    chi = (q.eigenstate(+1), q.eigenstate(-1))
-    first = np.array(
-        [abs(np.vdot(chi[0], psi_i)) ** 2, abs(np.vdot(chi[1], psi_i)) ** 2]
-    )
-    first = np.clip(first, 0.0, 1.0)
-    first = first / first.sum()
-    probs = np.empty((2, 2))
-    gap = t_j - t_i
-    for i in range(2):
-        # Collapse, then re-embed the eigenstate and continue inside the
-        # dilated space.
-        branch, _ = evolve_and_postselect(theta, chi[i], gap)
-        cond_plus = min(1.0, abs(np.vdot(chi[0], branch)) ** 2)
-        probs[i, 0] = first[i] * cond_plus
-        probs[i, 1] = first[i] * (1.0 - cond_plus)
-    return JointTable(probs, t_i, t_j)
-
-
 def k3_via_embedding(
     theta: float,
     q: Observable | None = None,
@@ -259,18 +244,14 @@ def k3_via_embedding(
     psi0 = validate_pure(psi0)
     if not 0.0 <= t1 < t2 < t3:
         raise ValueError("need 0 <= t1 < t2 < t3")
-    tab12 = _embedded_joint(theta, psi0, q, t1, t2)
-    tab23 = _embedded_joint(theta, psi0, q, t2, t3)
-    tab13 = _embedded_joint(theta, psi0, q, t1, t3)
-    c12, c23, c13 = tab12.correlator, tab23.correlator, tab13.correlator
-    return LgiResult(
-        c12=c12,
-        c23=c23,
-        c13=c13,
-        k3=c12 + c23 - c13,
-        table12=tab12,
-        table23=tab23,
-        table13=tab13,
-        times=(t1, t2, t3),
-        kappa=0.0,
-    )
+
+    def propagate(t, a, b):
+        # Re-embed, evolve unitarily and post-select; the upper block comes
+        # back normalised.
+        upper, _ = evolve_and_postselect(theta, np.array([a, b]), t)
+        return complex(upper[0]), complex(upper[1])
+
+    tables = pure_protocol(
+        tuple(psi0.tolist()), _eigenstates(q), propagate, t1, t2, t3
+    )[3:]
+    return LgiResult.from_tables(tables, (t1, t2, t3))

@@ -44,6 +44,8 @@ __all__ = [
     "JointTable",
     "LgiResult",
     "CorrelatorEngine",
+    "pure_propagator",
+    "pure_protocol",
     "joint_probability",
     "joint_table",
     "correlator",
@@ -177,6 +179,95 @@ class LgiResult:
         if abs(self.k3) > ALGEBRAIC_BOUND + 1e-9:
             raise ValueError(f"K3 = {self.k3!r} outside the algebraic range")
 
+    @classmethod
+    def from_tables(cls, tables, times, kappa: float = 0.0) -> "LgiResult":
+        """Validated result from the joint tables of the pairs (1,2), (2,3), (1,3)."""
+        t1, t2, t3 = times
+        tab12, tab23, tab13 = (
+            JointTable(probs, t_i, t_j)
+            for probs, (t_i, t_j) in zip(tables, ((t1, t2), (t2, t3), (t1, t3)))
+        )
+        c12, c23, c13 = tab12.correlator, tab23.correlator, tab13.correlator
+        return cls(
+            c12=c12,
+            c23=c23,
+            c13=c13,
+            k3=c12 + c23 - c13,
+            table12=tab12,
+            table23=tab23,
+            table13=tab13,
+            times=(t1, t2, t3),
+            kappa=kappa,
+        )
+
+
+def pure_propagator(h: NHHamiltonian):
+    """Renormalised pure-state flow of ``h`` on plain complex scalars.
+
+    Returns ``propagate(t, a, b) -> (a, b)``, the closed form
+    ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to the state
+    ``(a, b)`` and normalised.  The entries of ``M`` are bound once, so the
+    call does no numpy work and no validation; it is the propagator that
+    :func:`pure_protocol` expects.
+    """
+    w = h.omega
+    (m00, m01), (m10, m11) = h.matrix.tolist()
+
+    def propagate(t, a, b):
+        c = math.cos(w * t)
+        s = -1j * (math.sin(w * t) / w)
+        x = c * a + s * (m00 * a + m01 * b)
+        y = c * b + s * (m10 * a + m11 * b)
+        n = math.hypot(x.real, x.imag, y.real, y.imag)
+        return x / n, y / n
+
+    return propagate
+
+
+def _pure_joint(v, chi, propagate, gap):
+    """Joint table ``((p++, p+-), (p-+, p--))`` of one measurement pair.
+
+    ``v`` is the normalised state just before the first measurement,
+    ``chi`` the (+1, -1) eigenstates of the measured axis.  The first Born
+    probabilities are clipped to [0, 1] and renormalised; each collapse
+    branch is propagated across ``gap`` and its +1 probability capped at 1.
+    """
+    (p0, p1), (m0, m1) = chi
+    p0, p1, m0, m1 = p0.conjugate(), p1.conjugate(), m0.conjugate(), m1.conjugate()
+    a, b = v
+    first_p = min(1.0, max(0.0, abs(p0 * a + p1 * b) ** 2))
+    first_m = min(1.0, max(0.0, abs(m0 * a + m1 * b) ** 2))
+    total = first_p + first_m
+    rows = []
+    for first, branch in ((first_p / total, chi[0]), (first_m / total, chi[1])):
+        x, y = propagate(gap, *branch)
+        cond_plus = min(1.0, abs(p0 * x + p1 * y) ** 2)
+        rows.append((first * cond_plus, first * (1.0 - cond_plus)))
+    return tuple(rows)
+
+
+def pure_protocol(psi, chi, propagate, t1: float, t2: float, t3: float):
+    """The invasive three-time protocol for a pure state, on complex scalars.
+
+    ``psi = (a, b)`` is a normalised state, ``chi`` the pair of (+1, -1)
+    eigenstates of the measured axis, ``propagate(t, a, b) -> (a, b)`` a
+    renormalised flow (see :func:`pure_propagator`) and ``t1 < t2 < t3``.
+    The state is propagated once to ``t1`` (shared by the pairs (1,2) and
+    (1,3)) and once to ``t2``.  Nothing is validated: callers check their
+    inputs once, outside any loop.
+
+    Returns ``(c12, c23, c13, table12, table23, table13)`` with each table
+    nested as ``((p++, p+-), (p-+, p--))``.
+    """
+    v1 = propagate(t1, *psi)
+    tables = (
+        _pure_joint(v1, chi, propagate, t2 - t1),
+        _pure_joint(propagate(t2, *psi), chi, propagate, t3 - t2),
+        _pure_joint(v1, chi, propagate, t3 - t1),
+    )
+    c12, c23, c13 = (p[0][0] - p[0][1] - p[1][0] + p[1][1] for p in tables)
+    return (c12, c23, c13) + tables
+
 
 class _LiftedPropagator:
     """Exact propagator for the linear lift of the noisy renormalised flow.
@@ -240,8 +331,8 @@ class CorrelatorEngine:
 
     Building the engine once and reusing it amortises the propagator setup,
     which matters inside parameter scans.  For ``kappa = 0`` and a pure
-    input the branch arithmetic runs on state vectors; density matrices and
-    noisy flows share a single density-matrix path.
+    input the protocol runs in :func:`pure_protocol` on complex scalars;
+    density matrices and noisy flows share a single density-matrix path.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
@@ -250,6 +341,7 @@ class CorrelatorEngine:
         self.hamiltonian = h
         self.kappa = float(kappa)
         self._lift = _LiftedPropagator(h, kappa) if kappa > 0.0 else None
+        self._propagate = pure_propagator(h) if kappa == 0.0 else None
 
     # -- propagation helpers ------------------------------------------------
 
@@ -261,24 +353,6 @@ class CorrelatorEngine:
         return m / m.trace().real
 
     # -- joint distributions ------------------------------------------------
-
-    def _table_pure(self, psi, q: Observable, t_i: float, gap: float) -> np.ndarray:
-        u_i = self.hamiltonian.propagator(t_i)
-        v = u_i @ psi
-        v = v / np.linalg.norm(v)
-        chi = q.eigenstates
-        first = np.array([abs(np.vdot(chi[0], v)) ** 2, abs(np.vdot(chi[1], v)) ** 2])
-        first = np.clip(first, 0.0, 1.0)
-        first = first / first.sum()
-        u_g = self.hamiltonian.propagator(gap)
-        probs = np.empty((2, 2))
-        for i in range(2):
-            w = u_g @ chi[i]
-            w = w / np.linalg.norm(w)
-            cond_plus = min(1.0, abs(np.vdot(chi[0], w)) ** 2)
-            probs[i, 0] = first[i] * cond_plus
-            probs[i, 1] = first[i] * (1.0 - cond_plus)
-        return probs
 
     def _table_density(self, rho, q: Observable, t_i: float, gap: float) -> np.ndarray:
         rho_i = self._propagate_density(rho, t_i)
@@ -297,56 +371,55 @@ class CorrelatorEngine:
             probs[i, 1] = first[i] * (1.0 - cond_plus)
         return probs
 
-    def _table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
-        state = np.asarray(state, dtype=complex)
-        gap = t_j - t_i
-        if state.ndim == 1 and self.kappa == 0.0:
-            probs = self._table_pure(state, q, t_i, gap)
-        else:
-            rho = state if state.ndim == 2 else np.outer(state, state.conj())
-            probs = self._table_density(rho, q, t_i, gap)
-        return JointTable(probs, t_i, t_j)
-
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
-        _validate_state(state)
+        state = _validate_state(state)
         if not 0.0 <= t_i < t_j:
             raise ValueError("need 0 <= t_i < t_j")
-        return self._table(state, q, t_i, t_j)
+        if state.ndim == 1 and self.kappa == 0.0:
+            v = self._propagate(t_i, *state.tolist())
+            probs = _pure_joint(v, _eigenstates(q), self._propagate, t_j - t_i)
+        else:
+            probs = self._table_density(_density(state), q, t_i, t_j - t_i)
+        return JointTable(probs, t_i, t_j)
 
     def correlator(self, state, q: Observable, t_i: float, t_j: float) -> float:
         return self.joint_table(state, q, t_i, t_j).correlator
 
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
-        _validate_state(state)
+        state = _validate_state(state)
         if not 0.0 <= t1 < t2 < t3:
             raise ValueError("need 0 <= t1 < t2 < t3")
-        tab12 = self._table(state, q, t1, t2)
-        tab23 = self._table(state, q, t2, t3)
-        tab13 = self._table(state, q, t1, t3)
-        c12, c23, c13 = tab12.correlator, tab23.correlator, tab13.correlator
-        return LgiResult(
-            c12=c12,
-            c23=c23,
-            c13=c13,
-            k3=c12 + c23 - c13,
-            table12=tab12,
-            table23=tab23,
-            table13=tab13,
-            times=(t1, t2, t3),
-            kappa=self.kappa,
-        )
+        if state.ndim == 1 and self.kappa == 0.0:
+            tables = pure_protocol(
+                tuple(state.tolist()), _eigenstates(q), self._propagate, t1, t2, t3
+            )[3:]
+        else:
+            rho = _density(state)
+            tables = [
+                self._table_density(rho, q, t_i, t_j - t_i)
+                for t_i, t_j in ((t1, t2), (t2, t3), (t1, t3))
+            ]
+        return LgiResult.from_tables(tables, (t1, t2, t3), self.kappa)
 
 
-def _validate_state(state):
+def _eigenstates(q: Observable):
+    """The (+1, -1) eigenstates of ``q`` as pairs of complex scalars."""
+    return tuple(tuple(chi.tolist()) for chi in q.eigenstates)
+
+
+def _density(state: np.ndarray) -> np.ndarray:
+    return state if state.ndim == 2 else np.outer(state, state.conj())
+
+
+def _validate_state(state) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
-        validate_pure(state)
-    elif state.ndim == 2:
-        validate_density(state)
-    else:
-        raise ValueError("state must be a 2-vector or a 2x2 density matrix")
+        return validate_pure(state)
+    if state.ndim == 2:
+        return validate_density(state)
+    raise ValueError("state must be a 2-vector or a 2x2 density matrix")
 
 
 # ---------------------------------------------------------------------------

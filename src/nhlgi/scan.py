@@ -13,15 +13,13 @@ hypercube sample plus the analytically known canonical configuration, so the
 returned value never falls below the closed-form benchmark.  Every reported
 objective is the re-evaluable value of an actually visited feasible point.
 Runs are reproducible: one master seed drives the hypercube and all restarts,
-the per-restart evaluation budget is fixed up front, and the reduction over
-restarts is order-independent.
+the per-restart evaluation budget is fixed up front, and the restarts run
+one after another in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +27,13 @@ from scipy.optimize import Bounds, minimize
 from scipy.stats import qmc
 
 from .dynamics import NHHamiltonian, speed, state_from_bloch_angles
-from .lgi import ALGEBRAIC_BOUND, CorrelatorEngine, Observable
+from .lgi import (
+    ALGEBRAIC_BOUND,
+    CorrelatorEngine,
+    Observable,
+    pure_propagator,
+    pure_protocol,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -42,6 +46,7 @@ __all__ = [
     "ScanResult",
     "maximize_k3",
     "maximize_speed",
+    "maximize_family",
     "k3max_vs_noise",
 ]
 
@@ -86,15 +91,6 @@ class ScanConfig:
     xatol: float = 1e-8         # simplex coordinate tolerance
     fatol: float = 1e-8         # simplex value tolerance
     gap_floor: float = 1e-9     # strictly positive lower bound on time gaps
-    workers: int | None = None  # None: use NHLGI_THREADS, default 1
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, int(self.workers))
-        try:
-            return max(1, int(os.environ.get("NHLGI_THREADS", "1")))
-        except ValueError:
-            return 1
 
 
 @dataclass
@@ -160,16 +156,15 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
     per_restart = max(64, (budget - evals) // max(1, n_restarts))
     starts = [item[2] for item in ranked[:n_restarts]]
 
-    def run_restart(x0):
-        local = {"value": -math.inf, "x": None, "evals": 0}
+    def negated(x):
+        nonlocal evals, best_value, best_x
+        value, feasible = objective(x)
+        evals += 1
+        if feasible and value > best_value:
+            best_value, best_x = value, np.array(x)
+        return -value
 
-        def negated(x):
-            value, feasible = objective(x)
-            local["evals"] += 1
-            if feasible and value > local["value"]:
-                local["value"], local["x"] = value, np.array(x)
-            return -value
-
+    for x0 in starts:
         minimize(
             negated,
             x0,
@@ -183,21 +178,6 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
                 "disp": False,
             },
         )
-        return local
-
-    workers = config.resolved_workers()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            locals_ = list(pool.map(run_restart, starts))
-    else:
-        locals_ = [run_restart(x0) for x0 in starts]
-
-    # Order-independent reduction: restart results are compared by value and
-    # then by start index, so thread scheduling cannot change the outcome.
-    for local in locals_:
-        evals += local["evals"]
-        if local["x"] is not None and local["value"] > best_value:
-            best_value, best_x = local["value"], local["x"]
 
     if best_x is None:
         raise ScanConfigError("no feasible point was evaluated; search space empty")
@@ -218,6 +198,55 @@ _CANONICAL_K3_START = (
 _CANONICAL_SPEED_START = (math.pi / 2, 1.5 * math.pi, math.pi / 2)
 
 
+def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
+    """``(cos theta/2, e^{i phi} sin theta/2)`` as plain scalars."""
+    half = 0.5 * theta
+    return (
+        complex(math.cos(half)),
+        complex(math.cos(phi), math.sin(phi)) * math.sin(half),
+    )
+
+
+def _k3_objective(theta: float, kappa: float):
+    """``objective(x) -> (K3, feasible)`` over the seven search coordinates.
+
+    ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)`` with the times
+    ``(t1, t1 + g1, t1 + g1 + g2)``.  At ``kappa = 0`` the point runs straight
+    through :func:`nhlgi.lgi.pure_protocol` with the state and the axis
+    eigenstates in closed form; with noise it goes through the engine's
+    density-matrix path.
+    """
+    h = NHHamiltonian.canonical(theta)
+    if kappa == 0.0:
+        propagate = pure_propagator(h)
+
+        def k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3):
+            up = _bloch_state(theta_q, phi_q)
+            down = (-up[1].conjugate(), up[0])
+            c12, c23, c13 = pure_protocol(
+                _bloch_state(theta_s, phi_s), (up, down), propagate, t1, t2, t3
+            )[:3]
+            return c12 + c23 - c13
+
+    else:
+        engine = CorrelatorEngine(h, kappa)
+
+        def k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3):
+            psi = state_from_bloch_angles(theta_s, phi_s)
+            q = Observable.from_angles(theta_q, phi_q)
+            return engine.k3(psi, q, t1, t2, t3).k3
+
+    def objective(x):
+        theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x.tolist()
+        t2 = t1 + g1
+        t3 = t2 + g2
+        if t3 > TIME_WINDOW:
+            return -ALGEBRAIC_BOUND - (t3 - TIME_WINDOW), False
+        return k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3), True
+
+    return objective
+
+
 def maximize_k3(
     theta: float,
     kappa: float = 0.0,
@@ -234,24 +263,13 @@ def maximize_k3(
     ``(theta, kappa, budget, seed, config)``.
     """
     config = config or ScanConfig()
-    h = NHHamiltonian.canonical(theta)
-    engine = CorrelatorEngine(h, kappa)
+    objective = _k3_objective(theta, kappa)
     floor = config.gap_floor
 
     lower = np.array([0.0, 0.0, 0.0, 0.0, 0.0, floor, floor])
     upper = np.array(
         [math.pi, 2 * math.pi, math.pi, 2 * math.pi, TIME_WINDOW, TIME_WINDOW, TIME_WINDOW]
     )
-
-    def objective(x):
-        t1 = x[4]
-        t2 = t1 + x[5]
-        t3 = t2 + x[6]
-        if t3 > TIME_WINDOW:
-            return -ALGEBRAIC_BOUND - (t3 - TIME_WINDOW), False
-        psi = state_from_bloch_angles(x[0], x[1])
-        q = Observable.from_angles(x[2], x[3])
-        return engine.k3(psi, q, t1, t2, t3).k3, True
 
     starts = [np.asarray(_CANONICAL_K3_START, dtype=float)]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
@@ -318,6 +336,25 @@ def maximize_speed(
         seed=seed,
         config=config,
     )
+
+
+def maximize_family(
+    thetas, budget: int = DEFAULT_BUDGET, seed: int = 0
+) -> tuple[list[ScanResult], list[ScanResult]]:
+    """K3 and speed maxima for each family member, all from one master seed.
+
+    The seed is spawned into ``2 len(thetas)`` children: child ``2i`` seeds
+    the K3 search of ``thetas[i]`` and child ``2i + 1`` its speed search.
+    Returns ``(k3_results, speed_results)``, aligned with ``thetas``.
+    """
+    children = np.random.SeedSequence(seed).spawn(2 * len(thetas))
+    k3_results, speed_results = [], []
+    for i, theta in enumerate(thetas):
+        seed_k3 = int(children[2 * i].generate_state(1)[0])
+        seed_v = int(children[2 * i + 1].generate_state(1)[0])
+        k3_results.append(maximize_k3(theta, budget=budget, seed=seed_k3))
+        speed_results.append(maximize_speed(theta, budget=budget, seed=seed_v))
+    return k3_results, speed_results
 
 
 def _start_from_argmax(argmax: dict[str, float]) -> np.ndarray:

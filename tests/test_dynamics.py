@@ -369,6 +369,31 @@ class TestDistanceAndSpeed:
                 speed_closed_form(theta, t), rel=1e-4
             )
 
+    @pytest.mark.parametrize(
+        ("theta", "angles", "t"),
+        [
+            (0.0, (math.pi / 2, 1.5 * math.pi), 0.4),
+            (0.8, (1.1, 0.3), 1.9),
+            (math.pi / 2 - 0.1, (math.pi / 2, 1.5 * math.pi), math.pi / 2),
+            (math.pi / 2 - 0.1, (2.3, 4.0), 0.7),
+        ],
+    )
+    def test_speed_equals_richardson_of_public_evolution(self, theta, angles, t):
+        # speed() validates once and propagates internally; the result must
+        # be bit-identical to the same formula built from evolve_pure
+        h = NHHamiltonian.canonical(theta)
+        psi = state_from_bloch_angles(*angles)
+        step = 1e-4
+        base = evolve_pure(h, psi, t)
+
+        def defect(hh):
+            p_f = abs(complex(np.vdot(base, evolve_pure(h, psi, t + hh)))) ** 2
+            p_b = abs(complex(np.vdot(base, evolve_pure(h, psi, t - hh)))) ** 2
+            return (2.0 - p_f - p_b) / (2.0 * hh * hh)
+
+        expected = float((4.0 * defect(0.5 * step) - defect(step)) / 3.0)
+        assert speed(h, psi, t) == expected
+
     def test_speed_validation(self):
         h = NHHamiltonian.canonical(0.2)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhlgi.dynamics import (
     NHHamiltonian,
@@ -22,8 +24,10 @@ from nhlgi.lgi import (
     joint_table,
     k3,
     k3_closed_form,
+    pure_propagator,
+    pure_protocol,
 )
-from oracles import two_time_joint
+from oracles import axis_eigenstates, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -123,6 +127,43 @@ class TestProtocolAgainstOracle:
             got = CorrelatorEngine(h).joint_table(psi, q, t_i, t_j)
             expected = two_time_joint(h.matrix, psi, q.direction, t_i, t_j)
             np.testing.assert_allclose(got.probs, expected, atol=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi / 2 - 1e-3),
+        angles=st.tuples(
+            st.floats(0.0, math.pi),
+            st.floats(0.0, 2.0 * math.pi),
+            st.floats(0.0, math.pi),
+            st.floats(0.0, 2.0 * math.pi),
+        ),
+        times=st.tuples(
+            st.floats(0.0, 1.5), st.floats(1e-3, 1.5), st.floats(1e-3, 1.5)
+        ),
+    )
+    def test_kernel_tables(self, theta, angles, times):
+        theta_s, phi_s, theta_q, phi_q = angles
+        h = NHHamiltonian.canonical(theta)
+        psi = state_from_bloch_angles(theta_s, phi_s)
+        direction = (
+            math.sin(theta_q) * math.cos(phi_q),
+            math.sin(theta_q) * math.sin(phi_q),
+            math.cos(theta_q),
+        )
+        chi = tuple(tuple(e.tolist()) for e in axis_eigenstates(direction))
+        t1 = times[0]
+        t2 = t1 + times[1]
+        t3 = t2 + times[2]
+        out = pure_protocol(tuple(psi.tolist()), chi, pure_propagator(h), t1, t2, t3)
+        # Both routes lose about sec(theta)^2 ulps to the cancellation in the
+        # renormalised propagator near the corner (measured error / sec^2
+        # stays below 1e-13), so the per-entry tolerance scales with it.
+        tol = 1e-12 / math.cos(theta) ** 2
+        for table, (t_i, t_j) in zip(out[3:], ((t1, t2), (t2, t3), (t1, t3))):
+            expected = two_time_joint(h.matrix, psi, direction, t_i, t_j)
+            np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
+        for c, table in zip(out[:3], out[3:]):
+            assert c == JointTable(table, 0.0, 1.0).correlator
 
     def test_pure_and_density_paths_agree(self):
         rng = np.random.default_rng(47)

@@ -16,24 +16,12 @@ from nhlgi.scan import (
     maximize_k3,
     maximize_speed,
 )
+from nhlgi.scan import _CANONICAL_K3_START, _k3_objective, _start_from_argmax
 
 SMALL = ScanConfig(restarts=4, lhs_points=64)
 
 
 class TestScanConfig:
-    def test_workers_from_environment(self, monkeypatch):
-        monkeypatch.setenv("NHLGI_THREADS", "3")
-        assert ScanConfig().resolved_workers() == 3
-        monkeypatch.setenv("NHLGI_THREADS", "junk")
-        assert ScanConfig().resolved_workers() == 1
-        monkeypatch.delenv("NHLGI_THREADS")
-        assert ScanConfig().resolved_workers() == 1
-
-    def test_explicit_workers_win(self, monkeypatch):
-        monkeypatch.setenv("NHLGI_THREADS", "7")
-        assert ScanConfig(workers=2).resolved_workers() == 2
-        assert ScanConfig(workers=0).resolved_workers() == 1
-
     def test_default_grids(self):
         assert all(b > a for a, b in zip(DEFAULT_KAPPA_GRID, DEFAULT_KAPPA_GRID[1:]))
         assert DEFAULT_KAPPA_GRID[0] == 0.0
@@ -60,16 +48,6 @@ class TestMaximizeK3:
         assert a.evals == b.evals
         assert a.argmax == b.argmax
 
-    def test_worker_count_does_not_change_result(self):
-        serial = maximize_k3(
-            0.9, budget=2000, seed=3, config=ScanConfig(restarts=4, lhs_points=64, workers=1)
-        )
-        threaded = maximize_k3(
-            0.9, budget=2000, seed=3, config=ScanConfig(restarts=4, lhs_points=64, workers=2)
-        )
-        assert serial.objective == threaded.objective
-        assert serial.argmax == threaded.argmax
-
     def test_reported_point_reproduces_objective(self):
         # the scan result is a certified lower bound: re-running the
         # protocol at the argmax must give back the reported value
@@ -84,6 +62,29 @@ class TestMaximizeK3:
             am["t3"],
         ).k3
         assert value == pytest.approx(res.objective, abs=1e-12)
+
+    def test_pure_objective_matches_engine(self):
+        # at kappa = 0 the scan evaluates the protocol kernel directly; at the
+        # canonical start and at the argmax it must agree with engine.k3
+        theta = 1.1
+        res = maximize_k3(theta, budget=2000, seed=2, config=SMALL)
+        objective = _k3_objective(theta, 0.0)
+        engine = CorrelatorEngine(NHHamiltonian.canonical(theta))
+        for x in (np.array(_CANONICAL_K3_START), _start_from_argmax(res.argmax)):
+            value, feasible = objective(x)
+            t1 = x[4]
+            expected = engine.k3(
+                state_from_bloch_angles(x[0], x[1]),
+                Observable.from_angles(x[2], x[3]),
+                t1,
+                t1 + x[5],
+                t1 + x[5] + x[6],
+            ).k3
+            assert feasible
+            assert value == pytest.approx(expected, abs=1e-12)
+        assert objective(_start_from_argmax(res.argmax))[0] == pytest.approx(
+            res.objective, abs=1e-12
+        )
 
     def test_times_stay_in_window(self):
         res = maximize_k3(1.2, budget=2000, seed=4, config=SMALL)
