@@ -225,9 +225,9 @@ def criterion_6() -> CriterionResult:
     for theta in (0.0, 0.5, 1.0, 1.4):
         hh = NHHamiltonian.canonical(theta)
         for t in np.linspace(0.0, math.pi, 25):
-            v_fd = speed(hh, up_y(), float(t))
+            v_num = speed(hh, up_y(), float(t))
             v_cf = float(speed_closed_form(theta, float(t)))
-            worst_speed = max(worst_speed, abs(v_fd - v_cf) / v_cf)
+            worst_speed = max(worst_speed, abs(v_num - v_cf) / v_cf)
     passed = worst_traj <= tol_traj and worst_geo <= tol_geo and worst_speed <= tol_speed
     return CriterionResult(
         6,

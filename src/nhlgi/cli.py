@@ -116,7 +116,7 @@ def _cmd_trajectory(args) -> int:
         "tmax": args.tmax,
         "step": args.step,
         "initial_state": "up_y",
-        "method": traj.method,
+        "method": "RK45",
         "rtol": traj.rtol,
         "atol": traj.atol,
     }
@@ -199,7 +199,7 @@ def _cmd_speed(args) -> int:
         for t, v_closed in zip(grid, np.atleast_1d(vcf)):
             rows_theta.append(theta)
             rows_t.append(t)
-            rows_v.append(speed(h, psi0, t, step=args.fd_step))
+            rows_v.append(speed(h, psi0, t))
             rows_vcf.append(float(v_closed))
     metadata = {
         "command": "speed",
@@ -207,7 +207,6 @@ def _cmd_speed(args) -> int:
         "theta": ",".join(format(x, ".17g") for x in args.theta),
         "tmax": args.tmax,
         "step": args.step,
-        "fd_step": args.fd_step,
         "initial_state": "up_y",
     }
     columns = {"theta": rows_theta, "t": rows_t, "v": rows_v, "v_closed": rows_vcf}
@@ -419,11 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_distance)
 
-    sub = subs.add_parser("speed", help="fidelity-decay coefficient along the flow")
+    sub = subs.add_parser("speed", help="squared Bloch speed |dS/dt|^2 along the flow")
     sub.add_argument("--theta", type=_float_list, default=[0.0, math.pi / 4, 1.4])
     sub.add_argument("--tmax", type=float, default=math.pi)
     sub.add_argument("--step", type=float, default=0.01)
-    sub.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_speed)
 

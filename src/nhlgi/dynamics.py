@@ -22,8 +22,8 @@ approaches ``pi/2``.
 This module provides exact propagators, adaptive Runge-Kutta integration of
 the Bloch flow, closed-form trajectory components in the frame spanned by
 ``A``, ``B`` and ``n = A x B``, geodesic distances, and the local speed of
-state evolution measured through the short-time decay of the overlap
-fidelity.
+state evolution, ``|dS/dt|^2`` evaluated exactly from the equation of
+motion above.
 """
 
 from __future__ import annotations
@@ -160,8 +160,15 @@ def projector(psi) -> np.ndarray:
 
 
 def bloch_of_pure(psi) -> np.ndarray:
-    """Bloch vector ``S = <sigma>/2`` of a normalised pure state (|S| = 1/2)."""
-    return bloch_of_density(projector(psi))
+    """Bloch vector ``S = <sigma>/2`` of a normalised pure state (|S| = 1/2).
+
+    For ``psi = (a, b)`` this is ``(Re(a* b), Im(a* b), (|a|^2 - |b|^2)/2)``.
+    """
+    a, b = validate_pure(psi).tolist()
+    ab = a.conjugate() * b
+    return np.array(
+        [ab.real, ab.imag, 0.5 * ((a * a.conjugate()).real - (b * b.conjugate()).real)]
+    )
 
 
 def bloch_of_density(rho) -> np.ndarray:
@@ -327,12 +334,7 @@ def bloch_to_abn(s, h: NHHamiltonian) -> np.ndarray:
 
 def evolve_pure(h: NHHamiltonian, psi0, t: float) -> np.ndarray:
     """Renormalised pure-state evolution ``exp(-i H t) psi0 / ||...||``."""
-    return _evolve_pure(h, validate_pure(psi0), t)
-
-
-def _evolve_pure(h: NHHamiltonian, psi0: np.ndarray, t: float) -> np.ndarray:
-    """:func:`evolve_pure` for a state the caller has already validated."""
-    v = h.propagator(t) @ psi0
+    v = h.propagator(t) @ validate_pure(psi0)
     norm = float(np.linalg.norm(v))
     if norm < _NORM_FLOOR:
         raise DegenerateEvolutionError(
@@ -431,8 +433,11 @@ def bloch_rhs(s, h: NHHamiltonian, kappa: float = 0.0) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     a_vec = h.scale * h.a
     b_vec = h.scale * h.b
+    ax, ay, az = a_vec.tolist()
+    sx, sy, sz = s.tolist()
+    a_cross_s = np.array([ay * sz - az * sy, az * sx - ax * sz, ax * sy - ay * sx])
     return (
-        2.0 * np.cross(a_vec, s)
+        2.0 * a_cross_s
         - b_vec
         + 4.0 * float(np.dot(b_vec, s)) * s
         - 2.0 * kappa * s
@@ -449,7 +454,6 @@ class Trajectory:
     kappa: float = 0.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    method: str = "RK45"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -584,31 +588,18 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def speed(h: NHHamiltonian, psi0, t: float, step: float = 1e-4) -> float:
-    """Quadratic decay coefficient of the overlap fidelity at time ``t``.
+def speed(h: NHHamiltonian, psi0, t: float) -> float:
+    """Squared speed ``|dS/dt|^2`` of the Bloch vector at time ``t``.
 
-    The fidelity between neighbouring points of the renormalised trajectory
-    expands as ``|<psi(t)|psi(t + dt)>|^2 = 1 - v dt^2 + O(dt^3)``; this
-    function estimates ``v`` by symmetric finite differences at ``step`` and
-    ``step/2`` combined with one Richardson extrapolation.  ``v`` equals the
-    squared angular speed of the Bloch vector and is the quantity maximised
-    by :func:`nhlgi.scan.maximize_speed`.
+    ``dS/dt`` is the noiseless :func:`bloch_rhs` at the state evolved from
+    ``psi0``.  Because the flow conserves ``|S| = 1/2``, the overlap fidelity
+    of neighbouring points of the trajectory expands as
+    ``|<psi(t)|psi(t + dt)>|^2 = 1 - |dS/dt|^2 dt^2 + O(dt^3)``, so this is the
+    quadratic decay coefficient of the fidelity, computed exactly.  It is the
+    quantity maximised by :func:`nhlgi.scan.maximize_speed`.
     """
-    psi0 = validate_pure(psi0)
-    if step <= 0.0 or not np.isfinite(step):
-        raise ValueError("step must be positive and finite")
-    base = _evolve_pure(h, psi0, t)
-
-    def defect(hh: float) -> float:
-        fwd = _evolve_pure(h, psi0, t + hh)
-        bwd = _evolve_pure(h, psi0, t - hh)
-        p_f = abs(complex(np.vdot(base, fwd))) ** 2
-        p_b = abs(complex(np.vdot(base, bwd))) ** 2
-        return (2.0 - p_f - p_b) / (2.0 * hh * hh)
-
-    coarse = defect(step)
-    fine = defect(0.5 * step)
-    return float((4.0 * fine - coarse) / 3.0)
+    s_dot = bloch_rhs(bloch_of_pure(evolve_pure(h, psi0, t)), h)
+    return float(np.dot(s_dot, s_dot))
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

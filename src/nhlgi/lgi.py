@@ -46,10 +46,6 @@ __all__ = [
     "CorrelatorEngine",
     "pure_propagator",
     "pure_protocol",
-    "joint_probability",
-    "joint_table",
-    "correlator",
-    "k3",
     "k3_closed_form",
 ]
 
@@ -420,49 +416,6 @@ def _validate_state(state) -> np.ndarray:
     if state.ndim == 2:
         return validate_density(state)
     raise ValueError("state must be a 2-vector or a 2x2 density matrix")
-
-
-# ---------------------------------------------------------------------------
-# module-level conveniences
-
-
-def joint_probability(
-    h: NHHamiltonian,
-    state,
-    q: Observable,
-    t_i: float,
-    t_j: float,
-    q_i: int,
-    q_j: int,
-    kappa: float = 0.0,
-) -> float:
-    """Probability of outcome pair ``(q_i, q_j)`` at times ``(t_i, t_j)``."""
-    return CorrelatorEngine(h, kappa).joint_table(state, q, t_i, t_j).prob(q_i, q_j)
-
-
-def joint_table(
-    h: NHHamiltonian, state, q: Observable, t_i: float, t_j: float, kappa: float = 0.0
-) -> JointTable:
-    return CorrelatorEngine(h, kappa).joint_table(state, q, t_i, t_j)
-
-
-def correlator(
-    h: NHHamiltonian, state, q: Observable, t_i: float, t_j: float, kappa: float = 0.0
-) -> float:
-    return CorrelatorEngine(h, kappa).correlator(state, q, t_i, t_j)
-
-
-def k3(
-    h: NHHamiltonian,
-    state,
-    q: Observable,
-    t1: float,
-    t2: float,
-    t3: float,
-    kappa: float = 0.0,
-) -> LgiResult:
-    """Three-time protocol K3; see :class:`CorrelatorEngine.k3`."""
-    return CorrelatorEngine(h, kappa).k3(state, q, t1, t2, t3)
 
 
 def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:

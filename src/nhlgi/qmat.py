@@ -1,8 +1,7 @@
 """Fixed-size complex linear algebra used throughout the library.
 
-Pauli matrices, closed-form and spectral matrix exponentials for the 2x2
-and Hermitian 4x4 operators that generate all evolutions here, and the
-trace distance between density matrices.
+Pauli matrices, small matrix helpers and the trace distance between
+density matrices.
 
 The Pauli representation is pinned once for the whole package:
 
@@ -29,8 +28,6 @@ __all__ = [
     "pauli_vector",
     "dagger",
     "is_hermitian",
-    "exp_2x2",
-    "exp_hermitian_4x4",
     "trace_distance",
 ]
 
@@ -41,11 +38,6 @@ ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-# Taylor core of the scaling-and-squaring fallback; at argument norm <= 0.25
-# the truncation error of 24 terms is far below double precision.
-_SS_NORM_CAP = 0.25
-_SS_TERMS = 24
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -73,80 +65,6 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     """Whether ``m`` equals its Hermitian conjugate within ``tol`` (Frobenius)."""
     m = np.asarray(m)
     return float(np.linalg.norm(m - m.conj().T)) <= tol
-
-
-def _expm_scaling_squaring(x: np.ndarray) -> np.ndarray:
-    """exp(x) by scaling-and-squaring with a plain Taylor core."""
-    norm = float(np.linalg.norm(x, 1))
-    squarings = 0
-    if norm > _SS_NORM_CAP:
-        squarings = int(np.ceil(np.log2(norm / _SS_NORM_CAP)))
-        x = x / (2.0**squarings)
-    out = np.eye(x.shape[0], dtype=complex)
-    term = np.eye(x.shape[0], dtype=complex)
-    for k in range(1, _SS_TERMS + 1):
-        term = term @ x / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def exp_2x2(m, t: float) -> np.ndarray:
-    """Compute ``exp(-i * m * t)`` for a 2x2 complex matrix.
-
-    Whenever ``m @ m`` is a scalar multiple of the identity (any traceless
-    matrix qualifies) the exact two-term form
-
-        cos(w t) I - i sin(w t)/w m,      w = sqrt(c),   m @ m = c I
-
-    is used, with the analytic ``w -> 0`` limit handled by series.  Other
-    inputs fall back to scaling-and-squaring on ``-i m t``.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)) or not np.isfinite(t):
-        raise ValueError("non-finite entries in exp_2x2 input")
-
-    m2 = m @ m
-    c = 0.5 * (m2[0, 0] + m2[1, 1])
-    defect = max(
-        abs(m2[0, 1]), abs(m2[1, 0]), 0.5 * abs(m2[0, 0] - m2[1, 1])
-    )
-    scale = max(1.0, float(np.linalg.norm(m)) ** 2)
-    if defect > 1e-13 * scale:
-        return _expm_scaling_squaring(-1j * t * m)
-
-    w = np.sqrt(c)  # branch irrelevant: both terms below are even in w
-    z = w * t
-    if abs(z) < 1e-5:
-        z2 = z * z
-        sin_fac = t * (1.0 - z2 / 6.0 + z2 * z2 / 120.0)
-    else:
-        sin_fac = np.sin(z) / w
-    return np.cos(z) * ID2 - 1j * sin_fac * m
-
-
-def exp_hermitian_4x4(m, t: float) -> np.ndarray:
-    """Compute the unitary ``exp(-i * m * t)`` for a Hermitian 4x4 matrix.
-
-    Spectral decomposition throughout; a non-Hermitian input signals a
-    construction bug upstream and is rejected.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)) or not np.isfinite(t):
-        raise ValueError("non-finite entries in exp_hermitian_4x4 input")
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > 1e-10 * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(
-            f"matrix is not Hermitian (defect {defect:.3e}); "
-            "the total-system Hamiltonian was built incorrectly"
-        )
-    w, v = np.linalg.eigh(m)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def trace_distance(rho1, rho2) -> float:

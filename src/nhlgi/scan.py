@@ -137,7 +137,8 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
 
     sampler = qmc.LatinHypercube(d=dim, seed=seed)
     points = lower + sampler.random(config.lhs_points) * (upper - lower)
-    candidates = [np.asarray(x, dtype=float) for x in extra_starts]
+    # A warm start rebuilt from an argmax may sit an ulp outside the bounds.
+    candidates = [np.clip(x, lower, upper) for x in extra_starts]
     candidates.extend(points)
 
     evals = 0
@@ -304,7 +305,8 @@ def maximize_speed(
     seed: int = 0,
     config: ScanConfig | None = None,
 ) -> ScanResult:
-    """Maximise the fidelity-decay coefficient over initial states and time.
+    """Maximise the squared Bloch speed :func:`nhlgi.dynamics.speed` over
+    initial states and time.
 
     The maximum of the in-plane closed form, ``(1 + sin theta)/(1 - sin
     theta)`` at the half period, is always reachable because the canonical

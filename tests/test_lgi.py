@@ -19,10 +19,6 @@ from nhlgi.lgi import (
     JointTable,
     LgiResult,
     Observable,
-    correlator,
-    joint_probability,
-    joint_table,
-    k3,
     k3_closed_form,
     pure_propagator,
     pure_protocol,
@@ -187,14 +183,18 @@ class TestQuarterSpacing:
     def test_first_table(self, theta):
         h = NHHamiltonian.canonical(theta)
         s = math.sin(theta)
-        tab = joint_table(h, up_y(), Observable.canonical(), 0.0, math.pi / 4)
+        tab = CorrelatorEngine(h).joint_table(
+            up_y(), Observable.canonical(), 0.0, math.pi / 4
+        )
         expected = np.array([[(1.0 + s) / 2.0, (1.0 - s) / 2.0], [0.0, 0.0]])
         np.testing.assert_allclose(tab.probs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_antipodal_table(self, theta):
         h = NHHamiltonian.canonical(theta)
-        tab = joint_table(h, up_y(), Observable.canonical(), 0.0, math.pi / 2)
+        tab = CorrelatorEngine(h).joint_table(
+            up_y(), Observable.canonical(), 0.0, math.pi / 2
+        )
         expected = np.array([[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_allclose(tab.probs, expected, atol=1e-10)
         assert tab.correlator == pytest.approx(-1.0, abs=1e-10)
@@ -203,8 +203,8 @@ class TestQuarterSpacing:
     def test_second_table(self, theta):
         h = NHHamiltonian.canonical(theta)
         s = math.sin(theta)
-        tab = joint_table(
-            h, up_y(), Observable.canonical(), math.pi / 4, math.pi / 2
+        tab = CorrelatorEngine(h).joint_table(
+            up_y(), Observable.canonical(), math.pi / 4, math.pi / 2
         )
         expected = 0.25 * np.array(
             [
@@ -218,7 +218,9 @@ class TestQuarterSpacing:
     def test_k3_value(self, theta):
         h = NHHamiltonian.canonical(theta)
         s = math.sin(theta)
-        res = k3(h, up_y(), Observable.canonical(), 0.0, math.pi / 4, math.pi / 2)
+        res = CorrelatorEngine(h).k3(
+            up_y(), Observable.canonical(), 0.0, math.pi / 4, math.pi / 2
+        )
         assert res.k3 == pytest.approx(1.0 + s + s * s, abs=1e-12)
         assert res.c13 == pytest.approx(-1.0, abs=1e-10)
 
@@ -353,19 +355,3 @@ class TestValidation:
             CorrelatorEngine(h, kappa=-0.1)
         with pytest.raises(ValueError):
             CorrelatorEngine(h).joint_table([1.0, 1.0], Observable.canonical(), 0.0, 1.0)
-
-    def test_module_wrappers(self):
-        h = NHHamiltonian.canonical(0.8)
-        q = Observable.canonical()
-        engine = CorrelatorEngine(h)
-        tab = engine.joint_table(up_y(), q, 0.2, 1.1)
-        assert joint_probability(h, up_y(), q, 0.2, 1.1, +1, -1) == pytest.approx(
-            tab.prob(+1, -1), abs=1e-15
-        )
-        assert correlator(h, up_y(), q, 0.2, 1.1) == pytest.approx(
-            tab.correlator, abs=1e-15
-        )
-        res = k3(h, up_y(), q, 0.0, 0.7, 1.9)
-        assert res.k3 == pytest.approx(
-            engine.k3(up_y(), q, 0.0, 0.7, 1.9).k3, abs=1e-15
-        )

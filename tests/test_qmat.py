@@ -7,13 +7,10 @@ from nhlgi.qmat import (
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    exp_2x2,
-    exp_hermitian_4x4,
     is_hermitian,
     pauli_vector,
     trace_distance,
 )
-from oracles import taylor_expm
 
 
 class TestPauliAlgebra:
@@ -52,86 +49,6 @@ class TestPauliAlgebra:
         np.testing.assert_array_equal(dagger(m), m.conj().T)
         assert is_hermitian(SIGMA_Y)
         assert not is_hermitian(SIGMA_X + 1j * SIGMA_Z)
-
-
-class TestExp2x2:
-    """Propagator-convention exponential ``exp(-i m t)`` against an
-    independent Taylor oracle."""
-
-    def test_identity_at_zero(self):
-        m = np.array([[1.0, 2.0j], [0.3, -0.7]])
-        np.testing.assert_allclose(exp_2x2(m, 0.0), ID2, atol=1e-15)
-
-    def test_random_matrices(self):
-        rng = np.random.default_rng(11)
-        for _ in range(400):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            t = rng.uniform(-np.pi, np.pi)
-            np.testing.assert_allclose(
-                exp_2x2(m, t), taylor_expm(-1j * m, t), atol=1e-11
-            )
-
-    def test_traceless_scalar_square(self):
-        # complex combinations of the Paulis square to a scalar, which
-        # exercises the closed two-term branch
-        rng = np.random.default_rng(13)
-        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-        for _ in range(400):
-            c = rng.normal(size=3) + 1j * rng.normal(size=3)
-            m = sum(ci * si for ci, si in zip(c, paulis))
-            t = rng.uniform(-2.0, 2.0)
-            np.testing.assert_allclose(
-                exp_2x2(m, t), taylor_expm(-1j * m, t), atol=1e-11
-            )
-
-    def test_unitary_for_hermitian_generator(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            h = pauli_vector(rng.normal(size=3)) + rng.normal() * ID2
-            u = exp_2x2(h, rng.uniform(0.0, 4.0))
-            np.testing.assert_allclose(dagger(u) @ u, ID2, atol=1e-12)
-
-    def test_group_property(self):
-        m = pauli_vector([0.4, -1.1, 0.9]) - 0.2j * ID2
-        u1 = exp_2x2(m, 0.7)
-        u2 = exp_2x2(m, 1.3)
-        np.testing.assert_allclose(u1 @ u2, exp_2x2(m, 2.0), atol=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            exp_2x2(np.eye(3), 1.0)
-        with pytest.raises(ValueError):
-            exp_2x2(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0)
-
-
-class TestExpHermitian4x4:
-    def _random_hermitian(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        return 0.5 * (m + m.conj().T)
-
-    def test_against_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(60):
-            h = self._random_hermitian(rng)
-            t = rng.uniform(-3.0, 3.0)
-            np.testing.assert_allclose(
-                exp_hermitian_4x4(h, t), taylor_expm(-1j * h, t), atol=1e-11
-            )
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(29)
-        h = self._random_hermitian(rng)
-        u = exp_hermitian_4x4(h, 1.7)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(
-            u @ exp_hermitian_4x4(h, -1.7), np.eye(4), atol=1e-12
-        )
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            exp_hermitian_4x4(m, 1.0)
 
 
 class TestTraceDistance:
