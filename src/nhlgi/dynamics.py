@@ -77,7 +77,8 @@ _NORM_FLOOR = 1e-14
 
 
 class DegenerateEvolutionError(RuntimeError):
-    """Raised when a propagated state norm collapses below representable size."""
+    """Raised when a propagation cannot be trusted: a propagated norm collapses
+    below representable size, or a noisy lift is numerically defective."""
 
 
 class StiffnessError(RuntimeError):

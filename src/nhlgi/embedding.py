@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import NHHamiltonian, THETA_MAX, validate_pure
-from .lgi import LgiResult, Observable, _eigenstates, pure_protocol
+from .lgi import LgiResult, Observable, _eigenstates, protocol, pure_born
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -245,13 +245,13 @@ def k3_via_embedding(
     if not 0.0 <= t1 < t2 < t3:
         raise ValueError("need 0 <= t1 < t2 < t3")
 
-    def propagate(t, a, b):
+    def propagate(t, psi):
         # Re-embed, evolve unitarily and post-select; the upper block comes
         # back normalised.
-        upper, _ = evolve_and_postselect(theta, np.array([a, b]), t)
+        upper, _ = evolve_and_postselect(theta, np.array(psi), t)
         return complex(upper[0]), complex(upper[1])
 
-    tables = pure_protocol(
-        tuple(psi0.tolist()), _eigenstates(q), propagate, t1, t2, t3
+    tables = protocol(
+        tuple(psi0.tolist()), _eigenstates(q), propagate, pure_born, t1, t2, t3
     )[3:]
     return LgiResult.from_tables(tables, (t1, t2, t3))

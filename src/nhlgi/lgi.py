@@ -20,22 +20,33 @@ pi/2.  With equal spacing ``t`` between the measurement times, the initial
 state ``up_y`` and the canonical observable (axis ``-y``), all four joint
 distributions have closed forms, exposed here as :func:`k3_closed_form`.
 
-Noisy correlators (``kappa > 0``) propagate density matrices with the exact
-solution of the linear lift of the depolarising flow; the independently
-integrated :func:`nhlgi.dynamics.evolve_density_noisy` serves as the
-cross-check, not the engine, so scans stay fast and deterministic.
+Every protocol run goes through one scalar kernel, :func:`protocol`, which
+takes the state, the two collapse states, a propagator and a Born rule.
+Pure states run as spinors; density matrices and noisy flows (``kappa >
+0``) run as Bloch vectors under the exact solution of the linear lift of the
+depolarising flow.  The independently integrated
+:func:`nhlgi.dynamics.evolve_density_noisy` serves as the cross-check, not
+the engine, so scans stay fast and deterministic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, validate_density, validate_pure
-from .qmat import ID2, ID4, pauli_vector
+from .dynamics import (
+    DegenerateEvolutionError,
+    NHHamiltonian,
+    bloch_of_density,
+    bloch_of_pure,
+    validate_density,
+    validate_pure,
+)
+from .qmat import ID2, pauli_vector
 
 __all__ = [
     "LUDER_BOUND",
@@ -45,7 +56,10 @@ __all__ = [
     "LgiResult",
     "CorrelatorEngine",
     "pure_propagator",
-    "pure_protocol",
+    "density_propagator",
+    "pure_born",
+    "bloch_born",
+    "protocol",
     "k3_closed_form",
 ]
 
@@ -105,16 +119,6 @@ class Observable:
         """Normalised (+1, -1) eigenvectors with deterministic phases."""
         return self._eigenstate(0), self._eigenstate(1)
 
-    def projector(self, outcome: int) -> np.ndarray:
-        if outcome not in _OUTCOMES:
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        return self.projectors[_OUTCOMES.index(outcome)]
-
-    def eigenstate(self, outcome: int) -> np.ndarray:
-        if outcome not in _OUTCOMES:
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        return self.eigenstates[_OUTCOMES.index(outcome)]
-
     def _eigenstate(self, index: int) -> np.ndarray:
         p = self.projectors[index]
         j = int(np.argmax(np.diagonal(p).real))
@@ -140,8 +144,9 @@ class JointTable:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (2, 2):
             raise ValueError("joint table must be 2x2")
-        if np.any(self.probs < -1e-10) or np.any(self.probs > 1.0 + 1e-10):
-            raise ValueError("joint probabilities outside [0, 1]")
+        # written so that NaN fails the range check
+        if not np.all((self.probs >= -1e-10) & (self.probs <= 1.0 + 1e-10)):
+            raise ValueError("joint probabilities outside [0, 1] or not finite")
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"joint probabilities sum to {total!r}, not 1")
@@ -172,7 +177,7 @@ class LgiResult:
     def __post_init__(self):
         if abs(self.k3 - (self.c12 + self.c23 - self.c13)) > 1e-12:
             raise ValueError("K3 must equal C12 + C23 - C13")
-        if abs(self.k3) > ALGEBRAIC_BOUND + 1e-9:
+        if not abs(self.k3) <= ALGEBRAIC_BOUND + 1e-9:  # NaN fails too
             raise ValueError(f"K3 = {self.k3!r} outside the algebraic range")
 
     @classmethod
@@ -200,16 +205,16 @@ class LgiResult:
 def pure_propagator(h: NHHamiltonian):
     """Renormalised pure-state flow of ``h`` on plain complex scalars.
 
-    Returns ``propagate(t, a, b) -> (a, b)``, the closed form
-    ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to the state
-    ``(a, b)`` and normalised.  The entries of ``M`` are bound once, so the
-    call does no numpy work and no validation; it is the propagator that
-    :func:`pure_protocol` expects.
+    Returns ``propagate(t, psi) -> psi`` for spinors ``psi = (a, b)``: the
+    closed form ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to
+    ``psi`` and normalised.  The entries of ``M`` are bound once, so the call
+    does no numpy work and no validation.
     """
     w = h.omega
     (m00, m01), (m10, m11) = h.matrix.tolist()
 
-    def propagate(t, a, b):
+    def propagate(t, psi):
+        a, b = psi
         c = math.cos(w * t)
         s = -1j * (math.sin(w * t) / w)
         x = c * a + s * (m00 * a + m01 * b)
@@ -220,163 +225,171 @@ def pure_propagator(h: NHHamiltonian):
     return propagate
 
 
-def _pure_joint(v, chi, propagate, gap):
+def density_propagator(h: NHHamiltonian, kappa: float = 0.0):
+    """Renormalised density flow of ``h`` at depolarising rate ``kappa``.
+
+    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
+    as plain float triples.  The unnormalised state ``(r0 I + r . sigma)/2``
+    obeys the linear lift ``d(r0, r)/dt = [[0, -2 B^T], [-2 B, 2 [A x] - 2
+    kappa]] (r0, r)``.  At ``kappa = 0`` its spectrum ``{0, 0, +/- 2i w}``
+    gives ``U rho U^dag`` in closed form; with noise its eigendecomposition
+    is bound here once (spectrum shifted to non-positive real part, which
+    cancels in the normalisation), and a lift that the decomposition does
+    not reconstruct is refused with ``DegenerateEvolutionError``.
+    """
+    if kappa < 0.0 or not math.isfinite(kappa):
+        raise ValueError("kappa must be a finite non-negative rate")
+    (ax, ay, az), (bx, by, bz) = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+
+    def lift(r0, x, y, z):
+        return (
+            -2.0 * (bx * x + by * y + bz * z),
+            2.0 * (ay * z - az * y - bx * r0 - kappa * x),
+            2.0 * (az * x - ax * z - by * r0 - kappa * y),
+            2.0 * (ax * y - ay * x - bz * r0 - kappa * z),
+        )
+
+    if kappa == 0.0:
+        w = h.omega
+
+        def propagate(t, r):
+            # exp(L t) = 1 + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2
+            first = lift(1.0, *r)
+            second = lift(*first)
+            s = math.sin(w * t) / w
+            f, g = s * math.cos(w * t), 0.5 * s * s
+            terms = zip((1.0,) + r, first, second)
+            r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
+            return x / r0, y / r0, z / r0
+
+        return propagate
+
+    matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
+    lam, v = np.linalg.eig(matrix)
+    try:
+        v_inv = np.linalg.inv(v)
+        residual = float(np.linalg.norm((v * lam) @ v_inv - matrix))
+    except np.linalg.LinAlgError:
+        residual = math.inf
+    if not residual <= 1e-8 * max(1.0, float(np.linalg.norm(matrix))):
+        raise DegenerateEvolutionError(
+            f"the noisy lift at kappa = {kappa!r} is numerically defective; "
+            "its eigendecomposition cannot be trusted"
+        )
+    l0, l1, l2, l3 = (lam - float(np.max(lam.real))).tolist()
+    (e00, e01, e02, e03, e10, e11, e12, e13,
+     e20, e21, e22, e23, e30, e31, e32, e33) = v.ravel().tolist()
+    (f00, f01, f02, f03, f10, f11, f12, f13,
+     f20, f21, f22, f23, f30, f31, f32, f33) = v_inv.ravel().tolist()
+    exp = cmath.exp
+
+    def propagate(t, r):
+        if t == 0.0:
+            return r
+        x, y, z = r
+        c0 = exp(l0 * t) * (f00 + f01 * x + f02 * y + f03 * z)
+        c1 = exp(l1 * t) * (f10 + f11 * x + f12 * y + f13 * z)
+        c2 = exp(l2 * t) * (f20 + f21 * x + f22 * y + f23 * z)
+        c3 = exp(l3 * t) * (f30 + f31 * x + f32 * y + f33 * z)
+        r0 = (e00 * c0 + e01 * c1 + e02 * c2 + e03 * c3).real
+        return (
+            (e10 * c0 + e11 * c1 + e12 * c2 + e13 * c3).real / r0,
+            (e20 * c0 + e21 * c1 + e22 * c2 + e23 * c3).real / r0,
+            (e30 * c0 + e31 * c1 + e32 * c2 + e33 * c3).real / r0,
+        )
+
+    return propagate
+
+
+def pure_born(chi, psi) -> float:
+    """Born probability ``|<chi|psi>|^2`` of two spinors."""
+    return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
+
+
+def bloch_born(n, r) -> float:
+    """Born probability ``(1 + n . r)/2`` of Bloch vectors ``n`` and ``r``."""
+    return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
+
+
+def _joint(v, collapse, propagate, born, gap):
     """Joint table ``((p++, p+-), (p-+, p--))`` of one measurement pair.
 
-    ``v`` is the normalised state just before the first measurement,
-    ``chi`` the (+1, -1) eigenstates of the measured axis.  The first Born
-    probabilities are clipped to [0, 1] and renormalised; each collapse
-    branch is propagated across ``gap`` and its +1 probability capped at 1.
+    ``v`` is the state just before the first measurement.  Born
+    probabilities are clipped to [0, 1]; the first pair is renormalised.
     """
-    (p0, p1), (m0, m1) = chi
-    p0, p1, m0, m1 = p0.conjugate(), p1.conjugate(), m0.conjugate(), m1.conjugate()
-    a, b = v
-    first_p = min(1.0, max(0.0, abs(p0 * a + p1 * b) ** 2))
-    first_m = min(1.0, max(0.0, abs(m0 * a + m1 * b) ** 2))
+    up, down = collapse
+    first_p = min(1.0, max(0.0, born(up, v)))
+    first_m = min(1.0, max(0.0, born(down, v)))
     total = first_p + first_m
     rows = []
-    for first, branch in ((first_p / total, chi[0]), (first_m / total, chi[1])):
-        x, y = propagate(gap, *branch)
-        cond_plus = min(1.0, abs(p0 * x + p1 * y) ** 2)
+    for first, branch in ((first_p / total, up), (first_m / total, down)):
+        cond_plus = min(1.0, max(0.0, born(up, propagate(gap, branch))))
         rows.append((first * cond_plus, first * (1.0 - cond_plus)))
     return tuple(rows)
 
 
-def pure_protocol(psi, chi, propagate, t1: float, t2: float, t3: float):
-    """The invasive three-time protocol for a pure state, on complex scalars.
+def protocol(state, collapse, propagate, born, t1: float, t2: float, t3: float):
+    """The invasive three-time protocol on plain scalars, for any representation.
 
-    ``psi = (a, b)`` is a normalised state, ``chi`` the pair of (+1, -1)
-    eigenstates of the measured axis, ``propagate(t, a, b) -> (a, b)`` a
-    renormalised flow (see :func:`pure_propagator`) and ``t1 < t2 < t3``.
-    The state is propagated once to ``t1`` (shared by the pairs (1,2) and
-    (1,3)) and once to ``t2``.  Nothing is validated: callers check their
-    inputs once, outside any loop.
+    ``collapse`` holds the (+1, -1) collapse states of the measured axis,
+    ``propagate(t, state)`` is a renormalised flow and ``born(c, state)`` the
+    probability of collapsing onto ``c``: spinors with :func:`pure_born`, or
+    Bloch vectors (collapse states ``+/- n``) with :func:`bloch_born`.  The
+    state is propagated once to ``t1`` and once to ``t2``.  Nothing is
+    validated: callers check their inputs once, outside any loop.
 
     Returns ``(c12, c23, c13, table12, table23, table13)`` with each table
     nested as ``((p++, p+-), (p-+, p--))``.
     """
-    v1 = propagate(t1, *psi)
+    v1 = propagate(t1, state)
     tables = (
-        _pure_joint(v1, chi, propagate, t2 - t1),
-        _pure_joint(propagate(t2, *psi), chi, propagate, t3 - t2),
-        _pure_joint(v1, chi, propagate, t3 - t1),
+        _joint(v1, collapse, propagate, born, t2 - t1),
+        _joint(propagate(t2, state), collapse, propagate, born, t3 - t2),
+        _joint(v1, collapse, propagate, born, t3 - t1),
     )
     c12, c23, c13 = (p[0][0] - p[0][1] - p[1][0] + p[1][1] for p in tables)
     return (c12, c23, c13) + tables
 
 
-class _LiftedPropagator:
-    """Exact propagator for the linear lift of the noisy renormalised flow.
-
-    The normalised solution of the depolarising equation of motion equals
-    ``rho = rho_tilde / tr(rho_tilde)`` where the lift obeys the linear
-    equation
-
-        d(rho_tilde)/dt = -i H rho_tilde + i rho_tilde H^dag
-                          + kappa (tr(rho_tilde) I - 2 rho_tilde),
-
-    a fixed 4x4 system solved once by eigendecomposition.  Falls back to
-    scaling-and-squaring per call if the lift happens to be numerically
-    defective.
-
-    The lift may hold a genuinely growing mode (the trace pump amplifies
-    through the anti-Hermitian coupling when ``kappa`` is comparable to the
-    amplification rate), so the exponential is evaluated with the spectrum
-    shifted to non-positive real part; the scalar factor ``exp(mu tau)``
-    cancels in the trace normalisation.
-    """
-
-    def __init__(self, h: NHHamiltonian, kappa: float):
-        hm = h.matrix
-        lift = -1j * np.kron(hm, ID2) + 1j * np.kron(ID2, hm.conj())
-        trace_row = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        lift = lift + kappa * (np.outer(ID2.reshape(-1), trace_row) - 2.0 * ID4)
-        self._lift = lift
-        w, v = np.linalg.eig(lift)
-        self._shift = float(np.max(w.real))
-        try:
-            v_inv = np.linalg.inv(v)
-        except np.linalg.LinAlgError:
-            v_inv = None
-        self._diagonalisable = (
-            v_inv is not None
-            and float(np.linalg.norm((v * w) @ v_inv - lift))
-            <= 1e-8 * max(1.0, float(np.linalg.norm(lift)))
-        )
-        self._w, self._v, self._v_inv = w, v, v_inv
-
-    def __call__(self, rho: np.ndarray, tau: float) -> np.ndarray:
-        if tau == 0.0:
-            return rho
-        if self._diagonalisable:
-            coeff = self._v_inv @ rho.reshape(-1)
-            decay = np.exp((self._w - self._shift) * tau)
-            out = (self._v @ (decay * coeff)).reshape(2, 2)
-        else:
-            from scipy.linalg import expm
-
-            out = (
-                expm((self._lift - self._shift * ID4) * tau) @ rho.reshape(-1)
-            ).reshape(2, 2)
-        out = 0.5 * (out + out.conj().T)
-        return out / out.trace().real
-
-
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine once and reusing it amortises the propagator setup,
-    which matters inside parameter scans.  For ``kappa = 0`` and a pure
-    input the protocol runs in :func:`pure_protocol` on complex scalars;
-    density matrices and noisy flows share a single density-matrix path.
+    Building the engine once amortises the propagator setup (with noise, the
+    eigendecomposition of the lift).  Every call validates its inputs once
+    and runs :func:`protocol`: on spinors for a pure input at ``kappa = 0``,
+    on Bloch vectors for density matrices and noisy flows.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
-        if kappa < 0.0 or not np.isfinite(kappa):
-            raise ValueError("kappa must be a finite non-negative rate")
+        # density inputs at kappa = 0 build their closed-form propagator per call
+        self._density = None if kappa == 0.0 else density_propagator(h, kappa)
+        self._pure = pure_propagator(h) if kappa == 0.0 else None
         self.hamiltonian = h
         self.kappa = float(kappa)
-        self._lift = _LiftedPropagator(h, kappa) if kappa > 0.0 else None
-        self._propagate = pure_propagator(h) if kappa == 0.0 else None
 
-    # -- propagation helpers ------------------------------------------------
-
-    def _propagate_density(self, rho: np.ndarray, tau: float) -> np.ndarray:
-        if self._lift is not None:
-            return self._lift(rho, tau)
-        u = self.hamiltonian.propagator(tau)
-        m = u @ rho @ u.conj().T
-        return m / m.trace().real
-
-    # -- joint distributions ------------------------------------------------
-
-    def _table_density(self, rho, q: Observable, t_i: float, gap: float) -> np.ndarray:
-        rho_i = self._propagate_density(rho, t_i)
-        proj = q.projectors
-        first = np.array(
-            [np.trace(proj[0] @ rho_i).real, np.trace(proj[1] @ rho_i).real]
-        )
-        first = np.clip(first, 0.0, 1.0)
-        first = first / first.sum()
-        probs = np.empty((2, 2))
-        for i in range(2):
-            # The collapsed state is the projector itself (rank 1, unit trace).
-            rho_f = self._propagate_density(proj[i], gap)
-            cond_plus = min(1.0, max(0.0, np.trace(proj[0] @ rho_f).real))
-            probs[i, 0] = first[i] * cond_plus
-            probs[i, 1] = first[i] * (1.0 - cond_plus)
-        return probs
+    def _kernel_args(self, state, q: Observable):
+        """Validated ``(state, collapse, propagate, born)`` for :func:`protocol`."""
+        state = np.asarray(state, dtype=complex)
+        if state.ndim == 1 and self._pure is not None:
+            psi = tuple(validate_pure(state).tolist())
+            return psi, _eigenstates(q), self._pure, pure_born
+        if state.ndim == 1:
+            s = bloch_of_pure(state)
+        elif state.ndim == 2:
+            s = bloch_of_density(validate_density(state))
+        else:
+            raise ValueError("state must be a 2-vector or a 2x2 density matrix")
+        n = q.direction
+        r = tuple((2.0 * s).tolist())
+        propagate = self._density or density_propagator(self.hamiltonian)
+        return r, (n, (-n[0], -n[1], -n[2])), propagate, bloch_born
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
-        state = _validate_state(state)
+        state, collapse, propagate, born = self._kernel_args(state, q)
         if not 0.0 <= t_i < t_j:
             raise ValueError("need 0 <= t_i < t_j")
-        if state.ndim == 1 and self.kappa == 0.0:
-            v = self._propagate(t_i, *state.tolist())
-            probs = _pure_joint(v, _eigenstates(q), self._propagate, t_j - t_i)
-        else:
-            probs = self._table_density(_density(state), q, t_i, t_j - t_i)
+        probs = _joint(propagate(t_i, state), collapse, propagate, born, t_j - t_i)
         return JointTable(probs, t_i, t_j)
 
     def correlator(self, state, q: Observable, t_i: float, t_j: float) -> float:
@@ -384,38 +397,16 @@ class CorrelatorEngine:
 
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
-        state = _validate_state(state)
+        args = self._kernel_args(state, q)
         if not 0.0 <= t1 < t2 < t3:
             raise ValueError("need 0 <= t1 < t2 < t3")
-        if state.ndim == 1 and self.kappa == 0.0:
-            tables = pure_protocol(
-                tuple(state.tolist()), _eigenstates(q), self._propagate, t1, t2, t3
-            )[3:]
-        else:
-            rho = _density(state)
-            tables = [
-                self._table_density(rho, q, t_i, t_j - t_i)
-                for t_i, t_j in ((t1, t2), (t2, t3), (t1, t3))
-            ]
+        tables = protocol(*args, t1, t2, t3)[3:]
         return LgiResult.from_tables(tables, (t1, t2, t3), self.kappa)
 
 
 def _eigenstates(q: Observable):
     """The (+1, -1) eigenstates of ``q`` as pairs of complex scalars."""
     return tuple(tuple(chi.tolist()) for chi in q.eigenstates)
-
-
-def _density(state: np.ndarray) -> np.ndarray:
-    return state if state.ndim == 2 else np.outer(state, state.conj())
-
-
-def _validate_state(state) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return validate_pure(state)
-    if state.ndim == 2:
-        return validate_density(state)
-    raise ValueError("state must be a 2-vector or a 2x2 density matrix")
 
 
 def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:

@@ -29,10 +29,11 @@ from scipy.stats import qmc
 from .dynamics import NHHamiltonian, speed, state_from_bloch_angles
 from .lgi import (
     ALGEBRAIC_BOUND,
-    CorrelatorEngine,
-    Observable,
+    bloch_born,
+    density_propagator,
+    protocol,
+    pure_born,
     pure_propagator,
-    pure_protocol,
 )
 
 __all__ = [
@@ -208,34 +209,35 @@ def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
     )
 
 
+def _bloch_axis(theta: float, phi: float) -> tuple[float, float, float]:
+    """``(sin theta cos phi, sin theta sin phi, cos theta)`` as plain scalars."""
+    s = math.sin(theta)
+    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
+
+
 def _k3_objective(theta: float, kappa: float):
     """``objective(x) -> (K3, feasible)`` over the seven search coordinates.
 
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)`` with the times
-    ``(t1, t1 + g1, t1 + g1 + g2)``.  At ``kappa = 0`` the point runs straight
-    through :func:`nhlgi.lgi.pure_protocol` with the state and the axis
-    eigenstates in closed form; with noise it goes through the engine's
-    density-matrix path.
+    ``(t1, t1 + g1, t1 + g1 + g2)``.  Every point runs straight through
+    :func:`nhlgi.lgi.protocol` with the state and the collapse states in
+    closed form: spinors and the axis eigenstates at ``kappa = 0``, Bloch
+    vectors and the axis with its negative under noise.
     """
     h = NHHamiltonian.canonical(theta)
     if kappa == 0.0:
-        propagate = pure_propagator(h)
+        propagate, born = pure_propagator(h), pure_born
 
-        def k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3):
+        def kernel_inputs(theta_s, phi_s, theta_q, phi_q):
             up = _bloch_state(theta_q, phi_q)
-            down = (-up[1].conjugate(), up[0])
-            c12, c23, c13 = pure_protocol(
-                _bloch_state(theta_s, phi_s), (up, down), propagate, t1, t2, t3
-            )[:3]
-            return c12 + c23 - c13
+            return _bloch_state(theta_s, phi_s), (up, (-up[1].conjugate(), up[0]))
 
     else:
-        engine = CorrelatorEngine(h, kappa)
+        propagate, born = density_propagator(h, kappa), bloch_born
 
-        def k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3):
-            psi = state_from_bloch_angles(theta_s, phi_s)
-            q = Observable.from_angles(theta_q, phi_q)
-            return engine.k3(psi, q, t1, t2, t3).k3
+        def kernel_inputs(theta_s, phi_s, theta_q, phi_q):
+            n = _bloch_axis(theta_q, phi_q)
+            return _bloch_axis(theta_s, phi_s), (n, (-n[0], -n[1], -n[2]))
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x.tolist()
@@ -243,7 +245,9 @@ def _k3_objective(theta: float, kappa: float):
         t3 = t2 + g2
         if t3 > TIME_WINDOW:
             return -ALGEBRAIC_BOUND - (t3 - TIME_WINDOW), False
-        return k3_at(theta_s, phi_s, theta_q, phi_q, t1, t2, t3), True
+        state, collapse = kernel_inputs(theta_s, phi_s, theta_q, phi_q)
+        c12, c23, c13 = protocol(state, collapse, propagate, born, t1, t2, t3)[:3]
+        return c12 + c23 - c13, True
 
     return objective
 

@@ -66,6 +66,48 @@ def two_time_joint(h_matrix, psi0, direction, t_i, t_j):
     return probs
 
 
+def noisy_two_time_joint(h_matrix, kappa, rho0, direction, t_i, t_j, max_step=0.25):
+    """Joint outcome table of the invasive protocol under depolarising noise.
+
+    Propagates ``vec(rho)`` (row-major) with the complex 4x4 lift
+
+        L = -i (H x I) + i (I x H^*) + kappa (vec(I) tr(.) - 2 I_4)
+
+    exponentiated by ``taylor_expm`` over equal steps no longer than
+    ``max_step``; the trace is renormalised after every step so that growing
+    modes of the lift cannot overflow.  Collapses onto the projectors
+    ``(I +/- n . sigma)/2`` and reads probabilities as their traces against
+    ``rho``.  Returns a 2x2 array indexed like :func:`two_time_joint`.
+    """
+    h_matrix = np.asarray(h_matrix, dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    lift = -1j * np.kron(h_matrix, eye) + 1j * np.kron(eye, h_matrix.conj())
+    lift = lift + kappa * (
+        np.outer(eye.reshape(-1), eye.reshape(-1)) - 2.0 * np.eye(4, dtype=complex)
+    )
+
+    def propagate(rho, t):
+        n = max(1, int(np.ceil(t / max_step)))
+        step = taylor_expm(lift, t / n)
+        vec = np.asarray(rho, dtype=complex).reshape(-1)
+        for _ in range(n):
+            vec = step @ vec
+            vec = vec / (vec[0] + vec[3]).real
+        return vec.reshape(2, 2)
+
+    n_op = sum(c * s for c, s in zip(direction, (_SX, _SY, _SZ)))
+    proj = (0.5 * (eye + n_op), 0.5 * (eye - n_op))
+    rho_i = propagate(rho0, t_i)
+    first = np.array([np.trace(p @ rho_i).real for p in proj])
+    first = first / first.sum()
+    probs = np.empty((2, 2))
+    for i, p in enumerate(proj):
+        p_plus = np.trace(proj[0] @ propagate(p, t_j - t_i)).real
+        probs[i, 0] = first[i] * p_plus
+        probs[i, 1] = first[i] * (1.0 - p_plus)
+    return probs
+
+
 def rk4(rhs, y0, t_end, n_steps):
     """Classical fixed-step fourth-order Runge-Kutta from t = 0."""
     y = np.asarray(y0, dtype=float).copy()

@@ -191,6 +191,16 @@ class TestCliNoise:
         metadata, _ = read_csv(out)
         assert float(metadata["theta"]) == pytest.approx(math.pi / 2 - 0.4, abs=1e-12)
 
+    def test_defective_lift_exits_1(self, capsys):
+        # at the corner with faint noise the lift cannot be diagonalised
+        # reliably; the command must fail instead of printing C13 = -1
+        rc = main(["noise", "--delta", "1e-6", "--kappa", "1e-9",
+                   "--tmax", "0.2", "--step", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "defective" in captured.err
+
 
 class TestCliScan:
     def test_small_budget_run(self, tmp_path):

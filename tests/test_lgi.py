@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhlgi.dynamics import (
+    THETA_MAX,
+    DegenerateEvolutionError,
     NHHamiltonian,
+    density_from_bloch,
     evolve_density_noisy,
     projector,
     state_from_bloch_angles,
@@ -19,11 +22,14 @@ from nhlgi.lgi import (
     JointTable,
     LgiResult,
     Observable,
+    bloch_born,
+    density_propagator,
     k3_closed_form,
+    protocol,
+    pure_born,
     pure_propagator,
-    pure_protocol,
 )
-from oracles import axis_eigenstates, two_time_joint
+from oracles import axis_eigenstates, noisy_two_time_joint, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -58,10 +64,11 @@ class TestObservable:
         np.testing.assert_allclose(p_plus + p_minus, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(p_plus @ p_minus, 0.0, atol=1e-14)
         np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-14)
-        np.testing.assert_allclose(q.projector(+1), p_plus, atol=1e-15)
-        np.testing.assert_allclose(q.projector(-1), p_minus, atol=1e-15)
         np.testing.assert_allclose(
-            projector(q.eigenstate(+1)), p_plus, atol=1e-12
+            projector(q.eigenstates[0]), p_plus, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            projector(q.eigenstates[1]), p_minus, atol=1e-12
         )
 
     def test_validation(self):
@@ -69,10 +76,6 @@ class TestObservable:
             Observable((0.0, -2.0, 0.0))
         with pytest.raises(ValueError):
             Observable((1.0, 1.0))
-        with pytest.raises(ValueError):
-            Observable.canonical().projector(0)
-        with pytest.raises(ValueError):
-            Observable.canonical().eigenstate(2)
 
 
 class TestJointTable:
@@ -89,6 +92,8 @@ class TestJointTable:
             JointTable(np.array([[0.6, -0.1], [0.2, 0.3]]), 0.0, 1.0)
         with pytest.raises(ValueError):
             JointTable(np.ones(4) / 4.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            JointTable(np.array([[np.nan, 0.5], [0.25, 0.25]]), 0.0, 1.0)
 
 
 class TestLgiResult:
@@ -103,6 +108,10 @@ class TestLgiResult:
     def test_algebraic_range_enforced(self):
         with pytest.raises(ValueError):
             LgiResult(c12=2.0, c23=2.0, c13=-2.0, k3=6.0, **self._tables())
+
+    def test_non_finite_k3_rejected(self):
+        with pytest.raises(ValueError):
+            LgiResult(c12=math.nan, c23=0.0, c13=0.0, k3=math.nan, **self._tables())
 
 
 class TestProtocolAgainstOracle:
@@ -150,13 +159,63 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        out = pure_protocol(tuple(psi.tolist()), chi, pure_propagator(h), t1, t2, t3)
+        out = protocol(
+            tuple(psi.tolist()), chi, pure_propagator(h), pure_born, t1, t2, t3
+        )
         # Both routes lose about sec(theta)^2 ulps to the cancellation in the
         # renormalised propagator near the corner (measured error / sec^2
         # stays below 1e-13), so the per-entry tolerance scales with it.
         tol = 1e-12 / math.cos(theta) ** 2
         for table, (t_i, t_j) in zip(out[3:], ((t1, t2), (t2, t3), (t1, t3))):
             expected = two_time_joint(h.matrix, psi, direction, t_i, t_j)
+            np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
+        for c, table in zip(out[:3], out[3:]):
+            assert c == JointTable(table, 0.0, 1.0).correlator
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi / 2 - 1e-2),
+        log_kappa=st.floats(-6.0, 3.0),
+        state=st.tuples(
+            st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0)
+        ),
+        axis=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+        times=st.tuples(
+            st.floats(0.0, 1.5), st.floats(1e-3, 1.5), st.floats(1e-3, 1.5)
+        ),
+    )
+    def test_noisy_kernel_tables(self, theta, log_kappa, state, axis, times):
+        theta_s, phi_s, length = state
+        kappa = 10.0**log_kappa
+        h = NHHamiltonian.canonical(theta)
+        r = tuple(
+            length * c
+            for c in (
+                math.sin(theta_s) * math.cos(phi_s),
+                math.sin(theta_s) * math.sin(phi_s),
+                math.cos(theta_s),
+            )
+        )
+        n = (
+            math.sin(axis[0]) * math.cos(axis[1]),
+            math.sin(axis[0]) * math.sin(axis[1]),
+            math.cos(axis[0]),
+        )
+        t1 = times[0]
+        t2 = t1 + times[1]
+        t3 = t2 + times[2]
+        out = protocol(
+            r, (n, (-n[0], -n[1], -n[2])), density_propagator(h, kappa), bloch_born,
+            t1, t2, t3,
+        )
+        rho0 = density_from_bloch(0.5 * np.array(r))
+        # Against a 40-digit evaluation of the lift, the kernel's tables were
+        # within 1.8e-15 sec^2(theta) and the stepped Taylor oracle's within
+        # 8.3e-14 sec^2(theta) (1200 tables, theta up to pi/2 - 1e-2, where
+        # the oracle is off by up to 2.9e-11); the oracle sets the tolerance.
+        tol = 1e-12 / math.cos(theta) ** 2
+        for table, (t_i, t_j) in zip(out[3:], ((t1, t2), (t2, t3), (t1, t3))):
+            expected = noisy_two_time_joint(h.matrix, kappa, rho0, n, t_i, t_j)
             np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
         for c, table in zip(out[:3], out[3:]):
             assert c == JointTable(table, 0.0, 1.0).correlator
@@ -304,15 +363,32 @@ class TestNoisyProtocol:
 
         rho_i = evolve_density_noisy(h, rho0, kappa, t_i)
         probs = np.empty((2, 2))
-        for row, outcome in enumerate((+1, -1)):
-            p = q.projector(outcome)
+        for row, p in enumerate(q.projectors):
             weight = float(np.trace(p @ rho_i).real)
             branch = p @ rho_i @ p / weight
             rho_j = evolve_density_noisy(h, branch, kappa, t_j - t_i)
-            cond = float(np.trace(q.projector(+1) @ rho_j).real)
+            cond = float(np.trace(q.projectors[0] @ rho_j).real)
             probs[row, 0] = weight * cond
             probs[row, 1] = weight * (1.0 - cond)
         np.testing.assert_allclose(got.probs, probs, atol=1e-7)
+
+    @pytest.mark.parametrize("theta", [math.pi / 2 - 1e-4, THETA_MAX])
+    def test_corner_is_accurate_or_refused(self, theta):
+        # faint noise at the corner: the lift is nearly defective, and the
+        # engine must return the exact lift's table or refuse with a typed
+        # error, never a silently wrong (or NaN) table; at THETA_MAX it
+        # refuses (see the CLI test), at pi/2 - 1e-4 it is accurate
+        mpmath = pytest.importorskip("mpmath")
+        h = NHHamiltonian.canonical(theta)
+        q = Observable.from_angles(1.1, 0.6)
+        rho0 = projector(state_from_bloch_angles(0.8, 2.5))
+        t_i, t_j, kappa = 0.4, 1.7, 1e-9
+        try:
+            got = CorrelatorEngine(h, kappa=kappa).joint_table(rho0, q, t_i, t_j)
+        except DegenerateEvolutionError:
+            return
+        expected = _lift_joint_reference(mpmath, h, kappa, rho0, q, t_i, t_j)
+        np.testing.assert_allclose(got.probs, expected, rtol=0.0, atol=1e-10)
 
     def test_weak_noise_limit(self):
         h = NHHamiltonian.canonical(1.2)
@@ -335,6 +411,36 @@ class TestNoisyProtocol:
             t3 = t2 + rng.uniform(0.05, 1.0)
             res = engine.k3(psi, q, t1, t2, t3)
             assert abs(res.k3) <= 1.0
+
+
+def _lift_joint_reference(mpmath, h, kappa, rho0, q, t_i, t_j, dps=60):
+    """Noisy joint table from the complex vec(rho) lift, exponentiated in mpmath."""
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(h.matrix.tolist())
+        eye = mpmath.eye(2)
+        lift = mpmath.zeros(4, 4)
+        for i, j, k, m in np.ndindex(2, 2, 2, 2):
+            # d rho_ij/dt = -i H_ik rho_kj + i rho_im conj(H_jm) + kappa (...)
+            entry = -1j * hm[i, k] * eye[j, m] + 1j * eye[i, k] * mpmath.conj(hm[j, m])
+            entry += kappa * (eye[i, j] * eye[k, m] - 2 * eye[i, k] * eye[j, m])
+            lift[2 * i + j, 2 * k + m] += entry
+
+        def propagate(rho, t):
+            vec = mpmath.expm(lift * t) * mpmath.matrix(list(rho.reshape(-1)))
+            return [x / (vec[0] + vec[3]) for x in vec]
+
+        def born(p, vec):
+            return mpmath.re(sum(p[j, i] * vec[2 * i + j] for i, j in np.ndindex(2, 2)))
+
+        p_plus, p_minus = q.projectors
+        rho_i = propagate(rho0, t_i)
+        first = [born(p, rho_i) for p in (p_plus, p_minus)]
+        probs = np.empty((2, 2))
+        for row, p in enumerate((p_plus, p_minus)):
+            cond = born(p_plus, propagate(p, t_j - t_i))
+            weight = first[row] / (first[0] + first[1])
+            probs[row] = float(weight * cond), float(weight * (1 - cond))
+        return probs
 
 
 class TestValidation:

@@ -28,6 +28,29 @@ class TestScanConfig:
         assert all(0.0 <= th < math.pi / 2 for th in DEFAULT_THETA_GRID)
 
 
+def _assert_objective_matches_engine(theta, kappa):
+    """At the canonical start and at the argmax, the scan objective equals
+    ``engine.k3`` on the validated state and observable."""
+    res = maximize_k3(theta, kappa=kappa, budget=2000, seed=2, config=SMALL)
+    objective = _k3_objective(theta, kappa)
+    engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
+    for x in (np.array(_CANONICAL_K3_START), _start_from_argmax(res.argmax)):
+        value, feasible = objective(x)
+        t1 = x[4]
+        expected = engine.k3(
+            state_from_bloch_angles(x[0], x[1]),
+            Observable.from_angles(x[2], x[3]),
+            t1,
+            t1 + x[5],
+            t1 + x[5] + x[6],
+        ).k3
+        assert feasible
+        assert value == pytest.approx(expected, abs=1e-12)
+    assert objective(_start_from_argmax(res.argmax))[0] == pytest.approx(
+        res.objective, abs=1e-12
+    )
+
+
 class TestMaximizeK3:
     def test_hermitian_member_reaches_luder(self):
         res = maximize_k3(0.0, budget=2000, seed=0, config=SMALL)
@@ -64,27 +87,12 @@ class TestMaximizeK3:
         assert value == pytest.approx(res.objective, abs=1e-12)
 
     def test_pure_objective_matches_engine(self):
-        # at kappa = 0 the scan evaluates the protocol kernel directly; at the
-        # canonical start and at the argmax it must agree with engine.k3
-        theta = 1.1
-        res = maximize_k3(theta, budget=2000, seed=2, config=SMALL)
-        objective = _k3_objective(theta, 0.0)
-        engine = CorrelatorEngine(NHHamiltonian.canonical(theta))
-        for x in (np.array(_CANONICAL_K3_START), _start_from_argmax(res.argmax)):
-            value, feasible = objective(x)
-            t1 = x[4]
-            expected = engine.k3(
-                state_from_bloch_angles(x[0], x[1]),
-                Observable.from_angles(x[2], x[3]),
-                t1,
-                t1 + x[5],
-                t1 + x[5] + x[6],
-            ).k3
-            assert feasible
-            assert value == pytest.approx(expected, abs=1e-12)
-        assert objective(_start_from_argmax(res.argmax))[0] == pytest.approx(
-            res.objective, abs=1e-12
-        )
+        # at kappa = 0 the scan evaluates the protocol kernel on spinors
+        _assert_objective_matches_engine(1.1, 0.0)
+
+    def test_noisy_objective_matches_engine(self):
+        # under noise the scan evaluates the protocol kernel on Bloch vectors
+        _assert_objective_matches_engine(1.1, 0.3)
 
     @pytest.mark.filterwarnings("error")
     def test_warm_start_below_gap_floor_is_clipped(self):
