@@ -77,8 +77,7 @@ _NORM_FLOOR = 1e-14
 
 
 class DegenerateEvolutionError(RuntimeError):
-    """Raised when a propagation cannot be trusted: a propagated norm collapses
-    below representable size, or a noisy lift is numerically defective."""
+    """Raised when a propagated norm collapses or a noisy lift is defective."""
 
 
 class StiffnessError(RuntimeError):

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import NHHamiltonian, THETA_MAX, validate_pure
-from .lgi import LgiResult, Observable, _eigenstates, protocol, pure_born
+from .lgi import LgiResult, Observable, _eigenstates, _pure_born, protocol
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -252,6 +252,6 @@ def k3_via_embedding(
         return complex(upper[0]), complex(upper[1])
 
     tables = protocol(
-        tuple(psi0.tolist()), _eigenstates(q), propagate, pure_born, t1, t2, t3
+        tuple(psi0.tolist()), _eigenstates(q), propagate, _pure_born, t1, t2, t3
     )[3:]
     return LgiResult.from_tables(tables, (t1, t2, t3))

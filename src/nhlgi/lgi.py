@@ -20,13 +20,11 @@ pi/2.  With equal spacing ``t`` between the measurement times, the initial
 state ``up_y`` and the canonical observable (axis ``-y``), all four joint
 distributions have closed forms, exposed here as :func:`k3_closed_form`.
 
-Every protocol run goes through one scalar kernel, :func:`protocol`, which
-takes the state, the two collapse states, a propagator and a Born rule.
-Pure states run as spinors; density matrices and noisy flows (``kappa >
-0``) run as Bloch vectors under the exact solution of the linear lift of the
-depolarising flow.  The independently integrated
-:func:`nhlgi.dynamics.evolve_density_noisy` serves as the cross-check, not
-the engine, so scans stay fast and deterministic.
+Every protocol run goes through one scalar kernel, :func:`protocol`: pure
+states as spinors, density matrices and noisy flows (``kappa > 0``) as Bloch
+vectors under the exact solution of the linear lift of the depolarising
+flow.  The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
+cross-check, not the engine, so scans stay fast and deterministic.
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ __all__ = [
     "LgiResult",
     "CorrelatorEngine",
     "pure_propagator",
-    "density_propagator",
-    "pure_born",
-    "bloch_born",
     "protocol",
     "k3_closed_form",
 ]
@@ -119,6 +114,16 @@ class Observable:
         """Normalised (+1, -1) eigenvectors with deterministic phases."""
         return self._eigenstate(0), self._eigenstate(1)
 
+    def projector(self, outcome: int) -> np.ndarray:
+        if outcome not in _OUTCOMES:
+            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+        return self.projectors[_OUTCOMES.index(outcome)]
+
+    def eigenstate(self, outcome: int) -> np.ndarray:
+        if outcome not in _OUTCOMES:
+            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+        return self.eigenstates[_OUTCOMES.index(outcome)]
+
     def _eigenstate(self, index: int) -> np.ndarray:
         p = self.projectors[index]
         j = int(np.argmax(np.diagonal(p).real))
@@ -144,7 +149,6 @@ class JointTable:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (2, 2):
             raise ValueError("joint table must be 2x2")
-        # written so that NaN fails the range check
         if not np.all((self.probs >= -1e-10) & (self.probs <= 1.0 + 1e-10)):
             raise ValueError("joint probabilities outside [0, 1] or not finite")
         total = float(self.probs.sum())
@@ -225,7 +229,7 @@ def pure_propagator(h: NHHamiltonian):
     return propagate
 
 
-def density_propagator(h: NHHamiltonian, kappa: float = 0.0):
+def _density_propagator(h: NHHamiltonian, kappa: float = 0.0):
     """Renormalised density flow of ``h`` at depolarising rate ``kappa``.
 
     Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
@@ -234,8 +238,10 @@ def density_propagator(h: NHHamiltonian, kappa: float = 0.0):
     kappa]] (r0, r)``.  At ``kappa = 0`` its spectrum ``{0, 0, +/- 2i w}``
     gives ``U rho U^dag`` in closed form; with noise its eigendecomposition
     is bound here once (spectrum shifted to non-positive real part, which
-    cancels in the normalisation), and a lift that the decomposition does
-    not reconstruct is refused with ``DegenerateEvolutionError``.
+    cancels in the normalisation).  Raises ``DegenerateEvolutionError`` when
+    ``V diag(lam) V^-1`` misses the lift by more than ``1e-8 ||L||``.  That
+    checks the decomposition, not the propagated result: a lift that passes
+    can still be inaccurate near the corner.
     """
     if kappa < 0.0 or not math.isfinite(kappa):
         raise ValueError("kappa must be a finite non-negative rate")
@@ -255,10 +261,9 @@ def density_propagator(h: NHHamiltonian, kappa: float = 0.0):
         def propagate(t, r):
             # exp(L t) = 1 + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2
             first = lift(1.0, *r)
-            second = lift(*first)
             s = math.sin(w * t) / w
             f, g = s * math.cos(w * t), 0.5 * s * s
-            terms = zip((1.0,) + r, first, second)
+            terms = zip((1.0,) + r, first, lift(*first))
             r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
             return x / r0, y / r0, z / r0
 
@@ -301,12 +306,12 @@ def density_propagator(h: NHHamiltonian, kappa: float = 0.0):
     return propagate
 
 
-def pure_born(chi, psi) -> float:
+def _pure_born(chi, psi) -> float:
     """Born probability ``|<chi|psi>|^2`` of two spinors."""
     return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
 
 
-def bloch_born(n, r) -> float:
+def _bloch_born(n, r) -> float:
     """Born probability ``(1 + n . r)/2`` of Bloch vectors ``n`` and ``r``."""
     return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
 
@@ -333,8 +338,8 @@ def protocol(state, collapse, propagate, born, t1: float, t2: float, t3: float):
 
     ``collapse`` holds the (+1, -1) collapse states of the measured axis,
     ``propagate(t, state)`` is a renormalised flow and ``born(c, state)`` the
-    probability of collapsing onto ``c``: spinors with :func:`pure_born`, or
-    Bloch vectors (collapse states ``+/- n``) with :func:`bloch_born`.  The
+    probability of collapsing onto ``c``: spinors with :func:`_pure_born`, or
+    Bloch vectors (collapse states ``+/- n``) with :func:`_bloch_born`.  The
     state is propagated once to ``t1`` and once to ``t2``.  Nothing is
     validated: callers check their inputs once, outside any loop.
 
@@ -361,8 +366,7 @@ class CorrelatorEngine:
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
-        # density inputs at kappa = 0 build their closed-form propagator per call
-        self._density = None if kappa == 0.0 else density_propagator(h, kappa)
+        self._density = None if kappa == 0.0 else _density_propagator(h, kappa)
         self._pure = pure_propagator(h) if kappa == 0.0 else None
         self.hamiltonian = h
         self.kappa = float(kappa)
@@ -372,7 +376,7 @@ class CorrelatorEngine:
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1 and self._pure is not None:
             psi = tuple(validate_pure(state).tolist())
-            return psi, _eigenstates(q), self._pure, pure_born
+            return psi, _eigenstates(q), self._pure, _pure_born
         if state.ndim == 1:
             s = bloch_of_pure(state)
         elif state.ndim == 2:
@@ -381,8 +385,8 @@ class CorrelatorEngine:
             raise ValueError("state must be a 2-vector or a 2x2 density matrix")
         n = q.direction
         r = tuple((2.0 * s).tolist())
-        propagate = self._density or density_propagator(self.hamiltonian)
-        return r, (n, (-n[0], -n[1], -n[2])), propagate, bloch_born
+        propagate = self._density or _density_propagator(self.hamiltonian)
+        return r, (n, (-n[0], -n[1], -n[2])), propagate, _bloch_born
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""

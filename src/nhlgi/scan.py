@@ -29,10 +29,10 @@ from scipy.stats import qmc
 from .dynamics import NHHamiltonian, speed, state_from_bloch_angles
 from .lgi import (
     ALGEBRAIC_BOUND,
-    bloch_born,
-    density_propagator,
+    _bloch_born,
+    _density_propagator,
+    _pure_born,
     protocol,
-    pure_born,
     pure_propagator,
 )
 
@@ -226,14 +226,14 @@ def _k3_objective(theta: float, kappa: float):
     """
     h = NHHamiltonian.canonical(theta)
     if kappa == 0.0:
-        propagate, born = pure_propagator(h), pure_born
+        propagate, born = pure_propagator(h), _pure_born
 
         def kernel_inputs(theta_s, phi_s, theta_q, phi_q):
             up = _bloch_state(theta_q, phi_q)
             return _bloch_state(theta_s, phi_s), (up, (-up[1].conjugate(), up[0]))
 
     else:
-        propagate, born = density_propagator(h, kappa), bloch_born
+        propagate, born = _density_propagator(h, kappa), _bloch_born
 
         def kernel_inputs(theta_s, phi_s, theta_q, phi_q):
             n = _bloch_axis(theta_q, phi_q)

@@ -22,11 +22,11 @@ from nhlgi.lgi import (
     JointTable,
     LgiResult,
     Observable,
-    bloch_born,
-    density_propagator,
+    _bloch_born,
+    _density_propagator,
+    _pure_born,
     k3_closed_form,
     protocol,
-    pure_born,
     pure_propagator,
 )
 from oracles import axis_eigenstates, noisy_two_time_joint, two_time_joint
@@ -64,11 +64,10 @@ class TestObservable:
         np.testing.assert_allclose(p_plus + p_minus, np.eye(2), atol=1e-14)
         np.testing.assert_allclose(p_plus @ p_minus, 0.0, atol=1e-14)
         np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-14)
+        np.testing.assert_allclose(q.projector(+1), p_plus, atol=1e-15)
+        np.testing.assert_allclose(q.projector(-1), p_minus, atol=1e-15)
         np.testing.assert_allclose(
-            projector(q.eigenstates[0]), p_plus, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            projector(q.eigenstates[1]), p_minus, atol=1e-12
+            projector(q.eigenstate(+1)), p_plus, atol=1e-12
         )
 
     def test_validation(self):
@@ -76,6 +75,10 @@ class TestObservable:
             Observable((0.0, -2.0, 0.0))
         with pytest.raises(ValueError):
             Observable((1.0, 1.0))
+        with pytest.raises(ValueError):
+            Observable.canonical().projector(0)
+        with pytest.raises(ValueError):
+            Observable.canonical().eigenstate(2)
 
 
 class TestJointTable:
@@ -160,7 +163,7 @@ class TestProtocolAgainstOracle:
         t2 = t1 + times[1]
         t3 = t2 + times[2]
         out = protocol(
-            tuple(psi.tolist()), chi, pure_propagator(h), pure_born, t1, t2, t3
+            tuple(psi.tolist()), chi, pure_propagator(h), _pure_born, t1, t2, t3
         )
         # Both routes lose about sec(theta)^2 ulps to the cancellation in the
         # renormalised propagator near the corner (measured error / sec^2
@@ -205,7 +208,7 @@ class TestProtocolAgainstOracle:
         t2 = t1 + times[1]
         t3 = t2 + times[2]
         out = protocol(
-            r, (n, (-n[0], -n[1], -n[2])), density_propagator(h, kappa), bloch_born,
+            r, (n, (-n[0], -n[1], -n[2])), _density_propagator(h, kappa), _bloch_born,
             t1, t2, t3,
         )
         rho0 = density_from_bloch(0.5 * np.array(r))
@@ -363,11 +366,12 @@ class TestNoisyProtocol:
 
         rho_i = evolve_density_noisy(h, rho0, kappa, t_i)
         probs = np.empty((2, 2))
-        for row, p in enumerate(q.projectors):
+        for row, outcome in enumerate((+1, -1)):
+            p = q.projector(outcome)
             weight = float(np.trace(p @ rho_i).real)
             branch = p @ rho_i @ p / weight
             rho_j = evolve_density_noisy(h, branch, kappa, t_j - t_i)
-            cond = float(np.trace(q.projectors[0] @ rho_j).real)
+            cond = float(np.trace(q.projector(+1) @ rho_j).real)
             probs[row, 0] = weight * cond
             probs[row, 1] = weight * (1.0 - cond)
         np.testing.assert_allclose(got.probs, probs, atol=1e-7)
