@@ -164,11 +164,14 @@ def bloch_of_pure(psi) -> np.ndarray:
 
     For ``psi = (a, b)`` this is ``(Re(a* b), Im(a* b), (|a|^2 - |b|^2)/2)``.
     """
-    a, b = validate_pure(psi).tolist()
+    return np.array(_spinor_bloch(validate_pure(psi).tolist()))
+
+
+def _spinor_bloch(psi) -> tuple[float, float, float]:
+    """:func:`bloch_of_pure` of a spinor ``(a, b)`` of plain complex scalars."""
+    a, b = psi
     ab = a.conjugate() * b
-    return np.array(
-        [ab.real, ab.imag, 0.5 * ((a * a.conjugate()).real - (b * b.conjugate()).real)]
-    )
+    return ab.real, ab.imag, 0.5 * ((a * a.conjugate()).real - (b * b.conjugate()).real)
 
 
 def bloch_of_density(rho) -> np.ndarray:
@@ -431,17 +434,32 @@ def bloch_rhs(s, h: NHHamiltonian, kappa: float = 0.0) -> np.ndarray:
     ``A`` invariant if it starts at zero.
     """
     s = np.asarray(s, dtype=float)
-    a_vec = h.scale * h.a
-    b_vec = h.scale * h.b
-    ax, ay, az = a_vec.tolist()
-    sx, sy, sz = s.tolist()
-    a_cross_s = np.array([ay * sz - az * sy, az * sx - ax * sz, ax * sy - ay * sx])
+    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+    return np.array(_bloch_rhs(a, b, kappa, s.tolist()))
+
+
+def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
+    """:func:`bloch_rhs` on plain float triples ``a``, ``b`` and ``s``."""
+    ax, ay, az = a
+    bx, by, bz = b
+    sx, sy, sz = s
+    pump = 4.0 * (bx * sx + by * sy + bz * sz)
     return (
-        2.0 * a_cross_s
-        - b_vec
-        + 4.0 * float(np.dot(b_vec, s)) * s
-        - 2.0 * kappa * s
+        2.0 * (ay * sz - az * sy) - bx + pump * sx - 2.0 * kappa * sx,
+        2.0 * (az * sx - ax * sz) - by + pump * sy - 2.0 * kappa * sy,
+        2.0 * (ax * sy - ay * sx) - bz + pump * sz - 2.0 * kappa * sz,
     )
+
+
+def _pure_speed(a, b, psi) -> float:
+    """Squared noiseless Bloch speed ``|dS/dt|^2`` at a normalised spinor.
+
+    ``a`` and ``b`` are the scaled Hamiltonian vectors as float triples and
+    ``psi`` a pair of complex scalars; :func:`speed` and the speed search of
+    :mod:`nhlgi.scan` both evaluate the speed here.
+    """
+    dx, dy, dz = _bloch_rhs(a, b, 0.0, _spinor_bloch(psi))
+    return dx * dx + dy * dy + dz * dz
 
 
 @dataclass
@@ -598,8 +616,8 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     quadratic decay coefficient of the fidelity, computed exactly.  It is the
     quantity maximised by :func:`nhlgi.scan.maximize_speed`.
     """
-    s_dot = bloch_rhs(bloch_of_pure(evolve_pure(h, psi0, t)), h)
-    return float(np.dot(s_dot, s_dot))
+    psi = evolve_pure(h, psi0, t).tolist()
+    return _pure_speed((h.scale * h.a).tolist(), (h.scale * h.b).tolist(), psi)
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

@@ -40,7 +40,14 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import NHHamiltonian, THETA_MAX, validate_pure
-from .lgi import LgiResult, Observable, _eigenstates, _pure_born, protocol
+from .lgi import (
+    LgiResult,
+    Observable,
+    _eigenstates,
+    _propagating_frame,
+    _pure_born,
+    protocol,
+)
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -251,7 +258,8 @@ def k3_via_embedding(
         upper, _ = evolve_and_postselect(theta, np.array(psi), t)
         return complex(upper[0]), complex(upper[1])
 
-    tables = protocol(
-        tuple(psi0.tolist()), _eigenstates(q), propagate, _pure_born, t1, t2, t3
-    )[3:]
+    first, transfer = _propagating_frame(propagate, _pure_born)(
+        tuple(psi0.tolist()), _eigenstates(q)
+    )
+    tables = protocol(first, transfer, t1, t2, t3)[3:]
     return LgiResult.from_tables(tables, (t1, t2, t3))

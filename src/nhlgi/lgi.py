@@ -20,10 +20,23 @@ pi/2.  With equal spacing ``t`` between the measurement times, the initial
 state ``up_y`` and the canonical observable (axis ``-y``), all four joint
 distributions have closed forms, exposed here as :func:`k3_closed_form`.
 
-Every protocol run goes through one scalar kernel, :func:`protocol`: pure
-states as spinors, density matrices and noisy flows (``kappa > 0``) as Bloch
-vectors under the exact solution of the linear lift of the depolarising
-flow.  The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
+Every protocol run goes through one scalar kernel, :func:`protocol`, which
+takes two functions of one state and axis: ``first(t)``, the probability of
++1 at a pair's first measurement, and ``transfer(g)``, the probabilities of
++1 a gap ``g`` after collapsing onto +1 or -1.  Three builders supply them:
+
+- pure states in the measured axis's eigenbasis (:func:`_spinor_frame`),
+  where both conditionals are column ratios of the propagator, so no
+  collapse branch is propagated;
+- any state under noise (``kappa > 0``) as a Bloch vector, with the exact
+  solution of the linear lift of the depolarising flow projected onto the
+  axis and the state (:func:`_noisy_frame`);
+- the dilation and noiseless density matrices through an adapter that
+  propagates each branch with a renormalised flow and reads Born
+  probabilities (:func:`_propagating_frame`), which keeps the dilation an
+  independent cross-check.
+
+The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
 """
 
@@ -229,22 +242,65 @@ def pure_propagator(h: NHHamiltonian):
     return propagate
 
 
-def _density_propagator(h: NHHamiltonian, kappa: float = 0.0):
-    """Renormalised density flow of ``h`` at depolarising rate ``kappa``.
+def _spinor_frame(h: NHHamiltonian):
+    """Pure-state protocol inputs of ``h``, in the measured axis's eigenbasis.
 
-    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
-    as plain float triples.  The unnormalised state ``(r0 I + r . sigma)/2``
-    obeys the linear lift ``d(r0, r)/dt = [[0, -2 B^T], [-2 B, 2 [A x] - 2
-    kappa]] (r0, r)``.  At ``kappa = 0`` its spectrum ``{0, 0, +/- 2i w}``
-    gives ``U rho U^dag`` in closed form; with noise its eigendecomposition
-    is bound here once (spectrum shifted to non-positive real part, which
-    cancels in the normalisation).  Raises ``DegenerateEvolutionError`` when
-    ``V diag(lam) V^-1`` misses the lift by more than ``1e-8 ||L||``.  That
-    checks the decomposition, not the propagated result: a lift that passes
-    can still be inaccurate near the corner.
+    Returns ``frame(psi, (up, down)) -> (first, transfer)`` for spinors.  Per
+    point, the state and ``M`` are written once in the basis ``C = [up,
+    down]``: ``psi' = C^dag psi`` and ``M' = C^dag M C``, where the
+    propagator is ``U' = cos(w t) I - i sin(w t)/w M'``.  ``first(t)`` is
+    ``|x|^2 / (|x|^2 + |y|^2)`` of ``(x, y) = U' psi'``, and ``transfer(g)``
+    the column ratios ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 /
+    (|u01|^2 + |u11|^2)`` of ``U'``.  No branch is propagated or normalised;
+    each time costs one cos/sin pair.
     """
-    if kappa < 0.0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be a finite non-negative rate")
+    w = h.omega
+    (m00, m01), (m10, m11) = h.matrix.tolist()
+    cos, sin = math.cos, math.sin
+
+    def frame(psi, collapse):
+        a, b = psi
+        (u0, u1), (d0, d1) = collapse
+        uc0, uc1, dc0, dc1 = u0.conjugate(), u1.conjugate(), d0.conjugate(), d1.conjugate()
+        mu0, mu1 = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
+        md0, md1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
+        # M is traceless, so M'_11 = -M'_00.
+        n00, n01, n10 = uc0 * mu0 + uc1 * mu1, uc0 * md0 + uc1 * md1, dc0 * mu0 + dc1 * mu1
+        p0, p1 = uc0 * a + uc1 * b, dc0 * a + dc1 * b
+        q0, q1 = n00 * p0 + n01 * p1, n10 * p0 - n00 * p1
+        p0r, p0i, p1r, p1i = p0.real, p0.imag, p1.real, p1.imag
+        q0r, q0i, q1r, q1i = q0.real, q0.imag, q1.real, q1.imag
+        n00r, n00i = n00.real, n00.imag
+        n01_sq, n10_sq = abs(n01) ** 2, abs(n10) ** 2
+
+        def first(t):
+            # (x, y) = cos psi' - i sin/w M' psi'
+            c, s = cos(w * t), sin(w * t) / w
+            xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
+            yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
+            px = xr * xr + xi * xi
+            return px / (px + yr * yr + yi * yi)
+
+        def transfer(g):
+            c, s = cos(w * g), sin(w * g) / w
+            # |u00|^2 = |c - i s M'_00|^2 and |u11|^2 = |c + i s M'_00|^2
+            im_sq = (s * n00r) ** 2
+            u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
+            u10, u01 = s * s * n10_sq, s * s * n01_sq
+            return u00 / (u00 + u10), u01 / (u01 + u11)
+
+        return first, transfer
+
+    return frame
+
+
+def _bloch_lift(h: NHHamiltonian, kappa: float):
+    """The linear lift of the density flow on plain scalars.
+
+    The unnormalised state ``(r0 I + r . sigma)/2`` obeys ``d(r0, r)/dt =
+    [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``; returns that map as
+    ``lift(r0, x, y, z) -> (r0', x', y', z')``.
+    """
     (ax, ay, az), (bx, by, bz) = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
 
     def lift(r0, x, y, z):
@@ -255,20 +311,50 @@ def _density_propagator(h: NHHamiltonian, kappa: float = 0.0):
             2.0 * (ax * y - ay * x - bz * r0 - kappa * z),
         )
 
-    if kappa == 0.0:
-        w = h.omega
+    return lift
 
-        def propagate(t, r):
-            # exp(L t) = 1 + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2
-            first = lift(1.0, *r)
-            s = math.sin(w * t) / w
-            f, g = s * math.cos(w * t), 0.5 * s * s
-            terms = zip((1.0,) + r, first, lift(*first))
-            r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
-            return x / r0, y / r0, z / r0
 
-        return propagate
+def _density_propagator(h: NHHamiltonian):
+    """Renormalised noiseless density flow of ``h`` on Bloch vectors.
 
+    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
+    as plain float triples: ``U rho U^dag`` in closed form, because the
+    spectrum ``{0, 0, +/- 2i w}`` of the noiseless lift gives ``exp(L t) = 1
+    + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2``.
+    """
+    lift = _bloch_lift(h, 0.0)
+    w = h.omega
+
+    def propagate(t, r):
+        first = lift(1.0, *r)
+        s = math.sin(w * t) / w
+        f, g = s * math.cos(w * t), 0.5 * s * s
+        terms = zip((1.0,) + r, first, lift(*first))
+        r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
+        return x / r0, y / r0, z / r0
+
+    return propagate
+
+
+def _noisy_frame(h: NHHamiltonian, kappa: float):
+    """Protocol inputs of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
+
+    Returns ``frame(r, n) -> (first, transfer)`` for a Bloch vector ``r`` and
+    a unit axis ``n``.  The lift of :func:`_bloch_lift` is eigendecomposed
+    here once, ``L = V diag(lam) V^-1`` (spectrum shifted to non-positive real
+    part, which cancels in the normalisation); per point, ``V`` is projected
+    onto ``(1, 0)`` and the axis, and ``V^-1`` onto the state and the axis.
+    By linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so
+    both collapse branches share the four exponentials of one time.
+
+    Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
+    lift by more than ``1e-8 ||L||``.  That checks the decomposition, not the
+    propagated result: a lift that passes can still be inaccurate near the
+    corner.
+    """
+    if kappa < 0.0 or not math.isfinite(kappa):
+        raise ValueError("kappa must be a finite non-negative rate")
+    lift = _bloch_lift(h, kappa)
     matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
     lam, v = np.linalg.eig(matrix)
     try:
@@ -282,28 +368,49 @@ def _density_propagator(h: NHHamiltonian, kappa: float = 0.0):
             "its eigendecomposition cannot be trusted"
         )
     l0, l1, l2, l3 = (lam - float(np.max(lam.real))).tolist()
-    (e00, e01, e02, e03, e10, e11, e12, e13,
-     e20, e21, e22, e23, e30, e31, e32, e33) = v.ravel().tolist()
-    (f00, f01, f02, f03, f10, f11, f12, f13,
-     f20, f21, f22, f23, f30, f31, f32, f33) = v_inv.ravel().tolist()
+    trace_row, *axis_rows = v.tolist()
+    modes = v_inv.tolist()
     exp = cmath.exp
 
-    def propagate(t, r):
-        if t == 0.0:
-            return r
+    def frame(r, n):
         x, y, z = r
-        c0 = exp(l0 * t) * (f00 + f01 * x + f02 * y + f03 * z)
-        c1 = exp(l1 * t) * (f10 + f11 * x + f12 * y + f13 * z)
-        c2 = exp(l2 * t) * (f20 + f21 * x + f22 * y + f23 * z)
-        c3 = exp(l3 * t) * (f30 + f31 * x + f32 * y + f33 * z)
-        r0 = (e00 * c0 + e01 * c1 + e02 * c2 + e03 * c3).real
-        return (
-            (e10 * c0 + e11 * c1 + e12 * c2 + e13 * c3).real / r0,
-            (e20 * c0 + e21 * c1 + e22 * c2 + e23 * c3).real / r0,
-            (e30 * c0 + e31 * c1 + e32 * c2 + e33 * c3).real / r0,
-        )
+        nx, ny, nz = n
+        projected = []
+        for a, ex, ey, ez, (f0, fx, fy, fz) in zip(trace_row, *axis_rows, modes):
+            b = nx * ex + ny * ey + nz * ez
+            c = f0 + fx * x + fy * y + fz * z
+            f_n = fx * nx + fy * ny + fz * nz
+            # (trace, axis) components of the state and of the +/- branches
+            projected.append((a * c, b * c, a * (f0 + f_n), b * (f0 + f_n),
+                              a * (f0 - f_n), b * (f0 - f_n)))
+        ((sr0, sn0, pr0, pn0, mr0, mn0), (sr1, sn1, pr1, pn1, mr1, mn1),
+         (sr2, sn2, pr2, pn2, mr2, mn2), (sr3, sn3, pr3, pn3, mr3, mn3)) = projected
+        # V V^-1 reproduces the state only to about cond(V) ulps, so a first
+        # measurement at t = 0 reads the state itself
+        at_zero = min(1.0, max(0.0, 0.5 * (1.0 + nx * x + ny * y + nz * z)))
 
-    return propagate
+        def first(t):
+            if t == 0.0:
+                return at_zero
+            e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
+            r0 = (e0 * sr0 + e1 * sr1 + e2 * sr2 + e3 * sr3).real
+            nr = (e0 * sn0 + e1 * sn1 + e2 * sn2 + e3 * sn3).real
+            return min(1.0, max(0.0, 0.5 * (1.0 + nr / r0)))
+
+        def transfer(g):
+            e0, e1, e2, e3 = exp(l0 * g), exp(l1 * g), exp(l2 * g), exp(l3 * g)
+            r_plus = (e0 * pr0 + e1 * pr1 + e2 * pr2 + e3 * pr3).real
+            n_plus = (e0 * pn0 + e1 * pn1 + e2 * pn2 + e3 * pn3).real
+            r_minus = (e0 * mr0 + e1 * mr1 + e2 * mr2 + e3 * mr3).real
+            n_minus = (e0 * mn0 + e1 * mn1 + e2 * mn2 + e3 * mn3).real
+            return (
+                min(1.0, max(0.0, 0.5 * (1.0 + n_plus / r_plus))),
+                min(1.0, max(0.0, 0.5 * (1.0 + n_minus / r_minus))),
+            )
+
+        return first, transfer
+
+    return frame
 
 
 def _pure_born(chi, psi) -> float:
@@ -316,95 +423,122 @@ def _bloch_born(n, r) -> float:
     return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
 
 
-def _joint(v, collapse, propagate, born, gap):
-    """Joint table ``((p++, p+-), (p-+, p--))`` of one measurement pair.
+def _propagating_frame(propagate, born):
+    """Protocol inputs from a renormalised flow and a Born rule.
 
-    ``v`` is the state just before the first measurement.  Born
-    probabilities are clipped to [0, 1]; the first pair is renormalised.
-    """
-    up, down = collapse
-    first_p = min(1.0, max(0.0, born(up, v)))
-    first_m = min(1.0, max(0.0, born(down, v)))
-    total = first_p + first_m
-    rows = []
-    for first, branch in ((first_p / total, up), (first_m / total, down)):
-        cond_plus = min(1.0, max(0.0, born(up, propagate(gap, branch))))
-        rows.append((first * cond_plus, first * (1.0 - cond_plus)))
-    return tuple(rows)
-
-
-def protocol(state, collapse, propagate, born, t1: float, t2: float, t3: float):
-    """The invasive three-time protocol on plain scalars, for any representation.
-
-    ``collapse`` holds the (+1, -1) collapse states of the measured axis,
+    Returns ``frame(state, (up, down)) -> (first, transfer)``, where
     ``propagate(t, state)`` is a renormalised flow and ``born(c, state)`` the
     probability of collapsing onto ``c``: spinors with :func:`_pure_born`, or
-    Bloch vectors (collapse states ``+/- n``) with :func:`_bloch_born`.  The
-    state is propagated once to ``t1`` and once to ``t2``.  Nothing is
+    Bloch vectors (collapse states ``+/- n``) with :func:`_bloch_born`.  Each
+    collapse branch is propagated across the gap.  Born probabilities are
+    clipped to [0, 1]; the first measurement's pair is renormalised.
+    """
+
+    def frame(state, collapse):
+        up, down = collapse
+
+        def first(t):
+            v = propagate(t, state)
+            p = min(1.0, max(0.0, born(up, v)))
+            m = min(1.0, max(0.0, born(down, v)))
+            return p / (p + m)
+
+        def transfer(g):
+            return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in collapse)
+
+        return first, transfer
+
+    return frame
+
+
+def _table(p, conditionals):
+    """Joint table ``((p++, p+-), (p-+, p--))`` of one measurement pair.
+
+    ``p`` is P(+1) at the first measurement and ``conditionals`` the pair
+    (P(+1 | +1), P(+1 | -1)) at the second.
+    """
+    plus, minus = conditionals
+    q = 1.0 - p
+    return (p * plus, p * (1.0 - plus)), (q * minus, q * (1.0 - minus))
+
+
+def _correlator(table) -> float:
+    """``C = p++ - p+- - p-+ + p--`` of a nested joint table."""
+    (pp, pm), (mp, mm) = table
+    return pp - pm - mp + mm
+
+
+def protocol(first, transfer, t1: float, t2: float, t3: float):
+    """The invasive three-time protocol on plain scalars, for any representation.
+
+    ``first(t)`` is the probability of outcome +1 when the first measurement
+    of a pair happens at ``t``; ``transfer(g)`` is the pair (P(+1 | collapsed
+    onto +1), P(+1 | collapsed onto -1)) at a second measurement a gap ``g``
+    later.  :func:`_spinor_frame`, :func:`_noisy_frame` and
+    :func:`_propagating_frame` build them for one state and axis.  Nothing is
     validated: callers check their inputs once, outside any loop.
 
     Returns ``(c12, c23, c13, table12, table23, table13)`` with each table
     nested as ``((p++, p+-), (p-+, p--))``.
     """
-    v1 = propagate(t1, state)
+    p1 = first(t1)
     tables = (
-        _joint(v1, collapse, propagate, born, t2 - t1),
-        _joint(propagate(t2, state), collapse, propagate, born, t3 - t2),
-        _joint(v1, collapse, propagate, born, t3 - t1),
+        _table(p1, transfer(t2 - t1)),
+        _table(first(t2), transfer(t3 - t2)),
+        _table(p1, transfer(t3 - t1)),
     )
-    c12, c23, c13 = (p[0][0] - p[0][1] - p[1][0] + p[1][1] for p in tables)
-    return (c12, c23, c13) + tables
+    return tuple(map(_correlator, tables)) + tables
 
 
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine once amortises the propagator setup (with noise, the
+    Building the engine once amortises the frame setup (with noise, the
     eigendecomposition of the lift).  Every call validates its inputs once
-    and runs :func:`protocol`: on spinors for a pure input at ``kappa = 0``,
-    on Bloch vectors for density matrices and noisy flows.
+    and runs :func:`protocol`: in the spinor frame for a pure input at
+    ``kappa = 0``, in the noisy frame for any input at ``kappa > 0``, and by
+    propagating each branch of the Bloch vector for a density matrix at
+    ``kappa = 0``.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
-        self._density = None if kappa == 0.0 else _density_propagator(h, kappa)
-        self._pure = pure_propagator(h) if kappa == 0.0 else None
+        self._frame = _spinor_frame(h) if kappa == 0.0 else _noisy_frame(h, kappa)
         self.hamiltonian = h
         self.kappa = float(kappa)
 
-    def _kernel_args(self, state, q: Observable):
-        """Validated ``(state, collapse, propagate, born)`` for :func:`protocol`."""
+    def _protocol_inputs(self, state, q: Observable):
+        """Validated ``(first, transfer)`` for :func:`protocol`."""
         state = np.asarray(state, dtype=complex)
-        if state.ndim == 1 and self._pure is not None:
-            psi = tuple(validate_pure(state).tolist())
-            return psi, _eigenstates(q), self._pure, _pure_born
+        if state.ndim == 1 and self.kappa == 0.0:
+            return self._frame(tuple(validate_pure(state).tolist()), _eigenstates(q))
         if state.ndim == 1:
             s = bloch_of_pure(state)
         elif state.ndim == 2:
             s = bloch_of_density(validate_density(state))
         else:
             raise ValueError("state must be a 2-vector or a 2x2 density matrix")
-        n = q.direction
-        r = tuple((2.0 * s).tolist())
-        propagate = self._density or _density_propagator(self.hamiltonian)
-        return r, (n, (-n[0], -n[1], -n[2])), propagate, _bloch_born
+        r, n = tuple((2.0 * s).tolist()), q.direction
+        if self.kappa != 0.0:
+            return self._frame(r, n)
+        frame = _propagating_frame(_density_propagator(self.hamiltonian), _bloch_born)
+        return frame(r, (n, (-n[0], -n[1], -n[2])))
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
-        state, collapse, propagate, born = self._kernel_args(state, q)
+        first, transfer = self._protocol_inputs(state, q)
         if not 0.0 <= t_i < t_j:
             raise ValueError("need 0 <= t_i < t_j")
-        probs = _joint(propagate(t_i, state), collapse, propagate, born, t_j - t_i)
-        return JointTable(probs, t_i, t_j)
+        return JointTable(_table(first(t_i), transfer(t_j - t_i)), t_i, t_j)
 
     def correlator(self, state, q: Observable, t_i: float, t_j: float) -> float:
         return self.joint_table(state, q, t_i, t_j).correlator
 
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
-        args = self._kernel_args(state, q)
+        first, transfer = self._protocol_inputs(state, q)
         if not 0.0 <= t1 < t2 < t3:
             raise ValueError("need 0 <= t1 < t2 < t3")
-        tables = protocol(*args, t1, t2, t3)[3:]
+        tables = protocol(first, transfer, t1, t2, t3)[3:]
         return LgiResult.from_tables(tables, (t1, t2, t3), self.kappa)
 
 

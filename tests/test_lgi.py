@@ -23,8 +23,11 @@ from nhlgi.lgi import (
     LgiResult,
     Observable,
     _bloch_born,
-    _density_propagator,
+    _bloch_lift,
+    _noisy_frame,
+    _propagating_frame,
     _pure_born,
+    _spinor_frame,
     k3_closed_form,
     protocol,
     pure_propagator,
@@ -162,9 +165,7 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        out = protocol(
-            tuple(psi.tolist()), chi, pure_propagator(h), _pure_born, t1, t2, t3
-        )
+        out = protocol(*_spinor_frame(h)(tuple(psi.tolist()), chi), t1, t2, t3)
         # Both routes lose about sec(theta)^2 ulps to the cancellation in the
         # renormalised propagator near the corner (measured error / sec^2
         # stays below 1e-13), so the per-entry tolerance scales with it.
@@ -207,10 +208,7 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        out = protocol(
-            r, (n, (-n[0], -n[1], -n[2])), _density_propagator(h, kappa), _bloch_born,
-            t1, t2, t3,
-        )
+        out = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
         rho0 = density_from_bloch(0.5 * np.array(r))
         # Against a 40-digit evaluation of the lift, the kernel's tables were
         # within 1.8e-15 sec^2(theta) and the stepped Taylor oracle's within
@@ -222,6 +220,70 @@ class TestProtocolAgainstOracle:
             np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
         for c, table in zip(out[:3], out[3:]):
             assert c == JointTable(table, 0.0, 1.0).correlator
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi / 2 - 1e-2),
+        log_kappa=st.floats(-6.0, 3.0),
+        state=st.tuples(
+            st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0)
+        ),
+        axis=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+        times=st.tuples(
+            st.floats(0.0, 1.5), st.floats(1e-3, 1.5), st.floats(1e-3, 1.5)
+        ),
+    )
+    def test_frames_match_propagating_adapter(self, theta, log_kappa, state, axis, times):
+        # the spinor and noisy frames never propagate a collapse branch; the
+        # adapter propagates every branch (spinors with the same flow, Bloch
+        # vectors with the eigendecomposed lift in numpy) and reads Born
+        # probabilities, so the tables must agree
+        theta_s, phi_s, length = state
+        h = NHHamiltonian.canonical(theta)
+        psi = tuple(state_from_bloch_angles(theta_s, phi_s).tolist())
+        n = Observable.from_angles(*axis).direction
+        chi = tuple(tuple(e.tolist()) for e in axis_eigenstates(n))
+        t1 = times[0]
+        t2 = t1 + times[1]
+        t3 = t2 + times[2]
+        spinor = protocol(*_spinor_frame(h)(psi, chi), t1, t2, t3)
+        adapter = _propagating_frame(pure_propagator(h), _pure_born)
+        expected = protocol(*adapter(psi, chi), t1, t2, t3)
+        # measured over 3000 draws: spinor within 6.3e-16 sec^2(theta) of the
+        # adapter, noisy within 9.8e-16 sec^2(theta); scipy's expm of the whole
+        # lift is no reference here, it is off by 3.6e-8 at delta = 0.012 and
+        # a gap of 2.5
+        tol = 1e-12 / math.cos(theta) ** 2
+        np.testing.assert_allclose(np.array(spinor[3:]), expected[3:], rtol=0.0, atol=tol)
+
+        kappa = 10.0**log_kappa
+        r = tuple(length * c for c in Observable.from_angles(theta_s, phi_s).direction)
+        noisy = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
+        adapter = _propagating_frame(_eig_propagator(h, kappa), _bloch_born)
+        expected = protocol(*adapter(r, (n, (-n[0], -n[1], -n[2]))), t1, t2, t3)
+        np.testing.assert_allclose(np.array(noisy[3:]), expected[3:], rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3])
+    def test_corner_tables_against_50_digits(self, delta):
+        # near the corner the propagator loses about sec^2(theta) ulps; over
+        # 300 such draws the engine's tables were within 8.1e-19 sec^2(theta)
+        # of a 50-digit evaluation (the Taylor oracle of two_time_joint within
+        # 9.1e-12 at delta = 1e-2 and 6.1e-10 at 1e-3), so allow 1e-17 sec^2
+        mpmath = pytest.importorskip("mpmath")
+        theta = math.pi / 2 - delta
+        h = NHHamiltonian.canonical(theta)
+        engine = CorrelatorEngine(h)
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(40):
+            psi = state_from_bloch_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            q = Observable.from_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            t_i = rng.uniform(0.0, 3.0)
+            t_j = t_i + rng.uniform(1e-3, 3.0)
+            got = engine.joint_table(psi, q, t_i, t_j).probs
+            expected = _pure_joint_reference(mpmath, h, psi, q, t_i, t_j)
+            worst = max(worst, float(np.max(np.abs(got - expected))))
+        assert worst <= 1e-17 / math.cos(theta) ** 2
 
     def test_pure_and_density_paths_agree(self):
         rng = np.random.default_rng(47)
@@ -415,6 +477,45 @@ class TestNoisyProtocol:
             t3 = t2 + rng.uniform(0.05, 1.0)
             res = engine.k3(psi, q, t1, t2, t3)
             assert abs(res.k3) <= 1.0
+
+
+def _eig_propagator(h, kappa):
+    """Renormalised noisy flow on Bloch vectors: the eigendecomposed lift
+    applied to each state in numpy, spectrum shifted to non-positive real part."""
+    lift = _bloch_lift(h, kappa)
+    lam, v = np.linalg.eig(np.array([lift(*e) for e in np.eye(4).tolist()]).T)
+    lam = lam - lam.real.max()
+    v_inv = np.linalg.inv(v)
+
+    def propagate(t, r):
+        x = ((v * np.exp(lam * t)) @ (v_inv @ np.array((1.0,) + tuple(r)))).real
+        return tuple((x[1:] / x[0]).tolist())
+
+    return propagate
+
+
+def _pure_joint_reference(mpmath, h, psi, q, t_i, t_j, dps=50):
+    """Pure-state joint table with ``exp(-i H t)`` exponentiated in mpmath."""
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(h.matrix.tolist())
+
+        def propagate(v, t):
+            return mpmath.expm(-1j * t * hm) * mpmath.matrix(list(v))
+
+        def born(chi, v):
+            amp = sum(mpmath.conj(c) * x for c, x in zip(chi, v))
+            return abs(amp) ** 2 / sum(abs(x) ** 2 for x in v)
+
+        up, down = (mpmath.matrix(list(e)) for e in q.eigenstates)
+        up, down = up / mpmath.norm(up), down / mpmath.norm(down)
+        v_i = propagate(psi, t_i)
+        first = [born(up, v_i), born(down, v_i)]
+        probs = np.empty((2, 2))
+        for row, chi in enumerate((up, down)):
+            cond = born(up, propagate(chi, t_j - t_i))
+            weight = first[row] / (first[0] + first[1])
+            probs[row] = float(weight * cond), float(weight * (1 - cond))
+        return probs
 
 
 def _lift_joint_reference(mpmath, h, kappa, rho0, q, t_i, t_j, dps=60):

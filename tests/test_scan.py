@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nhlgi.dynamics import NHHamiltonian, state_from_bloch_angles
+from nhlgi.dynamics import NHHamiltonian, speed, state_from_bloch_angles
 from nhlgi.lgi import CorrelatorEngine, Observable
 from nhlgi.scan import (
     DEFAULT_KAPPA_GRID,
@@ -16,7 +16,13 @@ from nhlgi.scan import (
     maximize_k3,
     maximize_speed,
 )
-from nhlgi.scan import _CANONICAL_K3_START, _k3_objective, _start_from_argmax
+from nhlgi.scan import (
+    _CANONICAL_K3_START,
+    _CANONICAL_SPEED_START,
+    _k3_objective,
+    _speed_objective,
+    _start_from_argmax,
+)
 
 SMALL = ScanConfig(restarts=4, lhs_points=64)
 
@@ -141,6 +147,21 @@ class TestMaximizeSpeed:
         assert res.objective <= target * (1.0 + 1e-12)
         assert res.kind == "speed"
 
+    def test_objective_matches_speed(self):
+        # the search evaluates the speed on plain scalars; at the canonical
+        # start and at the argmax it must equal the validated public route
+        theta = 1.2
+        res = maximize_speed(theta, budget=2000, seed=3, config=SMALL)
+        objective = _speed_objective(theta)
+        h = NHHamiltonian.canonical(theta)
+        argmax = (res.argmax["theta_s"], res.argmax["phi_s"], res.argmax["t"])
+        for x in (_CANONICAL_SPEED_START, argmax):
+            value, feasible = objective(np.array(x))
+            expected = speed(h, state_from_bloch_angles(x[0], x[1]), x[2])
+            assert feasible
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert objective(np.array(argmax))[0] == res.objective
+
     def test_deterministic(self):
         a = maximize_speed(1.0, budget=2000, seed=5, config=SMALL)
         b = maximize_speed(1.0, budget=2000, seed=5, config=SMALL)
@@ -164,6 +185,17 @@ class TestNoiseSeries:
         b = k3max_vs_noise(0.7, kappa_grid=grid, budget=2000, seed=11, config=SMALL)
         assert [r.objective for r in a] == [r.objective for r in b]
         assert [r.evals for r in a] == [r.evals for r in b]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_stronger_noise_never_beats_weaker(self, seed):
+        # near the corner the optimum sits at times of order 1e-4; a search
+        # that misses it is searched again from the next kappa's argmax
+        grid = (1e-5, 1e-4, 1e-3)
+        results = k3max_vs_noise(
+            math.pi / 2 - 1e-3, kappa_grid=grid, budget=2000, seed=seed, config=SMALL
+        )
+        values = [r.objective for r in results]
+        assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
 
     def test_grid_validation(self):
         with pytest.raises(ScanConfigError):
