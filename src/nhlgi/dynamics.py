@@ -20,10 +20,10 @@ at ``theta = 0`` to arbitrarily strong norm amplification as ``theta``
 approaches ``pi/2``.
 
 This module provides exact propagators, adaptive Runge-Kutta integration of
-the Bloch flow, closed-form trajectory components in the frame spanned by
-``A``, ``B`` and ``n = A x B``, geodesic distances, and the local speed of
-state evolution, ``|dS/dt|^2`` evaluated exactly from the equation of
-motion above.
+the Bloch flow (scipy's RK45, imported on first use), closed-form trajectory
+components in the frame spanned by ``A``, ``B`` and ``n = A x B``, geodesic
+distances, and the local speed of state evolution, ``|dS/dt|^2`` evaluated
+exactly from the equation of motion above.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector
 
@@ -400,6 +399,8 @@ def evolve_density_noisy(
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
 
+    from scipy.integrate import solve_ivp
+
     def rhs(_t, y):
         rho = y.reshape(2, 2)
         return _noisy_rhs_matrix(h, kappa, rho).reshape(-1)
@@ -523,6 +524,8 @@ def integrate_bloch(
     if t_grid[-1] == 0.0:
         ys = np.repeat(s0[None, :], t_grid.size, axis=0)
         return Trajectory(t_grid, ys, h, kappa, rtol, atol)
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         lambda _t, s: bloch_rhs(s, h, kappa),

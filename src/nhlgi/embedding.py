@@ -196,8 +196,10 @@ def build_psi_T(theta: float, psi) -> EmbeddedState:
 
 @lru_cache(maxsize=128)
 def _total_eig(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    h_t = build_HT(theta)
-    w, v = np.linalg.eigh(h_t)
+    """Eigenpairs of :func:`build_HT`, built once and shared read-only."""
+    w, v = np.linalg.eigh(build_HT(theta))
+    w.flags.writeable = False
+    v.flags.writeable = False
     return w, v
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_value", "write_csv", "write_json", "read_csv"]
+__all__ = ["format_value", "write_csv", "write_json"]
 
 
 def format_value(value) -> str:
@@ -74,41 +74,3 @@ def write_json(target, payload: dict) -> None:
     finally:
         if needs_close:
             stream.close()
-
-
-def read_csv(source) -> tuple[dict, dict]:
-    """Parse a file produced by :func:`write_csv`.
-
-    Returns ``(metadata, columns)``; column values come back as float arrays
-    when every entry parses as a number, otherwise as lists of strings.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    metadata: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
-            metadata[key.strip()] = value.strip()
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-        else:
-            rows.append(cells)
-    if header is None:
-        raise ValueError("no header row found")
-    columns: dict = {}
-    for j, name in enumerate(header):
-        raw = [row[j] for row in rows]
-        try:
-            columns[name] = np.array([float(cell) for cell in raw])
-        except ValueError:
-            columns[name] = raw
-    return metadata, columns

@@ -10,11 +10,14 @@ the period are ranked by a penalty and never become results.
 
 The optimiser is a multi-start Nelder-Mead simplex seeded from a Latin
 hypercube sample plus the analytically known canonical configuration, so the
-returned value never falls below the closed-form benchmark.  Every reported
-objective is the re-evaluable value of an actually visited feasible point.
-Runs are reproducible: one master seed drives the hypercube and all restarts,
-the per-restart evaluation budget is fixed up front, and the restarts run
-one after another in a fixed order.
+returned value never falls below the closed-form benchmark.  The hypercube
+repeats the draws of scipy's ``LatinHypercube`` for the same seed without
+loading ``scipy.stats``; ``scipy.optimize``, which runs the simplex, is
+imported on the first restart.  Every reported objective is the re-evaluable
+value of an actually visited feasible point.  Runs are reproducible: one
+master seed drives the hypercube and all restarts, the per-restart evaluation
+budget is fixed up front, and the restarts run one after another in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
-from scipy.stats import qmc
 
 from .dynamics import NHHamiltonian, _pure_speed
 from .lgi import ALGEBRAIC_BOUND, _noisy_frame, _spinor_frame, protocol, pure_propagator
@@ -114,6 +115,31 @@ class ScanResult:
         }
 
 
+def minimize(fun, x0, *args, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported on the first call.
+
+    Restarts call it through this module attribute, so tracing can wrap each
+    restart by name.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
+
+
+def _latin_hypercube(n: int, d: int, seed) -> np.ndarray:
+    """``n`` points of a ``d``-dimensional Latin hypercube in ``[0, 1)^d``.
+
+    The same draws as ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``:
+    jitter inside each cell first, then one shuffled cell order per dimension.
+    """
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - samples) / n
+
+
 def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, config):
     """Shared multi-start driver.
 
@@ -122,15 +148,13 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    dim = lower.size
     if budget < config.lhs_points + 64:
         raise ScanConfigError(
             f"budget {budget} cannot cover the seeding pass "
             f"({config.lhs_points} hypercube points) plus one simplex restart"
         )
 
-    sampler = qmc.LatinHypercube(d=dim, seed=seed)
-    points = lower + sampler.random(config.lhs_points) * (upper - lower)
+    points = lower + _latin_hypercube(config.lhs_points, lower.size, seed) * (upper - lower)
     # A warm start rebuilt from an argmax may sit an ulp outside the bounds.
     candidates = [np.clip(x, lower, upper) for x in extra_starts]
     candidates.extend(points)
@@ -147,6 +171,7 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             best_value, best_x = value, np.array(x)
     ranked.sort(key=lambda item: (item[0], item[1]))
 
+    bounds = list(zip(lower.tolist(), upper.tolist()))
     n_restarts = min(config.restarts, len(ranked))
     per_restart = max(64, (budget - evals) // max(1, n_restarts))
     starts = [item[2] for item in ranked[:n_restarts]]
@@ -164,7 +189,7 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             negated,
             x0,
             method="Nelder-Mead",
-            bounds=Bounds(lower, upper),
+            bounds=bounds,
             options={
                 "maxfev": per_restart,
                 "xatol": config.xatol,

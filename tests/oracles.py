@@ -2,8 +2,11 @@
 
 Everything here is deliberately written from first principles (plain Taylor
 series, explicit branch enumeration, fixed-step integration) so that
-agreement with the library is evidence, not circularity.
+agreement with the library is evidence, not circularity.  It also holds the
+CSV reader the tests use to check what the CLI writes.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -121,3 +124,41 @@ def rk4(rhs, y0, t_end, n_steps):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     return y
+
+
+def read_csv(source) -> tuple[dict, dict]:
+    """Parse a file produced by :func:`nhlgi.emit.write_csv`.
+
+    Returns ``(metadata, columns)``; column values come back as float arrays
+    when every entry parses as a number, otherwise as lists of strings.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = Path(source).read_text(encoding="utf-8")
+    metadata: dict[str, str] = {}
+    header: list[str] | None = None
+    rows: list[list[str]] = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            key, _, value = body.partition("=")
+            metadata[key.strip()] = value.strip()
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells
+        else:
+            rows.append(cells)
+    if header is None:
+        raise ValueError("no header row found")
+    columns: dict = {}
+    for j, name in enumerate(header):
+        raw = [row[j] for row in rows]
+        try:
+            columns[name] = np.array([float(cell) for cell in raw])
+        except ValueError:
+            columns[name] = raw
+    return metadata, columns

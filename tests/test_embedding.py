@@ -24,6 +24,7 @@ from nhlgi.embedding import (
     k3_via_embedding,
     theta_from_delta,
 )
+from nhlgi.embedding import _eta, _total_eig
 
 THETAS = [0.0, 0.3, 1.0, 1.4, theta_from_delta(0.1)]
 
@@ -91,6 +92,16 @@ class TestTotalHamiltonian:
         np.testing.assert_allclose(h_t[2:, 2:], h_s, atol=1e-14)
         np.testing.assert_allclose(h_t[:2, 2:], -1j * v, atol=1e-14)
         np.testing.assert_allclose(h_t[2:, :2], 1j * v, atol=1e-14)
+
+    def test_cached_arrays_are_read_only(self):
+        # Every later dilation at this theta shares these arrays, so a write
+        # must fail rather than corrupt them.
+        theta = 0.9
+        w, v = _total_eig(theta)
+        for array in (w, v, _eta(theta)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
 
 
 class TestEmbeddedState:

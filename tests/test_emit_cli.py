@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from nhlgi.cli import main
-from nhlgi.emit import format_value, read_csv, write_csv, write_json
+from nhlgi.emit import format_value, write_csv, write_json
 from nhlgi.lgi import k3_closed_form
+from oracles import read_csv
 
 
 class TestFormatValue:

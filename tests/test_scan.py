@@ -20,6 +20,7 @@ from nhlgi.scan import (
     _CANONICAL_K3_START,
     _CANONICAL_SPEED_START,
     _k3_objective,
+    _latin_hypercube,
     _speed_objective,
     _start_from_argmax,
 )
@@ -32,6 +33,20 @@ class TestScanConfig:
         assert all(b > a for a, b in zip(DEFAULT_KAPPA_GRID, DEFAULT_KAPPA_GRID[1:]))
         assert DEFAULT_KAPPA_GRID[0] == 0.0
         assert all(0.0 <= th < math.pi / 2 for th in DEFAULT_THETA_GRID)
+
+
+@pytest.mark.parametrize("d", [3, 7])
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("seed", [0, 7, 4294967291])
+def test_latin_hypercube_repeats_scipy(d, n, seed):
+    # The seeding pass draws the same points as scipy's LatinHypercube; this
+    # identity is what keeps every scan result unchanged without scipy.stats.
+    from scipy.stats import qmc
+
+    expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+    got = _latin_hypercube(n, d, seed)
+    assert got.shape == (n, d)
+    assert np.array_equal(got, expected)
 
 
 def _assert_objective_matches_engine(theta, kappa):
