@@ -20,18 +20,19 @@ from .dynamics import (
     NHHamiltonian,
     StiffnessError,
     THETA_MAX,
+    _spinor_angle,
+    _spinor_bloch,
     abn_frame,
     bloch_of_pure,
     down_y,
     down_z,
     evolve_pure,
-    geodesic_distance,
     integrate_bloch,
-    projector,
     speed,
     speed_closed_form,
     up_y,
     up_z,
+    validate_pure,
 )
 from .embedding import (
     PostselectionStarvationError,
@@ -40,8 +41,7 @@ from .embedding import (
     theta_from_delta,
 )
 from .emit import write_csv, write_json
-from .lgi import CorrelatorEngine, Observable
-from .qmat import trace_distance
+from .lgi import CorrelatorEngine, Observable, _check_protocol, protocol, pure_propagator
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_KAPPA_GRID,
@@ -79,6 +79,54 @@ def _time_grid(tmax: float, step: float, include_zero: bool = True) -> np.ndarra
     if n < start:
         raise ValueError("time grid is empty; increase --tmax or decrease --step")
     return np.arange(start, n + 1, dtype=float) * step
+
+
+def _spacings(args) -> list[float]:
+    """Measurement spacings ``t`` of a sweep at times ``(0, t, 2t)``, as floats.
+
+    ``--t`` gives one spacing, else the grid of ``--tmax``/``--step`` without
+    zero.  Each must be positive with ``2t`` finite, which also orders the
+    three times, so the rows need no further check.
+    """
+    if getattr(args, "t", None) is not None:
+        spacings = [args.t]
+    else:
+        spacings = _time_grid(args.tmax, args.step, include_zero=False).tolist()
+    for t in spacings:
+        if not (t > 0.0 and math.isfinite(2.0 * t)):
+            raise ValueError(
+                f"measurement spacing t = {t!r} must be positive with 2t finite"
+            )
+    return spacings
+
+
+def _spinor(psi) -> tuple[complex, complex]:
+    """A validated state as a pair of plain complex scalars."""
+    return tuple(validate_pure(psi).tolist())
+
+
+def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
+    """Columns of the protocol at times ``(0, t, 2t)`` from ``up_y`` along ``-y``.
+
+    ``engine_of(point)`` builds the engine of each working point, whose
+    validated ``(first, transfer)`` then serve every spacing; each row is
+    checked on plain floats, as :class:`nhlgi.lgi.LgiResult` would check it.
+    """
+    q, psi0 = Observable.canonical(), up_y()
+    rows = {name: [] for name in (label, "t", "c12", "c23", "c13", "k3")}
+    for point in points:
+        first, transfer = engine_of(point)._protocol_inputs(psi0, q)
+        for t in spacings:
+            c12, c23, c13, *tables = protocol(first, transfer, 0.0, t, 2.0 * t)
+            k3 = c12 + c23 - c13
+            _check_protocol(tables, k3)
+            rows[label].append(point)
+            rows["t"].append(t)
+            rows["c12"].append(c12)
+            rows["c23"].append(c23)
+            rows["c13"].append(c13)
+            rows["k3"].append(k3)
+    return rows
 
 
 def _emit(args, metadata: dict, columns: dict) -> None:
@@ -135,48 +183,43 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    grid = _time_grid(args.tmax, args.step)
-    rows_theta, rows_t = [], []
+    grid = _time_grid(args.tmax, args.step).tolist()
+    rows_delta, rows_last = [], []
     if args.rescaled:
         # Compare family members at equal Hermitian-part strength: the scale
         # cos(theta) turns sec into 1, and the two basis states of the
-        # measurement register are tracked instead of up_y.
-        rows_delta, rows_dtr = [], []
+        # measurement register are tracked instead of up_y.  For pure states
+        # the trace distance 0.5 tr|rho_a - rho_b| is |S_a - S_b|.
+        start_a, start_b = _spinor(up_z()), _spinor(down_z())
         for theta in args.theta:
-            h = NHHamiltonian.canonical(theta, scale=math.cos(theta))
+            propagate = pure_propagator(
+                NHHamiltonian.canonical(theta, scale=math.cos(theta))
+            )
             for t in grid:
-                psi_a = evolve_pure(h, up_z(), t)
-                psi_b = evolve_pure(h, down_z(), t)
-                rows_theta.append(theta)
-                rows_t.append(t)
-                rows_delta.append(geodesic_distance(psi_a, psi_b))
-                rows_dtr.append(trace_distance(projector(psi_a), projector(psi_b)))
-        columns = {
-            "theta": rows_theta,
-            "t": rows_t,
-            "delta": rows_delta,
-            "trace_d": rows_dtr,
-        }
-        mode = "rescaled"
+                psi_a, psi_b = propagate(t, start_a), propagate(t, start_b)
+                rows_delta.append(_spinor_angle(psi_a, psi_b))
+                rows_last.append(
+                    min(1.0, math.dist(_spinor_bloch(psi_a), _spinor_bloch(psi_b)))
+                )
+        last, mode = "trace_d", "rescaled"
     else:
-        rows_delta, rows_sn = [], []
-        target = down_y()
+        start, target = _spinor(up_y()), _spinor(down_y())
         for theta in args.theta:
             h = NHHamiltonian.canonical(theta)
-            n_hat = abn_frame(h)[2]
+            propagate = pure_propagator(h)
+            nx, ny, nz = abn_frame(h)[2].tolist()
             for t in grid:
-                psi_t = evolve_pure(h, up_y(), t)
-                rows_theta.append(theta)
-                rows_t.append(t)
-                rows_delta.append(geodesic_distance(psi_t, target))
-                rows_sn.append(float(bloch_of_pure(psi_t) @ n_hat))
-        columns = {
-            "theta": rows_theta,
-            "t": rows_t,
-            "delta": rows_delta,
-            "s_n": rows_sn,
-        }
-        mode = "direct"
+                psi_t = propagate(t, start)
+                sx, sy, sz = _spinor_bloch(psi_t)
+                rows_delta.append(_spinor_angle(psi_t, target))
+                rows_last.append(sx * nx + sy * ny + sz * nz)
+        last, mode = "s_n", "direct"
+    columns = {
+        "theta": [theta for theta in args.theta for _ in grid],
+        "t": grid * len(args.theta),
+        "delta": rows_delta,
+        last: rows_last,
+    }
     metadata = {
         "command": "distance",
         "version": __version__,
@@ -215,25 +258,13 @@ def _cmd_speed(args) -> int:
 
 
 def _cmd_lgi(args) -> int:
-    if args.t is not None:
-        spacings = np.array([args.t], dtype=float)
-    else:
-        spacings = _time_grid(args.tmax, args.step, include_zero=False)
-    if np.any(spacings <= 0.0):
-        raise ValueError("measurement spacing must be positive")
-    q = Observable.canonical()
-    psi0 = up_y()
-    rows = {name: [] for name in ("theta", "t", "c12", "c23", "c13", "k3")}
-    for theta in args.theta:
-        engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa=args.kappa)
-        for t in spacings:
-            res = engine.k3(psi0, q, 0.0, t, 2.0 * t)
-            rows["theta"].append(theta)
-            rows["t"].append(t)
-            rows["c12"].append(res.c12)
-            rows["c23"].append(res.c23)
-            rows["c13"].append(res.c13)
-            rows["k3"].append(res.k3)
+    spacings = _spacings(args)
+    rows = _k3_sweep(
+        "theta",
+        args.theta,
+        lambda theta: CorrelatorEngine(NHHamiltonian.canonical(theta), kappa=args.kappa),
+        spacings,
+    )
     metadata = {
         "command": "lgi",
         "version": __version__,
@@ -251,21 +282,11 @@ def _cmd_noise(args) -> int:
     theta = _resolve_theta(args)
     if not 0.0 <= theta <= THETA_MAX:
         raise ValueError(f"working point theta = {theta!r} outside [0, pi/2 - 1e-6]")
-    spacings = _time_grid(args.tmax, args.step, include_zero=False)
-    q = Observable.canonical()
-    psi0 = up_y()
+    spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
-    rows = {name: [] for name in ("kappa", "t", "c12", "c23", "c13", "k3")}
-    for kappa in args.kappa:
-        engine = CorrelatorEngine(h, kappa=kappa)
-        for t in spacings:
-            res = engine.k3(psi0, q, 0.0, t, 2.0 * t)
-            rows["kappa"].append(kappa)
-            rows["t"].append(t)
-            rows["c12"].append(res.c12)
-            rows["c23"].append(res.c23)
-            rows["c13"].append(res.c13)
-            rows["k3"].append(res.k3)
+    rows = _k3_sweep(
+        "kappa", args.kappa, lambda kappa: CorrelatorEngine(h, kappa=kappa), spacings
+    )
     metadata = {
         "command": "noise",
         "version": __version__,

@@ -585,10 +585,13 @@ def analytic_SB_Sn(a_mag: float, b_mag: float, t):
 
 def geodesic_distance(psi, phi) -> float:
     """Fubini-Study angle ``arccos |<psi|phi>|`` between normalised states."""
-    psi = validate_pure(psi)
-    phi = validate_pure(phi)
-    overlap = min(1.0, abs(complex(np.vdot(psi, phi))))
-    return float(np.arccos(overlap))
+    return _spinor_angle(validate_pure(psi).tolist(), validate_pure(phi).tolist())
+
+
+def _spinor_angle(psi, phi) -> float:
+    """:func:`geodesic_distance` of spinors of plain complex scalars."""
+    overlap = psi[0].conjugate() * phi[0] + psi[1].conjugate() * phi[1]
+    return math.acos(min(1.0, abs(overlap)))
 
 
 def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:

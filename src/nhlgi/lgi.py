@@ -50,6 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
+    _NORM_FLOOR,
     DegenerateEvolutionError,
     NHHamiltonian,
     bloch_of_density,
@@ -146,6 +147,25 @@ class Observable:
         return chi
 
 
+def _check_protocol(tables, k3: float | None = None) -> None:
+    """Refuse nested joint tables or a K3 that no protocol run can produce.
+
+    Each table ``((p++, p+-), (p-+, p--))`` needs every entry in [0, 1] and
+    the four summing to 1, both within 1e-10; ``k3``, unless None, needs
+    ``|K3| <= 3`` within 1e-9.  NaN fails every check.  This is the one copy
+    of these checks: :class:`JointTable`, :class:`LgiResult` and the CLI
+    sweeps, which skip both classes, all call it.
+    """
+    for (pp, pm), (mp, mm) in tables:
+        if not all(-1e-10 <= p <= 1.0 + 1e-10 for p in (pp, pm, mp, mm)):
+            raise ValueError("joint probabilities outside [0, 1] or not finite")
+        total = pp + pm + mp + mm
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
+    if k3 is not None and not abs(k3) <= ALGEBRAIC_BOUND + 1e-9:
+        raise ValueError(f"K3 = {k3!r} outside the algebraic range")
+
+
 @dataclass
 class JointTable:
     """Two-time joint outcome distribution P(q_i, q_j).
@@ -162,11 +182,7 @@ class JointTable:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != (2, 2):
             raise ValueError("joint table must be 2x2")
-        if not np.all((self.probs >= -1e-10) & (self.probs <= 1.0 + 1e-10)):
-            raise ValueError("joint probabilities outside [0, 1] or not finite")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
+        _check_protocol((self.probs.tolist(),))
 
     def prob(self, q_i: int, q_j: int) -> float:
         return float(self.probs[_OUTCOMES.index(q_i), _OUTCOMES.index(q_j)])
@@ -194,8 +210,7 @@ class LgiResult:
     def __post_init__(self):
         if abs(self.k3 - (self.c12 + self.c23 - self.c13)) > 1e-12:
             raise ValueError("K3 must equal C12 + C23 - C13")
-        if not abs(self.k3) <= ALGEBRAIC_BOUND + 1e-9:  # NaN fails too
-            raise ValueError(f"K3 = {self.k3!r} outside the algebraic range")
+        _check_protocol((), self.k3)
 
     @classmethod
     def from_tables(cls, tables, times, kappa: float = 0.0) -> "LgiResult":
@@ -237,6 +252,10 @@ def pure_propagator(h: NHHamiltonian):
         x = c * a + s * (m00 * a + m01 * b)
         y = c * b + s * (m10 * a + m11 * b)
         n = math.hypot(x.real, x.imag, y.real, y.imag)
+        if n < _NORM_FLOOR:
+            raise DegenerateEvolutionError(
+                f"propagated norm {n:.3e} below representable floor at t = {t!r}"
+            )
         return x / n, y / n
 
     return propagate

@@ -1,13 +1,27 @@
 import io
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import nhlgi.dynamics
 from nhlgi.cli import main
+from nhlgi.dynamics import (
+    NHHamiltonian,
+    analytic_SB_Sn,
+    down_z,
+    evolve_pure,
+    geodesic_distance_closed_form,
+    projector,
+    up_y,
+    up_z,
+)
 from nhlgi.emit import format_value, write_csv, write_json
-from nhlgi.lgi import k3_closed_form
+from nhlgi.lgi import CorrelatorEngine, Observable, k3_closed_form
+from nhlgi.qmat import trace_distance
 from oracles import read_csv
 
 
@@ -139,6 +153,54 @@ class TestCliLgi:
         )
         assert np.all(columns["t"] > 0.0)
 
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["lgi", "--theta", "0,0.7,1.4"], "theta"),
+            (["lgi", "--theta", "0,0.7,1.4", "--kappa", "0.1"], "theta"),
+            (["noise", "--theta", "1.1", "--kappa", "0,1e-3,0.3"], "kappa"),
+        ],
+    )
+    def test_rows_equal_the_engine(self, argv, label, tmp_path):
+        out = tmp_path / "k3.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        metadata, columns = read_csv(out)
+        q = Observable.canonical()
+        engines = {}
+        for point, t, *row in zip(columns[label], columns["t"], columns["c12"],
+                                  columns["c23"], columns["c13"], columns["k3"]):
+            if point not in engines:
+                if label == "theta":
+                    h, kappa = NHHamiltonian.canonical(point), float(metadata["kappa"])
+                else:
+                    h, kappa = NHHamiltonian.canonical(float(metadata["theta"])), point
+                engines[point] = CorrelatorEngine(h, kappa)
+            res = engines[point].k3(up_y(), q, 0.0, t, 2.0 * t)
+            assert row == [res.c12, res.c23, res.c13, res.k3]
+        assert len(engines) == 3 and columns["t"].size == 3 * 157
+
+    @pytest.mark.parametrize(
+        "argv, spacing",
+        [
+            (["lgi", "--theta", "1.2", "--t", "1e308"], "1e+308"),
+            (["noise", "--theta", "1.2", "--kappa", "0", "--tmax", "1e308",
+              "--step", "3e307"], None),
+            (["lgi", "--theta", "1.2", "--t", "0"], "0.0"),
+            (["lgi", "--theta", "1.2", "--t", "-0.5"], "-0.5"),
+            (["lgi", "--theta", "1.2", "--t", "nan"], "nan"),
+            (["lgi", "--theta", "1.2", "--t", "inf"], "inf"),
+        ],
+    )
+    def test_bad_spacing_exits_2(self, argv, spacing, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "measurement spacing t = " in captured.err
+        if spacing is not None:
+            assert f"t = {spacing} " in captured.err
+
 
 class TestCliSpeed:
     def test_against_closed_form_column(self, tmp_path):
@@ -160,6 +222,21 @@ class TestCliDistance:
         at_half = columns["delta"][np.isclose(columns["t"], 1.5708)]
         np.testing.assert_allclose(at_half, 0.0, atol=1e-4)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 1.2, 1.4])
+    def test_direct_mode_closed_forms(self, theta, tmp_path):
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--theta", repr(theta), "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        t = columns["t"]
+        assert t.size == 315
+        h = NHHamiltonian.canonical(theta)
+        np.testing.assert_allclose(
+            columns["delta"], geodesic_distance_closed_form(theta, t), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            columns["s_n"], analytic_SB_Sn(h.a_mag, h.b_mag, t)[1], rtol=0, atol=1e-13
+        )
+
     def test_rescaled_mode(self, tmp_path):
         out = tmp_path / "dist.csv"
         assert main(["distance", "--rescaled", "--theta", "0.9", "--tmax", "1.0",
@@ -170,6 +247,54 @@ class TestCliDistance:
         np.testing.assert_allclose(
             columns["trace_d"], np.sin(columns["delta"]), atol=1e-10
         )
+
+    def test_rescaled_mode_against_eigvalsh(self, tmp_path):
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--rescaled", "--theta", "0,0.7,1.2,1.4",
+                     "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        assert columns["t"].size == 4 * 315
+        for theta, t, trace_d in zip(columns["theta"], columns["t"], columns["trace_d"]):
+            h = NHHamiltonian.canonical(theta, scale=math.cos(theta))
+            rho_a = projector(evolve_pure(h, up_z(), t))
+            rho_b = projector(evolve_pure(h, down_z(), t))
+            assert abs(trace_d - trace_distance(rho_a, rho_b)) <= 1e-14
+
+
+class TestCliSweepValidation:
+    """The sweeps validate per working point, never per row."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        original = nhlgi.dynamics.validate_pure
+        calls = []
+
+        def counting(psi):
+            calls.append(None)
+            return original(psi)
+
+        bound = [
+            module for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "nhlgi" and getattr(module, "validate_pure", None) is original
+        ]
+        assert nhlgi.dynamics in bound and nhlgi.lgi in bound and nhlgi.cli in bound
+        for module in bound:
+            monkeypatch.setattr(module, "validate_pure", counting)
+        return calls
+
+    def test_lgi(self, validations, tmp_path):
+        thetas = "0,0.3,0.6,0.9,1.2,1.4"
+        out = tmp_path / "lgi.csv"
+        assert main(["lgi", "--theta", thetas, "--out", str(out)]) == 0
+        assert read_csv(out)[1]["t"].size == 6 * 157
+        assert 0 < len(validations) <= 2 * 6
+
+    def test_distance_rescaled(self, validations, tmp_path):
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--rescaled", "--theta", "0.2,0.8,1.3",
+                     "--out", str(out)]) == 0
+        assert read_csv(out)[1]["t"].size == 3 * 315
+        assert 0 < len(validations) <= 2 * 3
 
 
 class TestCliNoise:

@@ -120,6 +120,77 @@ class TestLgiResult:
             LgiResult(c12=math.nan, c23=0.0, c13=0.0, k3=math.nan, **self._tables())
 
 
+_GOOD = ((0.25, 0.25), (0.25, 0.25))
+
+# (tables, (c12, c23, c13)) of rows that the shared check refuses; each row
+# breaks exactly one of the range, sum and K3 checks.
+BAD_TABLES = {
+    "nan entry": ((math.nan, 0.5), (0.25, 0.25)),
+    "entry -2e-10": ((0.5 + 2e-10, -2e-10), (0.25, 0.25)),
+    "entry 1+2e-10": ((1.0 + 2e-10, -1e-10), (-1e-10, 0.0)),
+    "sum off by 2e-10": ((0.25 + 2e-10, 0.25), (0.25, 0.25)),
+}
+REFUSED_ROWS = {
+    **{name: ((bad, _GOOD, _GOOD), (0.0, 0.0, 0.0)) for name, bad in BAD_TABLES.items()},
+    "K3 = 3+2e-9": ((_GOOD, _GOOD, _GOOD), (1.0, 1.0, -(1.0 + 2e-9))),
+    "NaN K3": ((_GOOD, _GOOD, _GOOD), (0.0, 0.0, math.nan)),
+}
+# Every entry and K3 on the edge of its tolerance.
+ACCEPTED_ROW = (
+    (((1.0 + 1e-10, -1e-10), (0.0, 0.0)), _GOOD, _GOOD),
+    (1.0, 1.0, -(1.0 + 5e-10)),
+)
+
+
+def _result(tables, correlators) -> LgiResult:
+    c12, c23, c13 = correlators
+    tab12, tab23, tab13 = (JointTable(np.array(t), 0.0, 1.0) for t in tables)
+    return LgiResult(c12=c12, c23=c23, c13=c13, k3=c12 + c23 - c13, table12=tab12,
+                     table23=tab23, table13=tab13, times=(0.0, 1.0, 2.0), kappa=0.0)
+
+
+class TestRowChecks:
+    """One range, sum and K3 check, reached through the classes and the CLI sweeps."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_ROWS))
+    def test_classes_refuse(self, case):
+        with pytest.raises(ValueError):
+            _result(*REFUSED_ROWS[case])
+
+    @pytest.mark.parametrize("command", ["lgi", "noise"])
+    @pytest.mark.parametrize("case", sorted(REFUSED_ROWS))
+    def test_sweeps_refuse(self, case, command, monkeypatch, capsys):
+        from nhlgi import cli
+
+        tables, correlators = REFUSED_ROWS[case]
+        monkeypatch.setattr(cli, "protocol", lambda *args: correlators + tables)
+        assert cli.main(self._argv(command)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid parameters" in captured.err
+
+    @pytest.mark.parametrize("command", ["lgi", "noise"])
+    def test_edge_values_accepted(self, command, monkeypatch, capsys):
+        from nhlgi import cli
+
+        _result(*ACCEPTED_ROW)
+        tables, correlators = ACCEPTED_ROW
+        monkeypatch.setattr(cli, "protocol", lambda *args: correlators + tables)
+        assert cli.main(self._argv(command)) == 0
+        capsys.readouterr()
+
+    @staticmethod
+    def _argv(command):
+        if command == "lgi":
+            return ["lgi", "--theta", "0.5", "--t", "0.3"]
+        return ["noise", "--theta", "0.5", "--kappa", "0.1", "--tmax", "0.3", "--step", "0.3"]
+
+
+def test_pure_propagator_norm_floor():
+    with pytest.raises(DegenerateEvolutionError):
+        pure_propagator(NHHamiltonian.canonical(0.5))(0.3, (0j, 0j))
+
+
 class TestProtocolAgainstOracle:
     """Branch-enumeration oracle with its own propagator and eigenbasis."""
 
