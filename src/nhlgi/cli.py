@@ -71,13 +71,26 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+# Largest time grid a command builds; a larger --tmax/--step ratio is refused
+# before the grid is allocated.
+MAX_GRID_POINTS = 10**7
+
+
 def _time_grid(tmax: float, step: float, include_zero: bool = True) -> np.ndarray:
     if not (np.isfinite(tmax) and np.isfinite(step)) or step <= 0.0 or tmax < 0.0:
         raise ValueError(f"need tmax >= 0 and step > 0, got tmax={tmax!r} step={step!r}")
-    n = int(math.floor(tmax / step + 1e-9))
+    ratio = tmax / step + 1e-9
+    if not math.isfinite(ratio):
+        raise ValueError(f"--tmax / --step = {tmax!r} / {step!r} overflows the time grid")
+    n = int(math.floor(ratio))
     start = 0 if include_zero else 1
     if n < start:
         raise ValueError("time grid is empty; increase --tmax or decrease --step")
+    if n + 1 - start > MAX_GRID_POINTS:
+        raise ValueError(
+            f"--tmax / --step = {tmax!r} / {step!r} asks for {n + 1 - start} time "
+            f"points, more than {MAX_GRID_POINTS}"
+        )
     return np.arange(start, n + 1, dtype=float) * step
 
 

@@ -10,20 +10,25 @@ the period are ranked by a penalty and never become results.
 
 The optimiser is a multi-start Nelder-Mead simplex seeded from a Latin
 hypercube sample plus the analytically known canonical configuration, so the
-returned value never falls below the closed-form benchmark.  The hypercube
-repeats the draws of scipy's ``LatinHypercube`` for the same seed without
-loading ``scipy.stats``; ``scipy.optimize``, which runs the simplex, is
-imported on the first restart.  Every reported objective is the re-evaluable
-value of an actually visited feasible point.  Runs are reproducible: one
-master seed drives the hypercube and all restarts, the per-restart evaluation
-budget is fixed up front, and the restarts run one after another in a fixed
-order.
+returned value never falls below the closed-form benchmark.  Both are
+in-house and load no scipy: the hypercube repeats the draws of scipy's
+``LatinHypercube`` for the same seed, and :func:`minimize` repeats the
+arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
+vertices kept in stable order so tied values cannot reorder between runs or
+machines.  Every reported objective is the re-evaluable value of an actually
+visited feasible point.  Runs are reproducible: one master seed drives the
+hypercube and all restarts, the per-restart evaluation budget is fixed up
+front, and the restarts run one after another in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,15 +120,140 @@ class ScanResult:
         }
 
 
-def minimize(fun, x0, *args, **kwargs):
-    """:func:`scipy.optimize.minimize`, imported on the first call.
+class SimplexResult(NamedTuple):
+    """Outcome of one :func:`minimize` run."""
 
-    Restarts call it through this module attribute, so tracing can wrap each
-    restart by name.
+    x: list          # best vertex of the final simplex
+    fun: float       # its value
+    nfev: int        # objective evaluations made
+    status: int      # 1 = stopped on ``maxfev``, 0 = converged
+
+
+class _BudgetSpent(Exception):
+    """The next evaluation would exceed ``maxfev``."""
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``min(max(v, lo), hi)`` with numpy's clip semantics for signed zeros."""
+    return (v if v < hi else hi) if v > lo else lo
+
+
+def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
+    """Minimise ``fun`` over the box ``[lower, upper]`` with the adaptive
+    Nelder-Mead simplex of Gao and Han (Comput. Optim. Appl. 51, 2012).
+
+    The arithmetic is that of scipy's bounded ``Nelder-Mead`` with
+    ``adaptive=True``, written out on lists of floats: the same initial
+    simplex, centroid, trial points, comparisons and clipping.  Vertices are
+    kept in stable order of their values, so tied values keep their order and
+    runs repeat exactly.  ``fun`` takes a sequence of floats and must not
+    change it.  An evaluation happens only while fewer than ``maxfev`` have
+    been made; the step that would exceed the budget ends the run and leaves
+    the simplex as it was.  The run converges when all values lie within
+    ``fatol`` and all vertices within ``xatol`` of the best one; a NaN value
+    never converges.  Restarts call it through this module attribute, so
+    tracing can wrap each restart by name.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    n = len(x0)
+    bounds = list(zip(lower, upper))
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(x0, bounds)):
+        raise ValueError(f"start {list(x0)!r} lies outside the bounds")
+    dim = float(n)
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
 
-    return scipy_minimize(fun, x0, *args, **kwargs)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    # Initial simplex: a 5% step along each axis (0.00025 from zero); a
+    # vertex past the upper bound is reflected back inside, then clipped.
+    x0 = [_clip(v, lo, hi) for v, (lo, hi) in zip(x0, bounds)]
+    sim = [x0]
+    for k, (lo, hi) in enumerate(bounds):
+        v = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        if v > hi:
+            v = 2 * hi - v
+        y = list(x0)
+        y[k] = _clip(v, lo, hi)
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k, x in enumerate(sim):
+            fsim[k] = f(x)
+    except _BudgetSpent:
+        pass
+
+    def restore_order():
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    # Trial points are ``a * centroid + c * worst`` with scipy's coefficients
+    # at rho = 1.  Adding ``c * worst`` for a negative ``c`` rounds exactly as
+    # subtracting ``-c * worst`` does.
+    def trial(a, c):
+        return [
+            (v if v < hi else hi) if (v := a * b + c * w) > lo else lo
+            for b, w, lo, hi in zip(xbar, worst, lower, upper)
+        ]
+
+    restore_order()
+    while nfev < maxfev:
+        best = sim[0]
+        fbest = fsim[0]
+        if all(abs(fbest - v) <= fatol for v in fsim) and all(
+            abs(b - v) <= xatol for x in sim for b, v in zip(best, x)
+        ):
+            break
+        worst = sim[-1]
+        # Summed in vertex order with plain ``+``, as numpy reduces rows.
+        xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
+        try:
+            xr = trial(2, -1)
+            fxr = f(xr)
+            if fxr < fbest:
+                xe = trial(1 + chi, -chi)
+                fxe = f(xe)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                new = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = trial(1 + psi, -psi)
+                    fxc = f(xc)
+                    new = (xc, fxc) if fxc <= fxr else None
+                else:
+                    xcc = trial(1 - psi, psi)
+                    fxcc = f(xcc)
+                    new = (xcc, fxcc) if fxcc < fsim[-1] else None
+                if new is None:
+                    shrunk = [
+                        [_clip(b + sigma * (v - b), lo, hi)
+                         for b, v, (lo, hi) in zip(best, x, bounds)]
+                        for x in sim[1:]
+                    ]
+                    values = [f(x) for x in shrunk]
+                    sim[1:] = shrunk
+                    fsim[1:] = values
+                    restore_order()
+                    continue
+        except _BudgetSpent:
+            break
+        # Only the worst vertex changed, so a stable sort re-inserts it
+        # after every vertex of equal or lower value.
+        del sim[-1], fsim[-1]
+        i = bisect_right(fsim, new[1])
+        sim.insert(i, new[0])
+        fsim.insert(i, new[1])
+
+    return SimplexResult(sim[0], fsim[0], nfev, 1 if nfev >= maxfev else 0)
 
 
 def _latin_hypercube(n: int, d: int, seed) -> np.ndarray:
@@ -156,8 +286,8 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
 
     points = lower + _latin_hypercube(config.lhs_points, lower.size, seed) * (upper - lower)
     # A warm start rebuilt from an argmax may sit an ulp outside the bounds.
-    candidates = [np.clip(x, lower, upper) for x in extra_starts]
-    candidates.extend(points)
+    candidates = [np.clip(x, lower, upper).tolist() for x in extra_starts]
+    candidates.extend(points.tolist())
 
     evals = 0
     best_value = -math.inf
@@ -168,35 +298,33 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
         evals += 1
         ranked.append((-value, idx, x))
         if feasible and value > best_value:
-            best_value, best_x = value, np.array(x)
+            best_value, best_x = value, x
     ranked.sort(key=lambda item: (item[0], item[1]))
 
-    bounds = list(zip(lower.tolist(), upper.tolist()))
+    lower, upper = lower.tolist(), upper.tolist()
     n_restarts = min(config.restarts, len(ranked))
     per_restart = max(64, (budget - evals) // max(1, n_restarts))
     starts = [item[2] for item in ranked[:n_restarts]]
 
+    # The simplex builds a new list for every point it visits, so the best
+    # point is kept by reference.
     def negated(x):
         nonlocal evals, best_value, best_x
         value, feasible = objective(x)
         evals += 1
         if feasible and value > best_value:
-            best_value, best_x = value, np.array(x)
+            best_value, best_x = value, x
         return -value
 
     for x0 in starts:
         minimize(
             negated,
             x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "maxfev": per_restart,
-                "xatol": config.xatol,
-                "fatol": config.fatol,
-                "adaptive": True,
-                "disp": False,
-            },
+            lower,
+            upper,
+            maxfev=per_restart,
+            xatol=config.xatol,
+            fatol=config.fatol,
         )
 
     if best_x is None:
@@ -258,7 +386,7 @@ def _k3_objective(theta: float, kappa: float):
             return noisy_frame(_bloch_axis(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
 
     def objective(x):
-        theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x.tolist()
+        theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
         t3 = t2 + g2
         if t3 > TIME_WINDOW:
@@ -282,7 +410,7 @@ def _speed_objective(theta: float):
     a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
 
     def objective(x):
-        theta_s, phi_s, t = x.tolist()
+        theta_s, phi_s, t = x
         return _pure_speed(a, b, propagate(t, _bloch_state(theta_s, phi_s))), True
 
     return objective

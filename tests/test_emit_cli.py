@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nhlgi.dynamics
-from nhlgi.cli import main
+from nhlgi.cli import MAX_GRID_POINTS, _time_grid, main
 from nhlgi.dynamics import (
     NHHamiltonian,
     analytic_SB_Sn,
@@ -404,3 +404,48 @@ class TestCliErrors:
     def test_negative_step_exits_2(self, capsys):
         assert main(["trajectory", "--theta", "0.5", "--step", "-0.1"]) == 2
         capsys.readouterr()
+
+
+class TestTimeGridLimits:
+    """A grid that overflows or exceeds the point limit is refused before
+    ``np.arange`` allocates it."""
+
+    @pytest.fixture
+    def arange_calls(self, monkeypatch):
+        calls = []
+
+        def recording(start, stop, dtype):
+            calls.append(stop - start)
+            return np.zeros(0)
+
+        monkeypatch.setattr(np, "arange", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["lgi", "--theta", "1"],
+            ["noise", "--theta", "1", "--kappa", "0"],
+            ["speed", "--theta", "1"],
+            ["distance", "--theta", "1"],
+            ["trajectory", "--theta", "1"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "tmax, step, message",
+        [("1e308", "1e-300", "overflows"), ("1e8", "1", f"points, more than {MAX_GRID_POINTS}")],
+    )
+    def test_refused_with_exit_2(self, arange_calls, command, tmax, step, message, capsys):
+        assert main(command + ["--tmax", tmax, "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tmax / --step" in captured.err
+        assert message in captured.err
+        assert arange_calls == []
+
+    def test_limit_is_inclusive(self, arange_calls):
+        _time_grid(float(MAX_GRID_POINTS), 1.0, include_zero=False)
+        assert arange_calls == [MAX_GRID_POINTS]
+        with pytest.raises(ValueError, match=f"{MAX_GRID_POINTS + 1} time points"):
+            _time_grid(float(MAX_GRID_POINTS), 1.0)
+        assert arange_calls == [MAX_GRID_POINTS]

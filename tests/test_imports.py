@@ -1,10 +1,10 @@
 """Which scipy modules a fresh interpreter loads.
 
-scipy is imported on first use only: ``scipy.optimize`` by the scans'
-Nelder-Mead restarts and ``scipy.integrate`` by RK45.  Importing the package
-and the CLI paths in closed form or linear algebra load no scipy at all, and
-no path loads ``scipy.stats``.  Each check runs in a new isolated
-interpreter, because this test process has scipy loaded already.
+Only RK45 needs scipy, and imports ``scipy.integrate`` on first use.
+Importing the package, the CLI paths in closed form or linear algebra, and
+every scan (whose hypercube and Nelder-Mead simplex are in-house) load no
+scipy at all, and no path loads ``scipy.stats``.  Each check runs in a new
+isolated interpreter, because this test process has scipy loaded already.
 """
 
 import json
@@ -53,13 +53,27 @@ for args in (
     assert _scipy_modules_after(body, tmp_path) == set()
 
 
-def test_scan_and_rk45_do_not_load_scipy_stats(tmp_path):
+def test_scans_load_no_scipy(tmp_path):
     body = """
 nhlgi.maximize_k3(1.0, budget=576)
+nhlgi.maximize_k3(1.0, kappa=0.3, budget=576)
+nhlgi.maximize_speed(1.0, budget=576)
+nhlgi.k3max_vs_noise(1.2, kappa_grid=(1e-3, 1e-1), budget=576)
+for args in (
+    ["scan", "--theta", "0.5", "--budget", "576"],
+    ["noisescan", "--theta", "1.2", "--kappa", "0,0.1", "--budget", "576"],
+):
+    assert nhlgi.cli.main(args + ["--out", f"{out}/{args[0]}.csv"]) == 0, args
+"""
+    assert _scipy_modules_after(body, tmp_path) == set()
+
+
+def test_rk45_does_not_load_scipy_stats(tmp_path):
+    body = """
 assert nhlgi.cli.main(["trajectory", "--theta", "1.2", "--tmax", "1.0", "--step", "0.1",
                        "--out", f"{out}/trajectory.csv"]) == 0
 """
     loaded = _scipy_modules_after(body, tmp_path)
-    # The two paths that need scipy did load it, so the check is not vacuous.
-    assert {"scipy.optimize", "scipy.integrate"} <= loaded
+    # The path that needs scipy did load it, so the check is not vacuous.
+    assert "scipy.integrate" in loaded
     assert "scipy.stats" not in loaded

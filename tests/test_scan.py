@@ -15,6 +15,7 @@ from nhlgi.scan import (
     k3max_vs_noise,
     maximize_k3,
     maximize_speed,
+    minimize,
 )
 from nhlgi.scan import (
     _CANONICAL_K3_START,
@@ -47,6 +48,154 @@ def test_latin_hypercube_repeats_scipy(d, n, seed):
     got = _latin_hypercube(n, d, seed)
     assert got.shape == (n, d)
     assert np.array_equal(got, expected)
+
+
+def _shifted_rosenbrock(x):
+    y = [v - 0.1 * (i + 1) for i, v in enumerate(x)]
+    return sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(y, y[1:]))
+
+
+def _shifted_ripple(x):
+    # Wiggles on the scale of the initial simplex, so contractions fail and
+    # the simplex shrinks early, before any two vertices tie.
+    return sum(
+        (v - 0.1 * (i + 1)) ** 2 + 0.1 * math.sin(250.0 * (1.0 + 0.1 * i) * v + i)
+        for i, v in enumerate(x)
+    )
+
+
+def _scipy_simplex(fun, x0, lower, upper, maxfev, callback=None):
+    """scipy's bounded adaptive Nelder-Mead with the scan's tolerances, and
+    the points it evaluated."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    points = []
+
+    def recorded(x):
+        points.append(x.tolist())
+        return fun(points[-1])
+
+    res = scipy_minimize(
+        recorded,
+        np.array(x0),
+        method="Nelder-Mead",
+        bounds=list(zip(lower, upper)),
+        callback=callback,
+        options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-8, "adaptive": True},
+    )
+    return res, points
+
+
+def _scipy_steps(fun, x0, lower, upper):
+    """``(first evaluation, kind)`` of each iteration of an unbounded-budget
+    scipy run, told apart by the number of evaluations it made."""
+    values, ends = [], []
+
+    def counted(x):
+        values.append(fun(x))
+        return values[-1]
+
+    _scipy_simplex(counted, x0, lower, upper, 10**6, callback=lambda *_: ends.append(len(values)))
+    n = len(x0)
+    steps, start = [], n + 1
+    for end in ends:
+        if end - start == 1:
+            kind = "reflect"
+        elif end - start == n + 2:
+            kind = "shrink"
+        else:
+            # Every point better than the best vertex is accepted, so the
+            # best vertex holds the lowest value seen so far.
+            kind = "expand" if values[start] < min(values[:start]) else "contract"
+        steps.append((start, kind))
+        start = end
+    return steps
+
+
+class TestSimplex:
+    """:func:`nhlgi.scan.minimize` against scipy's simplex, the oracle."""
+
+    @pytest.mark.parametrize(
+        "fun, d, ending",
+        [
+            (_shifted_rosenbrock, 3, "converged"),
+            (_shifted_rosenbrock, 7, "converged"),
+            (_shifted_rosenbrock, 3, "expand"),
+            (_shifted_rosenbrock, 7, "expand"),
+            (_shifted_ripple, 3, "shrink"),
+            (_shifted_ripple, 7, "shrink"),
+        ],
+    )
+    def test_repeats_scipy_bit_for_bit(self, fun, d, ending):
+        x0, lower, upper = [0.3] * d, [-2.0] * d, [2.0] * d
+        if ending == "converged":
+            maxfev = 10**6
+        else:
+            # Stop in the middle of the run, on the call of the given step
+            # that would exceed the budget: the expansion after its
+            # reflection, or the third vertex of a shrink.
+            starts = [s for s, kind in _scipy_steps(fun, x0, lower, upper) if kind == ending]
+            start = starts[len(starts) // 2]
+            maxfev = start + (1 if ending == "expand" else 4)
+        expected, expected_points = _scipy_simplex(fun, x0, lower, upper, maxfev)
+        points = []
+
+        def recorded(x):
+            points.append(list(x))
+            return fun(x)
+
+        res = minimize(recorded, x0, lower, upper, maxfev=maxfev, xatol=1e-8, fatol=1e-8)
+        assert points == expected_points
+        assert (res.status, res.nfev) == (expected.status, expected.nfev)
+        assert res.status == (0 if ending == "converged" else 1)
+        if ending == "converged":
+            assert res.x == expected.x.tolist() and res.fun == expected.fun
+        elif ending == "expand":
+            # the reflection beat the best vertex, but the simplex was left
+            # as it was before the step
+            assert fun(points[-1]) < res.fun
+
+    def test_tied_values_keep_their_order(self):
+        # On a constant objective every vertex ties, so the start stays the
+        # best vertex and the simplex shrinks onto it.
+        res = minimize(lambda x: 1.0, [0.5, 0.25, 1.0], [0.0] * 3, [2.0] * 3,
+                       maxfev=10**5, xatol=1e-8, fatol=1e-8)
+        assert (res.x, res.fun, res.status) == ([0.5, 0.25, 1.0], 1.0, 0)
+
+    def test_ties_follow_a_stable_sort(self, monkeypatch):
+        # Values rounded to a coarse grid tie often.  Tied vertices keep the
+        # order of a stable sort, so the run is scipy's simplex with a stable
+        # argsort, on every machine.
+        def coarse(x):
+            return round(_shifted_rosenbrock(x), 1)
+
+        x0, lower, upper = [0.3] * 7, [-2.0] * 7, [2.0] * 7
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
+        expected, expected_points = _scipy_simplex(coarse, x0, lower, upper, 3000)
+        monkeypatch.undo()
+        points = []
+
+        def recorded(x):
+            points.append(list(x))
+            return coarse(x)
+
+        res = minimize(recorded, x0, lower, upper, maxfev=3000, xatol=1e-8, fatol=1e-8)
+        assert points == expected_points
+        assert (res.status, res.nfev) == (expected.status, expected.nfev)
+        values = [coarse(x) for x in points]
+        assert len(set(values)) < len(values) / 2
+
+    def test_nan_never_converges(self):
+        res = minimize(lambda x: math.nan, [0.5, 0.5], [0.0, 0.0], [1.0, 1.0],
+                       maxfev=200, xatol=1.0, fatol=1.0)
+        assert (res.status, res.nfev) == (1, 200)
+
+    @pytest.mark.parametrize("x0", [[1.5, 0.5], [0.5, -1e-300], [math.nan, 0.5]])
+    def test_start_outside_bounds_is_refused(self, x0):
+        with pytest.raises(ValueError, match="outside the bounds"):
+            minimize(lambda x: 0.0, x0, [0.0, 0.0], [1.0, 1.0],
+                     maxfev=100, xatol=1e-8, fatol=1e-8)
 
 
 def _assert_objective_matches_engine(theta, kappa):
@@ -118,7 +267,8 @@ class TestMaximizeK3:
     @pytest.mark.filterwarnings("error")
     def test_warm_start_below_gap_floor_is_clipped(self):
         # an argmax rebuilt as t3 - t2 can land an ulp under the gap floor;
-        # the start must be clipped into the bounds, not handed to scipy
+        # the start must be clipped into the bounds, which the simplex refuses
+        # to leave
         x = np.array(_CANONICAL_K3_START)
         x[6] = SMALL.gap_floor * (1.0 - 1e-12)
         res = maximize_k3(1.2, budget=2000, config=SMALL, extra_starts=[x])
