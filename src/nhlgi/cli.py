@@ -28,6 +28,7 @@ from .dynamics import (
     down_z,
     evolve_pure,
     integrate_bloch,
+    pure_propagator,
     speed,
     speed_closed_form,
     up_y,
@@ -41,7 +42,7 @@ from .embedding import (
     theta_from_delta,
 )
 from .emit import write_csv, write_json
-from .lgi import CorrelatorEngine, Observable, _check_protocol, protocol, pure_propagator
+from .lgi import CorrelatorEngine, Observable, _check_protocol, protocol
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_KAPPA_GRID,

@@ -24,12 +24,19 @@ the Bloch flow (scipy's RK45, imported on first use), closed-form trajectory
 components in the frame spanned by ``A``, ``B`` and ``n = A x B``, geodesic
 distances, and the local speed of state evolution, ``|dS/dt|^2`` evaluated
 exactly from the equation of motion above.
+
+Each formula is written once, as a kernel on plain scalars that the scans
+and the protocol call per point: the pure flow (:func:`pure_propagator`),
+the density lift (``_bloch_lift``, ``_density_propagator``), the Bloch
+equation (``_bloch_rhs``, ``_pure_speed``), the geodesic angle
+(``_spinor_angle``) and the Bloch-angle maps (``_bloch_state``,
+``_bloch_axis``).  The public numpy functions validate once and call them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +62,7 @@ __all__ = [
     "density_from_bloch",
     "abn_frame",
     "bloch_to_abn",
+    "pure_propagator",
     "evolve_pure",
     "propagated_norm",
     "evolve_density",
@@ -117,10 +125,22 @@ def down_z() -> np.ndarray:
 
 def state_from_bloch_angles(theta_s: float, phi_s: float) -> np.ndarray:
     """Pure state with Bloch direction (sin t cos p, sin t sin p, cos t)."""
-    return np.array(
-        [math.cos(0.5 * theta_s), np.exp(1j * phi_s) * math.sin(0.5 * theta_s)],
-        dtype=complex,
+    return np.array(_bloch_state(theta_s, phi_s))
+
+
+def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
+    """``(cos theta/2, e^{i phi} sin theta/2)`` as plain scalars."""
+    half = 0.5 * theta
+    return (
+        complex(math.cos(half)),
+        complex(math.cos(phi), math.sin(phi)) * math.sin(half),
     )
+
+
+def _bloch_axis(theta: float, phi: float) -> tuple[float, float, float]:
+    """``(sin theta cos phi, sin theta sin phi, cos theta)`` as plain scalars."""
+    s = math.sin(theta)
+    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
 
 def validate_pure(psi) -> np.ndarray:
@@ -212,7 +232,6 @@ class NHHamiltonian:
     a: np.ndarray
     b: np.ndarray
     scale: float = 1.0
-    theta: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float).copy()
@@ -243,13 +262,11 @@ class NHHamiltonian:
             raise ValueError(
                 f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}"
             )
-        h = cls(
+        return cls(
             a=np.array([1.0 / math.cos(theta), 0.0, 0.0]),
             b=np.array([0.0, 0.0, -math.tan(theta)]),
             scale=scale,
-            theta=theta,
         )
-        return h
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -334,15 +351,84 @@ def bloch_to_abn(s, h: NHHamiltonian) -> np.ndarray:
 # propagation
 
 
+def pure_propagator(h: NHHamiltonian):
+    """Renormalised pure-state flow of ``h`` on plain complex scalars.
+
+    Returns ``propagate(t, psi) -> psi`` for spinors ``psi = (a, b)``: the
+    closed form ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to
+    ``psi`` and normalised.  The entries of ``M`` are bound once, so the call
+    does no numpy work and no validation.  A collapsed norm raises
+    ``DegenerateEvolutionError``.
+    """
+    w = h.omega
+    (m00, m01), (m10, m11) = h.matrix.tolist()
+
+    def propagate(t, psi):
+        a, b = psi
+        c = math.cos(w * t)
+        s = -1j * (math.sin(w * t) / w)
+        x = c * a + s * (m00 * a + m01 * b)
+        y = c * b + s * (m10 * a + m11 * b)
+        n = math.hypot(x.real, x.imag, y.real, y.imag)
+        if n < _NORM_FLOOR:
+            raise DegenerateEvolutionError(
+                f"propagated norm {n:.3e} below representable floor at t = {t!r}"
+            )
+        return x / n, y / n
+
+    return propagate
+
+
+def _bloch_lift(h: NHHamiltonian, kappa: float):
+    """The linear lift of the density flow on plain scalars.
+
+    The unnormalised state ``(r0 I + r . sigma)/2`` obeys ``d(r0, r)/dt =
+    [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``; returns that map as
+    ``lift(r0, x, y, z) -> (r0', x', y', z')``.
+    """
+    (ax, ay, az), (bx, by, bz) = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+
+    def lift(r0, x, y, z):
+        return (
+            -2.0 * (bx * x + by * y + bz * z),
+            2.0 * (ay * z - az * y - bx * r0 - kappa * x),
+            2.0 * (az * x - ax * z - by * r0 - kappa * y),
+            2.0 * (ax * y - ay * x - bz * r0 - kappa * z),
+        )
+
+    return lift
+
+
+def _density_propagator(h: NHHamiltonian):
+    """Renormalised noiseless density flow of ``h`` on Bloch vectors.
+
+    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
+    as plain float triples: ``U rho U^dag`` in closed form, because the
+    spectrum ``{0, 0, +/- 2i w}`` of the noiseless lift gives ``exp(L t) = 1
+    + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2``.  A collapsed trace
+    raises ``DegenerateEvolutionError``.
+    """
+    lift = _bloch_lift(h, 0.0)
+    w = h.omega
+
+    def propagate(t, r):
+        first = lift(1.0, *r)
+        s = math.sin(w * t) / w
+        f, g = s * math.cos(w * t), 0.5 * s * s
+        terms = zip((1.0,) + r, first, lift(*first))
+        r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
+        if r0 < _NORM_FLOOR:
+            raise DegenerateEvolutionError(
+                f"propagated trace {r0:.3e} below representable floor at t = {t!r}"
+            )
+        return x / r0, y / r0, z / r0
+
+    return propagate
+
+
 def evolve_pure(h: NHHamiltonian, psi0, t: float) -> np.ndarray:
     """Renormalised pure-state evolution ``exp(-i H t) psi0 / ||...||``."""
-    v = h.propagator(t) @ validate_pure(psi0)
-    norm = float(np.linalg.norm(v))
-    if norm < _NORM_FLOOR:
-        raise DegenerateEvolutionError(
-            f"propagated norm {norm:.3e} below representable floor at t = {t!r}"
-        )
-    return v / norm
+    return np.array(pure_propagator(h)(t, validate_pure(psi0).tolist()))
 
 
 def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
@@ -352,17 +438,15 @@ def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
 
 
 def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
-    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``."""
-    rho0 = validate_density(rho0)
-    u = h.propagator(t)
-    m = u @ rho0 @ u.conj().T
-    tr = float(np.trace(m).real)
-    if tr < _NORM_FLOOR:
-        raise DegenerateEvolutionError(
-            f"propagated trace {tr:.3e} below representable floor at t = {t!r}"
-        )
-    m = m / tr
-    return 0.5 * (m + m.conj().T)
+    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
+    of the Bloch vector ``(2 Re rho01, -2 Im rho01, rho00 - rho11)`` of ``rho0``."""
+    (p00, p01), (_, p11) = validate_density(rho0).tolist()
+    r = (2.0 * p01.real, -2.0 * p01.imag, (p00 - p11).real)
+    x, y, z = _density_propagator(h)(t, r)
+    return np.array(
+        [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
+        dtype=complex,
+    )
 
 
 def _noisy_rhs_matrix(h: NHHamiltonian, kappa: float, rho: np.ndarray) -> np.ndarray:
@@ -589,9 +673,14 @@ def geodesic_distance(psi, phi) -> float:
 
 
 def _spinor_angle(psi, phi) -> float:
-    """:func:`geodesic_distance` of spinors of plain complex scalars."""
-    overlap = psi[0].conjugate() * phi[0] + psi[1].conjugate() * phi[1]
-    return math.acos(min(1.0, abs(overlap)))
+    """:func:`geodesic_distance` of spinors of plain complex scalars.
+
+    ``|<psi|phi>|`` and ``|psi0 phi1 - psi1 phi0|`` are the angle's cosine and
+    sine; their ``atan2`` keeps the digits that ``arccos`` loses near 0.
+    """
+    (a, b), (c, d) = psi, phi
+    overlap = a.conjugate() * c + b.conjugate() * d
+    return math.atan2(abs(a * d - b * c), abs(overlap))
 
 
 def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
@@ -622,7 +711,7 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     quadratic decay coefficient of the fidelity, computed exactly.  It is the
     quantity maximised by :func:`nhlgi.scan.maximize_speed`.
     """
-    psi = evolve_pure(h, psi0, t).tolist()
+    psi = pure_propagator(h)(t, validate_pure(psi0).tolist())
     return _pure_speed((h.scale * h.a).tolist(), (h.scale * h.b).tolist(), psi)
 
 

@@ -36,6 +36,9 @@ takes two functions of one state and axis: ``first(t)``, the probability of
   probabilities (:func:`_propagating_frame`), which keeps the dilation an
   independent cross-check.
 
+The flows, the lift and the Bloch-angle maps these builders use are the
+scalar kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
+
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
 """
@@ -50,9 +53,11 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    _NORM_FLOOR,
     DegenerateEvolutionError,
     NHHamiltonian,
+    _bloch_axis,
+    _bloch_lift,
+    _density_propagator,
     bloch_of_density,
     bloch_of_pure,
     validate_density,
@@ -67,7 +72,6 @@ __all__ = [
     "JointTable",
     "LgiResult",
     "CorrelatorEngine",
-    "pure_propagator",
     "protocol",
     "k3_closed_form",
 ]
@@ -100,14 +104,8 @@ class Observable:
 
     @classmethod
     def from_angles(cls, theta_q: float, phi_q: float) -> "Observable":
-        d = np.array(
-            [
-                math.sin(theta_q) * math.cos(phi_q),
-                math.sin(theta_q) * math.sin(phi_q),
-                math.cos(theta_q),
-            ]
-        )
-        return cls(tuple(d / np.linalg.norm(d)))
+        """The axis ``(sin t cos p, sin t sin p, cos t)``."""
+        return cls(_bloch_axis(theta_q, phi_q))
 
     @classmethod
     def canonical(cls) -> "Observable":
@@ -234,33 +232,6 @@ class LgiResult:
         )
 
 
-def pure_propagator(h: NHHamiltonian):
-    """Renormalised pure-state flow of ``h`` on plain complex scalars.
-
-    Returns ``propagate(t, psi) -> psi`` for spinors ``psi = (a, b)``: the
-    closed form ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to
-    ``psi`` and normalised.  The entries of ``M`` are bound once, so the call
-    does no numpy work and no validation.
-    """
-    w = h.omega
-    (m00, m01), (m10, m11) = h.matrix.tolist()
-
-    def propagate(t, psi):
-        a, b = psi
-        c = math.cos(w * t)
-        s = -1j * (math.sin(w * t) / w)
-        x = c * a + s * (m00 * a + m01 * b)
-        y = c * b + s * (m10 * a + m11 * b)
-        n = math.hypot(x.real, x.imag, y.real, y.imag)
-        if n < _NORM_FLOOR:
-            raise DegenerateEvolutionError(
-                f"propagated norm {n:.3e} below representable floor at t = {t!r}"
-            )
-        return x / n, y / n
-
-    return propagate
-
-
 def _spinor_frame(h: NHHamiltonian):
     """Pure-state protocol inputs of ``h``, in the measured axis's eigenbasis.
 
@@ -311,48 +282,6 @@ def _spinor_frame(h: NHHamiltonian):
         return first, transfer
 
     return frame
-
-
-def _bloch_lift(h: NHHamiltonian, kappa: float):
-    """The linear lift of the density flow on plain scalars.
-
-    The unnormalised state ``(r0 I + r . sigma)/2`` obeys ``d(r0, r)/dt =
-    [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``; returns that map as
-    ``lift(r0, x, y, z) -> (r0', x', y', z')``.
-    """
-    (ax, ay, az), (bx, by, bz) = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
-
-    def lift(r0, x, y, z):
-        return (
-            -2.0 * (bx * x + by * y + bz * z),
-            2.0 * (ay * z - az * y - bx * r0 - kappa * x),
-            2.0 * (az * x - ax * z - by * r0 - kappa * y),
-            2.0 * (ax * y - ay * x - bz * r0 - kappa * z),
-        )
-
-    return lift
-
-
-def _density_propagator(h: NHHamiltonian):
-    """Renormalised noiseless density flow of ``h`` on Bloch vectors.
-
-    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
-    as plain float triples: ``U rho U^dag`` in closed form, because the
-    spectrum ``{0, 0, +/- 2i w}`` of the noiseless lift gives ``exp(L t) = 1
-    + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2``.
-    """
-    lift = _bloch_lift(h, 0.0)
-    w = h.omega
-
-    def propagate(t, r):
-        first = lift(1.0, *r)
-        s = math.sin(w * t) / w
-        f, g = s * math.cos(w * t), 0.5 * s * s
-        terms = zip((1.0,) + r, first, lift(*first))
-        r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
-        return x / r0, y / r0, z / r0
-
-    return propagate
 
 
 def _noisy_frame(h: NHHamiltonian, kappa: float):

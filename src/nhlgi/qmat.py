@@ -23,8 +23,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "ID2",
-    "ID4",
-    "pauli",
     "pauli_vector",
     "dagger",
     "is_hermitian",
@@ -35,17 +33,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return a copy of the Pauli matrix for ``axis`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}, expected 'x', 'y' or 'z'") from None
 
 
 def pauli_vector(v) -> np.ndarray:

@@ -16,9 +16,11 @@ in-house and load no scipy: the hypercube repeats the draws of scipy's
 arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
 vertices kept in stable order so tied values cannot reorder between runs or
 machines.  Every reported objective is the re-evaluable value of an actually
-visited feasible point.  Runs are reproducible: one master seed drives the
-hypercube and all restarts, the per-restart evaluation budget is fixed up
-front, and the restarts run one after another in a fixed order.
+visited feasible point: the objectives call the scalar kernels of
+:mod:`nhlgi.dynamics` and :func:`nhlgi.lgi.protocol`, which the public API
+wraps, and keep no copy of them.  Runs are reproducible: one master seed
+drives the hypercube and all restarts, the per-restart evaluation budget is
+fixed up front, and the restarts run one after another in a fixed order.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, _pure_speed
-from .lgi import ALGEBRAIC_BOUND, _noisy_frame, _spinor_frame, protocol, pure_propagator
+from .dynamics import NHHamiltonian, _bloch_axis, _bloch_state, _pure_speed, pure_propagator
+from .lgi import ALGEBRAIC_BOUND, _noisy_frame, _spinor_frame, protocol
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -84,13 +86,18 @@ class ScanConfigError(ValueError):
     """Raised for scan configurations that cannot produce a meaningful result."""
 
 
+# Simplex convergence tolerances on coordinates and on values.
+XATOL = 1e-8
+FATOL = 1e-8
+
+# Strictly positive lower bound on the time gaps of the K3 search.
+GAP_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     restarts: int = 16          # Nelder-Mead restarts from the ranked seeds
     lhs_points: int = 512       # Latin hypercube size for the seeding pass
-    xatol: float = 1e-8         # simplex coordinate tolerance
-    fatol: float = 1e-8         # simplex value tolerance
-    gap_floor: float = 1e-9     # strictly positive lower bound on time gaps
 
 
 @dataclass
@@ -323,8 +330,8 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             lower,
             upper,
             maxfev=per_restart,
-            xatol=config.xatol,
-            fatol=config.fatol,
+            xatol=XATOL,
+            fatol=FATOL,
         )
 
     if best_x is None:
@@ -344,21 +351,6 @@ _CANONICAL_K3_START = (
     math.pi / 4,
 )
 _CANONICAL_SPEED_START = (math.pi / 2, 1.5 * math.pi, math.pi / 2)
-
-
-def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
-    """``(cos theta/2, e^{i phi} sin theta/2)`` as plain scalars."""
-    half = 0.5 * theta
-    return (
-        complex(math.cos(half)),
-        complex(math.cos(phi), math.sin(phi)) * math.sin(half),
-    )
-
-
-def _bloch_axis(theta: float, phi: float) -> tuple[float, float, float]:
-    """``(sin theta cos phi, sin theta sin phi, cos theta)`` as plain scalars."""
-    s = math.sin(theta)
-    return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
 
 def _k3_objective(theta: float, kappa: float):
@@ -401,9 +393,9 @@ def _k3_objective(theta: float, kappa: float):
 def _speed_objective(theta: float):
     """``objective(x) -> (speed, True)`` over ``x = (theta_s, phi_s, t)``.
 
-    The same quantity as :func:`nhlgi.dynamics.speed` on plain scalars: the
-    state in closed form, the flow of :func:`nhlgi.lgi.pure_propagator` and
-    the scalar Bloch equation.
+    The same kernels as :func:`nhlgi.dynamics.speed`: the flow of
+    :func:`nhlgi.dynamics.pure_propagator` and the scalar Bloch equation,
+    applied to the state in closed form, so an argmax re-evaluates exactly.
     """
     h = NHHamiltonian.canonical(theta)
     propagate = pure_propagator(h)
@@ -433,9 +425,8 @@ def maximize_k3(
     """
     config = config or ScanConfig()
     objective = _k3_objective(theta, kappa)
-    floor = config.gap_floor
 
-    lower = np.array([0.0, 0.0, 0.0, 0.0, 0.0, floor, floor])
+    lower = np.array([0.0, 0.0, 0.0, 0.0, 0.0, GAP_FLOOR, GAP_FLOOR])
     upper = np.array(
         [math.pi, 2 * math.pi, math.pi, 2 * math.pi, TIME_WINDOW, TIME_WINDOW, TIME_WINDOW]
     )

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written from first principles (plain Taylor
-series, explicit branch enumeration, fixed-step integration) so that
-agreement with the library is evidence, not circularity.  It also holds the
+series, explicit branch enumeration, fixed-step integration, mpmath's matrix
+exponential at extra precision) so that agreement with the library is
+evidence, not circularity.  It also holds the
 CSV reader the tests use to check what the CLI writes.
 """
 
@@ -69,46 +70,69 @@ def two_time_joint(h_matrix, psi0, direction, t_i, t_j):
     return probs
 
 
-def noisy_two_time_joint(h_matrix, kappa, rho0, direction, t_i, t_j, max_step=0.25):
-    """Joint outcome table of the invasive protocol under depolarising noise.
+def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
+    """Joint outcome tables of the invasive protocol under depolarising noise.
 
-    Propagates ``vec(rho)`` (row-major) with the complex 4x4 lift
+    For measurement times ``(t1, t2, t3)``, returns the tables of the pairs
+    (1, 2), (2, 3) and (1, 3), each a 2x2 array indexed like
+    :func:`two_time_joint`.  Propagates ``vec(rho)`` (row-major) with the
+    complex 4x4 lift
 
         L = -i (H x I) + i (I x H^*) + kappa (vec(I) tr(.) - 2 I_4)
 
-    exponentiated by ``taylor_expm`` over equal steps no longer than
-    ``max_step``; the trace is renormalised after every step so that growing
-    modes of the lift cannot overflow.  Collapses onto the projectors
-    ``(I +/- n . sigma)/2`` and reads probabilities as their traces against
-    ``rho``.  Returns a 2x2 array indexed like :func:`two_time_joint`.
+    built entry by entry in mpmath and exponentiated there at ``dps``
+    significant digits, renormalising the trace after each propagation.  The
+    lift is far from normal near the corner, where a double-precision
+    exponential loses digits (5.6e-9 at theta = 1.546875); the extra digits
+    keep this one exact to double precision for the Hamiltonian it is given.
+    Only ``exp(L t1)`` and the gap propagators ``exp(L (t2 - t1))`` and
+    ``exp(L (t3 - t2))`` are exponentiated; the other two are their products.
+    Collapses onto the projectors ``(I +/- n . sigma)/2`` and reads
+    probabilities as their traces against ``rho``.
     """
-    h_matrix = np.asarray(h_matrix, dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    lift = -1j * np.kron(h_matrix, eye) + 1j * np.kron(eye, h_matrix.conj())
-    lift = lift + kappa * (
-        np.outer(eye.reshape(-1), eye.reshape(-1)) - 2.0 * np.eye(4, dtype=complex)
-    )
+    import mpmath
 
-    def propagate(rho, t):
-        n = max(1, int(np.ceil(t / max_step)))
-        step = taylor_expm(lift, t / n)
-        vec = np.asarray(rho, dtype=complex).reshape(-1)
-        for _ in range(n):
-            vec = step @ vec
-            vec = vec / (vec[0] + vec[3]).real
-        return vec.reshape(2, 2)
+    t1, t2, t3 = times
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(np.asarray(h_matrix, dtype=complex).tolist())
+        eye = mpmath.eye(2)
+        lift = mpmath.zeros(4, 4)
+        for i, j, k, m in np.ndindex(2, 2, 2, 2):
+            # d rho_ij/dt = -i H_ik rho_kj + i rho_im conj(H_jm) + kappa (...)
+            entry = -1j * hm[i, k] * eye[j, m] + 1j * eye[i, k] * mpmath.conj(hm[j, m])
+            entry += kappa * (eye[i, j] * eye[k, m] - 2 * eye[i, k] * eye[j, m])
+            lift[2 * i + j, 2 * k + m] += entry
 
-    n_op = sum(c * s for c, s in zip(direction, (_SX, _SY, _SZ)))
-    proj = (0.5 * (eye + n_op), 0.5 * (eye - n_op))
-    rho_i = propagate(rho0, t_i)
-    first = np.array([np.trace(p @ rho_i).real for p in proj])
-    first = first / first.sum()
-    probs = np.empty((2, 2))
-    for i, p in enumerate(proj):
-        p_plus = np.trace(proj[0] @ propagate(p, t_j - t_i)).real
-        probs[i, 0] = first[i] * p_plus
-        probs[i, 1] = first[i] * (1.0 - p_plus)
-    return probs
+        def propagate(u, rho):
+            vec = u * rho
+            return vec / (vec[0] + vec[3])
+
+        def born(p, vec):
+            # tr(P rho) with P and rho both as row-major vec
+            return mpmath.re(sum(mpmath.conj(a) * b for a, b in zip(p, vec)))
+
+        nx, ny, nz = (mpmath.mpf(c) for c in direction)
+        n_op = (nz, nx - 1j * ny, nx + 1j * ny, -nz)
+        proj = [
+            mpmath.matrix([(e + sign * c) / 2 for e, c in zip((1, 0, 0, 1), n_op)])
+            for sign in (1, -1)
+        ]
+        rho0 = mpmath.matrix(np.asarray(rho0, dtype=complex).reshape(-1).tolist())
+
+        def table(u_first, u_gap):
+            rho = propagate(u_first, rho0)
+            first = [born(p, rho) for p in proj]
+            probs = np.empty((2, 2))
+            for row, p in enumerate(proj):
+                cond = born(proj[0], propagate(u_gap, p))
+                weight = first[row] / (first[0] + first[1])
+                probs[row] = float(weight * cond), float(weight * (1 - cond))
+            return probs
+
+        u1 = mpmath.expm(lift * t1)
+        g12 = mpmath.expm(lift * (t2 - t1))
+        g23 = mpmath.expm(lift * (t3 - t2))
+        return table(u1, g12), table(g12 * u1, g23), table(u1, g23 * g12)
 
 
 def rk4(rhs, y0, t_end, n_steps):

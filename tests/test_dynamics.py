@@ -11,6 +11,7 @@ from nhlgi.dynamics import (
     NHHamiltonian,
     StiffnessError,
     Trajectory,
+    _bloch_state,
     analytic_SB_Sn,
     abn_frame,
     bloch_of_density,
@@ -28,6 +29,7 @@ from nhlgi.dynamics import (
     integrate_bloch,
     projector,
     propagated_norm,
+    pure_propagator,
     speed,
     speed_closed_form,
     state_from_bloch_angles,
@@ -165,6 +167,18 @@ class TestPureEvolution:
             assert abs(np.vdot(down_y(), psi)) ** 2 == pytest.approx(
                 math.sin(t) ** 2, abs=1e-12
             )
+
+    def test_is_the_scalar_kernel(self):
+        # the public state and flow are the scans' kernels as arrays, bit for bit
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            h = NHHamiltonian.canonical(rng.uniform(0.0, 1.5))
+            angles = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            t = rng.uniform(0.0, math.pi)
+            psi0 = state_from_bloch_angles(*angles)
+            assert psi0.tolist() == list(_bloch_state(*angles))
+            expected = pure_propagator(h)(t, _bloch_state(*angles))
+            assert evolve_pure(h, psi0, t).tolist() == list(expected)
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_half_period_reaches_down_y(self, theta):
@@ -336,14 +350,19 @@ class TestNoisyDensity:
 
 
 class TestDistanceAndSpeed:
-    @pytest.mark.parametrize("theta", [0.0, 0.7, 1.3])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 1.3, 1.5])
     def test_geodesic_closed_form(self, theta):
+        # the grid passes within an ulp of t = pi/2, where the state reaches
+        # down_y: an arccos of the overlap alone is off by about 1e-8 there
         h = NHHamiltonian.canonical(theta)
-        for t in np.linspace(0.0, math.pi, 17):
-            d = geodesic_distance(evolve_pure(h, up_y(), t), down_y())
-            assert d == pytest.approx(
-                geodesic_distance_closed_form(theta, t), abs=1e-8
-            )
+        grid = np.linspace(0.0, math.pi, 401)
+        got = [geodesic_distance(evolve_pure(h, up_y(), t), down_y()) for t in grid]
+        np.testing.assert_allclose(
+            got,
+            geodesic_distance_closed_form(theta, grid),
+            rtol=0.0,
+            atol=1e-13 / math.cos(theta) ** 2,
+        )
 
     def test_geodesic_vanishes_at_half_period(self):
         for theta in THETAS:

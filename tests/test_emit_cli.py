@@ -237,6 +237,23 @@ class TestCliDistance:
             columns["s_n"], analytic_SB_Sn(h.a_mag, h.b_mag, t)[1], rtol=0, atol=1e-13
         )
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 1.3, 1.5])
+    def test_direct_mode_at_the_antipode(self, theta, tmp_path):
+        # 401 points over [0, pi], one of them within an ulp of pi/2 where the
+        # distance vanishes and an arccos of the overlap loses half the digits
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--theta", repr(theta), "--tmax", repr(math.pi),
+                     "--step", repr(math.pi / 400), "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        t = columns["t"]
+        assert t.size == 401 and abs(t[200] - math.pi / 2) < 1e-15
+        np.testing.assert_allclose(
+            columns["delta"],
+            geodesic_distance_closed_form(theta, t),
+            rtol=0.0,
+            atol=1e-13 / math.cos(theta) ** 2,
+        )
+
     def test_rescaled_mode(self, tmp_path):
         out = tmp_path / "dist.csv"
         assert main(["distance", "--rescaled", "--theta", "0.9", "--tmax", "1.0",

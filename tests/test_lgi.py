@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhlgi.dynamics import (
     THETA_MAX,
     DegenerateEvolutionError,
     NHHamiltonian,
+    _bloch_axis,
+    _bloch_lift,
+    _density_propagator,
     density_from_bloch,
     evolve_density_noisy,
     projector,
+    pure_propagator,
     state_from_bloch_angles,
     up_y,
 )
@@ -23,16 +27,14 @@ from nhlgi.lgi import (
     LgiResult,
     Observable,
     _bloch_born,
-    _bloch_lift,
     _noisy_frame,
     _propagating_frame,
     _pure_born,
     _spinor_frame,
     k3_closed_form,
     protocol,
-    pure_propagator,
 )
-from oracles import axis_eigenstates, noisy_two_time_joint, two_time_joint
+from oracles import axis_eigenstates, noisy_protocol_tables, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -60,6 +62,13 @@ class TestObservable:
             np.testing.assert_allclose(op @ chi_p, chi_p, atol=1e-12)
             np.testing.assert_allclose(op @ chi_m, -chi_m, atol=1e-12)
             assert abs(np.vdot(chi_p, chi_m)) < 1e-12
+
+    def test_from_angles_is_the_bloch_axis(self):
+        # the scans build the axis with the same kernel, without renormalising
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            angles = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+            assert Observable.from_angles(*angles).direction == _bloch_axis(*angles)
 
     def test_projectors(self):
         q = Observable.from_angles(0.7, 2.1)
@@ -191,6 +200,12 @@ def test_pure_propagator_norm_floor():
         pure_propagator(NHHamiltonian.canonical(0.5))(0.3, (0j, 0j))
 
 
+def test_density_propagator_trace_floor():
+    # a Bloch vector far outside the ball drives the propagated trace negative
+    with pytest.raises(DegenerateEvolutionError):
+        _density_propagator(NHHamiltonian.canonical(0.5))(0.1, (0.0, 0.0, -1e3))
+
+
 class TestProtocolAgainstOracle:
     """Branch-enumeration oracle with its own propagator and eigenbasis."""
 
@@ -259,7 +274,17 @@ class TestProtocolAgainstOracle:
             st.floats(0.0, 1.5), st.floats(1e-3, 1.5), st.floats(1e-3, 1.5)
         ),
     )
+    # a double-precision Taylor oracle was off by 5.6e-9 here, beyond the
+    # tolerance, while the kernel is within 1.2e-13 of the exact lift
+    @example(
+        theta=1.546875,
+        log_kappa=-6.0,
+        state=(0.0, 0.0, 0.0),
+        axis=(0.0, 0.0),
+        times=(0.0, 1.5, 1.5),
+    )
     def test_noisy_kernel_tables(self, theta, log_kappa, state, axis, times):
+        pytest.importorskip("mpmath")
         theta_s, phi_s, length = state
         kappa = 10.0**log_kappa
         h = NHHamiltonian.canonical(theta)
@@ -281,14 +306,14 @@ class TestProtocolAgainstOracle:
         t3 = t2 + times[2]
         out = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
         rho0 = density_from_bloch(0.5 * np.array(r))
-        # Against a 40-digit evaluation of the lift, the kernel's tables were
-        # within 1.8e-15 sec^2(theta) and the stepped Taylor oracle's within
-        # 8.3e-14 sec^2(theta) (1200 tables, theta up to pi/2 - 1e-2, where
-        # the oracle is off by up to 2.9e-11); the oracle sets the tolerance.
+        # The oracle exponentiates the lift at 30 digits, so it is exact to
+        # double precision; the kernel's eigendecomposed lift loses about
+        # sec^2(theta) ulps (within 1.2e-13 = 7e-17 sec^2 at the pinned
+        # example), well inside the tolerance.
         tol = 1e-12 / math.cos(theta) ** 2
-        for table, (t_i, t_j) in zip(out[3:], ((t1, t2), (t2, t3), (t1, t3))):
-            expected = noisy_two_time_joint(h.matrix, kappa, rho0, n, t_i, t_j)
-            np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
+        expected = noisy_protocol_tables(h.matrix, kappa, rho0, n, (t1, t2, t3))
+        for table, reference in zip(out[3:], expected):
+            np.testing.assert_allclose(np.array(table), reference, rtol=0.0, atol=tol)
         for c, table in zip(out[:3], out[3:]):
             assert c == JointTable(table, 0.0, 1.0).correlator
 
@@ -515,7 +540,7 @@ class TestNoisyProtocol:
         # engine must return the exact lift's table or refuse with a typed
         # error, never a silently wrong (or NaN) table; at THETA_MAX it
         # refuses (see the CLI test), at pi/2 - 1e-4 it is accurate
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         h = NHHamiltonian.canonical(theta)
         q = Observable.from_angles(1.1, 0.6)
         rho0 = projector(state_from_bloch_angles(0.8, 2.5))
@@ -524,7 +549,9 @@ class TestNoisyProtocol:
             got = CorrelatorEngine(h, kappa=kappa).joint_table(rho0, q, t_i, t_j)
         except DegenerateEvolutionError:
             return
-        expected = _lift_joint_reference(mpmath, h, kappa, rho0, q, t_i, t_j)
+        expected = noisy_protocol_tables(
+            h.matrix, kappa, rho0, q.direction, (t_i, t_j, t_j), dps=60
+        )[0]
         np.testing.assert_allclose(got.probs, expected, rtol=0.0, atol=1e-10)
 
     def test_weak_noise_limit(self):
@@ -584,36 +611,6 @@ def _pure_joint_reference(mpmath, h, psi, q, t_i, t_j, dps=50):
         probs = np.empty((2, 2))
         for row, chi in enumerate((up, down)):
             cond = born(up, propagate(chi, t_j - t_i))
-            weight = first[row] / (first[0] + first[1])
-            probs[row] = float(weight * cond), float(weight * (1 - cond))
-        return probs
-
-
-def _lift_joint_reference(mpmath, h, kappa, rho0, q, t_i, t_j, dps=60):
-    """Noisy joint table from the complex vec(rho) lift, exponentiated in mpmath."""
-    with mpmath.workdps(dps):
-        hm = mpmath.matrix(h.matrix.tolist())
-        eye = mpmath.eye(2)
-        lift = mpmath.zeros(4, 4)
-        for i, j, k, m in np.ndindex(2, 2, 2, 2):
-            # d rho_ij/dt = -i H_ik rho_kj + i rho_im conj(H_jm) + kappa (...)
-            entry = -1j * hm[i, k] * eye[j, m] + 1j * eye[i, k] * mpmath.conj(hm[j, m])
-            entry += kappa * (eye[i, j] * eye[k, m] - 2 * eye[i, k] * eye[j, m])
-            lift[2 * i + j, 2 * k + m] += entry
-
-        def propagate(rho, t):
-            vec = mpmath.expm(lift * t) * mpmath.matrix(list(rho.reshape(-1)))
-            return [x / (vec[0] + vec[3]) for x in vec]
-
-        def born(p, vec):
-            return mpmath.re(sum(p[j, i] * vec[2 * i + j] for i, j in np.ndindex(2, 2)))
-
-        p_plus, p_minus = q.projectors
-        rho_i = propagate(rho0, t_i)
-        first = [born(p, rho_i) for p in (p_plus, p_minus)]
-        probs = np.empty((2, 2))
-        for row, p in enumerate((p_plus, p_minus)):
-            cond = born(p_plus, propagate(p, t_j - t_i))
             weight = first[row] / (first[0] + first[1])
             probs[row] = float(weight * cond), float(weight * (1 - cond))
         return probs

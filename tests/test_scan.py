@@ -9,6 +9,7 @@ from nhlgi.lgi import CorrelatorEngine, Observable
 from nhlgi.scan import (
     DEFAULT_KAPPA_GRID,
     DEFAULT_THETA_GRID,
+    GAP_FLOOR,
     ScanConfig,
     ScanConfigError,
     ScanResult,
@@ -270,7 +271,7 @@ class TestMaximizeK3:
         # the start must be clipped into the bounds, which the simplex refuses
         # to leave
         x = np.array(_CANONICAL_K3_START)
-        x[6] = SMALL.gap_floor * (1.0 - 1e-12)
+        x[6] = GAP_FLOOR * (1.0 - 1e-12)
         res = maximize_k3(1.2, budget=2000, config=SMALL, extra_starts=[x])
         s = math.sin(1.2)
         assert res.objective >= 1.0 + s + s * s - 1e-9
@@ -313,19 +314,22 @@ class TestMaximizeSpeed:
         assert res.kind == "speed"
 
     def test_objective_matches_speed(self):
-        # the search evaluates the speed on plain scalars; at the canonical
-        # start and at the argmax it must equal the validated public route
+        # the search and the validated public route call the same kernels, so
+        # at the canonical start and at the argmax they agree exactly
         theta = 1.2
         res = maximize_speed(theta, budget=2000, seed=3, config=SMALL)
         objective = _speed_objective(theta)
         h = NHHamiltonian.canonical(theta)
-        argmax = (res.argmax["theta_s"], res.argmax["phi_s"], res.argmax["t"])
+        am = res.argmax
+        argmax = (am["theta_s"], am["phi_s"], am["t"])
         for x in (_CANONICAL_SPEED_START, argmax):
-            value, feasible = objective(np.array(x))
-            expected = speed(h, state_from_bloch_angles(x[0], x[1]), x[2])
+            value, feasible = objective(x)
             assert feasible
-            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert objective(np.array(argmax))[0] == res.objective
+            assert value == speed(h, state_from_bloch_angles(x[0], x[1]), x[2])
+        assert objective(argmax)[0] == res.objective
+        assert speed(h, state_from_bloch_angles(am["theta_s"], am["phi_s"]), am["t"]) == (
+            res.objective
+        )
 
     def test_deterministic(self):
         a = maximize_speed(1.0, budget=2000, seed=5, config=SMALL)
@@ -361,6 +365,25 @@ class TestNoiseSeries:
         )
         values = [r.objective for r in results]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
+
+    def test_corner_argmax_reevaluates(self):
+        # at the corner the lift has cond(V) of about 4e6, so the scan and the
+        # engine must build the Bloch vector and the axis with the same
+        # kernels for an argmax to re-evaluate to 1e-12
+        theta = math.pi / 2 - 1e-3
+        results = k3max_vs_noise(
+            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=7, config=SMALL
+        )
+        for res in results:
+            am = res.argmax
+            again = CorrelatorEngine(NHHamiltonian.canonical(theta), res.kappa).k3(
+                state_from_bloch_angles(am["theta_s"], am["phi_s"]),
+                Observable.from_angles(am["theta_q"], am["phi_q"]),
+                am["t1"],
+                am["t2"],
+                am["t3"],
+            ).k3
+            assert again == pytest.approx(res.objective, abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ScanConfigError):
