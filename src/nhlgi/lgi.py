@@ -29,8 +29,10 @@ takes two functions of one state and axis: ``first(t)``, the probability of
   where both conditionals are column ratios of the propagator, so no
   collapse branch is propagated;
 - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
-  solution of the linear lift of the depolarising flow projected onto the
-  axis and the state (:func:`_noisy_frame`);
+  solution of the linear lift of the depolarising flow in its real modal
+  form (two real eigenvalues and one rotating pair) projected onto the axis
+  and the state, so each time costs two ``exp`` and one cos/sin pair
+  (:func:`_noisy_frame`);
 - the dilation and noiseless density matrices through an adapter that
   propagates each branch with a renormalised flow and reads Born
   probabilities (:func:`_propagating_frame`), which keeps the dilation an
@@ -45,7 +47,6 @@ cross-check, not the engine, so scans stay fast and deterministic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -288,17 +289,43 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
     """Protocol inputs of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
 
     Returns ``frame(r, n) -> (first, transfer)`` for a Bloch vector ``r`` and
-    a unit axis ``n``.  The lift of :func:`_bloch_lift` is eigendecomposed
-    here once, ``L = V diag(lam) V^-1`` (spectrum shifted to non-positive real
-    part, which cancels in the normalisation); per point, ``V`` is projected
-    onto ``(1, 0)`` and the axis, and ``V^-1`` onto the state and the axis.
-    By linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so
-    both collapse branches share the four exponentials of one time.
+    a unit axis ``n``.  The lift ``L`` of :func:`_bloch_lift` is
+    eigendecomposed here once, ``L = V diag(lam) V^-1``, and written in its
+    real modal form: four real slots, each a pair of real columns of ``V``
+    and rows of ``V^-1``.  Per point, the columns are projected onto ``(1,
+    0)`` and the axis, and the rows onto the state and the axis.  By
+    linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so
+    both collapse branches share the exponentials of one time.
+
+    The spectrum always has two real eigenvalues and one conjugate pair
+    ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
+    component along ``a`` decouples at rate ``-2 kappa``.  The remaining
+    block has the characteristic cubic ``p(lam) = lam [(lam + 2 kappa)^2 +
+    4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``, ``p(0) =
+    -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega > 0``).
+    So it has exactly one real root, which is simple and non-negative (zero
+    only when ``b = 0``), and one conjugate pair.  The real root dominates:
+    the roots sum to ``-4 kappa``, so ``alpha = -2 kappa - root/2``.
+
+    The slots are built as follows:
+
+    - each real eigenvalue keeps its real column and row;
+    - the pair's column ``u + i w`` and row ``z`` become the columns ``(u,
+      w)`` and the rows ``(2 Re z, -2 Im z)``, whose modes evolve by the
+      rotation ``exp(alpha t) (cos beta t, sin beta t)``.  ``2 z`` is the
+      pair's row of ``V^-1`` plus the conjugate of its partner's row.  The
+      computed inverse keeps ``V V^-1 = I`` to rounding only with both rows,
+      which are conjugate only to about cond(V) ulps; twice one row alone
+      is off by 2.6e-6 in a table at ``delta = 1e-3`` and times of 1e-4.
+
+    The dominant real slot is shifted to rate 0, which cancels in the
+    normalisation, so each time costs two ``exp`` and one cos/sin pair on
+    floats, shared by both collapse branches.
 
     Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
-    lift by more than ``1e-8 ||L||``.  That checks the decomposition, not the
-    propagated result: a lift that passes can still be inaccurate near the
-    corner.
+    lift by more than ``1e-8 ||L||``, or when the computed spectrum has any
+    other shape.  The residual checks the decomposition, not the propagated
+    result: a lift that passes can still be inaccurate near the corner.
     """
     if kappa < 0.0 or not math.isfinite(kappa):
         raise ValueError("kappa must be a finite non-negative rate")
@@ -315,45 +342,74 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
             f"the noisy lift at kappa = {kappa!r} is numerically defective; "
             "its eigendecomposition cannot be trusted"
         )
-    l0, l1, l2, l3 = (lam - float(np.max(lam.real))).tolist()
-    trace_row, *axis_rows = v.tolist()
-    modes = v_inv.tolist()
-    exp = cmath.exp
+    lam = lam.tolist()
+    real = sorted((k for k in range(4) if lam[k].imag == 0.0), key=lambda k: -lam[k].real)
+    pair = [k for k in range(4) if lam[k].imag > 0.0]
+    if len(real) != 2 or len(pair) != 1 or lam[pair[0]].conjugate() not in lam:
+        raise DegenerateEvolutionError(
+            f"the noisy lift at kappa = {kappa!r} has spectrum {lam!r}, not two "
+            "real eigenvalues and one conjugate pair"
+        )
+    (a, b), p = real, pair[0]
+    shift = lam[a].real
+    rate_b, alpha, beta = lam[b].real - shift, lam[p].real - shift, lam[p].imag
+    two_z = v_inv[p] + v_inv[lam.index(lam[p].conjugate())].conjugate()
+    # columns (trace, x, y, z) and rows (trace, x, y, z) of the four slots
+    (ta, xa, ya, za), (tb, xb, yb, zb) = v[:, a].real.tolist(), v[:, b].real.tolist()
+    (tu, xu, yu, zu), (tw, xw, yw, zw) = v[:, p].real.tolist(), v[:, p].imag.tolist()
+    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz) = v_inv[a].real.tolist(), v_inv[b].real.tolist()
+    (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = two_z.real.tolist(), (-two_z.imag).tolist()
+    exp, cos, sin = math.exp, math.cos, math.sin
 
     def frame(r, n):
         x, y, z = r
         nx, ny, nz = n
-        projected = []
-        for a, ex, ey, ez, (f0, fx, fy, fz) in zip(trace_row, *axis_rows, modes):
-            b = nx * ex + ny * ey + nz * ez
-            c = f0 + fx * x + fy * y + fz * z
-            f_n = fx * nx + fy * ny + fz * nz
-            # (trace, axis) components of the state and of the +/- branches
-            projected.append((a * c, b * c, a * (f0 + f_n), b * (f0 + f_n),
-                              a * (f0 - f_n), b * (f0 - f_n)))
-        ((sr0, sn0, pr0, pn0, mr0, mn0), (sr1, sn1, pr1, pn1, mr1, mn1),
-         (sr2, sn2, pr2, pn2, mr2, mn2), (sr3, sn3, pr3, pn3, mr3, mn3)) = projected
+        # axis projections of the columns
+        na, nb = nx * xa + ny * ya + nz * za, nx * xb + ny * yb + nz * zb
+        nu, nw = nx * xu + ny * yu + nz * zu, nx * xw + ny * yw + nz * zw
+        # row projections onto the state (k) and onto (0, n) (j)
+        ka, kb = fa0 + fax * x + fay * y + faz * z, fb0 + fbx * x + fby * y + fbz * z
+        ku, kw = gu0 + gux * x + guy * y + guz * z, gw0 + gwx * x + gwy * y + gwz * z
+        ja, jb = fax * nx + fay * ny + faz * nz, fbx * nx + fby * ny + fbz * nz
+        ju, jw = gux * nx + guy * ny + guz * nz, gwx * nx + gwy * ny + gwz * nz
+        # rows onto the collapse branches (1, +n) and (1, -n)
+        pa, pb, pu, pw = fa0 + ja, fb0 + jb, gu0 + ju, gw0 + jw
+        ma, mb, mu, mw = fa0 - ja, fb0 - jb, gu0 - ju, gw0 - jw
+        # (trace, axis) coefficients of the rates 0 and rate_b and of the
+        # rotation's cos and sin: the state (s), the + branch (p), the - branch (m)
+        s0, s1, sb0, sb1 = ta * ka, na * ka, tb * kb, nb * kb
+        sc0, ss0 = tu * ku + tw * kw, tu * kw - tw * ku
+        sc1, ss1 = nu * ku + nw * kw, nu * kw - nw * ku
+        p0, p1, pb0, pb1 = ta * pa, na * pa, tb * pb, nb * pb
+        pc0, ps0 = tu * pu + tw * pw, tu * pw - tw * pu
+        pc1, ps1 = nu * pu + nw * pw, nu * pw - nw * pu
+        m0, m1, mb0, mb1 = ta * ma, na * ma, tb * mb, nb * mb
+        mc0, ms0 = tu * mu + tw * mw, tu * mw - tw * mu
+        mc1, ms1 = nu * mu + nw * mw, nu * mw - nw * mu
         # V V^-1 reproduces the state only to about cond(V) ulps, so a first
         # measurement at t = 0 reads the state itself
-        at_zero = min(1.0, max(0.0, 0.5 * (1.0 + nx * x + ny * y + nz * z)))
+        at_zero = 0.5 * (1.0 + nx * x + ny * y + nz * z)
+        at_zero = at_zero if 0.0 <= at_zero <= 1.0 else (1.0 if at_zero > 1.0 else 0.0)
 
         def first(t):
             if t == 0.0:
                 return at_zero
-            e0, e1, e2, e3 = exp(l0 * t), exp(l1 * t), exp(l2 * t), exp(l3 * t)
-            r0 = (e0 * sr0 + e1 * sr1 + e2 * sr2 + e3 * sr3).real
-            nr = (e0 * sn0 + e1 * sn1 + e2 * sn2 + e3 * sn3).real
-            return min(1.0, max(0.0, 0.5 * (1.0 + nr / r0)))
+            eb, ea = exp(rate_b * t), exp(alpha * t)
+            c, s = ea * cos(beta * t), ea * sin(beta * t)
+            r0 = s0 + eb * sb0 + c * sc0 + s * ss0
+            q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+            return q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
 
         def transfer(g):
-            e0, e1, e2, e3 = exp(l0 * g), exp(l1 * g), exp(l2 * g), exp(l3 * g)
-            r_plus = (e0 * pr0 + e1 * pr1 + e2 * pr2 + e3 * pr3).real
-            n_plus = (e0 * pn0 + e1 * pn1 + e2 * pn2 + e3 * pn3).real
-            r_minus = (e0 * mr0 + e1 * mr1 + e2 * mr2 + e3 * mr3).real
-            n_minus = (e0 * mn0 + e1 * mn1 + e2 * mn2 + e3 * mn3).real
+            eb, ea = exp(rate_b * g), exp(alpha * g)
+            c, s = ea * cos(beta * g), ea * sin(beta * g)
+            r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
+            r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
+            qp = 0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)
+            qm = 0.5 * (1.0 + (m1 + eb * mb1 + c * mc1 + s * ms1) / r_minus)
             return (
-                min(1.0, max(0.0, 0.5 * (1.0 + n_plus / r_plus))),
-                min(1.0, max(0.0, 0.5 * (1.0 + n_minus / r_minus))),
+                qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0),
+                qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0),
             )
 
         return first, transfer
@@ -442,7 +498,7 @@ class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
     Building the engine once amortises the frame setup (with noise, the
-    eigendecomposition of the lift).  Every call validates its inputs once
+    eigendecomposition of the lift and its real modal form).  Every call validates its inputs once
     and runs :func:`protocol`: in the spinor frame for a pure input at
     ``kappa = 0``, in the noisy frame for any input at ``kappa > 0``, and by
     propagating each branch of the Bloch vector for a density matrix at

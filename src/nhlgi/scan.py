@@ -34,7 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, _bloch_axis, _bloch_state, _pure_speed, pure_propagator
+from .dynamics import (
+    NHHamiltonian,
+    _bloch_axis,
+    _bloch_state,
+    _pure_speed,
+    _spinor_bloch,
+    pure_propagator,
+)
 from .lgi import ALGEBRAIC_BOUND, _noisy_frame, _spinor_frame, protocol
 
 __all__ = [
@@ -360,7 +367,9 @@ def _k3_objective(theta: float, kappa: float):
     ``(t1, t1 + g1, t1 + g1 + g2)``.  Every point runs straight through
     :func:`nhlgi.lgi.protocol` with the state and the axis in closed form: in
     the spinor frame (state and axis eigenstates) at ``kappa = 0``, in the
-    noisy frame (Bloch vector and axis) under noise.
+    noisy frame (Bloch vector and axis) under noise.  The Bloch vector is
+    taken from the state's spinor, as :class:`nhlgi.lgi.CorrelatorEngine`
+    takes it, because near the corner K3 resolves the last ulp of the state.
     """
     h = NHHamiltonian.canonical(theta)
     if kappa == 0.0:
@@ -375,7 +384,8 @@ def _k3_objective(theta: float, kappa: float):
         noisy_frame = _noisy_frame(h, kappa)
 
         def frame(theta_s, phi_s, theta_q, phi_q):
-            return noisy_frame(_bloch_axis(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+            x, y, z = _spinor_bloch(_bloch_state(theta_s, phi_s))
+            return noisy_frame((2.0 * x, 2.0 * y, 2.0 * z), _bloch_axis(theta_q, phi_q))
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x

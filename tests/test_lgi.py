@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nhlgi import lgi
 from nhlgi.dynamics import (
     THETA_MAX,
     DegenerateEvolutionError,
@@ -265,7 +266,7 @@ class TestProtocolAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(
         theta=st.floats(0.0, math.pi / 2 - 1e-2),
-        log_kappa=st.floats(-6.0, 3.0),
+        log_kappa=st.floats(-12.0, 5.0),
         state=st.tuples(
             st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0)
         ),
@@ -320,7 +321,7 @@ class TestProtocolAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(
         theta=st.floats(0.0, math.pi / 2 - 1e-2),
-        log_kappa=st.floats(-6.0, 3.0),
+        log_kappa=st.floats(-12.0, 5.0),
         state=st.tuples(
             st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0)
         ),
@@ -394,6 +395,110 @@ class TestProtocolAgainstOracle:
             pure = engine.joint_table(psi, q, t_i, t_j)
             dens = engine.joint_table(projector(psi), q, t_i, t_j)
             np.testing.assert_allclose(dens.probs, pure.probs, atol=1e-10)
+
+
+def _lift_spectrum(h, kappa):
+    """Eigenvalues of the lift as ``_noisy_frame`` computes them."""
+    lift = _bloch_lift(h, kappa)
+    return np.linalg.eig(np.array([lift(*e) for e in np.eye(4).tolist()]).T)[0]
+
+
+def _spectrum_shape(lam):
+    """``(real eigenvalues, conjugate pairs)`` of a computed spectrum."""
+    upper = lam[lam.imag > 0.0]
+    pairs = sum(1 for z in upper.tolist() if z.conjugate() in lam.tolist())
+    return int(np.sum(lam.imag == 0.0)), pairs
+
+
+def _rotated_member(rng, theta):
+    """Canonical member ``theta`` turned by a random rotation, at scale != 1."""
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    h = NHHamiltonian.canonical(theta)
+    return NHHamiltonian(a=q @ h.a, b=q @ h.b, scale=rng.uniform(0.1, 3.0))
+
+
+SPECTRUM_KAPPAS = [10.0 ** (0.5 * e) for e in range(-24, 11)]  # 1e-12 to 1e5
+
+
+class TestNoisySpectrum:
+    """The lift's spectrum shape, which the real modal form of ``_noisy_frame``
+    relies on: two real eigenvalues and one conjugate pair for every
+    ``kappa > 0``."""
+
+    @pytest.mark.parametrize(
+        "theta",
+        [0.0, 0.4, 0.8, 1.2, 1.5]
+        + [math.pi / 2 - d for d in (1e-2, 1e-3, 1e-4, 1e-5)]
+        + [THETA_MAX],
+    )
+    def test_canonical_shape(self, theta):
+        h = NHHamiltonian.canonical(theta)
+        for kappa in SPECTRUM_KAPPAS:
+            assert _spectrum_shape(_lift_spectrum(h, kappa)) == (2, 1), kappa
+
+    def test_rotated_scaled_shape(self):
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            theta = rng.uniform(0.0, 1.5) if i % 2 else math.pi / 2 - 10.0 ** rng.uniform(-6, -2)
+            h = _rotated_member(rng, theta)
+            for kappa in SPECTRUM_KAPPAS:
+                assert _spectrum_shape(_lift_spectrum(h, kappa)) == (2, 1), (theta, kappa)
+
+    def test_decoupled_rate_and_cubic(self):
+        # the spectrum is -2 kappa and the roots of
+        # lam [(lam + 2 kappa)^2 + 4 omega^2] - 8 kappa b^2
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            h = _rotated_member(rng, rng.uniform(0.0, 1.4))
+            kappa = 10.0 ** rng.uniform(-2.0, 1.0)
+            w, b = h.omega, h.b_mag
+            cubic = np.roots([1.0, 4.0 * kappa, 4.0 * kappa**2 + 4.0 * w**2, -8.0 * kappa * b**2])
+            expected = np.sort_complex(np.append(cubic, -2.0 * kappa))
+            got = np.sort_complex(_lift_spectrum(h, kappa))
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
+            # the dominant eigenvalue is the cubic's real root
+            top = got[np.argmax(got.real)]
+            assert top.imag == 0.0 and top.real > -2.0 * kappa
+
+    def test_no_real_eigenvalue_is_refused(self, monkeypatch):
+        # a tiny imaginary part on each real eigenvalue keeps the residual
+        # check passing, so only the shape check can refuse
+        eig = np.linalg.eig
+
+        def complexified(matrix):
+            lam, v = eig(matrix)
+            return np.where(lam.imag == 0.0, lam + 1e-13j, lam), v
+
+        monkeypatch.setattr(np.linalg, "eig", complexified)
+        with pytest.raises(DegenerateEvolutionError, match="conjugate pair"):
+            _noisy_frame(NHHamiltonian.canonical(0.7), 0.1)
+
+    def test_four_real_eigenvalues_are_refused(self, monkeypatch):
+        def diagonal_lift(h, kappa):
+            return lambda r0, x, y, z: (0.0, -kappa * x, -2.0 * kappa * y, -3.0 * kappa * z)
+
+        monkeypatch.setattr(lgi, "_bloch_lift", diagonal_lift)
+        with pytest.raises(DegenerateEvolutionError, match="conjugate pair"):
+            _noisy_frame(NHHamiltonian.canonical(0.7), 0.1)
+
+
+def test_noisy_kernel_runs_without_numpy(monkeypatch):
+    # numpy is used once per engine; a point and its times run on floats
+    frame = _noisy_frame(NHHamiltonian.canonical(1.2), 0.3)
+    r, n = (0.3, -0.4, 0.5), Observable.from_angles(1.1, 0.6).direction
+    expected = protocol(*frame(r, n), 0.0, 0.4, 1.1)
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"the noisy kernel used numpy.{name}")
+
+    monkeypatch.setattr(lgi, "np", NoNumpy())
+    first, transfer = frame(r, n)
+    out = protocol(first, transfer, 0.0, 0.4, 1.1)
+    assert out == expected
+    c12, c23, c13, *tables = out
+    entries = [p for table in tables for row in table for p in row]
+    assert all(type(x) is float for x in [c12, c23, c13, first(0.7), *transfer(0.2), *entries])
 
 
 class TestQuarterSpacing:
@@ -553,6 +658,31 @@ class TestNoisyProtocol:
             h.matrix, kappa, rho0, q.direction, (t_i, t_j, t_j), dps=60
         )[0]
         np.testing.assert_allclose(got.probs, expected, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e-5, 1e-3])
+    def test_corner_short_times_against_60_digits(self, kappa):
+        # the corner optimum sits at times of order 1e-4, where the modes of
+        # the lift (cond(V) 4.3e5 at kappa = 1e-5) cancel to a few digits;
+        # over these draws the engine is within 1.3e-11 of a 60-digit
+        # evaluation, while a pair row taken as twice one row of V^-1 is off
+        # by 2.6e-6 at kappa = 1e-5 and 1.5e-9 at 1e-3
+        pytest.importorskip("mpmath")
+        h = NHHamiltonian.canonical(math.pi / 2 - 1e-3)
+        engine = CorrelatorEngine(h, kappa=kappa)
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            psi = state_from_bloch_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            q = Observable.from_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            rho0 = projector(psi)
+            t1 = rng.uniform(0.0, 1e-3)
+            t2 = t1 + rng.uniform(1e-4, 1e-3)
+            t3 = t2 + rng.uniform(1e-4, 1e-3)
+            got = engine.k3(rho0, q, t1, t2, t3)
+            expected = noisy_protocol_tables(
+                h.matrix, kappa, rho0, q.direction, (t1, t2, t3), dps=60
+            )
+            for table, reference in zip((got.table12, got.table23, got.table13), expected):
+                np.testing.assert_allclose(table.probs, reference, rtol=0.0, atol=1e-9)
 
     def test_weak_noise_limit(self):
         h = NHHamiltonian.canonical(1.2)

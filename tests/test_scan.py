@@ -222,6 +222,18 @@ def _assert_objective_matches_engine(theta, kappa):
     )
 
 
+def _engine_k3(theta, res):
+    """K3 of a K3 search's argmax, re-evaluated through the public engine."""
+    am = res.argmax
+    return CorrelatorEngine(NHHamiltonian.canonical(theta), res.kappa).k3(
+        state_from_bloch_angles(am["theta_s"], am["phi_s"]),
+        Observable.from_angles(am["theta_q"], am["phi_q"]),
+        am["t1"],
+        am["t2"],
+        am["t3"],
+    ).k3
+
+
 class TestMaximizeK3:
     def test_hermitian_member_reaches_luder(self):
         res = maximize_k3(0.0, budget=2000, seed=0, config=SMALL)
@@ -246,16 +258,7 @@ class TestMaximizeK3:
         # the scan result is a certified lower bound: re-running the
         # protocol at the argmax must give back the reported value
         res = maximize_k3(1.1, budget=2000, seed=2, config=SMALL)
-        am = res.argmax
-        engine = CorrelatorEngine(NHHamiltonian.canonical(1.1), res.kappa)
-        value = engine.k3(
-            state_from_bloch_angles(am["theta_s"], am["phi_s"]),
-            Observable.from_angles(am["theta_q"], am["phi_q"]),
-            am["t1"],
-            am["t2"],
-            am["t3"],
-        ).k3
-        assert value == pytest.approx(res.objective, abs=1e-12)
+        assert _engine_k3(1.1, res) == pytest.approx(res.objective, abs=1e-12)
 
     def test_pure_objective_matches_engine(self):
         # at kappa = 0 the scan evaluates the protocol kernel on spinors
@@ -375,15 +378,20 @@ class TestNoiseSeries:
             theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=7, config=SMALL
         )
         for res in results:
-            am = res.argmax
-            again = CorrelatorEngine(NHHamiltonian.canonical(theta), res.kappa).k3(
-                state_from_bloch_angles(am["theta_s"], am["phi_s"]),
-                Observable.from_angles(am["theta_q"], am["phi_q"]),
-                am["t1"],
-                am["t2"],
-                am["t3"],
-            ).k3
-            assert again == pytest.approx(res.objective, abs=1e-12)
+            assert _engine_k3(theta, res) == pytest.approx(res.objective, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corner_argmax_reevaluates_exactly(self, seed):
+        # the search builds the state's Bloch vector from its spinor, as the
+        # engine does, so the re-evaluation is bit for bit; built from the
+        # Bloch angles it differs in the last ulp, which moved K3 by up to
+        # 4.4e-16 in half of these argmaxes
+        theta = math.pi / 2 - 1e-3
+        results = k3max_vs_noise(
+            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=seed, config=SMALL
+        )
+        for res in results:
+            assert _engine_k3(theta, res) == res.objective
 
     def test_grid_validation(self):
         with pytest.raises(ScanConfigError):
