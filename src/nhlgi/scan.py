@@ -1,12 +1,14 @@
 """Deterministic parameter-space maximisation of K3 and of the evolution speed.
 
-The K3 search space for a fixed Hamiltonian family member (and fixed noise
-strength) is seven-dimensional: Bloch angles of the pure initial state,
-Bloch angles of the measurement axis, and three ordered measurement times
-inside one period of the flow.  Ordering is enforced by construction via the
-reparameterisation ``(t1, g1, g2) -> (t1, t1 + g1, t1 + g1 + g2)`` with gaps
-bounded below by a tiny floor; candidate points whose last time spills past
-the period are ranked by a penalty and never become results.
+Each search runs over only the coordinates that an exact symmetry leaves
+free.  The y-z great circle of the Bloch sphere is invariant under the flow,
+with and without noise, so the K3 search is four-dimensional: the state and
+the measurement axis as angles on that circle (the axis on a half circle,
+since reversing it leaves K3 unchanged) and the logarithms of the two gaps
+after a first measurement at ``t = 0``.  Gaps whose sum would spill past
+one period are scaled back onto it, so every point of the box is an ordered
+configuration and no point is infeasible.  The speed depends on the time only
+through the state, so its search runs over the initial state alone.
 
 The optimiser is a multi-start Nelder-Mead simplex seeded from a Latin
 hypercube sample plus the analytically known canonical configuration, so the
@@ -16,7 +18,7 @@ in-house and load no scipy: the hypercube repeats the draws of scipy's
 arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
 vertices kept in stable order so tied values cannot reorder between runs or
 machines.  Every reported objective is the re-evaluable value of an actually
-visited feasible point: the objectives call the scalar kernels of
+visited point: the objectives call the scalar kernels of
 :mod:`nhlgi.dynamics` and :func:`nhlgi.lgi.protocol`, which the public API
 wraps, and keep no copy of them.  Runs are reproducible: one master seed
 drives the hypercube and all restarts, the per-restart evaluation budget is
@@ -42,7 +44,7 @@ from .dynamics import (
     _spinor_bloch,
     pure_propagator,
 )
-from .lgi import ALGEBRAIC_BOUND, _noisy_frame, _spinor_frame, protocol
+from .lgi import _noisy_frame, _spinor_frame, protocol
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -97,7 +99,7 @@ class ScanConfigError(ValueError):
 XATOL = 1e-8
 FATOL = 1e-8
 
-# Strictly positive lower bound on the time gaps of the K3 search.
+# Lower bound on the time gaps of the K3 search, which searches their logarithms.
 GAP_FLOOR = 1e-9
 
 
@@ -287,8 +289,8 @@ def _latin_hypercube(n: int, d: int, seed) -> np.ndarray:
 def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, config):
     """Shared multi-start driver.
 
-    ``objective(x) -> (value, feasible)``; infeasible values must rank below
-    every feasible one.  Returns ``(best_value, best_x, evals, restarts)``.
+    ``objective(x) -> value``, defined on the whole box.  Returns
+    ``(best_value, best_x, evals, restarts)``.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -299,7 +301,8 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
         )
 
     points = lower + _latin_hypercube(config.lhs_points, lower.size, seed) * (upper - lower)
-    # A warm start rebuilt from an argmax may sit an ulp outside the bounds.
+    # A warm start rebuilt from an argmax may sit outside the bounds: an ulp
+    # past them, or with a gap that was scaled back under the floor.
     candidates = [np.clip(x, lower, upper).tolist() for x in extra_starts]
     candidates.extend(points.tolist())
 
@@ -308,10 +311,10 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
     best_x = None
     ranked = []
     for idx, x in enumerate(candidates):
-        value, feasible = objective(x)
+        value = objective(x)
         evals += 1
         ranked.append((-value, idx, x))
-        if feasible and value > best_value:
+        if value > best_value:
             best_value, best_x = value, x
     ranked.sort(key=lambda item: (item[0], item[1]))
 
@@ -324,9 +327,9 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
     # point is kept by reference.
     def negated(x):
         nonlocal evals, best_value, best_x
-        value, feasible = objective(x)
+        value = objective(x)
         evals += 1
-        if feasible and value > best_value:
+        if value > best_value:
             best_value, best_x = value, x
         return -value
 
@@ -341,35 +344,64 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             fatol=FATOL,
         )
 
-    if best_x is None:
-        raise ScanConfigError("no feasible point was evaluated; search space empty")
     return best_value, best_x, evals, len(starts)
 
 
+# The K3 search runs on the y-z great circle, which the flow leaves invariant
+# with and without noise (the mirror x -> -x fixes b, flips a and commutes
+# with the Bloch equation): ``x = (alpha_s, alpha_q, log g1, log g2)``.  The
+# state's Bloch direction is ``(0, sin alpha_s, cos alpha_s)``, the axis's
+# ``(0, sin alpha_q, cos alpha_q)``; the axis needs only a half circle
+# because ``n -> -n`` leaves K3 unchanged.  The first measurement is at
+# ``t1 = 0``, exact at kappa = 0 where K3 depends on the state only through
+# its value at ``t1``; under noise a seven-coordinate search warm-started
+# from the planar argmax gains nothing measurable (see the tests).
+_K3_LOWER = (-math.pi, 0.0, math.log(GAP_FLOOR), math.log(GAP_FLOOR))
+_K3_UPPER = (math.pi, math.pi, math.log(TIME_WINDOW), math.log(TIME_WINDOW))
+
 # Canonical protocol configuration: initial state up_y (Bloch direction -y),
-# measurement axis -y, quarter-period spacing from t = 0.
+# measurement axis +y (the same K3 as the canonical -y), quarter-period
+# spacing from t = 0.
 _CANONICAL_K3_START = (
+    -math.pi / 2,
     math.pi / 2,
-    1.5 * math.pi,
-    math.pi / 2,
-    1.5 * math.pi,
-    0.0,
-    math.pi / 4,
-    math.pi / 4,
+    math.log(math.pi / 4),
+    math.log(math.pi / 4),
 )
-_CANONICAL_SPEED_START = (math.pi / 2, 1.5 * math.pi, math.pi / 2)
+# Speed search: the state down_y (Bloch direction +y), where up_y arrives at
+# the half period.
+_CANONICAL_SPEED_START = (math.pi / 2, math.pi / 2)
+
+
+def _planar_point(x) -> tuple:
+    """The seven coordinates ``(theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``
+    of :func:`_k3_objective` at the planar search point ``x``.
+
+    Gaps whose sum exceeds ``TIME_WINDOW`` are scaled back onto it, so every
+    point of the box is an ordered configuration inside the window.
+    """
+    alpha_s, alpha_q, log_g1, log_g2 = x
+    g1, g2 = math.exp(log_g1), math.exp(log_g2)
+    total = g1 + g2
+    if total > TIME_WINDOW:
+        g1, g2 = g1 * (TIME_WINDOW / total), g2 * (TIME_WINDOW / total)
+    phi_s = 0.5 * math.pi if alpha_s >= 0.0 else 1.5 * math.pi
+    return abs(alpha_s), phi_s, alpha_q, 0.5 * math.pi, 0.0, g1, g2
 
 
 def _k3_objective(theta: float, kappa: float):
-    """``objective(x) -> (K3, feasible)`` over the seven search coordinates.
+    """``objective(x) -> K3`` over the seven coordinates
+    ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
+    ``(t1, t1 + g1, t1 + g1 + g2)``.
 
-    ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)`` with the times
-    ``(t1, t1 + g1, t1 + g1 + g2)``.  Every point runs straight through
-    :func:`nhlgi.lgi.protocol` with the state and the axis in closed form: in
-    the spinor frame (state and axis eigenstates) at ``kappa = 0``, in the
-    noisy frame (Bloch vector and axis) under noise.  The Bloch vector is
-    taken from the state's spinor, as :class:`nhlgi.lgi.CorrelatorEngine`
-    takes it, because near the corner K3 resolves the last ulp of the state.
+    :func:`maximize_k3` evaluates it at :func:`_planar_point`; over all
+    seven coordinates it is the reference the plane is tested against.
+    Every point runs straight through :func:`nhlgi.lgi.protocol` with the
+    state and the axis in closed form: in the spinor frame (state and axis
+    eigenstates) at ``kappa = 0``, in the noisy frame (Bloch vector and axis)
+    under noise.  The Bloch vector is taken from the state's spinor, as
+    :class:`nhlgi.lgi.CorrelatorEngine` takes it, because near the corner K3
+    resolves the last ulp of the state.
     """
     h = NHHamiltonian.canonical(theta)
     if kappa == 0.0:
@@ -390,30 +422,29 @@ def _k3_objective(theta: float, kappa: float):
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
-        t3 = t2 + g2
-        if t3 > TIME_WINDOW:
-            return -ALGEBRAIC_BOUND - (t3 - TIME_WINDOW), False
         first, transfer = frame(theta_s, phi_s, theta_q, phi_q)
-        c12, c23, c13 = protocol(first, transfer, t1, t2, t3)[:3]
-        return c12 + c23 - c13, True
+        c12, c23, c13 = protocol(first, transfer, t1, t2, t2 + g2)[:3]
+        return c12 + c23 - c13
 
     return objective
 
 
 def _speed_objective(theta: float):
-    """``objective(x) -> (speed, True)`` over ``x = (theta_s, phi_s, t)``.
+    """``objective(x) -> speed`` over the initial state ``x = (theta_s, phi_s)``.
 
-    The same kernels as :func:`nhlgi.dynamics.speed`: the flow of
-    :func:`nhlgi.dynamics.pure_propagator` and the scalar Bloch equation,
-    applied to the state in closed form, so an argmax re-evaluates exactly.
+    The speed depends on the time only through the state, and the
+    renormalised flow maps the sphere onto itself, so the search runs over
+    states at ``t = 0``.  It calls the kernels of
+    :func:`nhlgi.dynamics.speed`, whose flow at ``t = 0`` only renormalises
+    the state, so an argmax re-evaluates exactly.
     """
     h = NHHamiltonian.canonical(theta)
     propagate = pure_propagator(h)
     a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
 
     def objective(x):
-        theta_s, phi_s, t = x
-        return _pure_speed(a, b, propagate(t, _bloch_state(theta_s, phi_s))), True
+        theta_s, phi_s = x
+        return _pure_speed(a, b, propagate(0.0, _bloch_state(theta_s, phi_s)))
 
     return objective
 
@@ -426,34 +457,33 @@ def maximize_k3(
     config: ScanConfig | None = None,
     extra_starts=(),
 ) -> ScanResult:
-    """Maximise the three-time K3 over states, axes and ordered times.
+    """Maximise the three-time K3 over states and axes on the invariant y-z
+    great circle and over the two time gaps from ``t1 = 0``.
 
-    The canonical configuration is always among the evaluated seeds, so at
+    The search coordinates are ``(alpha_s, alpha_q, log g1, log g2)`` (see
+    :func:`_planar_point`); ``extra_starts`` are points in them.  The
+    canonical configuration is always among the evaluated seeds, so at
     ``kappa = 0`` the result dominates the closed-form value
-    ``1 + sin(theta) + sin^2(theta)``.  Deterministic for a fixed
-    ``(theta, kappa, budget, seed, config)``.
+    ``1 + sin(theta) + sin^2(theta)``.  The argmax keeps all seven keys, with
+    ``t1 = 0``.  Deterministic for a fixed ``(theta, kappa, budget, seed,
+    config)``.
     """
     config = config or ScanConfig()
-    objective = _k3_objective(theta, kappa)
-
-    lower = np.array([0.0, 0.0, 0.0, 0.0, 0.0, GAP_FLOOR, GAP_FLOOR])
-    upper = np.array(
-        [math.pi, 2 * math.pi, math.pi, 2 * math.pi, TIME_WINDOW, TIME_WINDOW, TIME_WINDOW]
-    )
-
+    k3 = _k3_objective(theta, kappa)
     starts = [np.asarray(_CANONICAL_K3_START, dtype=float)]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
     value, x, evals, restarts = _multistart_maximize(
-        objective, lower, upper, starts, budget, seed, config
+        lambda x: k3(_planar_point(x)), _K3_LOWER, _K3_UPPER, starts, budget, seed, config
     )
+    theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = _planar_point(x)
     argmax = {
-        "theta_s": float(x[0]),
-        "phi_s": float(x[1]),
-        "theta_q": float(x[2]),
-        "phi_q": float(x[3]),
-        "t1": float(x[4]),
-        "t2": float(x[4] + x[5]),
-        "t3": float(x[4] + x[5] + x[6]),
+        "theta_s": theta_s,
+        "phi_s": phi_s,
+        "theta_q": theta_q,
+        "phi_q": phi_q,
+        "t1": t1,
+        "t2": t1 + g1,
+        "t3": t1 + g1 + g2,
     }
     return ScanResult(
         kind="k3",
@@ -475,20 +505,19 @@ def maximize_speed(
     config: ScanConfig | None = None,
 ) -> ScanResult:
     """Maximise the squared Bloch speed :func:`nhlgi.dynamics.speed` over
-    initial states and time.
+    initial states, at ``t = 0``.
 
-    The maximum of the in-plane closed form, ``(1 + sin theta)/(1 - sin
-    theta)`` at the half period, is always reachable because the canonical
-    start sits on it.
+    Every state on the trajectory is itself an initial state, so the time
+    adds nothing; the argmax reports ``t = 0``.  The maximum of the in-plane
+    closed form, ``(1 + sin theta)/(1 - sin theta)``, is always reachable
+    because the canonical start, ``down_y``, sits on it.
     """
     config = config or ScanConfig()
-    lower = np.array([0.0, 0.0, 0.0])
-    upper = np.array([math.pi, 2 * math.pi, TIME_WINDOW])
     starts = [np.asarray(_CANONICAL_SPEED_START, dtype=float)]
     value, x, evals, restarts = _multistart_maximize(
-        _speed_objective(theta), lower, upper, starts, budget, seed, config
+        _speed_objective(theta), (0.0, 0.0), (math.pi, 2 * math.pi), starts, budget, seed, config
     )
-    argmax = {"theta_s": float(x[0]), "phi_s": float(x[1]), "t": float(x[2])}
+    argmax = {"theta_s": float(x[0]), "phi_s": float(x[1]), "t": 0.0}
     return ScanResult(
         kind="speed",
         theta=theta,
@@ -522,15 +551,14 @@ def maximize_family(
 
 
 def _start_from_argmax(argmax: dict[str, float]) -> np.ndarray:
+    """The planar search point of a :func:`maximize_k3` argmax."""
+    alpha_s = argmax["theta_s"] if argmax["phi_s"] < math.pi else -argmax["theta_s"]
     return np.array(
         [
-            argmax["theta_s"],
-            argmax["phi_s"],
+            alpha_s,
             argmax["theta_q"],
-            argmax["phi_q"],
-            argmax["t1"],
-            argmax["t2"] - argmax["t1"],
-            argmax["t3"] - argmax["t2"],
+            math.log(argmax["t2"] - argmax["t1"]),
+            math.log(argmax["t3"] - argmax["t2"]),
         ]
     )
 
@@ -544,11 +572,13 @@ def k3max_vs_noise(
 ) -> list[ScanResult]:
     """Maximal K3 as a function of depolarisation strength.
 
-    Runs one maximisation per grid point, warm-starting each from the
+    Runs one :func:`maximize_k3` per grid point, warm-starting each from the
     previous argmax (in addition to the canonical seed and the hypercube),
     which keeps the reported series from developing spurious optimisation
-    dips.  A point whose maximum is beaten by the next, larger kappa is
-    searched again from that argmax, back to front, and keeps the better
+    dips.  Near the corner the noisy optimum sits at gaps of order 1e-3,
+    which the log-gap coordinates reach, but a small budget can still stop
+    short of it: a point whose maximum is beaten by the next, larger kappa
+    is searched again from that argmax, back to front, and keeps the better
     result; its ``evals`` count both searches.  The default grid ends deep
     in the overdamped regime where the maximum saturates at the classical
     value 1.
@@ -577,9 +607,9 @@ def k3max_vs_noise(
         results.append(res)
     # Depolarisation lowers the reachable maximum, so a larger kappa that
     # beats its predecessor marks a search that missed the basin (near the
-    # corner the optimum sits at times of order 1e-4, far from every
-    # hypercube point): search that kappa again from the later argmax, back
-    # to front, and keep the better result with the evaluations of both.
+    # corner the noisy optimum sits at gaps of order 1e-3, a narrow target at
+    # small budgets): search that kappa again from the later argmax, back to
+    # front, and keep the better result with the evaluations of both.
     for i in range(len(grid) - 2, -1, -1):
         res, later = results[i], results[i + 1]
         if not (grid[i] < grid[i + 1] and later.objective > res.objective):

@@ -367,6 +367,13 @@ class TestCliScan:
         assert set(payload["k3"][0]["argmax"]) == {
             "theta_s", "phi_s", "theta_q", "phi_q", "t1", "t2", "t3",
         }
+        # the K3 search starts its protocol at t = 0 and the speed search
+        # runs over states alone, at t = 0
+        assert payload["k3"][0]["argmax"]["t1"] == 0.0
+        assert payload["speed"][0]["argmax"] == {
+            "theta_s": pytest.approx(math.pi / 2), "phi_s": pytest.approx(math.pi / 2),
+            "t": 0.0,
+        }
 
 
 class TestCliNoisescan:
