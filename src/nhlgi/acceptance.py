@@ -348,10 +348,13 @@ def run_all(
 
     ``budget`` caps the evaluation count of each underlying maximisation run
     (both the shared scan bundle and the noise series); ``None`` uses the
-    module defaults.  ``only`` restricts to a subset of criterion numbers.
+    module defaults.  ``only`` restricts to a subset of criterion numbers,
+    each run once in the order given; an empty selection is refused.
     """
     stream = sys.stdout if stream is None else stream
-    selected = tuple(CRITERIA) if only is None else tuple(only)
+    selected = tuple(CRITERIA) if only is None else tuple(dict.fromkeys(only))
+    if not selected:
+        raise ValueError("no criterion selected")
     for number in selected:
         if number not in CRITERIA:
             raise ValueError(f"unknown criterion number {number!r}")

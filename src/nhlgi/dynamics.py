@@ -28,9 +28,12 @@ exactly from the equation of motion above.
 Each formula is written once, as a kernel on plain scalars that the scans
 and the protocol call per point: the pure flow (:func:`pure_propagator`),
 the density lift (``_bloch_lift``, ``_density_propagator``), the Bloch
-equation (``_bloch_rhs``, ``_pure_speed``), the geodesic angle
-(``_spinor_angle``) and the Bloch-angle maps (``_bloch_state``,
-``_bloch_axis``).  The public numpy functions validate once and call them.
+equation (``_bloch_rhs``) and the speed bound to one Hamiltonian
+(``_speed_route``), the geodesic angle (``_spinor_angle``), the Bloch
+vectors of spinors and density matrices (``_spinor_bloch``,
+``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
+``_bloch_axis``) and the eigenbasis of a measurement axis
+(``_axis_basis``).  The public numpy functions validate once and call them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector
+from .qmat import ID2, pauli_vector
 
 __all__ = [
     "THETA_MAX",
@@ -143,6 +146,25 @@ def _bloch_axis(theta: float, phi: float) -> tuple[float, float, float]:
     return s * math.cos(phi), s * math.sin(phi), math.cos(theta)
 
 
+def _axis_basis(n) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The (+1, -1) eigenstates of ``n . sigma`` for a unit axis ``n``, as
+    pairs of scalars.
+
+    Each state has its larger component real and positive, returned as a
+    float.  For ``nz >= 0`` they are ``(1 + nz, nx + i ny)`` and ``(-(nx -
+    i ny), 1 + nz)`` over ``sqrt(2 (1 + nz))``; for ``nz < 0`` the mirror
+    images ``(nx - i ny, 1 - nz)`` and ``(1 - nz, -(nx + i ny))`` over
+    ``sqrt(2 (1 - nz))``.
+    """
+    nx, ny, nz = n
+    big = 1.0 + abs(nz)
+    k = 1.0 / math.sqrt(2.0 * big)
+    r, x, y = k * big, k * nx, k * ny
+    if nz >= 0.0:
+        return (r, complex(x, y)), (complex(-x, y), r)
+    return (complex(x, -y), r), (r, complex(-x, -y))
+
+
 def validate_pure(psi) -> np.ndarray:
     """Return ``psi`` as a complex 2-vector, insisting on unit norm."""
     psi = np.asarray(psi, dtype=complex)
@@ -194,14 +216,15 @@ def _spinor_bloch(psi) -> tuple[float, float, float]:
 
 
 def bloch_of_density(rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return 0.5 * np.array(
-        [
-            np.trace(SIGMA_X @ rho).real,
-            np.trace(SIGMA_Y @ rho).real,
-            np.trace(SIGMA_Z @ rho).real,
-        ]
-    )
+    """Bloch vector ``S = tr(rho sigma)/2`` of a Hermitian 2x2 matrix."""
+    return 0.5 * np.array(_density_bloch(np.asarray(rho, dtype=complex).tolist()))
+
+
+def _density_bloch(rho) -> tuple[float, float, float]:
+    """``r = tr(rho sigma) = (2 Re rho01, -2 Im rho01, rho00 - rho11)`` of a
+    Hermitian ``rho`` given as nested lists of complex scalars."""
+    (p00, p01), (_, p11) = rho
+    return 2.0 * p01.real, -2.0 * p01.imag, (p00 - p11).real
 
 
 def density_from_bloch(s) -> np.ndarray:
@@ -439,9 +462,8 @@ def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
 
 def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
     """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
-    of the Bloch vector ``(2 Re rho01, -2 Im rho01, rho00 - rho11)`` of ``rho0``."""
-    (p00, p01), (_, p11) = validate_density(rho0).tolist()
-    r = (2.0 * p01.real, -2.0 * p01.imag, (p00 - p11).real)
+    propagated on the Bloch vector of ``rho0``."""
+    r = _density_bloch(validate_density(rho0).tolist())
     x, y, z = _density_propagator(h)(t, r)
     return np.array(
         [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
@@ -536,15 +558,22 @@ def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
     )
 
 
-def _pure_speed(a, b, psi) -> float:
-    """Squared noiseless Bloch speed ``|dS/dt|^2`` at a normalised spinor.
+def _speed_route(h: NHHamiltonian):
+    """Squared noiseless Bloch speed of ``h`` on plain scalars.
 
-    ``a`` and ``b`` are the scaled Hamiltonian vectors as float triples and
-    ``psi`` a pair of complex scalars; :func:`speed` and the speed search of
-    :mod:`nhlgi.scan` both evaluate the speed here.
+    Returns ``route(t, psi) -> |dS/dt|^2`` at the state the renormalised flow
+    carries the normalised spinor ``psi`` to at ``t``, with the propagator
+    and the scaled Hamiltonian vectors bound once.  :func:`speed` and the
+    speed search of :mod:`nhlgi.scan` both evaluate the speed here.
     """
-    dx, dy, dz = _bloch_rhs(a, b, 0.0, _spinor_bloch(psi))
-    return dx * dx + dy * dy + dz * dz
+    propagate = pure_propagator(h)
+    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+
+    def route(t, psi):
+        dx, dy, dz = _bloch_rhs(a, b, 0.0, _spinor_bloch(propagate(t, psi)))
+        return dx * dx + dy * dy + dz * dz
+
+    return route
 
 
 @dataclass
@@ -711,8 +740,7 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     quadratic decay coefficient of the fidelity, computed exactly.  It is the
     quantity maximised by :func:`nhlgi.scan.maximize_speed`.
     """
-    psi = pure_propagator(h)(t, validate_pure(psi0).tolist())
-    return _pure_speed((h.scale * h.a).tolist(), (h.scale * h.b).tolist(), psi)
+    return _speed_route(h)(t, validate_pure(psi0).tolist())
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

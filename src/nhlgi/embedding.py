@@ -39,11 +39,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, THETA_MAX, validate_pure
+from .dynamics import NHHamiltonian, THETA_MAX, _axis_basis, validate_pure
 from .lgi import (
     LgiResult,
     Observable,
-    _eigenstates,
     _propagating_frame,
     _pure_born,
     protocol,
@@ -261,7 +260,7 @@ def k3_via_embedding(
         return complex(upper[0]), complex(upper[1])
 
     first, transfer = _propagating_frame(propagate, _pure_born)(
-        tuple(psi0.tolist()), _eigenstates(q)
+        tuple(psi0.tolist()), _axis_basis(q.direction)
     )
     tables = protocol(first, transfer, t1, t2, t3)[3:]
     return LgiResult.from_tables(tables, (t1, t2, t3))

@@ -38,8 +38,16 @@ takes two functions of one state and axis: ``first(t)``, the probability of
   probabilities (:func:`_propagating_frame`), which keeps the dilation an
   independent cross-check.
 
-The flows, the lift and the Bloch-angle maps these builders use are the
-scalar kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
+The flows, the lift, the Bloch-vector and Bloch-angle maps and the axis
+eigenbasis these builders use are the scalar kernels of
+:mod:`nhlgi.dynamics`; this module keeps no copy of them.
+
+:class:`CorrelatorEngine` binds the builders once per Hamiltonian and noise
+strength into two unvalidated routes: one from a spinor and an axis, one
+from a Bloch vector and an axis.  Its public calls validate and take the
+route of the state's shape; the K3 search of :mod:`nhlgi.scan` calls the
+spinor route per point, so a search and the public API evaluate a point by
+the same arithmetic.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -56,11 +64,12 @@ import numpy as np
 from .dynamics import (
     DegenerateEvolutionError,
     NHHamiltonian,
+    _axis_basis,
     _bloch_axis,
     _bloch_lift,
+    _density_bloch,
     _density_propagator,
-    bloch_of_density,
-    bloch_of_pure,
+    _spinor_bloch,
     validate_density,
     validate_pure,
 )
@@ -124,8 +133,14 @@ class Observable:
 
     @cached_property
     def eigenstates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normalised (+1, -1) eigenvectors with deterministic phases."""
-        return self._eigenstate(0), self._eigenstate(1)
+        """Normalised (+1, -1) eigenvectors in the closed form of
+        :func:`nhlgi.dynamics._axis_basis`, which the protocol uses.
+
+        Each has its larger component real and positive.  On the equator
+        ``nz = 0``, where the two components tie in size, that is the first
+        component of the +1 state and the second of the -1 state.
+        """
+        return tuple(np.array(chi) for chi in _axis_basis(self.direction))
 
     def projector(self, outcome: int) -> np.ndarray:
         if outcome not in _OUTCOMES:
@@ -136,14 +151,6 @@ class Observable:
         if outcome not in _OUTCOMES:
             raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
         return self.eigenstates[_OUTCOMES.index(outcome)]
-
-    def _eigenstate(self, index: int) -> np.ndarray:
-        p = self.projectors[index]
-        j = int(np.argmax(np.diagonal(p).real))
-        chi = p[:, j] / math.sqrt(max(p[j, j].real, 1e-300))
-        k = int(np.argmax(np.abs(chi)))
-        chi = chi * (chi[k].conj() / abs(chi[k]))
-        return chi
 
 
 def _check_protocol(tables, k3: float | None = None) -> None:
@@ -497,35 +504,53 @@ def protocol(first, transfer, t1: float, t2: float, t3: float):
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine once amortises the frame setup (with noise, the
-    eigendecomposition of the lift and its real modal form).  Every call validates its inputs once
-    and runs :func:`protocol`: in the spinor frame for a pure input at
-    ``kappa = 0``, in the noisy frame for any input at ``kappa > 0``, and by
-    propagating each branch of the Bloch vector for a density matrix at
-    ``kappa = 0``.
+    Building the engine binds its two routes to :func:`protocol` once, with
+    the frame setup (with noise, the eigendecomposition of the lift and its
+    real modal form).  Neither validates; the scans call them per point.
+
+    - ``_spinor_route(psi, n) -> (first, transfer)`` for a spinor and a unit
+      axis: the spinor frame in the axis eigenbasis of
+      :func:`nhlgi.dynamics._axis_basis` at ``kappa = 0``, the noisy frame at
+      the spinor's Bloch vector at ``kappa > 0``;
+    - ``_bloch_route(r, n)`` for a Bloch vector ``r = tr(rho sigma)``: the
+      noisy frame at ``kappa > 0``, and at ``kappa = 0`` the noiseless
+      density flow propagating each collapse branch ``+/- n``.
+
+    Every public call validates its inputs once and takes the route of the
+    state's shape.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
-        self._frame = _spinor_frame(h) if kappa == 0.0 else _noisy_frame(h, kappa)
+        if kappa == 0.0:
+            spinor = _spinor_frame(h)
+            density = _propagating_frame(_density_propagator(h), _bloch_born)
+
+            def spinor_route(psi, n):
+                return spinor(psi, _axis_basis(n))
+
+            def bloch_route(r, n):
+                return density(r, (n, (-n[0], -n[1], -n[2])))
+
+        else:
+            bloch_route = _noisy_frame(h, kappa)
+
+            def spinor_route(psi, n):
+                x, y, z = _spinor_bloch(psi)
+                return bloch_route((2.0 * x, 2.0 * y, 2.0 * z), n)
+
+        self._spinor_route, self._bloch_route = spinor_route, bloch_route
         self.hamiltonian = h
         self.kappa = float(kappa)
 
     def _protocol_inputs(self, state, q: Observable):
         """Validated ``(first, transfer)`` for :func:`protocol`."""
         state = np.asarray(state, dtype=complex)
-        if state.ndim == 1 and self.kappa == 0.0:
-            return self._frame(tuple(validate_pure(state).tolist()), _eigenstates(q))
         if state.ndim == 1:
-            s = bloch_of_pure(state)
-        elif state.ndim == 2:
-            s = bloch_of_density(validate_density(state))
-        else:
-            raise ValueError("state must be a 2-vector or a 2x2 density matrix")
-        r, n = tuple((2.0 * s).tolist()), q.direction
-        if self.kappa != 0.0:
-            return self._frame(r, n)
-        frame = _propagating_frame(_density_propagator(self.hamiltonian), _bloch_born)
-        return frame(r, (n, (-n[0], -n[1], -n[2])))
+            return self._spinor_route(tuple(validate_pure(state).tolist()), q.direction)
+        if state.ndim == 2:
+            r = _density_bloch(validate_density(state).tolist())
+            return self._bloch_route(r, q.direction)
+        raise ValueError("state must be a 2-vector or a 2x2 density matrix")
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
@@ -544,11 +569,6 @@ class CorrelatorEngine:
             raise ValueError("need 0 <= t1 < t2 < t3")
         tables = protocol(first, transfer, t1, t2, t3)[3:]
         return LgiResult.from_tables(tables, (t1, t2, t3), self.kappa)
-
-
-def _eigenstates(q: Observable):
-    """The (+1, -1) eigenstates of ``q`` as pairs of complex scalars."""
-    return tuple(tuple(chi.tolist()) for chi in q.eigenstates)
 
 
 def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:

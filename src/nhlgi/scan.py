@@ -18,9 +18,11 @@ in-house and load no scipy: the hypercube repeats the draws of scipy's
 arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
 vertices kept in stable order so tied values cannot reorder between runs or
 machines.  Every reported objective is the re-evaluable value of an actually
-visited point: the objectives call the scalar kernels of
-:mod:`nhlgi.dynamics` and :func:`nhlgi.lgi.protocol`, which the public API
-wraps, and keep no copy of them.  Runs are reproducible: one master seed
+visited point: the K3 objective calls the spinor route of
+:class:`nhlgi.lgi.CorrelatorEngine` and the speed objective the route of
+:func:`nhlgi.dynamics.speed`, which the public API validates and calls, so
+an argmax re-evaluates through it to the reported float.  This module keeps
+no copy of either.  Runs are reproducible: one master seed
 drives the hypercube and all restarts, the per-restart evaluation budget is
 fixed up front, and the restarts run one after another in a fixed order.
 """
@@ -29,22 +31,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    NHHamiltonian,
-    _bloch_axis,
-    _bloch_state,
-    _pure_speed,
-    _spinor_bloch,
-    pure_propagator,
-)
-from .lgi import _noisy_frame, _spinor_frame, protocol
+from .dynamics import NHHamiltonian, _bloch_axis, _bloch_state, _speed_route
+from .lgi import CorrelatorEngine, protocol
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -121,7 +116,6 @@ class ScanResult:
     evals: int
     restarts: int
     seed: int
-    config: ScanConfig = field(repr=False, default_factory=ScanConfig)
 
     def to_dict(self) -> dict:
         return {
@@ -396,33 +390,18 @@ def _k3_objective(theta: float, kappa: float):
 
     :func:`maximize_k3` evaluates it at :func:`_planar_point`; over all
     seven coordinates it is the reference the plane is tested against.
-    Every point runs straight through :func:`nhlgi.lgi.protocol` with the
-    state and the axis in closed form: in the spinor frame (state and axis
-    eigenstates) at ``kappa = 0``, in the noisy frame (Bloch vector and axis)
-    under noise.  The Bloch vector is taken from the state's spinor, as
-    :class:`nhlgi.lgi.CorrelatorEngine` takes it, because near the corner K3
-    resolves the last ulp of the state.
+    Every point runs the spinor route of :class:`nhlgi.lgi.CorrelatorEngine`
+    into :func:`nhlgi.lgi.protocol`, on the state and the axis the public
+    API builds from the same angles, so ``engine.k3`` re-evaluates any point
+    to the same float.  Near the corner K3 resolves the last ulp of the
+    state and of the axis eigenbasis, so no other route would do.
     """
-    h = NHHamiltonian.canonical(theta)
-    if kappa == 0.0:
-        spinor_frame = _spinor_frame(h)
-
-        def frame(theta_s, phi_s, theta_q, phi_q):
-            up = _bloch_state(theta_q, phi_q)
-            down = (-up[1].conjugate(), up[0])
-            return spinor_frame(_bloch_state(theta_s, phi_s), (up, down))
-
-    else:
-        noisy_frame = _noisy_frame(h, kappa)
-
-        def frame(theta_s, phi_s, theta_q, phi_q):
-            x, y, z = _spinor_bloch(_bloch_state(theta_s, phi_s))
-            return noisy_frame((2.0 * x, 2.0 * y, 2.0 * z), _bloch_axis(theta_q, phi_q))
+    route = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
-        first, transfer = frame(theta_s, phi_s, theta_q, phi_q)
+        first, transfer = route(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
         c12, c23, c13 = protocol(first, transfer, t1, t2, t2 + g2)[:3]
         return c12 + c23 - c13
 
@@ -434,17 +413,14 @@ def _speed_objective(theta: float):
 
     The speed depends on the time only through the state, and the
     renormalised flow maps the sphere onto itself, so the search runs over
-    states at ``t = 0``.  It calls the kernels of
-    :func:`nhlgi.dynamics.speed`, whose flow at ``t = 0`` only renormalises
-    the state, so an argmax re-evaluates exactly.
+    states at ``t = 0``.  It calls the route that
+    :func:`nhlgi.dynamics.speed` calls, so an argmax re-evaluates exactly.
     """
-    h = NHHamiltonian.canonical(theta)
-    propagate = pure_propagator(h)
-    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+    route = _speed_route(NHHamiltonian.canonical(theta))
 
     def objective(x):
         theta_s, phi_s = x
-        return _pure_speed(a, b, propagate(0.0, _bloch_state(theta_s, phi_s)))
+        return route(0.0, _bloch_state(theta_s, phi_s))
 
     return objective
 
@@ -494,7 +470,6 @@ def maximize_k3(
         evals=evals,
         restarts=restarts,
         seed=seed,
-        config=config,
     )
 
 
@@ -527,7 +502,6 @@ def maximize_speed(
         evals=evals,
         restarts=restarts,
         seed=seed,
-        config=config,
     )
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nhlgi.dynamics
+from nhlgi.acceptance import run_all
 from nhlgi.cli import MAX_GRID_POINTS, _time_grid, main
 from nhlgi.dynamics import (
     NHHamiltonian,
@@ -405,6 +406,16 @@ class TestCliCheck:
         assert main(["check", "--only", "10", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "criterion 10: PASS" in out
+
+    @pytest.mark.parametrize("only", ["", ","])
+    def test_empty_selection_exits_2(self, only, capsys):
+        # running no criterion must not pass vacuously
+        assert main(["check", "--only", only]) == 2
+        assert "no criterion selected" in capsys.readouterr().err
+
+    def test_repeated_criterion_runs_once(self):
+        results = run_all(only=[10, 10], stream=io.StringIO())
+        assert [r.number for r in results] == [10]
 
 
 class TestCliErrors:

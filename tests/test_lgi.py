@@ -10,6 +10,7 @@ from nhlgi.dynamics import (
     THETA_MAX,
     DegenerateEvolutionError,
     NHHamiltonian,
+    _axis_basis,
     _bloch_axis,
     _bloch_lift,
     _density_propagator,
@@ -35,6 +36,7 @@ from nhlgi.lgi import (
     k3_closed_form,
     protocol,
 )
+from nhlgi.qmat import pauli_vector
 from oracles import axis_eigenstates, noisy_protocol_tables, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
@@ -92,6 +94,54 @@ class TestObservable:
             Observable.canonical().projector(0)
         with pytest.raises(ValueError):
             Observable.canonical().eigenstate(2)
+
+
+def _basis_axes():
+    """Random unit axes, both poles, points on and next to the equator."""
+    rng = np.random.default_rng(53)
+    axes = [
+        _bloch_axis(t, p)
+        for t, p in zip(rng.uniform(0.0, np.pi, 2000), rng.uniform(0.0, 2 * np.pi, 2000))
+    ]
+    axes += [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0)]
+    axes += [_bloch_axis(math.pi / 2 + d, p) for d in (-1e-9, 0.0, 1e-9) for p in (0.3, 2.0, 4.5)]
+    return axes
+
+
+class TestAxisBasis:
+    def test_eigen_equation(self):
+        worst = 0.0
+        for n in _basis_axes():
+            op = pauli_vector(np.array(n))
+            up, down = (np.array(chi) for chi in _axis_basis(n))
+            worst = max(worst, *np.abs(op @ up - up), *np.abs(op @ down + down))
+        assert worst <= 1e-15
+
+    def test_orthonormal_with_the_larger_component_real_positive(self):
+        for n in _basis_axes():
+            up, down = (np.array(chi) for chi in _axis_basis(n))
+            assert abs(np.vdot(up, up) - 1.0) <= 1e-15
+            assert abs(np.vdot(down, down) - 1.0) <= 1e-15
+            assert abs(np.vdot(up, down)) <= 1e-15
+            # the 1 + |nz| component: first of +1 and second of -1 for nz >= 0
+            big = (up[0], down[1]) if n[2] >= 0.0 else (up[1], down[0])
+            for c, chi in zip(big, (up, down)):
+                assert c.imag == 0.0 and c.real > 0.0
+                assert abs(c) >= np.abs(chi).max()
+
+    def test_poles(self):
+        assert _axis_basis((0.0, 0.0, 1.0)) == ((1, 0), (0, 1))
+        assert _axis_basis((0.0, 0.0, -1.0)) == ((0, 1), (1, 0))
+
+    def test_matches_oracle_up_to_phase(self):
+        for n in _basis_axes():
+            for chi, ref in zip(_axis_basis(n), axis_eigenstates(np.array(n))):
+                assert abs(abs(np.vdot(ref, chi)) - 1.0) <= 1e-15
+
+    def test_observable_eigenstates_are_the_basis(self):
+        for n in _basis_axes()[::50]:
+            q = Observable(n)
+            assert tuple(tuple(chi.tolist()) for chi in q.eigenstates) == _axis_basis(q.direction)
 
 
 class TestJointTable:
