@@ -38,6 +38,7 @@ vectors of spinors and density matrices (``_spinor_bloch``,
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -170,9 +171,13 @@ def validate_pure(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise ValueError(f"expected a 2-component state vector, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi)):
+    a, b = psi.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise ValueError("non-finite state vector")
-    norm = float(np.linalg.norm(psi))
+    # Plain-float checks: this runs on every public call, and per row of
+    # ``nhlgi speed``.  The sum order is numpy's (real parts, then imaginary).
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    norm = math.sqrt((ar * ar + br * br) + (ai * ai + bi * bi))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector is not normalised (norm {norm!r})")
     return psi
@@ -640,8 +645,9 @@ def integrate_bloch(
 
     from scipy.integrate import solve_ivp
 
+    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
     sol = solve_ivp(
-        lambda _t, s: bloch_rhs(s, h, kappa),
+        lambda _t, s: np.array(_bloch_rhs(a, b, kappa, s.tolist())),
         (0.0, float(t_grid[-1])),
         s0,
         method="RK45",

@@ -162,8 +162,11 @@ def _check_protocol(tables, k3: float | None = None) -> None:
     of these checks: :class:`JointTable`, :class:`LgiResult` and the CLI
     sweeps, which skip both classes, all call it.
     """
+    lo, hi = -1e-10, 1.0 + 1e-10
     for (pp, pm), (mp, mm) in tables:
-        if not all(-1e-10 <= p <= 1.0 + 1e-10 for p in (pp, pm, mp, mm)):
+        if not (
+            lo <= pp <= hi and lo <= pm <= hi and lo <= mp <= hi and lo <= mm <= hi
+        ):
             raise ValueError("joint probabilities outside [0, 1] or not finite")
         total = pp + pm + mp + mm
         if abs(total - 1.0) > 1e-10:

@@ -97,6 +97,27 @@ class TestStates:
         with pytest.raises(ValueError):
             density_from_bloch([0.7, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_validate_pure_refuses_non_finite(self, slot, bad):
+        parts = [0.6, 0.0, 0.0, 0.8]
+        parts[slot] = bad
+        psi = [complex(parts[0], parts[1]), complex(parts[2], parts[3])]
+        with pytest.raises(ValueError, match=r"^non-finite state vector$"):
+            validate_pure(psi)
+
+    @pytest.mark.parametrize("eps", [2e-12, -2e-12])
+    def test_validate_pure_refuses_norm_off_by(self, eps):
+        psi = (1.0 + eps) * np.array([0.6, 0.8j])
+        message = r"^state vector is not normalised \(norm (0\.99999999999|1\.0000000000)"
+        with pytest.raises(ValueError, match=message):
+            validate_pure(psi)
+
+    @pytest.mark.parametrize("eps", [5e-13, -5e-13])
+    def test_validate_pure_accepts_norm_within(self, eps):
+        psi = (1.0 + eps) * np.array([0.6, 0.8j])
+        np.testing.assert_array_equal(validate_pure(psi), psi)
+
 
 class TestHamiltonian:
     @pytest.mark.parametrize("theta", THETAS)
@@ -275,6 +296,28 @@ class TestBlochFlow:
         expected = rk4(lambda _t, y: bloch_rhs(y, h, kappa), s0, 2.0, 20000)
         traj = integrate_bloch(s0, h, kappa=kappa, t_grid=np.array([0.0, 2.0]))
         np.testing.assert_allclose(traj.bloch[-1], expected, atol=1e-7)
+
+    def test_rk45_rhs_is_bloch_rhs(self, monkeypatch):
+        # Every right-hand side RK45 evaluates equals bloch_rhs bit for bit,
+        # at a Hamiltonian scale other than 1 and with noise.
+        import scipy.integrate
+
+        h = NHHamiltonian.canonical(1.1, scale=0.7)
+        kappa = 0.3
+        real_solve_ivp = scipy.integrate.solve_ivp
+        calls = []
+
+        def checked_solve_ivp(fun, *args, **kwargs):
+            def checked(t, s):
+                got = fun(t, s)
+                calls.append(np.array_equal(got, bloch_rhs(s, h, kappa)))
+                return got
+
+            return real_solve_ivp(checked, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", checked_solve_ivp)
+        integrate_bloch(bloch_of_pure(up_y()), h, kappa, np.linspace(0.0, 2.0, 5))
+        assert len(calls) > 10 and all(calls)
 
     def test_pure_depolarisation(self):
         # B = 0 and S parallel to A: only the isotropic decay acts

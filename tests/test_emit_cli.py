@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhlgi.dynamics
 from nhlgi.acceptance import run_all
@@ -41,6 +43,41 @@ class TestFormatValue:
         assert format_value(True) == "1"
         assert format_value(False) == "0"
         assert format_value("text") == "text"
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, sys.float_info.max]
+
+# Cell strategy and column constructor of each column kind write_csv meets.
+_CELLS = {
+    "float64": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    "float32": st.floats(width=32),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "bool": st.booleans(),
+    "str": st.text(max_size=4),
+    "list": st.one_of(st.integers(-(2**40), 2**40), st.floats()),
+    "pairs": st.tuples(st.floats(), st.floats()),
+}
+_COLUMN_KINDS = {
+    "float64": lambda cells: np.array(cells, dtype=np.float64),
+    "float32": lambda cells: np.array(cells, dtype=np.float32),
+    "int64": lambda cells: np.array(cells, dtype=np.int64),
+    "uint64": lambda cells: np.array(cells, dtype=np.uint64),
+    "bool": lambda cells: np.array(cells, dtype=bool),
+    "str": lambda cells: np.array(cells, dtype=str),
+    "list": list,
+    "pairs": list,
+}
+
+
+def _per_cell_csv(columns: dict, metadata: dict) -> str:
+    """The CSV that ``format_value`` gives cell by cell: the reference rendering."""
+    lines = [f"# {key} = {format_value(value)}\n" for key, value in metadata.items()]
+    lines.append(",".join(columns) + "\n")
+    series = [np.atleast_1d(np.asarray(column)) for column in columns.values()]
+    n_rows = series[0].shape[0] if series else 0
+    lines += [",".join(format_value(s[i]) for s in series) + "\n" for i in range(n_rows)]
+    return "".join(lines)
 
 
 class TestCsv:
@@ -81,6 +118,60 @@ class TestCsv:
     def test_read_requires_header(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO(""))
+
+    def test_golden_table(self):
+        buf = io.StringIO()
+        columns = {
+            "t": np.array([0.1, -0.0, 5e-324]),
+            "v": [1.0 / 3.0, math.nan, -math.inf],
+            "n": np.array([2**64 - 1, 0, 7], dtype=np.uint64),
+            "ok": np.array([True, False, True]),
+            "label": ["a", "%s", "c"],
+        }
+        write_csv(buf, columns, metadata={"theta": 1.2, "rows": 3, "mode": "direct"})
+        assert buf.getvalue() == (
+            "# theta = 1.2\n"
+            "# rows = 3\n"
+            "# mode = direct\n"
+            "t,v,n,ok,label\n"
+            "0.10000000000000001,0.33333333333333331,18446744073709551615,1,a\n"
+            "-0,nan,0,0,%s\n"
+            "4.9406564584124654e-324,-inf,7,1,c\n"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_cell_rendering(self, data):
+        n_rows = data.draw(st.integers(0, 12))
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), max_size=5))
+        columns = {
+            f"{kind}{i}": _COLUMN_KINDS[kind](
+                data.draw(st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows))
+            )
+            for i, kind in enumerate(kinds)
+        }
+        metadata = {"theta": data.draw(_CELLS["float64"]), "n": n_rows, "s": "x"}
+        buf = io.StringIO()
+        write_csv(buf, columns, metadata)
+        assert buf.getvalue() == _per_cell_csv(columns, metadata)
+
+    def test_long_table_matches_per_cell_rendering(self):
+        # 9000 rows: more than two blocks of rows, with a partial last one.
+        rng = np.random.default_rng(13)
+        n = 9000
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        floats[rng.integers(0, n, size=50)] = rng.choice(_SPECIAL_FLOATS, size=50)
+        columns = {
+            "f64": floats,
+            "f32": rng.normal(size=n).astype(np.float32),
+            "i64": rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64),
+            "u64": rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64),
+            "b": rng.integers(0, 2, size=n).astype(bool),
+            "s": [f"r{i}" for i in range(n)],
+        }
+        buf = io.StringIO()
+        write_csv(buf, columns, {"rows": n})
+        assert buf.getvalue() == _per_cell_csv(columns, {"rows": n})
 
 
 class TestJson:

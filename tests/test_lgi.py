@@ -239,6 +239,22 @@ class TestRowChecks:
         assert cli.main(self._argv(command)) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_check_protocol_boundaries(self, slot):
+        def table(value, others):
+            # ``value`` in ``slot``, ``others`` in the three remaining entries.
+            entries = [others] * 4
+            entries[slot] = value
+            return (tuple(entries[:2]), tuple(entries[2:]))
+
+        # Each edge entry with the others at the opposite edge, summing to 1.
+        edges = [table(-1e-10, (1.0 + 1e-10) / 3.0), table(1.0 + 1e-10, -1e-10 / 3.0)]
+        lgi._check_protocol(edges, 3.0)
+        for value in (math.nan, math.inf, -math.inf, -2e-10, 1.0 + 2e-10):
+            # Only ``slot`` is out of range; the match excludes the sum check.
+            with pytest.raises(ValueError, match="outside \\[0, 1\\] or not finite"):
+                lgi._check_protocol([table(value, 0.25)])
+
     @staticmethod
     def _argv(command):
         if command == "lgi":
