@@ -26,7 +26,6 @@ from .dynamics import (
     bloch_of_pure,
     down_y,
     down_z,
-    evolve_pure,
     integrate_bloch,
     pure_propagator,
     speed,
@@ -379,14 +378,16 @@ def _cmd_embed(args) -> int:
         raise ValueError(
             f"embedding needs theta in (0, pi/2 - 1e-6], got {theta!r}"
         )
-    spacings = _time_grid(args.tmax, args.step, include_zero=False)
+    spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
+    propagate = pure_propagator(h)
     engine = CorrelatorEngine(h)
     q = Observable.canonical()
     psi0 = up_y()
+    start = _spinor(psi0)
     rows = {name: [] for name in ("t", "fidelity", "p_select", "k3_direct", "k3_embedded")}
     for t in spacings:
-        direct = evolve_pure(h, psi0, t)
+        direct = propagate(t, start)
         emb, p_sel = evolve_and_postselect(theta, psi0, t)
         rows["t"].append(t)
         rows["fidelity"].append(abs(complex(np.vdot(direct, emb))) ** 2)

@@ -183,6 +183,14 @@ def validate_pure(psi) -> np.ndarray:
     return psi
 
 
+def _check_finite_times(**times) -> None:
+    """Refuse any non-finite time, naming it: a NaN or infinite time would
+    otherwise come back as NaN, or run an adaptive integrator forever."""
+    for name, t in times.items():
+        if not math.isfinite(t):
+            raise ValueError(f"time {name} = {t!r} must be finite")
+
+
 def validate_density(rho) -> np.ndarray:
     """Return ``rho`` as a 2x2 density matrix, checking the usual axioms."""
     rho = np.asarray(rho, dtype=complex)
@@ -456,12 +464,15 @@ def _density_propagator(h: NHHamiltonian):
 
 def evolve_pure(h: NHHamiltonian, psi0, t: float) -> np.ndarray:
     """Renormalised pure-state evolution ``exp(-i H t) psi0 / ||...||``."""
-    return np.array(pure_propagator(h)(t, validate_pure(psi0).tolist()))
+    psi0 = validate_pure(psi0)
+    _check_finite_times(t=t)
+    return np.array(pure_propagator(h)(t, psi0.tolist()))
 
 
 def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
     """Norm ``||exp(-i H t) psi0||`` of the unnormalised propagated state."""
     psi0 = validate_pure(psi0)
+    _check_finite_times(t=t)
     return float(np.linalg.norm(h.propagator(t) @ psi0))
 
 
@@ -469,6 +480,7 @@ def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
     """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
     propagated on the Bloch vector of ``rho0``."""
     r = _density_bloch(validate_density(rho0).tolist())
+    _check_finite_times(t=t)
     x, y, z = _density_propagator(h)(t, r)
     return np.array(
         [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
@@ -505,6 +517,7 @@ def evolve_density_noisy(
     rho0 = validate_density(rho0)
     if kappa < 0.0 or not np.isfinite(kappa):
         raise ValueError("kappa must be a finite non-negative rate")
+    _check_finite_times(t=t)
     if t == 0.0:
         return rho0.copy()
     if t < 0.0:
@@ -634,6 +647,8 @@ def integrate_bloch(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d array")
+    # the largest time: NaN if any time is NaN
+    _check_finite_times(t_grid=t_grid.max().item())
     if abs(t_grid[0]) > 1e-12:
         raise ValueError("t_grid must start at 0")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
@@ -746,7 +761,9 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     quadratic decay coefficient of the fidelity, computed exactly.  It is the
     quantity maximised by :func:`nhlgi.scan.maximize_speed`.
     """
-    return _speed_route(h)(t, validate_pure(psi0).tolist())
+    psi0 = validate_pure(psi0)
+    _check_finite_times(t=t)
+    return _speed_route(h)(t, psi0.tolist())
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

@@ -29,6 +29,10 @@ upper two components of a 4-vector carry the post-selected system state.
 The useful corner is ``theta = pi/2 - delta`` for small positive ``delta``;
 at ``delta = 0`` exactly the embedded state degenerates to a product state
 and the construction is rejected.
+
+Each ``theta`` builds one cached dilation: the metric and a post-selection
+kernel on the eigenpairs of ``H_T``.  Every public call validates once and
+then runs the kernel; the legs of :func:`k3_via_embedding` validate nothing.
 """
 
 from __future__ import annotations
@@ -39,14 +43,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, THETA_MAX, _axis_basis, validate_pure
-from .lgi import (
-    LgiResult,
-    Observable,
-    _propagating_frame,
-    _pure_born,
-    protocol,
+from .dynamics import (
+    NHHamiltonian,
+    THETA_MAX,
+    _axis_basis,
+    _check_finite_times,
+    up_y,
+    validate_pure,
 )
+from .lgi import LgiResult, Observable, _propagating_frame, _pure_born, protocol
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -123,14 +128,6 @@ def build_metric(theta: float) -> Metric:
     return Metric(theta=theta, eta=eta)
 
 
-@lru_cache(maxsize=128)
-def _eta(theta: float) -> np.ndarray:
-    """The verified metric of ``theta``, built once and shared read-only."""
-    eta = build_metric(theta).eta
-    eta.flags.writeable = False
-    return eta
-
-
 def build_HT(theta: float) -> np.ndarray:
     """Hermitian total Hamiltonian on ancilla (x) system.
 
@@ -168,7 +165,7 @@ class EmbeddedState:
             raise ValueError("embedded state must have 4 components")
         if abs(float(np.linalg.norm(self.vector)) - 1.0) > 1e-12:
             raise ValueError("embedded state must be normalised")
-        slaved = _eta(self.theta) @ self.vector[:2]
+        slaved = _dilation(self.theta)[0] @ self.vector[:2]
         if float(np.linalg.norm(self.vector[2:] - slaved)) > 1e-8 * max(
             1.0, float(np.linalg.norm(slaved))
         ):
@@ -183,48 +180,55 @@ class EmbeddedState:
         return self.vector[2:]
 
 
+def _embed(eta: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(N_T (psi, eta psi), N_T)`` of a validated spinor ``psi``."""
+    eta_psi = eta @ psi
+    weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta_psi, eta_psi)))
+    n_t = 1.0 / math.sqrt(weight)
+    return np.concatenate([n_t * psi, n_t * eta_psi]), n_t
+
+
 def build_psi_T(theta: float, psi) -> EmbeddedState:
     """Embed a normalised system state into the ancilla-extended space."""
     psi = validate_pure(psi)
-    eta = _eta(theta)
-    weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta @ psi, eta @ psi)))
-    n_t = 1.0 / math.sqrt(weight)
-    vec = np.concatenate([n_t * psi, n_t * (eta @ psi)])
+    vec, n_t = _embed(_dilation(theta)[0], psi)
     return EmbeddedState(vector=vec, n_t=n_t, theta=theta)
 
 
 @lru_cache(maxsize=128)
-def _total_eig(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of :func:`build_HT`, built once and shared read-only."""
+def _dilation(theta: float):
+    """``(eta, postselect)`` of ``theta``: the verified metric, read-only, and
+    ``postselect(t, psi) -> (upper, p_select)``, which embeds a validated
+    spinor array, evolves it under :func:`build_HT` and post-selects.
+    """
+    eta = build_metric(theta).eta
+    eta.flags.writeable = False
     w, v = np.linalg.eigh(build_HT(theta))
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
+    v_dag = v.conj().T
+
+    def postselect(t, psi):
+        vec, _ = _embed(eta, psi)
+        upper = ((v * np.exp(-1j * w * t)) @ v_dag @ vec)[:2]
+        p_select = float(np.real(np.vdot(upper, upper)))
+        if not p_select >= _P_SELECT_FLOOR:
+            raise PostselectionStarvationError(
+                f"post-selection probability {p_select:.3e} below floor at t = {t!r}"
+            )
+        return upper / math.sqrt(p_select), p_select
+
+    return eta, postselect
 
 
-def _total_propagator(theta: float, t: float) -> np.ndarray:
-    w, v = _total_eig(theta)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def evolve_and_postselect(
-    theta: float, psi0, t: float
-) -> tuple[np.ndarray, float]:
+def evolve_and_postselect(theta: float, psi0, t: float) -> tuple[np.ndarray, float]:
     """Unitary 4d evolution followed by ancilla post-selection on ``up_z``.
 
     Returns the normalised post-selected system state and the selection
     probability.  The state equals the renormalised non-Hermitian evolution
     of ``psi0`` and the probability satisfies ``p * N(t)^2 = N_T^2``.
     """
-    embedded = build_psi_T(theta, psi0)
-    evolved = _total_propagator(theta, t) @ embedded.vector
-    upper = evolved[:2]
-    p_select = float(np.real(np.vdot(upper, upper)))
-    if p_select < _P_SELECT_FLOOR:
-        raise PostselectionStarvationError(
-            f"post-selection probability {p_select:.3e} below floor at t = {t!r}"
-        )
-    return upper / math.sqrt(p_select), p_select
+    psi0 = validate_pure(psi0)
+    _check_finite_times(t=t)
+    return _dilation(theta)[1](t, psi0)
 
 
 def k3_via_embedding(
@@ -243,20 +247,18 @@ def k3_via_embedding(
     Agrees with the direct protocol of :mod:`nhlgi.lgi` to numerical
     precision.
     """
-    from .dynamics import up_y
-
     if q is None:
         q = Observable.canonical()
-    if psi0 is None:
-        psi0 = up_y()
-    psi0 = validate_pure(psi0)
+    psi0 = validate_pure(up_y() if psi0 is None else psi0)
+    _check_finite_times(t1=t1, t2=t2, t3=t3)
     if not 0.0 <= t1 < t2 < t3:
         raise ValueError("need 0 <= t1 < t2 < t3")
+    postselect = _dilation(theta)[1]
 
     def propagate(t, psi):
         # Re-embed, evolve unitarily and post-select; the upper block comes
         # back normalised.
-        upper, _ = evolve_and_postselect(theta, np.array(psi), t)
+        upper, _ = postselect(t, np.array(psi))
         return complex(upper[0]), complex(upper[1])
 
     first, transfer = _propagating_frame(propagate, _pure_born)(

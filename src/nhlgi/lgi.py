@@ -67,6 +67,7 @@ from .dynamics import (
     _axis_basis,
     _bloch_axis,
     _bloch_lift,
+    _check_finite_times,
     _density_bloch,
     _density_propagator,
     _spinor_bloch,
@@ -558,6 +559,7 @@ class CorrelatorEngine:
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
         first, transfer = self._protocol_inputs(state, q)
+        _check_finite_times(t_i=t_i, t_j=t_j)
         if not 0.0 <= t_i < t_j:
             raise ValueError("need 0 <= t_i < t_j")
         return JointTable(_table(first(t_i), transfer(t_j - t_i)), t_i, t_j)
@@ -568,6 +570,7 @@ class CorrelatorEngine:
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
         first, transfer = self._protocol_inputs(state, q)
+        _check_finite_times(t1=t1, t2=t2, t3=t3)
         if not 0.0 <= t1 < t2 < t3:
             raise ValueError("need 0 <= t1 < t2 < t3")
         tables = protocol(first, transfer, t1, t2, t3)[3:]

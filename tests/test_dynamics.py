@@ -471,3 +471,26 @@ class TestDistanceAndSpeed:
             speed_closed_form(2.0, 0.5)
         with pytest.raises(ValueError):
             geodesic_distance_closed_form(-0.2, 0.5)
+
+
+_H = NHHamiltonian.canonical(0.9)
+_TIMED_ROUTES = {
+    "evolve_pure": lambda t: evolve_pure(_H, up_y(), t),
+    "propagated_norm": lambda t: propagated_norm(_H, up_y(), t),
+    "evolve_density": lambda t: evolve_density(_H, projector(up_y()), t),
+    "speed": lambda t: speed(_H, up_y(), t),
+    "evolve_density_noisy": lambda t: evolve_density_noisy(_H, projector(up_y()), 0.1, t),
+    "integrate_bloch": lambda t: integrate_bloch(
+        bloch_of_pure(up_y()), _H, kappa=0.1, t_grid=[0.0, t]
+    ),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("route", sorted(_TIMED_ROUTES))
+def test_non_finite_time_refused(route, t):
+    # NaN would come back as a NaN state, and the RK45 routes would never
+    # reach an infinite or NaN end time
+    name = "t_grid" if route == "integrate_bloch" else "t"
+    with pytest.raises(ValueError, match=f"time {name} = {t!r} must be finite"):
+        _TIMED_ROUTES[route](t)

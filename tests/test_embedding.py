@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from nhlgi import embedding
 from nhlgi.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from nhlgi.dynamics import (
+    THETA_MAX,
     NHHamiltonian,
+    _axis_basis,
     down_y,
     evolve_pure,
     propagated_norm,
     state_from_bloch_angles,
     up_y,
 )
-from nhlgi.lgi import CorrelatorEngine, Observable
+from nhlgi.lgi import (
+    CorrelatorEngine,
+    LgiResult,
+    Observable,
+    _propagating_frame,
+    _pure_born,
+    protocol,
+)
 from nhlgi.embedding import (
     EmbeddedState,
     Metric,
@@ -24,7 +34,7 @@ from nhlgi.embedding import (
     k3_via_embedding,
     theta_from_delta,
 )
-from nhlgi.embedding import _eta, _total_eig
+from nhlgi.embedding import _dilation
 
 THETAS = [0.0, 0.3, 1.0, 1.4, theta_from_delta(0.1)]
 
@@ -94,14 +104,13 @@ class TestTotalHamiltonian:
         np.testing.assert_allclose(h_t[2:, :2], 1j * v, atol=1e-14)
 
     def test_cached_arrays_are_read_only(self):
-        # Every later dilation at this theta shares these arrays, so a write
-        # must fail rather than corrupt them.
-        theta = 0.9
-        w, v = _total_eig(theta)
-        for array in (w, v, _eta(theta)):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
-        np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
+        # Every later dilation at this theta shares the metric, so a write
+        # must fail rather than corrupt it.
+        eta = _dilation(0.9)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            eta[0, 0] = 0.0
+        assert _dilation(0.9)[0] is eta
+        np.testing.assert_array_equal(eta, build_metric(0.9).eta)
 
 
 class TestEmbeddedState:
@@ -206,3 +215,101 @@ class TestK3ViaEmbedding:
             k3_via_embedding(1.0, t1=0.5, t2=0.5, t3=1.0)
         with pytest.raises(ValueError):
             k3_via_embedding(math.pi / 2)
+
+    @pytest.mark.parametrize(
+        "times, named", [((0.0, 0.5, math.inf), "t3 = inf"), ((0.0, math.nan, 1.0), "t2 = nan")]
+    )
+    def test_non_finite_times_refused(self, times, named):
+        with pytest.raises(ValueError, match=f"time {named} must be finite"):
+            k3_via_embedding(1.0, None, *times)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_evolve_refuses_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=f"time t = {t!r} must be finite"):
+            evolve_and_postselect(1.0, up_y(), t)
+
+    def test_kernel_never_answers_from_nan(self):
+        # a NaN selection probability fails the floor instead of passing it
+        postselect = _dilation(1.0)[1]
+        with pytest.raises(PostselectionStarvationError, match="nan below floor"):
+            postselect(0.5, np.array([math.nan, 0.0], dtype=complex))
+
+
+def _reference_postselect(theta, psi, t):
+    """The dilation's eigh arithmetic, rebuilt on every call:
+    ``(vec, n_t, upper, p_select)``."""
+    eta = build_metric(theta).eta
+    weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta @ psi, eta @ psi)))
+    n_t = 1.0 / math.sqrt(weight)
+    vec = np.concatenate([n_t * psi, n_t * (eta @ psi)])
+    w, v = np.linalg.eigh(build_HT(theta))
+    evolved = ((v * np.exp(-1j * w * t)) @ v.conj().T) @ vec
+    upper = evolved[:2]
+    p_select = float(np.real(np.vdot(upper, upper)))
+    return vec, n_t, upper / math.sqrt(p_select), p_select
+
+
+def _reference_k3(theta, q, times, psi0):
+    def propagate(t, psi):
+        upper = _reference_postselect(theta, np.array(psi), t)[2]
+        return complex(upper[0]), complex(upper[1])
+
+    first, transfer = _propagating_frame(propagate, _pure_born)(
+        tuple(psi0.tolist()), _axis_basis(q.direction)
+    )
+    return LgiResult.from_tables(protocol(first, transfer, *times)[3:], times)
+
+
+def _random_cases(n, seed=1414):
+    """Seeded (theta, psi, q, times) with theta uniform up to the corner or
+    within 1e-6..1 of pi/2, and times t1 < t2 < t3 from zero."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        if k == 0:
+            theta = THETA_MAX
+        elif k % 2:
+            theta = rng.uniform(0.0, THETA_MAX)
+        else:
+            theta = theta_from_delta(10.0 ** rng.uniform(-6.0, 0.0))
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
+        t1 = 0.0 if k % 3 == 0 else rng.uniform(0.0, 1.0)
+        t2 = t1 + rng.uniform(0.05, 2.0)
+        yield theta, z / np.linalg.norm(z), q, (t1, t2, t2 + rng.uniform(0.05, 2.0))
+
+
+class TestOneDilationPerWorkingPoint:
+    def test_bit_identical_to_per_call_arithmetic(self):
+        for theta, psi, q, times in _random_cases(300):
+            st = build_psi_T(theta, psi)
+            vec, n_t, upper, p_select = _reference_postselect(theta, psi, times[1])
+            assert np.array_equal(st.vector, vec) and st.n_t == n_t
+            got, p = evolve_and_postselect(theta, psi, times[1])
+            assert np.array_equal(got, upper) and p == p_select
+            res = k3_via_embedding(theta, q, *times, psi0=psi)
+            want = _reference_k3(theta, q, times, psi)
+            assert (res.c12, res.c23, res.c13, res.k3) == (want.c12, want.c23, want.c13, want.k3)
+
+    def test_validates_once_per_public_call(self, monkeypatch):
+        counts = {"validate_pure": 0, "EmbeddedState": 0}
+        validate = embedding.validate_pure
+
+        def counting_validate(psi):
+            counts["validate_pure"] += 1
+            return validate(psi)
+
+        def counting_post_init(self):
+            counts["EmbeddedState"] += 1
+
+        monkeypatch.setattr(embedding, "validate_pure", counting_validate)
+        monkeypatch.setattr(EmbeddedState, "__post_init__", counting_post_init)
+        psi0 = state_from_bloch_angles(1.0, 0.7)
+        for call in (
+            lambda: k3_via_embedding(1.2, t1=0.1, t2=0.7, t3=1.6, psi0=psi0),
+            lambda: evolve_and_postselect(1.2, psi0, 0.4),
+        ):
+            counts.update({"validate_pure": 0, "EmbeddedState": 0})
+            call()
+            assert counts == {"validate_pure": 1, "EmbeddedState": 0}

@@ -281,6 +281,7 @@ class TestCliLgi:
             (["lgi", "--theta", "1.2", "--t", "-0.5"], "-0.5"),
             (["lgi", "--theta", "1.2", "--t", "nan"], "nan"),
             (["lgi", "--theta", "1.2", "--t", "inf"], "inf"),
+            (["embed", "--tmax", "1e308", "--step", "3e307"], None),
         ],
     )
     def test_bad_spacing_exits_2(self, argv, spacing, capsys):

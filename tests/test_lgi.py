@@ -824,6 +824,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             engine.k3(up_y(), q, 0.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_times_named(self, kappa, t):
+        engine = CorrelatorEngine(NHHamiltonian.canonical(0.5), kappa)
+        q = Observable.canonical()
+        with pytest.raises(ValueError, match=f"time t3 = {t!r} must be finite"):
+            engine.k3(up_y(), q, 0.0, 0.5, t)
+        with pytest.raises(ValueError, match=f"time t_j = {t!r} must be finite"):
+            engine.joint_table(up_y(), q, 0.0, t)
+
     def test_engine_parameters(self):
         h = NHHamiltonian.canonical(0.5)
         with pytest.raises(ValueError):
