@@ -19,7 +19,6 @@ from .dynamics import (
     DegenerateEvolutionError,
     NHHamiltonian,
     StiffnessError,
-    THETA_MAX,
     _spinor_angle,
     _spinor_bloch,
     abn_frame,
@@ -142,6 +141,16 @@ def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
     return rows
 
 
+def _header(args, **fields) -> dict:
+    """Run metadata: the subcommand and the package version, then ``fields``."""
+    return {"command": args.command, "version": __version__, **fields}
+
+
+def _joined(values) -> str:
+    """A list of floats as one metadata value, each at 17 significant digits."""
+    return ",".join(format(x, ".17g") for x in values)
+
+
 def _emit(args, metadata: dict, columns: dict) -> None:
     if args.format == "json":
         payload = {
@@ -169,18 +178,17 @@ def _cmd_trajectory(args) -> int:
     grid = _time_grid(args.tmax, args.step)
     traj = integrate_bloch(bloch_of_pure(up_y()), h, kappa=args.kappa, t_grid=grid)
     abn = traj.abn()
-    metadata = {
-        "command": "trajectory",
-        "version": __version__,
-        "theta": args.theta,
-        "kappa": args.kappa,
-        "tmax": args.tmax,
-        "step": args.step,
-        "initial_state": "up_y",
-        "method": "RK45",
-        "rtol": traj.rtol,
-        "atol": traj.atol,
-    }
+    metadata = _header(
+        args,
+        theta=args.theta,
+        kappa=args.kappa,
+        tmax=args.tmax,
+        step=args.step,
+        initial_state="up_y",
+        method="RK45",
+        rtol=traj.rtol,
+        atol=traj.atol,
+    )
     columns = {
         "t": traj.times,
         "s_x": traj.bloch[:, 0],
@@ -233,14 +241,9 @@ def _cmd_distance(args) -> int:
         "delta": rows_delta,
         last: rows_last,
     }
-    metadata = {
-        "command": "distance",
-        "version": __version__,
-        "mode": mode,
-        "theta": ",".join(format(x, ".17g") for x in args.theta),
-        "tmax": args.tmax,
-        "step": args.step,
-    }
+    metadata = _header(
+        args, mode=mode, theta=_joined(args.theta), tmax=args.tmax, step=args.step
+    )
     _emit(args, metadata, columns)
     return 0
 
@@ -257,14 +260,9 @@ def _cmd_speed(args) -> int:
             rows_t.append(t)
             rows_v.append(speed(h, psi0, t))
             rows_vcf.append(float(v_closed))
-    metadata = {
-        "command": "speed",
-        "version": __version__,
-        "theta": ",".join(format(x, ".17g") for x in args.theta),
-        "tmax": args.tmax,
-        "step": args.step,
-        "initial_state": "up_y",
-    }
+    metadata = _header(
+        args, theta=_joined(args.theta), tmax=args.tmax, step=args.step, initial_state="up_y"
+    )
     columns = {"theta": rows_theta, "t": rows_t, "v": rows_v, "v_closed": rows_vcf}
     _emit(args, metadata, columns)
     return 0
@@ -278,37 +276,33 @@ def _cmd_lgi(args) -> int:
         lambda theta: CorrelatorEngine(NHHamiltonian.canonical(theta), kappa=args.kappa),
         spacings,
     )
-    metadata = {
-        "command": "lgi",
-        "version": __version__,
-        "theta": ",".join(format(x, ".17g") for x in args.theta),
-        "kappa": args.kappa,
-        "times": "0,t,2t",
-        "initial_state": "up_y",
-        "observable": "-y",
-    }
+    metadata = _header(
+        args,
+        theta=_joined(args.theta),
+        kappa=args.kappa,
+        times="0,t,2t",
+        initial_state="up_y",
+        observable="-y",
+    )
     _emit(args, metadata, rows)
     return 0
 
 
 def _cmd_noise(args) -> int:
     theta = _resolve_theta(args)
-    if not 0.0 <= theta <= THETA_MAX:
-        raise ValueError(f"working point theta = {theta!r} outside [0, pi/2 - 1e-6]")
     spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
     rows = _k3_sweep(
         "kappa", args.kappa, lambda kappa: CorrelatorEngine(h, kappa=kappa), spacings
     )
-    metadata = {
-        "command": "noise",
-        "version": __version__,
-        "theta": theta,
-        "kappa": ",".join(format(x, ".17g") for x in args.kappa),
-        "times": "0,t,2t",
-        "initial_state": "up_y",
-        "observable": "-y",
-    }
+    metadata = _header(
+        args,
+        theta=theta,
+        kappa=_joined(args.kappa),
+        times="0,t,2t",
+        initial_state="up_y",
+        observable="-y",
+    )
     _emit(args, metadata, rows)
     return 0
 
@@ -316,13 +310,7 @@ def _cmd_noise(args) -> int:
 def _cmd_scan(args) -> int:
     thetas = args.theta
     k3_results, speed_results = maximize_family(thetas, budget=args.budget, seed=args.seed)
-    metadata = {
-        "command": "scan",
-        "version": __version__,
-        "theta": ",".join(format(x, ".17g") for x in thetas),
-        "budget": args.budget,
-        "seed": args.seed,
-    }
+    metadata = _header(args, theta=_joined(thetas), budget=args.budget, seed=args.seed)
     if args.format == "json":
         payload = {
             "metadata": metadata,
@@ -351,13 +339,7 @@ def _cmd_noisescan(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    metadata = {
-        "command": "noisescan",
-        "version": __version__,
-        "theta": theta,
-        "budget": args.budget,
-        "seed": args.seed,
-    }
+    metadata = _header(args, theta=theta, budget=args.budget, seed=args.seed)
     if args.format == "json":
         payload = {"metadata": metadata, "results": [r.to_dict() for r in results]}
         write_json(args.out, payload)
@@ -374,10 +356,6 @@ def _cmd_noisescan(args) -> int:
 
 def _cmd_embed(args) -> int:
     theta = _resolve_theta(args)
-    if not 0.0 < theta <= THETA_MAX:
-        raise ValueError(
-            f"embedding needs theta in (0, pi/2 - 1e-6], got {theta!r}"
-        )
     spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
     propagate = pure_propagator(h)
@@ -394,15 +372,14 @@ def _cmd_embed(args) -> int:
         rows["p_select"].append(p_sel)
         rows["k3_direct"].append(engine.k3(psi0, q, 0.0, t, 2.0 * t).k3)
         rows["k3_embedded"].append(k3_via_embedding(theta, q, 0.0, t, 2.0 * t, psi0).k3)
-    metadata = {
-        "command": "embed",
-        "version": __version__,
-        "theta": theta,
-        "tmax": args.tmax,
-        "step": args.step,
-        "initial_state": "up_y",
-        "observable": "-y",
-    }
+    metadata = _header(
+        args,
+        theta=theta,
+        tmax=args.tmax,
+        step=args.step,
+        initial_state="up_y",
+        observable="-y",
+    )
     _emit(args, metadata, rows)
     return 0
 
@@ -423,6 +400,19 @@ def _add_output_options(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_grid_options(sub, tmax: float, step: float) -> None:
+    sub.add_argument("--tmax", type=float, default=tmax)
+    sub.add_argument("--step", type=float, default=step)
+
+
+def _add_working_point(sub, delta: float) -> None:
+    """``--theta`` or ``--delta``, the distance below pi/2 (see :func:`_resolve_theta`)."""
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--theta", type=float, default=None)
+    group.add_argument("--delta", type=float, default=delta,
+                       help="distance of theta below pi/2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhlgi",
@@ -437,15 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("trajectory", help="integrate the Bloch flow from up_y")
     sub.add_argument("--theta", type=float, required=True)
     sub.add_argument("--kappa", type=float, default=0.0)
-    sub.add_argument("--tmax", type=float, default=math.pi)
-    sub.add_argument("--step", type=float, default=0.01)
+    _add_grid_options(sub, math.pi, 0.01)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_trajectory)
 
     sub = subs.add_parser("distance", help="geodesic distance along the flow")
     sub.add_argument("--theta", type=_float_list, default=[0.0, math.pi / 4, 1.4])
-    sub.add_argument("--tmax", type=float, default=math.pi)
-    sub.add_argument("--step", type=float, default=0.01)
+    _add_grid_options(sub, math.pi, 0.01)
     sub.add_argument(
         "--rescaled",
         action="store_true",
@@ -456,28 +444,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("speed", help="squared Bloch speed |dS/dt|^2 along the flow")
     sub.add_argument("--theta", type=_float_list, default=[0.0, math.pi / 4, 1.4])
-    sub.add_argument("--tmax", type=float, default=math.pi)
-    sub.add_argument("--step", type=float, default=0.01)
+    _add_grid_options(sub, math.pi, 0.01)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_speed)
 
     sub = subs.add_parser("lgi", help="three-time correlators at spacing t")
     sub.add_argument("--theta", type=_float_list, required=True)
     sub.add_argument("--t", type=float, default=None, help="single spacing")
-    sub.add_argument("--tmax", type=float, default=math.pi / 2)
-    sub.add_argument("--step", type=float, default=0.01)
+    _add_grid_options(sub, math.pi / 2, 0.01)
     sub.add_argument("--kappa", type=float, default=0.0)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_lgi)
 
     sub = subs.add_parser("noise", help="correlators under depolarisation")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=None)
-    group.add_argument("--delta", type=float, default=1e-3,
-                       help="distance of theta below pi/2")
+    _add_working_point(sub, 1e-3)
     sub.add_argument("--kappa", type=_float_list, default=list(_DEFAULT_NOISE_KAPPAS))
-    sub.add_argument("--tmax", type=float, default=math.pi / 2)
-    sub.add_argument("--step", type=float, default=0.01)
+    _add_grid_options(sub, math.pi / 2, 0.01)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_noise)
 
@@ -489,10 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_scan)
 
     sub = subs.add_parser("noisescan", help="maximal K3 against noise strength")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=None)
-    group.add_argument("--delta", type=float, default=1e-3,
-                       help="distance of theta below pi/2")
+    _add_working_point(sub, 1e-3)
     sub.add_argument("--kappa", type=_float_list, default=None,
                      help=f"grid (default: {len(DEFAULT_KAPPA_GRID)} decades up to 1e5)")
     sub.add_argument("--budget", type=int, default=DEFAULT_NOISE_BUDGET)
@@ -501,12 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_noisescan)
 
     sub = subs.add_parser("embed", help="Hermitian dilation versus direct flow")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=None)
-    group.add_argument("--delta", type=float, default=0.1,
-                       help="distance of theta below pi/2")
-    sub.add_argument("--tmax", type=float, default=math.pi / 2)
-    sub.add_argument("--step", type=float, default=0.05)
+    _add_working_point(sub, 0.1)
+    _add_grid_options(sub, math.pi / 2, 0.05)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_embed)
 

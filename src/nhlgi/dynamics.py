@@ -34,6 +34,14 @@ vectors of spinors and density matrices (``_spinor_bloch``,
 ``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
 ``_bloch_axis``) and the eigenbasis of a measurement axis
 (``_axis_basis``).  The public numpy functions validate once and call them.
+
+Each input contract that more than one public call makes is checked by one
+private owner here, which every module calls: the working point
+(``_check_theta``, theta in ``[0, pi/2 - 1e-6]``), the noise rate
+(``_check_kappa``), finite times (``_check_finite_times``) and the Bloch
+ball (``_check_bloch``).  The adaptive Runge-Kutta run and its
+:class:`StiffnessError` live in ``_rk45``, and the scaled generator vectors
+``(scale a, scale b)`` in one cached property of :class:`NHHamiltonian`.
 """
 
 from __future__ import annotations
@@ -191,6 +199,31 @@ def _check_finite_times(**times) -> None:
             raise ValueError(f"time {name} = {t!r} must be finite")
 
 
+def _check_theta(theta: float) -> None:
+    """Refuse a working point of the canonical family outside ``[0, THETA_MAX]``
+    (NaN included): every closed form, Hamiltonian and dilation of ``theta``
+    shares this domain."""
+    if not 0.0 <= theta <= THETA_MAX:
+        raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
+
+
+def _check_kappa(kappa: float) -> None:
+    """Refuse a negative, NaN or infinite depolarising rate."""
+    if not (kappa >= 0.0 and math.isfinite(kappa)):
+        raise ValueError("kappa must be a finite non-negative rate")
+
+
+def _check_bloch(s, what: str) -> np.ndarray:
+    """``s`` as a float 3-vector inside the Bloch ball ``|S| <= 1/2`` (to 1e-8);
+    ``what`` names it in the refusal.  A non-finite vector is refused too."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (3,):
+        raise ValueError(f"{what} must be a 3-vector, got shape {s.shape}")
+    if not np.linalg.norm(s) <= 0.5 + 1e-8:
+        raise ValueError(f"{what} lies outside the Bloch ball |S| <= 1/2")
+    return s
+
+
 def validate_density(rho) -> np.ndarray:
     """Return ``rho`` as a 2x2 density matrix, checking the usual axioms."""
     rho = np.asarray(rho, dtype=complex)
@@ -242,12 +275,7 @@ def _density_bloch(rho) -> tuple[float, float, float]:
 
 def density_from_bloch(s) -> np.ndarray:
     """Density matrix ``I/2 + S . sigma`` of a Bloch vector with |S| <= 1/2."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError(f"expected a Bloch 3-vector, got shape {s.shape}")
-    if np.linalg.norm(s) > 0.5 + 1e-8:
-        raise ValueError("Bloch vector lies outside the unit-radius ball (|S| > 1/2)")
-    return 0.5 * ID2 + pauli_vector(s)
+    return 0.5 * ID2 + pauli_vector(_check_bloch(s, "Bloch vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +322,7 @@ class NHHamiltonian:
         Matching against ``(a - i b) . sigma`` gives ``a = sec(theta) x`` and
         ``b = -tan(theta) z``.  Domain: ``0 <= theta <= pi/2 - 1e-6``.
         """
-        if not np.isfinite(theta) or theta < 0.0 or theta > THETA_MAX:
-            raise ValueError(
-                f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}"
-            )
+        _check_theta(theta)
         return cls(
             a=np.array([1.0 / math.cos(theta), 0.0, 0.0]),
             b=np.array([0.0, 0.0, -math.tan(theta)]),
@@ -308,6 +333,11 @@ class NHHamiltonian:
     def matrix(self) -> np.ndarray:
         """The 2x2 operator ``scale * (a - i b) . sigma``."""
         return self.scale * (pauli_vector(self.a) - 1j * pauli_vector(self.b))
+
+    @cached_property
+    def _scaled(self) -> tuple[list[float], list[float]]:
+        """``(scale a, scale b)`` as plain float lists, for the scalar kernels."""
+        return (self.scale * self.a).tolist(), (self.scale * self.b).tolist()
 
     @cached_property
     def a_operator(self) -> np.ndarray:
@@ -422,7 +452,7 @@ def _bloch_lift(h: NHHamiltonian, kappa: float):
     [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``; returns that map as
     ``lift(r0, x, y, z) -> (r0', x', y', z')``.
     """
-    (ax, ay, az), (bx, by, bz) = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+    (ax, ay, az), (bx, by, bz) = h._scaled
 
     def lift(r0, x, y, z):
         return (
@@ -496,14 +526,7 @@ def _noisy_rhs_matrix(h: NHHamiltonian, kappa: float, rho: np.ndarray) -> np.nda
     return -1j * comm - anti + pump + kappa * (ID2 - 2.0 * rho)
 
 
-def evolve_density_noisy(
-    h: NHHamiltonian,
-    rho0,
-    kappa: float,
-    t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
+def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.ndarray:
     """Propagate the renormalised flow with depolarising noise to time ``t``.
 
     Integrates, directly in density-matrix form,
@@ -511,40 +534,45 @@ def evolve_density_noisy(
         drho/dt = -i[A.sigma, rho] - {B.sigma, rho} + 2 tr(rho B.sigma) rho
                   + kappa (I - 2 rho)
 
-    with an adaptive embedded Runge-Kutta 4(5) pair.  At ``kappa = 0`` the
-    result agrees with :func:`evolve_density` to integration tolerance.
+    with an adaptive embedded Runge-Kutta 4(5) pair at ``rtol = 1e-10`` and
+    ``atol = 1e-12``.  At ``kappa = 0`` the result agrees with
+    :func:`evolve_density` to integration tolerance.
     """
     rho0 = validate_density(rho0)
-    if kappa < 0.0 or not np.isfinite(kappa):
-        raise ValueError("kappa must be a finite non-negative rate")
+    _check_kappa(kappa)
     _check_finite_times(t=t)
     if t == 0.0:
         return rho0.copy()
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
 
-    from scipy.integrate import solve_ivp
-
     def rhs(_t, y):
         rho = y.reshape(2, 2)
         return _noisy_rhs_matrix(h, kappa, rho).reshape(-1)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        rho0.reshape(-1),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"noisy density integration stalled at t = {sol.t[-1]!r}: {sol.message}",
-            time=float(sol.t[-1]),
-        )
-    rho = sol.y[:, -1].reshape(2, 2)
+    y = _rk45(rhs, rho0.reshape(-1), t, None, 1e-10, 1e-12, "noisy density")
+    rho = y[:, -1].reshape(2, 2)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def _rk45(fun, y0, t_end: float, t_eval, rtol: float, atol: float, what: str):
+    """``sol.y`` of scipy's RK45 from ``t = 0`` to ``t_end``: every adaptive run
+    of the library goes through here.  A failed run raises
+    :class:`StiffnessError` naming ``what`` and carrying the last time reached
+    (0.0 when no step was taken).
+    """
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
+        fun, (0.0, t_end), y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
+    )
+    if not sol.success:
+        t_fail = float(sol.t[-1]) if len(sol.t) else 0.0
+        raise StiffnessError(
+            f"{what} integration stalled at t = {t_fail!r}: {sol.message}", time=t_fail
+        )
+    return sol.y
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +586,8 @@ def bloch_rhs(s, h: NHHamiltonian, kappa: float = 0.0) -> np.ndarray:
     preserves ``|S| = 1/2`` when ``kappa = 0`` and leaves the component along
     ``A`` invariant if it starts at zero.
     """
-    s = np.asarray(s, dtype=float)
-    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
-    return np.array(_bloch_rhs(a, b, kappa, s.tolist()))
+    a, b = h._scaled
+    return np.array(_bloch_rhs(a, b, kappa, np.asarray(s, dtype=float).tolist()))
 
 
 def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
@@ -585,7 +612,7 @@ def _speed_route(h: NHHamiltonian):
     speed search of :mod:`nhlgi.scan` both evaluate the speed here.
     """
     propagate = pure_propagator(h)
-    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
+    a, b = h._scaled
 
     def route(t, psi):
         dx, dy, dz = _bloch_rhs(a, b, 0.0, _spinor_bloch(propagate(t, psi)))
@@ -637,13 +664,8 @@ def integrate_bloch(
     adaptive embedded Runge-Kutta 4(5) pair at tight tolerances; failure to
     advance raises :class:`StiffnessError` carrying the failure time.
     """
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (3,):
-        raise ValueError("initial Bloch vector must be a 3-vector")
-    if np.linalg.norm(s0) > 0.5 + 1e-8:
-        raise ValueError("initial Bloch vector outside the physical ball")
-    if kappa < 0.0 or not np.isfinite(kappa):
-        raise ValueError("kappa must be a finite non-negative rate")
+    s0 = _check_bloch(s0, "initial Bloch vector")
+    _check_kappa(kappa)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d array")
@@ -658,25 +680,12 @@ def integrate_bloch(
         ys = np.repeat(s0[None, :], t_grid.size, axis=0)
         return Trajectory(t_grid, ys, h, kappa, rtol, atol)
 
-    from scipy.integrate import solve_ivp
-
-    a, b = (h.scale * h.a).tolist(), (h.scale * h.b).tolist()
-    sol = solve_ivp(
+    a, b = h._scaled
+    y = _rk45(
         lambda _t, s: np.array(_bloch_rhs(a, b, kappa, s.tolist())),
-        (0.0, float(t_grid[-1])),
-        s0,
-        method="RK45",
-        t_eval=t_grid,
-        rtol=rtol,
-        atol=atol,
+        s0, float(t_grid[-1]), t_grid, rtol, atol, "Bloch",
     )
-    if not sol.success:
-        raise StiffnessError(
-            f"Bloch integration stalled at t = {sol.t[-1] if sol.t.size else 0.0!r}: "
-            f"{sol.message}",
-            time=float(sol.t[-1]) if sol.t.size else 0.0,
-        )
-    return Trajectory(t_grid, sol.y.T, h, kappa, rtol, atol)
+    return Trajectory(t_grid, y.T, h, kappa, rtol, atol)
 
 
 def analytic_SB_Sn(a_mag: float, b_mag: float, t):
@@ -742,8 +751,7 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
     Vanishes (modulo the pi periodicity of the flow) exactly at
     ``t = pi/2``, where every member of the family reaches ``down_y``.
     """
-    if not (0.0 <= theta <= THETA_MAX):
-        raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
+    _check_theta(theta)
     t = np.asarray(t, dtype=float)
     s = math.sin(theta)
     arg = np.sin(t) ** 2 * (1.0 - s) / (1.0 + np.cos(2.0 * t) * s)
@@ -773,8 +781,7 @@ def speed_closed_form(theta: float, t) -> float | np.ndarray:
     Equals 1 for all ``t`` in the Hermitian limit and peaks at ``t = pi/2``
     with value ``(1 + sin theta) / (1 - sin theta)``.
     """
-    if not (0.0 <= theta <= THETA_MAX):
-        raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
+    _check_theta(theta)
     t = np.asarray(t, dtype=float)
     out = math.cos(theta) ** 2 / (1.0 + np.cos(2.0 * t) * math.sin(theta)) ** 2
     return float(out) if out.ndim == 0 else out

@@ -45,13 +45,13 @@ import numpy as np
 
 from .dynamics import (
     NHHamiltonian,
-    THETA_MAX,
     _axis_basis,
     _check_finite_times,
+    _check_theta,
     up_y,
     validate_pure,
 )
-from .lgi import LgiResult, Observable, _propagating_frame, _pure_born, protocol
+from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -112,8 +112,7 @@ def build_metric(theta: float) -> Metric:
     the product norm because near ``theta = pi/2`` the relation involves a
     cancellation of order ``sec^2(theta)`` down to order one.
     """
-    if not (0.0 <= theta <= THETA_MAX):
-        raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
+    _check_theta(theta)
     eta = (1.0 / math.cos(theta)) * ID2 + math.tan(theta) * SIGMA_Y
     eigs = np.linalg.eigvalsh(eta)
     if eigs.min() <= 0.0:
@@ -250,9 +249,6 @@ def k3_via_embedding(
     if q is None:
         q = Observable.canonical()
     psi0 = validate_pure(up_y() if psi0 is None else psi0)
-    _check_finite_times(t1=t1, t2=t2, t3=t3)
-    if not 0.0 <= t1 < t2 < t3:
-        raise ValueError("need 0 <= t1 < t2 < t3")
     postselect = _dilation(theta)[1]
 
     def propagate(t, psi):
@@ -264,5 +260,4 @@ def k3_via_embedding(
     first, transfer = _propagating_frame(propagate, _pure_born)(
         tuple(psi0.tolist()), _axis_basis(q.direction)
     )
-    tables = protocol(first, transfer, t1, t2, t3)[3:]
-    return LgiResult.from_tables(tables, (t1, t2, t3))
+    return _k3_result(first, transfer, t1, t2, t3, 0.0)

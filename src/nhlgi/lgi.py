@@ -68,6 +68,8 @@ from .dynamics import (
     _bloch_axis,
     _bloch_lift,
     _check_finite_times,
+    _check_kappa,
+    _check_theta,
     _density_bloch,
     _density_propagator,
     _spinor_bloch,
@@ -338,8 +340,7 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
     other shape.  The residual checks the decomposition, not the propagated
     result: a lift that passes can still be inaccurate near the corner.
     """
-    if kappa < 0.0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be a finite non-negative rate")
+    _check_kappa(kappa)
     lift = _bloch_lift(h, kappa)
     matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
     lam, v = np.linalg.eig(matrix)
@@ -505,6 +506,19 @@ def protocol(first, transfer, t1: float, t2: float, t3: float):
     return tuple(map(_correlator, tables)) + tables
 
 
+def _k3_result(first, transfer, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
+    """The validated :class:`LgiResult` of :func:`protocol` at ``t1 < t2 < t3``.
+
+    The times are checked here, once per public K3 call: each must be finite
+    and ``0 <= t1 < t2 < t3``.
+    """
+    _check_finite_times(t1=t1, t2=t2, t3=t3)
+    if not 0.0 <= t1 < t2 < t3:
+        raise ValueError("need 0 <= t1 < t2 < t3")
+    tables = protocol(first, transfer, t1, t2, t3)[3:]
+    return LgiResult.from_tables(tables, (t1, t2, t3), kappa)
+
+
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
@@ -569,12 +583,7 @@ class CorrelatorEngine:
 
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
-        first, transfer = self._protocol_inputs(state, q)
-        _check_finite_times(t1=t1, t2=t2, t3=t3)
-        if not 0.0 <= t1 < t2 < t3:
-            raise ValueError("need 0 <= t1 < t2 < t3")
-        tables = protocol(first, transfer, t1, t2, t3)[3:]
-        return LgiResult.from_tables(tables, (t1, t2, t3), self.kappa)
+        return _k3_result(*self._protocol_inputs(state, q), t1, t2, t3, self.kappa)
 
 
 def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:
@@ -591,11 +600,10 @@ def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:
     and ``C23`` follows from its four joint probabilities.  At ``t = pi/4``
     the combination collapses to ``K3 = 1 + sin theta + sin^2 theta`` with
     ``C13 = -1`` pinned (the flow maps the initial state exactly onto its
-    antipode over the half period).  Domain: ``theta in [0, pi/2)``,
-    ``t in (0, pi/2]``.
+    antipode over the half period).  Domain: ``theta in [0, pi/2 - 1e-6]``,
+    the library's, and ``t in (0, pi/2]``.
     """
-    if not (0.0 <= theta < math.pi / 2):
-        raise ValueError(f"theta must lie in [0, pi/2), got {theta!r}")
+    _check_theta(theta)
     if not (0.0 < t <= math.pi / 2):
         raise ValueError(f"t must lie in (0, pi/2], got {t!r}")
     s = math.sin(theta)

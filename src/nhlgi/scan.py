@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from operator import add
 from typing import NamedTuple
@@ -118,16 +118,8 @@ class ScanResult:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "theta": self.theta,
-            "kappa": self.kappa,
-            "objective": self.objective,
-            "argmax": dict(self.argmax),
-            "evals": self.evals,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
+        """The fields in declaration order, with a copy of the argmax."""
+        return asdict(self)
 
 
 class SimplexResult(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from nhlgi.dynamics import (
     validate_density,
     validate_pure,
 )
+from nhlgi.embedding import build_HT, build_metric, evolve_and_postselect, k3_via_embedding
+from nhlgi.lgi import k3_closed_form
 from oracles import rk4, taylor_expm
 
 THETAS = [0.0, math.pi / 6, 0.9, 1.2, 1.4]
@@ -352,6 +355,8 @@ class TestBlochFlow:
             integrate_bloch([0.1, 0.0, 0.0], h, t_grid=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             integrate_bloch([0.1, 0.0, 0.0], h, kappa=-1.0, t_grid=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="outside the Bloch ball"):
+            integrate_bloch([math.nan, 0.0, 0.0], h, t_grid=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.zeros((3, 3)), h)
         with pytest.raises(ValueError):
@@ -471,6 +476,39 @@ class TestDistanceAndSpeed:
             speed_closed_form(2.0, 0.5)
         with pytest.raises(ValueError):
             geodesic_distance_closed_form(-0.2, 0.5)
+
+
+_THETA_ENTRIES = {
+    "NHHamiltonian.canonical": NHHamiltonian.canonical,
+    "speed_closed_form": lambda theta: speed_closed_form(theta, 0.3),
+    "geodesic_distance_closed_form": lambda theta: geodesic_distance_closed_form(theta, 0.3),
+    "k3_closed_form": lambda theta: k3_closed_form(theta, math.pi / 4),
+    "build_metric": build_metric,
+    "build_HT": build_HT,
+    "evolve_and_postselect": lambda theta: evolve_and_postselect(theta, up_y(), 0.3),
+    "k3_via_embedding": k3_via_embedding,
+}
+
+
+@pytest.mark.parametrize("theta", [-0.1, math.pi / 2 - 1e-9, math.nan])
+@pytest.mark.parametrize("entry", sorted(_THETA_ENTRIES))
+def test_theta_domain_is_one_contract(entry, theta):
+    # every public entry taking a working point refuses the same way
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi/2 - 1e-6\]"):
+        _THETA_ENTRIES[entry](theta)
+
+
+@pytest.mark.parametrize("t, at", [([0.0, 0.3, 0.7], 0.7), ([], 0.0)])
+@pytest.mark.parametrize("route", ["integrate_bloch", "evolve_density_noisy"])
+def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):
+    # a run that stalled after the times t, or before its first step
+    import scipy.integrate
+
+    failed = SimpleNamespace(t=np.array(t), success=False, message="step size too small")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: failed)
+    with pytest.raises(StiffnessError, match="stalled at t = ") as exc:
+        _TIMED_ROUTES[route](1.0)
+    assert exc.value.time == at
 
 
 _H = NHHamiltonian.canonical(0.9)

@@ -492,6 +492,18 @@ class TestCliEmbed:
         )
         assert np.all(columns["p_select"] <= 1.0 + 1e-12)
 
+    def test_hermitian_limit(self, tmp_path):
+        # at theta = 0 the metric is the identity and the dilation still works
+        out = tmp_path / "embed.csv"
+        assert main(["embed", "--theta", "0", "--tmax", "1.5",
+                     "--step", "0.5", "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        np.testing.assert_allclose(columns["fidelity"], 1.0, atol=1e-10)
+        np.testing.assert_allclose(columns["p_select"], 0.5, atol=1e-12)
+        np.testing.assert_allclose(
+            columns["k3_embedded"], columns["k3_direct"], atol=1e-10
+        )
+
 
 class TestCliCheck:
     def test_single_fast_criterion(self, capsys):
@@ -514,6 +526,15 @@ class TestCliErrors:
     def test_domain_error_exits_2(self, capsys):
         assert main(["trajectory", "--theta", "2.0"]) == 2
         assert "invalid parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["lgi", "noise", "noisescan", "embed", "trajectory", "speed", "distance"]
+    )
+    def test_theta_refused_with_the_library_message(self, command, capsys):
+        assert main([command, "--theta", "1.6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid parameters: theta must lie in [0, pi/2 - 1e-6], got 1.6\n"
+        )
 
     def test_scan_budget_error_exits_2(self, capsys):
         assert main(["scan", "--theta", "0.5", "--budget", "10"]) == 2

@@ -655,6 +655,9 @@ class TestClosedForm:
             k3_closed_form(-0.1, 0.4)
         with pytest.raises(ValueError):
             k3_closed_form(math.pi / 2, 0.4)
+        # sin(theta) rounds to 1 here, so 1 + cos(4t) sin(theta) would be 0
+        with pytest.raises(ValueError):
+            k3_closed_form(math.pi / 2 - 1e-9, math.pi / 4)
         with pytest.raises(ValueError):
             k3_closed_form(0.3, 0.0)
         with pytest.raises(ValueError):
