@@ -9,6 +9,7 @@ or parameter errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_trajectory)
 
     sub = subs.add_parser("distance", help="geodesic distance along the flow")
-    sub.add_argument("--theta", type=_float_list, default=[0.0, math.pi / 4, 1.4])
+    sub.add_argument("--theta", type=_float_list, default=(0.0, math.pi / 4, 1.4))
     _add_grid_options(sub, math.pi, 0.01)
     sub.add_argument(
         "--rescaled",
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_distance)
 
     sub = subs.add_parser("speed", help="squared Bloch speed |dS/dt|^2 along the flow")
-    sub.add_argument("--theta", type=_float_list, default=[0.0, math.pi / 4, 1.4])
+    sub.add_argument("--theta", type=_float_list, default=(0.0, math.pi / 4, 1.4))
     _add_grid_options(sub, math.pi, 0.01)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_speed)
@@ -458,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("noise", help="correlators under depolarisation")
     _add_working_point(sub, 1e-3)
-    sub.add_argument("--kappa", type=_float_list, default=list(_DEFAULT_NOISE_KAPPAS))
+    sub.add_argument("--kappa", type=_float_list, default=_DEFAULT_NOISE_KAPPAS)
     _add_grid_options(sub, math.pi / 2, 0.01)
     _add_output_options(sub)
     sub.set_defaults(func=_cmd_noise)
 
     sub = subs.add_parser("scan", help="maximise K3 and speed over the family")
-    sub.add_argument("--theta", type=_float_list, default=list(DEFAULT_THETA_GRID))
+    sub.add_argument("--theta", type=_float_list, default=DEFAULT_THETA_GRID)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub.add_argument("--seed", type=int, default=0)
     _add_output_options(sub)
@@ -495,9 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` runs: built by the first call of a process and
+    kept, so a caller running many commands in one process builds it once.
+    Its defaults are immutable (tuples, not lists), so no run changes the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
     except ScanConfigError as exc:

@@ -93,6 +93,10 @@ __all__ = [
 THETA_MAX = math.pi / 2 - 1e-6
 
 _NORM_FLOOR = 1e-14
+# Right-hand sides one RK45 run may spend before it is refused.  The largest
+# need found is 1.33e6, for ``nhlgi trajectory`` at kappa = 1e5 to t = pi; the
+# long-horizon acceptance run needs 4.9e4.
+_RK45_MAX_EVALS = 2_000_000
 
 
 class DegenerateEvolutionError(RuntimeError):
@@ -560,12 +564,27 @@ def _rk45(fun, y0, t_end: float, t_eval, rtol: float, atol: float, what: str):
     """``sol.y`` of scipy's RK45 from ``t = 0`` to ``t_end``: every adaptive run
     of the library goes through here.  A failed run raises
     :class:`StiffnessError` naming ``what`` and carrying the last time reached
-    (0.0 when no step was taken).
+    (0.0 when no step was taken), and so does a run that needs more than
+    ``_RK45_MAX_EVALS`` right-hand sides, at the time of its last one.
     """
     from scipy.integrate import solve_ivp
 
+    evals, reached = 0, 0.0
+
+    def counted(t, y):
+        nonlocal evals, reached
+        if evals >= _RK45_MAX_EVALS:
+            at = float(reached)
+            raise StiffnessError(
+                f"{what} integration stopped at t = {at!r} of {t_end!r}: "
+                f"it spent its budget of {evals} right-hand sides",
+                time=at,
+            )
+        evals, reached = evals + 1, t
+        return fun(t, y)
+
     sol = solve_ivp(
-        fun, (0.0, t_end), y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
+        counted, (0.0, t_end), y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
     )
     if not sol.success:
         t_fail = float(sol.t[-1]) if len(sol.t) else 0.0

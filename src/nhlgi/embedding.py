@@ -30,9 +30,11 @@ The useful corner is ``theta = pi/2 - delta`` for small positive ``delta``;
 at ``delta = 0`` exactly the embedded state degenerates to a product state
 and the construction is rejected.
 
-Each ``theta`` builds one cached dilation: the metric and a post-selection
-kernel on the eigenpairs of ``H_T``.  Every public call validates once and
-then runs the kernel; the legs of :func:`k3_via_embedding` validate nothing.
+Since ``{H_s, V} = 0`` and ``H_s^2 + V^2 = I``, ``H_T^2 = I``; so on
+``(x, y) = N_T (psi, eta psi)`` the post-selected block of ``exp(-i H_T t)``
+is ``cos(t) x - i sin(t) H_s x - sin(t) V y``, free of the 2x2 ``sec``/``tan``.
+Each ``theta`` caches this scalar kernel and the verified metric; public
+calls validate once, the legs of :func:`k3_via_embedding` never.
 """
 
 from __future__ import annotations
@@ -114,33 +116,32 @@ def build_metric(theta: float) -> Metric:
     """
     _check_theta(theta)
     eta = (1.0 / math.cos(theta)) * ID2 + math.tan(theta) * SIGMA_Y
-    eigs = np.linalg.eigvalsh(eta)
-    if eigs.min() <= 0.0:
+    if np.linalg.eigvalsh(eta).min() <= 0.0:
         raise RuntimeError("metric lost positivity; construction bug")
     h = NHHamiltonian.canonical(theta).matrix
     residual = float(np.linalg.norm(eta @ h - dagger(h) @ eta))
     cap = 1e-10 * max(1.0, float(np.linalg.norm(eta)) * float(np.linalg.norm(h)))
     if residual > cap:
-        raise RuntimeError(
-            f"metric does not intertwine the Hamiltonian (residual {residual:.3e})"
-        )
+        raise RuntimeError(f"eta does not intertwine H_theta (residual {residual:.3e})")
     return Metric(theta=theta, eta=eta)
 
 
 def build_HT(theta: float) -> np.ndarray:
     """Hermitian total Hamiltonian on ancilla (x) system.
 
-    Verifies Hermiticity and both block identities that make the dilation
-    work: ``H_s - i V eta = H_theta`` (upper block drives the renormalised
-    flow) and ``i V + H_s eta = eta H_theta`` (lower block stays slaved to
-    ``eta`` times the upper one).
+    Verifies Hermiticity, ``H_T^2 = I`` (the kernel of :func:`_dilation`
+    rests on it) and both block identities that make the dilation work:
+    ``H_s - i V eta = H_theta`` (upper block drives the renormalised flow)
+    and ``i V + H_s eta = eta H_theta`` (lower block stays slaved to ``eta``
+    times the upper one).
     """
     metric = build_metric(theta)
     h_s = math.cos(theta) * SIGMA_X
     v = -math.sin(theta) * SIGMA_Z
     h_t = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v)
-    if np.linalg.norm(h_t - dagger(h_t)) > 1e-12:
-        raise RuntimeError("total Hamiltonian is not Hermitian; construction bug")
+    square = np.linalg.norm(h_t @ h_t - np.eye(4))
+    if max(np.linalg.norm(h_t - dagger(h_t)), square) > 1e-12:
+        raise RuntimeError("H_T is not a Hermitian involution; construction bug")
     h = NHHamiltonian.canonical(theta).matrix
     upper = h_s - 1j * v @ metric.eta - h
     lower = 1j * v + h_s @ metric.eta - metric.eta @ h
@@ -165,9 +166,8 @@ class EmbeddedState:
         if abs(float(np.linalg.norm(self.vector)) - 1.0) > 1e-12:
             raise ValueError("embedded state must be normalised")
         slaved = _dilation(self.theta)[0] @ self.vector[:2]
-        if float(np.linalg.norm(self.vector[2:] - slaved)) > 1e-8 * max(
-            1.0, float(np.linalg.norm(slaved))
-        ):
+        cap = 1e-8 * max(1.0, np.linalg.norm(slaved))
+        if np.linalg.norm(self.vector[2:] - slaved) > cap:
             raise ValueError("lower block is not eta times the upper block")
 
     @property
@@ -179,41 +179,46 @@ class EmbeddedState:
         return self.vector[2:]
 
 
-def _embed(eta: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(N_T (psi, eta psi), N_T)`` of a validated spinor ``psi``."""
-    eta_psi = eta @ psi
-    weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta_psi, eta_psi)))
-    n_t = 1.0 / math.sqrt(weight)
-    return np.concatenate([n_t * psi, n_t * eta_psi]), n_t
+def _embed(eta, psi):
+    """``((x0, x1, y0, y1), N_T)`` of ``N_T (psi, eta psi)`` for the rows of
+    ``eta`` and a validated spinor pair ``psi``, all plain scalars."""
+    (e00, e01), (e10, e11) = eta
+    a, b = psi
+    ya, yb = e00 * a + e01 * b, e10 * a + e11 * b
+    n_t = 1.0 / math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(ya) ** 2 + abs(yb) ** 2)
+    return (n_t * a, n_t * b, n_t * ya, n_t * yb), n_t
 
 
 def build_psi_T(theta: float, psi) -> EmbeddedState:
     """Embed a normalised system state into the ancilla-extended space."""
     psi = validate_pure(psi)
-    vec, n_t = _embed(_dilation(theta)[0], psi)
+    vec, n_t = _embed(_dilation(theta)[0].tolist(), psi.tolist())
     return EmbeddedState(vector=vec, n_t=n_t, theta=theta)
 
 
 @lru_cache(maxsize=128)
 def _dilation(theta: float):
     """``(eta, postselect)`` of ``theta``: the verified metric, read-only, and
-    ``postselect(t, psi) -> (upper, p_select)``, which embeds a validated
-    spinor array, evolves it under :func:`build_HT` and post-selects.
-    """
+    ``postselect(t, psi) -> ((u0, u1), p_select)`` on spinor pairs.  It embeds
+    ``psi``, applies ``cos(t) I - i sin(t) H_T`` and post-selects, on scalars."""
     eta = build_metric(theta).eta
     eta.flags.writeable = False
-    w, v = np.linalg.eigh(build_HT(theta))
-    v_dag = v.conj().T
+    build_HT(theta)
+    rows = eta.tolist()
+    c, s = math.cos(theta), math.sin(theta)
 
     def postselect(t, psi):
-        vec, _ = _embed(eta, psi)
-        upper = ((v * np.exp(-1j * w * t)) @ v_dag @ vec)[:2]
-        p_select = float(np.real(np.vdot(upper, upper)))
+        (x0, x1, y0, y1), _ = _embed(rows, psi)
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        hop, vs = complex(0.0, -sin_t * c), sin_t * s
+        u0, u1 = cos_t * x0 + hop * x1 + vs * y0, cos_t * x1 + hop * x0 - vs * y1
+        p_select = abs(u0) ** 2 + abs(u1) ** 2
         if not p_select >= _P_SELECT_FLOOR:
             raise PostselectionStarvationError(
                 f"post-selection probability {p_select:.3e} below floor at t = {t!r}"
             )
-        return upper / math.sqrt(p_select), p_select
+        r = math.sqrt(p_select)
+        return (u0 / r, u1 / r), p_select
 
     return eta, postselect
 
@@ -227,7 +232,8 @@ def evolve_and_postselect(theta: float, psi0, t: float) -> tuple[np.ndarray, flo
     """
     psi0 = validate_pure(psi0)
     _check_finite_times(t=t)
-    return _dilation(theta)[1](t, psi0)
+    upper, p_select = _dilation(theta)[1](t, psi0.tolist())
+    return np.array(upper), p_select
 
 
 def k3_via_embedding(
@@ -250,14 +256,8 @@ def k3_via_embedding(
         q = Observable.canonical()
     psi0 = validate_pure(up_y() if psi0 is None else psi0)
     postselect = _dilation(theta)[1]
-
-    def propagate(t, psi):
-        # Re-embed, evolve unitarily and post-select; the upper block comes
-        # back normalised.
-        upper, _ = postselect(t, np.array(psi))
-        return complex(upper[0]), complex(upper[1])
-
-    first, transfer = _propagating_frame(propagate, _pure_born)(
-        tuple(psi0.tolist()), _axis_basis(q.direction)
+    # each leg re-embeds, evolves, post-selects and returns the normalised upper block
+    first, transfer = _propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)(
+        psi0.tolist(), _axis_basis(q.direction)
     )
     return _k3_result(first, transfer, t1, t2, t3, 0.0)

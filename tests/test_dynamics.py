@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nhlgi.dynamics
 from nhlgi.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector
 from nhlgi.dynamics import (
     THETA_MAX,
@@ -509,6 +510,50 @@ def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):
     with pytest.raises(StiffnessError, match="stalled at t = ") as exc:
         _TIMED_ROUTES[route](1.0)
     assert exc.value.time == at
+
+
+_UNBOUNDED_RUNS = {
+    "integrate_bloch": lambda: integrate_bloch(
+        bloch_of_pure(up_y()), NHHamiltonian.canonical(0.9), t_grid=[0.0, 1e9]
+    ),
+    "evolve_density_noisy": lambda: evolve_density_noisy(
+        NHHamiltonian.canonical(0.9), projector(up_y()), 0.0, 1e9
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_UNBOUNDED_RUNS))
+def test_rk45_run_past_its_budget_is_refused(route, monkeypatch):
+    # An end time of 1e9 needs about 1e11 right-hand sides.  The budget,
+    # lowered here to keep the test fast, refuses the run where it got to.
+    monkeypatch.setattr(nhlgi.dynamics, "_RK45_MAX_EVALS", 3000)
+    with pytest.raises(StiffnessError, match="spent its budget of 3000 right-hand") as exc:
+        _UNBOUNDED_RUNS[route]()
+    assert 0.0 < exc.value.time < 1e9
+
+
+def test_rk45_budget_admits_a_run_that_needs_all_of_it(monkeypatch):
+    import scipy.integrate
+
+    real_solve_ivp = scipy.integrate.solve_ivp
+    evals = 0
+
+    def counting_solve_ivp(fun, *args, **kwargs):
+        def counted(t, y):
+            nonlocal evals
+            evals += 1
+            return fun(t, y)
+
+        return real_solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    run = lambda: integrate_bloch(bloch_of_pure(up_y()), _H, t_grid=[0.0, 0.5, 3.0]).bloch
+    want, need = run(), evals
+    monkeypatch.setattr(nhlgi.dynamics, "_RK45_MAX_EVALS", need)
+    np.testing.assert_array_equal(run(), want)
+    monkeypatch.setattr(nhlgi.dynamics, "_RK45_MAX_EVALS", need - 1)
+    with pytest.raises(StiffnessError, match=f"budget of {need - 1} right-hand"):
+        run()
 
 
 _H = NHHamiltonian.canonical(0.9)

@@ -234,12 +234,12 @@ class TestNonFinite:
         # a NaN selection probability fails the floor instead of passing it
         postselect = _dilation(1.0)[1]
         with pytest.raises(PostselectionStarvationError, match="nan below floor"):
-            postselect(0.5, np.array([math.nan, 0.0], dtype=complex))
+            postselect(0.5, (complex(math.nan), 0j))
 
 
 def _reference_postselect(theta, psi, t):
-    """The dilation's eigh arithmetic, rebuilt on every call:
-    ``(vec, n_t, upper, p_select)``."""
+    """The eigendecomposition route through ``exp(-i H_T t)``, rebuilt on
+    every call: ``(vec, n_t, upper, p_select)``."""
     eta = build_metric(theta).eta
     weight = float(np.real(np.vdot(psi, psi) + np.vdot(eta @ psi, eta @ psi)))
     n_t = 1.0 / math.sqrt(weight)
@@ -280,17 +280,53 @@ def _random_cases(n, seed=1414):
         yield theta, z / np.linalg.norm(z), q, (t1, t2, t2 + rng.uniform(0.05, 2.0))
 
 
+def _rebuilt_postselect(theta, psi, t):
+    """The closed-form kernel, rebuilt and re-verified on every call."""
+    return embedding._dilation.__wrapped__(theta)[1](t, tuple(complex(c) for c in psi))
+
+
 class TestOneDilationPerWorkingPoint:
-    def test_bit_identical_to_per_call_arithmetic(self):
+    def test_bit_identical_to_per_call_rebuild(self):
         for theta, psi, q, times in _random_cases(300):
             st = build_psi_T(theta, psi)
-            vec, n_t, upper, p_select = _reference_postselect(theta, psi, times[1])
-            assert np.array_equal(st.vector, vec) and st.n_t == n_t
+            vec, n_t = embedding._embed(build_metric(theta).eta.tolist(), psi.tolist())
+            assert np.array_equal(st.vector, np.array(vec)) and st.n_t == n_t
+            upper, p_select = _rebuilt_postselect(theta, psi, times[1])
             got, p = evolve_and_postselect(theta, psi, times[1])
-            assert np.array_equal(got, upper) and p == p_select
+            assert np.array_equal(got, np.array(upper)) and p == p_select
+            first, transfer = _propagating_frame(
+                lambda t, c: _rebuilt_postselect(theta, c, t)[0], _pure_born
+            )(tuple(psi.tolist()), _axis_basis(q.direction))
+            want = LgiResult.from_tables(protocol(first, transfer, *times)[3:], times)
+            res = k3_via_embedding(theta, q, *times, psi0=psi)
+            assert (res.c12, res.c23, res.c13, res.k3) == (want.c12, want.c23, want.c13, want.k3)
+
+    def test_closed_form_matches_eigh_arithmetic(self):
+        # The kernel and the eigendecomposition of H_T are two routes to
+        # exp(-i H_T t); they agree to rounding down to THETA_MAX.  Within
+        # 1e-5 of the corner single correlators amplify that rounding to
+        # 1.8e-10 while K3 stays within 5.3e-14.
+        for theta, psi, q, times in _random_cases(300):
+            vec, n_t, upper, p_select = _reference_postselect(theta, psi, times[1])
+            st = build_psi_T(theta, psi)
+            np.testing.assert_allclose(st.vector, vec, rtol=0.0, atol=1e-15)
+            assert st.n_t == pytest.approx(n_t, rel=1e-15)
+            got, p = evolve_and_postselect(theta, psi, times[1])
+            np.testing.assert_allclose(got, upper, rtol=0.0, atol=1e-13)
+            assert abs(p - p_select) <= 1e-13 * p_select
             res = k3_via_embedding(theta, q, *times, psi0=psi)
             want = _reference_k3(theta, q, times, psi)
-            assert (res.c12, res.c23, res.c13, res.k3) == (want.c12, want.c23, want.c13, want.k3)
+            np.testing.assert_allclose(
+                (res.c12, res.c23, res.c13), (want.c12, want.c23, want.c13), rtol=0, atol=1e-9
+            )
+            assert abs(res.k3 - want.k3) <= 1e-13
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_canonical_point_to_the_corner(self, delta):
+        # K3 = 1 + s + s^2 with s = sin(theta) = cos(delta) at the canonical
+        # point, with no sec/tan cancellation on the way.
+        s = math.cos(delta)
+        assert abs(k3_via_embedding(theta_from_delta(delta)).k3 - (1.0 + s + s * s)) <= 4e-15
 
     def test_validates_once_per_public_call(self, monkeypatch):
         counts = {"validate_pure": 0, "EmbeddedState": 0}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhlgi.cli
 import nhlgi.dynamics
 from nhlgi.acceptance import run_all
 from nhlgi.cli import MAX_GRID_POINTS, _time_grid, main
@@ -552,6 +553,44 @@ class TestCliErrors:
     def test_negative_step_exits_2(self, capsys):
         assert main(["trajectory", "--theta", "0.5", "--step", "-0.1"]) == 2
         capsys.readouterr()
+
+
+class TestParserKeptPerProcess:
+    # the commands of an in-process sweep, at their defaults
+    SWEEP = [
+        ["lgi", "--theta", "0.3,1.2"],
+        ["noise"],
+        ["embed"],
+        ["trajectory", "--theta", "1.2", "--kappa", "0.01"],
+        ["speed"],
+        ["distance", "--rescaled"],
+    ]
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        builds = []
+        build = nhlgi.cli.build_parser
+        monkeypatch.setattr(nhlgi.cli, "build_parser", lambda: builds.append(1) or build())
+        nhlgi.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["speed", "--theta", "0.5", "--tmax", "0.1"]) == 0
+        finally:
+            nhlgi.cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(builds) == 1
+        # build_parser still returns a fresh parser each call
+        assert build() is not build()
+
+    @pytest.mark.parametrize("argv", SWEEP, ids=lambda argv: argv[0])
+    def test_second_run_writes_the_first_run_bytes(self, argv, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(argv + ["--out", str(first)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--no-such-option"])
+        assert exc.value.code == 2
+        assert main(argv + ["--out", str(second)]) == 0
+        capsys.readouterr()
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestTimeGridLimits:
