@@ -20,10 +20,11 @@ at ``theta = 0`` to arbitrarily strong norm amplification as ``theta``
 approaches ``pi/2``.
 
 This module provides exact propagators, adaptive Runge-Kutta integration of
-the Bloch flow (scipy's RK45, imported on first use), closed-form trajectory
-components in the frame spanned by ``A``, ``B`` and ``n = A x B``, geodesic
-distances, and the local speed of state evolution, ``|dS/dt|^2`` evaluated
-exactly from the equation of motion above.
+the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
+RK45 on plain scalars, so numpy is the only dependency), closed-form
+trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
+B``, geodesic distances, and the local speed of state evolution,
+``|dS/dt|^2`` evaluated exactly from the equation of motion above.
 
 Each formula is written once, as a kernel on plain scalars that the scans
 and the protocol call per point: the pure flow (:func:`pure_propagator`),
@@ -344,11 +345,6 @@ class NHHamiltonian:
         return (self.scale * self.a).tolist(), (self.scale * self.b).tolist()
 
     @cached_property
-    def a_operator(self) -> np.ndarray:
-        """Hermitian part generator, ``scale * a . sigma``."""
-        return self.scale * pauli_vector(self.a)
-
-    @cached_property
     def b_operator(self) -> np.ndarray:
         """Anti-Hermitian part generator (without the -i), ``scale * b . sigma``."""
         return self.scale * pauli_vector(self.b)
@@ -522,14 +518,6 @@ def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
     )
 
 
-def _noisy_rhs_matrix(h: NHHamiltonian, kappa: float, rho: np.ndarray) -> np.ndarray:
-    a_op, b_op = h.a_operator, h.b_operator
-    comm = a_op @ rho - rho @ a_op
-    anti = b_op @ rho + rho @ b_op
-    pump = 2.0 * np.trace(rho @ b_op).real * rho
-    return -1j * comm - anti + pump + kappa * (ID2 - 2.0 * rho)
-
-
 def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.ndarray:
     """Propagate the renormalised flow with depolarising noise to time ``t``.
 
@@ -550,48 +538,165 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
 
-    def rhs(_t, y):
-        rho = y.reshape(2, 2)
-        return _noisy_rhs_matrix(h, kappa, rho).reshape(-1)
+    # The first two terms are G rho + rho G^dag with G = -i H, H = (A - iB).sigma.
+    (g00, g01), (g10, g11) = (-1j * h.matrix).tolist()
+    c00, c01, c10, c11 = (g.conjugate() for g in (g00, g01, g10, g11))
+    (n00, n01), (n10, n11) = h.b_operator.tolist()
 
-    y = _rk45(rhs, rho0.reshape(-1), t, None, 1e-10, 1e-12, "noisy density")
-    rho = y[:, -1].reshape(2, 2)
+    def rhs(_t, rho):
+        p, q, r, s = rho
+        pump = 2.0 * (p * n00 + q * n10 + r * n01 + s * n11).real
+        return (
+            g00 * p + g01 * r + p * c00 + q * c01 + pump * p + kappa * (1.0 - 2.0 * p),
+            g00 * q + g01 * s + p * c10 + q * c11 + pump * q - 2.0 * kappa * q,
+            g10 * p + g11 * r + r * c00 + s * c01 + pump * r - 2.0 * kappa * r,
+            g10 * q + g11 * s + r * c10 + s * c11 + pump * s + kappa * (1.0 - 2.0 * s),
+        )
+
+    (final,) = _rk45(rhs, rho0.reshape(-1).tolist(), [t], 1e-10, 1e-12, "noisy density")
+    rho = np.array(final).reshape(2, 2)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def _rk45(fun, y0, t_end: float, t_eval, rtol: float, atol: float, what: str):
-    """``sol.y`` of scipy's RK45 from ``t = 0`` to ``t_end``: every adaptive run
-    of the library goes through here.  A failed run raises
-    :class:`StiffnessError` naming ``what`` and carrying the last time reached
-    (0.0 when no step was taken), and so does a run that needs more than
-    ``_RK45_MAX_EVALS`` right-hand sides, at the time of its last one.
+# The Dormand & Prince (1980) 5(4) pair as scipy's RK45 runs it: the nodes
+# of stages 2-5 (stages 6 and 7 sit at the step's end; the seventh is the
+# next step's first), the rows of stages 2-6, the fifth-order weights, the
+# error weights over all seven stages, and the quartic dense-output matrix.
+# Stage 2 has zero weight and no dense-output row, so those sums skip it.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _rms(v) -> float:
+    """Root-mean-square of the non-negative reals ``v``."""
+    return math.hypot(*v) / len(v) ** 0.5
+
+
+def _rk45(fun, y0, times, rtol: float, atol: float, what: str) -> list[list]:
+    """The states at ``times`` of ``dy/dt = fun(t, y)`` from ``y0`` at ``t = 0``:
+    every adaptive run of the library goes through here.
+
+    ``y0`` and the states are sequences of plain real or complex scalars;
+    ``times`` ascend, and the last of them, positive, is the end time.  The
+    method is scipy's ``RK45``: the Dormand-Prince 5(4) pair with local
+    extrapolation and its quartic dense output (Dormand & Prince, J. Comput.
+    Appl. Math. 6, 1980), the initial step and step control of Hairer,
+    Norsett & Wanner, *Solving ODEs I*, sec. II.4 (safety 0.9, factors 0.2
+    and 10), the RMS error norm at ``rtol`` and ``atol``, and a step no
+    shorter than ``10 ulp(t)``.  A run that needs a shorter (or NaN) step raises
+    :class:`StiffnessError` naming ``what`` and carrying the last time
+    reached (0.0 when no step was taken); so does a run whose next step would
+    take it past ``_RK45_MAX_EVALS`` right-hand sides.
     """
-    from scipy.integrate import solve_ivp
+    budget = _RK45_MAX_EVALS
+    t_end = times[-1]
+    c2, c3, c4, c5 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), a6 = _DP_A
+    a61, a62, a63, a64, a65 = a6
+    b1, b3, b4, b5, b6 = _DP_B
+    e1, e3, e4, e5, e6, e7 = _DP_E
 
-    evals, reached = 0, 0.0
-
-    def counted(t, y):
-        nonlocal evals, reached
-        if evals >= _RK45_MAX_EVALS:
-            at = float(reached)
-            raise StiffnessError(
-                f"{what} integration stopped at t = {at!r} of {t_end!r}: "
-                f"it spent its budget of {evals} right-hand sides",
-                time=at,
-            )
-        evals, reached = evals + 1, t
-        return fun(t, y)
-
-    sol = solve_ivp(
-        counted, (0.0, t_end), y0, method="RK45", t_eval=t_eval, rtol=rtol, atol=atol
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise StiffnessError(
-            f"{what} integration stalled at t = {t_fail!r}: {sol.message}", time=t_fail
-        )
-    return sol.y
+    t, y = 0.0, list(y0)
+    f = fun(t, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([abs(v) / s for v, s in zip(y, scale)])
+    d1 = _rms([abs(k) / s for k, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = fun(h0, [v + h0 * k for v, k in zip(y, f)])
+    d2 = _rms([abs(k1 - k) / s for k, k1, s in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end)
+    evals, out, i = 2, [], 0
+    while True:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise StiffnessError(
+                    f"{what} integration stalled at t = {t!r}: "
+                    "Required step size is less than spacing between numbers.",
+                    time=t,
+                )
+            if evals + 6 > budget:
+                raise StiffnessError(
+                    f"{what} integration stopped at t = {t!r} of {t_end!r}: "
+                    f"it spent its budget of {budget} right-hand sides",
+                    time=t,
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            k1 = f
+            k2 = fun(t + c2 * h, [v + (a21 * p) * h for v, p in zip(y, k1)])
+            k3 = fun(t + c3 * h, [v + (a31 * p + a32 * q) * h for v, p, q in zip(y, k1, k2)])
+            k4 = fun(t + c4 * h, [
+                v + (a41 * p + a42 * q + a43 * r) * h for v, p, q, r in zip(y, k1, k2, k3)
+            ])
+            k5 = fun(t + c5 * h, [
+                v + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = fun(t + h, [
+                v + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                for v, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                v + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+                for v, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)
+            ]
+            f_new = fun(t + h, y_new)
+            evals += 6
+            error_norm = _rms([
+                abs((e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h)
+                / (atol + max(abs(v), abs(vn)) * rtol)
+                for v, vn, p, r, s, u, w, z in zip(y, y_new, k1, k3, k4, k5, k6, f_new)
+            ])
+            if error_norm < 1.0:
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm**-0.2)
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(0.2, 0.9 * error_norm**-0.2)
+            rejected = True
+        while i < len(times) and times[i] <= t_new:
+            x = (times[i] - t) / h
+            x2 = x * x
+            x3 = x2 * x
+            x4 = x3 * x
+            w1, w3, w4, w5, w6, w7 = [
+                pa * x + pb * x2 + pc * x3 + pd * x4 for pa, pb, pc, pd in _DP_P
+            ]
+            out.append([
+                v + h * (w1 * p + w3 * r + w4 * s + w5 * u + w6 * w + w7 * z)
+                for v, p, r, s, u, w, z in zip(y, k1, k3, k4, k5, k6, f_new)
+            ])
+            i += 1
+        t, y, f = t_new, y_new, f_new
+        if t >= t_end:
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +805,11 @@ def integrate_bloch(
         return Trajectory(t_grid, ys, h, kappa, rtol, atol)
 
     a, b = h._scaled
-    y = _rk45(
-        lambda _t, s: np.array(_bloch_rhs(a, b, kappa, s.tolist())),
-        s0, float(t_grid[-1]), t_grid, rtol, atol, "Bloch",
-    )
-    return Trajectory(t_grid, y.T, h, kappa, rtol, atol)
+    def rhs(_t, s):
+        return _bloch_rhs(a, b, kappa, s)
+
+    rows = _rk45(rhs, s0.tolist(), t_grid.tolist(), rtol, atol, "Bloch")
+    return Trajectory(t_grid, rows, h, kappa, rtol, atol)
 
 
 def analytic_SB_Sn(a_mag: float, b_mag: float, t):

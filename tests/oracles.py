@@ -135,6 +135,33 @@ def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
         return table(u1, g12), table(g12 * u1, g23), table(u1, g23 * g12)
 
 
+def pure_bloch_trajectory(h_matrix, psi0, times, dps=40):
+    """Bloch vectors ``<sigma>/2`` of ``exp(-i H t) psi0`` renormalised, at
+    each of ``times``, in mpmath at ``dps`` digits.
+
+    ``H`` is a traceless 2x2 matrix with real ``H^2 = w^2 I`` (the family's
+    real spectrum), so ``exp(-i H t) = cos(w t) I - i sin(w t)/w H`` holds
+    exactly; its entries are taken as the binary values given.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        (m00, m01), (m10, m11) = (
+            [mpmath.mpc(v) for v in row] for row in np.asarray(h_matrix, dtype=complex).tolist()
+        )
+        w = mpmath.sqrt(mpmath.re(m00 * m00 + m01 * m10))
+        a0, b0 = (mpmath.mpc(v) for v in np.asarray(psi0, dtype=complex).tolist())
+        rows = []
+        for t in times:
+            c, s = mpmath.cos(w * t), -1j * mpmath.sin(w * t) / w
+            a = c * a0 + s * (m00 * a0 + m01 * b0)
+            b = c * b0 + s * (m10 * a0 + m11 * b0)
+            n2 = abs(a) ** 2 + abs(b) ** 2
+            ab = mpmath.conj(a) * b / n2
+            rows.append([ab.real, ab.imag, (abs(a) ** 2 - abs(b) ** 2) / (2 * n2)])
+        return np.array(rows, dtype=float)
+
+
 def rk4(rhs, y0, t_end, n_steps):
     """Classical fixed-step fourth-order Runge-Kutta from t = 0."""
     y = np.asarray(y0, dtype=float).copy()

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,22 +303,20 @@ class TestBlochFlow:
     def test_rk45_rhs_is_bloch_rhs(self, monkeypatch):
         # Every right-hand side RK45 evaluates equals bloch_rhs bit for bit,
         # at a Hamiltonian scale other than 1 and with noise.
-        import scipy.integrate
-
         h = NHHamiltonian.canonical(1.1, scale=0.7)
         kappa = 0.3
-        real_solve_ivp = scipy.integrate.solve_ivp
+        real_rk45 = nhlgi.dynamics._rk45
         calls = []
 
-        def checked_solve_ivp(fun, *args, **kwargs):
+        def checked_rk45(fun, *args):
             def checked(t, s):
                 got = fun(t, s)
                 calls.append(np.array_equal(got, bloch_rhs(s, h, kappa)))
                 return got
 
-            return real_solve_ivp(checked, *args, **kwargs)
+            return real_rk45(checked, *args)
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", checked_solve_ivp)
+        monkeypatch.setattr(nhlgi.dynamics, "_rk45", checked_rk45)
         integrate_bloch(bloch_of_pure(up_y()), h, kappa, np.linspace(0.0, 2.0, 5))
         assert len(calls) > 10 and all(calls)
 
@@ -502,14 +499,23 @@ def test_theta_domain_is_one_contract(entry, theta):
 @pytest.mark.parametrize("t, at", [([0.0, 0.3, 0.7], 0.7), ([], 0.0)])
 @pytest.mark.parametrize("route", ["integrate_bloch", "evolve_density_noisy"])
 def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):
-    # a run that stalled after the times t, or before its first step
-    import scipy.integrate
+    # A right-hand side that is finite up to the last of the times t and NaN
+    # past it (from the start when there is none): the run creeps up to that
+    # time, then stalls there and says where.
+    real_rk45 = nhlgi.dynamics._rk45
+    finite_until = max(t, default=-math.inf)
 
-    failed = SimpleNamespace(t=np.array(t), success=False, message="step size too small")
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: failed)
+    def poisoned_rk45(fun, *args):
+        def poisoned(s, y):
+            return fun(s, y) if s <= finite_until else [math.nan] * len(y)
+
+        return real_rk45(poisoned, *args)
+
+    monkeypatch.setattr(nhlgi.dynamics, "_rk45", poisoned_rk45)
     with pytest.raises(StiffnessError, match="stalled at t = ") as exc:
         _TIMED_ROUTES[route](1.0)
-    assert exc.value.time == at
+    assert at - 1e-12 < exc.value.time <= at
+    assert f"stalled at t = {exc.value.time!r}:" in str(exc.value)
 
 
 _UNBOUNDED_RUNS = {
@@ -533,20 +539,18 @@ def test_rk45_run_past_its_budget_is_refused(route, monkeypatch):
 
 
 def test_rk45_budget_admits_a_run_that_needs_all_of_it(monkeypatch):
-    import scipy.integrate
-
-    real_solve_ivp = scipy.integrate.solve_ivp
+    real_rk45 = nhlgi.dynamics._rk45
     evals = 0
 
-    def counting_solve_ivp(fun, *args, **kwargs):
+    def counting_rk45(fun, *args):
         def counted(t, y):
             nonlocal evals
             evals += 1
             return fun(t, y)
 
-        return real_solve_ivp(counted, *args, **kwargs)
+        return real_rk45(counted, *args)
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(nhlgi.dynamics, "_rk45", counting_rk45)
     run = lambda: integrate_bloch(bloch_of_pure(up_y()), _H, t_grid=[0.0, 0.5, 3.0]).bloch
     want, need = run(), evals
     monkeypatch.setattr(nhlgi.dynamics, "_RK45_MAX_EVALS", need)

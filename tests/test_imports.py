@@ -1,10 +1,10 @@
-"""Which scipy modules a fresh interpreter loads.
+"""No path of the library loads scipy, which is a test-only dependency.
 
-Only RK45 needs scipy, and imports ``scipy.integrate`` on first use.
-Importing the package, the CLI paths in closed form or linear algebra, and
-every scan (whose hypercube and Nelder-Mead simplex are in-house) load no
-scipy at all, and no path loads ``scipy.stats``.  Each check runs in a new
-isolated interpreter, because this test process has scipy loaded already.
+Importing the package, the CLI paths in closed form or linear algebra, every
+scan (whose hypercube and Nelder-Mead simplex are in-house) and the RK45
+routes (whose Dormand-Prince integrator is in-house) load no scipy module.
+Each check runs in a new isolated interpreter, because this test process has
+scipy loaded already; the last one runs with scipy made unimportable.
 """
 
 import json
@@ -69,11 +69,35 @@ for args in (
 
 
 def test_rk45_does_not_load_scipy_stats(tmp_path):
+    # The RK45 routes load no scipy module at all, scipy.stats included.
     body = """
 assert nhlgi.cli.main(["trajectory", "--theta", "1.2", "--tmax", "1.0", "--step", "0.1",
                        "--out", f"{out}/trajectory.csv"]) == 0
+h = nhlgi.NHHamiltonian.canonical(0.9)
+nhlgi.evolve_density_noisy(h, nhlgi.projector(nhlgi.up_y()), 0.1, 1.0)
 """
-    loaded = _scipy_modules_after(body, tmp_path)
-    # The path that needs scipy did load it, so the check is not vacuous.
-    assert "scipy.integrate" in loaded
-    assert "scipy.stats" not in loaded
+    assert _scipy_modules_after(body, tmp_path) == set()
+
+
+def test_rk45_routes_run_without_scipy(tmp_path):
+    # With scipy unimportable, ``nhlgi trajectory`` and the criteria of
+    # ``nhlgi check`` that run RK45 (6 and 7 on the Bloch flow, 8 on the noisy
+    # density flow) still run and pass.
+    code = """
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import nhlgi.cli
+out = sys.argv[2]
+assert nhlgi.cli.main(["trajectory", "--theta", "1.2", "--kappa", "0.01",
+                       "--out", f"{out}/trajectory.csv"]) == 0
+assert nhlgi.cli.main(["check", "--only", "6,7,8"]) == 0
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(SRC), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("PASS") == 3, proc.stdout
