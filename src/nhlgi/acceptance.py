@@ -47,8 +47,6 @@ from .scan import (
 __all__ = [
     "ACCEPTANCE_THETAS",
     "CriterionResult",
-    "ScanBundle",
-    "scan_bundle",
     "run_all",
     "CRITERIA",
 ]
@@ -66,25 +64,6 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-
-
-@dataclass
-class ScanBundle:
-    """Shared maximisation results used by the scan-based criteria."""
-
-    thetas: tuple
-    k3: list[ScanResult]
-    speed: list[ScanResult]
-    budget: int
-    seed: int
-
-
-def scan_bundle(budget: int | None = None, seed: int = 0) -> ScanBundle:
-    budget = DEFAULT_SCAN_BUDGET if budget is None else int(budget)
-    thetas = DEFAULT_THETA_GRID
-    k3_results, speed_results = maximize_family(thetas, budget=budget, seed=seed)
-    return ScanBundle(thetas=thetas, k3=k3_results, speed=speed_results, budget=budget, seed=seed)
-
 
 # ---------------------------------------------------------------------------
 # criteria
@@ -137,19 +116,24 @@ def criterion_2() -> CriterionResult:
     )
 
 
-def criterion_3(bundle: ScanBundle) -> CriterionResult:
-    """Unconstrained K3 maximum: Lueder value at theta = 0, near-ceiling growth."""
+def criterion_3(family: tuple[list[ScanResult], list[ScanResult]]) -> CriterionResult:
+    """Unconstrained K3 maximum: Lueder value at theta = 0, near-ceiling growth.
+
+    ``family`` is the ``(k3_results, speed_results)`` pair of
+    :func:`nhlgi.scan.maximize_family` on ``DEFAULT_THETA_GRID``.
+    """
     tol_hermitian = 1e-3
     floor_strong = 2.98
-    val0 = bundle.k3[0].objective
-    val_strong = bundle.k3[-1].objective
+    k3_results, _ = family
+    val0 = k3_results[0].objective
+    val_strong = k3_results[-1].objective
     passed = abs(val0 - 1.5) <= tol_hermitian and val_strong >= floor_strong
     return CriterionResult(
         3,
         "K3 maximisation reaches 1.5 at theta=0 and >= 2.98 near the corner",
         passed,
         f"max(0) = {val0:.6f} (|diff| <= {tol_hermitian}), "
-        f"max({bundle.thetas[-1]:.4f}) = {val_strong:.6f} (floor {floor_strong})",
+        f"max({DEFAULT_THETA_GRID[-1]:.4f}) = {val_strong:.6f} (floor {floor_strong})",
     )
 
 
@@ -297,15 +281,17 @@ def criterion_8(budget: int | None = None, seed: int = 0) -> CriterionResult:
     )
 
 
-def criterion_9(bundle: ScanBundle) -> CriterionResult:
-    """K3 and speed maxima induce the same ordering of the family members."""
-    k3_vals = [r.objective for r in bundle.k3]
-    v_vals = [r.objective for r in bundle.speed]
+def criterion_9(family: tuple[list[ScanResult], list[ScanResult]]) -> CriterionResult:
+    """K3 and speed maxima induce the same ordering of the family members
+    (``family`` as in :func:`criterion_3`)."""
+    k3_results, speed_results = family
+    k3_vals = [r.objective for r in k3_results]
+    v_vals = [r.objective for r in speed_results]
     rank_k3 = list(np.argsort(k3_vals))
     rank_v = list(np.argsort(v_vals))
     passed = rank_k3 == rank_v
     pairs = ", ".join(
-        f"({t:.2f}: {k:.3f}/{v:.3f})" for t, k, v in zip(bundle.thetas, k3_vals, v_vals)
+        f"({t:.2f}: {k:.3f}/{v:.3f})" for t, k, v in zip(DEFAULT_THETA_GRID, k3_vals, v_vals)
     )
     return CriterionResult(
         9,
@@ -347,9 +333,10 @@ def run_all(
     """Run the selected acceptance criteria, printing one line per criterion.
 
     ``budget`` caps the evaluation count of each underlying maximisation run
-    (both the shared scan bundle and the noise series); ``None`` uses the
-    module defaults.  ``only`` restricts to a subset of criterion numbers,
-    each run once in the order given; an empty selection is refused.
+    (the family scan that criteria 3 and 9 share, and the noise series);
+    ``None`` uses the module defaults.  ``only`` restricts to a subset of
+    criterion numbers, each run once in the order given; an empty selection
+    is refused.
     """
     stream = sys.stdout if stream is None else stream
     selected = tuple(CRITERIA) if only is None else tuple(dict.fromkeys(only))
@@ -359,20 +346,22 @@ def run_all(
         if number not in CRITERIA:
             raise ValueError(f"unknown criterion number {number!r}")
 
-    bundle = None
+    family = None
     if any(n in selected for n in (3, 9)):
-        bundle = scan_bundle(budget=budget, seed=seed)
+        family = maximize_family(
+            DEFAULT_THETA_GRID, DEFAULT_SCAN_BUDGET if budget is None else budget, seed
+        )
 
     runners = {
         1: criterion_1,
         2: criterion_2,
-        3: lambda: criterion_3(bundle),
+        3: lambda: criterion_3(family),
         4: criterion_4,
         5: criterion_5,
         6: criterion_6,
         7: criterion_7,
         8: lambda: criterion_8(budget=budget, seed=seed),
-        9: lambda: criterion_9(bundle),
+        9: lambda: criterion_9(family),
         10: lambda: criterion_10(seed=seed),
     }
     results = []

@@ -23,8 +23,9 @@ visited point: the K3 objective calls the spinor route of
 :func:`nhlgi.dynamics.speed`, which the public API validates and calls, so
 an argmax re-evaluates through it to the reported float.  This module keeps
 no copy of either.  Runs are reproducible: one master seed
-drives the hypercube and all restarts, the per-restart evaluation budget is
-fixed up front, and the restarts run one after another in a fixed order.
+drives the hypercube and all restarts, the restarts share what the seeding
+pass leaves of the budget in equal parts fixed up front, and they run one
+after another in a fixed order.  No run spends more than its budget.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "DEFAULT_THETA_GRID",
     "TIME_WINDOW",
     "ScanConfigError",
-    "ScanConfig",
     "ScanResult",
     "maximize_k3",
     "maximize_speed",
@@ -97,11 +97,11 @@ FATOL = 1e-8
 # Lower bound on the time gaps of the K3 search, which searches their logarithms.
 GAP_FLOOR = 1e-9
 
-
-@dataclass(frozen=True)
-class ScanConfig:
-    restarts: int = 16          # Nelder-Mead restarts from the ranked seeds
-    lhs_points: int = 512       # Latin hypercube size for the seeding pass
+# Latin hypercube size for the seeding pass, the most Nelder-Mead restarts
+# from the best seeds, and the evaluations below which a restart is not split.
+_LHS_POINTS = 512
+_RESTARTS = 16
+_RESTART_EVALS = 64
 
 
 @dataclass
@@ -272,25 +272,33 @@ def _latin_hypercube(n: int, d: int, seed) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, config):
-    """Shared multi-start driver.
+def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed):
+    """Shared multi-start driver over the box ``[lower, upper]`` (tuples).
 
-    ``objective(x) -> value``, defined on the whole box.  Returns
-    ``(best_value, best_x, evals, restarts)``.
+    ``objective(x) -> value``, defined on the whole box.  The seeding pass
+    evaluates ``extra_starts``, clipped into the box, and the hypercube; the
+    restarts from the best of them share what it leaves of the budget: up to
+    ``_RESTARTS`` of at least ``_RESTART_EVALS`` evaluations each, or a single
+    one of what is left.  Returns ``(best_value, best_x, evals, restarts)``.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if budget < config.lhs_points + 64:
+    # A warm start rebuilt from an argmax may sit outside the bounds: an ulp
+    # past them, or with a gap that was scaled back under the floor.  Clipping
+    # would move a NaN onto the lower bound, so it is refused instead.
+    for x in extra_starts:
+        if any(math.isnan(v) for v in x):
+            raise ValueError(f"start {list(x)!r} has a NaN coordinate")
+    candidates = [
+        [float(_clip(v, lo, hi)) for v, lo, hi in zip(x, lower, upper)] for x in extra_starts
+    ]
+    candidates.extend(
+        [lo + u * (hi - lo) for u, lo, hi in zip(row, lower, upper)]
+        for row in _latin_hypercube(_LHS_POINTS, len(lower), seed).tolist()
+    )
+    if budget < max(_LHS_POINTS + _RESTART_EVALS, len(candidates) + 1):
         raise ScanConfigError(
             f"budget {budget} cannot cover the seeding pass "
-            f"({config.lhs_points} hypercube points) plus one simplex restart"
+            f"({_LHS_POINTS} hypercube points) plus one simplex restart"
         )
-
-    points = lower + _latin_hypercube(config.lhs_points, lower.size, seed) * (upper - lower)
-    # A warm start rebuilt from an argmax may sit outside the bounds: an ulp
-    # past them, or with a gap that was scaled back under the floor.
-    candidates = [np.clip(x, lower, upper).tolist() for x in extra_starts]
-    candidates.extend(points.tolist())
 
     evals = 0
     best_value = -math.inf
@@ -304,10 +312,9 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             best_value, best_x = value, x
     ranked.sort(key=lambda item: (item[0], item[1]))
 
-    lower, upper = lower.tolist(), upper.tolist()
-    n_restarts = min(config.restarts, len(ranked))
-    per_restart = max(64, (budget - evals) // max(1, n_restarts))
-    starts = [item[2] for item in ranked[:n_restarts]]
+    left = budget - evals
+    n_restarts = max(1, min(_RESTARTS, left // _RESTART_EVALS))
+    per_restart = left // n_restarts
 
     # The simplex builds a new list for every point it visits, so the best
     # point is kept by reference.
@@ -319,7 +326,7 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             best_value, best_x = value, x
         return -value
 
-    for x0 in starts:
+    for _, _, x0 in ranked[:n_restarts]:
         minimize(
             negated,
             x0,
@@ -330,7 +337,7 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed, co
             fatol=FATOL,
         )
 
-    return best_value, best_x, evals, len(starts)
+    return best_value, best_x, evals, n_restarts
 
 
 # The K3 search runs on the y-z great circle, which the flow leaves invariant
@@ -360,8 +367,8 @@ _CANONICAL_SPEED_START = (math.pi / 2, math.pi / 2)
 
 
 def _planar_point(x) -> tuple:
-    """The seven coordinates ``(theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``
-    of :func:`_k3_objective` at the planar search point ``x``.
+    """The state angles, axis angles, first time and gaps ``(theta_s, phi_s,
+    theta_q, phi_q, t1, g1, g2)`` of the planar search point ``x``.
 
     Gaps whose sum exceeds ``TIME_WINDOW`` are scaled back onto it, so every
     point of the box is an ordered configuration inside the window.
@@ -376,12 +383,10 @@ def _planar_point(x) -> tuple:
 
 
 def _k3_objective(theta: float, kappa: float):
-    """``objective(x) -> K3`` over the seven coordinates
-    ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
-    ``(t1, t1 + g1, t1 + g1 + g2)``.
+    """``objective(x) -> K3`` over the planar search point ``x``, at the
+    configuration :func:`_planar_point` gives, with the times ``(0, g1,
+    g1 + g2)``.
 
-    :func:`maximize_k3` evaluates it at :func:`_planar_point`; over all
-    seven coordinates it is the reference the plane is tested against.
     Every point runs the spinor route of :class:`nhlgi.lgi.CorrelatorEngine`
     into :func:`nhlgi.lgi.protocol`, on the state and the axis the public
     API builds from the same angles, so ``engine.k3`` re-evaluates any point
@@ -391,10 +396,9 @@ def _k3_objective(theta: float, kappa: float):
     route = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
 
     def objective(x):
-        theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
-        t2 = t1 + g1
+        theta_s, phi_s, theta_q, phi_q, _, g1, g2 = _planar_point(x)
         first, transfer = route(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
-        c12, c23, c13 = protocol(first, transfer, t1, t2, t2 + g2)[:3]
+        c12, c23, c13 = protocol(first, transfer, 0.0, g1, g1 + g2)[:3]
         return c12 + c23 - c13
 
     return objective
@@ -422,26 +426,24 @@ def maximize_k3(
     kappa: float = 0.0,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    config: ScanConfig | None = None,
     extra_starts=(),
 ) -> ScanResult:
     """Maximise the three-time K3 over states and axes on the invariant y-z
     great circle and over the two time gaps from ``t1 = 0``.
 
     The search coordinates are ``(alpha_s, alpha_q, log g1, log g2)`` (see
-    :func:`_planar_point`); ``extra_starts`` are points in them.  The
-    canonical configuration is always among the evaluated seeds, so at
-    ``kappa = 0`` the result dominates the closed-form value
-    ``1 + sin(theta) + sin^2(theta)``.  The argmax keeps all seven keys, with
-    ``t1 = 0``.  Deterministic for a fixed ``(theta, kappa, budget, seed,
-    config)``.
+    :func:`_planar_point`); ``extra_starts`` are points in them, any sequence
+    of numbers, clipped into the box.  The canonical configuration is always
+    among the evaluated seeds, so at ``kappa = 0`` the result dominates the
+    closed-form value ``1 + sin(theta) + sin^2(theta)``.  The seeding pass
+    takes 512 evaluations plus one per start, and the simplex restarts share
+    the rest; ``evals`` never exceeds ``budget``, and ``restarts`` counts the
+    restarts run.  The argmax keeps all seven keys, as floats, with ``t1 =
+    0``.  Deterministic for a fixed ``(theta, kappa, budget, seed)``.
     """
-    config = config or ScanConfig()
-    k3 = _k3_objective(theta, kappa)
-    starts = [np.asarray(_CANONICAL_K3_START, dtype=float)]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    starts = (_CANONICAL_K3_START, *extra_starts)
     value, x, evals, restarts = _multistart_maximize(
-        lambda x: k3(_planar_point(x)), _K3_LOWER, _K3_UPPER, starts, budget, seed, config
+        _k3_objective(theta, kappa), _K3_LOWER, _K3_UPPER, starts, budget, seed
     )
     theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = _planar_point(x)
     argmax = {
@@ -469,7 +471,6 @@ def maximize_speed(
     theta: float,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    config: ScanConfig | None = None,
 ) -> ScanResult:
     """Maximise the squared Bloch speed :func:`nhlgi.dynamics.speed` over
     initial states, at ``t = 0``.
@@ -479,12 +480,11 @@ def maximize_speed(
     closed form, ``(1 + sin theta)/(1 - sin theta)``, is always reachable
     because the canonical start, ``down_y``, sits on it.
     """
-    config = config or ScanConfig()
-    starts = [np.asarray(_CANONICAL_SPEED_START, dtype=float)]
+    starts = (_CANONICAL_SPEED_START,)
     value, x, evals, restarts = _multistart_maximize(
-        _speed_objective(theta), (0.0, 0.0), (math.pi, 2 * math.pi), starts, budget, seed, config
+        _speed_objective(theta), (0.0, 0.0), (math.pi, 2 * math.pi), starts, budget, seed
     )
-    argmax = {"theta_s": float(x[0]), "phi_s": float(x[1]), "t": 0.0}
+    argmax = {"theta_s": x[0], "phi_s": x[1], "t": 0.0}
     return ScanResult(
         kind="speed",
         theta=theta,
@@ -516,16 +516,14 @@ def maximize_family(
     return k3_results, speed_results
 
 
-def _start_from_argmax(argmax: dict[str, float]) -> np.ndarray:
+def _start_from_argmax(argmax: dict[str, float]) -> tuple:
     """The planar search point of a :func:`maximize_k3` argmax."""
     alpha_s = argmax["theta_s"] if argmax["phi_s"] < math.pi else -argmax["theta_s"]
-    return np.array(
-        [
-            alpha_s,
-            argmax["theta_q"],
-            math.log(argmax["t2"] - argmax["t1"]),
-            math.log(argmax["t3"] - argmax["t2"]),
-        ]
+    return (
+        alpha_s,
+        argmax["theta_q"],
+        math.log(argmax["t2"] - argmax["t1"]),
+        math.log(argmax["t3"] - argmax["t2"]),
     )
 
 
@@ -534,7 +532,6 @@ def k3max_vs_noise(
     kappa_grid=None,
     budget: int = DEFAULT_NOISE_BUDGET,
     seed: int = 0,
-    config: ScanConfig | None = None,
 ) -> list[ScanResult]:
     """Maximal K3 as a function of depolarisation strength.
 
@@ -545,28 +542,28 @@ def k3max_vs_noise(
     which the log-gap coordinates reach, but a small budget can still stop
     short of it: a point whose maximum is beaten by the next, larger kappa
     is searched again from that argmax, back to front, and keeps the better
-    result; its ``evals`` count both searches.  The default grid ends deep
-    in the overdamped regime where the maximum saturates at the classical
-    value 1.
+    result; its ``evals`` count the evaluations of both searches, so they
+    can reach twice ``budget``, while each search stays within it.  The
+    default grid ends deep in the overdamped regime where the maximum
+    saturates at the classical value 1.
     """
     grid = DEFAULT_KAPPA_GRID if kappa_grid is None else tuple(kappa_grid)
     if len(grid) == 0:
         raise ScanConfigError("kappa grid is empty")
     for kappa in grid:
-        if not np.isfinite(kappa) or kappa < 0.0:
+        if not math.isfinite(kappa) or kappa < 0.0:
             raise ScanConfigError(f"invalid kappa {kappa!r} in grid")
 
     children = np.random.SeedSequence(seed).spawn(len(grid))
     seeds = [int(child.generate_state(1)[0]) for child in children]
     results: list[ScanResult] = []
-    chain: list[np.ndarray] = []
+    chain: list[tuple] = []
     for kappa, child_seed in zip(grid, seeds):
         res = maximize_k3(
             theta,
             kappa=kappa,
             budget=budget,
             seed=child_seed,
-            config=config,
             extra_starts=tuple(chain),
         )
         chain = [_start_from_argmax(res.argmax)]
@@ -585,7 +582,6 @@ def k3max_vs_noise(
             kappa=grid[i],
             budget=budget,
             seed=seeds[i],
-            config=config,
             extra_starts=(_start_from_argmax(later.argmax),),
         )
         best = retry if retry.objective > res.objective else res

@@ -1,15 +1,16 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
-one pass/fail line.  The shared scan bundle (the expensive part) is built
-once per session and reused by the two criteria that consume it."""
+one pass/fail line.  The family scan (the expensive part) is run once per
+session and reused by the two criteria that consume it."""
 
 import pytest
 
 from nhlgi import acceptance
+from nhlgi.scan import DEFAULT_THETA_GRID, maximize_family
 
 
 @pytest.fixture(scope="module")
-def bundle():
-    return acceptance.scan_bundle(seed=0)
+def family():
+    return maximize_family(DEFAULT_THETA_GRID, acceptance.DEFAULT_SCAN_BUDGET, seed=0)
 
 
 def _report(result):
@@ -26,8 +27,8 @@ class TestAcceptance:
     def test_criterion_02_third_correlator_surface(self):
         _report(acceptance.criterion_2())
 
-    def test_criterion_03_scan_endpoints(self, bundle):
-        _report(acceptance.criterion_3(bundle))
+    def test_criterion_03_scan_endpoints(self, family):
+        _report(acceptance.criterion_3(family))
 
     def test_criterion_04_embedded_protocol_value(self):
         _report(acceptance.criterion_4())
@@ -44,8 +45,8 @@ class TestAcceptance:
     def test_criterion_08_noise_degradation(self):
         _report(acceptance.criterion_8())
 
-    def test_criterion_09_scan_ranking_consistency(self, bundle):
-        _report(acceptance.criterion_9(bundle))
+    def test_criterion_09_scan_ranking_consistency(self, family):
+        _report(acceptance.criterion_9(family))
 
     def test_criterion_10_trace_distance_identity(self):
         _report(acceptance.criterion_10())

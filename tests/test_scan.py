@@ -4,14 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from nhlgi.dynamics import NHHamiltonian, projector, speed, state_from_bloch_angles
-from nhlgi.lgi import CorrelatorEngine, Observable
+import nhlgi.scan
+from nhlgi.dynamics import (
+    NHHamiltonian,
+    _bloch_axis,
+    _bloch_state,
+    projector,
+    speed,
+    state_from_bloch_angles,
+)
+from nhlgi.lgi import CorrelatorEngine, Observable, protocol
 from nhlgi.scan import (
     DEFAULT_KAPPA_GRID,
     DEFAULT_THETA_GRID,
     GAP_FLOOR,
     TIME_WINDOW,
-    ScanConfig,
     ScanConfigError,
     ScanResult,
     k3max_vs_noise,
@@ -22,6 +29,8 @@ from nhlgi.scan import (
 from nhlgi.scan import (
     _CANONICAL_K3_START,
     _CANONICAL_SPEED_START,
+    _K3_LOWER,
+    _K3_UPPER,
     _k3_objective,
     _latin_hypercube,
     _planar_point,
@@ -29,8 +38,6 @@ from nhlgi.scan import (
     _start_from_argmax,
 )
 from oracles import noisy_protocol_tables
-
-SMALL = ScanConfig(restarts=4, lhs_points=64)
 
 
 class TestScanConfig:
@@ -202,11 +209,37 @@ class TestSimplex:
                      maxfev=100, xatol=1e-8, fatol=1e-8)
 
 
+def _k3_reference(theta, kappa):
+    """``objective(x) -> K3`` over the seven coordinates
+    ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
+    ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
+    the plane, on the same spinor route of the engine."""
+    route = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
+
+    def objective(x):
+        theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
+        t2 = t1 + g1
+        first, transfer = route(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+        c12, c23, c13 = protocol(first, transfer, t1, t2, t2 + g2)[:3]
+        return c12 + c23 - c13
+
+    return objective
+
+
+# Points of the planar search box with each log gap on one of its bounds.
+_BOX_POINTS = [
+    (-3.0, 2.0, math.log(GAP_FLOOR), math.log(GAP_FLOOR)),
+    (0.0, 0.0, math.log(TIME_WINDOW), math.log(TIME_WINDOW)),
+    (math.pi, math.pi, math.log(TIME_WINDOW), math.log(GAP_FLOOR)),
+    (-0.5, 1.0, math.log(GAP_FLOOR), math.log(TIME_WINDOW)),
+]
+
+
 def _assert_objective_matches_engine(theta, kappa):
     """At the canonical start and at the argmax, the scan objective equals
     ``engine.k3`` on the validated state and observable, to the float."""
-    res = maximize_k3(theta, kappa=kappa, budget=2000, seed=2, config=SMALL)
-    objective = _k3_objective(theta, kappa)
+    res = maximize_k3(theta, kappa=kappa, budget=2000, seed=2)
+    objective = _k3_reference(theta, kappa)
     engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
     for x in (_CANONICAL_K3_START, _start_from_argmax(res.argmax)):
         x = _planar_point(x)
@@ -238,7 +271,7 @@ def _engine_k3(theta, res):
 
 class TestMaximizeK3:
     def test_hermitian_member_reaches_luder(self):
-        res = maximize_k3(0.0, budget=2000, seed=0, config=SMALL)
+        res = maximize_k3(0.0, budget=2000, seed=0)
         assert res.objective == pytest.approx(1.5, abs=1e-6)
 
     @pytest.mark.parametrize("theta", [0.3, 0.9, 1.2])
@@ -246,12 +279,12 @@ class TestMaximizeK3:
         # the canonical configuration is one of the evaluated seeds, so the
         # reported maximum can never fall below its closed-form value
         s = math.sin(theta)
-        res = maximize_k3(theta, budget=2000, seed=1, config=SMALL)
+        res = maximize_k3(theta, budget=2000, seed=1)
         assert res.objective >= 1.0 + s + s * s - 1e-9
 
     def test_deterministic(self):
-        a = maximize_k3(0.9, budget=2000, seed=7, config=SMALL)
-        b = maximize_k3(0.9, budget=2000, seed=7, config=SMALL)
+        a = maximize_k3(0.9, budget=2000, seed=7)
+        b = maximize_k3(0.9, budget=2000, seed=7)
         assert a.objective == b.objective
         assert a.evals == b.evals
         assert a.argmax == b.argmax
@@ -259,7 +292,7 @@ class TestMaximizeK3:
     def test_reported_point_reproduces_objective(self):
         # the scan result is a certified lower bound: re-running the
         # protocol at the argmax must give back the reported value
-        res = maximize_k3(1.1, budget=2000, seed=2, config=SMALL)
+        res = maximize_k3(1.1, budget=2000, seed=2)
         assert _engine_k3(1.1, res) == pytest.approx(res.objective, abs=1e-12)
 
     def test_pure_objective_matches_engine(self):
@@ -279,7 +312,7 @@ class TestMaximizeK3:
         # the reported maximum is the engine's K3 at the argmax, bit for bit.
         # At delta = 1e-5 this pins consistency, not accuracy: how far the
         # engine's float sits from the exact K3 there is still open
-        res = maximize_k3(theta, budget=2000, seed=seed, config=SMALL)
+        res = maximize_k3(theta, budget=2000, seed=seed)
         assert _engine_k3(theta, res) == res.objective
 
     @pytest.mark.filterwarnings("error")
@@ -291,16 +324,11 @@ class TestMaximizeK3:
         x = np.array(_CANONICAL_K3_START)
         x[3] = math.log(GAP_FLOOR * (1.0 - 1e-12))
         assert x[3] < math.log(GAP_FLOOR)
-        res = maximize_k3(1.2, budget=2000, config=SMALL, extra_starts=[x])
+        res = maximize_k3(1.2, budget=2000, extra_starts=[x])
         s = math.sin(1.2)
         assert res.objective >= 1.0 + s + s * s - 1e-9
 
-    @pytest.mark.parametrize("x", [
-        (-3.0, 2.0, math.log(GAP_FLOOR), math.log(GAP_FLOOR)),
-        (0.0, 0.0, math.log(TIME_WINDOW), math.log(TIME_WINDOW)),
-        (math.pi, math.pi, math.log(TIME_WINDOW), math.log(GAP_FLOOR)),
-        (-0.5, 1.0, math.log(GAP_FLOOR), math.log(TIME_WINDOW)),
-    ])
+    @pytest.mark.parametrize("x", _BOX_POINTS)
     def test_every_point_of_the_box_is_a_configuration(self, x):
         # no infeasible points: corners of the box map onto ordered times
         # from t1 = 0 inside the window, and onto the y-z circle
@@ -312,13 +340,44 @@ class TestMaximizeK3:
         assert phi_q == math.pi / 2
         assert theta_s == abs(x[0]) and (math.sin(phi_s) > 0.0) == (x[0] >= 0.0)
 
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_argmax_is_floats_from_any_warm_start(self, monkeypatch, as_array):
+        # a warm start, numpy array or tuple, enters the search as floats,
+        # clipped exactly onto the gap floor's logarithm, and the argmax it
+        # leads to is made of floats
+        evaluated = []
+
+        def recording(theta, kappa):
+            objective = _k3_objective(theta, kappa)
+
+            def recorded(x):
+                evaluated.append(x)
+                return objective(x)
+
+            return recorded
+
+        monkeypatch.setattr(nhlgi.scan, "_k3_objective", recording)
+        x = list(_CANONICAL_K3_START)
+        x[3] = math.log(GAP_FLOOR * (1.0 - 1e-12))
+        start = np.array(x) if as_array else tuple(x)
+        res = maximize_k3(1.2, budget=2000, extra_starts=[start])
+        warm = evaluated[1]
+        assert warm[3] == math.log(GAP_FLOOR) and warm[:3] == x[:3]
+        assert all(type(v) is float for v in warm)
+        assert all(type(v) is float for v in res.argmax.values())
+
+    def test_nan_warm_start_is_refused(self):
+        # clipping would move the NaN onto the lower bound and search on
+        with pytest.raises(ValueError, match="NaN"):
+            maximize_k3(1.2, budget=2000, extra_starts=[(math.nan, 1.0, -1.0, -1.0)])
+
     def test_times_stay_in_window(self):
-        res = maximize_k3(1.2, budget=2000, seed=4, config=SMALL)
+        res = maximize_k3(1.2, budget=2000, seed=4)
         am = res.argmax
         assert 0.0 <= am["t1"] < am["t2"] < am["t3"] <= math.pi + 1e-9
 
     def test_result_serialises(self):
-        res = maximize_k3(0.5, budget=2000, seed=0, config=SMALL)
+        res = maximize_k3(0.5, budget=2000, seed=0)
         payload = json.loads(json.dumps(res.to_dict()))
         assert payload["kind"] == "k3"
         assert payload["theta"] == pytest.approx(0.5)
@@ -334,13 +393,43 @@ class TestMaximizeK3:
 
     def test_budget_too_small(self):
         with pytest.raises(ScanConfigError):
-            maximize_k3(0.5, budget=100, seed=0, config=SMALL)
+            maximize_k3(0.5, budget=100, seed=0)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            maximize_k3(math.pi / 2, budget=2000, config=SMALL)
+            maximize_k3(math.pi / 2, budget=2000)
         with pytest.raises(ValueError):
-            maximize_k3(0.5, kappa=-1.0, budget=2000, config=SMALL)
+            maximize_k3(0.5, kappa=-1.0, budget=2000)
+
+
+class TestBudget:
+    """A search spends at most its budget: the restarts share what the seeding
+    pass leaves, and ``restarts`` counts those run."""
+
+    @pytest.mark.parametrize("budget", [576, 600, 1000, 1536])
+    @pytest.mark.parametrize("search", ["k3", "k3_warm", "speed"])
+    def test_evals_stay_within_budget(self, monkeypatch, search, budget):
+        runs = []
+
+        def counted(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(nhlgi.scan, "minimize", counted)
+        if search == "speed":
+            res = maximize_speed(1.2, budget=budget, seed=3)
+        else:
+            warm = [(0.4, 1.0, -1.0, -0.5)] if search == "k3_warm" else []
+            res = maximize_k3(1.2, budget=budget, seed=3, extra_starts=warm)
+        seeding = 512 + (2 if search == "k3_warm" else 1)
+        assert res.evals <= budget
+        assert res.restarts == len(runs) >= 1
+        assert res.evals == seeding + sum(run.nfev for run in runs)
+
+    def test_seeding_pass_past_the_budget_is_refused(self):
+        starts = [_CANONICAL_K3_START] * 64
+        with pytest.raises(ScanConfigError):
+            maximize_k3(1.2, budget=576, extra_starts=starts)
 
 
 class TestMaximizeSpeed:
@@ -350,7 +439,7 @@ class TestMaximizeSpeed:
         # the speed is exact, so it cannot overshoot it either
         s = math.sin(theta)
         target = (1.0 + s) / (1.0 - s)
-        res = maximize_speed(theta, budget=2000, seed=0, config=SMALL)
+        res = maximize_speed(theta, budget=2000, seed=0)
         assert res.objective == pytest.approx(target, rel=1e-12, abs=0.0)
         assert res.kind == "speed"
 
@@ -358,7 +447,7 @@ class TestMaximizeSpeed:
         # the search and the validated public route call the same kernels, so
         # at the canonical start and at the argmax they agree exactly
         theta = 1.2
-        res = maximize_speed(theta, budget=2000, seed=3, config=SMALL)
+        res = maximize_speed(theta, budget=2000, seed=3)
         objective = _speed_objective(theta)
         h = NHHamiltonian.canonical(theta)
         am = res.argmax
@@ -372,8 +461,8 @@ class TestMaximizeSpeed:
         )
 
     def test_deterministic(self):
-        a = maximize_speed(1.0, budget=2000, seed=5, config=SMALL)
-        b = maximize_speed(1.0, budget=2000, seed=5, config=SMALL)
+        a = maximize_speed(1.0, budget=2000, seed=5)
+        b = maximize_speed(1.0, budget=2000, seed=5)
         assert a.objective == b.objective
         assert a.argmax == b.argmax
 
@@ -381,7 +470,7 @@ class TestMaximizeSpeed:
 class TestNoiseSeries:
     def test_small_grid(self):
         grid = (0.0, 0.5)
-        results = k3max_vs_noise(0.9, kappa_grid=grid, budget=2000, seed=0, config=SMALL)
+        results = k3max_vs_noise(0.9, kappa_grid=grid, budget=2000, seed=0)
         assert [r.kappa for r in results] == list(grid)
         s = math.sin(0.9)
         assert results[0].objective >= 1.0 + s + s * s - 1e-9
@@ -390,8 +479,8 @@ class TestNoiseSeries:
 
     def test_deterministic(self):
         grid = (0.0, 0.2)
-        a = k3max_vs_noise(0.7, kappa_grid=grid, budget=2000, seed=11, config=SMALL)
-        b = k3max_vs_noise(0.7, kappa_grid=grid, budget=2000, seed=11, config=SMALL)
+        a = k3max_vs_noise(0.7, kappa_grid=grid, budget=2000, seed=11)
+        b = k3max_vs_noise(0.7, kappa_grid=grid, budget=2000, seed=11)
         assert [r.objective for r in a] == [r.objective for r in b]
         assert [r.evals for r in a] == [r.evals for r in b]
 
@@ -400,11 +489,11 @@ class TestNoiseSeries:
         # near the corner the optimum sits at gaps of order 1e-3, which the
         # log-gap search reaches, but at this small budget a search can still
         # stop short of it (without the retry, the series rises somewhere for
-        # 6 of seeds 0-11); such a kappa is searched again from the next
+        # each of seeds 0-11); such a kappa is searched again from the next
         # kappa's argmax
         grid = (1e-5, 1e-4, 1e-3)
         results = k3max_vs_noise(
-            math.pi / 2 - 1e-3, kappa_grid=grid, budget=2000, seed=seed, config=SMALL
+            math.pi / 2 - 1e-3, kappa_grid=grid, budget=2000, seed=seed
         )
         values = [r.objective for r in results]
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
@@ -415,7 +504,7 @@ class TestNoiseSeries:
         # kernels for an argmax to re-evaluate to 1e-12
         theta = math.pi / 2 - 1e-3
         results = k3max_vs_noise(
-            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=7, config=SMALL
+            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=7
         )
         for res in results:
             assert _engine_k3(theta, res) == pytest.approx(res.objective, abs=1e-12)
@@ -428,7 +517,7 @@ class TestNoiseSeries:
         # 4.4e-16 in half of these argmaxes
         theta = math.pi / 2 - 1e-3
         results = k3max_vs_noise(
-            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=seed, config=SMALL
+            theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=seed
         )
         for res in results:
             assert _engine_k3(theta, res) == res.objective
@@ -455,17 +544,28 @@ class TestNoiseSeries:
 
     def test_grid_validation(self):
         with pytest.raises(ScanConfigError):
-            k3max_vs_noise(0.9, kappa_grid=(), budget=2000, config=SMALL)
+            k3max_vs_noise(0.9, kappa_grid=(), budget=2000)
         with pytest.raises(ScanConfigError):
-            k3max_vs_noise(0.9, kappa_grid=(0.0, -1.0), budget=2000, config=SMALL)
+            k3max_vs_noise(0.9, kappa_grid=(0.0, -1.0), budget=2000)
         with pytest.raises(ScanConfigError):
-            k3max_vs_noise(0.9, kappa_grid=(0.0, math.inf), budget=2000, config=SMALL)
+            k3max_vs_noise(0.9, kappa_grid=(0.0, math.inf), budget=2000)
 
 
 class TestPlane:
     """The y-z great circle with ``t1 = 0`` loses nothing: the seven-coordinate
     reference objective, searched from the planar argmax, gains at most
     rounding."""
+
+    @pytest.mark.parametrize("theta", [1.2, math.pi / 2 - 1e-3])
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    def test_planar_objective_is_the_reference_on_the_plane(self, theta, kappa):
+        rng = np.random.default_rng(19)
+        lower, upper = np.array(_K3_LOWER), np.array(_K3_UPPER)
+        points = (lower + rng.uniform(size=(200, 4)) * (upper - lower)).tolist()
+        planar = _k3_objective(theta, kappa)
+        reference = _k3_reference(theta, kappa)
+        for x in points + _BOX_POINTS:
+            assert planar(x) == reference(_planar_point(x))
 
     @pytest.mark.parametrize(
         "theta, kappa, budget",
@@ -488,7 +588,7 @@ class TestPlane:
         ]
         lower = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         upper = [math.pi, 2 * math.pi, math.pi, 2 * math.pi] + [TIME_WINDOW] * 3
-        objective = _k3_objective(theta, kappa)
+        objective = _k3_reference(theta, kappa)
         out = minimize(lambda x: -objective(x), x0, lower, upper,
                        maxfev=40_000, xatol=1e-8, fatol=1e-8)
         assert -out.fun - res.objective <= 1e-9
