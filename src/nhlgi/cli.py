@@ -41,7 +41,7 @@ from .embedding import (
     theta_from_delta,
 )
 from .emit import write_csv, write_json
-from .lgi import CorrelatorEngine, Observable, _check_protocol, protocol
+from .lgi import CorrelatorEngine, Observable, _check_protocol, _correlators, _tables
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_KAPPA_GRID,
@@ -122,17 +122,19 @@ def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
     """Columns of the protocol at times ``(0, t, 2t)`` from ``up_y`` along ``-y``.
 
     ``engine_of(point)`` builds the engine of each working point, whose
-    validated ``(first, transfer)`` then serve every spacing; each row is
-    checked on plain floats, as :class:`nhlgi.lgi.LgiResult` would check it.
+    validated protocol run, set up once, then serves every spacing; each row
+    is checked on plain floats, as :class:`nhlgi.lgi.LgiResult` would check
+    it.
     """
     q, psi0 = Observable.canonical(), up_y()
     rows = {name: [] for name in (label, "t", "c12", "c23", "c13", "k3")}
     for point in points:
-        first, transfer = engine_of(point)._protocol_inputs(psi0, q)
+        run = engine_of(point)._protocol_inputs(psi0, q)
         for t in spacings:
-            c12, c23, c13, *tables = protocol(first, transfer, 0.0, t, 2.0 * t)
+            values = run(0.0, t, 2.0 * t)
+            c12, c23, c13 = _correlators(values)
             k3 = c12 + c23 - c13
-            _check_protocol(tables, k3)
+            _check_protocol(_tables(values), k3)
             rows[label].append(point)
             rows["t"].append(t)
             rows["c12"].append(c12)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .dynamics import (
     up_y,
     validate_pure,
 )
-from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born
+from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born, protocol
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -260,4 +260,4 @@ def k3_via_embedding(
     first, transfer = _propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)(
         psi0.tolist(), _axis_basis(q.direction)
     )
-    return _k3_result(first, transfer, t1, t2, t3, 0.0)
+    return _k3_result(partial(protocol, first, transfer), t1, t2, t3, 0.0)

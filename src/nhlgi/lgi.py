@@ -20,34 +20,44 @@ pi/2.  With equal spacing ``t`` between the measurement times, the initial
 state ``up_y`` and the canonical observable (axis ``-y``), all four joint
 distributions have closed forms, exposed here as :func:`k3_closed_form`.
 
-Every protocol run goes through one scalar kernel, :func:`protocol`, which
-takes two functions of one state and axis: ``first(t)``, the probability of
-+1 at a pair's first measurement, and ``transfer(g)``, the probabilities of
-+1 a gap ``g`` after collapsing onto +1 or -1.  Three builders supply them:
+Every protocol run yields the same eight numbers: P(+1) at the first and
+second times, and the pair (P(+1 | +1), P(+1 | -1)) across each of the gaps
+(1,2), (2,3) and (1,3).  :func:`_correlators` forms ``(C12, C23, C13)`` from
+them and :func:`_tables` the joint tables, each the one copy of its
+arithmetic.  Two evaluators produce them:
 
-- pure states in the measured axis's eigenbasis (:func:`_spinor_frame`),
-  where both conditionals are column ratios of the propagator, so no
-  collapse branch is propagated;
-- any state under noise (``kappa > 0``) as a Bloch vector, with the exact
-  solution of the linear lift of the depolarising flow in its real modal
-  form (two real eigenvalues and one rotating pair) projected onto the axis
-  and the state, so each time costs two ``exp`` and one cos/sin pair
-  (:func:`_noisy_frame`);
-- the dilation and noiseless density matrices through an adapter that
-  propagates each branch with a renormalised flow and reads Born
-  probabilities (:func:`_propagating_frame`), which keeps the dilation an
-  independent cross-check.
+- pure states at ``kappa = 0`` in the measured axis's eigenbasis
+  (:func:`_spinor_frame`): ``setup`` writes the state and the generator in
+  that basis once per point as a tuple of floats, and ``evaluate`` runs the
+  three times in straight-line code, where both conditionals are column
+  ratios of the propagator, so no collapse branch is propagated and no
+  closure is built per point;
+- the generic kernel :func:`protocol`, which takes two functions of one
+  state and axis: ``first(t)``, the probability of +1 at a pair's first
+  measurement, and ``transfer(g)``, the probabilities of +1 a gap ``g``
+  after collapsing onto +1 or -1.  Two builders supply them:
+
+  - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
+    solution of the linear lift of the depolarising flow in its real modal
+    form (two real eigenvalues and one rotating pair) projected onto the
+    axis and the state, so each time costs two ``exp`` and one cos/sin pair
+    (:func:`_noisy_frame`);
+  - the dilation and noiseless density matrices through an adapter that
+    propagates each branch with a renormalised flow and reads Born
+    probabilities (:func:`_propagating_frame`), which keeps the dilation an
+    independent cross-check.
 
 The flows, the lift, the Bloch-vector and Bloch-angle maps and the axis
 eigenbasis these builders use are the scalar kernels of
 :mod:`nhlgi.dynamics`; this module keeps no copy of them.
 
 :class:`CorrelatorEngine` binds the builders once per Hamiltonian and noise
-strength into two unvalidated routes: one from a spinor and an axis, one
-from a Bloch vector and an axis.  Its public calls validate and take the
-route of the state's shape; the K3 search of :mod:`nhlgi.scan` calls the
-spinor route per point, so a search and the public API evaluate a point by
-the same arithmetic.
+strength into two unvalidated routes, each a ``(setup, evaluate)`` pair:
+one from a spinor and an axis, one from a Bloch vector and an axis.  Its
+public calls validate, take the route of the state's shape and set the
+point up once for all their times; the K3 search of :mod:`nhlgi.scan`
+calls the spinor route per point, so a search and the public API evaluate
+a point by the same arithmetic.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -247,24 +257,28 @@ class LgiResult:
 
 
 def _spinor_frame(h: NHHamiltonian):
-    """Pure-state protocol inputs of ``h``, in the measured axis's eigenbasis.
+    """Pure-state protocol of ``h``, in the measured axis's eigenbasis.
 
-    Returns ``frame(psi, (up, down)) -> (first, transfer)`` for spinors.  Per
-    point, the state and ``M`` are written once in the basis ``C = [up,
-    down]``: ``psi' = C^dag psi`` and ``M' = C^dag M C``, where the
-    propagator is ``U' = cos(w t) I - i sin(w t)/w M'``.  ``first(t)`` is
-    ``|x|^2 / (|x|^2 + |y|^2)`` of ``(x, y) = U' psi'``, and ``transfer(g)``
-    the column ratios ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 /
+    Returns ``(setup, evaluate)`` on plain scalars, with no closure per point.
+    ``setup(psi, n)`` writes a spinor and ``M`` once in the basis ``C = [up,
+    down]`` of :func:`nhlgi.dynamics._axis_basis` of the unit axis ``n``:
+    ``psi' = C^dag psi`` and ``M' = C^dag M C``, where the propagator is
+    ``U' = cos(w t) I - i sin(w t)/w M'``.  It returns their coefficients
+    as a tuple of floats.  ``evaluate(coeffs, t1, t2, t3)`` returns the eight
+    numbers of :func:`protocol`: P(+1) at ``t1`` and at ``t2`` is ``|x|^2 /
+    (|x|^2 + |y|^2)`` of ``(x, y) = U' psi'``, and each gap's conditional
+    pair the column ratios ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 /
     (|u01|^2 + |u11|^2)`` of ``U'``.  No branch is propagated or normalised;
-    each time costs one cos/sin pair.
+    each time costs one cos/sin pair, and ``t1 = 0`` none, since ``cos 0 =
+    1`` and ``sin 0 = 0`` leave every product of that time exact.
     """
     w = h.omega
     (m00, m01), (m10, m11) = h.matrix.tolist()
     cos, sin = math.cos, math.sin
 
-    def frame(psi, collapse):
+    def setup(psi, n):
         a, b = psi
-        (u0, u1), (d0, d1) = collapse
+        (u0, u1), (d0, d1) = _axis_basis(n)
         uc0, uc1, dc0, dc1 = u0.conjugate(), u1.conjugate(), d0.conjugate(), d1.conjugate()
         mu0, mu1 = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
         md0, md1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
@@ -272,30 +286,51 @@ def _spinor_frame(h: NHHamiltonian):
         n00, n01, n10 = uc0 * mu0 + uc1 * mu1, uc0 * md0 + uc1 * md1, dc0 * mu0 + dc1 * mu1
         p0, p1 = uc0 * a + uc1 * b, dc0 * a + dc1 * b
         q0, q1 = n00 * p0 + n01 * p1, n10 * p0 - n00 * p1
-        p0r, p0i, p1r, p1i = p0.real, p0.imag, p1.real, p1.imag
-        q0r, q0i, q1r, q1i = q0.real, q0.imag, q1.real, q1.imag
-        n00r, n00i = n00.real, n00.imag
-        n01_sq, n10_sq = abs(n01) ** 2, abs(n10) ** 2
+        return (
+            p0.real, p0.imag, p1.real, p1.imag, q0.real, q0.imag, q1.real, q1.imag,
+            n00.real, n00.imag, abs(n01) ** 2, abs(n10) ** 2,
+        )
 
-        def first(t):
-            # (x, y) = cos psi' - i sin/w M' psi'
-            c, s = cos(w * t), sin(w * t) / w
+    def evaluate(coeffs, t1, t2, t3):
+        p0r, p0i, p1r, p1i, q0r, q0i, q1r, q1i, n00r, n00i, n01_sq, n10_sq = coeffs
+        # P(+1) at t1 and t2, from (x, y) = cos psi' - i sin/w M' psi'
+        if t1 == 0.0:
+            px = p0r * p0r + p0i * p0i
+            first1 = px / (px + p1r * p1r + p1i * p1i)
+        else:
+            c, s = cos(w * t1), sin(w * t1) / w
             xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
             yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
             px = xr * xr + xi * xi
-            return px / (px + yr * yr + yi * yi)
+            first1 = px / (px + yr * yr + yi * yi)
+        c, s = cos(w * t2), sin(w * t2) / w
+        xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
+        yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
+        px = xr * xr + xi * xi
+        first2 = px / (px + yr * yr + yi * yi)
+        # conditional pairs across each gap, from |u00|^2 = |c - i s M'_00|^2
+        # and |u11|^2 = |c + i s M'_00|^2
+        g = t2 - t1
+        c, s = cos(w * g), sin(w * g) / w
+        im_sq, ss = (s * n00r) ** 2, s * s
+        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
+        u10, u01 = ss * n10_sq, ss * n01_sq
+        plus12, minus12 = u00 / (u00 + u10), u01 / (u01 + u11)
+        g = t3 - t2
+        c, s = cos(w * g), sin(w * g) / w
+        im_sq, ss = (s * n00r) ** 2, s * s
+        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
+        u10, u01 = ss * n10_sq, ss * n01_sq
+        plus23, minus23 = u00 / (u00 + u10), u01 / (u01 + u11)
+        g = t3 - t1
+        c, s = cos(w * g), sin(w * g) / w
+        im_sq, ss = (s * n00r) ** 2, s * s
+        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
+        u10, u01 = ss * n10_sq, ss * n01_sq
+        plus13, minus13 = u00 / (u00 + u10), u01 / (u01 + u11)
+        return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
 
-        def transfer(g):
-            c, s = cos(w * g), sin(w * g) / w
-            # |u00|^2 = |c - i s M'_00|^2 and |u11|^2 = |c + i s M'_00|^2
-            im_sq = (s * n00r) ** 2
-            u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
-            u10, u01 = s * s * n10_sq, s * s * n01_sq
-            return u00 / (u00 + u10), u01 / (u01 + u11)
-
-        return first, transfer
-
-    return frame
+    return setup, evaluate
 
 
 def _noisy_frame(h: NHHamiltonian, kappa: float):
@@ -467,47 +502,65 @@ def _propagating_frame(propagate, born):
     return frame
 
 
-def _table(p, conditionals):
-    """Joint table ``((p++, p+-), (p-+, p--))`` of one measurement pair.
-
-    ``p`` is P(+1) at the first measurement and ``conditionals`` the pair
-    (P(+1 | +1), P(+1 | -1)) at the second.
-    """
-    plus, minus = conditionals
-    q = 1.0 - p
-    return (p * plus, p * (1.0 - plus)), (q * minus, q * (1.0 - minus))
-
-
-def _correlator(table) -> float:
-    """``C = p++ - p+- - p-+ + p--`` of a nested joint table."""
-    (pp, pm), (mp, mm) = table
-    return pp - pm - mp + mm
-
-
 def protocol(first, transfer, t1: float, t2: float, t3: float):
     """The invasive three-time protocol on plain scalars, for any representation.
 
     ``first(t)`` is the probability of outcome +1 when the first measurement
     of a pair happens at ``t``; ``transfer(g)`` is the pair (P(+1 | collapsed
     onto +1), P(+1 | collapsed onto -1)) at a second measurement a gap ``g``
-    later.  :func:`_spinor_frame`, :func:`_noisy_frame` and
-    :func:`_propagating_frame` build them for one state and axis.  Nothing is
-    validated: callers check their inputs once, outside any loop.
+    later.  :func:`_noisy_frame` and :func:`_propagating_frame` build them
+    for one state and axis.  Nothing is validated: callers check their
+    inputs once, outside any loop.
 
-    Returns ``(c12, c23, c13, table12, table23, table13)`` with each table
-    nested as ``((p++, p+-), (p-+, p--))``.
+    Returns the eight numbers ``(p1, p2, plus12, minus12, plus23, minus23,
+    plus13, minus13)``: P(+1) at ``t1`` and ``t2``, then the conditional pair
+    across each of the gaps (1,2), (2,3) and (1,3).  The ``evaluate`` of
+    :func:`_spinor_frame` returns the same eight numbers;
+    :func:`_correlators` and :func:`_tables` read them.
     """
-    p1 = first(t1)
-    tables = (
-        _table(p1, transfer(t2 - t1)),
-        _table(first(t2), transfer(t3 - t2)),
-        _table(p1, transfer(t3 - t1)),
+    return (first(t1), first(t2), *transfer(t2 - t1), *transfer(t3 - t2), *transfer(t3 - t1))
+
+
+def _protocol_of(inputs, t1: float, t2: float, t3: float):
+    """:func:`protocol` of ``inputs = (first, transfer)``: the ``evaluate`` of
+    the frames that build a closure pair per point."""
+    return protocol(*inputs, t1, t2, t3)
+
+
+def _correlators(values) -> tuple[float, float, float]:
+    """``(c12, c23, c13)`` of the eight numbers of :func:`protocol`.
+
+    Each is ``p++ - p+- - p-+ + p--`` of the pair's table in :func:`_tables`,
+    with the same arithmetic, and no table built.
+    """
+    p1, p2, plus12, minus12, plus23, minus23, plus13, minus13 = values
+    q1, q2 = 1.0 - p1, 1.0 - p2
+    return (
+        p1 * plus12 - p1 * (1.0 - plus12) - q1 * minus12 + q1 * (1.0 - minus12),
+        p2 * plus23 - p2 * (1.0 - plus23) - q2 * minus23 + q2 * (1.0 - minus23),
+        p1 * plus13 - p1 * (1.0 - plus13) - q1 * minus13 + q1 * (1.0 - minus13),
     )
-    return tuple(map(_correlator, tables)) + tables
 
 
-def _k3_result(first, transfer, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
-    """The validated :class:`LgiResult` of :func:`protocol` at ``t1 < t2 < t3``.
+def _tables(values):
+    """Joint tables of the pairs (1,2), (2,3) and (1,3) from the eight numbers
+    of :func:`protocol`, each nested as ``((p++, p+-), (p-+, p--))``.
+
+    A pair whose first measurement gives +1 with probability ``p`` and whose
+    conditionals are ``(plus, minus)`` has the minus-row weight ``1 - p``.
+    """
+    p1, p2, plus12, minus12, plus23, minus23, plus13, minus13 = values
+    q1, q2 = 1.0 - p1, 1.0 - p2
+    return (
+        ((p1 * plus12, p1 * (1.0 - plus12)), (q1 * minus12, q1 * (1.0 - minus12))),
+        ((p2 * plus23, p2 * (1.0 - plus23)), (q2 * minus23, q2 * (1.0 - minus23))),
+        ((p1 * plus13, p1 * (1.0 - plus13)), (q1 * minus13, q1 * (1.0 - minus13))),
+    )
+
+
+def _k3_result(run, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
+    """The validated :class:`LgiResult` of ``run(t1, t2, t3)``, which returns
+    the eight numbers of :func:`protocol`, at ``t1 < t2 < t3``.
 
     The times are checked here, once per public K3 call: each must be finite
     and ``0 <= t1 < t2 < t3``.
@@ -515,24 +568,25 @@ def _k3_result(first, transfer, t1: float, t2: float, t3: float, kappa: float) -
     _check_finite_times(t1=t1, t2=t2, t3=t3)
     if not 0.0 <= t1 < t2 < t3:
         raise ValueError("need 0 <= t1 < t2 < t3")
-    tables = protocol(first, transfer, t1, t2, t3)[3:]
-    return LgiResult.from_tables(tables, (t1, t2, t3), kappa)
+    return LgiResult.from_tables(_tables(run(t1, t2, t3)), (t1, t2, t3), kappa)
 
 
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine binds its two routes to :func:`protocol` once, with
-    the frame setup (with noise, the eigendecomposition of the lift and its
-    real modal form).  Neither validates; the scans call them per point.
+    Building the engine binds its two routes once, with the frame setup
+    (with noise, the eigendecomposition of the lift and its real modal
+    form).  Each route is a pair ``(setup, evaluate)``: ``setup(state, n)``
+    prepares one state and unit axis, and ``evaluate(point, t1, t2, t3)``
+    returns the eight numbers of :func:`protocol` for the prepared point.
+    Neither validates; the scans call them per point.
 
-    - ``_spinor_route(psi, n) -> (first, transfer)`` for a spinor and a unit
-      axis: the spinor frame in the axis eigenbasis of
-      :func:`nhlgi.dynamics._axis_basis` at ``kappa = 0``, the noisy frame at
-      the spinor's Bloch vector at ``kappa > 0``;
-    - ``_bloch_route(r, n)`` for a Bloch vector ``r = tr(rho sigma)``: the
-      noisy frame at ``kappa > 0``, and at ``kappa = 0`` the noiseless
-      density flow propagating each collapse branch ``+/- n``.
+    - ``_spinor_route`` for a spinor: the closure-free spinor frame in the
+      axis eigenbasis of :func:`nhlgi.dynamics._axis_basis` at ``kappa =
+      0``, the noisy frame at the spinor's Bloch vector at ``kappa > 0``;
+    - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
+      frame at ``kappa > 0``, and at ``kappa = 0`` the noiseless density
+      flow propagating each collapse branch ``+/- n``.
 
     Every public call validates its inputs once and takes the route of the
     state's shape.
@@ -540,50 +594,53 @@ class CorrelatorEngine:
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
         if kappa == 0.0:
-            spinor = _spinor_frame(h)
+            spinor_route = _spinor_frame(h)
             density = _propagating_frame(_density_propagator(h), _bloch_born)
 
-            def spinor_route(psi, n):
-                return spinor(psi, _axis_basis(n))
-
-            def bloch_route(r, n):
+            def bloch_setup(r, n):
                 return density(r, (n, (-n[0], -n[1], -n[2])))
 
         else:
-            bloch_route = _noisy_frame(h, kappa)
+            bloch_setup = _noisy_frame(h, kappa)
 
-            def spinor_route(psi, n):
+            def spinor_setup(psi, n):
                 x, y, z = _spinor_bloch(psi)
-                return bloch_route((2.0 * x, 2.0 * y, 2.0 * z), n)
+                return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
 
-        self._spinor_route, self._bloch_route = spinor_route, bloch_route
+            spinor_route = spinor_setup, _protocol_of
+
+        self._spinor_route, self._bloch_route = spinor_route, (bloch_setup, _protocol_of)
         self.hamiltonian = h
         self.kappa = float(kappa)
 
     def _protocol_inputs(self, state, q: Observable):
-        """Validated ``(first, transfer)`` for :func:`protocol`."""
+        """Validated ``run(t1, t2, t3)`` -> the eight numbers of :func:`protocol`,
+        with the state and axis set up once for any number of times."""
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1:
-            return self._spinor_route(tuple(validate_pure(state).tolist()), q.direction)
-        if state.ndim == 2:
-            r = _density_bloch(validate_density(state).tolist())
-            return self._bloch_route(r, q.direction)
-        raise ValueError("state must be a 2-vector or a 2x2 density matrix")
+            route, point = self._spinor_route, tuple(validate_pure(state).tolist())
+        elif state.ndim == 2:
+            route, point = self._bloch_route, _density_bloch(validate_density(state).tolist())
+        else:
+            raise ValueError("state must be a 2-vector or a 2x2 density matrix")
+        setup, evaluate = route
+        return partial(evaluate, setup(point, q.direction))
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
-        first, transfer = self._protocol_inputs(state, q)
+        run = self._protocol_inputs(state, q)
         _check_finite_times(t_i=t_i, t_j=t_j)
         if not 0.0 <= t_i < t_j:
             raise ValueError("need 0 <= t_i < t_j")
-        return JointTable(_table(first(t_i), transfer(t_j - t_i)), t_i, t_j)
+        # the (1,2) table of a run whose third time repeats the second
+        return JointTable(_tables(run(t_i, t_j, t_j))[0], t_i, t_j)
 
     def correlator(self, state, q: Observable, t_i: float, t_j: float) -> float:
         return self.joint_table(state, q, t_i, t_j).correlator
 
     def k3(self, state, q: Observable, t1: float, t2: float, t3: float) -> LgiResult:
         """Full three-time protocol result at ordered times ``t1 < t2 < t3``."""
-        return _k3_result(*self._protocol_inputs(state, q), t1, t2, t3, self.kappa)
+        return _k3_result(self._protocol_inputs(state, q), t1, t2, t3, self.kappa)
 
 
 def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:

@@ -21,16 +21,22 @@ machines.  Every reported objective is the re-evaluable value of an actually
 visited point: the K3 objective calls the spinor route of
 :class:`nhlgi.lgi.CorrelatorEngine` and the speed objective the route of
 :func:`nhlgi.dynamics.speed`, which the public API validates and calls, so
-an argmax re-evaluates through it to the reported float.  This module keeps
-no copy of either.  Runs are reproducible: one master seed
-drives the hypercube and all restarts, the restarts share what the seeding
-pass leaves of the budget in equal parts fixed up front, and they run one
-after another in a fixed order.  No run spends more than its budget.
+an argmax re-evaluates through it to the reported float.  At ``kappa = 0``
+the spinor route is two plain functions on floats, one setting up the
+state and axis and one evaluating the three times, and the objective forms
+the three correlators without building a closure or a joint table per
+point.  This module keeps no copy of either route's arithmetic.  Runs are
+reproducible: one master seed drives the hypercube and all restarts, the
+restarts share what the seeding pass leaves of the budget in equal parts
+fixed up front, and they run one after another in a fixed order.  No run
+spends more than its budget, which must be an integer, as the seed must be
+a non-negative one; anything else is refused by name before any work.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -40,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import NHHamiltonian, _bloch_axis, _bloch_state, _speed_route
-from .lgi import CorrelatorEngine, protocol
+from .lgi import CorrelatorEngine, _correlators
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -88,6 +94,26 @@ DEFAULT_THETA_GRID = (0.0, 0.3, 0.6, 0.9, 1.2, math.pi / 2 - 0.1)
 
 class ScanConfigError(ValueError):
     """Raised for scan configurations that cannot produce a meaningful result."""
+
+
+def _check_run(budget, seed) -> None:
+    """Refuse a budget that is not an integer, or a seed that is not a
+    non-negative integer, naming the argument.
+
+    A NaN or infinite budget would let every restart stop after its initial
+    simplex, and numpy's refusal of a negative seed names no argument.  Each
+    search entry point calls this before any work.
+    """
+    try:
+        operator.index(budget)
+    except TypeError:
+        raise ScanConfigError(f"budget must be an integer, got {budget!r}") from None
+    try:
+        valid_seed = operator.index(seed) >= 0
+    except TypeError:
+        valid_seed = False
+    if not valid_seed:
+        raise ScanConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 # Simplex convergence tolerances on coordinates and on values.
@@ -210,8 +236,13 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
     while nfev < maxfev:
         best = sim[0]
         fbest = fsim[0]
-        if all(abs(fbest - v) <= fatol for v in fsim) and all(
-            abs(b - v) <= xatol for x in sim for b, v in zip(best, x)
+        # The values are sorted, so a worst value more than fatol above the
+        # best fails the full test; checking it first skips both generators
+        # on most steps.  A NaN fails either form.
+        if (
+            fsim[-1] - fbest <= fatol
+            and all(abs(fbest - v) <= fatol for v in fsim)
+            and all(abs(b - v) <= xatol for x in sim for b, v in zip(best, x))
         ):
             break
         worst = sim[-1]
@@ -387,18 +418,19 @@ def _k3_objective(theta: float, kappa: float):
     configuration :func:`_planar_point` gives, with the times ``(0, g1,
     g1 + g2)``.
 
-    Every point runs the spinor route of :class:`nhlgi.lgi.CorrelatorEngine`
-    into :func:`nhlgi.lgi.protocol`, on the state and the axis the public
-    API builds from the same angles, so ``engine.k3`` re-evaluates any point
-    to the same float.  Near the corner K3 resolves the last ulp of the
+    Every point runs the spinor route of :class:`nhlgi.lgi.CorrelatorEngine`,
+    on the state and the axis the public API builds from the same angles, so
+    ``engine.k3`` re-evaluates any point to the same float.  At ``kappa =
+    0`` that route is two plain functions on floats, with no closure or
+    joint table per point.  Near the corner K3 resolves the last ulp of the
     state and of the axis eigenbasis, so no other route would do.
     """
-    route = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
+    setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, _, g1, g2 = _planar_point(x)
-        first, transfer = route(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
-        c12, c23, c13 = protocol(first, transfer, 0.0, g1, g1 + g2)[:3]
+        point = setup(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+        c12, c23, c13 = _correlators(evaluate(point, 0.0, g1, g1 + g2))
         return c12 + c23 - c13
 
     return objective
@@ -441,6 +473,7 @@ def maximize_k3(
     restarts run.  The argmax keeps all seven keys, as floats, with ``t1 =
     0``.  Deterministic for a fixed ``(theta, kappa, budget, seed)``.
     """
+    _check_run(budget, seed)
     starts = (_CANONICAL_K3_START, *extra_starts)
     value, x, evals, restarts = _multistart_maximize(
         _k3_objective(theta, kappa), _K3_LOWER, _K3_UPPER, starts, budget, seed
@@ -480,6 +513,7 @@ def maximize_speed(
     closed form, ``(1 + sin theta)/(1 - sin theta)``, is always reachable
     because the canonical start, ``down_y``, sits on it.
     """
+    _check_run(budget, seed)
     starts = (_CANONICAL_SPEED_START,)
     value, x, evals, restarts = _multistart_maximize(
         _speed_objective(theta), (0.0, 0.0), (math.pi, 2 * math.pi), starts, budget, seed
@@ -506,6 +540,7 @@ def maximize_family(
     the K3 search of ``thetas[i]`` and child ``2i + 1`` its speed search.
     Returns ``(k3_results, speed_results)``, aligned with ``thetas``.
     """
+    _check_run(budget, seed)
     children = np.random.SeedSequence(seed).spawn(2 * len(thetas))
     k3_results, speed_results = [], []
     for i, theta in enumerate(thetas):
@@ -547,6 +582,7 @@ def k3max_vs_noise(
     default grid ends deep in the overdamped regime where the maximum
     saturates at the classical value 1.
     """
+    _check_run(budget, seed)
     grid = DEFAULT_KAPPA_GRID if kappa_grid is None else tuple(kappa_grid)
     if len(grid) == 0:
         raise ScanConfigError("kappa grid is empty")

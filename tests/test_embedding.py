@@ -21,6 +21,7 @@ from nhlgi.lgi import (
     Observable,
     _propagating_frame,
     _pure_born,
+    _tables,
     protocol,
 )
 from nhlgi.embedding import (
@@ -259,7 +260,7 @@ def _reference_k3(theta, q, times, psi0):
     first, transfer = _propagating_frame(propagate, _pure_born)(
         tuple(psi0.tolist()), _axis_basis(q.direction)
     )
-    return LgiResult.from_tables(protocol(first, transfer, *times)[3:], times)
+    return LgiResult.from_tables(_tables(protocol(first, transfer, *times)), times)
 
 
 def _random_cases(n, seed=1414):
@@ -297,7 +298,7 @@ class TestOneDilationPerWorkingPoint:
             first, transfer = _propagating_frame(
                 lambda t, c: _rebuilt_postselect(theta, c, t)[0], _pure_born
             )(tuple(psi.tolist()), _axis_basis(q.direction))
-            want = LgiResult.from_tables(protocol(first, transfer, *times)[3:], times)
+            want = LgiResult.from_tables(_tables(protocol(first, transfer, *times)), times)
             res = k3_via_embedding(theta, q, *times, psi0=psi)
             assert (res.c12, res.c23, res.c13, res.k3) == (want.c12, want.c23, want.c13, want.k3)
 

@@ -541,6 +541,13 @@ class TestCliErrors:
         assert main(["scan", "--theta", "0.5", "--budget", "10"]) == 2
         assert "scan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scan", "noisescan"])
+    def test_negative_seed_is_named(self, command, capsys):
+        assert main([command, "--theta", "0.5", "--budget", "700", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: scan: seed must be a non-negative integer, got -1\n"
+        )
+
     def test_embed_degenerate_corner_exits_2(self, capsys):
         assert main(["embed", "--delta", "0"]) == 2
         capsys.readouterr()

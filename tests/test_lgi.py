@@ -29,14 +29,17 @@ from nhlgi.lgi import (
     LgiResult,
     Observable,
     _bloch_born,
+    _correlators,
     _noisy_frame,
     _propagating_frame,
     _pure_born,
     _spinor_frame,
+    _tables,
     k3_closed_form,
     protocol,
 )
 from nhlgi.qmat import pauli_vector
+from nhlgi.scan import GAP_FLOOR
 from oracles import axis_eigenstates, noisy_protocol_tables, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
@@ -223,7 +226,8 @@ class TestRowChecks:
         from nhlgi import cli
 
         tables, correlators = REFUSED_ROWS[case]
-        monkeypatch.setattr(cli, "protocol", lambda *args: correlators + tables)
+        monkeypatch.setattr(cli, "_correlators", lambda values: correlators)
+        monkeypatch.setattr(cli, "_tables", lambda values: tables)
         assert cli.main(self._argv(command)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -235,7 +239,8 @@ class TestRowChecks:
 
         _result(*ACCEPTED_ROW)
         tables, correlators = ACCEPTED_ROW
-        monkeypatch.setattr(cli, "protocol", lambda *args: correlators + tables)
+        monkeypatch.setattr(cli, "_correlators", lambda values: correlators)
+        monkeypatch.setattr(cli, "_tables", lambda values: tables)
         assert cli.main(self._argv(command)) == 0
         capsys.readouterr()
 
@@ -314,19 +319,19 @@ class TestProtocolAgainstOracle:
             math.sin(theta_q) * math.sin(phi_q),
             math.cos(theta_q),
         )
-        chi = tuple(tuple(e.tolist()) for e in axis_eigenstates(direction))
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        out = protocol(*_spinor_frame(h)(tuple(psi.tolist()), chi), t1, t2, t3)
+        setup, evaluate = _spinor_frame(h)
+        out = evaluate(setup(tuple(psi.tolist()), direction), t1, t2, t3)
         # Both routes lose about sec(theta)^2 ulps to the cancellation in the
         # renormalised propagator near the corner (measured error / sec^2
         # stays below 1e-13), so the per-entry tolerance scales with it.
         tol = 1e-12 / math.cos(theta) ** 2
-        for table, (t_i, t_j) in zip(out[3:], ((t1, t2), (t2, t3), (t1, t3))):
+        for table, (t_i, t_j) in zip(_tables(out), ((t1, t2), (t2, t3), (t1, t3))):
             expected = two_time_joint(h.matrix, psi, direction, t_i, t_j)
             np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
-        for c, table in zip(out[:3], out[3:]):
+        for c, table in zip(_correlators(out), _tables(out)):
             assert c == JointTable(table, 0.0, 1.0).correlator
 
     @settings(max_examples=200, deadline=None)
@@ -379,9 +384,9 @@ class TestProtocolAgainstOracle:
         # example), well inside the tolerance.
         tol = 1e-12 / math.cos(theta) ** 2
         expected = noisy_protocol_tables(h.matrix, kappa, rho0, n, (t1, t2, t3))
-        for table, reference in zip(out[3:], expected):
+        for table, reference in zip(_tables(out), expected):
             np.testing.assert_allclose(np.array(table), reference, rtol=0.0, atol=tol)
-        for c, table in zip(out[:3], out[3:]):
+        for c, table in zip(_correlators(out), _tables(out)):
             assert c == JointTable(table, 0.0, 1.0).correlator
 
     @settings(max_examples=200, deadline=None)
@@ -409,7 +414,8 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        spinor = protocol(*_spinor_frame(h)(psi, chi), t1, t2, t3)
+        setup, evaluate = _spinor_frame(h)
+        spinor = evaluate(setup(psi, n), t1, t2, t3)
         adapter = _propagating_frame(pure_propagator(h), _pure_born)
         expected = protocol(*adapter(psi, chi), t1, t2, t3)
         # measured over 3000 draws: spinor within 6.3e-16 sec^2(theta) of the
@@ -417,14 +423,18 @@ class TestProtocolAgainstOracle:
         # lift is no reference here, it is off by 3.6e-8 at delta = 0.012 and
         # a gap of 2.5
         tol = 1e-12 / math.cos(theta) ** 2
-        np.testing.assert_allclose(np.array(spinor[3:]), expected[3:], rtol=0.0, atol=tol)
+        np.testing.assert_allclose(
+            np.array(_tables(spinor)), _tables(expected), rtol=0.0, atol=tol
+        )
 
         kappa = 10.0**log_kappa
         r = tuple(length * c for c in Observable.from_angles(theta_s, phi_s).direction)
         noisy = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
         adapter = _propagating_frame(_eig_propagator(h, kappa), _bloch_born)
         expected = protocol(*adapter(r, (n, (-n[0], -n[1], -n[2]))), t1, t2, t3)
-        np.testing.assert_allclose(np.array(noisy[3:]), expected[3:], rtol=0.0, atol=tol)
+        np.testing.assert_allclose(
+            np.array(_tables(noisy)), _tables(expected), rtol=0.0, atol=tol
+        )
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3])
     def test_corner_tables_against_50_digits(self, delta):
@@ -562,9 +572,102 @@ def test_noisy_kernel_runs_without_numpy(monkeypatch):
     first, transfer = frame(r, n)
     out = protocol(first, transfer, 0.0, 0.4, 1.1)
     assert out == expected
-    c12, c23, c13, *tables = out
+    (c12, c23, c13), tables = _correlators(out), _tables(out)
     entries = [p for table in tables for row in table for p in row]
     assert all(type(x) is float for x in [c12, c23, c13, first(0.7), *transfer(0.2), *entries])
+
+
+def _closure_spinor_frame(h):
+    """The pure frame as one closure pair per point, and the protocol that
+    returned nested tables: the arithmetic the closure-free frame, the
+    correlator and table helpers and ``CorrelatorEngine`` must repeat."""
+    w = h.omega
+    (m00, m01), (m10, m11) = h.matrix.tolist()
+    cos, sin = math.cos, math.sin
+
+    def frame(psi, collapse):
+        a, b = psi
+        (u0, u1), (d0, d1) = collapse
+        uc0, uc1, dc0, dc1 = u0.conjugate(), u1.conjugate(), d0.conjugate(), d1.conjugate()
+        mu0, mu1 = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
+        md0, md1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
+        n00, n01, n10 = uc0 * mu0 + uc1 * mu1, uc0 * md0 + uc1 * md1, dc0 * mu0 + dc1 * mu1
+        p0, p1 = uc0 * a + uc1 * b, dc0 * a + dc1 * b
+        q0, q1 = n00 * p0 + n01 * p1, n10 * p0 - n00 * p1
+        p0r, p0i, p1r, p1i = p0.real, p0.imag, p1.real, p1.imag
+        q0r, q0i, q1r, q1i = q0.real, q0.imag, q1.real, q1.imag
+        n00r, n00i = n00.real, n00.imag
+        n01_sq, n10_sq = abs(n01) ** 2, abs(n10) ** 2
+
+        def first(t):
+            c, s = cos(w * t), sin(w * t) / w
+            xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
+            yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
+            px = xr * xr + xi * xi
+            return px / (px + yr * yr + yi * yi)
+
+        def transfer(g):
+            c, s = cos(w * g), sin(w * g) / w
+            im_sq = (s * n00r) ** 2
+            u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
+            u10, u01 = s * s * n10_sq, s * s * n01_sq
+            return u00 / (u00 + u10), u01 / (u01 + u11)
+
+        return first, transfer
+
+    return frame
+
+
+def _nested_protocol(first, transfer, t1, t2, t3):
+    """``(c12, c23, c13, table12, table23, table13)`` with nested tables."""
+
+    def table(p, conditionals):
+        plus, minus = conditionals
+        q = 1.0 - p
+        return (p * plus, p * (1.0 - plus)), (q * minus, q * (1.0 - minus))
+
+    def correlator(tab):
+        (pp, pm), (mp, mm) = tab
+        return pp - pm - mp + mm
+
+    p1 = first(t1)
+    tables = (
+        table(p1, transfer(t2 - t1)),
+        table(first(t2), transfer(t3 - t2)),
+        table(p1, transfer(t3 - t1)),
+    )
+    return tuple(map(correlator, tables)) + tables
+
+
+@pytest.mark.parametrize(
+    "theta", [0.0, 0.3, 1.2, math.pi / 2 - 0.1, math.pi / 2 - 1e-3, THETA_MAX]
+)
+def test_spinor_evaluator_is_the_closure_arithmetic(theta):
+    # general (non-planar) spinors and axes, t1 = 0 and t1 > 0, and gaps from
+    # the scans' floor to pi: every correlator, table and public result is
+    # the same float as the closure pair's
+    h = NHHamiltonian.canonical(theta)
+    setup, evaluate = _spinor_frame(h)
+    frame = _closure_spinor_frame(h)
+    engine = CorrelatorEngine(h)
+    rng = np.random.default_rng(2024)
+    log_floor = math.log(GAP_FLOOR)
+    for k in range(1800):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = tuple((z / np.linalg.norm(z)).tolist())
+        q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        t1 = 0.0 if k % 2 else math.exp(rng.uniform(log_floor, math.log(math.pi)))
+        g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
+        times = (t1, t1 + g1, t1 + g1 + g2)
+        first, transfer = frame(psi, _axis_basis(q.direction))
+        expected = _nested_protocol(first, transfer, *times)
+        values = evaluate(setup(psi, q.direction), *times)
+        assert _correlators(values) + _tables(values) == expected
+        table = engine.joint_table(np.array(psi), q, times[0], times[1]).probs
+        assert table.tolist() == [list(row) for row in expected[3]]
+        if k % 9 == 0:
+            res = engine.k3(np.array(psi), q, *times)
+            assert (res.c12, res.c23, res.c13) == expected[:3]
 
 
 class TestQuarterSpacing:

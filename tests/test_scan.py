@@ -13,7 +13,7 @@ from nhlgi.dynamics import (
     speed,
     state_from_bloch_angles,
 )
-from nhlgi.lgi import CorrelatorEngine, Observable, protocol
+from nhlgi.lgi import CorrelatorEngine, Observable, _correlators
 from nhlgi.scan import (
     DEFAULT_KAPPA_GRID,
     DEFAULT_THETA_GRID,
@@ -22,6 +22,7 @@ from nhlgi.scan import (
     ScanConfigError,
     ScanResult,
     k3max_vs_noise,
+    maximize_family,
     maximize_k3,
     maximize_speed,
     minimize,
@@ -214,13 +215,13 @@ def _k3_reference(theta, kappa):
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
     ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
     the plane, on the same spinor route of the engine."""
-    route = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
+    setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
-        first, transfer = route(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
-        c12, c23, c13 = protocol(first, transfer, t1, t2, t2 + g2)[:3]
+        point = setup(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+        c12, c23, c13 = _correlators(evaluate(point, t1, t2, t2 + g2))
         return c12 + c23 - c13
 
     return objective
@@ -430,6 +431,39 @@ class TestBudget:
         starts = [_CANONICAL_K3_START] * 64
         with pytest.raises(ScanConfigError):
             maximize_k3(1.2, budget=576, extra_starts=starts)
+
+    _SEARCHES = {
+        "k3": lambda **kw: maximize_k3(1.2, **kw),
+        "speed": lambda **kw: maximize_speed(1.2, **kw),
+        "family": lambda **kw: maximize_family((0.3, 1.2), **kw),
+        "noise": lambda **kw: k3max_vs_noise(1.2, (0.0, 0.1), **kw),
+    }
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a search ran before its arguments were checked")
+
+        monkeypatch.setattr(nhlgi.scan, "_multistart_maximize", refused)
+
+    # A NaN or infinite budget used to stop every restart after its initial
+    # simplex and report the best seed as the maximum.
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 600.5, 2000.0, "2000", None])
+    @pytest.mark.parametrize("search", sorted(_SEARCHES))
+    def test_non_integer_budget_is_refused(self, no_search, search, budget):
+        with pytest.raises(ScanConfigError, match="^budget must be an integer"):
+            self._SEARCHES[search](budget=budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, "1", None])
+    @pytest.mark.parametrize("search", sorted(_SEARCHES))
+    def test_bad_seed_is_refused(self, no_search, search, seed):
+        with pytest.raises(ScanConfigError, match="^seed must be a non-negative integer"):
+            self._SEARCHES[search](budget=2000, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        a = maximize_k3(1.2, budget=np.int64(600), seed=np.uint32(3))
+        b = maximize_k3(1.2, budget=600, seed=3)
+        assert (a.objective, a.evals, a.argmax) == (b.objective, b.evals, b.argmax)
 
 
 class TestMaximizeSpeed:
