@@ -58,10 +58,15 @@ _DEFAULT_NOISE_KAPPAS = (0.0, 1e-4, 1e-3, 1e-2)
 
 
 def _float_list(text: str) -> list[float]:
+    """A comma-separated list of floats.  An empty one is refused (argparse
+    names the option and exits 2): a sweep over it would write an empty table."""
     try:
-        return [float(piece) for piece in text.split(",") if piece.strip() != ""]
+        values = [float(piece) for piece in text.split(",") if piece.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one float, got {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:

@@ -71,8 +71,6 @@ __all__ = [
     "validate_density",
     "projector",
     "bloch_of_pure",
-    "bloch_of_density",
-    "density_from_bloch",
     "abn_frame",
     "bloch_to_abn",
     "pure_propagator",
@@ -80,7 +78,6 @@ __all__ = [
     "propagated_norm",
     "evolve_density",
     "evolve_density_noisy",
-    "bloch_rhs",
     "integrate_bloch",
     "analytic_SB_Sn",
     "geodesic_distance",
@@ -266,21 +263,11 @@ def _spinor_bloch(psi) -> tuple[float, float, float]:
     return ab.real, ab.imag, 0.5 * ((a * a.conjugate()).real - (b * b.conjugate()).real)
 
 
-def bloch_of_density(rho) -> np.ndarray:
-    """Bloch vector ``S = tr(rho sigma)/2`` of a Hermitian 2x2 matrix."""
-    return 0.5 * np.array(_density_bloch(np.asarray(rho, dtype=complex).tolist()))
-
-
 def _density_bloch(rho) -> tuple[float, float, float]:
     """``r = tr(rho sigma) = (2 Re rho01, -2 Im rho01, rho00 - rho11)`` of a
     Hermitian ``rho`` given as nested lists of complex scalars."""
     (p00, p01), (_, p11) = rho
     return 2.0 * p01.real, -2.0 * p01.imag, (p00 - p11).real
-
-
-def density_from_bloch(s) -> np.ndarray:
-    """Density matrix ``I/2 + S . sigma`` of a Bloch vector with |S| <= 1/2."""
-    return 0.5 * ID2 + pauli_vector(_check_bloch(s, "Bloch vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +351,6 @@ class NHHamiltonian:
             self.scale
             * math.sqrt(float(np.dot(self.a, self.a) - np.dot(self.b, self.b)))
         )
-
-    @property
-    def period(self) -> float:
-        """Period of the renormalised Bloch dynamics, pi / omega."""
-        return math.pi / self.omega
 
     def propagator(self, t: float) -> np.ndarray:
         """Exact ``exp(-i H t)``.
@@ -703,19 +685,15 @@ def _rk45(fun, y0, times, rtol: float, atol: float, what: str) -> list[list]:
 # Bloch flow
 
 
-def bloch_rhs(s, h: NHHamiltonian, kappa: float = 0.0) -> np.ndarray:
-    """Right-hand side ``2 A x S - B + 4 (B . S) S - 2 kappa S``.
-
-    ``A`` and ``B`` here include the overall Hamiltonian scale.  The flow
-    preserves ``|S| = 1/2`` when ``kappa = 0`` and leaves the component along
-    ``A`` invariant if it starts at zero.
-    """
-    a, b = h._scaled
-    return np.array(_bloch_rhs(a, b, kappa, np.asarray(s, dtype=float).tolist()))
-
-
 def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
-    """:func:`bloch_rhs` on plain float triples ``a``, ``b`` and ``s``."""
+    """Right-hand side ``2 A x S - B + 4 (B . S) S - 2 kappa S`` on plain
+    float triples ``a``, ``b`` and ``s``.
+
+    ``A`` and ``B`` here include the overall Hamiltonian scale (the pair
+    ``NHHamiltonian._scaled``).  The flow preserves ``|S| = 1/2`` when
+    ``kappa = 0`` and leaves the component along ``A`` invariant if it starts
+    at zero.
+    """
     ax, ay, az = a
     bx, by, bz = b
     sx, sy, sz = s
@@ -886,7 +864,7 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
 def speed(h: NHHamiltonian, psi0, t: float) -> float:
     """Squared speed ``|dS/dt|^2`` of the Bloch vector at time ``t``.
 
-    ``dS/dt`` is the noiseless :func:`bloch_rhs` at the state evolved from
+    ``dS/dt`` is the noiseless ``_bloch_rhs`` at the state evolved from
     ``psi0``.  Because the flow conserves ``|S| = 1/2``, the overlap fidelity
     of neighbouring points of the trajectory expands as
     ``|<psi(t)|psi(t + dt)>|^2 = 1 - |dS/dt|^2 dt^2 + O(dt^3)``, so this is the

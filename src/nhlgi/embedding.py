@@ -53,7 +53,7 @@ from .dynamics import (
     up_y,
     validate_pure,
 )
-from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born, protocol
+from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -100,10 +100,6 @@ class Metric:
 
     theta: float
     eta: np.ndarray
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.eta)
 
 
 def build_metric(theta: float) -> Metric:
@@ -169,14 +165,6 @@ class EmbeddedState:
         cap = 1e-8 * max(1.0, np.linalg.norm(slaved))
         if np.linalg.norm(self.vector[2:] - slaved) > cap:
             raise ValueError("lower block is not eta times the upper block")
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.vector[:2]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.vector[2:]
 
 
 def _embed(eta, psi):
@@ -257,7 +245,7 @@ def k3_via_embedding(
     psi0 = validate_pure(up_y() if psi0 is None else psi0)
     postselect = _dilation(theta)[1]
     # each leg re-embeds, evolves, post-selects and returns the normalised upper block
-    first, transfer = _propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)(
-        psi0.tolist(), _axis_basis(q.direction)
+    setup, evaluate = _propagating_frame(
+        lambda t, psi: postselect(t, psi)[0], _pure_born, _axis_basis
     )
-    return _k3_result(partial(protocol, first, transfer), t1, t2, t3, 0.0)
+    return _k3_result(partial(evaluate, setup(psi0.tolist(), q.direction)), t1, t2, t3, 0.0)

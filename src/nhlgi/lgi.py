@@ -20,44 +20,44 @@ pi/2.  With equal spacing ``t`` between the measurement times, the initial
 state ``up_y`` and the canonical observable (axis ``-y``), all four joint
 distributions have closed forms, exposed here as :func:`k3_closed_form`.
 
-Every protocol run yields the same eight numbers: P(+1) at the first and
-second times, and the pair (P(+1 | +1), P(+1 | -1)) across each of the gaps
-(1,2), (2,3) and (1,3).  :func:`_correlators` forms ``(C12, C23, C13)`` from
+Every protocol run yields the same eight numbers ``(p1, p2, plus12,
+minus12, plus23, minus23, plus13, minus13)``: P(+1) at the first and second
+times, and the pair (P(+1 | +1), P(+1 | -1)) across each of the gaps (1,2),
+(2,3) and (1,3).  :func:`_correlators` forms ``(C12, C23, C13)`` from
 them and :func:`_tables` the joint tables, each the one copy of its
-arithmetic.  Two evaluators produce them:
+arithmetic.
+
+Every frame is a pair ``(setup, evaluate)`` on plain scalars: ``setup(state,
+n)`` takes a state and a unit axis and returns the point's coefficients as
+floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
+numbers.  No frame builds a function per point.  There are three:
 
 - pure states at ``kappa = 0`` in the measured axis's eigenbasis
-  (:func:`_spinor_frame`): ``setup`` writes the state and the generator in
-  that basis once per point as a tuple of floats, and ``evaluate`` runs the
-  three times in straight-line code, where both conditionals are column
-  ratios of the propagator, so no collapse branch is propagated and no
-  closure is built per point;
-- the generic kernel :func:`protocol`, which takes two functions of one
-  state and axis: ``first(t)``, the probability of +1 at a pair's first
-  measurement, and ``transfer(g)``, the probabilities of +1 a gap ``g``
-  after collapsing onto +1 or -1.  Two builders supply them:
+  (:func:`_spinor_frame`): ``evaluate`` runs the three times in
+  straight-line code, where both conditionals are column ratios of the
+  propagator, so no collapse branch is propagated;
+- any state under noise (``kappa > 0``) as a Bloch vector, with the exact
+  solution of the linear lift of the depolarising flow in its real modal
+  form (two real eigenvalues and one rotating pair) projected onto the axis
+  and the state, so each time costs two ``exp`` and one cos/sin pair
+  (:func:`_noisy_frame`);
+- the dilation and noiseless density matrices, which propagate each
+  collapse branch with a renormalised flow and read Born probabilities
+  (:func:`_propagating_frame`), so the dilation stays an independent
+  cross-check.
 
-  - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
-    solution of the linear lift of the depolarising flow in its real modal
-    form (two real eigenvalues and one rotating pair) projected onto the
-    axis and the state, so each time costs two ``exp`` and one cos/sin pair
-    (:func:`_noisy_frame`);
-  - the dilation and noiseless density matrices through an adapter that
-    propagates each branch with a renormalised flow and reads Born
-    probabilities (:func:`_propagating_frame`), which keeps the dilation an
-    independent cross-check.
+The last two evaluate through :func:`_evaluator`, from a kernel ``first``
+for a pair's first measurement and a kernel ``transfer`` for its gap, both
+defined once per frame.  The flows, the lift, the Bloch-vector and
+Bloch-angle maps and the axis eigenbasis the frames use are the scalar
+kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
 
-The flows, the lift, the Bloch-vector and Bloch-angle maps and the axis
-eigenbasis these builders use are the scalar kernels of
-:mod:`nhlgi.dynamics`; this module keeps no copy of them.
-
-:class:`CorrelatorEngine` binds the builders once per Hamiltonian and noise
-strength into two unvalidated routes, each a ``(setup, evaluate)`` pair:
-one from a spinor and an axis, one from a Bloch vector and an axis.  Its
-public calls validate, take the route of the state's shape and set the
-point up once for all their times; the K3 search of :mod:`nhlgi.scan`
-calls the spinor route per point, so a search and the public API evaluate
-a point by the same arithmetic.
+:class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
+strength as two unvalidated routes: one from a spinor and an axis, one from
+a Bloch vector and an axis.  Its public calls validate, take the route of
+the state's shape and set the point up once for all their times; the K3
+search of :mod:`nhlgi.scan` calls the spinor route per point, so a search
+and the public API evaluate a point by the same arithmetic.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -86,7 +86,6 @@ from .dynamics import (
     validate_density,
     validate_pure,
 )
-from .qmat import ID2, pauli_vector
 
 __all__ = [
     "LUDER_BOUND",
@@ -95,14 +94,11 @@ __all__ = [
     "JointTable",
     "LgiResult",
     "CorrelatorEngine",
-    "protocol",
     "k3_closed_form",
 ]
 
 LUDER_BOUND = 1.5
 ALGEBRAIC_BOUND = 3.0
-
-_OUTCOMES = (+1, -1)
 
 
 @dataclass(frozen=True)
@@ -133,37 +129,6 @@ class Observable:
     @classmethod
     def canonical(cls) -> "Observable":
         return cls((0.0, -1.0, 0.0))
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        return pauli_vector(np.asarray(self.direction))
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rank-1 projectors onto the (+1, -1) eigenspaces, in that order."""
-        op = self.operator
-        return 0.5 * (ID2 + op), 0.5 * (ID2 - op)
-
-    @cached_property
-    def eigenstates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normalised (+1, -1) eigenvectors in the closed form of
-        :func:`nhlgi.dynamics._axis_basis`, which the protocol uses.
-
-        Each has its larger component real and positive.  On the equator
-        ``nz = 0``, where the two components tie in size, that is the first
-        component of the +1 state and the second of the -1 state.
-        """
-        return tuple(np.array(chi) for chi in _axis_basis(self.direction))
-
-    def projector(self, outcome: int) -> np.ndarray:
-        if outcome not in _OUTCOMES:
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        return self.projectors[_OUTCOMES.index(outcome)]
-
-    def eigenstate(self, outcome: int) -> np.ndarray:
-        if outcome not in _OUTCOMES:
-            raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-        return self.eigenstates[_OUTCOMES.index(outcome)]
 
 
 def _check_protocol(tables, k3: float | None = None) -> None:
@@ -205,9 +170,6 @@ class JointTable:
         if self.probs.shape != (2, 2):
             raise ValueError("joint table must be 2x2")
         _check_protocol((self.probs.tolist(),))
-
-    def prob(self, q_i: int, q_j: int) -> float:
-        return float(self.probs[_OUTCOMES.index(q_i), _OUTCOMES.index(q_j)])
 
     @property
     def correlator(self) -> float:
@@ -265,12 +227,12 @@ def _spinor_frame(h: NHHamiltonian):
     ``psi' = C^dag psi`` and ``M' = C^dag M C``, where the propagator is
     ``U' = cos(w t) I - i sin(w t)/w M'``.  It returns their coefficients
     as a tuple of floats.  ``evaluate(coeffs, t1, t2, t3)`` returns the eight
-    numbers of :func:`protocol`: P(+1) at ``t1`` and at ``t2`` is ``|x|^2 /
-    (|x|^2 + |y|^2)`` of ``(x, y) = U' psi'``, and each gap's conditional
-    pair the column ratios ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 /
-    (|u01|^2 + |u11|^2)`` of ``U'``.  No branch is propagated or normalised;
-    each time costs one cos/sin pair, and ``t1 = 0`` none, since ``cos 0 =
-    1`` and ``sin 0 = 0`` leave every product of that time exact.
+    numbers: P(+1) at ``t1`` and at ``t2`` is ``|x|^2 / (|x|^2 + |y|^2)`` of
+    ``(x, y) = U' psi'``, and each gap's conditional pair the column ratios
+    ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 / (|u01|^2 + |u11|^2)``
+    of ``U'``.  No branch is propagated or normalised; each time costs one
+    cos/sin pair, and ``t1 = 0`` none, since ``cos 0 = 1`` and ``sin 0 = 0``
+    leave every product of that time exact.
     """
     w = h.omega
     (m00, m01), (m10, m11) = h.matrix.tolist()
@@ -333,17 +295,43 @@ def _spinor_frame(h: NHHamiltonian):
     return setup, evaluate
 
 
-def _noisy_frame(h: NHHamiltonian, kappa: float):
-    """Protocol inputs of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
+def _evaluator(first, transfer):
+    """The ``evaluate(point, t1, t2, t3)`` of a frame, from its two kernels.
 
-    Returns ``frame(r, n) -> (first, transfer)`` for a Bloch vector ``r`` and
-    a unit axis ``n``.  The lift ``L`` of :func:`_bloch_lift` is
-    eigendecomposed here once, ``L = V diag(lam) V^-1``, and written in its
-    real modal form: four real slots, each a pair of real columns of ``V``
-    and rows of ``V^-1``.  Per point, the columns are projected onto ``(1,
-    0)`` and the axis, and the rows onto the state and the axis.  By
-    linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so
-    both collapse branches share the exponentials of one time.
+    ``first(point, t)`` is the probability of outcome +1 when the first
+    measurement of a pair happens at ``t``; ``transfer(point, g)`` is the
+    pair (P(+1 | collapsed onto +1), P(+1 | collapsed onto -1)) at a second
+    measurement a gap ``g`` later.  ``evaluate`` returns the eight numbers
+    (see the module docstring) and validates nothing: callers check their
+    inputs once, outside any loop.
+    """
+
+    def evaluate(point, t1, t2, t3):
+        return (
+            first(point, t1),
+            first(point, t2),
+            *transfer(point, t2 - t1),
+            *transfer(point, t3 - t2),
+            *transfer(point, t3 - t1),
+        )
+
+    return evaluate
+
+
+def _noisy_frame(h: NHHamiltonian, kappa: float):
+    """Protocol of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
+
+    Returns ``(setup, evaluate)`` on plain scalars, with no closure per point.
+    The lift ``L`` of :func:`_bloch_lift` is eigendecomposed here once, ``L =
+    V diag(lam) V^-1``, and written in its real modal form: four real slots,
+    each a pair of real columns of ``V`` and rows of ``V^-1``.
+    ``setup(r, n)`` projects the columns onto ``(1, 0)`` and the unit axis
+    ``n``, and the rows onto the Bloch vector ``r`` and the axis, and returns
+    ``(at_zero, state, plus, minus)``: P(+1) of ``r`` itself and the eight
+    coefficients of the state and of each collapse branch ``(1, +/- n)``.
+    ``evaluate(point, t1, t2, t3)`` returns the eight numbers.  By linearity
+    ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so both
+    collapse branches share the exponentials of one time.
 
     The spectrum always has two real eigenvalues and one conjugate pair
     ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
@@ -408,7 +396,7 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
     (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = two_z.real.tolist(), (-two_z.imag).tolist()
     exp, cos, sin = math.exp, math.cos, math.sin
 
-    def frame(r, n):
+    def setup(r, n):
         x, y, z = r
         nx, ny, nz = n
         # axis projections of the columns
@@ -437,31 +425,38 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
         # measurement at t = 0 reads the state itself
         at_zero = 0.5 * (1.0 + nx * x + ny * y + nz * z)
         at_zero = at_zero if 0.0 <= at_zero <= 1.0 else (1.0 if at_zero > 1.0 else 0.0)
+        return (
+            at_zero,
+            (s0, s1, sb0, sb1, sc0, ss0, sc1, ss1),
+            (p0, p1, pb0, pb1, pc0, ps0, pc1, ps1),
+            (m0, m1, mb0, mb1, mc0, ms0, mc1, ms1),
+        )
 
-        def first(t):
-            if t == 0.0:
-                return at_zero
-            eb, ea = exp(rate_b * t), exp(alpha * t)
-            c, s = ea * cos(beta * t), ea * sin(beta * t)
-            r0 = s0 + eb * sb0 + c * sc0 + s * ss0
-            q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
-            return q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
+    def first(point, t):
+        if t == 0.0:
+            return point[0]
+        s0, s1, sb0, sb1, sc0, ss0, sc1, ss1 = point[1]
+        eb, ea = exp(rate_b * t), exp(alpha * t)
+        c, s = ea * cos(beta * t), ea * sin(beta * t)
+        r0 = s0 + eb * sb0 + c * sc0 + s * ss0
+        q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+        return q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
 
-        def transfer(g):
-            eb, ea = exp(rate_b * g), exp(alpha * g)
-            c, s = ea * cos(beta * g), ea * sin(beta * g)
-            r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
-            r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
-            qp = 0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)
-            qm = 0.5 * (1.0 + (m1 + eb * mb1 + c * mc1 + s * ms1) / r_minus)
-            return (
-                qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0),
-                qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0),
-            )
+    def transfer(point, g):
+        p0, p1, pb0, pb1, pc0, ps0, pc1, ps1 = point[2]
+        m0, m1, mb0, mb1, mc0, ms0, mc1, ms1 = point[3]
+        eb, ea = exp(rate_b * g), exp(alpha * g)
+        c, s = ea * cos(beta * g), ea * sin(beta * g)
+        r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
+        r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
+        qp = 0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)
+        qm = 0.5 * (1.0 + (m1 + eb * mb1 + c * mc1 + s * ms1) / r_minus)
+        return (
+            qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0),
+            qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0),
+        )
 
-        return first, transfer
-
-    return frame
+    return setup, _evaluator(first, transfer)
 
 
 def _pure_born(chi, psi) -> float:
@@ -474,61 +469,45 @@ def _bloch_born(n, r) -> float:
     return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
 
 
-def _propagating_frame(propagate, born):
-    """Protocol inputs from a renormalised flow and a Born rule.
+def _bloch_collapse(n):
+    """The collapse states ``(+n, -n)`` of a unit axis ``n``, as Bloch vectors."""
+    return n, (-n[0], -n[1], -n[2])
 
-    Returns ``frame(state, (up, down)) -> (first, transfer)``, where
-    ``propagate(t, state)`` is a renormalised flow and ``born(c, state)`` the
-    probability of collapsing onto ``c``: spinors with :func:`_pure_born`, or
-    Bloch vectors (collapse states ``+/- n``) with :func:`_bloch_born`.  Each
-    collapse branch is propagated across the gap.  Born probabilities are
-    clipped to [0, 1]; the first measurement's pair is renormalised.
+
+def _propagating_frame(propagate, born, collapse):
+    """Protocol from a renormalised flow and a Born rule.
+
+    Returns ``(setup, evaluate)``, where ``propagate(t, state)`` is a
+    renormalised flow, ``born(c, state)`` the probability of collapsing onto
+    ``c``, and ``collapse(n)`` the pair ``(up, down)`` of collapse states of
+    a unit axis ``n``: spinors with :func:`_pure_born` and
+    :func:`nhlgi.dynamics._axis_basis`, or Bloch vectors with
+    :func:`_bloch_born` and :func:`_bloch_collapse`.  ``setup(state, n)``
+    returns ``(state, collapse(n))``.  Each collapse branch is propagated
+    across the gap.  Born probabilities are clipped to [0, 1]; the first
+    measurement's pair is renormalised.
     """
 
-    def frame(state, collapse):
-        up, down = collapse
+    def setup(state, n):
+        return state, collapse(n)
 
-        def first(t):
-            v = propagate(t, state)
-            p = min(1.0, max(0.0, born(up, v)))
-            m = min(1.0, max(0.0, born(down, v)))
-            return p / (p + m)
+    def first(point, t):
+        state, (up, down) = point
+        v = propagate(t, state)
+        p = min(1.0, max(0.0, born(up, v)))
+        m = min(1.0, max(0.0, born(down, v)))
+        return p / (p + m)
 
-        def transfer(g):
-            return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in collapse)
+    def transfer(point, g):
+        branches = point[1]
+        up = branches[0]
+        return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in branches)
 
-        return first, transfer
-
-    return frame
-
-
-def protocol(first, transfer, t1: float, t2: float, t3: float):
-    """The invasive three-time protocol on plain scalars, for any representation.
-
-    ``first(t)`` is the probability of outcome +1 when the first measurement
-    of a pair happens at ``t``; ``transfer(g)`` is the pair (P(+1 | collapsed
-    onto +1), P(+1 | collapsed onto -1)) at a second measurement a gap ``g``
-    later.  :func:`_noisy_frame` and :func:`_propagating_frame` build them
-    for one state and axis.  Nothing is validated: callers check their
-    inputs once, outside any loop.
-
-    Returns the eight numbers ``(p1, p2, plus12, minus12, plus23, minus23,
-    plus13, minus13)``: P(+1) at ``t1`` and ``t2``, then the conditional pair
-    across each of the gaps (1,2), (2,3) and (1,3).  The ``evaluate`` of
-    :func:`_spinor_frame` returns the same eight numbers;
-    :func:`_correlators` and :func:`_tables` read them.
-    """
-    return (first(t1), first(t2), *transfer(t2 - t1), *transfer(t3 - t2), *transfer(t3 - t1))
-
-
-def _protocol_of(inputs, t1: float, t2: float, t3: float):
-    """:func:`protocol` of ``inputs = (first, transfer)``: the ``evaluate`` of
-    the frames that build a closure pair per point."""
-    return protocol(*inputs, t1, t2, t3)
+    return setup, _evaluator(first, transfer)
 
 
 def _correlators(values) -> tuple[float, float, float]:
-    """``(c12, c23, c13)`` of the eight numbers of :func:`protocol`.
+    """``(c12, c23, c13)`` of the eight numbers.
 
     Each is ``p++ - p+- - p-+ + p--`` of the pair's table in :func:`_tables`,
     with the same arithmetic, and no table built.
@@ -543,8 +522,8 @@ def _correlators(values) -> tuple[float, float, float]:
 
 
 def _tables(values):
-    """Joint tables of the pairs (1,2), (2,3) and (1,3) from the eight numbers
-    of :func:`protocol`, each nested as ``((p++, p+-), (p-+, p--))``.
+    """Joint tables of the pairs (1,2), (2,3) and (1,3) from the eight
+    numbers, each nested as ``((p++, p+-), (p-+, p--))``.
 
     A pair whose first measurement gives +1 with probability ``p`` and whose
     conditionals are ``(plus, minus)`` has the minus-row weight ``1 - p``.
@@ -560,7 +539,7 @@ def _tables(values):
 
 def _k3_result(run, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
     """The validated :class:`LgiResult` of ``run(t1, t2, t3)``, which returns
-    the eight numbers of :func:`protocol`, at ``t1 < t2 < t3``.
+    the eight numbers, at ``t1 < t2 < t3``.
 
     The times are checked here, once per public K3 call: each must be finite
     and ``0 <= t1 < t2 < t3``.
@@ -574,19 +553,18 @@ def _k3_result(run, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine binds its two routes once, with the frame setup
-    (with noise, the eigendecomposition of the lift and its real modal
-    form).  Each route is a pair ``(setup, evaluate)``: ``setup(state, n)``
-    prepares one state and unit axis, and ``evaluate(point, t1, t2, t3)``
-    returns the eight numbers of :func:`protocol` for the prepared point.
-    Neither validates; the scans call them per point.
+    Building the engine binds two routes once, each the ``(setup,
+    evaluate)`` pair of a frame, with the frame's own setup (with noise, the
+    eigendecomposition of the lift and its real modal form).  Neither
+    validates; the scans call them per point.
 
-    - ``_spinor_route`` for a spinor: the closure-free spinor frame in the
-      axis eigenbasis of :func:`nhlgi.dynamics._axis_basis` at ``kappa =
-      0``, the noisy frame at the spinor's Bloch vector at ``kappa > 0``;
+    - ``_spinor_route`` for a spinor: at ``kappa = 0`` the spinor frame in
+      the axis eigenbasis of :func:`nhlgi.dynamics._axis_basis`; at ``kappa
+      > 0`` the noisy frame, whose ``setup`` is given the spinor's Bloch
+      vector;
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
-      frame at ``kappa > 0``, and at ``kappa = 0`` the noiseless density
-      flow propagating each collapse branch ``+/- n``.
+      frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame of
+      the noiseless density flow, with collapse states ``+/- n``.
 
     Every public call validates its inputs once and takes the route of the
     state's shape.
@@ -595,27 +573,25 @@ class CorrelatorEngine:
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
         if kappa == 0.0:
             spinor_route = _spinor_frame(h)
-            density = _propagating_frame(_density_propagator(h), _bloch_born)
-
-            def bloch_setup(r, n):
-                return density(r, (n, (-n[0], -n[1], -n[2])))
-
+            bloch_route = _propagating_frame(
+                _density_propagator(h), _bloch_born, _bloch_collapse
+            )
         else:
-            bloch_setup = _noisy_frame(h, kappa)
+            bloch_route = bloch_setup, evaluate = _noisy_frame(h, kappa)
 
             def spinor_setup(psi, n):
                 x, y, z = _spinor_bloch(psi)
                 return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
 
-            spinor_route = spinor_setup, _protocol_of
+            spinor_route = spinor_setup, evaluate
 
-        self._spinor_route, self._bloch_route = spinor_route, (bloch_setup, _protocol_of)
+        self._spinor_route, self._bloch_route = spinor_route, bloch_route
         self.hamiltonian = h
         self.kappa = float(kappa)
 
     def _protocol_inputs(self, state, q: Observable):
-        """Validated ``run(t1, t2, t3)`` -> the eight numbers of :func:`protocol`,
-        with the state and axis set up once for any number of times."""
+        """Validated ``run(t1, t2, t3)`` -> the eight numbers, with the state
+        and axis set up once for any number of times."""
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1:
             route, point = self._spinor_route, tuple(validate_pure(state).tolist())

@@ -40,6 +40,18 @@ def canonical_matrix(theta):
     return _SX / np.cos(theta) + 1j * np.tan(theta) * _SZ
 
 
+def density_from_bloch(s):
+    """Density matrix ``I/2 + S . sigma`` of a Bloch vector ``S = <sigma>/2``."""
+    sx, sy, sz = s
+    return 0.5 * np.eye(2, dtype=complex) + sx * _SX + sy * _SY + sz * _SZ
+
+
+def bloch_of_density(rho):
+    """Bloch vector ``S = tr(rho sigma)/2`` of a 2x2 matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    return 0.5 * np.array([np.trace(rho @ p).real for p in (_SX, _SY, _SZ)])
+
+
 def axis_eigenstates(direction):
     """(+1, -1) eigenvectors of ``direction . sigma`` via eigh."""
     op = direction[0] * _SX + direction[1] * _SY + direction[2] * _SZ

@@ -22,7 +22,6 @@ from nhlgi.lgi import (
     _propagating_frame,
     _pure_born,
     _tables,
-    protocol,
 )
 from nhlgi.embedding import (
     EmbeddedState,
@@ -63,7 +62,7 @@ class TestMetric:
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_positive(self, theta):
-        eigs = build_metric(theta).eigenvalues
+        eigs = np.linalg.eigvalsh(build_metric(theta).eta)
         assert np.all(eigs > 0.0)
         s, c = math.sin(theta), math.cos(theta)
         np.testing.assert_allclose(
@@ -134,7 +133,7 @@ class TestEmbeddedState:
         for _ in range(20):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             st = build_psi_T(theta, v / np.linalg.norm(v))
-            np.testing.assert_allclose(st.lower, eta @ st.upper, atol=1e-12)
+            np.testing.assert_allclose(st.vector[2:], eta @ st.vector[:2], atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -257,10 +256,9 @@ def _reference_k3(theta, q, times, psi0):
         upper = _reference_postselect(theta, np.array(psi), t)[2]
         return complex(upper[0]), complex(upper[1])
 
-    first, transfer = _propagating_frame(propagate, _pure_born)(
-        tuple(psi0.tolist()), _axis_basis(q.direction)
-    )
-    return LgiResult.from_tables(_tables(protocol(first, transfer, *times)), times)
+    setup, evaluate = _propagating_frame(propagate, _pure_born, _axis_basis)
+    values = evaluate(setup(tuple(psi0.tolist()), q.direction), *times)
+    return LgiResult.from_tables(_tables(values), times)
 
 
 def _random_cases(n, seed=1414):
@@ -295,10 +293,11 @@ class TestOneDilationPerWorkingPoint:
             upper, p_select = _rebuilt_postselect(theta, psi, times[1])
             got, p = evolve_and_postselect(theta, psi, times[1])
             assert np.array_equal(got, np.array(upper)) and p == p_select
-            first, transfer = _propagating_frame(
-                lambda t, c: _rebuilt_postselect(theta, c, t)[0], _pure_born
-            )(tuple(psi.tolist()), _axis_basis(q.direction))
-            want = LgiResult.from_tables(_tables(protocol(first, transfer, *times)), times)
+            setup, evaluate = _propagating_frame(
+                lambda t, c: _rebuilt_postselect(theta, c, t)[0], _pure_born, _axis_basis
+            )
+            values = evaluate(setup(tuple(psi.tolist()), q.direction), *times)
+            want = LgiResult.from_tables(_tables(values), times)
             res = k3_via_embedding(theta, q, *times, psi0=psi)
             assert (res.c12, res.c23, res.c13, res.k3) == (want.c12, want.c23, want.c13, want.k3)
 

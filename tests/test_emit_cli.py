@@ -557,6 +557,28 @@ class TestCliErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lgi", "--theta", ""],
+            ["noise", "--kappa", ""],
+            ["scan", "--theta", ","],
+            ["speed", "--theta", ""],
+            ["distance", "--theta", " , "],
+            ["noisescan", "--kappa", ""],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_list_exits_2_naming_the_option(self, argv, tmp_path, capsys):
+        # an empty list would write an empty table; it is refused instead
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[1]}: expected at least one float" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_negative_step_exits_2(self, capsys):
         assert main(["trajectory", "--theta", "0.5", "--step", "-0.1"]) == 2
         capsys.readouterr()

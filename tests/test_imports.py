@@ -4,10 +4,13 @@ Importing the package, the CLI paths in closed form or linear algebra, every
 scan (whose hypercube and Nelder-Mead simplex are in-house) and the RK45
 routes (whose Dormand-Prince integrator is in-house) load no scipy module.
 Each check runs in a new isolated interpreter, because this test process has
-scipy loaded already; the last one runs with scipy made unimportable.
+scipy loaded already; the last one runs with scipy made unimportable.  The
+last test checks, in process, that every exported name resolves.
 """
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +104,16 @@ assert nhlgi.cli.main(["check", "--only", "6,7,8"]) == 0
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 3, proc.stdout
+
+
+def test_every_exported_name_resolves():
+    # each name in the package's and every submodule's ``__all__`` is bound
+    import nhlgi
+
+    names = [m.name for m in pkgutil.iter_modules(nhlgi.__path__)]
+    submodules = [importlib.import_module(f"nhlgi.{name}") for name in names]
+    assert len(submodules) >= 8
+    for module in (nhlgi, *submodules):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], (module.__name__, missing)
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__

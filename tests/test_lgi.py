@@ -13,14 +13,16 @@ from nhlgi.dynamics import (
     _axis_basis,
     _bloch_axis,
     _bloch_lift,
+    _density_bloch,
     _density_propagator,
-    density_from_bloch,
+    _spinor_bloch,
     evolve_density_noisy,
     projector,
     pure_propagator,
     state_from_bloch_angles,
     up_y,
 )
+from nhlgi.embedding import _dilation, k3_via_embedding
 from nhlgi.lgi import (
     ALGEBRAIC_BOUND,
     LUDER_BOUND,
@@ -29,6 +31,7 @@ from nhlgi.lgi import (
     LgiResult,
     Observable,
     _bloch_born,
+    _bloch_collapse,
     _correlators,
     _noisy_frame,
     _propagating_frame,
@@ -36,11 +39,10 @@ from nhlgi.lgi import (
     _spinor_frame,
     _tables,
     k3_closed_form,
-    protocol,
 )
 from nhlgi.qmat import pauli_vector
 from nhlgi.scan import GAP_FLOOR
-from oracles import axis_eigenstates, noisy_protocol_tables, two_time_joint
+from oracles import axis_eigenstates, density_from_bloch, noisy_protocol_tables, two_time_joint
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -52,22 +54,15 @@ def random_pure(rng):
 
 class TestObservable:
     def test_canonical_axis(self):
+        # up_y is the +1 state of the canonical axis: the collapse state the
+        # protocol takes for outcome +1, up to a phase
         q = Observable.canonical()
         assert q.direction == (0.0, -1.0, 0.0)
-        np.testing.assert_allclose(q.operator @ up_y(), up_y(), atol=1e-14)
-
-    def test_eigen_decomposition(self):
-        rng = np.random.default_rng(41)
-        for _ in range(100):
-            q = Observable.from_angles(
-                rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
-            )
-            op = q.operator
-            np.testing.assert_allclose(op, op.conj().T, atol=1e-14)
-            chi_p, chi_m = q.eigenstates
-            np.testing.assert_allclose(op @ chi_p, chi_p, atol=1e-12)
-            np.testing.assert_allclose(op @ chi_m, -chi_m, atol=1e-12)
-            assert abs(np.vdot(chi_p, chi_m)) < 1e-12
+        op = pauli_vector(np.array(q.direction))
+        np.testing.assert_allclose(op @ up_y(), up_y(), atol=1e-14)
+        up, down = (np.array(chi) for chi in _axis_basis(q.direction))
+        assert abs(np.vdot(up, up_y())) == pytest.approx(1.0, abs=1e-15)
+        assert abs(np.vdot(down, up_y())) <= 1e-15
 
     def test_from_angles_is_the_bloch_axis(self):
         # the scans build the axis with the same kernel, without renormalising
@@ -76,27 +71,11 @@ class TestObservable:
             angles = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
             assert Observable.from_angles(*angles).direction == _bloch_axis(*angles)
 
-    def test_projectors(self):
-        q = Observable.from_angles(0.7, 2.1)
-        p_plus, p_minus = q.projectors
-        np.testing.assert_allclose(p_plus + p_minus, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(p_plus @ p_minus, 0.0, atol=1e-14)
-        np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-14)
-        np.testing.assert_allclose(q.projector(+1), p_plus, atol=1e-15)
-        np.testing.assert_allclose(q.projector(-1), p_minus, atol=1e-15)
-        np.testing.assert_allclose(
-            projector(q.eigenstate(+1)), p_plus, atol=1e-12
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Observable((0.0, -2.0, 0.0))
         with pytest.raises(ValueError):
             Observable((1.0, 1.0))
-        with pytest.raises(ValueError):
-            Observable.canonical().projector(0)
-        with pytest.raises(ValueError):
-            Observable.canonical().eigenstate(2)
 
 
 def _basis_axes():
@@ -141,18 +120,11 @@ class TestAxisBasis:
             for chi, ref in zip(_axis_basis(n), axis_eigenstates(np.array(n))):
                 assert abs(abs(np.vdot(ref, chi)) - 1.0) <= 1e-15
 
-    def test_observable_eigenstates_are_the_basis(self):
-        for n in _basis_axes()[::50]:
-            q = Observable(n)
-            assert tuple(tuple(chi.tolist()) for chi in q.eigenstates) == _axis_basis(q.direction)
-
 
 class TestJointTable:
     def test_correlator_formula(self):
         tab = JointTable(np.array([[0.4, 0.1], [0.2, 0.3]]), 0.0, 1.0)
         assert tab.correlator == pytest.approx(0.4 - 0.1 - 0.2 + 0.3, abs=1e-15)
-        assert tab.prob(+1, -1) == pytest.approx(0.1, abs=1e-15)
-        assert tab.prob(-1, +1) == pytest.approx(0.2, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -376,7 +348,8 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        out = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
+        setup, evaluate = _noisy_frame(h, kappa)
+        out = evaluate(setup(r, n), t1, t2, t3)
         rho0 = density_from_bloch(0.5 * np.array(r))
         # The oracle exponentiates the lift at 30 digits, so it is exact to
         # double precision; the kernel's eigendecomposed lift loses about
@@ -410,14 +383,13 @@ class TestProtocolAgainstOracle:
         h = NHHamiltonian.canonical(theta)
         psi = tuple(state_from_bloch_angles(theta_s, phi_s).tolist())
         n = Observable.from_angles(*axis).direction
-        chi = tuple(tuple(e.tolist()) for e in axis_eigenstates(n))
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
         setup, evaluate = _spinor_frame(h)
         spinor = evaluate(setup(psi, n), t1, t2, t3)
-        adapter = _propagating_frame(pure_propagator(h), _pure_born)
-        expected = protocol(*adapter(psi, chi), t1, t2, t3)
+        setup, evaluate = _propagating_frame(pure_propagator(h), _pure_born, _oracle_basis)
+        expected = evaluate(setup(psi, n), t1, t2, t3)
         # measured over 3000 draws: spinor within 6.3e-16 sec^2(theta) of the
         # adapter, noisy within 9.8e-16 sec^2(theta); scipy's expm of the whole
         # lift is no reference here, it is off by 3.6e-8 at delta = 0.012 and
@@ -429,9 +401,11 @@ class TestProtocolAgainstOracle:
 
         kappa = 10.0**log_kappa
         r = tuple(length * c for c in Observable.from_angles(theta_s, phi_s).direction)
-        noisy = protocol(*_noisy_frame(h, kappa)(r, n), t1, t2, t3)
-        adapter = _propagating_frame(_eig_propagator(h, kappa), _bloch_born)
-        expected = protocol(*adapter(r, (n, (-n[0], -n[1], -n[2]))), t1, t2, t3)
+        setup, evaluate = _noisy_frame(h, kappa)
+        noisy = evaluate(setup(r, n), t1, t2, t3)
+        propagate = _eig_propagator(h, kappa)
+        setup, evaluate = _propagating_frame(propagate, _bloch_born, _bloch_collapse)
+        expected = evaluate(setup(r, n), t1, t2, t3)
         np.testing.assert_allclose(
             np.array(_tables(noisy)), _tables(expected), rtol=0.0, atol=tol
         )
@@ -560,21 +534,22 @@ class TestNoisySpectrum:
 
 def test_noisy_kernel_runs_without_numpy(monkeypatch):
     # numpy is used once per engine; a point and its times run on floats
-    frame = _noisy_frame(NHHamiltonian.canonical(1.2), 0.3)
+    setup, evaluate = _noisy_frame(NHHamiltonian.canonical(1.2), 0.3)
     r, n = (0.3, -0.4, 0.5), Observable.from_angles(1.1, 0.6).direction
-    expected = protocol(*frame(r, n), 0.0, 0.4, 1.1)
+    expected = evaluate(setup(r, n), 0.0, 0.4, 1.1)
 
     class NoNumpy:
         def __getattr__(self, name):
             raise AssertionError(f"the noisy kernel used numpy.{name}")
 
     monkeypatch.setattr(lgi, "np", NoNumpy())
-    first, transfer = frame(r, n)
-    out = protocol(first, transfer, 0.0, 0.4, 1.1)
+    point = setup(r, n)
+    out = evaluate(point, 0.0, 0.4, 1.1)
     assert out == expected
     (c12, c23, c13), tables = _correlators(out), _tables(out)
     entries = [p for table in tables for row in table for p in row]
-    assert all(type(x) is float for x in [c12, c23, c13, first(0.7), *transfer(0.2), *entries])
+    later = evaluate(point, 0.7, 0.9, 1.1)
+    assert all(type(x) is float for x in [c12, c23, c13, *out, *later, *entries])
 
 
 def _closure_spinor_frame(h):
@@ -668,6 +643,168 @@ def test_spinor_evaluator_is_the_closure_arithmetic(theta):
         if k % 9 == 0:
             res = engine.k3(np.array(psi), q, *times)
             assert (res.c12, res.c23, res.c13) == expected[:3]
+
+
+def _closure_noisy_frame(h, kappa):
+    """The noisy frame as one closure pair per point: the real modal form of
+    the lift and the arithmetic the ``(setup, evaluate)`` frame must repeat,
+    without its refusals."""
+    lift = _bloch_lift(h, kappa)
+    matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
+    lam, v = np.linalg.eig(matrix)
+    v_inv = np.linalg.inv(v)
+    lam = lam.tolist()
+    real = sorted((k for k in range(4) if lam[k].imag == 0.0), key=lambda k: -lam[k].real)
+    pair = [k for k in range(4) if lam[k].imag > 0.0]
+    (a, b), p = real, pair[0]
+    shift = lam[a].real
+    rate_b, alpha, beta = lam[b].real - shift, lam[p].real - shift, lam[p].imag
+    two_z = v_inv[p] + v_inv[lam.index(lam[p].conjugate())].conjugate()
+    (ta, xa, ya, za), (tb, xb, yb, zb) = v[:, a].real.tolist(), v[:, b].real.tolist()
+    (tu, xu, yu, zu), (tw, xw, yw, zw) = v[:, p].real.tolist(), v[:, p].imag.tolist()
+    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz) = v_inv[a].real.tolist(), v_inv[b].real.tolist()
+    (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = two_z.real.tolist(), (-two_z.imag).tolist()
+    exp, cos, sin = math.exp, math.cos, math.sin
+
+    def clip(q):
+        return q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
+
+    def frame(r, n):
+        x, y, z = r
+        nx, ny, nz = n
+        na, nb = nx * xa + ny * ya + nz * za, nx * xb + ny * yb + nz * zb
+        nu, nw = nx * xu + ny * yu + nz * zu, nx * xw + ny * yw + nz * zw
+        ka, kb = fa0 + fax * x + fay * y + faz * z, fb0 + fbx * x + fby * y + fbz * z
+        ku, kw = gu0 + gux * x + guy * y + guz * z, gw0 + gwx * x + gwy * y + gwz * z
+        ja, jb = fax * nx + fay * ny + faz * nz, fbx * nx + fby * ny + fbz * nz
+        ju, jw = gux * nx + guy * ny + guz * nz, gwx * nx + gwy * ny + gwz * nz
+        pa, pb, pu, pw = fa0 + ja, fb0 + jb, gu0 + ju, gw0 + jw
+        ma, mb, mu, mw = fa0 - ja, fb0 - jb, gu0 - ju, gw0 - jw
+        s0, s1, sb0, sb1 = ta * ka, na * ka, tb * kb, nb * kb
+        sc0, ss0 = tu * ku + tw * kw, tu * kw - tw * ku
+        sc1, ss1 = nu * ku + nw * kw, nu * kw - nw * ku
+        p0, p1, pb0, pb1 = ta * pa, na * pa, tb * pb, nb * pb
+        pc0, ps0 = tu * pu + tw * pw, tu * pw - tw * pu
+        pc1, ps1 = nu * pu + nw * pw, nu * pw - nw * pu
+        m0, m1, mb0, mb1 = ta * ma, na * ma, tb * mb, nb * mb
+        mc0, ms0 = tu * mu + tw * mw, tu * mw - tw * mu
+        mc1, ms1 = nu * mu + nw * mw, nu * mw - nw * mu
+        at_zero = clip(0.5 * (1.0 + nx * x + ny * y + nz * z))
+
+        def first(t):
+            if t == 0.0:
+                return at_zero
+            eb, ea = exp(rate_b * t), exp(alpha * t)
+            c, s = ea * cos(beta * t), ea * sin(beta * t)
+            r0 = s0 + eb * sb0 + c * sc0 + s * ss0
+            return clip(0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0))
+
+        def transfer(g):
+            eb, ea = exp(rate_b * g), exp(alpha * g)
+            c, s = ea * cos(beta * g), ea * sin(beta * g)
+            r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
+            r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
+            return (
+                clip(0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)),
+                clip(0.5 * (1.0 + (m1 + eb * mb1 + c * mc1 + s * ms1) / r_minus)),
+            )
+
+        return first, transfer
+
+    return frame
+
+
+def _closure_propagating_frame(propagate, born):
+    """The propagating frame as one closure pair per state and collapse pair."""
+
+    def frame(state, collapse):
+        up, down = collapse
+
+        def first(t):
+            v = propagate(t, state)
+            p = min(1.0, max(0.0, born(up, v)))
+            m = min(1.0, max(0.0, born(down, v)))
+            return p / (p + m)
+
+        def transfer(g):
+            return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in collapse)
+
+        return first, transfer
+
+    return frame
+
+
+def _closure_protocol(first, transfer, t1, t2, t3):
+    """The eight numbers of a closure pair."""
+    return (first(t1), first(t2), *transfer(t2 - t1), *transfer(t3 - t2), *transfer(t3 - t1))
+
+
+def _closure_cases(rng, n):
+    """Seeded ``(r, psi, q, times)``: Bloch vectors inside the ball, spinors,
+    axes, ``t1 = 0`` and ``t1 > 0``, and gaps from the scans' floor to pi."""
+    log_floor = math.log(GAP_FLOOR)
+    for k in range(n):
+        length = rng.uniform(0.0, 1.0) if k % 5 else 0.0
+        axis = _bloch_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
+        r = tuple(length * c for c in axis)
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = tuple((z / np.linalg.norm(z)).tolist())
+        q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+        t1 = 0.0 if k % 2 else math.exp(rng.uniform(log_floor, math.log(math.pi)))
+        g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
+        yield r, psi, q, (t1, t1 + g1, t1 + g1 + g2)
+
+
+CLOSURE_THETAS = [0.0, 0.3, 1.2, math.pi / 2 - 1e-2, math.pi / 2 - 1e-3]
+
+
+@pytest.mark.parametrize("theta", CLOSURE_THETAS)
+def test_noisy_evaluator_is_the_closure_arithmetic(theta):
+    # every route that reaches the noisy frame (the frame itself, the
+    # engine's spinor route and its public calls on spinors and density
+    # matrices) gives the closure pair's eight numbers, bit for bit
+    h = NHHamiltonian.canonical(theta)
+    rng = np.random.default_rng(2025)
+    for kappa in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+        setup, evaluate = _noisy_frame(h, kappa)
+        frame = _closure_noisy_frame(h, kappa)
+        engine = CorrelatorEngine(h, kappa)
+        spinor_setup, spinor_evaluate = engine._spinor_route
+        for k, (r, psi, q, times) in enumerate(_closure_cases(rng, 60)):
+            n = q.direction
+            assert evaluate(setup(r, n), *times) == _closure_protocol(*frame(r, n), *times)
+            x, y, z = _spinor_bloch(psi)
+            expected = _closure_protocol(*frame((2.0 * x, 2.0 * y, 2.0 * z), n), *times)
+            assert spinor_evaluate(spinor_setup(psi, n), *times) == expected
+            if k % 6 == 0:
+                res = engine.k3(np.array(psi), q, *times)
+                assert (res.c12, res.c23, res.c13) == _correlators(expected)
+                rho = density_from_bloch(0.5 * np.array(r))
+                expected = _closure_protocol(*frame(_density_bloch(rho.tolist()), n), *times)
+                res = engine.k3(rho, q, *times)
+                assert (res.c12, res.c23, res.c13) == _correlators(expected)
+
+
+@pytest.mark.parametrize("theta", CLOSURE_THETAS)
+def test_propagating_evaluators_are_the_closure_arithmetic(theta):
+    # the noiseless density route on Bloch vectors and the dilation on
+    # spinors give the closure pair's eight numbers, bit for bit
+    h = NHHamiltonian.canonical(theta)
+    density = _closure_propagating_frame(_density_propagator(h), _bloch_born)
+    setup, evaluate = CorrelatorEngine(h)._bloch_route
+    postselect = _dilation(theta)[1]
+    dilation = _closure_propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)
+    rng = np.random.default_rng(2026)
+    for k, (r, psi, q, times) in enumerate(_closure_cases(rng, 120)):
+        n = q.direction
+        expected = _closure_protocol(*density(r, (n, (-n[0], -n[1], -n[2]))), *times)
+        assert evaluate(setup(r, n), *times) == expected
+        expected = _closure_protocol(*dilation(psi, _axis_basis(n)), *times)
+        res = k3_via_embedding(theta, q, *times, psi0=np.array(psi))
+        assert (res.c12, res.c23, res.c13) == _correlators(expected)
+        assert [t.probs.tolist() for t in (res.table12, res.table23, res.table13)] == [
+            [list(row) for row in table] for table in _tables(expected)
+        ]
 
 
 class TestQuarterSpacing:
@@ -800,13 +937,13 @@ class TestNoisyProtocol:
         got = engine.joint_table(rho0, q, t_i, t_j)
 
         rho_i = evolve_density_noisy(h, rho0, kappa, t_i)
+        plus, minus = (projector(np.array(chi)) for chi in _axis_basis(q.direction))
         probs = np.empty((2, 2))
-        for row, outcome in enumerate((+1, -1)):
-            p = q.projector(outcome)
+        for row, p in enumerate((plus, minus)):
             weight = float(np.trace(p @ rho_i).real)
             branch = p @ rho_i @ p / weight
             rho_j = evolve_density_noisy(h, branch, kappa, t_j - t_i)
-            cond = float(np.trace(q.projector(+1) @ rho_j).real)
+            cond = float(np.trace(plus @ rho_j).real)
             probs[row, 0] = weight * cond
             probs[row, 1] = weight * (1.0 - cond)
         np.testing.assert_allclose(got.probs, probs, atol=1e-7)
@@ -879,6 +1016,11 @@ class TestNoisyProtocol:
             assert abs(res.k3) <= 1.0
 
 
+def _oracle_basis(n):
+    """The oracle's eigh eigenbasis of an axis, as pairs of scalars."""
+    return tuple(tuple(e.tolist()) for e in axis_eigenstates(n))
+
+
 def _eig_propagator(h, kappa):
     """Renormalised noisy flow on Bloch vectors: the eigendecomposed lift
     applied to each state in numpy, spectrum shifted to non-positive real part."""
@@ -906,7 +1048,7 @@ def _pure_joint_reference(mpmath, h, psi, q, t_i, t_j, dps=50):
             amp = sum(mpmath.conj(c) * x for c, x in zip(chi, v))
             return abs(amp) ** 2 / sum(abs(x) ** 2 for x in v)
 
-        up, down = (mpmath.matrix(list(e)) for e in q.eigenstates)
+        up, down = (mpmath.matrix(list(e)) for e in _axis_basis(q.direction))
         up, down = up / mpmath.norm(up), down / mpmath.norm(down)
         v_i = propagate(psi, t_i)
         first = [born(up, v_i), born(down, v_i)]

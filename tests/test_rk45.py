@@ -17,13 +17,12 @@ from nhlgi.cli import _time_grid
 from nhlgi.dynamics import (
     NHHamiltonian,
     bloch_of_pure,
-    density_from_bloch,
     evolve_density_noisy,
     integrate_bloch,
     up_y,
 )
 from nhlgi.qmat import pauli_vector
-from oracles import pure_bloch_trajectory
+from oracles import density_from_bloch, pure_bloch_trajectory
 
 # ``nhlgi trajectory``'s default grid: 0 to pi in steps of 0.01
 CLI_GRID = _time_grid(math.pi, 0.01)
