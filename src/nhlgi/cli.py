@@ -20,13 +20,14 @@ from .dynamics import (
     DegenerateEvolutionError,
     NHHamiltonian,
     StiffnessError,
+    Trajectory,
+    _noisy_propagator,
     _spinor_angle,
     _spinor_bloch,
     abn_frame,
     bloch_of_pure,
     down_y,
     down_z,
-    integrate_bloch,
     pure_propagator,
     speed,
     speed_closed_form,
@@ -182,9 +183,20 @@ def _resolve_theta(args) -> float:
 
 
 def _cmd_trajectory(args) -> int:
+    """The Bloch trajectory from ``up_y``, each row from an exact propagator:
+    the pure flow at ``kappa = 0`` and the modal form of the noisy lift at
+    ``kappa > 0`` (which refuses a negative or non-finite kappa)."""
     h = NHHamiltonian.canonical(args.theta)
     grid = _time_grid(args.tmax, args.step)
-    traj = integrate_bloch(bloch_of_pure(up_y()), h, kappa=args.kappa, t_grid=grid)
+    if args.kappa == 0.0:
+        propagate, start = pure_propagator(h), _spinor(up_y())
+        rows = [_spinor_bloch(propagate(t, start)) for t in grid.tolist()]
+    else:
+        propagate = _noisy_propagator(h, args.kappa)
+        start = tuple(2.0 * s for s in bloch_of_pure(up_y()).tolist())
+        rows = [[0.5 * r for r in propagate(t, start)] for t in grid.tolist()]
+    # + 0.0 turns a -0.0 left by cancellation (in the invariant s_x) into 0
+    traj = Trajectory(grid, np.array(rows) + 0.0, h, args.kappa)
     abn = traj.abn()
     metadata = _header(
         args,
@@ -193,9 +205,7 @@ def _cmd_trajectory(args) -> int:
         tmax=args.tmax,
         step=args.step,
         initial_state="up_y",
-        method="RK45",
-        rtol=traj.rtol,
-        atol=traj.atol,
+        method="exact propagator",
     )
     columns = {
         "t": traj.times,
@@ -258,16 +268,17 @@ def _cmd_distance(args) -> int:
 
 def _cmd_speed(args) -> int:
     grid = _time_grid(args.tmax, args.step)
+    times = grid.tolist()
     rows_theta, rows_t, rows_v, rows_vcf = [], [], [], []
     for theta in args.theta:
         h = NHHamiltonian.canonical(theta)
         psi0 = up_y()
-        vcf = speed_closed_form(theta, grid)
-        for t, v_closed in zip(grid, np.atleast_1d(vcf)):
+        vcf = np.atleast_1d(speed_closed_form(theta, grid)).tolist()
+        for t, v_closed in zip(times, vcf):
             rows_theta.append(theta)
             rows_t.append(t)
             rows_v.append(speed(h, psi0, t))
-            rows_vcf.append(float(v_closed))
+            rows_vcf.append(v_closed)
     metadata = _header(
         args, theta=_joined(args.theta), tmax=args.tmax, step=args.step, initial_state="up_y"
     )
@@ -432,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("trajectory", help="integrate the Bloch flow from up_y")
+    sub = subs.add_parser("trajectory", help="Bloch trajectory of the flow from up_y")
     sub.add_argument("--theta", type=float, required=True)
     sub.add_argument("--kappa", type=float, default=0.0)
     _add_grid_options(sub, math.pi, 0.01)

@@ -21,20 +21,24 @@ approaches ``pi/2``.
 
 This module provides exact propagators, adaptive Runge-Kutta integration of
 the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
-RK45 on plain scalars, so numpy is the only dependency), closed-form
+RK45 on plain scalars, so numpy is the only dependency; it is the
+independent route of the acceptance checks and tests), closed-form
 trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
 B``, geodesic distances, and the local speed of state evolution,
 ``|dS/dt|^2`` evaluated exactly from the equation of motion above.
 
-Each formula is written once, as a kernel on plain scalars that the scans
-and the protocol call per point: the pure flow (:func:`pure_propagator`),
-the density lift (``_bloch_lift``, ``_density_propagator``), the Bloch
-equation (``_bloch_rhs``) and the speed bound to one Hamiltonian
-(``_speed_route``), the geodesic angle (``_spinor_angle``), the Bloch
-vectors of spinors and density matrices (``_spinor_bloch``,
-``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
-``_bloch_axis``) and the eigenbasis of a measurement axis
-(``_axis_basis``).  The public numpy functions validate once and call them.
+Each formula is written once, as a kernel on plain scalars that the scans,
+the protocol and the CLI call per point: the pure flow
+(:func:`pure_propagator`), the density lift (``_bloch_lift``,
+``_density_propagator``) and its real modal form with noise
+(``_lift_modes``, ``_noisy_propagator``), the Bloch equation
+(``_bloch_rhs``) and the speed bound to one Hamiltonian (``_speed_route``,
+cached per Hamiltonian for :func:`speed`), the geodesic angle
+(``_spinor_angle``), the Bloch vectors of spinors and density matrices
+(``_spinor_bloch``, ``_density_bloch``), the Bloch-angle maps
+(``_bloch_state``, ``_bloch_axis``) and the eigenbasis of a measurement
+axis (``_axis_basis``).  The public numpy functions validate once and call
+them.
 
 Each input contract that more than one public call makes is checked by one
 private owner here, which every module calls: the working point
@@ -91,9 +95,9 @@ __all__ = [
 THETA_MAX = math.pi / 2 - 1e-6
 
 _NORM_FLOOR = 1e-14
-# Right-hand sides one RK45 run may spend before it is refused.  The largest
-# need found is 1.33e6, for ``nhlgi trajectory`` at kappa = 1e5 to t = pi; the
-# long-horizon acceptance run needs 4.9e4.
+# Right-hand sides one RK45 run may spend before it is refused, so a huge
+# finite end time cannot run without bound.  The largest need found is 4.9e4,
+# for the long-horizon acceptance run; no CLI command runs RK45.
 _RK45_MAX_EVALS = 2_000_000
 
 
@@ -332,6 +336,12 @@ class NHHamiltonian:
         return (self.scale * self.a).tolist(), (self.scale * self.b).tolist()
 
     @cached_property
+    def _speed(self):
+        """The ``route(t, psi)`` of :func:`_speed_route`, built once per
+        Hamiltonian: :func:`speed` is called once per row of ``nhlgi speed``."""
+        return _speed_route(self)
+
+    @cached_property
     def b_operator(self) -> np.ndarray:
         """Anti-Hermitian part generator (without the -i), ``scale * b . sigma``."""
         return self.scale * pauli_vector(self.b)
@@ -465,6 +475,125 @@ def _density_propagator(h: NHHamiltonian):
         f, g = s * math.cos(w * t), 0.5 * s * s
         terms = zip((1.0,) + r, first, lift(*first))
         r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
+        if r0 < _NORM_FLOOR:
+            raise DegenerateEvolutionError(
+                f"propagated trace {r0:.3e} below representable floor at t = {t!r}"
+            )
+        return x / r0, y / r0, z / r0
+
+    return propagate
+
+
+def _lift_modes(h: NHHamiltonian, kappa: float):
+    """The lift of :func:`_bloch_lift` at ``kappa > 0`` in its real modal form.
+
+    ``L = V diag(lam) V^-1`` is eigendecomposed once and written as four
+    real slots, each a real column of ``V`` and a real row of ``V^-1``.
+    Returns ``((rate_b, alpha, beta), columns, rows)``: the columns and the
+    rows are four ``(trace, x, y, z)`` float tuples each, for the slots ``a``,
+    ``b``, ``u`` and ``w``, so that
+
+        exp(L t) v ~ col_a (row_a . v) + exp(rate_b t) col_b (row_b . v)
+                     + exp(alpha t) [col_u (c ku + s kw) + col_w (c kw - s ku)]
+
+    up to the positive factor ``exp(lam_a t)``, which cancels in every
+    renormalised quantity; ``c, s = cos(beta t), sin(beta t)`` and ``ku, kw``
+    are the rows ``u`` and ``w`` applied to ``v``.
+
+    The spectrum always has two real eigenvalues and one conjugate pair
+    ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
+    component along ``a`` decouples at rate ``-2 kappa``.  The remaining
+    block has the characteristic cubic ``p(lam) = lam [(lam + 2 kappa)^2 +
+    4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``, ``p(0) =
+    -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega > 0``).
+    So it has exactly one real root, which is simple and non-negative (zero
+    only when ``b = 0``), and one conjugate pair.  The real root dominates:
+    the roots sum to ``-4 kappa``, so ``alpha = -2 kappa - root/2``.
+
+    The slots are built as follows:
+
+    - each real eigenvalue keeps its real column and row; the dominant one
+      is slot ``a``, shifted to rate 0, and the other slot ``b``;
+    - the pair's column ``u + i w`` and row ``z`` become the columns ``(u,
+      w)`` and the rows ``(2 Re z, -2 Im z)``, whose modes evolve by the
+      rotation ``exp(alpha t) (cos beta t, sin beta t)``.  ``2 z`` is the
+      pair's row of ``V^-1`` plus the conjugate of its partner's row.  The
+      computed inverse keeps ``V V^-1 = I`` to rounding only with both rows,
+      which are conjugate only to about cond(V) ulps; twice one row alone
+      is off by 2.6e-6 in a table at ``delta = 1e-3`` and times of 1e-4.
+
+    Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
+    lift by more than ``1e-8 ||L||``, or when the computed spectrum has any
+    other shape.  The residual checks the decomposition, not the propagated
+    result: a lift that passes can still be inaccurate near the corner.
+    """
+    _check_kappa(kappa)
+    lift = _bloch_lift(h, kappa)
+    matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
+    lam, v = np.linalg.eig(matrix)
+    try:
+        v_inv = np.linalg.inv(v)
+        residual = float(np.linalg.norm((v * lam) @ v_inv - matrix))
+    except np.linalg.LinAlgError:
+        residual = math.inf
+    if not residual <= 1e-8 * max(1.0, float(np.linalg.norm(matrix))):
+        raise DegenerateEvolutionError(
+            f"the noisy lift at kappa = {kappa!r} is numerically defective; "
+            "its eigendecomposition cannot be trusted"
+        )
+    lam = lam.tolist()
+    real = sorted((k for k in range(4) if lam[k].imag == 0.0), key=lambda k: -lam[k].real)
+    pair = [k for k in range(4) if lam[k].imag > 0.0]
+    if len(real) != 2 or len(pair) != 1 or lam[pair[0]].conjugate() not in lam:
+        raise DegenerateEvolutionError(
+            f"the noisy lift at kappa = {kappa!r} has spectrum {lam!r}, not two "
+            "real eigenvalues and one conjugate pair"
+        )
+    (a, b), p = real, pair[0]
+    shift = lam[a].real
+    rates = lam[b].real - shift, lam[p].real - shift, lam[p].imag
+    two_z = v_inv[p] + v_inv[lam.index(lam[p].conjugate())].conjugate()
+    columns = (
+        tuple(v[:, a].real.tolist()), tuple(v[:, b].real.tolist()),
+        tuple(v[:, p].real.tolist()), tuple(v[:, p].imag.tolist()),
+    )
+    rows = (
+        tuple(v_inv[a].real.tolist()), tuple(v_inv[b].real.tolist()),
+        tuple(two_z.real.tolist()), tuple((-two_z.imag).tolist()),
+    )
+    return rates, columns, rows
+
+
+def _noisy_propagator(h: NHHamiltonian, kappa: float):
+    """Renormalised density flow of ``h`` at depolarising rate ``kappa > 0``.
+
+    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
+    as plain float triples: ``exp(L t) (1, r)`` in the real modal form of
+    :func:`_lift_modes`, divided by its trace, so each time costs two
+    ``exp`` and one cos/sin pair whatever ``kappa`` is.  ``t = 0`` returns
+    ``r`` itself, since ``V V^-1`` reproduces it only to about cond(V) ulps.
+    A collapsed trace raises ``DegenerateEvolutionError``, and so does a
+    lift that :func:`_lift_modes` refuses.
+    """
+    (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
+    (ta, xa, ya, za), (tb, xb, yb, zb), (tu, xu, yu, zu), (tw, xw, yw, zw) = columns
+    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz), (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = rows
+    exp, cos, sin = math.exp, math.cos, math.sin
+
+    def propagate(t, r):
+        if t == 0.0:
+            return r
+        x, y, z = r
+        # the slots' weights at t: the rows applied to (1, r), times their modes
+        ka, kb = fa0 + fax * x + fay * y + faz * z, fb0 + fbx * x + fby * y + fbz * z
+        ku, kw = gu0 + gux * x + guy * y + guz * z, gw0 + gwx * x + gwy * y + gwz * z
+        ea = exp(alpha * t)
+        c, s = ea * cos(beta * t), ea * sin(beta * t)
+        kb, ku, kw = exp(rate_b * t) * kb, c * ku + s * kw, c * kw - s * ku
+        r0 = ta * ka + tb * kb + tu * ku + tw * kw
+        x = xa * ka + xb * kb + xu * ku + xw * kw
+        y = ya * ka + yb * kb + yu * ku + yw * kw
+        z = za * ka + zb * kb + zu * ku + zw * kw
         if r0 < _NORM_FLOOR:
             raise DegenerateEvolutionError(
                 f"propagated trace {r0:.3e} below representable floor at t = {t!r}"
@@ -873,7 +1002,7 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     """
     psi0 = validate_pure(psi0)
     _check_finite_times(t=t)
-    return _speed_route(h)(t, psi0.tolist())
+    return h._speed(t, psi0.tolist())
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

@@ -46,11 +46,11 @@ numbers.  No frame builds a function per point.  There are three:
   (:func:`_propagating_frame`), so the dilation stays an independent
   cross-check.
 
-The last two evaluate through :func:`_evaluator`, from a kernel ``first``
-for a pair's first measurement and a kernel ``transfer`` for its gap, both
-defined once per frame.  The flows, the lift, the Bloch-vector and
-Bloch-angle maps and the axis eigenbasis the frames use are the scalar
-kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
+The first two share the cos/sin pair (and the exponentials) of ``t2`` with
+the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
+The flows, the lift and its modal form, the Bloch-vector and Bloch-angle
+maps and the axis eigenbasis the frames use are the scalar kernels of
+:mod:`nhlgi.dynamics`; this module keeps no copy of them.
 
 :class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
 strength as two unvalidated routes: one from a spinor and an axis, one from
@@ -76,12 +76,11 @@ from .dynamics import (
     NHHamiltonian,
     _axis_basis,
     _bloch_axis,
-    _bloch_lift,
     _check_finite_times,
-    _check_kappa,
     _check_theta,
     _density_bloch,
     _density_propagator,
+    _lift_modes,
     _spinor_bloch,
     validate_density,
     validate_pure,
@@ -232,7 +231,8 @@ def _spinor_frame(h: NHHamiltonian):
     ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 / (|u01|^2 + |u11|^2)``
     of ``U'``.  No branch is propagated or normalised; each time costs one
     cos/sin pair, and ``t1 = 0`` none, since ``cos 0 = 1`` and ``sin 0 = 0``
-    leave every product of that time exact.
+    leave every product of that time exact; the (1,2) gap is then ``t2``
+    itself and shares its pair.
     """
     w = h.omega
     (m00, m01), (m10, m11) = h.matrix.tolist()
@@ -271,9 +271,11 @@ def _spinor_frame(h: NHHamiltonian):
         px = xr * xr + xi * xi
         first2 = px / (px + yr * yr + yi * yi)
         # conditional pairs across each gap, from |u00|^2 = |c - i s M'_00|^2
-        # and |u11|^2 = |c + i s M'_00|^2
-        g = t2 - t1
-        c, s = cos(w * g), sin(w * g) / w
+        # and |u11|^2 = |c + i s M'_00|^2; with t1 = 0 the (1,2) gap is t2
+        # and keeps its cos/sin pair
+        if t1 != 0.0:
+            g = t2 - t1
+            c, s = cos(w * g), sin(w * g) / w
         im_sq, ss = (s * n00r) ** 2, s * s
         u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
         u10, u01 = ss * n10_sq, ss * n01_sq
@@ -295,105 +297,30 @@ def _spinor_frame(h: NHHamiltonian):
     return setup, evaluate
 
 
-def _evaluator(first, transfer):
-    """The ``evaluate(point, t1, t2, t3)`` of a frame, from its two kernels.
-
-    ``first(point, t)`` is the probability of outcome +1 when the first
-    measurement of a pair happens at ``t``; ``transfer(point, g)`` is the
-    pair (P(+1 | collapsed onto +1), P(+1 | collapsed onto -1)) at a second
-    measurement a gap ``g`` later.  ``evaluate`` returns the eight numbers
-    (see the module docstring) and validates nothing: callers check their
-    inputs once, outside any loop.
-    """
-
-    def evaluate(point, t1, t2, t3):
-        return (
-            first(point, t1),
-            first(point, t2),
-            *transfer(point, t2 - t1),
-            *transfer(point, t3 - t2),
-            *transfer(point, t3 - t1),
-        )
-
-    return evaluate
-
-
 def _noisy_frame(h: NHHamiltonian, kappa: float):
     """Protocol of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
 
-    Returns ``(setup, evaluate)`` on plain scalars, with no closure per point.
-    The lift ``L`` of :func:`_bloch_lift` is eigendecomposed here once, ``L =
-    V diag(lam) V^-1``, and written in its real modal form: four real slots,
-    each a pair of real columns of ``V`` and rows of ``V^-1``.
-    ``setup(r, n)`` projects the columns onto ``(1, 0)`` and the unit axis
-    ``n``, and the rows onto the Bloch vector ``r`` and the axis, and returns
-    ``(at_zero, state, plus, minus)``: P(+1) of ``r`` itself and the eight
-    coefficients of the state and of each collapse branch ``(1, +/- n)``.
-    ``evaluate(point, t1, t2, t3)`` returns the eight numbers.  By linearity
-    ``exp(L g) (1, +/- n) = exp(L g) e0 +/- exp(L g) (0, n)``, so both
-    collapse branches share the exponentials of one time.
+    Returns ``(setup, evaluate)`` on plain scalars, with no closure per point,
+    from the real modal form of the lift, :func:`nhlgi.dynamics._lift_modes`:
+    four real slots, each a real column of ``V`` and a real row of ``V^-1``,
+    at the rates 0 and ``rate_b`` and on the rotation ``exp(alpha t) (cos
+    beta t, sin beta t)``.  ``setup(r, n)`` projects the columns onto ``(1,
+    0)`` and the unit axis ``n``, and the rows onto the Bloch vector ``r``
+    and the axis, and returns ``(at_zero, state, plus, minus)``: P(+1) of
+    ``r`` itself and the eight coefficients of the state and of each
+    collapse branch ``(1, +/- n)``.  ``evaluate(point, t1, t2, t3)`` returns
+    the eight numbers.  By linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/-
+    exp(L g) (0, n)``, so both collapse branches share the exponentials of
+    one time, and with ``t1 = 0`` the (1,2) gap is ``t2`` and shares them
+    with the second measurement.  Each time costs two ``exp`` and one
+    cos/sin pair on floats.
 
-    The spectrum always has two real eigenvalues and one conjugate pair
-    ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
-    component along ``a`` decouples at rate ``-2 kappa``.  The remaining
-    block has the characteristic cubic ``p(lam) = lam [(lam + 2 kappa)^2 +
-    4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``, ``p(0) =
-    -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega > 0``).
-    So it has exactly one real root, which is simple and non-negative (zero
-    only when ``b = 0``), and one conjugate pair.  The real root dominates:
-    the roots sum to ``-4 kappa``, so ``alpha = -2 kappa - root/2``.
-
-    The slots are built as follows:
-
-    - each real eigenvalue keeps its real column and row;
-    - the pair's column ``u + i w`` and row ``z`` become the columns ``(u,
-      w)`` and the rows ``(2 Re z, -2 Im z)``, whose modes evolve by the
-      rotation ``exp(alpha t) (cos beta t, sin beta t)``.  ``2 z`` is the
-      pair's row of ``V^-1`` plus the conjugate of its partner's row.  The
-      computed inverse keeps ``V V^-1 = I`` to rounding only with both rows,
-      which are conjugate only to about cond(V) ulps; twice one row alone
-      is off by 2.6e-6 in a table at ``delta = 1e-3`` and times of 1e-4.
-
-    The dominant real slot is shifted to rate 0, which cancels in the
-    normalisation, so each time costs two ``exp`` and one cos/sin pair on
-    floats, shared by both collapse branches.
-
-    Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
-    lift by more than ``1e-8 ||L||``, or when the computed spectrum has any
-    other shape.  The residual checks the decomposition, not the propagated
-    result: a lift that passes can still be inaccurate near the corner.
+    A lift that ``_lift_modes`` refuses raises its
+    ``DegenerateEvolutionError``.
     """
-    _check_kappa(kappa)
-    lift = _bloch_lift(h, kappa)
-    matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
-    lam, v = np.linalg.eig(matrix)
-    try:
-        v_inv = np.linalg.inv(v)
-        residual = float(np.linalg.norm((v * lam) @ v_inv - matrix))
-    except np.linalg.LinAlgError:
-        residual = math.inf
-    if not residual <= 1e-8 * max(1.0, float(np.linalg.norm(matrix))):
-        raise DegenerateEvolutionError(
-            f"the noisy lift at kappa = {kappa!r} is numerically defective; "
-            "its eigendecomposition cannot be trusted"
-        )
-    lam = lam.tolist()
-    real = sorted((k for k in range(4) if lam[k].imag == 0.0), key=lambda k: -lam[k].real)
-    pair = [k for k in range(4) if lam[k].imag > 0.0]
-    if len(real) != 2 or len(pair) != 1 or lam[pair[0]].conjugate() not in lam:
-        raise DegenerateEvolutionError(
-            f"the noisy lift at kappa = {kappa!r} has spectrum {lam!r}, not two "
-            "real eigenvalues and one conjugate pair"
-        )
-    (a, b), p = real, pair[0]
-    shift = lam[a].real
-    rate_b, alpha, beta = lam[b].real - shift, lam[p].real - shift, lam[p].imag
-    two_z = v_inv[p] + v_inv[lam.index(lam[p].conjugate())].conjugate()
-    # columns (trace, x, y, z) and rows (trace, x, y, z) of the four slots
-    (ta, xa, ya, za), (tb, xb, yb, zb) = v[:, a].real.tolist(), v[:, b].real.tolist()
-    (tu, xu, yu, zu), (tw, xw, yw, zw) = v[:, p].real.tolist(), v[:, p].imag.tolist()
-    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz) = v_inv[a].real.tolist(), v_inv[b].real.tolist()
-    (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = two_z.real.tolist(), (-two_z.imag).tolist()
+    (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
+    (ta, xa, ya, za), (tb, xb, yb, zb), (tu, xu, yu, zu), (tw, xw, yw, zw) = columns
+    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz), (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = rows
     exp, cos, sin = math.exp, math.cos, math.sin
 
     def setup(r, n):
@@ -432,21 +359,10 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
             (m0, m1, mb0, mb1, mc0, ms0, mc1, ms1),
         )
 
-    def first(point, t):
-        if t == 0.0:
-            return point[0]
-        s0, s1, sb0, sb1, sc0, ss0, sc1, ss1 = point[1]
-        eb, ea = exp(rate_b * t), exp(alpha * t)
-        c, s = ea * cos(beta * t), ea * sin(beta * t)
-        r0 = s0 + eb * sb0 + c * sc0 + s * ss0
-        q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
-        return q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
-
-    def transfer(point, g):
-        p0, p1, pb0, pb1, pc0, ps0, pc1, ps1 = point[2]
-        m0, m1, mb0, mb1, mc0, ms0, mc1, ms1 = point[3]
-        eb, ea = exp(rate_b * g), exp(alpha * g)
-        c, s = ea * cos(beta * g), ea * sin(beta * g)
+    def transfer(plus, minus, eb, c, s):
+        """The conditional pair across a gap whose modes are ``(eb, c, s)``."""
+        p0, p1, pb0, pb1, pc0, ps0, pc1, ps1 = plus
+        m0, m1, mb0, mb1, mc0, ms0, mc1, ms1 = minus
         r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
         r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
         qp = 0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)
@@ -456,7 +372,41 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
             qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0),
         )
 
-    return setup, _evaluator(first, transfer)
+    def evaluate(point, t1, t2, t3):
+        first1, (s0, s1, sb0, sb1, sc0, ss0, sc1, ss1), plus, minus = point
+        # P(+1) at t1 (the state itself at t1 = 0) and at t2, from the modes
+        # (eb, c, s) of each time
+        if t1 != 0.0:
+            ea = exp(alpha * t1)
+            eb, c, s = exp(rate_b * t1), ea * cos(beta * t1), ea * sin(beta * t1)
+            r0 = s0 + eb * sb0 + c * sc0 + s * ss0
+            q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+            first1 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
+        ea = exp(alpha * t2)
+        eb, c, s = exp(rate_b * t2), ea * cos(beta * t2), ea * sin(beta * t2)
+        r0 = s0 + eb * sb0 + c * sc0 + s * ss0
+        q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+        first2 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
+        # conditional pairs across each gap; with t1 = 0 the (1,2) gap is t2
+        # and keeps its modes
+        if t1 != 0.0:
+            g = t2 - t1
+            ea = exp(alpha * g)
+            eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
+        plus12, minus12 = transfer(plus, minus, eb, c, s)
+        g = t3 - t2
+        ea = exp(alpha * g)
+        plus23, minus23 = transfer(
+            plus, minus, exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
+        )
+        g = t3 - t1
+        ea = exp(alpha * g)
+        plus13, minus13 = transfer(
+            plus, minus, exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
+        )
+        return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
+
+    return setup, evaluate
 
 
 def _pure_born(chi, psi) -> float:
@@ -485,7 +435,8 @@ def _propagating_frame(propagate, born, collapse):
     :func:`_bloch_born` and :func:`_bloch_collapse`.  ``setup(state, n)``
     returns ``(state, collapse(n))``.  Each collapse branch is propagated
     across the gap.  Born probabilities are clipped to [0, 1]; the first
-    measurement's pair is renormalised.
+    measurement's pair is renormalised.  ``evaluate`` validates nothing:
+    callers check their inputs once, outside any loop.
     """
 
     def setup(state, n):
@@ -503,7 +454,16 @@ def _propagating_frame(propagate, born, collapse):
         up = branches[0]
         return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in branches)
 
-    return setup, _evaluator(first, transfer)
+    def evaluate(point, t1, t2, t3):
+        return (
+            first(point, t1),
+            first(point, t2),
+            *transfer(point, t2 - t1),
+            *transfer(point, t3 - t2),
+            *transfer(point, t3 - t1),
+        )
+
+    return setup, evaluate
 
 
 def _correlators(values) -> tuple[float, float, float]:

@@ -101,9 +101,13 @@ def _check_run(budget, seed) -> None:
     non-negative integer, naming the argument.
 
     A NaN or infinite budget would let every restart stop after its initial
-    simplex, and numpy's refusal of a negative seed names no argument.  Each
-    search entry point calls this before any work.
+    simplex, and numpy's refusal of a negative seed names no argument.  A
+    ``bool`` is refused by name, although ``operator.index(True)`` is 1.
+    Each search entry point calls this before any work.
     """
+    for name, value in (("budget", budget), ("seed", seed)):
+        if isinstance(value, bool):
+            raise ScanConfigError(f"{name} must be an integer, not the bool {value!r}")
     try:
         operator.index(budget)
     except TypeError:

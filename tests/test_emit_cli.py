@@ -14,11 +14,14 @@ import nhlgi.dynamics
 from nhlgi.acceptance import run_all
 from nhlgi.cli import MAX_GRID_POINTS, _time_grid, main
 from nhlgi.dynamics import (
+    THETA_MAX,
     NHHamiltonian,
     analytic_SB_Sn,
+    bloch_of_pure,
     down_z,
     evolve_pure,
     geodesic_distance_closed_form,
+    integrate_bloch,
     projector,
     up_y,
     up_z,
@@ -26,7 +29,7 @@ from nhlgi.dynamics import (
 from nhlgi.emit import format_value, write_csv, write_json
 from nhlgi.lgi import CorrelatorEngine, Observable, k3_closed_form
 from nhlgi.qmat import trace_distance
-from oracles import read_csv
+from oracles import pure_bloch_trajectory, read_csv
 
 
 class TestFormatValue:
@@ -194,6 +197,8 @@ class TestCliTrajectory:
         metadata, columns = read_csv(out)
         assert metadata["command"] == "trajectory"
         assert float(metadata["theta"]) == 0.0
+        assert metadata["method"] == "exact propagator"
+        assert "rtol" not in metadata and "atol" not in metadata
         assert columns["t"].size == 158
         assert set(columns) == {"t", "s_x", "s_y", "s_z", "s_a", "s_b", "s_n", "purity"}
         # Hermitian member: pure precession keeps purity pinned at 1
@@ -221,6 +226,111 @@ class TestCliTrajectory:
         payload = json.loads(out.read_text())
         assert set(payload) == {"metadata", "data"}
         assert len(payload["data"]["t"]) == 3
+
+
+class TestCliTrajectoryRoute:
+    """Every row of ``nhlgi trajectory`` comes from an exact propagator: the
+    pure flow at kappa = 0 and the modal form of the noisy lift at kappa > 0.
+    RK45 is the independent route here, not the command's."""
+
+    @pytest.fixture(autouse=True)
+    def no_rk45(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("nhlgi trajectory ran RK45")
+
+        monkeypatch.setattr(nhlgi.dynamics, "_rk45", refused)
+        return monkeypatch
+
+    @staticmethod
+    def _run(tmp_path, *argv):
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", *argv, "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def _bloch(columns):
+        return np.column_stack([columns["s_x"], columns["s_y"], columns["s_z"]])
+
+    # Bound on the distance from the 40-digit closed form on the CLI grid, per
+    # working point.  Measured: 6.9e-16 at theta = 1.2, and 1.3e-8, 4.9e-6 and
+    # 3.7e-6 at delta = 1e-3, 1e-5 and 1e-6, all from the computed omega
+    # (ROADMAP item 12).  RK45 was off by 7.5e-11, 5.9e-4, 5.3e-3 and 8.2e-4.
+    @pytest.mark.parametrize(
+        "theta, bound",
+        [
+            (1.2, 1e-14),
+            (math.pi / 2 - 1e-3, 5e-8),
+            (math.pi / 2 - 1e-5, 2e-5),
+            (math.pi / 2 - 1e-6, 2e-5),
+        ],
+    )
+    def test_pure_route_against_closed_form(self, tmp_path, theta, bound):
+        pytest.importorskip("mpmath")
+        _, columns = read_csv(self._run(tmp_path, "--theta", repr(theta)))
+        grid = _time_grid(math.pi, 0.01)
+        assert columns["t"].tolist() == grid.tolist()
+        exact = pure_bloch_trajectory(NHHamiltonian.canonical(theta).matrix, up_y(), grid)
+        assert np.max(np.abs(self._bloch(columns) - exact)) <= bound
+
+    # Measured within 1.1e-10 of RK45 (rtol 1e-10, atol 1e-12).  At kappa =
+    # 1e5 the state settles within about 1e-4, so that grid resolves the
+    # transient.
+    @pytest.mark.parametrize(
+        "kappa, grid",
+        [("0.01", ()), ("1", ()), ("1e5", ("--tmax", "5e-5", "--step", "1e-6"))],
+    )
+    @pytest.mark.parametrize("theta", [0.3, 1.2])
+    def test_noisy_route_against_rk45(self, tmp_path, no_rk45, theta, kappa, grid):
+        _, columns = read_csv(
+            self._run(tmp_path, "--theta", repr(theta), "--kappa", kappa, *grid)
+        )
+        no_rk45.undo()
+        reference = integrate_bloch(
+            bloch_of_pure(up_y()), NHHamiltonian.canonical(theta), float(kappa), columns["t"]
+        )
+        assert np.max(np.abs(self._bloch(columns) - reference.bloch)) <= 1e-9
+
+    def test_strong_noise_at_the_default_horizon(self, tmp_path):
+        # RK45 needed 1.33e6 right-hand sides for this grid, and refused any
+        # --tmax above about 4.7
+        _, columns = read_csv(self._run(tmp_path, "--theta", "1.2", "--kappa", "1e5"))
+        assert columns["t"].size == 315
+        assert np.all(np.isfinite(self._bloch(columns)))
+        assert np.all(columns["purity"] <= 1.0 + 1e-12)
+
+    def test_refused_lift_exits_1_as_noise_does(self, capsys):
+        point = ["--theta", repr(THETA_MAX), "--kappa", "1e-9"]
+        assert main(["noise", *point, "--tmax", "0.2", "--step", "0.1"]) == 1
+        noise = capsys.readouterr()
+        assert main(["trajectory", *point]) == 1
+        trajectory = capsys.readouterr()
+        assert trajectory.out == noise.out == ""
+        assert "defective" in trajectory.err
+        assert trajectory.err == noise.err
+
+    @pytest.mark.parametrize(
+        "theta, kappa",
+        [
+            (theta, kappa)
+            for theta in (0.0, 1.2, math.pi / 2 - 1e-3, THETA_MAX)
+            for kappa in ("0", "1e-12", "0.01", "1e5")
+            # the lift at THETA_MAX and kappa = 1e-12 is refused (see above)
+            if (theta, kappa) != (THETA_MAX, "1e-12")
+        ],
+    )
+    def test_invariant_s_x_is_zero(self, tmp_path, theta, kappa):
+        # the component along A = sec(theta) x starts at 0 and stays there,
+        # written as 0 (not -0)
+        out = self._run(tmp_path, "--theta", repr(theta), "--kappa", kappa)
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()
+                         if not line.startswith("#")]
+        column = header.index("s_x")
+        assert {row[column] for row in rows} == {"0"}
+
+    def test_bad_kappa_exits_2(self, capsys):
+        for kappa in ("-0.1", "nan", "inf"):
+            assert main(["trajectory", "--theta", "1.2", "--kappa", kappa]) == 2
+            assert "kappa must be a finite non-negative rate" in capsys.readouterr().err
 
 
 class TestCliLgi:

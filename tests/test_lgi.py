@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhlgi import lgi
+from nhlgi import dynamics, lgi
 from nhlgi.dynamics import (
     THETA_MAX,
     DegenerateEvolutionError,
@@ -527,7 +527,7 @@ class TestNoisySpectrum:
         def diagonal_lift(h, kappa):
             return lambda r0, x, y, z: (0.0, -kappa * x, -2.0 * kappa * y, -3.0 * kappa * z)
 
-        monkeypatch.setattr(lgi, "_bloch_lift", diagonal_lift)
+        monkeypatch.setattr(dynamics, "_bloch_lift", diagonal_lift)
         with pytest.raises(DegenerateEvolutionError, match="conjugate pair"):
             _noisy_frame(NHHamiltonian.canonical(0.7), 0.1)
 
@@ -618,9 +618,11 @@ def _nested_protocol(first, transfer, t1, t2, t3):
     "theta", [0.0, 0.3, 1.2, math.pi / 2 - 0.1, math.pi / 2 - 1e-3, THETA_MAX]
 )
 def test_spinor_evaluator_is_the_closure_arithmetic(theta):
-    # general (non-planar) spinors and axes, t1 = 0 and t1 > 0, and gaps from
-    # the scans' floor to pi: every correlator, table and public result is
-    # the same float as the closure pair's
+    # general (non-planar) spinors and axes, t1 = 0 (where the (1,2) gap
+    # shares the cos/sin pair of t2) and t1 > 0, gaps from the scans' floor
+    # to pi, and the CLI rows' times (0, t, 2t): the eight numbers and every
+    # correlator, table and public result are the same floats as the closure
+    # pair's
     h = NHHamiltonian.canonical(theta)
     setup, evaluate = _spinor_frame(h)
     frame = _closure_spinor_frame(h)
@@ -633,10 +635,11 @@ def test_spinor_evaluator_is_the_closure_arithmetic(theta):
         q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
         t1 = 0.0 if k % 2 else math.exp(rng.uniform(log_floor, math.log(math.pi)))
         g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
-        times = (t1, t1 + g1, t1 + g1 + g2)
+        times = (0.0, g1, 2.0 * g1) if k % 4 == 3 else (t1, t1 + g1, t1 + g1 + g2)
         first, transfer = frame(psi, _axis_basis(q.direction))
         expected = _nested_protocol(first, transfer, *times)
         values = evaluate(setup(psi, q.direction), *times)
+        assert values == _closure_protocol(first, transfer, *times)
         assert _correlators(values) + _tables(values) == expected
         table = engine.joint_table(np.array(psi), q, times[0], times[1]).probs
         assert table.tolist() == [list(row) for row in expected[3]]
@@ -741,7 +744,8 @@ def _closure_protocol(first, transfer, t1, t2, t3):
 
 def _closure_cases(rng, n):
     """Seeded ``(r, psi, q, times)``: Bloch vectors inside the ball, spinors,
-    axes, ``t1 = 0`` and ``t1 > 0``, and gaps from the scans' floor to pi."""
+    axes, ``t1 = 0`` and ``t1 > 0``, gaps from the scans' floor to pi, and
+    the CLI rows' equal spacing ``(0, t, 2t)``."""
     log_floor = math.log(GAP_FLOOR)
     for k in range(n):
         length = rng.uniform(0.0, 1.0) if k % 5 else 0.0
@@ -752,7 +756,7 @@ def _closure_cases(rng, n):
         q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
         t1 = 0.0 if k % 2 else math.exp(rng.uniform(log_floor, math.log(math.pi)))
         g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
-        yield r, psi, q, (t1, t1 + g1, t1 + g1 + g2)
+        yield r, psi, q, (0.0, g1, 2.0 * g1) if k % 4 == 3 else (t1, t1 + g1, t1 + g1 + g2)
 
 
 CLOSURE_THETAS = [0.0, 0.3, 1.2, math.pi / 2 - 1e-2, math.pi / 2 - 1e-3]
@@ -762,7 +766,9 @@ CLOSURE_THETAS = [0.0, 0.3, 1.2, math.pi / 2 - 1e-2, math.pi / 2 - 1e-3]
 def test_noisy_evaluator_is_the_closure_arithmetic(theta):
     # every route that reaches the noisy frame (the frame itself, the
     # engine's spinor route and its public calls on spinors and density
-    # matrices) gives the closure pair's eight numbers, bit for bit
+    # matrices) gives the closure pair's eight numbers, bit for bit, also at
+    # t1 = 0, where the (1,2) gap shares the exponentials of t2, and for the
+    # joint tables, whose third time repeats the second
     h = NHHamiltonian.canonical(theta)
     rng = np.random.default_rng(2025)
     for kappa in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
@@ -783,6 +789,10 @@ def test_noisy_evaluator_is_the_closure_arithmetic(theta):
                 expected = _closure_protocol(*frame(_density_bloch(rho.tolist()), n), *times)
                 res = engine.k3(rho, q, *times)
                 assert (res.c12, res.c23, res.c13) == _correlators(expected)
+                pair = (times[0], times[1], times[1])
+                expected = _closure_protocol(*frame(_density_bloch(rho.tolist()), n), *pair)
+                table = engine.joint_table(rho, q, times[0], times[1]).probs
+                assert table.tolist() == [list(row) for row in _tables(expected)[0]]
 
 
 @pytest.mark.parametrize("theta", CLOSURE_THETAS)

@@ -460,6 +460,16 @@ class TestBudget:
         with pytest.raises(ScanConfigError, match="^seed must be a non-negative integer"):
             self._SEARCHES[search](budget=2000, seed=seed)
 
+    # operator.index(True) is 1: seed=True used to run and come back as
+    # ScanResult.seed True, and budget=True was refused only as too small
+    @pytest.mark.parametrize("argument", ["budget", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("search", sorted(_SEARCHES))
+    def test_bool_is_refused_by_name(self, no_search, search, argument, value):
+        kwargs = {"budget": 2000, "seed": 0, argument: value}
+        with pytest.raises(ScanConfigError, match=f"^{argument} must be an integer, not the bool"):
+            self._SEARCHES[search](**kwargs)
+
     def test_numpy_integers_are_accepted(self):
         a = maximize_k3(1.2, budget=np.int64(600), seed=np.uint32(3))
         b = maximize_k3(1.2, budget=600, seed=3)
