@@ -196,7 +196,7 @@ def _cmd_trajectory(args) -> int:
         start = tuple(2.0 * s for s in bloch_of_pure(up_y()).tolist())
         rows = [[0.5 * r for r in propagate(t, start)] for t in grid.tolist()]
     # + 0.0 turns a -0.0 left by cancellation (in the invariant s_x) into 0
-    traj = Trajectory(grid, np.array(rows) + 0.0, h, args.kappa)
+    traj = Trajectory(grid, np.array(rows) + 0.0)
     abn = traj.abn()
     metadata = _header(
         args,
@@ -243,10 +243,9 @@ def _cmd_distance(args) -> int:
         last, mode = "trace_d", "rescaled"
     else:
         start, target = _spinor(up_y()), _spinor(down_y())
+        nx, ny, nz = abn_frame()[2].tolist()
         for theta in args.theta:
-            h = NHHamiltonian.canonical(theta)
-            propagate = pure_propagator(h)
-            nx, ny, nz = abn_frame(h)[2].tolist()
+            propagate = pure_propagator(NHHamiltonian.canonical(theta))
             for t in grid:
                 psi_t = propagate(t, start)
                 sx, sy, sz = _spinor_bloch(psi_t)

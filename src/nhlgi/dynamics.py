@@ -1,22 +1,23 @@
-"""Two-level dynamics generated by real-spectrum non-Hermitian Hamiltonians.
+"""Two-level dynamics generated by the canonical real-spectrum
+non-Hermitian family
 
-Operators of the family ``H = s * (A - iB) . sigma`` with real 3-vectors
-``A``, ``B`` satisfying ``A . B = 0`` and ``|A| > |B|`` (and a positive
-overall scale ``s``) have the purely real spectrum ``+/- s sqrt(A^2 - B^2)``.
-A sensible quantum mechanics is recovered by renormalising the state after
-each application of ``exp(-i H t)``; on the Bloch sphere the renormalised
-flow obeys the nonlinear equation of motion
+    H(theta) = s (sec(theta) sigma_x + i tan(theta) sigma_z),   theta in [0, pi/2)
+
+with a positive overall scale ``s`` (1 except in ``nhlgi distance
+--rescaled``).  :class:`NHHamiltonian` is this family, ``(theta, scale)``.
+Written as ``s (A - iB) . sigma``, its vectors are ``A = sec(theta) x`` and
+``B = -tan(theta) z``: orthogonal, with ``|A| > |B|``, so the spectrum is
+the real ``+/- s sqrt(A^2 - B^2) = +/- s``.  A sensible quantum mechanics is
+recovered by renormalising the state after each application of ``exp(-i H
+t)``; on the Bloch sphere the renormalised flow obeys the nonlinear equation
+of motion
 
     dS/dt = 2 A x S - B + 4 (B . S) S - 2 kappa S
 
 where the last term models isotropic white-noise depolarisation of strength
-``kappa >= 0`` (all vectors here include the overall scale).  The canonical
-one-parameter family
-
-    H_theta = sec(theta) sigma_x + i tan(theta) sigma_z,   theta in [0, pi/2)
-
-has unit spectral gap, period pi, and interpolates from the Hermitian limit
-at ``theta = 0`` to arbitrarily strong norm amplification as ``theta``
+``kappa >= 0`` (``A`` and ``B`` here include the scale).  At unit scale the
+family has unit spectral gap, period pi, and interpolates from the Hermitian
+limit at ``theta = 0`` to arbitrarily strong norm amplification as ``theta``
 approaches ``pi/2``.
 
 This module provides exact propagators, adaptive Runge-Kutta integration of
@@ -24,8 +25,9 @@ the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
 RK45 on plain scalars, so numpy is the only dependency; it is the
 independent route of the acceptance checks and tests), closed-form
 trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
-B``, geodesic distances, and the local speed of state evolution,
-``|dS/dt|^2`` evaluated exactly from the equation of motion above.
+B`` (``x``, ``-z`` and ``y``, one constant frame for every member),
+geodesic distances, and the local speed of state evolution, ``|dS/dt|^2``
+evaluated exactly from the equation of motion above.
 
 Each formula is written once, as a kernel on plain scalars that the scans,
 the protocol and the CLI call per point: the pure flow
@@ -280,50 +282,32 @@ def _density_bloch(rho) -> tuple[float, float, float]:
 
 @dataclass
 class NHHamiltonian:
-    """Non-Hermitian two-level generator ``scale * (a - i b) . sigma``.
+    """The canonical member ``scale * (sec(theta) sigma_x + i tan(theta)
+    sigma_z)``, for ``0 <= theta <= pi/2 - 1e-6`` and a positive finite
+    ``scale``.
 
-    ``a`` and ``b`` are real 3-vectors with ``a . b = 0`` and ``|a| > |b|``,
-    which guarantees the purely real spectrum ``+/- omega`` with
-    ``omega = scale * sqrt(a^2 - b^2)``.  ``scale`` must be positive; it is a
-    plain multiplicative rescaling of the operator (used e.g. to compare
-    families at equal Hermitian-part strength).
+    Matching against ``scale * (a - i b) . sigma`` gives ``a = sec(theta) x``
+    and ``b = -tan(theta) z``, set as derived arrays at construction; ``a . b
+    = 0`` and ``|a| > |b|``, so the spectrum is the real ``+/- omega`` with
+    ``omega = scale * sqrt(a^2 - b^2)``.  ``scale`` is a plain multiplicative
+    rescaling of the operator (``nhlgi distance --rescaled`` passes ``cos
+    theta``, to compare members at equal Hermitian-part strength).
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    theta: float
     scale: float = 1.0
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float).copy()
-        self.b = np.asarray(self.b, dtype=float).copy()
-        if self.a.shape != (3,) or self.b.shape != (3,):
-            raise ValueError("a and b must be real 3-vectors")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise ValueError("non-finite Hamiltonian coefficients")
+        _check_theta(self.theta)
         if not np.isfinite(self.scale) or self.scale <= 0.0:
             raise ValueError("scale must be positive and finite")
-        na, nb = np.linalg.norm(self.a), np.linalg.norm(self.b)
-        if abs(float(np.dot(self.a, self.b))) > 1e-12 * max(1.0, na * nb):
-            raise ValueError("a and b must be orthogonal for a real spectrum")
-        if not na > nb:
-            raise ValueError(
-                "|a| must exceed |b|; otherwise the spectrum is not real "
-                f"(|a| = {na!r}, |b| = {nb!r})"
-            )
+        self.a = np.array([1.0 / math.cos(self.theta), 0.0, 0.0])
+        self.b = np.array([0.0, 0.0, -math.tan(self.theta)])
 
     @classmethod
     def canonical(cls, theta: float, scale: float = 1.0) -> "NHHamiltonian":
-        """The family ``sec(theta) sigma_x + i tan(theta) sigma_z``.
-
-        Matching against ``(a - i b) . sigma`` gives ``a = sec(theta) x`` and
-        ``b = -tan(theta) z``.  Domain: ``0 <= theta <= pi/2 - 1e-6``.
-        """
-        _check_theta(theta)
-        return cls(
-            a=np.array([1.0 / math.cos(theta), 0.0, 0.0]),
-            b=np.array([0.0, 0.0, -math.tan(theta)]),
-            scale=scale,
-        )
+        """The member ``theta`` at ``scale``: the constructor every caller uses."""
+        return cls(theta, scale)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -366,39 +350,28 @@ class NHHamiltonian:
         """Exact ``exp(-i H t)``.
 
         The square of the (traceless) operator is ``omega^2 I``, so the
-        closed two-term form applies for every member of this class.
+        closed two-term form applies.
         """
         w = self.omega
         return math.cos(w * t) * ID2 - (1j * math.sin(w * t) / w) * self.matrix
 
 
-def abn_frame(h: NHHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal frame (A_hat, B_hat, n_hat = A_hat x B_hat).
-
-    When ``|b| = 0`` (Hermitian member) the B axis is chosen to extend the
-    canonical family continuously: the first of ``-z``, ``y``, ``x`` with a
-    nonvanishing component orthogonal to ``a``.
-    """
-    a_hat = h.a / np.linalg.norm(h.a)
-    nb = float(np.linalg.norm(h.b))
-    if nb > 0.0:
-        b_hat = h.b / nb
-    else:
-        b_hat = None
-        for cand in (np.array([0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0]),
-                     np.array([1.0, 0.0, 0.0])):
-            perp = cand - float(np.dot(cand, a_hat)) * a_hat
-            norm = float(np.linalg.norm(perp))
-            if norm > 1e-12:
-                b_hat = perp / norm
-                break
-    n_hat = np.cross(a_hat, b_hat)
-    return a_hat, b_hat, n_hat
+# The unit vectors along a and b and their cross product n, the same floats
+# for every member: (1, 0, 0), (0, 0, -1) and (-0.0, 1, 0), the -0.0 being
+# what the cross product of the first two gives.  At theta = 0, where b
+# vanishes, the same B axis extends the family continuously.
+_ABN_FRAME = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (-0.0, 1.0, 0.0))
 
 
-def bloch_to_abn(s, h: NHHamiltonian) -> np.ndarray:
-    """Components of a Cartesian Bloch vector in the (A, B, n) frame of ``h``."""
-    a_hat, b_hat, n_hat = abn_frame(h)
+def abn_frame() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal frame (A_hat, B_hat, n_hat = A_hat x B_hat) of the family:
+    ``(x, -z, y)`` for every member and scale."""
+    return tuple(np.array(v) for v in _ABN_FRAME)
+
+
+def bloch_to_abn(s) -> np.ndarray:
+    """Components of a Cartesian Bloch vector in the (A, B, n) frame."""
+    a_hat, b_hat, n_hat = abn_frame()
     s = np.asarray(s, dtype=float)
     return np.stack(
         [s @ a_hat, s @ b_hat, s @ n_hat], axis=-1
@@ -854,14 +827,11 @@ def _speed_route(h: NHHamiltonian):
 
 @dataclass
 class Trajectory:
-    """Sampled Bloch trajectory with its integration provenance."""
+    """Sampled Bloch trajectory: strictly increasing ``times`` and the
+    Cartesian Bloch vectors ``bloch`` at them, shape ``(len(times), 3)``."""
 
     times: np.ndarray
-    bloch: np.ndarray  # (n, 3), Cartesian components
-    hamiltonian: NHHamiltonian
-    kappa: float = 0.0
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    bloch: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -877,8 +847,8 @@ class Trajectory:
         return 0.5 + 2.0 * np.sum(self.bloch**2, axis=1)
 
     def abn(self) -> np.ndarray:
-        """Trajectory components in the (A, B, n) frame of the Hamiltonian."""
-        return bloch_to_abn(self.bloch, self.hamiltonian)
+        """Trajectory components in the family's (A, B, n) frame."""
+        return bloch_to_abn(self.bloch)
 
 
 def integrate_bloch(
@@ -894,6 +864,13 @@ def integrate_bloch(
     ``t_grid`` must be strictly increasing and start at zero.  Uses an
     adaptive embedded Runge-Kutta 4(5) pair at tight tolerances; failure to
     advance raises :class:`StiffnessError` carrying the failure time.
+
+    ``rtol`` and ``atol`` bound the local error per step, not the global
+    error, which grows towards the corner.  At the defaults, from ``up_y``
+    over ``0 <= t <= 3.14`` in steps of 0.01 at ``kappa = 0``, the largest
+    distance from the exact pure flow is 1.6e-10 at ``delta = pi/2 - theta =
+    0.5``, 8.3e-9 at 0.1 and 1.3e-7 at 0.03, but 1.9e-6 at 0.01 and 6.0e-4
+    at 1e-3: the 1e-6 accuracy floor is reached from ``delta = 0.03`` up.
     """
     s0 = _check_bloch(s0, "initial Bloch vector")
     _check_kappa(kappa)
@@ -909,14 +886,14 @@ def integrate_bloch(
 
     if t_grid[-1] == 0.0:
         ys = np.repeat(s0[None, :], t_grid.size, axis=0)
-        return Trajectory(t_grid, ys, h, kappa, rtol, atol)
+        return Trajectory(t_grid, ys)
 
     a, b = h._scaled
     def rhs(_t, s):
         return _bloch_rhs(a, b, kappa, s)
 
     rows = _rk45(rhs, s0.tolist(), t_grid.tolist(), rtol, atol, "Bloch")
-    return Trajectory(t_grid, rows, h, kappa, rtol, atol)
+    return Trajectory(t_grid, rows)
 
 
 def analytic_SB_Sn(a_mag: float, b_mag: float, t):
@@ -932,9 +909,8 @@ def analytic_SB_Sn(a_mag: float, b_mag: float, t):
     Returns the pair ``(|S_B|, S_n)``; the component along the B axis
     changes sign every half period, so only its magnitude has a closed form
     free of case analysis.  The signs above were fixed against the
-    density-matrix propagator; they correspond to projecting onto the frame
-    built from the actual vectors ``A`` and ``B`` (for the canonical family:
-    ``B_hat = -z``, ``n_hat = +y``).
+    density-matrix propagator; they correspond to projecting onto the
+    family's frame of :func:`abn_frame` (``B_hat = -z``, ``n_hat = +y``).
 
     ``t`` may be a scalar or an array.
     """

@@ -546,7 +546,6 @@ class CorrelatorEngine:
             spinor_route = spinor_setup, evaluate
 
         self._spinor_route, self._bloch_route = spinor_route, bloch_route
-        self.hamiltonian = h
         self.kappa = float(kappa)
 
     def _protocol_inputs(self, state, q: Observable):

@@ -318,8 +318,13 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed):
     """
     # A warm start rebuilt from an argmax may sit outside the bounds: an ulp
     # past them, or with a gap that was scaled back under the floor.  Clipping
-    # would move a NaN onto the lower bound, so it is refused instead.
+    # would move a NaN onto the lower bound, so it is refused instead; so is a
+    # start of the wrong length, which zip would truncate or leave short.
     for x in extra_starts:
+        if len(x) != len(lower):
+            raise ScanConfigError(
+                f"start {list(x)!r} has {len(x)} coordinates, not {len(lower)}"
+            )
         if any(math.isnan(v) for v in x):
             raise ValueError(f"start {list(x)!r} has a NaN coordinate")
     candidates = [
@@ -468,8 +473,10 @@ def maximize_k3(
     great circle and over the two time gaps from ``t1 = 0``.
 
     The search coordinates are ``(alpha_s, alpha_q, log g1, log g2)`` (see
-    :func:`_planar_point`); ``extra_starts`` are points in them, any sequence
-    of numbers, clipped into the box.  The canonical configuration is always
+    :func:`_planar_point`); ``extra_starts`` are points in them, each a
+    sequence of four numbers, clipped into the box.  A start of another length
+    is refused with :class:`ScanConfigError`, and one with a NaN coordinate
+    with ``ValueError``.  The canonical configuration is always
     among the evaluated seeds, so at ``kappa = 0`` the result dominates the
     closed-form value ``1 + sin(theta) + sin^2(theta)``.  The seeding pass
     takes 512 evaluations plus one per start, and the simplex restarts share

@@ -460,13 +460,6 @@ def _spectrum_shape(lam):
     return int(np.sum(lam.imag == 0.0)), pairs
 
 
-def _rotated_member(rng, theta):
-    """Canonical member ``theta`` turned by a random rotation, at scale != 1."""
-    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    h = NHHamiltonian.canonical(theta)
-    return NHHamiltonian(a=q @ h.a, b=q @ h.b, scale=rng.uniform(0.1, 3.0))
-
-
 SPECTRUM_KAPPAS = [10.0 ** (0.5 * e) for e in range(-24, 11)]  # 1e-12 to 1e5
 
 
@@ -486,11 +479,11 @@ class TestNoisySpectrum:
         for kappa in SPECTRUM_KAPPAS:
             assert _spectrum_shape(_lift_spectrum(h, kappa)) == (2, 1), kappa
 
-    def test_rotated_scaled_shape(self):
+    def test_scaled_shape(self):
         rng = np.random.default_rng(29)
         for i in range(40):
             theta = rng.uniform(0.0, 1.5) if i % 2 else math.pi / 2 - 10.0 ** rng.uniform(-6, -2)
-            h = _rotated_member(rng, theta)
+            h = NHHamiltonian.canonical(theta, scale=rng.uniform(0.1, 3.0))
             for kappa in SPECTRUM_KAPPAS:
                 assert _spectrum_shape(_lift_spectrum(h, kappa)) == (2, 1), (theta, kappa)
 
@@ -499,7 +492,7 @@ class TestNoisySpectrum:
         # lam [(lam + 2 kappa)^2 + 4 omega^2] - 8 kappa b^2
         rng = np.random.default_rng(31)
         for _ in range(40):
-            h = _rotated_member(rng, rng.uniform(0.0, 1.4))
+            h = NHHamiltonian.canonical(rng.uniform(0.0, 1.4), scale=rng.uniform(0.1, 3.0))
             kappa = 10.0 ** rng.uniform(-2.0, 1.0)
             w, b = h.omega, h.b_mag
             cubic = np.roots([1.0, 4.0 * kappa, 4.0 * kappa**2 + 4.0 * w**2, -8.0 * kappa * b**2])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,16 @@ class TestMaximizeK3:
         # clipping would move the NaN onto the lower bound and search on
         with pytest.raises(ValueError, match="NaN"):
             maximize_k3(1.2, budget=2000, extra_starts=[(math.nan, 1.0, -1.0, -1.0)])
+
+    @pytest.mark.parametrize(
+        "start", [(0.1, 0.2, 0.3, 0.4, 99.0), (0.1, 0.2)], ids=["five", "two"]
+    )
+    def test_warm_start_of_wrong_length_is_refused(self, start):
+        # zip would drop a fifth coordinate and search on, and a short start
+        # would fail later with an unnamed unpacking error
+        message = f"start {list(start)!r} has {len(start)} coordinates, not 4"
+        with pytest.raises(ScanConfigError, match=re.escape(message)):
+            maximize_k3(1.2, budget=600, extra_starts=[start])
 
     def test_times_stay_in_window(self):
         res = maximize_k3(1.2, budget=2000, seed=4)
