@@ -190,7 +190,7 @@ def criterion_6() -> CriterionResult:
     grid = np.linspace(0.0, math.pi, 201)
     traj = integrate_bloch(bloch_of_pure(up_y()), h, t_grid=grid)
     abn = traj.abn()
-    sb_closed, sn_closed = analytic_SB_Sn(h.a_mag, h.b_mag, grid)
+    sb_closed, sn_closed = analytic_SB_Sn(h.theta, grid)
     worst_traj = max(
         float(np.max(np.abs(np.abs(abn[:, 1]) - sb_closed))),
         float(np.max(np.abs(abn[:, 2] - sn_closed))),

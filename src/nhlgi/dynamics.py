@@ -45,10 +45,11 @@ them.
 Each input contract that more than one public call makes is checked by one
 private owner here, which every module calls: the working point
 (``_check_theta``, theta in ``[0, pi/2 - 1e-6]``), the noise rate
-(``_check_kappa``), finite times (``_check_finite_times``) and the Bloch
-ball (``_check_bloch``).  The adaptive Runge-Kutta run and its
-:class:`StiffnessError` live in ``_rk45``, and the scaled generator vectors
-``(scale a, scale b)`` in one cached property of :class:`NHHamiltonian`.
+(``_check_kappa``), finite times (``_check_finite_times``, and
+``_finite_times`` for arrays) and the Bloch ball (``_check_bloch``).  The
+adaptive Runge-Kutta run and its :class:`StiffnessError` live in ``_rk45``.
+:class:`NHHamiltonian` is two floats, ``(theta, scale)``; its matrix, its
+scaled vectors ``(scale a, scale b)`` and its ``omega`` are built from them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qmat import ID2, pauli_vector
+from .qmat import ID2
 
 __all__ = [
     "THETA_MAX",
@@ -207,10 +208,22 @@ def _check_finite_times(**times) -> None:
             raise ValueError(f"time {name} = {t!r} must be finite")
 
 
+def _finite_times(t, name: str = "t") -> np.ndarray:
+    """``t``, a time or an array of times, as a float array; refused like
+    :func:`_check_finite_times` if any element is NaN or infinite."""
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not finite.all():
+        raise ValueError(f"time {name} = {t[~finite][0].item()!r} must be finite")
+    return t
+
+
 def _check_theta(theta: float) -> None:
     """Refuse a working point of the canonical family outside ``[0, THETA_MAX]``
-    (NaN included): every closed form, Hamiltonian and dilation of ``theta``
-    shares this domain."""
+    (NaN included), or a bool: every closed form, Hamiltonian and dilation of
+    ``theta`` shares this domain."""
+    if isinstance(theta, (bool, np.bool_)):
+        raise ValueError(f"theta must be a float, not the bool {theta!r}")
     if not 0.0 <= theta <= THETA_MAX:
         raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
 
@@ -284,14 +297,17 @@ def _density_bloch(rho) -> tuple[float, float, float]:
 class NHHamiltonian:
     """The canonical member ``scale * (sec(theta) sigma_x + i tan(theta)
     sigma_z)``, for ``0 <= theta <= pi/2 - 1e-6`` and a positive finite
-    ``scale``.
+    ``scale``; a bool for either is refused.
 
-    Matching against ``scale * (a - i b) . sigma`` gives ``a = sec(theta) x``
-    and ``b = -tan(theta) z``, set as derived arrays at construction; ``a . b
-    = 0`` and ``|a| > |b|``, so the spectrum is the real ``+/- omega`` with
-    ``omega = scale * sqrt(a^2 - b^2)``.  ``scale`` is a plain multiplicative
-    rescaling of the operator (``nhlgi distance --rescaled`` passes ``cos
-    theta``, to compare members at equal Hermitian-part strength).
+    The member is the two floats ``(theta, scale)``.  ``sec(theta)`` and
+    ``tan(theta)`` are computed once at construction, and ``matrix``,
+    ``_scaled`` and ``omega`` are built from them.  Matching against
+    ``scale * (a - i b) . sigma`` gives ``a = sec(theta) x`` and ``b =
+    -tan(theta) z``; ``a . b = 0`` and ``|a| > |b|``, so the spectrum is the
+    real ``+/- omega`` with ``omega = scale * sqrt(sec^2 - tan^2)``.
+    ``scale`` is a plain multiplicative rescaling of the operator (``nhlgi
+    distance --rescaled`` passes ``cos theta``, to compare members at equal
+    Hermitian-part strength).
     """
 
     theta: float
@@ -299,10 +315,12 @@ class NHHamiltonian:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if not np.isfinite(self.scale) or self.scale <= 0.0:
+        if isinstance(self.scale, (bool, np.bool_)):
+            raise ValueError(f"scale must be a float, not the bool {self.scale!r}")
+        if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise ValueError("scale must be positive and finite")
-        self.a = np.array([1.0 / math.cos(self.theta), 0.0, 0.0])
-        self.b = np.array([0.0, 0.0, -math.tan(self.theta)])
+        self._sec = 1.0 / math.cos(self.theta)
+        self._tan = math.tan(self.theta)
 
     @classmethod
     def canonical(cls, theta: float, scale: float = 1.0) -> "NHHamiltonian":
@@ -310,14 +328,21 @@ class NHHamiltonian:
         return cls(theta, scale)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The 2x2 operator ``scale * (a - i b) . sigma``."""
-        return self.scale * (pauli_vector(self.a) - 1j * pauli_vector(self.b))
+    def _scaled(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """``(scale a, scale b)`` as plain float triples, for the scalar
+        kernels.  ``b_z`` is ``-0.0`` at theta = 0."""
+        scale = float(self.scale)
+        return (scale * self._sec, 0.0, 0.0), (0.0, 0.0, scale * -self._tan)
 
     @cached_property
-    def _scaled(self) -> tuple[list[float], list[float]]:
-        """``(scale a, scale b)`` as plain float lists, for the scalar kernels."""
-        return (self.scale * self.a).tolist(), (self.scale * self.b).tolist()
+    def matrix(self) -> np.ndarray:
+        """The 2x2 operator ``scale * (a - i b) . sigma``: ``scale sec(theta)``
+        off the diagonal and ``+/- i scale tan(theta)`` on it, every zero
+        ``+0.0`` (``0.0 + b_z`` turns theta = 0's ``-0.0`` into ``+0.0``)."""
+        (ax, _, _), (_, _, bz) = self._scaled
+        return np.array(
+            [[complex(0.0, -bz), ax], [ax, complex(0.0, 0.0 + bz)]], dtype=complex
+        )
 
     @cached_property
     def _speed(self):
@@ -326,25 +351,9 @@ class NHHamiltonian:
         return _speed_route(self)
 
     @cached_property
-    def b_operator(self) -> np.ndarray:
-        """Anti-Hermitian part generator (without the -i), ``scale * b . sigma``."""
-        return self.scale * pauli_vector(self.b)
-
-    @cached_property
-    def a_mag(self) -> float:
-        return float(self.scale * np.linalg.norm(self.a))
-
-    @cached_property
-    def b_mag(self) -> float:
-        return float(self.scale * np.linalg.norm(self.b))
-
-    @cached_property
     def omega(self) -> float:
-        """Half the (real) spectral gap, ``scale * sqrt(a^2 - b^2)``."""
-        return float(
-            self.scale
-            * math.sqrt(float(np.dot(self.a, self.a) - np.dot(self.b, self.b)))
-        )
+        """Half the (real) spectral gap, ``scale * sqrt(sec^2 - tan^2)``."""
+        return float(self.scale) * math.sqrt(self._sec * self._sec - self._tan * self._tan)
 
     def propagator(self, t: float) -> np.ndarray:
         """Exact ``exp(-i H t)``.
@@ -622,14 +631,15 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
 
-    # The first two terms are G rho + rho G^dag with G = -i H, H = (A - iB).sigma.
+    # The first two terms are G rho + rho G^dag with G = -i H, H = (A - iB).sigma;
+    # B.sigma is diag(b_z, -b_z).
     (g00, g01), (g10, g11) = (-1j * h.matrix).tolist()
     c00, c01, c10, c11 = (g.conjugate() for g in (g00, g01, g10, g11))
-    (n00, n01), (n10, n11) = h.b_operator.tolist()
+    bz = h._scaled[1][2]
 
     def rhs(_t, rho):
         p, q, r, s = rho
-        pump = 2.0 * (p * n00 + q * n10 + r * n01 + s * n11).real
+        pump = 2.0 * (p.real * bz - s.real * bz)
         return (
             g00 * p + g01 * r + p * c00 + q * c01 + pump * p + kappa * (1.0 - 2.0 * p),
             g00 * q + g01 * s + p * c10 + q * c11 + pump * q - 2.0 * kappa * q,
@@ -877,8 +887,7 @@ def integrate_bloch(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d array")
-    # the largest time: NaN if any time is NaN
-    _check_finite_times(t_grid=t_grid.max().item())
+    _finite_times(t_grid, "t_grid")
     if abs(t_grid[0]) > 1e-12:
         raise ValueError("t_grid must start at 0")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
@@ -896,12 +905,13 @@ def integrate_bloch(
     return Trajectory(t_grid, rows)
 
 
-def analytic_SB_Sn(a_mag: float, b_mag: float, t):
-    """Closed-form trajectory components for the state ``up_y`` at ``t``.
+def analytic_SB_Sn(theta: float, t):
+    """Closed-form trajectory components of the canonical ``up_y`` trajectory
+    of member ``theta`` at ``t``.
 
-    For magnitudes ``a > b >= 0`` (spectral gap ``2 w``, ``w = sqrt(a^2 -
-    b^2)``) the renormalised flow started from the Bloch vector ``-n/2``
-    stays in the B-n plane and satisfies
+    With ``a = sec(theta)``, ``b = tan(theta)`` and the half gap ``w =
+    sqrt(a^2 - b^2)`` (1 up to rounding) the renormalised flow started from
+    the Bloch vector ``-n/2`` stays in the B-n plane and satisfies
 
         |S_B(t)| = w |sin(2 w t)| / (2 (a + b cos(2 w t)))
         S_n(t)   = -(b + a cos(2 w t)) / (2 (a + b cos(2 w t)))
@@ -912,18 +922,16 @@ def analytic_SB_Sn(a_mag: float, b_mag: float, t):
     density-matrix propagator; they correspond to projecting onto the
     family's frame of :func:`abn_frame` (``B_hat = -z``, ``n_hat = +y``).
 
-    ``t`` may be a scalar or an array.
+    ``t`` may be a scalar or an array; a NaN or infinite time is refused.
     """
-    if not (np.isfinite(a_mag) and np.isfinite(b_mag)):
-        raise ValueError("non-finite magnitudes")
-    if not (a_mag > b_mag >= 0.0):
-        raise ValueError("need a_mag > b_mag >= 0 for a real spectrum")
-    t = np.asarray(t, dtype=float)
-    w = math.sqrt(a_mag**2 - b_mag**2)
+    _check_theta(theta)
+    t = _finite_times(t)
+    a, b = 1.0 / math.cos(theta), math.tan(theta)
+    w = math.sqrt(a**2 - b**2)
     c = np.cos(2.0 * w * t)
-    denom = a_mag + b_mag * c
+    denom = a + b * c
     s_b = 0.5 * w * np.abs(np.sin(2.0 * w * t)) / denom
-    s_n = 0.5 * (-b_mag - a_mag * c) / denom
+    s_n = 0.5 * (-b - a * c) / denom
     if t.ndim == 0:
         return float(s_b), float(s_n)
     return s_b, s_n
@@ -959,7 +967,7 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
     ``t = pi/2``, where every member of the family reaches ``down_y``.
     """
     _check_theta(theta)
-    t = np.asarray(t, dtype=float)
+    t = _finite_times(t)
     s = math.sin(theta)
     arg = np.sin(t) ** 2 * (1.0 - s) / (1.0 + np.cos(2.0 * t) * s)
     out = np.arccos(np.clip(np.sqrt(np.clip(arg, 0.0, None)), 0.0, 1.0))
@@ -989,6 +997,6 @@ def speed_closed_form(theta: float, t) -> float | np.ndarray:
     with value ``(1 + sin theta) / (1 - sin theta)``.
     """
     _check_theta(theta)
-    t = np.asarray(t, dtype=float)
+    t = _finite_times(t)
     out = math.cos(theta) ** 2 / (1.0 + np.cos(2.0 * t) * math.sin(theta)) ** 2
     return float(out) if out.ndim == 0 else out

@@ -23,7 +23,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "ID2",
-    "pauli_vector",
     "dagger",
     "is_hermitian",
     "trace_distance",
@@ -33,14 +32,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-
-
-def pauli_vector(v) -> np.ndarray:
-    """Contract a real 3-vector with the Pauli vector, v . sigma."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -35,6 +35,12 @@ def taylor_expm(m, t=1.0):
     return out
 
 
+def pauli_vector(v):
+    """``v . sigma`` of a real 3-vector, from the local Pauli matrices."""
+    v = np.asarray(v, dtype=float)
+    return v[0] * _SX + v[1] * _SY + v[2] * _SZ
+
+
 def canonical_matrix(theta):
     """sec(theta) sigma_x + i tan(theta) sigma_z, built from local Paulis."""
     return _SX / np.cos(theta) + 1j * np.tan(theta) * _SZ

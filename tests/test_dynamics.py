@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nhlgi.dynamics
-from nhlgi.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector
+from nhlgi.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from nhlgi.dynamics import (
     THETA_MAX,
     NHHamiltonian,
@@ -42,7 +43,7 @@ from nhlgi.dynamics import (
 )
 from nhlgi.embedding import build_HT, build_metric, evolve_and_postselect, k3_via_embedding
 from nhlgi.lgi import k3_closed_form
-from oracles import bloch_of_density, density_from_bloch, rk4, taylor_expm
+from oracles import bloch_of_density, density_from_bloch, pauli_vector, rk4, taylor_expm
 
 THETAS = [0.0, math.pi / 6, 0.9, 1.2, 1.4]
 
@@ -192,13 +193,63 @@ class TestHamiltonian:
                     build(0.3, scale)
         assert THETA_MAX < math.pi / 2
 
+    @pytest.mark.parametrize("build", [NHHamiltonian, NHHamiltonian.canonical])
+    def test_bool_refused(self, build):
+        # operator-wise True is 1, a valid theta and scale; it is refused by name
+        for value in (True, False, np.True_):
+            with pytest.raises(ValueError, match="theta must be a float, not the bool"):
+                build(value, 1.0)
+            with pytest.raises(ValueError, match="scale must be a float, not the bool"):
+                build(0.3, value)
+        with pytest.raises(ValueError, match="theta must be a float, not the bool True"):
+            k3_closed_form(True, 0.5)
+
     def test_two_fields(self):
-        # the member is its working point and scale; a and b are derived
+        # the member is its working point and scale, and holds two more
+        # floats, sec(theta) and tan(theta); no array, no general vectors
         h = NHHamiltonian(1.2, scale=0.5)
         assert [f.name for f in dataclasses.fields(h)] == ["theta", "scale"]
         assert h == NHHamiltonian.canonical(1.2, 0.5)
-        assert h.a.tolist() == [1.0 / math.cos(1.2), 0.0, 0.0]
-        assert h.b.tolist() == [0.0, 0.0, -math.tan(1.2)]
+        assert vars(h) == {
+            "theta": 1.2, "scale": 0.5, "_sec": 1.0 / math.cos(1.2), "_tan": math.tan(1.2)
+        }
+        for name in ("a", "b", "b_operator", "a_mag", "b_mag"):
+            assert not hasattr(h, name)
+
+    def test_views_repeat_the_vector_form(self):
+        # matrix, _scaled, omega and analytic_SB_Sn are the floats of the
+        # general vector form fed a = sec x and b = -tan z, sign bits included
+        # (theta = 0 has b_z = -0.0 but a +0.0 imaginary part on the diagonal)
+        def vector_form(theta, scale):
+            a = np.array([1.0 / math.cos(theta), 0.0, 0.0])
+            b = np.array([0.0, 0.0, -math.tan(theta)])
+            matrix = scale * (pauli_vector(a) - 1j * pauli_vector(b))
+            scaled = (scale * a).tolist(), (scale * b).tolist()
+            omega = float(scale * math.sqrt(float(np.dot(a, a) - np.dot(b, b))))
+            return matrix, scaled, omega
+
+        def sb_sn_of_magnitudes(a, b, t):
+            # fed sec and tan directly: np.linalg.norm underflows tan(1e-300)
+            w = math.sqrt(a**2 - b**2)
+            c = np.cos(2.0 * w * t)
+            denom = a + b * c
+            return 0.5 * w * np.abs(np.sin(2.0 * w * t)) / denom, 0.5 * (-b - a * c) / denom
+
+        rng = np.random.default_rng(43)
+        grid = np.linspace(0.0, math.pi, 41)
+        thetas = [0.0, 1e-300, 0.7, 1.2, THETA_MAX, *rng.uniform(0.0, THETA_MAX, 300).tolist()]
+        for theta in thetas:
+            for scale in (1.0, math.cos(theta), rng.uniform(0.1, 3.0)):
+                h = NHHamiltonian.canonical(theta, scale)
+                matrix, scaled, omega = vector_form(theta, scale)
+                assert same_floats(h.matrix.real, matrix.real), (theta, scale)
+                assert same_floats(h.matrix.imag, matrix.imag), (theta, scale)
+                for got, want in zip(h._scaled, scaled):
+                    assert same_floats(got, want), (theta, scale)
+                assert same_floats(h.omega, omega), (theta, scale)
+            want = sb_sn_of_magnitudes(1.0 / math.cos(theta), math.tan(theta), grid)
+            for got, expected in zip(analytic_SB_Sn(theta, grid), want):
+                assert same_floats(got, expected), theta
 
 
 class TestPureEvolution:
@@ -301,7 +352,7 @@ class TestBlochFlow:
         grid = np.linspace(0.0, math.pi, 41)
         traj = integrate_bloch(bloch_of_pure(up_y()), h, t_grid=grid)
         comps = traj.abn()
-        sb, sn = analytic_SB_Sn(h.a_mag, h.b_mag, grid)
+        sb, sn = analytic_SB_Sn(theta, grid)
         np.testing.assert_allclose(np.abs(comps[:, 1]), sb, atol=1e-7)
         np.testing.assert_allclose(comps[:, 2], sn, atol=1e-7)
         np.testing.assert_allclose(comps[:, 0], 0.0, atol=1e-9)
@@ -417,8 +468,6 @@ class TestBlochFlow:
         assert [f.name for f in dataclasses.fields(Trajectory)] == ["times", "bloch"]
         err = StiffnessError("stalled", time=1.5)
         assert err.time == 1.5
-        with pytest.raises(ValueError):
-            analytic_SB_Sn(1.0, 1.0, 0.3)
 
 
 class TestNoisyDensity:
@@ -537,6 +586,7 @@ _THETA_ENTRIES = {
     "speed_closed_form": lambda theta: speed_closed_form(theta, 0.3),
     "geodesic_distance_closed_form": lambda theta: geodesic_distance_closed_form(theta, 0.3),
     "k3_closed_form": lambda theta: k3_closed_form(theta, math.pi / 4),
+    "analytic_SB_Sn": lambda theta: analytic_SB_Sn(theta, 0.3),
     "build_metric": build_metric,
     "build_HT": build_HT,
     "evolve_and_postselect": lambda theta: evolve_and_postselect(theta, up_y(), 0.3),
@@ -637,3 +687,31 @@ def test_non_finite_time_refused(route, t):
     name = "t_grid" if route == "integrate_bloch" else "t"
     with pytest.raises(ValueError, match=f"time {name} = {t!r} must be finite"):
         _TIMED_ROUTES[route](t)
+
+
+_CLOSED_FORMS = {
+    "speed_closed_form": speed_closed_form,
+    "geodesic_distance_closed_form": geodesic_distance_closed_form,
+    "analytic_SB_Sn": analytic_SB_Sn,
+}
+
+
+@pytest.mark.parametrize(
+    "t, bad",
+    [
+        (math.nan, math.nan),
+        (math.inf, math.inf),
+        (-math.inf, -math.inf),
+        # every element is checked: a largest time of 0.0 hides the -inf
+        ([0.0, -math.inf], -math.inf),
+        (np.array([[0.1, 0.2], [math.inf, math.nan]]), math.inf),
+    ],
+    ids=["nan", "inf", "-inf", "array-minus-inf", "array-inf-nan"],
+)
+@pytest.mark.parametrize("form", sorted(_CLOSED_FORMS))
+def test_closed_forms_refuse_a_non_finite_time(form, t, bad):
+    # refused by name before any numpy work, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"time t = {bad!r} must be finite"):
+            _CLOSED_FORMS[form](1.2, t)

@@ -438,7 +438,7 @@ class TestCliDistance:
             columns["delta"], geodesic_distance_closed_form(theta, t), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            columns["s_n"], analytic_SB_Sn(h.a_mag, h.b_mag, t)[1], rtol=0, atol=1e-13
+            columns["s_n"], analytic_SB_Sn(theta, t)[1], rtol=0, atol=1e-13
         )
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 1.3, 1.5])

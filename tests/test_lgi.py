@@ -40,9 +40,14 @@ from nhlgi.lgi import (
     _tables,
     k3_closed_form,
 )
-from nhlgi.qmat import pauli_vector
 from nhlgi.scan import GAP_FLOOR
-from oracles import axis_eigenstates, density_from_bloch, noisy_protocol_tables, two_time_joint
+from oracles import (
+    axis_eigenstates,
+    density_from_bloch,
+    noisy_protocol_tables,
+    pauli_vector,
+    two_time_joint,
+)
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -494,7 +499,7 @@ class TestNoisySpectrum:
         for _ in range(40):
             h = NHHamiltonian.canonical(rng.uniform(0.0, 1.4), scale=rng.uniform(0.1, 3.0))
             kappa = 10.0 ** rng.uniform(-2.0, 1.0)
-            w, b = h.omega, h.b_mag
+            w, b = h.omega, h.scale * math.tan(h.theta)
             cubic = np.roots([1.0, 4.0 * kappa, 4.0 * kappa**2 + 4.0 * w**2, -8.0 * kappa * b**2])
             expected = np.sort_complex(np.append(cubic, -2.0 * kappa))
             got = np.sort_complex(_lift_spectrum(h, kappa))

@@ -8,7 +8,6 @@ from nhlgi.qmat import (
     SIGMA_Z,
     dagger,
     is_hermitian,
-    pauli_vector,
     trace_distance,
 )
 
@@ -34,15 +33,6 @@ class TestPauliAlgebra:
         np.testing.assert_allclose(
             SIGMA_Z @ SIGMA_X - SIGMA_X @ SIGMA_Z, 2j * SIGMA_Y, atol=1e-15
         )
-
-    def test_pauli_vector_linearity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            c = rng.normal(size=3)
-            m = c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z
-            np.testing.assert_allclose(pauli_vector(c), m, atol=1e-14)
-        with pytest.raises(ValueError):
-            pauli_vector([1.0, 2.0])
 
     def test_dagger(self):
         m = np.array([[1.0 + 2j, 3.0], [0.5j, -1.0]])

@@ -21,8 +21,7 @@ from nhlgi.dynamics import (
     integrate_bloch,
     up_y,
 )
-from nhlgi.qmat import pauli_vector
-from oracles import density_from_bloch, pure_bloch_trajectory
+from oracles import density_from_bloch, pauli_vector, pure_bloch_trajectory
 
 # ``nhlgi trajectory``'s default grid: 0 to pi in steps of 0.01
 CLI_GRID = _time_grid(math.pi, 0.01)
@@ -97,7 +96,8 @@ def test_noisy_density_repeats_scipy(theta, kappa, s0, t, monkeypatch):
     # ... on the density-matrix equation, entry by entry
     fun, y0 = run[:2]
     rho = rho0 + np.array([[0.01, 0.02 - 0.03j], [0.02 + 0.03j, -0.01]])
-    a_op, b_op = h.scale * pauli_vector(h.a), h.b_operator
+    a_op = pauli_vector([1.0 / math.cos(theta), 0.0, 0.0])
+    b_op = pauli_vector([0.0, 0.0, -math.tan(theta)])
     want = (
         -1j * (a_op @ rho - rho @ a_op)
         - (b_op @ rho + rho @ b_op)
