@@ -30,11 +30,17 @@ arithmetic.
 Every frame is a pair ``(setup, evaluate)`` on plain scalars: ``setup(state,
 n)`` takes a state and a unit axis and returns the point's coefficients as
 floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
-numbers.  No frame builds a function per point.  There are three:
+numbers.  No frame builds a function per point.  There are four:
 
-- pure states at ``kappa = 0`` in the measured axis's eigenbasis
-  (:func:`_spinor_frame`): ``evaluate`` runs the three times in
-  straight-line code, where both conditionals are column ratios of the
+- pure states at ``kappa = 0`` on the invariant y-z great circle, with an
+  axis in its plane (:func:`_circle_frame`): the spinor ``(u, i v)`` and the
+  propagator are real in the axis eigenbasis, built from ``cos theta`` and
+  ``sin theta`` of the double theta without cancellation and with omega = 1
+  exact, so the frame stays accurate at the corner;
+- any other pure state at ``kappa = 0`` in the measured axis's complex
+  eigenbasis (:func:`_spinor_frame`), from the rounded ``sec theta``, ``tan
+  theta`` and omega.  In both pure frames ``evaluate`` runs the three times
+  in straight-line code, where both conditionals are column ratios of the
   propagator, so no collapse branch is propagated;
 - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
   solution of the linear lift of the depolarising flow in its real modal
@@ -46,18 +52,21 @@ numbers.  No frame builds a function per point.  There are three:
   (:func:`_propagating_frame`), so the dilation stays an independent
   cross-check.
 
-The first two share the cos/sin pair (and the exponentials) of ``t2`` with
-the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
-The flows, the lift and its modal form, the Bloch-vector and Bloch-angle
-maps and the axis eigenbasis the frames use are the scalar kernels of
-:mod:`nhlgi.dynamics`; this module keeps no copy of them.
+The first three share the cos/sin pair (and the exponentials) of ``t2``
+with the (1,2) gap when ``t1 = 0``, as every CLI row and search point has
+it.  The flows, the lift and its modal form, the Bloch-vector and
+Bloch-angle maps and the axis eigenbasis the frames use are the scalar
+kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
 
 :class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
-strength as two unvalidated routes: one from a spinor and an axis, one from
-a Bloch vector and an axis.  Its public calls validate, take the route of
-the state's shape and set the point up once for all their times; the K3
-search of :mod:`nhlgi.scan` calls the spinor route per point, so a search
-and the public API evaluate a point by the same arithmetic.
+strength as unvalidated routes: from a spinor and an axis on the circle (at
+``kappa = 0`` only), from any spinor and an axis, and from a Bloch vector
+and an axis.  Its public calls validate, take the route the inputs select
+and set the point up once for all their times.  The pure K3 search of
+:mod:`nhlgi.scan` feeds the circle route per point the floats the engine
+takes from the same state and axis, and the noisy search calls the spinor
+route, so a search and the public API evaluate a point by the same
+arithmetic and an argmax re-evaluates to the reported float.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -297,6 +306,117 @@ def _spinor_frame(h: NHHamiltonian):
     return setup, evaluate
 
 
+def _circle_frame(h: NHHamiltonian):
+    """Pure-state protocol of ``h`` on the invariant y-z great circle, in real
+    arithmetic.
+
+    Returns ``(setup, evaluate)`` on plain floats, with no complex number and
+    no closure per point.  A spinor ``(u, i v)`` with real ``u`` and ``v``
+    (``(i u, v)`` is the same state up to a phase) has its Bloch vector on
+    the circle, and so has an axis ``(0, ny, nz)``.  In the coordinates ``p =
+    (u + v)/sqrt 2``, ``m = (u - v)/sqrt 2`` the propagator is the real map
+    ``cos(w t) I + sin(w t) [[0, -1/K], [K, 0]]``, with ``K = (1 + sin
+    theta)/cos theta`` and ``1/K = cos theta/(1 + sin theta)``.  Both come
+    from the double theta with no cancellation, and ``w = scale``, so omega =
+    1 is exact at unit scale: no rounded ``sec theta``, ``tan theta`` or
+    omega enters.
+
+    ``setup((u, v), (ny, nz))`` rotates the state and the generator into the
+    axis eigenbasis, whose +1 state is ``(x, y) = (cos b, sin b)`` in ``(p,
+    m)`` with ``(cos 2b, sin 2b) = (ny, nz)``.  The generator there has
+    ``a00 = 2 (sin theta/cos theta) x y = -a11``, ``a01 = -(x^2/K + K y^2)``
+    and ``a10 = y^2/K + K x^2``, each a product or a sum of like signs.  The
+    1/sqrt 2 drops out of every ratio.  ``evaluate(point, t1, t2, t3)``
+    returns the eight numbers, as :func:`_spinor_frame` does: P(+1) is ``X^2
+    / (X^2 + Y^2)`` of the state ``(X, Y)`` at ``t1`` and at ``t2``, and each
+    gap's conditional pair the column ratios of ``U' = c I + s A``.  With
+    ``t1 = 0`` the (1,2) gap is ``t2`` and shares its cos/sin pair.
+    """
+    w = float(h.scale)
+    sin_t, cos_t = math.sin(h.theta), math.cos(h.theta)
+    k, rk, tan2 = (1.0 + sin_t) / cos_t, cos_t / (1.0 + sin_t), 2.0 * sin_t / cos_t
+    sqrt, cos, sin = math.sqrt, math.cos, math.sin
+
+    def setup(state, axis):
+        u, v = state
+        ny, nz = axis
+        p, m = u + v, u - v
+        # the +1 eigenstate (cos b, sin b), from the half-angle form without
+        # cancellation on either side of ny = 0
+        if ny >= 0.0:
+            c = 1.0 / sqrt(2.0 * (1.0 + ny))
+            x, y = c * (1.0 + ny), c * nz
+        else:
+            c = 1.0 / sqrt(2.0 * (1.0 - ny))
+            x, y = c * nz, c * (1.0 - ny)
+        xx, yy = x * x, y * y
+        a00, a01, a10 = tan2 * x * y, -(xx * rk + k * yy), yy * rk + k * xx
+        big, small = x * p + y * m, x * m - y * p
+        return (
+            big, small, a00 * big + a01 * small, a10 * big - a00 * small,
+            a00, a01 * a01, a10 * a10,
+        )
+
+    def evaluate(point, t1, t2, t3):
+        big, small, gen_big, gen_small, a00, a01_sq, a10_sq = point
+        # P(+1) at t1 and t2, from (X, Y) = c (big, small) + s A (big, small)
+        if t1 == 0.0:
+            xx = big * big
+            first1 = xx / (xx + small * small)
+        else:
+            c, s = cos(w * t1), sin(w * t1)
+            x, y = c * big + s * gen_big, c * small + s * gen_small
+            xx = x * x
+            first1 = xx / (xx + y * y)
+        c, s = cos(w * t2), sin(w * t2)
+        x, y = c * big + s * gen_big, c * small + s * gen_small
+        xx = x * x
+        first2 = xx / (xx + y * y)
+        # conditional pairs across each gap, from the columns (c + s a00, s
+        # a10) and (s a01, c - s a00); with t1 = 0 the (1,2) gap is t2 and
+        # keeps its cos/sin pair
+        if t1 != 0.0:
+            g = w * (t2 - t1)
+            c, s = cos(g), sin(g)
+        ss, u00, u11 = s * s, c + s * a00, c - s * a00
+        u00, u11, u10, u01 = u00 * u00, u11 * u11, ss * a10_sq, ss * a01_sq
+        plus12, minus12 = u00 / (u00 + u10), u01 / (u01 + u11)
+        g = w * (t3 - t2)
+        c, s = cos(g), sin(g)
+        ss, u00, u11 = s * s, c + s * a00, c - s * a00
+        u00, u11, u10, u01 = u00 * u00, u11 * u11, ss * a10_sq, ss * a01_sq
+        plus23, minus23 = u00 / (u00 + u10), u01 / (u01 + u11)
+        g = w * (t3 - t1)
+        c, s = cos(g), sin(g)
+        ss, u00, u11 = s * s, c + s * a00, c - s * a00
+        u00, u11, u10, u01 = u00 * u00, u11 * u11, ss * a10_sq, ss * a01_sq
+        plus13, minus13 = u00 / (u00 + u10), u01 / (u01 + u11)
+        return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
+
+    return setup, evaluate
+
+
+def _circle_coordinates(psi, n):
+    """``((u, v), (ny, nz))`` of a spinor and a unit axis that both lie on
+    the invariant circle, or None.
+
+    The spinor must be ``(u, i v)`` or ``(i u, v)`` with real ``u`` and
+    ``v``: each component's other part exactly zero, as
+    :func:`nhlgi.dynamics.state_from_bloch_angles` leaves at ``phi = pi/2``
+    and ``3 pi/2``.  ``(i u, v)`` is ``i (u, -i v)``.  The axis needs ``nx``
+    exactly zero.
+    """
+    a, b = psi
+    nx, ny, nz = n
+    if nx != 0.0:
+        return None
+    if a.imag == 0.0 and b.real == 0.0:
+        return (a.real, b.imag), (ny, nz)
+    if a.real == 0.0 and b.imag == 0.0:
+        return (a.imag, -b.real), (ny, nz)
+    return None
+
+
 def _noisy_frame(h: NHHamiltonian, kappa: float):
     """Protocol of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
 
@@ -513,25 +633,30 @@ def _k3_result(run, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine binds two routes once, each the ``(setup,
+    Building the engine binds its routes once, each the ``(setup,
     evaluate)`` pair of a frame, with the frame's own setup (with noise, the
-    eigendecomposition of the lift and its real modal form).  Neither
+    eigendecomposition of the lift and its real modal form).  None
     validates; the scans call them per point.
 
-    - ``_spinor_route`` for a spinor: at ``kappa = 0`` the spinor frame in
-      the axis eigenbasis of :func:`nhlgi.dynamics._axis_basis`; at ``kappa
-      > 0`` the noisy frame, whose ``setup`` is given the spinor's Bloch
-      vector;
+    - ``_circle_route``, at ``kappa = 0`` only (None otherwise): the circle
+      frame, for a spinor and an axis on the invariant circle, given as the
+      floats :func:`_circle_coordinates` takes from them;
+    - ``_spinor_route`` for any other spinor: at ``kappa = 0`` the spinor
+      frame in the axis eigenbasis of :func:`nhlgi.dynamics._axis_basis`; at
+      ``kappa > 0`` the noisy frame, whose ``setup`` is given the spinor's
+      Bloch vector;
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
       frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame of
       the noiseless density flow, with collapse states ``+/- n``.
 
-    Every public call validates its inputs once and takes the route of the
-    state's shape.
+    Every public call validates its inputs once and takes the route the
+    state's shape and, for a spinor, :meth:`_pure_point` select.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
+        circle_route = None
         if kappa == 0.0:
+            circle_route = _circle_frame(h)
             spinor_route = _spinor_frame(h)
             bloch_route = _propagating_frame(
                 _density_propagator(h), _bloch_born, _bloch_collapse
@@ -545,21 +670,36 @@ class CorrelatorEngine:
 
             spinor_route = spinor_setup, evaluate
 
+        self._circle_route = circle_route
         self._spinor_route, self._bloch_route = spinor_route, bloch_route
         self.kappa = float(kappa)
+
+    def _pure_point(self, psi, n):
+        """``(evaluate, point)`` of a spinor and a unit axis, unvalidated: the
+        circle route when both lie on the invariant circle at ``kappa = 0``
+        (see :func:`_circle_coordinates`), else the spinor route."""
+        if self._circle_route is not None:
+            circle = _circle_coordinates(psi, n)
+            if circle is not None:
+                setup, evaluate = self._circle_route
+                return evaluate, setup(*circle)
+        setup, evaluate = self._spinor_route
+        return evaluate, setup(psi, n)
 
     def _protocol_inputs(self, state, q: Observable):
         """Validated ``run(t1, t2, t3)`` -> the eight numbers, with the state
         and axis set up once for any number of times."""
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1:
-            route, point = self._spinor_route, tuple(validate_pure(state).tolist())
+            evaluate, point = self._pure_point(
+                tuple(validate_pure(state).tolist()), q.direction
+            )
         elif state.ndim == 2:
-            route, point = self._bloch_route, _density_bloch(validate_density(state).tolist())
+            setup, evaluate = self._bloch_route
+            point = setup(_density_bloch(validate_density(state).tolist()), q.direction)
         else:
             raise ValueError("state must be a 2-vector or a 2x2 density matrix")
-        setup, evaluate = route
-        return partial(evaluate, setup(point, q.direction))
+        return partial(evaluate, point)
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""
@@ -594,22 +734,27 @@ def k3_closed_form(theta: float, t: float) -> tuple[float, float, float, float]:
     ``C13 = -1`` pinned (the flow maps the initial state exactly onto its
     antipode over the half period).  Domain: ``theta in [0, pi/2 - 1e-6]``,
     the library's, and ``t in (0, pi/2]``.
+
+    Near the corner ``1 - sin theta`` and ``1 + cos 2t sin theta`` are
+    small, so they are evaluated without cancellation: ``1 - sin theta =
+    cos^2 theta/(1 + sin theta)``, ``1 +/- cos 2t`` as ``2 cos^2 t`` and
+    ``2 sin^2 t``, and ``1 + cos 4t`` as ``2 cos^2 2t``.
     """
     _check_theta(theta)
     if not (0.0 < t <= math.pi / 2):
         raise ValueError(f"t must lie in (0, pi/2], got {t!r}")
-    s = math.sin(theta)
-    c2, c4 = math.cos(2.0 * t), math.cos(4.0 * t)
-    ct2, st2 = math.cos(t) ** 2, math.sin(t) ** 2
-    d2 = 1.0 + c2 * s
-    d2m = 1.0 - c2 * s
-    d4 = 1.0 + c4 * s
+    s, c = math.sin(theta), math.cos(theta)
+    cc, one_minus = c * c, c * c / (1.0 + s)
+    ct2, st2, c2t2 = math.cos(t) ** 2, math.sin(t) ** 2, math.cos(2.0 * t) ** 2
+    d2 = one_minus + 2.0 * s * ct2  # 1 + cos 2t sin theta
+    d2m = one_minus + 2.0 * s * st2  # 1 - cos 2t sin theta
+    d4 = one_minus + 2.0 * s * c2t2  # 1 + cos 4t sin theta
 
-    c12 = (c2 + s) / d2
-    c13 = (c4 + s) / d4
+    c12 = (2.0 * ct2 - one_minus) / d2  # (cos 2t + sin theta)/d2
+    c13 = (2.0 * c2t2 - one_minus) / d4  # (cos 4t + sin theta)/d4
     p23_pp = ct2 * ct2 * (1.0 + s) ** 2 / (d2 * d2)
-    p23_pm = ct2 * st2 * (1.0 - s) * (1.0 + s) / (d2 * d2)
-    p23_mp = st2 * st2 * (1.0 - s) * (1.0 + s) / (d2 * d2m)
-    p23_mm = st2 * ct2 * (1.0 - s) ** 2 / (d2 * d2m)
+    p23_pm = ct2 * st2 * cc / (d2 * d2)
+    p23_mp = st2 * st2 * cc / (d2 * d2m)
+    p23_mm = st2 * ct2 * one_minus * one_minus / (d2 * d2m)
     c23 = p23_pp - p23_pm - p23_mp + p23_mm
     return c12, c23, c13, c12 + c23 - c13

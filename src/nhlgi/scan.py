@@ -18,19 +18,23 @@ in-house and load no scipy: the hypercube repeats the draws of scipy's
 arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
 vertices kept in stable order so tied values cannot reorder between runs or
 machines.  Every reported objective is the re-evaluable value of an actually
-visited point: the K3 objective calls the spinor route of
-:class:`nhlgi.lgi.CorrelatorEngine` and the speed objective the route of
+visited point: the K3 objective calls the route of
+:class:`nhlgi.lgi.CorrelatorEngine` that the engine's public calls take for
+the same state and axis, and the speed objective the route of
 :func:`nhlgi.dynamics.speed`, which the public API validates and calls, so
 an argmax re-evaluates through it to the reported float.  At ``kappa = 0``
-the spinor route is two plain functions on floats, one setting up the
-state and axis and one evaluating the three times, and the objective forms
-the three correlators without building a closure or a joint table per
-point.  This module keeps no copy of either route's arithmetic.  Runs are
-reproducible: one master seed drives the hypercube and all restarts, the
-restarts share what the seeding pass leaves of the budget in equal parts
-fixed up front, and they run one after another in a fixed order.  No run
-spends more than its budget, which must be an integer, as the seed must be
-a non-negative one; anything else is refused by name before any work.
+every search point lies on the invariant circle, so that is the engine's
+real circle route, fed the same floats without building a spinor; under
+noise it is the spinor route.  Each route is two plain functions on
+floats, one setting up the state and axis and one evaluating the three
+times, and the objective forms the three correlators without building a
+closure or a joint table per point.  This module keeps no copy of any
+route's arithmetic.  Runs are reproducible: one master seed drives the
+hypercube and all restarts, the restarts share what the seeding pass leaves
+of the budget in equal parts fixed up front, and they run one after another
+in a fixed order.  No run spends more than its budget, which must be an
+integer, as the seed must be a non-negative one; anything else is refused
+by name before any work.
 """
 
 from __future__ import annotations
@@ -427,14 +431,36 @@ def _k3_objective(theta: float, kappa: float):
     configuration :func:`_planar_point` gives, with the times ``(0, g1,
     g1 + g2)``.
 
-    Every point runs the spinor route of :class:`nhlgi.lgi.CorrelatorEngine`,
-    on the state and the axis the public API builds from the same angles, so
-    ``engine.k3`` re-evaluates any point to the same float.  At ``kappa =
-    0`` that route is two plain functions on floats, with no closure or
-    joint table per point.  Near the corner K3 resolves the last ulp of the
-    state and of the axis eigenbasis, so no other route would do.
+    Every point runs the route :class:`nhlgi.lgi.CorrelatorEngine` takes for
+    the state and the axis the public API builds from the same angles, on
+    the same floats, so ``engine.k3`` re-evaluates any point to the same
+    float.  At ``kappa = 0`` both lie on the invariant circle, so that is the
+    engine's real circle route: the state ``(cos(theta_s/2), +/- i
+    sin(theta_s/2))`` enters as its two real parts and the axis ``(0, sin
+    theta_q, cos theta_q)`` as its last two, with no complex spinor built.
+    Under noise it is the spinor route, whose setup takes the state's Bloch
+    vector.  Either route is two plain functions on floats, with no closure
+    or joint table per point.  Near the corner K3 resolves the last ulp of
+    the state and of the axis eigenbasis, so no other route would do.
     """
-    setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
+    engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
+    if kappa == 0.0:
+        setup, evaluate = engine._circle_route
+        cos, sin = math.cos, math.sin
+
+        def objective(x):
+            theta_s, phi_s, theta_q, _, _, g1, g2 = _planar_point(x)
+            half = 0.5 * theta_s
+            v = sin(half)
+            point = setup(
+                (cos(half), v if phi_s < math.pi else -v), (sin(theta_q), cos(theta_q))
+            )
+            c12, c23, c13 = _correlators(evaluate(point, 0.0, g1, g1 + g2))
+            return c12 + c23 - c13
+
+        return objective
+
+    setup, evaluate = engine._spinor_route
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, _, g1, g2 = _planar_point(x)

@@ -180,6 +180,75 @@ def pure_bloch_trajectory(h_matrix, psi0, times, dps=40):
         return np.array(rows, dtype=float)
 
 
+def planar_protocol(theta, state, axis, times, dps=50):
+    """The eight numbers ``(p1, p2, plus12, minus12, plus23, minus23, plus13,
+    minus13)`` of the pure protocol of the family member ``theta`` itself,
+    in mpmath at ``dps`` digits.
+
+    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
+    theta`` are formed in mpmath, so this is ``H(theta)``, not the rounded
+    float matrix; ``exp(-i H t)`` is mpmath's matrix exponential.  ``state =
+    (u, v)`` is the spinor ``(u, i v)`` and ``axis = (ny, nz)`` the axis ``(0,
+    ny, nz)``, normalised here, each entry the binary value given.  The axis
+    eigenstates are the normalised larger columns of the projectors ``(I +/-
+    n . sigma)/2``; every Born probability is read on the unnormalised
+    propagated vector and divided by its squared norm.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        th = mpmath.mpf(theta)
+        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+        generator = -1j * mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
+        u, v = (mpmath.mpf(c) for c in state)
+        psi = mpmath.matrix([u, 1j * v])
+        ny, nz = (mpmath.mpf(c) for c in axis)
+        norm = mpmath.sqrt(ny * ny + nz * nz)
+        n_sigma = mpmath.matrix([[nz, -1j * ny], [1j * ny, -nz]]) / norm
+
+        def eigenstate(sign):
+            proj = (mpmath.eye(2) + sign * n_sigma) / 2
+            cols = [proj[:, k] for k in range(2)]
+            col = max(cols, key=mpmath.norm)
+            return col / mpmath.norm(col)
+
+        up, down = eigenstate(1), eigenstate(-1)
+
+        def born(vec):
+            amp = mpmath.conj(up[0]) * vec[0] + mpmath.conj(up[1]) * vec[1]
+            return abs(amp) ** 2 / (abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
+
+        def propagator(t):
+            return mpmath.expm(generator * mpmath.mpf(t))
+
+        t1, t2, t3 = times
+        out = [born(propagator(t1) * psi), born(propagator(t2) * psi)]
+        for gap in (mpmath.mpf(t2) - t1, mpmath.mpf(t3) - t2, mpmath.mpf(t3) - t1):
+            u_gap = mpmath.expm(generator * gap)
+            out += [born(u_gap * up), born(u_gap * down)]
+        return tuple(float(x) for x in out)
+
+
+def closed_form_k3(theta, t, dps=50):
+    """``(C12, C23, C13, K3)`` of the canonical configuration at equal spacing
+    ``t`` (state ``up_y``, axis ``-y``, times ``(0, t, 2t)``) for the family
+    member ``theta`` itself, from the textbook rational forms in mpmath at
+    ``dps`` digits, where their cancellations near the corner cost nothing."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s, t = mpmath.sin(mpmath.mpf(theta)), mpmath.mpf(t)
+        c2, c4 = mpmath.cos(2 * t), mpmath.cos(4 * t)
+        ct2, st2 = mpmath.cos(t) ** 2, mpmath.sin(t) ** 2
+        d2, d2m, d4 = 1 + c2 * s, 1 - c2 * s, 1 + c4 * s
+        c12, c13 = (c2 + s) / d2, (c4 + s) / d4
+        c23 = (
+            (ct2 * ct2 * (1 + s) ** 2 - ct2 * st2 * (1 - s) * (1 + s)) / (d2 * d2)
+            + (st2 * ct2 * (1 - s) ** 2 - st2 * st2 * (1 - s) * (1 + s)) / (d2 * d2m)
+        )
+        return tuple(float(x) for x in (c12, c23, c13, c12 + c23 - c13))
+
+
 def rk4(rhs, y0, t_end, n_steps):
     """Classical fixed-step fourth-order Runge-Kutta from t = 0."""
     y = np.asarray(y0, dtype=float).copy()

@@ -14,6 +14,7 @@ from nhlgi.dynamics import (
     NHHamiltonian,
     StiffnessError,
     Trajectory,
+    _bloch_axis,
     _bloch_rhs,
     _bloch_state,
     _density_bloch,
@@ -94,6 +95,18 @@ class TestStates:
             )
             np.testing.assert_allclose(s, expected, atol=1e-14)
             np.testing.assert_allclose(s, bloch_of_density(projector(psi)), atol=1e-15)
+
+    @pytest.mark.parametrize("phi, sin_phi", [(0.5 * math.pi, 1.0), (1.5 * math.pi, -1.0)])
+    def test_quarter_turns_have_no_x_part(self, phi, sin_phi):
+        # math.cos leaves 6.1e-17 and -1.8e-16 here; exact zeros put the
+        # states and axes of the planar search exactly on the y-z circle
+        for theta in (0.0, 0.4, 1.7, math.pi):
+            a, b = _bloch_state(theta, phi)
+            assert (a.imag, b.real) == (0.0, 0.0)
+            assert (a.real, b.imag) == (math.cos(0.5 * theta), sin_phi * math.sin(0.5 * theta))
+            s = math.sin(theta)
+            assert _bloch_axis(theta, phi) == (0.0, sin_phi * s, math.cos(theta))
+            assert state_from_bloch_angles(theta, phi).tolist() == [a, b]
 
     def test_density_round_trip(self):
         # the engine's map from a density matrix to its Bloch vector

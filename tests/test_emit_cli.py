@@ -29,7 +29,7 @@ from nhlgi.dynamics import (
 from nhlgi.emit import format_value, write_csv, write_json
 from nhlgi.lgi import CorrelatorEngine, Observable, k3_closed_form
 from nhlgi.qmat import trace_distance
-from oracles import pure_bloch_trajectory, read_csv
+from oracles import closed_form_k3, pure_bloch_trajectory, read_csv
 
 
 class TestFormatValue:
@@ -589,6 +589,33 @@ class TestCliNoisescan:
         _, columns = read_csv(out)
         np.testing.assert_allclose(columns["kappa_scaled"], columns["kappa"] * 1e5)
         assert columns["k3_max"][1] <= columns["k3_max"][0] + 1e-6
+
+
+class TestCliCornerRows:
+    """The corner rows of CI's byte-stability loop, checked by value."""
+
+    def test_lgi_against_50_digits(self, tmp_path):
+        # the spinor frame's rounded sec and tan missed these rows by up to
+        # 6.8e-7 and 1.7e-6
+        out = tmp_path / "lgi.csv"
+        assert main(["lgi", "--theta", "1.5697963267948967,1.5707953267948966",
+                     "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        rows = zip(columns["theta"], columns["t"], columns["c12"], columns["c23"],
+                   columns["c13"], columns["k3"])
+        worst = max(
+            max(abs(a - b) for a, b in zip(values, closed_form_k3(theta, t)))
+            for theta, t, *values in rows
+        )
+        assert worst <= 1e-14
+
+    def test_embed_direct_meets_the_dilation(self, tmp_path):
+        # the dilation reads only cos theta and sin theta; the direct route
+        # was 6.3e-11 off it at delta = 1e-6
+        out = tmp_path / "embed.csv"
+        assert main(["embed", "--delta", "1e-6", "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        assert np.max(np.abs(columns["k3_direct"] - columns["k3_embedded"])) <= 1e-14
 
 
 class TestCliEmbed:

@@ -43,9 +43,11 @@ from nhlgi.lgi import (
 from nhlgi.scan import GAP_FLOOR
 from oracles import (
     axis_eigenstates,
+    closed_form_k3,
     density_from_bloch,
     noisy_protocol_tables,
     pauli_vector,
+    planar_protocol,
     two_time_joint,
 )
 
@@ -815,6 +817,65 @@ def test_propagating_evaluators_are_the_closure_arithmetic(theta):
         ]
 
 
+def _dyadic(x):
+    """``x`` on the 2^-30 grid: sums and differences of such times are exact,
+    so a frame's gaps are the oracle's and only its arithmetic is compared."""
+    return round(x * 2**30) / 2**30
+
+
+class TestCircleFrame:
+    """The real frame on the invariant y-z circle, against the exact-theta
+    reference, and the engine's dispatch onto it."""
+
+    @pytest.mark.parametrize("delta", [math.pi / 2, 0.37, 1e-1, 1e-3, 1e-6])
+    @pytest.mark.parametrize("first_at_zero", [True, False])
+    def test_against_exact_theta(self, delta, first_at_zero):
+        # seeded planar points as the scan draws them: the state angle on the
+        # full circle, the axis on the half circle, log gaps from e^-7 to e^0.4;
+        # then up_y along the -y and +y axes, where one of a01 and a10 is
+        # 1/K alone, at gaps up to the half period
+        theta = math.pi / 2 - delta
+        setup, evaluate = lgi._circle_frame(NHHamiltonian.canonical(theta))
+        rng = np.random.default_rng(29)
+        worst = 0.0
+        for k in range(20):
+            alpha_s, alpha_q = rng.uniform(-math.pi, math.pi), rng.uniform(0.0, math.pi)
+            state = (math.cos(0.5 * alpha_s), math.sin(0.5 * alpha_s))
+            axis = (math.sin(alpha_q), math.cos(alpha_q))
+            g1, g2 = (_dyadic(g) for g in np.exp(rng.uniform(-7.0, 0.4, 2)).tolist())
+            if k >= 16:
+                state, axis = (math.sqrt(0.5), -math.sqrt(0.5)), (-1.0 if k % 2 else 1.0, 0.0)
+                g1, g2 = _dyadic(rng.uniform(1.4, 1.5)), _dyadic(rng.uniform(1.4, 1.5))
+            t1 = 0.0 if first_at_zero else _dyadic(rng.uniform(0.0, 1.5))
+            times = (t1, t1 + g1, t1 + g1 + g2)
+            got = evaluate(setup(state, axis), *times)
+            expected = planar_protocol(theta, state, axis, times)
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
+        assert worst <= 1e-14
+
+    def test_dispatch(self):
+        # circle inputs take the circle frame: the search's states, up_y (the
+        # form (i u, v)) and the canonical axis; a state or an axis an angle of
+        # 1e-12 off the circle, or any state under noise, takes the spinor route
+        h = NHHamiltonian.canonical(1.2)
+        engine, noisy = CorrelatorEngine(h), CorrelatorEngine(h, kappa=0.1)
+        circle, spinor = engine._circle_route[1], engine._spinor_route[1]
+        on = Observable.from_angles(0.7, 0.5 * math.pi)
+        off = Observable.from_angles(0.7, 0.5 * math.pi + 1e-12)
+        for psi, q, route in [
+            (state_from_bloch_angles(1.1, 0.5 * math.pi), on, circle),
+            (state_from_bloch_angles(1.1, 1.5 * math.pi), on, circle),
+            (up_y(), Observable.canonical(), circle),
+            (state_from_bloch_angles(1.1, 0.5 * math.pi + 1e-12), on, spinor),
+            (state_from_bloch_angles(1.1, 0.5 * math.pi), off, spinor),
+            (np.exp(0.3j) * up_y(), Observable.canonical(), spinor),
+        ]:
+            assert engine._protocol_inputs(psi, q).func is route
+        assert noisy._circle_route is None
+        run = noisy._protocol_inputs(up_y(), Observable.canonical())
+        assert run.func is noisy._spinor_route[1]
+
+
 class TestQuarterSpacing:
     """Equal spacing pi/4 with the canonical configuration."""
 
@@ -853,7 +914,9 @@ class TestQuarterSpacing:
         )
         np.testing.assert_allclose(tab.probs, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("theta", THETAS)
+    # the corner members take the circle frame, which the spinor frame's
+    # rounded sec, tan and omega missed by -2.0 at THETA_MAX
+    @pytest.mark.parametrize("theta", THETAS + [math.pi / 2 - 1e-3, THETA_MAX])
     def test_k3_value(self, theta):
         h = NHHamiltonian.canonical(theta)
         s = math.sin(theta)
@@ -865,6 +928,17 @@ class TestQuarterSpacing:
 
 
 class TestClosedForm:
+    @pytest.mark.parametrize("delta", [0.37, 1e-3, 1e-6])
+    def test_against_50_digits(self, delta):
+        # on the CLI's 0.01 grid; written as 1 - sin theta and 1 + cos 2t sin
+        # theta it was off by 3.1e-11 at delta = 1e-3 and 2.8e-10 at 1e-6
+        theta = math.pi / 2 - delta
+        worst = 0.0
+        for t in (np.arange(1, 158) * 0.01).tolist():
+            got, expected = k3_closed_form(theta, t), closed_form_k3(theta, t)
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
+        assert worst <= 2e-15
+
     @pytest.mark.parametrize("theta", [0.0, 0.4, 0.9, 1.3, math.pi / 2 - 1e-3])
     def test_matches_protocol(self, theta):
         h = NHHamiltonian.canonical(theta)

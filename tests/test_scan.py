@@ -215,13 +215,17 @@ def _k3_reference(theta, kappa):
     """``objective(x) -> K3`` over the seven coordinates
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
     ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
-    the plane, on the same spinor route of the engine."""
-    setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._spinor_route
+    the plane, on the route the engine's public calls take for the state
+    and the axis (at kappa = 0 the circle route on the plane and the spinor
+    route off it)."""
+    engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
-        point = setup(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+        evaluate, point = engine._pure_point(
+            _bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q)
+        )
         c12, c23, c13 = _correlators(evaluate(point, t1, t2, t2 + g2))
         return c12 + c23 - c13
 
@@ -298,9 +302,9 @@ class TestMaximizeK3:
         assert _engine_k3(1.1, res) == pytest.approx(res.objective, abs=1e-12)
 
     def test_pure_objective_matches_engine(self):
-        # at kappa = 0 the scan runs the engine's spinor route, in the same
-        # axis eigenbasis; near the corner K3 resolves the last ulp of that
-        # basis
+        # at kappa = 0 the scan runs the engine's circle route on the floats
+        # the engine takes from the same state and axis; near the corner K3
+        # resolves their last ulp
         for theta in (1.1, math.pi / 2 - 1e-3, math.pi / 2 - 1e-5):
             _assert_objective_matches_engine(theta, 0.0)
 
@@ -311,9 +315,8 @@ class TestMaximizeK3:
     @pytest.mark.parametrize("theta", [1.2, math.pi / 2 - 1e-5])
     @pytest.mark.parametrize("seed", range(6))
     def test_pure_argmax_reevaluates_exactly(self, theta, seed):
-        # the reported maximum is the engine's K3 at the argmax, bit for bit.
-        # At delta = 1e-5 this pins consistency, not accuracy: how far the
-        # engine's float sits from the exact K3 there is still open
+        # the reported maximum is the engine's K3 at the argmax, bit for bit;
+        # TestCircleFrame in test_lgi holds that route to the exact theta
         res = maximize_k3(theta, budget=2000, seed=seed)
         assert _engine_k3(theta, res) == res.objective
 
@@ -596,6 +599,20 @@ class TestNoiseSeries:
             )
             c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
             assert abs(c12 + c23 - c13 - res.objective) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "theta, expected",
+        [
+            (1.2, [(2.478774233415355, 1985), (1.94581997354247, 1986)]),
+            (math.pi / 2 - 1e-3, [(2.7955249807788958, 1985), (2.7765732189217083, 1986)]),
+        ],
+    )
+    def test_noisy_series_is_pinned(self, theta, expected):
+        # the values the series had while the quarter-turn states and axes
+        # kept a rounded x part of about 1e-16: the exact zeros and the pure
+        # search's real frame leave every noisy search as it was
+        results = k3max_vs_noise(theta, (1e-3, 1e-1), budget=2000, seed=4)
+        assert [(r.objective, r.evals) for r in results] == expected
 
     def test_grid_validation(self):
         with pytest.raises(ScanConfigError):
