@@ -34,7 +34,7 @@ from .dynamics import (
     up_y,
 )
 from .embedding import build_psi_T, evolve_and_postselect, k3_via_embedding, theta_from_delta
-from .lgi import CorrelatorEngine, Observable
+from .lgi import CorrelatorEngine, Observable, k3_closed_form
 from .qmat import trace_distance
 from .scan import (
     DEFAULT_NOISE_BUDGET,
@@ -70,7 +70,8 @@ class CriterionResult:
 
 
 def criterion_1() -> CriterionResult:
-    """Protocol K3 at quarter-period spacing equals 1 + sin(theta) + sin^2(theta)."""
+    """Protocol K3 at quarter-period spacing equals 1 + sin(theta) + sin^2(theta),
+    as :func:`nhlgi.lgi.k3_closed_form` gives it at ``t = pi/4``."""
     tol = 1e-8
     q = Observable.canonical()
     psi0 = up_y()
@@ -78,8 +79,7 @@ def criterion_1() -> CriterionResult:
     for theta in ACCEPTANCE_THETAS:
         engine = CorrelatorEngine(NHHamiltonian.canonical(theta))
         res = engine.k3(psi0, q, 0.0, math.pi / 4, math.pi / 2)
-        s = math.sin(theta)
-        worst = max(worst, abs(res.k3 - (1.0 + s + s * s)))
+        worst = max(worst, abs(res.k3 - k3_closed_form(theta, math.pi / 4)[3]))
     return CriterionResult(
         1,
         "quarter-period K3 matches 1 + sin + sin^2",
@@ -89,7 +89,8 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """First-to-third correlator matches its closed form and pins to -1."""
+    """First-to-third correlator matches its closed form
+    (:func:`nhlgi.lgi.k3_closed_form`) and pins to -1."""
     tol = 1e-8
     q = Observable.canonical()
     psi0 = up_y()
@@ -99,10 +100,8 @@ def criterion_2() -> CriterionResult:
     worst_pin = 0.0
     for theta in thetas:
         engine = CorrelatorEngine(NHHamiltonian.canonical(float(theta)))
-        s = math.sin(float(theta))
         for t in ts:
-            c4 = math.cos(4.0 * float(t))
-            closed = (c4 + s) / (1.0 + c4 * s)
+            closed = k3_closed_form(float(theta), float(t))[2]
             c13 = engine.correlator(psi0, q, 0.0, 2.0 * float(t))
             worst_grid = max(worst_grid, abs(c13 - closed))
         pin = engine.correlator(psi0, q, 0.0, math.pi / 2)

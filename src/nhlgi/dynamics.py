@@ -974,12 +974,15 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
 
     Vanishes (modulo the pi periodicity of the flow) exactly at
     ``t = pi/2``, where every member of the family reaches ``down_y``.
+    Evaluated as ``atan2(|cos t| (1 + sin theta), |sin t| cos theta)``,
+    the angle's sine and cosine up to one positive factor, which has no
+    cancellation near the corner or near either end of the angle.
     """
     _check_theta(theta)
     t = _finite_times(t)
-    s = math.sin(theta)
-    arg = np.sin(t) ** 2 * (1.0 - s) / (1.0 + np.cos(2.0 * t) * s)
-    out = np.arccos(np.clip(np.sqrt(np.clip(arg, 0.0, None)), 0.0, 1.0))
+    out = np.arctan2(
+        np.abs(np.cos(t)) * (1.0 + math.sin(theta)), np.abs(np.sin(t)) * math.cos(theta)
+    )
     return float(out) if out.ndim == 0 else out
 
 
@@ -1003,9 +1006,12 @@ def speed_closed_form(theta: float, t) -> float | np.ndarray:
     ``up_y`` trajectory: ``cos^2 theta / (1 + cos 2t sin theta)^2``.
 
     Equals 1 for all ``t`` in the Hermitian limit and peaks at ``t = pi/2``
-    with value ``(1 + sin theta) / (1 - sin theta)``.
+    with value ``(1 + sin theta) / (1 - sin theta)``.  The denominator is
+    evaluated as ``cos^2 theta/(1 + sin theta) + 2 sin theta cos^2 t``, a
+    sum of like signs, so it keeps its digits near the corner.
     """
     _check_theta(theta)
     t = _finite_times(t)
-    out = math.cos(theta) ** 2 / (1.0 + np.cos(2.0 * t) * math.sin(theta)) ** 2
+    s, cc = math.sin(theta), math.cos(theta) ** 2
+    out = cc / (cc / (1.0 + s) + 2.0 * s * np.cos(t) ** 2) ** 2
     return float(out) if out.ndim == 0 else out

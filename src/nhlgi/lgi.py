@@ -30,43 +30,43 @@ arithmetic.
 Every frame is a pair ``(setup, evaluate)`` on plain scalars: ``setup(state,
 n)`` takes a state and a unit axis and returns the point's coefficients as
 floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
-numbers.  No frame builds a function per point.  There are four:
+numbers.  No frame builds a function per point.  There are three:
 
 - pure states at ``kappa = 0`` on the invariant y-z great circle, with an
   axis in its plane (:func:`_circle_frame`): the spinor ``(u, i v)`` and the
   propagator are real in the axis eigenbasis, built from ``cos theta`` and
   ``sin theta`` of the double theta without cancellation and with omega = 1
-  exact, so the frame stays accurate at the corner;
-- any other pure state at ``kappa = 0`` in the measured axis's complex
-  eigenbasis (:func:`_spinor_frame`), from the rounded ``sec theta``, ``tan
-  theta`` and omega.  In both pure frames ``evaluate`` runs the three times
-  in straight-line code, where both conditionals are column ratios of the
-  propagator, so no collapse branch is propagated;
+  exact, so the frame stays accurate at the corner.  ``evaluate`` runs the
+  three times in straight-line code, where both conditionals are column
+  ratios of the propagator, so no collapse branch is propagated;
 - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
   solution of the linear lift of the depolarising flow in its real modal
   form (two real eigenvalues and one rotating pair) projected onto the axis
   and the state, so each time costs two ``exp`` and one cos/sin pair
   (:func:`_noisy_frame`);
-- the dilation and noiseless density matrices, which propagate each
-  collapse branch with a renormalised flow and read Born probabilities
+- noiseless Bloch vectors (of density matrices and of spinors off the
+  circle) and the dilation's spinors, which propagate each collapse branch
+  with a renormalised flow and read Born probabilities
   (:func:`_propagating_frame`), so the dilation stays an independent
   cross-check.
 
-The first three share the cos/sin pair (and the exponentials) of ``t2``
-with the (1,2) gap when ``t1 = 0``, as every CLI row and search point has
-it.  The flows, the lift and its modal form, the Bloch-vector and
-Bloch-angle maps and the axis eigenbasis the frames use are the scalar
-kernels of :mod:`nhlgi.dynamics`; this module keeps no copy of them.
+The first two share the cos/sin pair (and the exponentials) of ``t2`` with
+the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
+The flows, the lift and its modal form, the Bloch-vector and Bloch-angle
+maps the frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this
+module keeps no copy of them and reads no rounded ``sec theta``, ``tan
+theta`` or omega itself.
 
 :class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
 strength as unvalidated routes: from a spinor and an axis on the circle (at
-``kappa = 0`` only), from any spinor and an axis, and from a Bloch vector
-and an axis.  Its public calls validate, take the route the inputs select
-and set the point up once for all their times.  The pure K3 search of
-:mod:`nhlgi.scan` feeds the circle route per point the floats the engine
-takes from the same state and axis, and the noisy search calls the spinor
-route, so a search and the public API evaluate a point by the same
-arithmetic and an argmax re-evaluates to the reported float.
+``kappa = 0`` only), and from a Bloch vector and an axis, which any other
+spinor reaches through its Bloch vector.  Its public calls validate, take
+the route the inputs select and set the point up once for all their times.
+The pure K3 search of :mod:`nhlgi.scan` feeds the circle route per point
+the floats the engine takes from the same state and axis, and the noisy
+search calls the spinor route, so a search and the public API evaluate a
+point by the same arithmetic and an argmax re-evaluates to the reported
+float.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -83,7 +83,6 @@ import numpy as np
 from .dynamics import (
     DegenerateEvolutionError,
     NHHamiltonian,
-    _axis_basis,
     _bloch_axis,
     _check_finite_times,
     _check_theta,
@@ -226,86 +225,6 @@ class LgiResult:
         )
 
 
-def _spinor_frame(h: NHHamiltonian):
-    """Pure-state protocol of ``h``, in the measured axis's eigenbasis.
-
-    Returns ``(setup, evaluate)`` on plain scalars, with no closure per point.
-    ``setup(psi, n)`` writes a spinor and ``M`` once in the basis ``C = [up,
-    down]`` of :func:`nhlgi.dynamics._axis_basis` of the unit axis ``n``:
-    ``psi' = C^dag psi`` and ``M' = C^dag M C``, where the propagator is
-    ``U' = cos(w t) I - i sin(w t)/w M'``.  It returns their coefficients
-    as a tuple of floats.  ``evaluate(coeffs, t1, t2, t3)`` returns the eight
-    numbers: P(+1) at ``t1`` and at ``t2`` is ``|x|^2 / (|x|^2 + |y|^2)`` of
-    ``(x, y) = U' psi'``, and each gap's conditional pair the column ratios
-    ``|u00|^2 / (|u00|^2 + |u10|^2)`` and ``|u01|^2 / (|u01|^2 + |u11|^2)``
-    of ``U'``.  No branch is propagated or normalised; each time costs one
-    cos/sin pair, and ``t1 = 0`` none, since ``cos 0 = 1`` and ``sin 0 = 0``
-    leave every product of that time exact; the (1,2) gap is then ``t2``
-    itself and shares its pair.
-    """
-    w = h.omega
-    (m00, m01), (m10, m11) = h.matrix.tolist()
-    cos, sin = math.cos, math.sin
-
-    def setup(psi, n):
-        a, b = psi
-        (u0, u1), (d0, d1) = _axis_basis(n)
-        uc0, uc1, dc0, dc1 = u0.conjugate(), u1.conjugate(), d0.conjugate(), d1.conjugate()
-        mu0, mu1 = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
-        md0, md1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
-        # M is traceless, so M'_11 = -M'_00.
-        n00, n01, n10 = uc0 * mu0 + uc1 * mu1, uc0 * md0 + uc1 * md1, dc0 * mu0 + dc1 * mu1
-        p0, p1 = uc0 * a + uc1 * b, dc0 * a + dc1 * b
-        q0, q1 = n00 * p0 + n01 * p1, n10 * p0 - n00 * p1
-        return (
-            p0.real, p0.imag, p1.real, p1.imag, q0.real, q0.imag, q1.real, q1.imag,
-            n00.real, n00.imag, abs(n01) ** 2, abs(n10) ** 2,
-        )
-
-    def evaluate(coeffs, t1, t2, t3):
-        p0r, p0i, p1r, p1i, q0r, q0i, q1r, q1i, n00r, n00i, n01_sq, n10_sq = coeffs
-        # P(+1) at t1 and t2, from (x, y) = cos psi' - i sin/w M' psi'
-        if t1 == 0.0:
-            px = p0r * p0r + p0i * p0i
-            first1 = px / (px + p1r * p1r + p1i * p1i)
-        else:
-            c, s = cos(w * t1), sin(w * t1) / w
-            xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
-            yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
-            px = xr * xr + xi * xi
-            first1 = px / (px + yr * yr + yi * yi)
-        c, s = cos(w * t2), sin(w * t2) / w
-        xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
-        yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
-        px = xr * xr + xi * xi
-        first2 = px / (px + yr * yr + yi * yi)
-        # conditional pairs across each gap, from |u00|^2 = |c - i s M'_00|^2
-        # and |u11|^2 = |c + i s M'_00|^2; with t1 = 0 the (1,2) gap is t2
-        # and keeps its cos/sin pair
-        if t1 != 0.0:
-            g = t2 - t1
-            c, s = cos(w * g), sin(w * g) / w
-        im_sq, ss = (s * n00r) ** 2, s * s
-        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
-        u10, u01 = ss * n10_sq, ss * n01_sq
-        plus12, minus12 = u00 / (u00 + u10), u01 / (u01 + u11)
-        g = t3 - t2
-        c, s = cos(w * g), sin(w * g) / w
-        im_sq, ss = (s * n00r) ** 2, s * s
-        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
-        u10, u01 = ss * n10_sq, ss * n01_sq
-        plus23, minus23 = u00 / (u00 + u10), u01 / (u01 + u11)
-        g = t3 - t1
-        c, s = cos(w * g), sin(w * g) / w
-        im_sq, ss = (s * n00r) ** 2, s * s
-        u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
-        u10, u01 = ss * n10_sq, ss * n01_sq
-        plus13, minus13 = u00 / (u00 + u10), u01 / (u01 + u11)
-        return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
-
-    return setup, evaluate
-
-
 def _circle_frame(h: NHHamiltonian):
     """Pure-state protocol of ``h`` on the invariant y-z great circle, in real
     arithmetic.
@@ -327,9 +246,10 @@ def _circle_frame(h: NHHamiltonian):
     ``a00 = 2 (sin theta/cos theta) x y = -a11``, ``a01 = -(x^2/K + K y^2)``
     and ``a10 = y^2/K + K x^2``, each a product or a sum of like signs.  The
     1/sqrt 2 drops out of every ratio.  ``evaluate(point, t1, t2, t3)``
-    returns the eight numbers, as :func:`_spinor_frame` does: P(+1) is ``X^2
-    / (X^2 + Y^2)`` of the state ``(X, Y)`` at ``t1`` and at ``t2``, and each
-    gap's conditional pair the column ratios of ``U' = c I + s A``.  With
+    returns the eight numbers: P(+1) is ``X^2 / (X^2 + Y^2)`` of the state
+    ``(X, Y)`` at ``t1`` and at ``t2``, and each gap's conditional pair the
+    column ratios of ``U' = c I + s A``, so no collapse branch is propagated
+    or normalised.  With
     ``t1 = 0`` the (1,2) gap is ``t2`` and shares its cos/sin pair.
     """
     w = float(h.scale)
@@ -641,13 +561,11 @@ class CorrelatorEngine:
     - ``_circle_route``, at ``kappa = 0`` only (None otherwise): the circle
       frame, for a spinor and an axis on the invariant circle, given as the
       floats :func:`_circle_coordinates` takes from them;
-    - ``_spinor_route`` for any other spinor: at ``kappa = 0`` the spinor
-      frame in the axis eigenbasis of :func:`nhlgi.dynamics._axis_basis`; at
-      ``kappa > 0`` the noisy frame, whose ``setup`` is given the spinor's
-      Bloch vector;
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
       frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame of
-      the noiseless density flow, with collapse states ``+/- n``.
+      the noiseless density flow, with collapse states ``+/- n``;
+    - ``_spinor_route`` for any other spinor: the Bloch route, whose
+      ``setup`` is given the spinor's Bloch vector.
 
     Every public call validates its inputs once and takes the route the
     state's shape and, for a spinor, :meth:`_pure_point` select.
@@ -657,27 +575,26 @@ class CorrelatorEngine:
         circle_route = None
         if kappa == 0.0:
             circle_route = _circle_frame(h)
-            spinor_route = _spinor_frame(h)
             bloch_route = _propagating_frame(
                 _density_propagator(h), _bloch_born, _bloch_collapse
             )
         else:
-            bloch_route = bloch_setup, evaluate = _noisy_frame(h, kappa)
+            bloch_route = _noisy_frame(h, kappa)
+        bloch_setup, evaluate = bloch_route
 
-            def spinor_setup(psi, n):
-                x, y, z = _spinor_bloch(psi)
-                return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
-
-            spinor_route = spinor_setup, evaluate
+        def spinor_setup(psi, n):
+            x, y, z = _spinor_bloch(psi)
+            return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
 
         self._circle_route = circle_route
-        self._spinor_route, self._bloch_route = spinor_route, bloch_route
+        self._spinor_route, self._bloch_route = (spinor_setup, evaluate), bloch_route
         self.kappa = float(kappa)
 
     def _pure_point(self, psi, n):
         """``(evaluate, point)`` of a spinor and a unit axis, unvalidated: the
         circle route when both lie on the invariant circle at ``kappa = 0``
-        (see :func:`_circle_coordinates`), else the spinor route."""
+        (see :func:`_circle_coordinates`), else the spinor route, which
+        evaluates the spinor's Bloch vector on the Bloch route."""
         if self._circle_route is not None:
             circle = _circle_coordinates(psi, n)
             if circle is not None:

@@ -25,14 +25,14 @@ the same state and axis, and the speed objective the route of
 an argmax re-evaluates through it to the reported float.  At ``kappa = 0``
 every search point lies on the invariant circle, so that is the engine's
 real circle route, fed the same floats without building a spinor; under
-noise it is the spinor route.  Each route is two plain functions on
-floats, one setting up the state and axis and one evaluating the three
-times, and the objective forms the three correlators without building a
-closure or a joint table per point.  This module keeps no copy of any
-route's arithmetic.  Runs are reproducible: one master seed drives the
-hypercube and all restarts, the restarts share what the seeding pass leaves
-of the budget in equal parts fixed up front, and they run one after another
-in a fixed order.  No run spends more than its budget, which must be an
+noise it is the spinor route, which hands the state's Bloch vector to the
+noisy frame.  Each route is two plain functions on floats, one setting up
+the state and axis and one evaluating the three times, and the objective
+forms the three correlators without building a closure or a joint table
+per point.  This module keeps no copy of any route's arithmetic.  Runs
+are reproducible: one master seed drives the hypercube and all restarts,
+the restarts share what the seeding pass leaves of the budget in equal
+parts fixed up front, and they run one after another in a fixed order.  No run spends more than its budget, which must be an
 integer, as the seed must be a non-negative one; anything else is refused
 by name before any work.
 """

@@ -595,8 +595,8 @@ class TestCliCornerRows:
     """The corner rows of CI's byte-stability loop, checked by value."""
 
     def test_lgi_against_50_digits(self, tmp_path):
-        # the spinor frame's rounded sec and tan missed these rows by up to
-        # 6.8e-7 and 1.7e-6
+        # a pure frame built from the rounded sec and tan missed these rows
+        # by up to 6.8e-7 and 1.7e-6
         out = tmp_path / "lgi.csv"
         assert main(["lgi", "--theta", "1.5697963267948967,1.5707953267948966",
                      "--out", str(out)]) == 0

@@ -36,7 +36,6 @@ from nhlgi.lgi import (
     _noisy_frame,
     _propagating_frame,
     _pure_born,
-    _spinor_frame,
     _tables,
     k3_closed_form,
 )
@@ -301,7 +300,7 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        setup, evaluate = _spinor_frame(h)
+        setup, evaluate = CorrelatorEngine(h)._spinor_route
         out = evaluate(setup(tuple(psi.tolist()), direction), t1, t2, t3)
         # Both routes lose about sec(theta)^2 ulps to the cancellation in the
         # renormalised propagator near the corner (measured error / sec^2
@@ -382,10 +381,11 @@ class TestProtocolAgainstOracle:
         ),
     )
     def test_frames_match_propagating_adapter(self, theta, log_kappa, state, axis, times):
-        # the spinor and noisy frames never propagate a collapse branch; the
-        # adapter propagates every branch (spinors with the same flow, Bloch
-        # vectors with the eigendecomposed lift in numpy) and reads Born
-        # probabilities, so the tables must agree
+        # the engine's spinor route runs the noiseless density flow on the
+        # spinor's Bloch vector, and the noisy frame propagates no collapse
+        # branch; the adapter propagates every branch (spinors with the pure
+        # flow, Bloch vectors with the eigendecomposed lift in numpy) and
+        # reads Born probabilities, so the tables must agree
         theta_s, phi_s, length = state
         h = NHHamiltonian.canonical(theta)
         psi = tuple(state_from_bloch_angles(theta_s, phi_s).tolist())
@@ -393,11 +393,11 @@ class TestProtocolAgainstOracle:
         t1 = times[0]
         t2 = t1 + times[1]
         t3 = t2 + times[2]
-        setup, evaluate = _spinor_frame(h)
+        setup, evaluate = CorrelatorEngine(h)._spinor_route
         spinor = evaluate(setup(psi, n), t1, t2, t3)
         setup, evaluate = _propagating_frame(pure_propagator(h), _pure_born, _oracle_basis)
         expected = evaluate(setup(psi, n), t1, t2, t3)
-        # measured over 3000 draws: spinor within 6.3e-16 sec^2(theta) of the
+        # measured over 3000 draws: spinor within 1.8e-15 sec^2(theta) of the
         # adapter, noisy within 9.8e-16 sec^2(theta); scipy's expm of the whole
         # lift is no reference here, it is off by 3.6e-8 at delta = 0.012 and
         # a gap of 2.5
@@ -552,102 +552,6 @@ def test_noisy_kernel_runs_without_numpy(monkeypatch):
     assert all(type(x) is float for x in [c12, c23, c13, *out, *later, *entries])
 
 
-def _closure_spinor_frame(h):
-    """The pure frame as one closure pair per point, and the protocol that
-    returned nested tables: the arithmetic the closure-free frame, the
-    correlator and table helpers and ``CorrelatorEngine`` must repeat."""
-    w = h.omega
-    (m00, m01), (m10, m11) = h.matrix.tolist()
-    cos, sin = math.cos, math.sin
-
-    def frame(psi, collapse):
-        a, b = psi
-        (u0, u1), (d0, d1) = collapse
-        uc0, uc1, dc0, dc1 = u0.conjugate(), u1.conjugate(), d0.conjugate(), d1.conjugate()
-        mu0, mu1 = m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
-        md0, md1 = m00 * d0 + m01 * d1, m10 * d0 + m11 * d1
-        n00, n01, n10 = uc0 * mu0 + uc1 * mu1, uc0 * md0 + uc1 * md1, dc0 * mu0 + dc1 * mu1
-        p0, p1 = uc0 * a + uc1 * b, dc0 * a + dc1 * b
-        q0, q1 = n00 * p0 + n01 * p1, n10 * p0 - n00 * p1
-        p0r, p0i, p1r, p1i = p0.real, p0.imag, p1.real, p1.imag
-        q0r, q0i, q1r, q1i = q0.real, q0.imag, q1.real, q1.imag
-        n00r, n00i = n00.real, n00.imag
-        n01_sq, n10_sq = abs(n01) ** 2, abs(n10) ** 2
-
-        def first(t):
-            c, s = cos(w * t), sin(w * t) / w
-            xr, xi = c * p0r + s * q0i, c * p0i - s * q0r
-            yr, yi = c * p1r + s * q1i, c * p1i - s * q1r
-            px = xr * xr + xi * xi
-            return px / (px + yr * yr + yi * yi)
-
-        def transfer(g):
-            c, s = cos(w * g), sin(w * g) / w
-            im_sq = (s * n00r) ** 2
-            u00, u11 = (c + s * n00i) ** 2 + im_sq, (c - s * n00i) ** 2 + im_sq
-            u10, u01 = s * s * n10_sq, s * s * n01_sq
-            return u00 / (u00 + u10), u01 / (u01 + u11)
-
-        return first, transfer
-
-    return frame
-
-
-def _nested_protocol(first, transfer, t1, t2, t3):
-    """``(c12, c23, c13, table12, table23, table13)`` with nested tables."""
-
-    def table(p, conditionals):
-        plus, minus = conditionals
-        q = 1.0 - p
-        return (p * plus, p * (1.0 - plus)), (q * minus, q * (1.0 - minus))
-
-    def correlator(tab):
-        (pp, pm), (mp, mm) = tab
-        return pp - pm - mp + mm
-
-    p1 = first(t1)
-    tables = (
-        table(p1, transfer(t2 - t1)),
-        table(first(t2), transfer(t3 - t2)),
-        table(p1, transfer(t3 - t1)),
-    )
-    return tuple(map(correlator, tables)) + tables
-
-
-@pytest.mark.parametrize(
-    "theta", [0.0, 0.3, 1.2, math.pi / 2 - 0.1, math.pi / 2 - 1e-3, THETA_MAX]
-)
-def test_spinor_evaluator_is_the_closure_arithmetic(theta):
-    # general (non-planar) spinors and axes, t1 = 0 (where the (1,2) gap
-    # shares the cos/sin pair of t2) and t1 > 0, gaps from the scans' floor
-    # to pi, and the CLI rows' times (0, t, 2t): the eight numbers and every
-    # correlator, table and public result are the same floats as the closure
-    # pair's
-    h = NHHamiltonian.canonical(theta)
-    setup, evaluate = _spinor_frame(h)
-    frame = _closure_spinor_frame(h)
-    engine = CorrelatorEngine(h)
-    rng = np.random.default_rng(2024)
-    log_floor = math.log(GAP_FLOOR)
-    for k in range(1800):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = tuple((z / np.linalg.norm(z)).tolist())
-        q = Observable.from_angles(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
-        t1 = 0.0 if k % 2 else math.exp(rng.uniform(log_floor, math.log(math.pi)))
-        g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
-        times = (0.0, g1, 2.0 * g1) if k % 4 == 3 else (t1, t1 + g1, t1 + g1 + g2)
-        first, transfer = frame(psi, _axis_basis(q.direction))
-        expected = _nested_protocol(first, transfer, *times)
-        values = evaluate(setup(psi, q.direction), *times)
-        assert values == _closure_protocol(first, transfer, *times)
-        assert _correlators(values) + _tables(values) == expected
-        table = engine.joint_table(np.array(psi), q, times[0], times[1]).probs
-        assert table.tolist() == [list(row) for row in expected[3]]
-        if k % 9 == 0:
-            res = engine.k3(np.array(psi), q, *times)
-            assert (res.c12, res.c23, res.c13) == expected[:3]
-
-
 def _closure_noisy_frame(h, kappa):
     """The noisy frame as one closure pair per point: the real modal form of
     the lift and the arithmetic the ``(setup, evaluate)`` frame must repeat,
@@ -797,18 +701,25 @@ def test_noisy_evaluator_is_the_closure_arithmetic(theta):
 
 @pytest.mark.parametrize("theta", CLOSURE_THETAS)
 def test_propagating_evaluators_are_the_closure_arithmetic(theta):
-    # the noiseless density route on Bloch vectors and the dilation on
+    # the noiseless density route on Bloch vectors, the engine on spinors
+    # off the circle (through their Bloch vectors) and the dilation on
     # spinors give the closure pair's eight numbers, bit for bit
     h = NHHamiltonian.canonical(theta)
     density = _closure_propagating_frame(_density_propagator(h), _bloch_born)
-    setup, evaluate = CorrelatorEngine(h)._bloch_route
+    engine = CorrelatorEngine(h)
+    setup, evaluate = engine._bloch_route
     postselect = _dilation(theta)[1]
     dilation = _closure_propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)
     rng = np.random.default_rng(2026)
     for k, (r, psi, q, times) in enumerate(_closure_cases(rng, 120)):
         n = q.direction
-        expected = _closure_protocol(*density(r, (n, (-n[0], -n[1], -n[2]))), *times)
+        collapse = (n, (-n[0], -n[1], -n[2]))
+        expected = _closure_protocol(*density(r, collapse), *times)
         assert evaluate(setup(r, n), *times) == expected
+        x, y, z = _spinor_bloch(psi)
+        expected = _closure_protocol(*density((2.0 * x, 2.0 * y, 2.0 * z), collapse), *times)
+        res = engine.k3(np.array(psi), q, *times)
+        assert (res.c12, res.c23, res.c13) == _correlators(expected)
         expected = _closure_protocol(*dilation(psi, _axis_basis(n)), *times)
         res = k3_via_embedding(theta, q, *times, psi0=np.array(psi))
         assert (res.c12, res.c23, res.c13) == _correlators(expected)
@@ -856,24 +767,24 @@ class TestCircleFrame:
     def test_dispatch(self):
         # circle inputs take the circle frame: the search's states, up_y (the
         # form (i u, v)) and the canonical axis; a state or an axis an angle of
-        # 1e-12 off the circle, or any state under noise, takes the spinor route
+        # 1e-12 off the circle, or any state under noise, takes the Bloch route
         h = NHHamiltonian.canonical(1.2)
         engine, noisy = CorrelatorEngine(h), CorrelatorEngine(h, kappa=0.1)
-        circle, spinor = engine._circle_route[1], engine._spinor_route[1]
+        circle, bloch = engine._circle_route[1], engine._bloch_route[1]
         on = Observable.from_angles(0.7, 0.5 * math.pi)
         off = Observable.from_angles(0.7, 0.5 * math.pi + 1e-12)
         for psi, q, route in [
             (state_from_bloch_angles(1.1, 0.5 * math.pi), on, circle),
             (state_from_bloch_angles(1.1, 1.5 * math.pi), on, circle),
             (up_y(), Observable.canonical(), circle),
-            (state_from_bloch_angles(1.1, 0.5 * math.pi + 1e-12), on, spinor),
-            (state_from_bloch_angles(1.1, 0.5 * math.pi), off, spinor),
-            (np.exp(0.3j) * up_y(), Observable.canonical(), spinor),
+            (state_from_bloch_angles(1.1, 0.5 * math.pi + 1e-12), on, bloch),
+            (state_from_bloch_angles(1.1, 0.5 * math.pi), off, bloch),
+            (np.exp(0.3j) * up_y(), Observable.canonical(), bloch),
         ]:
             assert engine._protocol_inputs(psi, q).func is route
         assert noisy._circle_route is None
         run = noisy._protocol_inputs(up_y(), Observable.canonical())
-        assert run.func is noisy._spinor_route[1]
+        assert run.func is noisy._bloch_route[1]
 
 
 class TestQuarterSpacing:

@@ -216,8 +216,8 @@ def _k3_reference(theta, kappa):
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
     ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
     the plane, on the route the engine's public calls take for the state
-    and the axis (at kappa = 0 the circle route on the plane and the spinor
-    route off it)."""
+    and the axis (at kappa = 0 the circle route on the plane and, off it,
+    the noiseless density flow on the state's Bloch vector)."""
     engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
 
     def objective(x):
