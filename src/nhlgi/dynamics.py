@@ -238,7 +238,9 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_kappa(kappa: float) -> None:
-    """Refuse a negative, NaN or infinite depolarising rate."""
+    """Refuse a negative, NaN or infinite depolarising rate, or a bool by name."""
+    if isinstance(kappa, (bool, np.bool_)):
+        raise ValueError(f"kappa must be a float, not the bool {kappa!r}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise ValueError("kappa must be a finite non-negative rate")
 
@@ -478,13 +480,13 @@ def _density_propagator(h: NHHamiltonian):
 def _lift_modes(h: NHHamiltonian, kappa: float):
     """The lift of :func:`_bloch_lift` at ``kappa > 0`` in its real modal form.
 
-    ``L = V diag(lam) V^-1`` is eigendecomposed once and written as four
-    real slots, each a real column of ``V`` and a real row of ``V^-1``.
-    Returns ``((rate_b, alpha, beta), columns, rows)``: the columns and the
-    rows are four ``(trace, x, y, z)`` float tuples each, for the slots ``a``,
-    ``b``, ``u`` and ``w``, so that
+    ``L = V diag(lam) V^-1`` is eigendecomposed once and written as real
+    slots, each a real column of ``V`` and a real row of ``V^-1``.  Returns
+    ``((rate_b, alpha, beta), columns, rows)``: the columns and the rows are
+    three ``(trace, y, z)`` float tuples each, for the slots ``a``, ``u``
+    and ``w``, so that
 
-        exp(L t) v ~ col_a (row_a . v) + exp(rate_b t) col_b (row_b . v)
+        exp(L t) v ~ col_a (row_a . v) + exp(rate_b t) (0, v_x, 0, 0)
                      + exp(alpha t) [col_u (c ku + s kw) + col_w (c kw - s ku)]
 
     up to the positive factor ``exp(lam_a t)``, which cancels in every
@@ -493,18 +495,22 @@ def _lift_modes(h: NHHamiltonian, kappa: float):
 
     The spectrum always has two real eigenvalues and one conjugate pair
     ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
-    component along ``a`` decouples at rate ``-2 kappa``.  The remaining
-    block has the characteristic cubic ``p(lam) = lam [(lam + 2 kappa)^2 +
-    4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``, ``p(0) =
-    -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega > 0``).
-    So it has exactly one real root, which is simple and non-negative (zero
-    only when ``b = 0``), and one conjugate pair.  The real root dominates:
-    the roots sum to ``-4 kappa``, so ``alpha = -2 kappa - root/2``.
+    component along ``a`` (x) decouples at rate ``-2 kappa``: the lift's x
+    row and column are ``-2 kappa`` and zeros, and ``eig``, which balances
+    the matrix, isolates that slot ``b`` exactly, with column and row ``(0,
+    1, 0, 0)`` and an x entry of exactly zero in every other slot.  The
+    remaining block has the characteristic cubic ``p(lam) = lam [(lam + 2
+    kappa)^2 + 4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``,
+    ``p(0) = -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega >
+    0``).  So it has exactly one real root, which is simple and non-negative
+    (zero only when ``b = 0``), and one conjugate pair.  The real root
+    dominates: the roots sum to ``-4 kappa``, so ``alpha = -2 kappa -
+    root/2``.
 
     The slots are built as follows:
 
     - each real eigenvalue keeps its real column and row; the dominant one
-      is slot ``a``, shifted to rate 0, and the other slot ``b``;
+      is slot ``a``, shifted to rate 0, and the other is the x slot ``b``;
     - the pair's column ``u + i w`` and row ``z`` become the columns ``(u,
       w)`` and the rows ``(2 Re z, -2 Im z)``, whose modes evolve by the
       rotation ``exp(alpha t) (cos beta t, sin beta t)``.  ``2 z`` is the
@@ -514,9 +520,10 @@ def _lift_modes(h: NHHamiltonian, kappa: float):
       is off by 2.6e-6 in a table at ``delta = 1e-3`` and times of 1e-4.
 
     Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
-    lift by more than ``1e-8 ||L||``, or when the computed spectrum has any
-    other shape.  The residual checks the decomposition, not the propagated
-    result: a lift that passes can still be inaccurate near the corner.
+    lift by more than ``1e-8 ||L||``, when the computed spectrum has any
+    other shape, or when the x slot is not exactly as above.  The residual
+    checks the decomposition, not the propagated result: a lift that passes
+    can still be inaccurate near the corner.
     """
     _check_kappa(kappa)
     lift = _bloch_lift(h, kappa)
@@ -541,18 +548,22 @@ def _lift_modes(h: NHHamiltonian, kappa: float):
             "real eigenvalues and one conjugate pair"
         )
     (a, b), p = real, pair[0]
+    q = lam.index(lam[p].conjugate())
+    # the x slot's column and row are exactly e_x, and every other slot's x
+    # entries exactly zero
+    col, row, e_x = v.T.tolist(), v_inv.tolist(), [0.0, 1.0, 0.0, 0.0]
+    if col[b] != e_x or row[b] != e_x or any(col[k][1] or row[k][1] for k in (a, p, q)):
+        raise DegenerateEvolutionError(
+            f"the noisy lift at kappa = {kappa!r} does not decouple x exactly"
+        )
     shift = lam[a].real
     rates = lam[b].real - shift, lam[p].real - shift, lam[p].imag
-    two_z = v_inv[p] + v_inv[lam.index(lam[p].conjugate())].conjugate()
-    columns = (
-        tuple(v[:, a].real.tolist()), tuple(v[:, b].real.tolist()),
-        tuple(v[:, p].real.tolist()), tuple(v[:, p].imag.tolist()),
-    )
-    rows = (
-        tuple(v_inv[a].real.tolist()), tuple(v_inv[b].real.tolist()),
-        tuple(two_z.real.tolist()), tuple((-two_z.imag).tolist()),
-    )
-    return rates, columns, rows
+    two_z = (v_inv[p] + v_inv[q].conjugate()).tolist()
+    columns = [c.real for c in col[a]], [c.real for c in col[p]], [c.imag for c in col[p]]
+    rows = [c.real for c in row[a]], [c.real for c in two_z], [-c.imag for c in two_z]
+    # each slot's (trace, y, z) entries, without its exactly zero x entry
+    columns, rows = ([(t, y, z) for t, _, y, z in slots] for slots in (columns, rows))
+    return rates, tuple(columns), tuple(rows)
 
 
 def _noisy_propagator(h: NHHamiltonian, kappa: float):
@@ -561,14 +572,15 @@ def _noisy_propagator(h: NHHamiltonian, kappa: float):
     Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
     as plain float triples: ``exp(L t) (1, r)`` in the real modal form of
     :func:`_lift_modes`, divided by its trace, so each time costs two
-    ``exp`` and one cos/sin pair whatever ``kappa`` is.  ``t = 0`` returns
-    ``r`` itself, since ``V V^-1`` reproduces it only to about cond(V) ulps.
-    A collapsed trace raises ``DegenerateEvolutionError``, and so does a
-    lift that :func:`_lift_modes` refuses.
+    ``exp`` and one cos/sin pair whatever ``kappa`` is.  The x component
+    only decays, at ``rate_b``.  ``t = 0`` returns ``r`` itself, since ``V
+    V^-1`` reproduces it only to about cond(V) ulps.  A collapsed trace
+    raises ``DegenerateEvolutionError``, and so does a lift that
+    :func:`_lift_modes` refuses.
     """
     (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
-    (ta, xa, ya, za), (tb, xb, yb, zb), (tu, xu, yu, zu), (tw, xw, yw, zw) = columns
-    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz), (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = rows
+    (ta, ya, za), (tu, yu, zu), (tw, yw, zw) = columns
+    (fa0, fay, faz), (gu0, guy, guz), (gw0, gwy, gwz) = rows
     exp, cos, sin = math.exp, math.cos, math.sin
 
     def propagate(t, r):
@@ -576,15 +588,14 @@ def _noisy_propagator(h: NHHamiltonian, kappa: float):
             return r
         x, y, z = r
         # the slots' weights at t: the rows applied to (1, r), times their modes
-        ka, kb = fa0 + fax * x + fay * y + faz * z, fb0 + fbx * x + fby * y + fbz * z
-        ku, kw = gu0 + gux * x + guy * y + guz * z, gw0 + gwx * x + gwy * y + gwz * z
+        ka, ku, kw = fa0 + fay * y + faz * z, gu0 + guy * y + guz * z, gw0 + gwy * y + gwz * z
         ea = exp(alpha * t)
         c, s = ea * cos(beta * t), ea * sin(beta * t)
-        kb, ku, kw = exp(rate_b * t) * kb, c * ku + s * kw, c * kw - s * ku
-        r0 = ta * ka + tb * kb + tu * ku + tw * kw
-        x = xa * ka + xb * kb + xu * ku + xw * kw
-        y = ya * ka + yb * kb + yu * ku + yw * kw
-        z = za * ka + zb * kb + zu * ku + zw * kw
+        ku, kw = c * ku + s * kw, c * kw - s * ku
+        r0 = ta * ka + tu * ku + tw * kw
+        x = exp(rate_b * t) * x
+        y = ya * ka + yu * ku + yw * kw
+        z = za * ka + zu * ku + zw * kw
         if r0 < _NORM_FLOOR:
             raise DegenerateEvolutionError(
                 f"propagated trace {r0:.3e} below representable floor at t = {t!r}"

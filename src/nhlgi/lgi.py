@@ -41,9 +41,9 @@ numbers.  No frame builds a function per point.  There are three:
   ratios of the propagator, so no collapse branch is propagated;
 - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
   solution of the linear lift of the depolarising flow in its real modal
-  form (two real eigenvalues and one rotating pair) projected onto the axis
-  and the state, so each time costs two ``exp`` and one cos/sin pair
-  (:func:`_noisy_frame`);
+  form (three slots over ``(trace, y, z)`` and the exactly decoupled x
+  slot) projected onto the axis and the state, so each time costs two
+  ``exp`` and one cos/sin pair (:func:`_noisy_frame`);
 - noiseless Bloch vectors (of density matrices and of spinors off the
   circle) and the dilation's spinors, which propagate each collapse branch
   with a renormalised flow and read Born probabilities
@@ -58,15 +58,15 @@ module keeps no copy of them and reads no rounded ``sec theta``, ``tan
 theta`` or omega itself.
 
 :class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
-strength as unvalidated routes: from a spinor and an axis on the circle (at
-``kappa = 0`` only), and from a Bloch vector and an axis, which any other
-spinor reaches through its Bloch vector.  Its public calls validate, take
-the route the inputs select and set the point up once for all their times.
-The pure K3 search of :mod:`nhlgi.scan` feeds the circle route per point
-the floats the engine takes from the same state and axis, and the noisy
-search calls the spinor route, so a search and the public API evaluate a
-point by the same arithmetic and an argmax re-evaluates to the reported
-float.
+strength as unvalidated routes: from a spinor and an axis on the circle (the
+circle frame at ``kappa = 0``, the noisy frame fed the state's Bloch vector
+under noise), and from a Bloch vector and an axis, which any other spinor
+reaches through its Bloch vector.  Its public calls validate, take the route
+the inputs select and set the point up once for all their times.  The K3
+search of :mod:`nhlgi.scan` feeds the circle route per point the floats the
+engine takes from the same state and axis, at every kappa, so a search and
+the public API evaluate a point by the same arithmetic and an argmax
+re-evaluates to the reported float.
 
 The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -85,6 +85,7 @@ from .dynamics import (
     NHHamiltonian,
     _bloch_axis,
     _check_finite_times,
+    _check_kappa,
     _check_theta,
     _density_bloch,
     _density_propagator,
@@ -342,90 +343,72 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
 
     Returns ``(setup, evaluate)`` on plain scalars, with no closure per point,
     from the real modal form of the lift, :func:`nhlgi.dynamics._lift_modes`:
-    four real slots, each a real column of ``V`` and a real row of ``V^-1``,
-    at the rates 0 and ``rate_b`` and on the rotation ``exp(alpha t) (cos
-    beta t, sin beta t)``.  ``setup(r, n)`` projects the columns onto ``(1,
-    0)`` and the unit axis ``n``, and the rows onto the Bloch vector ``r``
-    and the axis, and returns ``(at_zero, state, plus, minus)``: P(+1) of
-    ``r`` itself and the eight coefficients of the state and of each
-    collapse branch ``(1, +/- n)``.  ``evaluate(point, t1, t2, t3)`` returns
-    the eight numbers.  By linearity ``exp(L g) (1, +/- n) = exp(L g) e0 +/-
-    exp(L g) (0, n)``, so both collapse branches share the exponentials of
-    one time, and with ``t1 = 0`` the (1,2) gap is ``t2`` and shares them
+    three real slots over ``(trace, y, z)``, each a real column of ``V`` and
+    a real row of ``V^-1``, at rate 0 and on the rotation ``exp(alpha t)
+    (cos beta t, sin beta t)``, and the exact x slot, in which ``x`` alone
+    decays at ``rate_b`` and which adds nothing to the trace.
+    ``setup(r, n)`` projects the columns onto ``(1, 0)`` and the unit axis
+    ``n``, and the rows onto the Bloch vector ``r`` and the axis, and
+    returns P(+1) of ``r`` itself, the x slot's ``nx x`` and ``nx^2``, and
+    the six coefficients of the state and of each collapse branch ``(1, +/-
+    n)``.  ``evaluate(point, t1, t2, t3)`` returns the eight numbers in
+    straight-line code.  By linearity ``exp(L g) (1, +/- n) = exp(L g) e0
+    +/- exp(L g) (0, n)``, so both collapse branches share the exponentials
+    of one time, and with ``t1 = 0`` the (1,2) gap is ``t2`` and shares them
     with the second measurement.  Each time costs two ``exp`` and one
-    cos/sin pair on floats.
+    cos/sin pair on floats.  The x slot's exact zeros are left out, not
+    multiplied: each is an exact zero added to a nonzero sum, so the floats
+    are those of the full four-slot arithmetic.
 
     A lift that ``_lift_modes`` refuses raises its
     ``DegenerateEvolutionError``.
     """
     (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
-    (ta, xa, ya, za), (tb, xb, yb, zb), (tu, xu, yu, zu), (tw, xw, yw, zw) = columns
-    (fa0, fax, fay, faz), (fb0, fbx, fby, fbz), (gu0, gux, guy, guz), (gw0, gwx, gwy, gwz) = rows
+    (ta, ya, za), (tu, yu, zu), (tw, yw, zw) = columns
+    (fa0, fay, faz), (gu0, guy, guz), (gw0, gwy, gwz) = rows
     exp, cos, sin = math.exp, math.cos, math.sin
 
     def setup(r, n):
         x, y, z = r
         nx, ny, nz = n
-        # axis projections of the columns
-        na, nb = nx * xa + ny * ya + nz * za, nx * xb + ny * yb + nz * zb
-        nu, nw = nx * xu + ny * yu + nz * zu, nx * xw + ny * yw + nz * zw
-        # row projections onto the state (k) and onto (0, n) (j)
-        ka, kb = fa0 + fax * x + fay * y + faz * z, fb0 + fbx * x + fby * y + fbz * z
-        ku, kw = gu0 + gux * x + guy * y + guz * z, gw0 + gwx * x + gwy * y + gwz * z
-        ja, jb = fax * nx + fay * ny + faz * nz, fbx * nx + fby * ny + fbz * nz
-        ju, jw = gux * nx + guy * ny + guz * nz, gwx * nx + gwy * ny + gwz * nz
-        # rows onto the collapse branches (1, +n) and (1, -n)
-        pa, pb, pu, pw = fa0 + ja, fb0 + jb, gu0 + ju, gw0 + jw
-        ma, mb, mu, mw = fa0 - ja, fb0 - jb, gu0 - ju, gw0 - jw
-        # (trace, axis) coefficients of the rates 0 and rate_b and of the
-        # rotation's cos and sin: the state (s), the + branch (p), the - branch (m)
-        s0, s1, sb0, sb1 = ta * ka, na * ka, tb * kb, nb * kb
-        sc0, ss0 = tu * ku + tw * kw, tu * kw - tw * ku
-        sc1, ss1 = nu * ku + nw * kw, nu * kw - nw * ku
-        p0, p1, pb0, pb1 = ta * pa, na * pa, tb * pb, nb * pb
-        pc0, ps0 = tu * pu + tw * pw, tu * pw - tw * pu
-        pc1, ps1 = nu * pu + nw * pw, nu * pw - nw * pu
-        m0, m1, mb0, mb1 = ta * ma, na * ma, tb * mb, nb * mb
-        mc0, ms0 = tu * mu + tw * mw, tu * mw - tw * mu
-        mc1, ms1 = nu * mu + nw * mw, nu * mw - nw * mu
+        # axis projections of the columns, row projections onto the state (k)
+        # and onto (0, n) (j), and rows onto the branches (1, +n) and (1, -n)
+        na, nu, nw = ny * ya + nz * za, ny * yu + nz * zu, ny * yw + nz * zw
+        ka, ku, kw = fa0 + fay * y + faz * z, gu0 + guy * y + guz * z, gw0 + gwy * y + gwz * z
+        ja, ju, jw = fay * ny + faz * nz, guy * ny + guz * nz, gwy * ny + gwz * nz
+        pa, pu, pw, ma, mu, mw = fa0 + ja, gu0 + ju, gw0 + jw, fa0 - ja, gu0 - ju, gw0 - jw
         # V V^-1 reproduces the state only to about cond(V) ulps, so a first
         # measurement at t = 0 reads the state itself
         at_zero = 0.5 * (1.0 + nx * x + ny * y + nz * z)
         at_zero = at_zero if 0.0 <= at_zero <= 1.0 else (1.0 if at_zero > 1.0 else 0.0)
+        # (trace, axis) coefficients of rate 0 and of the rotation's cos and
+        # sin: the state (s), the + branch (p), the - branch (m); the x slot
+        # adds nx x to the state's axis part and +/- nx^2 to the branches'
         return (
-            at_zero,
-            (s0, s1, sb0, sb1, sc0, ss0, sc1, ss1),
-            (p0, p1, pb0, pb1, pc0, ps0, pc1, ps1),
-            (m0, m1, mb0, mb1, mc0, ms0, mc1, ms1),
-        )
-
-    def transfer(plus, minus, eb, c, s):
-        """The conditional pair across a gap whose modes are ``(eb, c, s)``."""
-        p0, p1, pb0, pb1, pc0, ps0, pc1, ps1 = plus
-        m0, m1, mb0, mb1, mc0, ms0, mc1, ms1 = minus
-        r_plus = p0 + eb * pb0 + c * pc0 + s * ps0
-        r_minus = m0 + eb * mb0 + c * mc0 + s * ms0
-        qp = 0.5 * (1.0 + (p1 + eb * pb1 + c * pc1 + s * ps1) / r_plus)
-        qm = 0.5 * (1.0 + (m1 + eb * mb1 + c * mc1 + s * ms1) / r_minus)
-        return (
-            qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0),
-            qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0),
+            at_zero, nx * x, nx * nx,
+            ta * ka, na * ka, tu * ku + tw * kw, tu * kw - tw * ku,
+            nu * ku + nw * kw, nu * kw - nw * ku,
+            ta * pa, na * pa, tu * pu + tw * pw, tu * pw - tw * pu,
+            nu * pu + nw * pw, nu * pw - nw * pu,
+            ta * ma, na * ma, tu * mu + tw * mw, tu * mw - tw * mu,
+            nu * mu + nw * mw, nu * mw - nw * mu,
         )
 
     def evaluate(point, t1, t2, t3):
-        first1, (s0, s1, sb0, sb1, sc0, ss0, sc1, ss1), plus, minus = point
+        (
+            first1, sx, xx, s0, s1, sc0, ss0, sc1, ss1,
+            p0, p1, pc0, ps0, pc1, ps1, m0, m1, mc0, ms0, mc1, ms1,
+        ) = point
         # P(+1) at t1 (the state itself at t1 = 0) and at t2, from the modes
         # (eb, c, s) of each time
         if t1 != 0.0:
             ea = exp(alpha * t1)
             eb, c, s = exp(rate_b * t1), ea * cos(beta * t1), ea * sin(beta * t1)
-            r0 = s0 + eb * sb0 + c * sc0 + s * ss0
-            q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+            q = 0.5 * (1.0 + (s1 + eb * sx + c * sc1 + s * ss1) / (s0 + c * sc0 + s * ss0))
             first1 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
         ea = exp(alpha * t2)
         eb, c, s = exp(rate_b * t2), ea * cos(beta * t2), ea * sin(beta * t2)
-        r0 = s0 + eb * sb0 + c * sc0 + s * ss0
-        q = 0.5 * (1.0 + (s1 + eb * sb1 + c * sc1 + s * ss1) / r0)
+        q = 0.5 * (1.0 + (s1 + eb * sx + c * sc1 + s * ss1) / (s0 + c * sc0 + s * ss0))
         first2 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
         # conditional pairs across each gap; with t1 = 0 the (1,2) gap is t2
         # and keeps its modes
@@ -433,17 +416,24 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
             g = t2 - t1
             ea = exp(alpha * g)
             eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        plus12, minus12 = transfer(plus, minus, eb, c, s)
+        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
+        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+        plus12 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
+        minus12 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
         g = t3 - t2
         ea = exp(alpha * g)
-        plus23, minus23 = transfer(
-            plus, minus, exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        )
+        eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
+        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
+        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+        plus23 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
+        minus23 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
         g = t3 - t1
         ea = exp(alpha * g)
-        plus13, minus13 = transfer(
-            plus, minus, exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        )
+        eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
+        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
+        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+        plus13 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
+        minus13 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
         return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
 
     return setup, evaluate
@@ -553,17 +543,20 @@ def _k3_result(run, t1: float, t2: float, t3: float, kappa: float) -> LgiResult:
 class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
-    Building the engine binds its routes once, each the ``(setup,
-    evaluate)`` pair of a frame, with the frame's own setup (with noise, the
+    Building the engine refuses a kappa that :func:`nhlgi.dynamics._check_kappa`
+    refuses, and binds its routes once, each the ``(setup, evaluate)`` pair
+    of a frame, with the frame's own setup (with noise, the
     eigendecomposition of the lift and its real modal form).  None
     validates; the scans call them per point.
 
-    - ``_circle_route``, at ``kappa = 0`` only (None otherwise): the circle
-      frame, for a spinor and an axis on the invariant circle, given as the
-      floats :func:`_circle_coordinates` takes from them;
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
       frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame of
       the noiseless density flow, with collapse states ``+/- n``;
+    - ``_circle_route`` for a spinor and an axis on the invariant circle,
+      given as the floats :func:`_circle_coordinates` takes from them: the
+      circle frame at ``kappa = 0``, and under noise the Bloch route fed
+      ``(0, 2 u v, u^2 - v^2)`` and ``(0, ny, nz)``, the floats the spinor
+      route computes for ``(u, i v)``;
     - ``_spinor_route`` for any other spinor: the Bloch route, whose
       ``setup`` is given the spinor's Bloch vector.
 
@@ -572,9 +565,8 @@ class CorrelatorEngine:
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
-        circle_route = None
+        _check_kappa(kappa)
         if kappa == 0.0:
-            circle_route = _circle_frame(h)
             bloch_route = _propagating_frame(
                 _density_propagator(h), _bloch_born, _bloch_collapse
             )
@@ -586,20 +578,27 @@ class CorrelatorEngine:
             x, y, z = _spinor_bloch(psi)
             return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
 
-        self._circle_route = circle_route
+        def noisy_circle_setup(state, axis):
+            u, v = state
+            ny, nz = axis
+            return bloch_setup((0.0, 2.0 * (u * v), u * u - v * v), (0.0, ny, nz))
+
+        self._circle_route = (
+            _circle_frame(h) if kappa == 0.0 else (noisy_circle_setup, evaluate)
+        )
         self._spinor_route, self._bloch_route = (spinor_setup, evaluate), bloch_route
         self.kappa = float(kappa)
 
     def _pure_point(self, psi, n):
         """``(evaluate, point)`` of a spinor and a unit axis, unvalidated: the
-        circle route when both lie on the invariant circle at ``kappa = 0``
-        (see :func:`_circle_coordinates`), else the spinor route, which
-        evaluates the spinor's Bloch vector on the Bloch route."""
-        if self._circle_route is not None:
-            circle = _circle_coordinates(psi, n)
-            if circle is not None:
-                setup, evaluate = self._circle_route
-                return evaluate, setup(*circle)
+        circle route when both lie on the invariant circle (see
+        :func:`_circle_coordinates`), else the spinor route, which evaluates
+        the spinor's Bloch vector on the Bloch route.  Under noise the two
+        give the same floats on the circle, so the dispatch moves no value."""
+        circle = _circle_coordinates(psi, n)
+        if circle is not None:
+            setup, evaluate = self._circle_route
+            return evaluate, setup(*circle)
         setup, evaluate = self._spinor_route
         return evaluate, setup(psi, n)
 

@@ -22,19 +22,19 @@ visited point: the K3 objective calls the route of
 :class:`nhlgi.lgi.CorrelatorEngine` that the engine's public calls take for
 the same state and axis, and the speed objective the route of
 :func:`nhlgi.dynamics.speed`, which the public API validates and calls, so
-an argmax re-evaluates through it to the reported float.  At ``kappa = 0``
-every search point lies on the invariant circle, so that is the engine's
-real circle route, fed the same floats without building a spinor; under
-noise it is the spinor route, which hands the state's Bloch vector to the
-noisy frame.  Each route is two plain functions on floats, one setting up
+an argmax re-evaluates through it to the reported float.  Every search
+point lies on the invariant circle, so at every kappa that is the engine's
+circle route, fed the same floats without building a spinor: the real
+circle frame at ``kappa = 0``, the noisy frame on the state's Bloch vector
+under noise.  The route is two plain functions on floats, one setting up
 the state and axis and one evaluating the three times, and the objective
 forms the three correlators without building a closure or a joint table
 per point.  This module keeps no copy of any route's arithmetic.  Runs
 are reproducible: one master seed drives the hypercube and all restarts,
 the restarts share what the seeding pass leaves of the budget in equal
-parts fixed up front, and they run one after another in a fixed order.  No run spends more than its budget, which must be an
-integer, as the seed must be a non-negative one; anything else is refused
-by name before any work.
+parts fixed up front, and they run one after another in a fixed order.  No
+run spends more than its budget, which must be an integer, as the seed must
+be a non-negative one; anything else is refused by name before any work.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NHHamiltonian, _bloch_axis, _bloch_state, _speed_route
+from .dynamics import NHHamiltonian, _bloch_state, _speed_route
 from .lgi import CorrelatorEngine, _correlators
 
 __all__ = [
@@ -434,37 +434,24 @@ def _k3_objective(theta: float, kappa: float):
     Every point runs the route :class:`nhlgi.lgi.CorrelatorEngine` takes for
     the state and the axis the public API builds from the same angles, on
     the same floats, so ``engine.k3`` re-evaluates any point to the same
-    float.  At ``kappa = 0`` both lie on the invariant circle, so that is the
-    engine's real circle route: the state ``(cos(theta_s/2), +/- i
+    float.  Both lie on the invariant circle, so at every kappa that is the
+    engine's circle route: the state ``(cos(theta_s/2), +/- i
     sin(theta_s/2))`` enters as its two real parts and the axis ``(0, sin
     theta_q, cos theta_q)`` as its last two, with no complex spinor built.
-    Under noise it is the spinor route, whose setup takes the state's Bloch
-    vector.  Either route is two plain functions on floats, with no closure
-    or joint table per point.  Near the corner K3 resolves the last ulp of
-    the state and of the axis eigenbasis, so no other route would do.
+    The route is two plain functions on floats, with no closure or joint
+    table per point.  Near the corner K3 resolves the last ulp of the state
+    and of the axis eigenbasis, so no other route would do.
     """
-    engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
-    if kappa == 0.0:
-        setup, evaluate = engine._circle_route
-        cos, sin = math.cos, math.sin
-
-        def objective(x):
-            theta_s, phi_s, theta_q, _, _, g1, g2 = _planar_point(x)
-            half = 0.5 * theta_s
-            v = sin(half)
-            point = setup(
-                (cos(half), v if phi_s < math.pi else -v), (sin(theta_q), cos(theta_q))
-            )
-            c12, c23, c13 = _correlators(evaluate(point, 0.0, g1, g1 + g2))
-            return c12 + c23 - c13
-
-        return objective
-
-    setup, evaluate = engine._spinor_route
+    setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._circle_route
+    cos, sin = math.cos, math.sin
 
     def objective(x):
-        theta_s, phi_s, theta_q, phi_q, _, g1, g2 = _planar_point(x)
-        point = setup(_bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q))
+        theta_s, phi_s, theta_q, _, _, g1, g2 = _planar_point(x)
+        half = 0.5 * theta_s
+        v = sin(half)
+        point = setup(
+            (cos(half), v if phi_s < math.pi else -v), (sin(theta_q), cos(theta_q))
+        )
         c12, c23, c13 = _correlators(evaluate(point, 0.0, g1, g1 + g2))
         return c12 + c23 - c13
 
@@ -624,6 +611,8 @@ def k3max_vs_noise(
     if len(grid) == 0:
         raise ScanConfigError("kappa grid is empty")
     for kappa in grid:
+        if isinstance(kappa, (bool, np.bool_)):
+            raise ScanConfigError(f"kappa must be a float, not the bool {kappa!r} in grid")
         if not math.isfinite(kappa) or kappa < 0.0:
             raise ScanConfigError(f"invalid kappa {kappa!r} in grid")
 

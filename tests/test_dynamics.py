@@ -635,6 +635,27 @@ def test_theta_domain_is_one_contract(entry, theta):
         _THETA_ENTRIES[entry](theta)
 
 
+_KAPPA_ENTRIES = {
+    "_noisy_propagator": lambda kappa: nhlgi.dynamics._noisy_propagator(
+        NHHamiltonian.canonical(0.3), kappa
+    ),
+    "evolve_density_noisy": lambda kappa: evolve_density_noisy(
+        NHHamiltonian.canonical(0.3), projector(up_y()), kappa, 0.3
+    ),
+    "integrate_bloch": lambda kappa: integrate_bloch(
+        bloch_of_pure(up_y()), NHHamiltonian.canonical(0.3), kappa, [0.0, 0.3]
+    ),
+}
+
+
+@pytest.mark.parametrize("kappa", [True, False, np.True_])
+@pytest.mark.parametrize("entry", sorted(_KAPPA_ENTRIES))
+def test_bool_kappa_is_refused_by_name(entry, kappa):
+    # operator-wise True is 1 and False 0, both valid rates
+    with pytest.raises(ValueError, match="^kappa must be a float, not the bool"):
+        _KAPPA_ENTRIES[entry](kappa)
+
+
 @pytest.mark.parametrize("t, at", [([0.0, 0.3, 0.7], 0.7), ([], 0.0)])
 @pytest.mark.parametrize("route", ["integrate_bloch", "evolve_density_noisy"])
 def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):

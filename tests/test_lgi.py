@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -765,12 +766,19 @@ class TestCircleFrame:
         assert worst <= 1e-14
 
     def test_dispatch(self):
-        # circle inputs take the circle frame: the search's states, up_y (the
+        # circle inputs take the circle route: the search's states, up_y (the
         # form (i u, v)) and the canonical axis; a state or an axis an angle of
-        # 1e-12 off the circle, or any state under noise, takes the Bloch route
+        # 1e-12 off the circle takes the Bloch route, at kappa = 0 and under
+        # noise, where the circle route feeds the Bloch route's evaluate
         h = NHHamiltonian.canonical(1.2)
         engine, noisy = CorrelatorEngine(h), CorrelatorEngine(h, kappa=0.1)
         circle, bloch = engine._circle_route[1], engine._bloch_route[1]
+        assert noisy._circle_route[1] is noisy._bloch_route[1]
+        circle_setup, calls = noisy._circle_route[0], []
+        noisy._circle_route = (
+            lambda *args: calls.append(args) or circle_setup(*args),
+            noisy._circle_route[1],
+        )
         on = Observable.from_angles(0.7, 0.5 * math.pi)
         off = Observable.from_angles(0.7, 0.5 * math.pi + 1e-12)
         for psi, q, route in [
@@ -782,9 +790,93 @@ class TestCircleFrame:
             (np.exp(0.3j) * up_y(), Observable.canonical(), bloch),
         ]:
             assert engine._protocol_inputs(psi, q).func is route
-        assert noisy._circle_route is None
-        run = noisy._protocol_inputs(up_y(), Observable.canonical())
-        assert run.func is noisy._bloch_route[1]
+            calls.clear()
+            assert noisy._protocol_inputs(psi, q).func is noisy._bloch_route[1]
+            assert len(calls) == (route is circle)
+
+
+CLOSURE_KAPPAS = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5]
+
+
+@pytest.mark.parametrize("theta", CLOSURE_THETAS)
+def test_lift_modes_decouple_x_exactly(theta):
+    # eig balances the lift, whose x row and column are -2 kappa and zeros,
+    # so the x slot comes back as the exact unit vector (0, 1, 0, 0) in V and
+    # V^-1, at exactly -2 kappa, and every other slot has an x entry of
+    # exactly zero; the three slots of _lift_modes are eig's own floats on
+    # (trace, y, z)
+    h = NHHamiltonian.canonical(theta)
+    keep = [0, 2, 3]
+    for kappa in CLOSURE_KAPPAS:
+        lift = _bloch_lift(h, kappa)
+        lam, v = np.linalg.eig(np.array([lift(*e) for e in np.eye(4).tolist()]).T)
+        v_inv = np.linalg.inv(v)
+        (b,) = np.flatnonzero(v[1])
+        others = [k for k in range(4) if k != b]
+        assert v[:, b].tolist() == v_inv[b].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert not v[1, others].any() and not v_inv[others, 1].any()
+        assert lam[b] == -2.0 * kappa
+        (a,) = [k for k in others if lam[k].imag == 0.0]
+        (p,) = [k for k in others if lam[k].imag > 0.0]
+        (rate_b, _, _), columns, rows = dynamics._lift_modes(h, kappa)
+        assert rate_b == lam[b].real - lam[a].real
+        assert columns == tuple(
+            tuple(c.tolist()) for c in (v[keep, a].real, v[keep, p].real, v[keep, p].imag)
+        )
+        assert rows[0] == tuple(v_inv[a, keep].real.tolist())
+
+
+@pytest.mark.parametrize("entry", ["unit", "x_slot_y", "other_slot_x"])
+@pytest.mark.parametrize("route", [_noisy_frame, dynamics._noisy_propagator])
+def test_lift_off_the_exact_x_slot_is_refused(route, entry, monkeypatch):
+    # one ulp off in V keeps the residual check passing, so only the x slot
+    # check can refuse: the unit entry, a zero of the x slot's column, or
+    # the x entry of another slot
+    eig = np.linalg.eig
+
+    def nudged(matrix):
+        lam, v = eig(matrix)
+        (b,) = np.flatnonzero(v[1])
+        row, col = {"unit": (1, b), "x_slot_y": (2, b), "other_slot_x": (1, (b + 1) % 4)}[entry]
+        v[row, col] = np.nextafter(v[row, col].real, 2.0)
+        return lam, v
+
+    monkeypatch.setattr(np.linalg, "eig", nudged)
+    with pytest.raises(DegenerateEvolutionError, match="does not decouple x exactly"):
+        route(NHHamiltonian.canonical(0.7), 0.1)
+
+
+@pytest.mark.parametrize("theta", CLOSURE_THETAS)
+def test_noisy_circle_route_is_the_spinor_route(theta):
+    # on the invariant circle the noisy engine's circle route gives the
+    # spinor route's eight numbers bit for bit: both spinor forms (u, i v)
+    # and (i u, v), both signs of u and v, the quarter turns (u or v zero, or
+    # u = +/- v) and axes with ny = +/-1 or nz = +/-1
+    h = NHHamiltonian.canonical(theta)
+    rng = np.random.default_rng(2027)
+    half = math.sqrt(0.5)
+    states = [(1.0, 0.0), (0.0, 1.0), (half, half)] + [
+        (math.cos(0.5 * a), math.sin(0.5 * a)) for a in rng.uniform(0.0, math.pi, 4).tolist()
+    ]
+    axes = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)] + [
+        (math.sin(b), math.cos(b)) for b in rng.uniform(0.0, math.pi, 3).tolist()
+    ]
+    log_floor = math.log(GAP_FLOOR)
+    for kappa in CLOSURE_KAPPAS:
+        engine = CorrelatorEngine(h, kappa)
+        circle_setup, evaluate = engine._circle_route
+        spinor_setup, spinor_evaluate = engine._spinor_route
+        for k, ((u0, v0), (ny, nz)) in enumerate(itertools.product(states, axes)):
+            g1, g2 = np.exp(rng.uniform(log_floor, math.log(math.pi), size=2)).tolist()
+            t1 = 0.0 if k % 2 else g2
+            times = (t1, t1 + g1, t1 + g1 + g2)
+            for u, v in itertools.product((u0, -u0), (v0, -v0)):
+                got = [p.hex() for p in evaluate(circle_setup((u, v), (ny, nz)), *times)]
+                forms = (complex(u, 0.0), complex(0.0, v)), (complex(0.0, u), complex(-v, 0.0))
+                for psi in forms:
+                    assert lgi._circle_coordinates(psi, (0.0, ny, nz)) == ((u, v), (ny, nz))
+                    point = spinor_setup(psi, (0.0, ny, nz))
+                    assert [p.hex() for p in spinor_evaluate(point, *times)] == got
 
 
 class TestQuarterSpacing:
@@ -1079,5 +1171,9 @@ class TestValidation:
         h = NHHamiltonian.canonical(0.5)
         with pytest.raises(ValueError):
             CorrelatorEngine(h, kappa=-0.1)
+        # True used to run at kappa = 1 and False to build a pure engine
+        for value in (True, False, np.True_):
+            with pytest.raises(ValueError, match="^kappa must be a float, not the bool"):
+                CorrelatorEngine(h, value)
         with pytest.raises(ValueError):
             CorrelatorEngine(h).joint_table([1.0, 1.0], Observable.canonical(), 0.0, 1.0)

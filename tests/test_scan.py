@@ -216,8 +216,8 @@ def _k3_reference(theta, kappa):
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
     ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
     the plane, on the route the engine's public calls take for the state
-    and the axis (at kappa = 0 the circle route on the plane and, off it,
-    the noiseless density flow on the state's Bloch vector)."""
+    and the axis (the circle route on the plane and, off it, the Bloch
+    route on the state's Bloch vector)."""
     engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
 
     def objective(x):
@@ -309,7 +309,7 @@ class TestMaximizeK3:
             _assert_objective_matches_engine(theta, 0.0)
 
     def test_noisy_objective_matches_engine(self):
-        # under noise the spinor route runs the noisy frame on Bloch vectors
+        # under noise the circle route runs the noisy frame on Bloch vectors
         _assert_objective_matches_engine(1.1, 0.3)
 
     @pytest.mark.parametrize("theta", [1.2, math.pi / 2 - 1e-5])
@@ -569,10 +569,11 @@ class TestNoiseSeries:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_corner_argmax_reevaluates_exactly(self, seed):
-        # the search builds the state's Bloch vector from its spinor, as the
-        # engine does, so the re-evaluation is bit for bit; built from the
-        # Bloch angles it differs in the last ulp, which moved K3 by up to
-        # 4.4e-16 in half of these argmaxes
+        # the search feeds the engine's circle route the state's real parts,
+        # which form its Bloch vector as the spinor route does, so the
+        # re-evaluation is bit for bit; built from the Bloch angles it
+        # differs in the last ulp, which moved K3 by up to 4.4e-16 in half of
+        # these argmaxes
         theta = math.pi / 2 - 1e-3
         results = k3max_vs_noise(
             theta, (1e-5, 1e-4, 1e-3), budget=2000, seed=seed
@@ -621,6 +622,14 @@ class TestNoiseSeries:
             k3max_vs_noise(0.9, kappa_grid=(0.0, -1.0), budget=2000)
         with pytest.raises(ScanConfigError):
             k3max_vs_noise(0.9, kappa_grid=(0.0, math.inf), budget=2000)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_kappa_is_refused_by_name(self, value):
+        # True used to run at kappa = 1 and come back as ScanResult.kappa True
+        with pytest.raises(ScanConfigError, match="^kappa must be a float, not the bool"):
+            k3max_vs_noise(0.9, kappa_grid=(0.0, value), budget=2000)
+        with pytest.raises(ValueError, match="^kappa must be a float, not the bool"):
+            maximize_k3(0.9, kappa=value, budget=2000)
 
 
 class TestPlane:
