@@ -21,15 +21,13 @@ from .dynamics import (
     NHHamiltonian,
     StiffnessError,
     Trajectory,
+    _circle_flow,
+    _circle_state,
     _noisy_propagator,
-    _spinor_angle,
-    _spinor_bloch,
-    abn_frame,
     bloch_of_pure,
     down_y,
     down_z,
-    pure_propagator,
-    speed,
+    speed,  # not called here: perfbench's tracer test reads ``nhlgi.cli.speed``
     speed_closed_form,
     up_y,
     up_z,
@@ -119,9 +117,25 @@ def _spacings(args) -> list[float]:
     return spacings
 
 
-def _spinor(psi) -> tuple[complex, complex]:
-    """A validated state as a pair of plain complex scalars."""
-    return tuple(validate_pure(psi).tolist())
+def _circle_point(psi) -> tuple[float, float]:
+    """``(p, m)`` of a validated start state on the invariant circle, the
+    coordinates of :func:`nhlgi.dynamics._circle_flow`."""
+    u, v = _circle_state(validate_pure(psi).tolist())
+    return u + v, u - v
+
+
+def _circle_bloch(p: float, m: float) -> tuple[float, float, float]:
+    """The Bloch vector ``(0, (p^2 - m^2)/2n, p m/n)``, ``n = p^2 + m^2``, of
+    a circle state ``(p, m)``."""
+    n = p * p + m * m
+    return 0.0, (p * p - m * m) / (2.0 * n), p * m / n
+
+
+def _circle_angle(a, b) -> float:
+    """Geodesic angle between circle states ``(p1, m1)`` and ``(p2, m2)``,
+    from its sine and cosine up to one positive factor."""
+    (p1, m1), (p2, m2) = a, b
+    return math.atan2(abs(p1 * m2 - m1 * p2), abs(p1 * p2 + m1 * m2))
 
 
 def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
@@ -184,13 +198,14 @@ def _resolve_theta(args) -> float:
 
 def _cmd_trajectory(args) -> int:
     """The Bloch trajectory from ``up_y``, each row from an exact propagator:
-    the pure flow at ``kappa = 0`` and the modal form of the noisy lift at
-    ``kappa > 0`` (which refuses a negative or non-finite kappa)."""
+    the real circle flow at ``kappa = 0`` and the modal form of the noisy
+    lift at ``kappa > 0`` (which refuses a negative or non-finite kappa)."""
     h = NHHamiltonian.canonical(args.theta)
     grid = _time_grid(args.tmax, args.step)
     if args.kappa == 0.0:
-        propagate, start = pure_propagator(h), _spinor(up_y())
-        rows = [_spinor_bloch(propagate(t, start)) for t in grid.tolist()]
+        _, propagate = _circle_flow(h)
+        start = _circle_point(up_y())
+        rows = [_circle_bloch(*propagate(t, start)) for t in grid.tolist()]
     else:
         propagate = _noisy_propagator(h, args.kappa)
         start = tuple(2.0 * s for s in bloch_of_pure(up_y()).tolist())
@@ -229,28 +244,24 @@ def _cmd_distance(args) -> int:
         # cos(theta) turns sec into 1, and the two basis states of the
         # measurement register are tracked instead of up_y.  For pure states
         # the trace distance 0.5 tr|rho_a - rho_b| is |S_a - S_b|.
-        start_a, start_b = _spinor(up_z()), _spinor(down_z())
+        start_a, start_b = _circle_point(up_z()), _circle_point(down_z())
         for theta in args.theta:
-            propagate = pure_propagator(
+            _, propagate = _circle_flow(
                 NHHamiltonian.canonical(theta, scale=math.cos(theta))
             )
             for t in grid:
-                psi_a, psi_b = propagate(t, start_a), propagate(t, start_b)
-                rows_delta.append(_spinor_angle(psi_a, psi_b))
-                rows_last.append(
-                    min(1.0, math.dist(_spinor_bloch(psi_a), _spinor_bloch(psi_b)))
-                )
+                a, b = propagate(t, start_a), propagate(t, start_b)
+                rows_delta.append(_circle_angle(a, b))
+                rows_last.append(min(1.0, math.dist(_circle_bloch(*a), _circle_bloch(*b))))
         last, mode = "trace_d", "rescaled"
     else:
-        start, target = _spinor(up_y()), _spinor(down_y())
-        nx, ny, nz = abn_frame()[2].tolist()
+        start, target = _circle_point(up_y()), _circle_point(down_y())
         for theta in args.theta:
-            propagate = pure_propagator(NHHamiltonian.canonical(theta))
+            _, propagate = _circle_flow(NHHamiltonian.canonical(theta))
             for t in grid:
-                psi_t = propagate(t, start)
-                sx, sy, sz = _spinor_bloch(psi_t)
-                rows_delta.append(_spinor_angle(psi_t, target))
-                rows_last.append(sx * nx + sy * ny + sz * nz)
+                state = propagate(t, start)
+                rows_delta.append(_circle_angle(state, target))
+                rows_last.append(_circle_bloch(*state)[1])  # the frame's n is y
         last, mode = "s_n", "direct"
     columns = {
         "theta": [theta for theta in args.theta for _ in grid],
@@ -266,18 +277,21 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_speed(args) -> int:
+    """``|dS/dt|^2 = (w (K p^2 + m^2/K) / (p^2 + m^2))^2`` along the circle flow."""
     grid = _time_grid(args.tmax, args.step)
     times = grid.tolist()
+    start = _circle_point(up_y())
     rows_theta, rows_t, rows_v, rows_vcf = [], [], [], []
     for theta in args.theta:
-        h = NHHamiltonian.canonical(theta)
-        psi0 = up_y()
-        vcf = np.atleast_1d(speed_closed_form(theta, grid)).tolist()
-        for t, v_closed in zip(times, vcf):
-            rows_theta.append(theta)
-            rows_t.append(t)
-            rows_v.append(speed(h, psi0, t))
-            rows_vcf.append(v_closed)
+        (w, k, rk), propagate = _circle_flow(NHHamiltonian.canonical(theta))
+        for t in times:
+            p, m = propagate(t, start)
+            pp, mm = p * p, m * m
+            rate = w * (k * pp + mm * rk) / (pp + mm)
+            rows_v.append(rate * rate)
+        rows_theta += [theta] * len(times)
+        rows_t += times
+        rows_vcf += np.atleast_1d(speed_closed_form(theta, grid)).tolist()
     metadata = _header(
         args, theta=_joined(args.theta), tmax=args.tmax, step=args.step, initial_state="up_y"
     )
@@ -376,14 +390,16 @@ def _cmd_embed(args) -> int:
     theta = _resolve_theta(args)
     spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
-    propagate = pure_propagator(h)
+    _, propagate = _circle_flow(h)
     engine = CorrelatorEngine(h)
     q = Observable.canonical()
     psi0 = up_y()
-    start = _spinor(psi0)
+    start = _circle_point(psi0)
     rows = {name: [] for name in ("t", "fidelity", "p_select", "k3_direct", "k3_embedded")}
     for t in spacings:
-        direct = propagate(t, start)
+        p, m = propagate(t, start)  # the state (u, i v) is (p + m, i (p - m))/2
+        norm = math.sqrt(2.0 * (p * p + m * m))
+        direct = ((p + m) / norm, 1j * (p - m) / norm)
         emb, p_sel = evolve_and_postselect(theta, psi0, t)
         rows["t"].append(t)
         rows["fidelity"].append(abs(complex(np.vdot(direct, emb))) ** 2)

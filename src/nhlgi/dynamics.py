@@ -31,15 +31,15 @@ evaluated exactly from the equation of motion above.
 
 Each formula is written once, as a kernel on plain scalars that the scans,
 the protocol and the CLI call per point: the pure flow
-(:func:`pure_propagator`), the density lift (``_bloch_lift``,
+(:func:`pure_propagator`) and its real form on the invariant y-z circle
+(``_circle_state``, ``_circle_flow``), the density lift (``_bloch_lift``,
 ``_density_propagator``) and its real modal form with noise
 (``_lift_modes``, ``_noisy_propagator``), the Bloch equation
-(``_bloch_rhs``) and the speed bound to one Hamiltonian (``_speed_route``,
-cached per Hamiltonian for :func:`speed`), the geodesic angle
-(``_spinor_angle``), the Bloch vectors of spinors and density matrices
-(``_spinor_bloch``, ``_density_bloch``), the Bloch-angle maps
-(``_bloch_state``, ``_bloch_axis``) and the eigenbasis of a measurement
-axis (``_axis_basis``).  The public numpy functions validate once and call
+(``_bloch_rhs``) and the speed bound to one Hamiltonian (``_speed_route``),
+the Bloch vectors of spinors and density matrices (``_spinor_bloch``,
+``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
+``_bloch_axis``) and the eigenbasis of a measurement axis
+(``_axis_basis``).  The public numpy functions validate once and call
 them.
 
 Each input contract that more than one public call makes is checked by one
@@ -48,13 +48,12 @@ private owner here, which every module calls: the working point
 (``_check_kappa``), finite times (``_check_finite_times``, and
 ``_finite_times`` for arrays) and the Bloch ball (``_check_bloch``).  The
 adaptive Runge-Kutta run and its :class:`StiffnessError` live in ``_rk45``.
-:class:`NHHamiltonian` is two floats, ``(theta, scale)``; its matrix, its
-scaled vectors ``(scale a, scale b)`` and its ``omega`` are built from them.
+:class:`NHHamiltonian` is two floats, ``(theta, scale)``; its matrix and its
+scaled vectors ``(scale a, scale b)`` are built from them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,13 +196,9 @@ def validate_pure(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (2,):
         raise ValueError(f"expected a 2-component state vector, got shape {psi.shape}")
-    a, b = psi.tolist()
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+    if not np.all(np.isfinite(psi)):
         raise ValueError("non-finite state vector")
-    # Plain-float checks: this runs on every public call, and per row of
-    # ``nhlgi speed``.  The sum order is numpy's (real parts, then imaginary).
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    norm = math.sqrt((ar * ar + br * br) + (ai * ai + bi * bi))
+    norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state vector is not normalised (norm {norm!r})")
     return psi
@@ -311,11 +306,11 @@ class NHHamiltonian:
     ``scale``; a bool for either is refused.
 
     The member is the two floats ``(theta, scale)``.  ``sec(theta)`` and
-    ``tan(theta)`` are computed once at construction, and ``matrix``,
-    ``_scaled`` and ``omega`` are built from them.  Matching against
-    ``scale * (a - i b) . sigma`` gives ``a = sec(theta) x`` and ``b =
-    -tan(theta) z``; ``a . b = 0`` and ``|a| > |b|``, so the spectrum is the
-    real ``+/- omega`` with ``omega = scale * sqrt(sec^2 - tan^2)``.
+    ``tan(theta)`` are computed once at construction, and ``matrix`` and
+    ``_scaled`` are built from them.  Matching against ``scale * (a - i b) .
+    sigma`` gives ``a = sec(theta) x`` and ``b = -tan(theta) z``; ``a . b =
+    0`` and ``|a| > |b|``, so the spectrum is the real ``+/- omega`` with
+    ``omega = scale * sqrt(sec^2 - tan^2) = scale``.
     ``scale`` is a plain multiplicative rescaling of the operator (``nhlgi
     distance --rescaled`` passes ``cos theta``, to compare members at equal
     Hermitian-part strength).
@@ -356,15 +351,10 @@ class NHHamiltonian:
         )
 
     @cached_property
-    def _speed(self):
-        """The ``route(t, psi)`` of :func:`_speed_route`, built once per
-        Hamiltonian: :func:`speed` is called once per row of ``nhlgi speed``."""
-        return _speed_route(self)
-
-    @cached_property
     def omega(self) -> float:
-        """Half the (real) spectral gap, ``scale * sqrt(sec^2 - tan^2)``."""
-        return float(self.scale) * math.sqrt(self._sec * self._sec - self._tan * self._tan)
+        """Half the (real) spectral gap: exactly ``scale``, since ``sec^2 -
+        tan^2 = 1``, which the rounded sec and tan lose near the corner."""
+        return float(self.scale)
 
     def propagator(self, t: float) -> np.ndarray:
         """Exact ``exp(-i H t)``.
@@ -428,6 +418,42 @@ def pure_propagator(h: NHHamiltonian):
         return x / n, y / n
 
     return propagate
+
+
+def _circle_state(psi) -> tuple[float, float] | None:
+    """``(u, v)`` of a spinor ``(u, i v)`` or ``(i u, v) = i (u, -i v)`` on
+    the invariant y-z circle, or None.  Each component's other part must be
+    exactly zero, as :func:`state_from_bloch_angles` leaves at ``phi = pi/2``
+    and ``3 pi/2``."""
+    a, b = psi
+    if a.imag == 0.0 and b.real == 0.0:
+        return a.real, b.imag
+    if a.real == 0.0 and b.imag == 0.0:
+        return a.imag, -b.real
+    return None
+
+
+def _circle_flow(h: NHHamiltonian):
+    """The pure flow of ``h`` on the invariant y-z circle: ``((w, K, 1/K),
+    propagate)``, in real arithmetic.
+
+    In ``p = u + v``, ``m = u - v`` of a state ``(u, i v)``, ``exp(-i H t)``
+    is ``propagate(t, (p, m)) = (c p - s m/K, c m + s K p)``, ``c, s = cos(w
+    t), sin(w t)``, with ``w = scale``, ``K = (1 + sin theta)/cos theta`` and
+    ``1/K = cos theta/(1 + sin theta)`` from the double theta: no rounded
+    sec, tan or omega, so the map stays exact at the corner.  (In ``(u, v)``
+    it has the rounded sec and tan again.)  The state is not normalised.
+    """
+    w = float(h.scale)
+    sin_t, cos_t = math.sin(h.theta), math.cos(h.theta)
+    k, rk = (1.0 + sin_t) / cos_t, cos_t / (1.0 + sin_t)
+
+    def propagate(t, pm):
+        p, m = pm
+        c, s = math.cos(w * t), math.sin(w * t)
+        return c * p - s * (m * rk), c * m + s * (k * p)
+
+    return (w, k, rk), propagate
 
 
 def _bloch_lift(h: NHHamiltonian, kappa: float):
@@ -962,17 +988,12 @@ def analytic_SB_Sn(theta: float, t):
 
 
 def geodesic_distance(psi, phi) -> float:
-    """Fubini-Study angle ``arccos |<psi|phi>|`` between normalised states."""
-    return _spinor_angle(validate_pure(psi).tolist(), validate_pure(phi).tolist())
-
-
-def _spinor_angle(psi, phi) -> float:
-    """:func:`geodesic_distance` of spinors of plain complex scalars.
+    """Fubini-Study angle ``arccos |<psi|phi>|`` between normalised states.
 
     ``|<psi|phi>|`` and ``|psi0 phi1 - psi1 phi0|`` are the angle's cosine and
     sine; their ``atan2`` keeps the digits that ``arccos`` loses near 0.
     """
-    (a, b), (c, d) = psi, phi
+    (a, b), (c, d) = validate_pure(psi).tolist(), validate_pure(phi).tolist()
     overlap = a.conjugate() * c + b.conjugate() * d
     return math.atan2(abs(a * d - b * c), abs(overlap))
 
@@ -1009,7 +1030,7 @@ def speed(h: NHHamiltonian, psi0, t: float) -> float:
     """
     psi0 = validate_pure(psi0)
     _check_finite_times(t=t)
-    return h._speed(t, psi0.tolist())
+    return _speed_route(h)(t, psi0.tolist())
 
 
 def speed_closed_form(theta: float, t) -> float | np.ndarray:

@@ -33,12 +33,11 @@ floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
 numbers.  No frame builds a function per point.  There are three:
 
 - pure states at ``kappa = 0`` on the invariant y-z great circle, with an
-  axis in its plane (:func:`_circle_frame`): the spinor ``(u, i v)`` and the
-  propagator are real in the axis eigenbasis, built from ``cos theta`` and
-  ``sin theta`` of the double theta without cancellation and with omega = 1
-  exact, so the frame stays accurate at the corner.  ``evaluate`` runs the
-  three times in straight-line code, where both conditionals are column
-  ratios of the propagator, so no collapse branch is propagated;
+  axis in its plane (:func:`_circle_frame`): the real circle flow of
+  :func:`nhlgi.dynamics._circle_flow`, rotated into the axis eigenbasis, so
+  the frame stays accurate at the corner.  ``evaluate`` runs the three times
+  in straight-line code, where both conditionals are column ratios of the
+  propagator, so no collapse branch is propagated;
 - any state under noise (``kappa > 0``) as a Bloch vector, with the exact
   solution of the linear lift of the depolarising flow in its real modal
   form (three slots over ``(trace, y, z)`` and the exactly decoupled x
@@ -87,6 +86,8 @@ from .dynamics import (
     _check_finite_times,
     _check_kappa,
     _check_theta,
+    _circle_flow,
+    _circle_state,
     _density_bloch,
     _density_propagator,
     _lift_modes,
@@ -232,30 +233,24 @@ def _circle_frame(h: NHHamiltonian):
 
     Returns ``(setup, evaluate)`` on plain floats, with no complex number and
     no closure per point.  A spinor ``(u, i v)`` with real ``u`` and ``v``
-    (``(i u, v)`` is the same state up to a phase) has its Bloch vector on
-    the circle, and so has an axis ``(0, ny, nz)``.  In the coordinates ``p =
-    (u + v)/sqrt 2``, ``m = (u - v)/sqrt 2`` the propagator is the real map
-    ``cos(w t) I + sin(w t) [[0, -1/K], [K, 0]]``, with ``K = (1 + sin
-    theta)/cos theta`` and ``1/K = cos theta/(1 + sin theta)``.  Both come
-    from the double theta with no cancellation, and ``w = scale``, so omega =
-    1 is exact at unit scale: no rounded ``sec theta``, ``tan theta`` or
-    omega enters.
+    has its Bloch vector on the circle, and so has an axis ``(0, ny, nz)``.
+    In ``p = u + v``, ``m = u - v`` the propagator is the real map ``cos(w t)
+    I + sin(w t) [[0, -1/K], [K, 0]]`` of :func:`nhlgi.dynamics._circle_flow`,
+    whose ``w``, ``K`` and ``1/K`` the frame reads.
 
     ``setup((u, v), (ny, nz))`` rotates the state and the generator into the
     axis eigenbasis, whose +1 state is ``(x, y) = (cos b, sin b)`` in ``(p,
     m)`` with ``(cos 2b, sin 2b) = (ny, nz)``.  The generator there has
     ``a00 = 2 (sin theta/cos theta) x y = -a11``, ``a01 = -(x^2/K + K y^2)``
-    and ``a10 = y^2/K + K x^2``, each a product or a sum of like signs.  The
-    1/sqrt 2 drops out of every ratio.  ``evaluate(point, t1, t2, t3)``
-    returns the eight numbers: P(+1) is ``X^2 / (X^2 + Y^2)`` of the state
-    ``(X, Y)`` at ``t1`` and at ``t2``, and each gap's conditional pair the
-    column ratios of ``U' = c I + s A``, so no collapse branch is propagated
-    or normalised.  With
-    ``t1 = 0`` the (1,2) gap is ``t2`` and shares its cos/sin pair.
+    and ``a10 = y^2/K + K x^2``, each a product or a sum of like signs.
+    ``evaluate(point, t1, t2, t3)`` returns the eight numbers: P(+1) is ``X^2
+    / (X^2 + Y^2)`` of the state ``(X, Y)`` at ``t1`` and at ``t2``, and each
+    gap's conditional pair the column ratios of ``U' = c I + s A``, so no
+    collapse branch is propagated or normalised.  With ``t1 = 0`` the (1,2)
+    gap is ``t2`` and shares its cos/sin pair.
     """
-    w = float(h.scale)
-    sin_t, cos_t = math.sin(h.theta), math.cos(h.theta)
-    k, rk, tan2 = (1.0 + sin_t) / cos_t, cos_t / (1.0 + sin_t), 2.0 * sin_t / cos_t
+    (w, k, rk), _ = _circle_flow(h)
+    tan2 = 2.0 * math.sin(h.theta) / math.cos(h.theta)
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
 
     def setup(state, axis):
@@ -318,24 +313,12 @@ def _circle_frame(h: NHHamiltonian):
 
 
 def _circle_coordinates(psi, n):
-    """``((u, v), (ny, nz))`` of a spinor and a unit axis that both lie on
-    the invariant circle, or None.
-
-    The spinor must be ``(u, i v)`` or ``(i u, v)`` with real ``u`` and
-    ``v``: each component's other part exactly zero, as
-    :func:`nhlgi.dynamics.state_from_bloch_angles` leaves at ``phi = pi/2``
-    and ``3 pi/2``.  ``(i u, v)`` is ``i (u, -i v)``.  The axis needs ``nx``
-    exactly zero.
-    """
-    a, b = psi
+    """``((u, v), (ny, nz))`` of a spinor on the invariant circle (see
+    :func:`nhlgi.dynamics._circle_state`) and an axis with ``nx`` exactly
+    zero, or None."""
     nx, ny, nz = n
-    if nx != 0.0:
-        return None
-    if a.imag == 0.0 and b.real == 0.0:
-        return (a.real, b.imag), (ny, nz)
-    if a.real == 0.0 and b.imag == 0.0:
-        return (a.imag, -b.real), (ny, nz)
-    return None
+    state = None if nx != 0.0 else _circle_state(psi)
+    return None if state is None else (state, (ny, nz))
 
 
 def _noisy_frame(h: NHHamiltonian, kappa: float):

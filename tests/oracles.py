@@ -153,20 +153,28 @@ def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
         return table(u1, g12), table(g12 * u1, g23), table(u1, g23 * g12)
 
 
-def pure_bloch_trajectory(h_matrix, psi0, times, dps=40):
+def pure_bloch_trajectory(h, psi0, times, dps=40):
     """Bloch vectors ``<sigma>/2`` of ``exp(-i H t) psi0`` renormalised, at
     each of ``times``, in mpmath at ``dps`` digits.
 
-    ``H`` is a traceless 2x2 matrix with real ``H^2 = w^2 I`` (the family's
-    real spectrum), so ``exp(-i H t) = cos(w t) I - i sin(w t)/w H`` holds
-    exactly; its entries are taken as the binary values given.
+    ``h`` is either a family member's ``theta``, taken as its exact binary
+    value with ``sec theta`` and ``tan theta`` formed in mpmath, so ``H`` is
+    ``H(theta)`` itself, or a traceless 2x2 matrix whose entries are taken
+    as the binary values given (the rounded float matrix).  Either has real
+    ``H^2 = w^2 I`` (the family's real spectrum), so ``exp(-i H t) = cos(w t)
+    I - i sin(w t)/w H`` holds exactly.
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        (m00, m01), (m10, m11) = (
-            [mpmath.mpc(v) for v in row] for row in np.asarray(h_matrix, dtype=complex).tolist()
-        )
+        if np.ndim(h) == 0:
+            th = mpmath.mpf(h)
+            sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+            (m00, m01), (m10, m11) = (1j * tan, sec), (sec, -1j * tan)
+        else:
+            (m00, m01), (m10, m11) = (
+                [mpmath.mpc(v) for v in row] for row in np.asarray(h, dtype=complex).tolist()
+            )
         w = mpmath.sqrt(mpmath.re(m00 * m00 + m01 * m10))
         a0, b0 = (mpmath.mpc(v) for v in np.asarray(psi0, dtype=complex).tolist())
         rows = []

@@ -230,16 +230,16 @@ class TestHamiltonian:
             assert not hasattr(h, name)
 
     def test_views_repeat_the_vector_form(self):
-        # matrix, _scaled, omega and analytic_SB_Sn are the floats of the
-        # general vector form fed a = sec x and b = -tan z, sign bits included
-        # (theta = 0 has b_z = -0.0 but a +0.0 imaginary part on the diagonal)
+        # matrix, _scaled and analytic_SB_Sn are the floats of the general
+        # vector form fed a = sec x and b = -tan z, sign bits included (theta
+        # = 0 has b_z = -0.0 but a +0.0 imaginary part on the diagonal); omega
+        # is the scale, since sec^2 - tan^2 = 1 for every member
         def vector_form(theta, scale):
             a = np.array([1.0 / math.cos(theta), 0.0, 0.0])
             b = np.array([0.0, 0.0, -math.tan(theta)])
             matrix = scale * (pauli_vector(a) - 1j * pauli_vector(b))
             scaled = (scale * a).tolist(), (scale * b).tolist()
-            omega = float(scale * math.sqrt(float(np.dot(a, a) - np.dot(b, b))))
-            return matrix, scaled, omega
+            return matrix, scaled, float(scale)
 
         def sb_sn_of_magnitudes(a, b, t):
             # fed sec and tan directly: np.linalg.norm underflows tan(1e-300)

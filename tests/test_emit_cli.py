@@ -251,26 +251,21 @@ class TestCliTrajectoryRoute:
     def _bloch(columns):
         return np.column_stack([columns["s_x"], columns["s_y"], columns["s_z"]])
 
-    # Bound on the distance from the 40-digit closed form on the CLI grid, per
-    # working point.  Measured: 6.9e-16 at theta = 1.2, and 1.3e-8, 4.9e-6 and
-    # 3.7e-6 at delta = 1e-3, 1e-5 and 1e-6, all from the computed omega
-    # (ROADMAP item 12).  RK45 was off by 7.5e-11, 5.9e-4, 5.3e-3 and 8.2e-4.
+    # Distance from the 40-digit flow of H(theta) itself on the CLI grid.
+    # The real circle flow was measured within 1.2e-16 at every point; the
+    # complex flow of the rounded sec, tan and omega was off by 3.7e-15,
+    # 1.4e-7, 1.2e-5 and 2.0e-4.  RK45 was off the rounded matrix's flow by
+    # 7.5e-11, 5.9e-4, 5.3e-3 and 8.2e-4.
     @pytest.mark.parametrize(
-        "theta, bound",
-        [
-            (1.2, 1e-14),
-            (math.pi / 2 - 1e-3, 5e-8),
-            (math.pi / 2 - 1e-5, 2e-5),
-            (math.pi / 2 - 1e-6, 2e-5),
-        ],
+        "theta", [1.2, math.pi / 2 - 1e-3, math.pi / 2 - 1e-5, math.pi / 2 - 1e-6]
     )
-    def test_pure_route_against_closed_form(self, tmp_path, theta, bound):
+    def test_pure_route_against_closed_form(self, tmp_path, theta):
         pytest.importorskip("mpmath")
         _, columns = read_csv(self._run(tmp_path, "--theta", repr(theta)))
         grid = _time_grid(math.pi, 0.01)
         assert columns["t"].tolist() == grid.tolist()
-        exact = pure_bloch_trajectory(NHHamiltonian.canonical(theta).matrix, up_y(), grid)
-        assert np.max(np.abs(self._bloch(columns) - exact)) <= bound
+        exact = pure_bloch_trajectory(theta, up_y(), grid)
+        assert np.max(np.abs(self._bloch(columns) - exact)) <= 1e-15
 
     # Measured within 1.1e-10 of RK45 (rtol 1e-10, atol 1e-12).  At kappa =
     # 1e5 the state settles within about 1e-4, so that grid resolves the
@@ -412,7 +407,7 @@ class TestCliSpeed:
         assert main(["speed", "--theta", "0.8", "--tmax", "1.0", "--step", "0.25",
                      "--out", str(out)]) == 0
         _, columns = read_csv(out)
-        np.testing.assert_allclose(columns["v"], columns["v_closed"], rtol=1e-4)
+        np.testing.assert_allclose(columns["v"], columns["v_closed"], rtol=1e-13)
 
 
 class TestCliDistance:
@@ -517,6 +512,13 @@ class TestCliSweepValidation:
         assert read_csv(out)[1]["t"].size == 3 * 315
         assert 0 < len(validations) <= 2 * 3
 
+    def test_speed(self, validations, tmp_path):
+        # the start state is validated once per command, not once per row
+        out = tmp_path / "speed.csv"
+        assert main(["speed", "--theta", "0.2,0.8,1.3", "--out", str(out)]) == 0
+        assert read_csv(out)[1]["t"].size == 3 * 315
+        assert len(validations) == 1
+
 
 class TestCliNoise:
     def test_zero_noise_column_matches_closed_form(self, tmp_path):
@@ -592,7 +594,55 @@ class TestCliNoisescan:
 
 
 class TestCliCornerRows:
-    """The corner rows of CI's byte-stability loop, checked by value."""
+    """The corner rows of CI's byte-stability loop, checked by value against
+    50 digits at the exact theta."""
+
+    CORNER = "1.5697963267948967,1.5707953267948966"
+
+    def test_speed_against_50_digits(self, tmp_path):
+        # the complex flow of the rounded sec, tan and omega was off by up to
+        # 2.01 relative at THETA_MAX
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "speed.csv"
+        assert main(["speed", "--theta", self.CORNER, "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        assert columns["v"].size == 630
+        worst = 0.0
+        with mpmath.workdps(50):
+            for th, t, v in zip(columns["theta"], columns["t"], columns["v"]):
+                th, t = mpmath.mpf(th), mpmath.mpf(t)
+                exact = mpmath.cos(th) ** 2 / (1 + mpmath.cos(2 * t) * mpmath.sin(th)) ** 2
+                worst = max(worst, abs(v / exact - 1))
+        assert worst <= 4e-15
+
+    def test_trajectory_against_50_digits(self, tmp_path):
+        # the complex flow of the rounded sec, tan and omega was off by 1.4e-7
+        pytest.importorskip("mpmath")
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", "--theta", "1.5697963267948967", "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        bloch = np.column_stack([columns["s_x"], columns["s_y"], columns["s_z"]])
+        exact = pure_bloch_trajectory(1.5697963267948967, up_y(), columns["t"], dps=50)
+        assert np.max(np.abs(bloch - exact)) <= 1e-15
+
+    def test_distance_against_50_digits(self, tmp_path):
+        # the closed form's angle, whose sine and cosine are proportional to
+        # |sin t| cos theta and |cos t| (1 + sin theta); the complex flow of
+        # the rounded sec, tan and omega was off by 2.0e-4 at THETA_MAX
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--theta", self.CORNER, "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        assert columns["delta"].size == 630
+        worst = 0.0
+        with mpmath.workdps(50):
+            for th, t, d in zip(columns["theta"], columns["t"], columns["delta"]):
+                th, t = mpmath.mpf(th), mpmath.mpf(t)
+                exact = mpmath.atan2(
+                    abs(mpmath.cos(t)) * (1 + mpmath.sin(th)), abs(mpmath.sin(t)) * mpmath.cos(th)
+                )
+                worst = max(worst, abs(d - exact))
+        assert worst <= 1e-15
 
     def test_lgi_against_50_digits(self, tmp_path):
         # a pure frame built from the rounded sec and tan missed these rows

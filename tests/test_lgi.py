@@ -422,8 +422,11 @@ class TestProtocolAgainstOracle:
     def test_corner_tables_against_50_digits(self, delta):
         # near the corner the propagator loses about sec^2(theta) ulps; over
         # 300 such draws the engine's tables were within 8.1e-19 sec^2(theta)
-        # of a 50-digit evaluation (the Taylor oracle of two_time_joint within
-        # 9.1e-12 at delta = 1e-2 and 6.1e-10 at 1e-3), so allow 1e-17 sec^2
+        # of a 50-digit evaluation of the rounded matrix (the Taylor oracle
+        # of two_time_joint within 9.1e-12 at delta = 1e-2 and 6.1e-10 at
+        # 1e-3), so allow 1e-17 sec^2.  Against H(theta) itself these 40
+        # draws are within 4.5e-16 at both deltas; an omega formed from the
+        # rounded sec and tan put them 2.1e-13 off at delta = 1e-2.
         mpmath = pytest.importorskip("mpmath")
         theta = math.pi / 2 - delta
         h = NHHamiltonian.canonical(theta)
@@ -1122,9 +1125,13 @@ def _eig_propagator(h, kappa):
 
 
 def _pure_joint_reference(mpmath, h, psi, q, t_i, t_j, dps=50):
-    """Pure-state joint table with ``exp(-i H t)`` exponentiated in mpmath."""
+    """Pure-state joint table with ``exp(-i H t)`` exponentiated in mpmath,
+    for ``H(theta)`` itself: ``sec theta`` and ``tan theta`` of the binary
+    theta are formed in mpmath, not read from the rounded ``h.matrix``."""
     with mpmath.workdps(dps):
-        hm = mpmath.matrix(h.matrix.tolist())
+        th = mpmath.mpf(h.theta)
+        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+        hm = mpmath.mpf(h.scale) * mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
 
         def propagate(v, t):
             return mpmath.expm(-1j * t * hm) * mpmath.matrix(list(v))
