@@ -43,8 +43,8 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
-from operator import add
+from math import isnan
+from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -165,10 +165,6 @@ class SimplexResult(NamedTuple):
     status: int      # 1 = stopped on ``maxfev``, 0 = converged
 
 
-class _BudgetSpent(Exception):
-    """The next evaluation would exceed ``maxfev``."""
-
-
 def _clip(v: float, lo: float, hi: float) -> float:
     """``min(max(v, lo), hi)`` with numpy's clip semantics for signed zeros."""
     return (v if v < hi else hi) if v > lo else lo
@@ -183,30 +179,22 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
     simplex, centroid, trial points, comparisons and clipping.  Vertices are
     kept in stable order of their values, so tied values keep their order and
     runs repeat exactly.  ``fun`` takes a sequence of floats and must not
-    change it.  An evaluation happens only while fewer than ``maxfev`` have
-    been made; the step that would exceed the budget ends the run and leaves
-    the simplex as it was.  The run converges when all values lie within
-    ``fatol`` and all vertices within ``xatol`` of the best one; a NaN value
-    never converges.  Restarts call it through this module attribute, so
-    tracing can wrap each restart by name.
+    change it; it is called directly, with no wrapper.  The budget is counted
+    where each evaluation is made: one happens only while fewer than
+    ``maxfev`` have been made, and the step that would exceed the budget ends
+    the run and leaves the simplex as it was.  The run converges when all
+    values lie within ``fatol`` and all vertices within ``xatol`` of the best
+    one; a NaN value never converges.  Restarts call it through this module
+    attribute, so tracing can wrap each restart by name.
     """
     n = len(x0)
-    bounds = list(zip(lower, upper))
+    bounds = tuple(zip(lower, upper))
     if not all(lo <= v <= hi for v, (lo, hi) in zip(x0, bounds)):
         raise ValueError(f"start {list(x0)!r} lies outside the bounds")
     dim = float(n)
     chi = 1 + 2 / dim
     psi = 0.75 - 1 / (2 * dim)
     sigma = 1 - 1 / dim
-
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(x)
 
     # Initial simplex: a 5% step along each axis (0.00025 from zero); a
     # vertex past the upper bound is reflected back inside, then clipped.
@@ -219,12 +207,9 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
         y = list(x0)
         y[k] = _clip(v, lo, hi)
         sim.append(y)
-    fsim = [math.inf] * (n + 1)
-    try:
-        for k, x in enumerate(sim):
-            fsim[k] = f(x)
-    except _BudgetSpent:
-        pass
+    fsim = [fun(sim[k]) for k in range(min(n + 1, maxfev))]
+    nfev = len(fsim)
+    fsim += [math.inf] * (n + 1 - nfev)
 
     def restore_order():
         order = sorted(range(n + 1), key=fsim.__getitem__)
@@ -233,60 +218,79 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
 
     # Trial points are ``a * centroid + c * worst`` with scipy's coefficients
     # at rho = 1.  Adding ``c * worst`` for a negative ``c`` rounds exactly as
-    # subtracting ``-c * worst`` does.
+    # subtracting ``-c * worst`` does, so the reflection below is written
+    # ``2 * centroid - worst``.
     def trial(a, c):
-        return [
-            (v if v < hi else hi) if (v := a * b + c * w) > lo else lo
-            for b, w, lo, hi in zip(xbar, worst, lower, upper)
-        ]
+        x = []
+        for k, (lo, hi) in enumerate(bounds):
+            v = a * xbar[k] + c * worst[k]
+            x.append((v if v < hi else hi) if v > lo else lo)
+        return x
 
     restore_order()
     while nfev < maxfev:
         best = sim[0]
         fbest = fsim[0]
-        # The values are sorted, so a worst value more than fatol above the
-        # best fails the full test; checking it first skips both generators
-        # on most steps.  A NaN fails either form.
+        # The values are sorted unless one is a NaN, which no comparison
+        # orders: with none, a worst value within fatol of the best puts
+        # every value within fatol of it.  The worst vertex is the likeliest
+        # to lie far from the best, so the vertices are tested from it.
         if (
             fsim[-1] - fbest <= fatol
-            and all(abs(fbest - v) <= fatol for v in fsim)
-            and all(abs(b - v) <= xatol for x in sim for b, v in zip(best, x))
+            and not any(map(isnan, fsim))
+            and all(max(map(abs, map(sub, x, best))) <= xatol for x in reversed(sim))
         ):
             break
         worst = sim[-1]
-        # Summed in vertex order with plain ``+``, as numpy reduces rows.
-        xbar = [reduce(add, column) / n for column in zip(*sim[:-1])]
-        try:
-            xr = trial(2, -1)
-            fxr = f(xr)
-            if fxr < fbest:
-                xe = trial(1 + chi, -chi)
-                fxe = f(xe)
-                new = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                new = xr, fxr
+        # The centroid of all but the worst vertex, summed in vertex order
+        # with plain ``+`` as numpy reduces rows; ``sum`` would round
+        # differently (it compensates since Python 3.12).
+        total = best
+        for k in range(1, n):
+            total = map(add, total, sim[k])
+        xbar, xr = [], []
+        for t, w, (lo, hi) in zip(total, worst, bounds):
+            b = t / n
+            xbar.append(b)
+            v = 2 * b - w
+            xr.append((v if v < hi else hi) if v > lo else lo)
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fbest:
+            if nfev >= maxfev:
+                break
+            xe = trial(1 + chi, -chi)
+            fxe = fun(xe)
+            nfev += 1
+            new = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            new = xr, fxr
+        else:
+            if nfev >= maxfev:
+                break
+            nfev += 1
+            if fxr < fsim[-1]:
+                xc = trial(1 + psi, -psi)
+                fxc = fun(xc)
+                new = (xc, fxc) if fxc <= fxr else None
             else:
-                if fxr < fsim[-1]:
-                    xc = trial(1 + psi, -psi)
-                    fxc = f(xc)
-                    new = (xc, fxc) if fxc <= fxr else None
-                else:
-                    xcc = trial(1 - psi, psi)
-                    fxcc = f(xcc)
-                    new = (xcc, fxcc) if fxcc < fsim[-1] else None
-                if new is None:
-                    shrunk = [
-                        [_clip(b + sigma * (v - b), lo, hi)
-                         for b, v, (lo, hi) in zip(best, x, bounds)]
-                        for x in sim[1:]
-                    ]
-                    values = [f(x) for x in shrunk]
-                    sim[1:] = shrunk
-                    fsim[1:] = values
-                    restore_order()
-                    continue
-        except _BudgetSpent:
-            break
+                xcc = trial(1 - psi, psi)
+                fxcc = fun(xcc)
+                new = (xcc, fxcc) if fxcc < fsim[-1] else None
+            if new is None:
+                shrunk = [
+                    [_clip(b + sigma * (v - b), lo, hi)
+                     for b, v, (lo, hi) in zip(best, x, bounds)]
+                    for x in sim[1:]
+                ]
+                values = [fun(x) for x in shrunk[: maxfev - nfev]]
+                nfev += len(values)
+                if len(values) < n:
+                    break
+                sim[1:] = shrunk
+                fsim[1:] = values
+                restore_order()
+                continue
         # Only the worst vertex changed, so a stable sort re-inserts it
         # after every vertex of equal or lower value.
         del sim[-1], fsim[-1]
@@ -334,10 +338,9 @@ def _multistart_maximize(objective, lower, upper, extra_starts, budget, seed):
     candidates = [
         [float(_clip(v, lo, hi)) for v, lo, hi in zip(x, lower, upper)] for x in extra_starts
     ]
-    candidates.extend(
-        [lo + u * (hi - lo) for u, lo, hi in zip(row, lower, upper)]
-        for row in _latin_hypercube(_LHS_POINTS, len(lower), seed).tolist()
-    )
+    # The same elementwise float64 operations as on Python floats, unfused.
+    lo, hi = np.array(lower), np.array(upper)
+    candidates.extend((lo + _latin_hypercube(_LHS_POINTS, len(lower), seed) * (hi - lo)).tolist())
     if budget < max(_LHS_POINTS + _RESTART_EVALS, len(candidates) + 1):
         raise ScanConfigError(
             f"budget {budget} cannot cover the seeding pass "

@@ -23,6 +23,7 @@ from nhlgi.dynamics import (
     geodesic_distance_closed_form,
     integrate_bloch,
     projector,
+    state_from_bloch_angles,
     up_y,
     up_z,
 )
@@ -658,6 +659,33 @@ class TestCliCornerRows:
             for theta, t, *values in rows
         )
         assert worst <= 1e-14
+
+    def test_scan_against_50_digits(self, tmp_path):
+        # the K3 maximum can only lie above the canonical value (2.1e-8 above
+        # it here) and re-evaluates through the engine; the speed maximum is
+        # compared with 50 digits, since the float closed form is itself off
+        # by 1.6e-11 at this theta
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--theta", "1.5697963267948967", "--budget", "3000",
+                     "--seed", "2", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        k3, v = payload["k3"][0], payload["speed"][0]
+        theta = k3["theta"]
+        with mpmath.workdps(50):
+            s = mpmath.sin(mpmath.mpf(theta))
+            assert k3["objective"] >= 1 + s + s * s - mpmath.mpf(1e-15)
+            assert abs(v["objective"] / ((1 + s) / (1 - s)) - 1) <= 2e-15
+        am = k3["argmax"]
+        engine = CorrelatorEngine(NHHamiltonian.canonical(theta), k3["kappa"])
+        again = engine.k3(
+            state_from_bloch_angles(am["theta_s"], am["phi_s"]),
+            Observable.from_angles(am["theta_q"], am["phi_q"]),
+            am["t1"],
+            am["t2"],
+            am["t3"],
+        ).k3
+        assert again == k3["objective"]
 
     def test_embed_direct_meets_the_dilation(self, tmp_path):
         # the dilation reads only cos theta and sin theta; the direct route

@@ -128,15 +128,17 @@ def _scipy_steps(fun, x0, lower, upper):
 class TestSimplex:
     """:func:`nhlgi.scan.minimize` against scipy's simplex, the oracle."""
 
+    # d = 2 and 4 are the dimensions of the scans' own searches.
     @pytest.mark.parametrize(
         "fun, d, ending",
         [
-            (_shifted_rosenbrock, 3, "converged"),
-            (_shifted_rosenbrock, 7, "converged"),
-            (_shifted_rosenbrock, 3, "expand"),
-            (_shifted_rosenbrock, 7, "expand"),
-            (_shifted_ripple, 3, "shrink"),
-            (_shifted_ripple, 7, "shrink"),
+            (fun, d, ending)
+            for fun, ending in [
+                (_shifted_rosenbrock, "converged"),
+                (_shifted_rosenbrock, "expand"),
+                (_shifted_ripple, "shrink"),
+            ]
+            for d in (2, 3, 4, 7)
         ],
     )
     def test_repeats_scipy_bit_for_bit(self, fun, d, ending):
@@ -146,10 +148,11 @@ class TestSimplex:
         else:
             # Stop in the middle of the run, on the call of the given step
             # that would exceed the budget: the expansion after its
-            # reflection, or the third vertex of a shrink.
+            # reflection, or the third vertex of a shrink (the second at
+            # d = 2, whose shrink has two).
             starts = [s for s, kind in _scipy_steps(fun, x0, lower, upper) if kind == ending]
             start = starts[len(starts) // 2]
-            maxfev = start + (1 if ending == "expand" else 4)
+            maxfev = start + (1 if ending == "expand" else min(4, d + 1))
         expected, expected_points = _scipy_simplex(fun, x0, lower, upper, maxfev)
         points = []
 
@@ -198,6 +201,28 @@ class TestSimplex:
         assert (res.status, res.nfev) == (expected.status, expected.nfev)
         values = [coarse(x) for x in points]
         assert len(set(values)) < len(values) / 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7])
+    def test_nan_between_tied_values_does_not_converge(self, d):
+        # The first simplex holds a NaN at vertex 1, which no comparison
+        # orders, so it stays between the best and the worst vertex, whose
+        # values and coordinates lie within the tolerances.  scipy sorts the
+        # NaN last and does not converge either: both runs go on to the
+        # reflection and stop on the budget.
+        def fun(x):
+            return math.nan if x[0] > 1e-9 else 1.0 + x[-1]
+
+        x0, lower, upper = [1e-9] * d, [-1.0] * d, [1.0] * d
+        expected, expected_points = _scipy_simplex(fun, x0, lower, upper, d + 2)
+        points = []
+
+        def recorded(x):
+            points.append(list(x))
+            return fun(x)
+
+        res = minimize(recorded, x0, lower, upper, maxfev=d + 2, xatol=1e-8, fatol=1e-8)
+        assert points[: d + 1] == expected_points[: d + 1]
+        assert (res.status, res.nfev) == (expected.status, expected.nfev) == (1, d + 2)
 
     def test_nan_never_converges(self):
         res = minimize(lambda x: math.nan, [0.5, 0.5], [0.0, 0.0], [1.0, 1.0],
@@ -523,6 +548,59 @@ class TestMaximizeSpeed:
         b = maximize_speed(1.0, budget=2000, seed=5)
         assert a.objective == b.objective
         assert a.argmax == b.argmax
+
+
+# Argmax entries that every K3 run below shares: the state at phi_s = 3 pi/2,
+# the axis at phi_q = pi/2 and t1 = 0.
+_K3_TAIL = {"phi_s": "0x1.2d97c7f3321d2p+2", "phi_q": "0x1.921fb54442d18p+0", "t1": "0x0.0p+0"}
+
+
+class TestPinnedSearches:
+    """Searches pinned to the float, so a change that moves a scan float
+    shows here, and not only as two runs of one commit that disagree.
+
+    A change that moves them on purpose records the new values and lists
+    them in its notes."""
+
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (
+                lambda: maximize_k3(1.2, budget=3000, seed=2),
+                ("0x1.6c16a6fc6bc59p+1", 2993, 16, {
+                    "theta_s": "0x1.764e64b86ee72p+0", "theta_q": "0x1.88a3571b6c5cep+0",
+                    "t2": "0x1.6cd1f5f96173fp-1", "t3": "0x1.791950d561095p+0", **_K3_TAIL,
+                }),
+            ),
+            (
+                lambda: maximize_k3(1.5697963267948967, budget=3000, seed=2),
+                ("0x1.7ffff3985cc6ep+1", 2993, 16, {
+                    "theta_s": "0x1.91f9754fc818fp+0", "theta_q": "0x1.921fb5926182cp+0",
+                    "t2": "0x1.921f03220614fp-1", "t3": "0x1.9220e986d6214p+0", **_K3_TAIL,
+                }),
+            ),
+            (
+                lambda: maximize_speed(1.2, budget=3000, seed=2),
+                ("0x1.c6dbdfb08b2ffp+4", 2402, 16, {
+                    "theta_s": "0x1.921fb5491bcebp+0", "phi_s": "0x1.921fb5752796ep+0",
+                    "t": "0x0.0p+0",
+                }),
+            ),
+            # two restarts, the second cut by the budget
+            (
+                lambda: maximize_k3(1.2, budget=700, seed=1, extra_starts=[(0.4, 1.0, -1.0, -0.5)]),
+                ("0x1.6c0751fa306a0p+1", 700, 2, {
+                    "theta_s": "0x1.6f9b4dca829e2p+0", "theta_q": "0x1.8e1c9c870692cp+0",
+                    "t2": "0x1.7721b529f363ep-1", "t3": "0x1.86edc40d730cdp+0", **_K3_TAIL,
+                }),
+            ),
+        ],
+        ids=["k3", "k3-corner", "speed", "k3-warm-cut"],
+    )
+    def test_search_is_pinned(self, run, expected):
+        res = run()
+        argmax = {key: value.hex() for key, value in res.argmax.items()}
+        assert (res.objective.hex(), res.evals, res.restarts, argmax) == expected
 
 
 class TestNoiseSeries:
