@@ -23,7 +23,7 @@ from .dynamics import (
     Trajectory,
     _circle_flow,
     _circle_state,
-    _noisy_propagator,
+    _lift_propagator,
     bloch_of_pure,
     down_y,
     down_z,
@@ -198,7 +198,7 @@ def _resolve_theta(args) -> float:
 
 def _cmd_trajectory(args) -> int:
     """The Bloch trajectory from ``up_y``, each row from an exact propagator:
-    the real circle flow at ``kappa = 0`` and the modal form of the noisy
+    the real circle flow at ``kappa = 0`` and the closed form of the noisy
     lift at ``kappa > 0`` (which refuses a negative or non-finite kappa)."""
     h = NHHamiltonian.canonical(args.theta)
     grid = _time_grid(args.tmax, args.step)
@@ -207,7 +207,7 @@ def _cmd_trajectory(args) -> int:
         start = _circle_point(up_y())
         rows = [_circle_bloch(*propagate(t, start)) for t in grid.tolist()]
     else:
-        propagate = _noisy_propagator(h, args.kappa)
+        propagate = _lift_propagator(h, args.kappa)
         start = tuple(2.0 * s for s in bloch_of_pure(up_y()).tolist())
         rows = [[0.5 * r for r in propagate(t, start)] for t in grid.tolist()]
     # + 0.0 turns a -0.0 left by cancellation (in the invariant s_x) into 0

@@ -32,9 +32,10 @@ evaluated exactly from the equation of motion above.
 Each formula is written once, as a kernel on plain scalars that the scans,
 the protocol and the CLI call per point: the pure flow
 (:func:`pure_propagator`) and its real form on the invariant y-z circle
-(``_circle_state``, ``_circle_flow``), the density lift (``_bloch_lift``,
-``_density_propagator``) and its real modal form with noise
-(``_lift_modes``, ``_noisy_propagator``), the Bloch equation
+(``_circle_state``, ``_circle_flow``), the density lift in closed form at
+every ``kappa >= 0``, from the real root of its characteristic cubic, with
+no eigendecomposition and no numpy (``_lift_coefficients``,
+``_lift_weights``, ``_lift_propagator``), the Bloch equation
 (``_bloch_rhs``) and the speed bound to one Hamiltonian (``_speed_route``),
 the Bloch vectors of spinors and density matrices (``_spinor_bloch``,
 ``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
@@ -104,7 +105,7 @@ _RK45_MAX_EVALS = 2_000_000
 
 
 class DegenerateEvolutionError(RuntimeError):
-    """Raised when a propagated norm collapses or a noisy lift is defective."""
+    """Raised when a propagated norm or trace collapses below the floor."""
 
 
 class StiffnessError(RuntimeError):
@@ -222,11 +223,17 @@ def _finite_times(t, name: str = "t") -> np.ndarray:
     return t
 
 
+def _is_bool(value) -> bool:
+    """Whether ``value`` is Python's bool or numpy's, whose dtype is ``bool``
+    (read without numpy, so the lift path runs on floats alone)."""
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
 def _check_theta(theta: float) -> None:
     """Refuse a working point of the canonical family outside ``[0, THETA_MAX]``
     (NaN included), or a bool: every closed form, Hamiltonian and dilation of
     ``theta`` shares this domain."""
-    if isinstance(theta, (bool, np.bool_)):
+    if _is_bool(theta):
         raise ValueError(f"theta must be a float, not the bool {theta!r}")
     if not 0.0 <= theta <= THETA_MAX:
         raise ValueError(f"theta must lie in [0, pi/2 - 1e-6], got {theta!r}")
@@ -234,7 +241,7 @@ def _check_theta(theta: float) -> None:
 
 def _check_kappa(kappa: float) -> None:
     """Refuse a negative, NaN or infinite depolarising rate, or a bool by name."""
-    if isinstance(kappa, (bool, np.bool_)):
+    if _is_bool(kappa):
         raise ValueError(f"kappa must be a float, not the bool {kappa!r}")
     if not (kappa >= 0.0 and math.isfinite(kappa)):
         raise ValueError("kappa must be a finite non-negative rate")
@@ -321,7 +328,7 @@ class NHHamiltonian:
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if isinstance(self.scale, (bool, np.bool_)):
+        if _is_bool(self.scale):
             raise ValueError(f"scale must be a float, not the bool {self.scale!r}")
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise ValueError("scale must be positive and finite")
@@ -456,177 +463,128 @@ def _circle_flow(h: NHHamiltonian):
     return (w, k, rk), propagate
 
 
-def _bloch_lift(h: NHHamiltonian, kappa: float):
-    """The linear lift of the density flow on plain scalars.
+def _lift_coefficients(h: NHHamiltonian, kappa: float):
+    """The linear lift of the density flow at ``kappa >= 0`` in closed form.
 
     The unnormalised state ``(r0 I + r . sigma)/2`` obeys ``d(r0, r)/dt =
-    [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``; returns that map as
-    ``lift(r0, x, y, z) -> (r0', x', y', z')``.
-    """
-    (ax, ay, az), (bx, by, bz) = h._scaled
+    [[0, -2 B^T], [-2 B, 2 [A x] - 2 kappa]] (r0, r)``.  Its x component
+    decays alone at ``-2 kappa``, since ``a . b = 0``.  In the circle frame's
+    basis ``(P, M, Z) = (r0 + y, r0 - y, z)`` the ``(trace, y, z)`` block is
 
-    def lift(r0, x, y, z):
-        return (
-            -2.0 * (bx * x + by * y + bz * z),
-            2.0 * (ay * z - az * y - bx * r0 - kappa * x),
-            2.0 * (az * x - ax * z - by * r0 - kappa * y),
-            2.0 * (ax * y - ay * x - bz * r0 - kappa * z),
-        )
+        L = [[-kappa, kappa, -2 e], [kappa, -kappa, 2 f], [f, -e, -2 kappa]]
 
-    return lift
+    with ``e = w cos theta/(1 + sin theta)`` and ``f = w (1 + sin theta)/cos
+    theta`` from :func:`_circle_flow` (``e f = w^2``): no rounded sec or tan.
+    Its characteristic cubic ``lam [(lam + 2 kappa)^2 + 4 w^2] - 8 kappa b^2``,
+    ``b = (f - e)/2 = w tan theta``, is negative for ``lam < 0`` and
+    increasing and convex for ``lam >= 0``, so it has one real root ``r >=
+    0`` (zero only when ``kappa b = 0``).  Newton's method from ``8 kappa
+    b^2/(4 kappa^2 + 4 w^2)``, which lies right of the root, converges to it
+    monotonically.  The roots sum to ``-4 kappa``, so the conjugate pair is
+    ``r + m +/- i beta`` with ``m = -2 kappa - 3 r/2`` and ``beta = sqrt(4
+    w^2 + 2 kappa r + 3 r^2/4) >= 2 w``: the roots never cluster.
 
+    With ``G = L - r``, whose spectrum is ``{0, m +/- i beta}``, Putzer's
+    form separated from the identity is
 
-def _density_propagator(h: NHHamiltonian):
-    """Renormalised noiseless density flow of ``h`` on Bloch vectors.
+        e^{-r t} e^{L t} v = v + (E cos(beta t) - 1) B1 v + E sin(beta t) B2 v
 
-    Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
-    as plain float triples: ``U rho U^dag`` in closed form, because the
-    spectrum ``{0, 0, +/- 2i w}`` of the noiseless lift gives ``exp(L t) = 1
-    + sin(w t) cos(w t)/w L + sin(w t)^2/(2 w^2) L^2``.  A collapsed trace
-    raises ``DegenerateEvolutionError``.
-    """
-    lift = _bloch_lift(h, 0.0)
-    w = h.omega
+    where ``E = e^{m t}``, ``B1 = (2 m G - G^2)/|mu|^2``, ``B2 = ((beta^2 -
+    m^2) G + m G^2)/(beta |mu|^2)`` and ``|mu|^2 = m^2 + beta^2``; ``G^2`` is
+    written out with ``e f = w^2`` exactly.  At ``kappa = 0`` this is ``B1 =
+    -G^2/(4 w^2)`` and ``B2 = G/(2 w)``.  The factor ``e^{-r t}`` cancels in
+    every renormalised quantity, and x decays relative to it at ``decay =
+    -(2 kappa + r)``.
 
-    def propagate(t, r):
-        first = lift(1.0, *r)
-        s = math.sin(w * t) / w
-        f, g = s * math.cos(w * t), 0.5 * s * s
-        terms = zip((1.0,) + r, first, lift(*first))
-        r0, x, y, z = (a + f * b + g * c for a, b, c in terms)
-        if r0 < _NORM_FLOOR:
-            raise DegenerateEvolutionError(
-                f"propagated trace {r0:.3e} below representable floor at t = {t!r}"
-            )
-        return x / r0, y / r0, z / r0
-
-    return propagate
-
-
-def _lift_modes(h: NHHamiltonian, kappa: float):
-    """The lift of :func:`_bloch_lift` at ``kappa > 0`` in its real modal form.
-
-    ``L = V diag(lam) V^-1`` is eigendecomposed once and written as real
-    slots, each a real column of ``V`` and a real row of ``V^-1``.  Returns
-    ``((rate_b, alpha, beta), columns, rows)``: the columns and the rows are
-    three ``(trace, y, z)`` float tuples each, for the slots ``a``, ``u``
-    and ``w``, so that
-
-        exp(L t) v ~ col_a (row_a . v) + exp(rate_b t) (0, v_x, 0, 0)
-                     + exp(alpha t) [col_u (c ku + s kw) + col_w (c kw - s ku)]
-
-    up to the positive factor ``exp(lam_a t)``, which cancels in every
-    renormalised quantity; ``c, s = cos(beta t), sin(beta t)`` and ``ku, kw``
-    are the rows ``u`` and ``w`` applied to ``v``.
-
-    The spectrum always has two real eigenvalues and one conjugate pair
-    ``alpha +/- i beta`` for ``kappa > 0``.  Since ``a . b = 0``, the
-    component along ``a`` (x) decouples at rate ``-2 kappa``: the lift's x
-    row and column are ``-2 kappa`` and zeros, and ``eig``, which balances
-    the matrix, isolates that slot ``b`` exactly, with column and row ``(0,
-    1, 0, 0)`` and an x entry of exactly zero in every other slot.  The
-    remaining block has the characteristic cubic ``p(lam) = lam [(lam + 2
-    kappa)^2 + 4 omega^2] - 8 kappa b^2``.  It is negative for ``lam < 0``,
-    ``p(0) = -8 kappa b^2 <= 0``, and ``p' > 0`` for ``lam > 0`` (``omega >
-    0``).  So it has exactly one real root, which is simple and non-negative
-    (zero only when ``b = 0``), and one conjugate pair.  The real root
-    dominates: the roots sum to ``-4 kappa``, so ``alpha = -2 kappa -
-    root/2``.
-
-    The slots are built as follows:
-
-    - each real eigenvalue keeps its real column and row; the dominant one
-      is slot ``a``, shifted to rate 0, and the other is the x slot ``b``;
-    - the pair's column ``u + i w`` and row ``z`` become the columns ``(u,
-      w)`` and the rows ``(2 Re z, -2 Im z)``, whose modes evolve by the
-      rotation ``exp(alpha t) (cos beta t, sin beta t)``.  ``2 z`` is the
-      pair's row of ``V^-1`` plus the conjugate of its partner's row.  The
-      computed inverse keeps ``V V^-1 = I`` to rounding only with both rows,
-      which are conjugate only to about cond(V) ulps; twice one row alone
-      is off by 2.6e-6 in a table at ``delta = 1e-3`` and times of 1e-4.
-
-    Raises ``DegenerateEvolutionError`` when ``V diag(lam) V^-1`` misses the
-    lift by more than ``1e-8 ||L||``, when the computed spectrum has any
-    other shape, or when the x slot is not exactly as above.  The residual
-    checks the decomposition, not the propagated result: a lift that passes
-    can still be inaccurate near the corner.
+    Returns ``((r, m, beta, decay), (B1, B2))``: each ``B`` is three rows of
+    floats, the trace, y and z of ``B v`` as functions of ``v`` in ``(P, M,
+    Z)``, so a vector enters in that basis and leaves in ``(trace, y, z)``.
+    A bool or a negative or non-finite kappa is refused.
     """
     _check_kappa(kappa)
-    lift = _bloch_lift(h, kappa)
-    matrix = np.array([lift(*e) for e in np.eye(4).tolist()]).T
-    lam, v = np.linalg.eig(matrix)
-    try:
-        v_inv = np.linalg.inv(v)
-        residual = float(np.linalg.norm((v * lam) @ v_inv - matrix))
-    except np.linalg.LinAlgError:
-        residual = math.inf
-    if not residual <= 1e-8 * max(1.0, float(np.linalg.norm(matrix))):
-        raise DegenerateEvolutionError(
-            f"the noisy lift at kappa = {kappa!r} is numerically defective; "
-            "its eigendecomposition cannot be trusted"
+    (w, k, rk), _ = _circle_flow(h)
+    e, f, ww = w * rk, w * k, w * w
+    # the real root, by Newton's method from the right
+    c0 = 2.0 * kappa * (f - e) ** 2
+    r = c0 / (4.0 * kappa * kappa + 4.0 * ww)
+    while True:
+        q = r + 2.0 * kappa
+        qq = q * q + 4.0 * ww
+        step = (r * qq - c0) / (qq + 2.0 * r * q)
+        if not (step > 0.0 and r - step < r):
+            break
+        r -= step
+    m = -2.0 * kappa - 1.5 * r
+    beta_sq = 4.0 * ww + 2.0 * kappa * r + 0.75 * r * r
+    beta = math.sqrt(beta_sq)
+    mu_sq = m * m + beta_sq
+    # G and G^2 row by row in (P, M, Z), then B1 = u1 G + u2 G^2 and B2 = v1
+    # G + v2 G^2
+    a, c = -kappa - r, -2.0 * kappa - r
+    g = ((a, kappa, -2.0 * e), (kappa, a, 2.0 * f), (f, -e, c))
+    d = a * a + kappa * kappa - 2.0 * ww
+    g2 = (
+        (d, 2.0 * (a * kappa + e * e), 2.0 * (kappa * f - e * (a + c))),
+        (2.0 * (a * kappa + f * f), d, 2.0 * (f * (a + c) - e * kappa)),
+        (f * (a + c) - e * kappa, f * kappa - e * (a + c), c * c - 4.0 * ww),
+    )
+    u1, u2 = 2.0 * m / mu_sq, -1.0 / mu_sq
+    v1, v2 = (beta_sq - m * m) / (beta * mu_sq), m / (beta * mu_sq)
+    modes = []
+    for x, y in ((u1, u2), (v1, v2)):
+        row_p, row_m, row_z = (
+            [x * gj + y * hj for gj, hj in zip(row, row2)] for row, row2 in zip(g, g2)
         )
-    lam = lam.tolist()
-    real = sorted((k for k in range(4) if lam[k].imag == 0.0), key=lambda k: -lam[k].real)
-    pair = [k for k in range(4) if lam[k].imag > 0.0]
-    if len(real) != 2 or len(pair) != 1 or lam[pair[0]].conjugate() not in lam:
-        raise DegenerateEvolutionError(
-            f"the noisy lift at kappa = {kappa!r} has spectrum {lam!r}, not two "
-            "real eigenvalues and one conjugate pair"
-        )
-    (a, b), p = real, pair[0]
-    q = lam.index(lam[p].conjugate())
-    # the x slot's column and row are exactly e_x, and every other slot's x
-    # entries exactly zero
-    col, row, e_x = v.T.tolist(), v_inv.tolist(), [0.0, 1.0, 0.0, 0.0]
-    if col[b] != e_x or row[b] != e_x or any(col[k][1] or row[k][1] for k in (a, p, q)):
-        raise DegenerateEvolutionError(
-            f"the noisy lift at kappa = {kappa!r} does not decouple x exactly"
-        )
-    shift = lam[a].real
-    rates = lam[b].real - shift, lam[p].real - shift, lam[p].imag
-    two_z = (v_inv[p] + v_inv[q].conjugate()).tolist()
-    columns = [c.real for c in col[a]], [c.real for c in col[p]], [c.imag for c in col[p]]
-    rows = [c.real for c in row[a]], [c.real for c in two_z], [-c.imag for c in two_z]
-    # each slot's (trace, y, z) entries, without its exactly zero x entry
-    columns, rows = ([(t, y, z) for t, _, y, z in slots] for slots in (columns, rows))
-    return rates, tuple(columns), tuple(rows)
+        # the trace and y rows: half the sum and half the difference of the
+        # P and M rows
+        modes.append((
+            tuple(0.5 * (pj + mj) for pj, mj in zip(row_p, row_m)),
+            tuple(0.5 * (pj - mj) for pj, mj in zip(row_p, row_m)),
+            tuple(row_z),
+        ))
+    return (r, m, beta, -2.0 * kappa - r), tuple(modes)
 
 
-def _noisy_propagator(h: NHHamiltonian, kappa: float):
-    """Renormalised density flow of ``h`` at depolarising rate ``kappa > 0``.
+def _lift_weights(m: float, beta: float, decay: float, t: float) -> tuple[float, float, float]:
+    """The weights at ``t`` of :func:`_lift_coefficients`: ``(exp(decay t), E
+    cos(beta t) - 1, E sin(beta t))`` with ``E = e^{m t}``, the middle one as
+    ``expm1(m t) cos(beta t) + (cos(beta t) - 1)`` and its last term as
+    ``-sin^2/(1 + cos)`` when the cosine is positive, so the two lift weights
+    vanish exactly at ``t = 0`` and keep their digits for short times."""
+    em1 = math.expm1(m * t)
+    c, s = math.cos(beta * t), math.sin(beta * t)
+    cm1 = -s * s / (1.0 + c) if c > 0.0 else c - 1.0
+    return math.exp(decay * t), em1 * c + cm1, (1.0 + em1) * s
+
+
+def _lift_propagator(h: NHHamiltonian, kappa: float):
+    """Renormalised density flow of ``h`` at depolarising rate ``kappa >= 0``.
 
     Returns ``propagate(t, r) -> r`` on Bloch vectors ``r = tr(rho sigma)``
-    as plain float triples: ``exp(L t) (1, r)`` in the real modal form of
-    :func:`_lift_modes`, divided by its trace, so each time costs two
-    ``exp`` and one cos/sin pair whatever ``kappa`` is.  The x component
-    only decays, at ``rate_b``.  ``t = 0`` returns ``r`` itself, since ``V
-    V^-1`` reproduces it only to about cond(V) ulps.  A collapsed trace
-    raises ``DegenerateEvolutionError``, and so does a lift that
-    :func:`_lift_modes` refuses.
+    as plain float triples: ``e^{-r t} e^{L t} (1, r)`` in the closed form of
+    :func:`_lift_coefficients`, divided by its trace, so each time costs one
+    ``expm1``, one ``exp`` and one cos/sin pair whatever ``kappa`` is.  ``t
+    = 0`` returns ``r`` itself.  A collapsed trace raises
+    ``DegenerateEvolutionError``.
     """
-    (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
-    (ta, ya, za), (tu, yu, zu), (tw, yw, zw) = columns
-    (fa0, fay, faz), (gu0, guy, guz), (gw0, gwy, gwz) = rows
-    exp, cos, sin = math.exp, math.cos, math.sin
+    (_, m, beta, decay), (b1, b2) = _lift_coefficients(h, kappa)
+    (t1p, t1m, t1z), (y1p, y1m, y1z), (z1p, z1m, z1z) = b1
+    (t2p, t2m, t2z), (y2p, y2m, y2z), (z2p, z2m, z2z) = b2
 
     def propagate(t, r):
-        if t == 0.0:
-            return r
         x, y, z = r
-        # the slots' weights at t: the rows applied to (1, r), times their modes
-        ka, ku, kw = fa0 + fay * y + faz * z, gu0 + guy * y + guz * z, gw0 + gwy * y + gwz * z
-        ea = exp(alpha * t)
-        c, s = ea * cos(beta * t), ea * sin(beta * t)
-        ku, kw = c * ku + s * kw, c * kw - s * ku
-        r0 = ta * ka + tu * ku + tw * kw
-        x = exp(rate_b * t) * x
-        y = ya * ka + yu * ku + yw * kw
-        z = za * ka + zu * ku + zw * kw
+        p, q = 1.0 + y, 1.0 - y
+        e, c, s = _lift_weights(m, beta, decay, t)
+        r0 = 1.0 + c * (t1p * p + t1m * q + t1z * z) + s * (t2p * p + t2m * q + t2z * z)
         if r0 < _NORM_FLOOR:
             raise DegenerateEvolutionError(
                 f"propagated trace {r0:.3e} below representable floor at t = {t!r}"
             )
-        return x / r0, y / r0, z / r0
+        return (
+            e * x / r0,
+            (y + c * (y1p * p + y1m * q + y1z * z) + s * (y2p * p + y2m * q + y2z * z)) / r0,
+            (z + c * (z1p * p + z1m * q + z1z * z) + s * (z2p * p + z2m * q + z2z * z)) / r0,
+        )
 
     return propagate
 
@@ -650,7 +608,7 @@ def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
     propagated on the Bloch vector of ``rho0``."""
     r = _density_bloch(validate_density(rho0).tolist())
     _check_finite_times(t=t)
-    x, y, z = _density_propagator(h)(t, r)
+    x, y, z = _lift_propagator(h, 0.0)(t, r)
     return np.array(
         [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
         dtype=complex,

@@ -38,23 +38,25 @@ numbers.  No frame builds a function per point.  There are three:
   the frame stays accurate at the corner.  ``evaluate`` runs the three times
   in straight-line code, where both conditionals are column ratios of the
   propagator, so no collapse branch is propagated;
-- any state under noise (``kappa > 0``) as a Bloch vector, with the exact
-  solution of the linear lift of the depolarising flow in its real modal
-  form (three slots over ``(trace, y, z)`` and the exactly decoupled x
-  slot) projected onto the axis and the state, so each time costs two
-  ``exp`` and one cos/sin pair (:func:`_noisy_frame`);
+- any state under noise (``kappa > 0``) as a Bloch vector, with the closed
+  form of the linear lift of the depolarising flow (its ``(trace, y, z)``
+  block from the real root of the characteristic cubic, and x decaying
+  alone) projected onto the axis for the state and for each collapse
+  branch, so each time costs one ``expm1``, one ``exp`` and one cos/sin
+  pair (:func:`_noisy_frame`);
 - noiseless Bloch vectors (of density matrices and of spinors off the
-  circle) and the dilation's spinors, which propagate each collapse branch
-  with a renormalised flow and read Born probabilities
+  circle), propagated with the same closed form at ``kappa = 0``, and the
+  dilation's spinors: each collapse branch is propagated with a
+  renormalised flow and Born probabilities are read off it
   (:func:`_propagating_frame`), so the dilation stays an independent
   cross-check.
 
 The first two share the cos/sin pair (and the exponentials) of ``t2`` with
 the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
-The flows, the lift and its modal form, the Bloch-vector and Bloch-angle
-maps the frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this
-module keeps no copy of them and reads no rounded ``sec theta``, ``tan
-theta`` or omega itself.
+The flows, the lift's closed form, the Bloch-vector and Bloch-angle maps
+the frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this module
+keeps no copy of them and reads no rounded ``sec theta``, ``tan theta`` or
+omega itself.
 
 :class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
 strength as unvalidated routes: from a spinor and an axis on the circle (the
@@ -80,7 +82,6 @@ from functools import partial
 import numpy as np
 
 from .dynamics import (
-    DegenerateEvolutionError,
     NHHamiltonian,
     _bloch_axis,
     _check_finite_times,
@@ -89,8 +90,9 @@ from .dynamics import (
     _circle_flow,
     _circle_state,
     _density_bloch,
-    _density_propagator,
-    _lift_modes,
+    _lift_coefficients,
+    _lift_propagator,
+    _lift_weights,
     _spinor_bloch,
     validate_density,
     validate_pure,
@@ -322,99 +324,79 @@ def _circle_coordinates(psi, n):
 
 
 def _noisy_frame(h: NHHamiltonian, kappa: float):
-    """Protocol of ``h`` at depolarising rate ``kappa``, on Bloch vectors.
+    """Protocol of ``h`` at depolarising rate ``kappa > 0``, on Bloch vectors.
 
     Returns ``(setup, evaluate)`` on plain scalars, with no closure per point,
-    from the real modal form of the lift, :func:`nhlgi.dynamics._lift_modes`:
-    three real slots over ``(trace, y, z)``, each a real column of ``V`` and
-    a real row of ``V^-1``, at rate 0 and on the rotation ``exp(alpha t)
-    (cos beta t, sin beta t)``, and the exact x slot, in which ``x`` alone
-    decays at ``rate_b`` and which adds nothing to the trace.
-    ``setup(r, n)`` projects the columns onto ``(1, 0)`` and the unit axis
-    ``n``, and the rows onto the Bloch vector ``r`` and the axis, and
-    returns P(+1) of ``r`` itself, the x slot's ``nx x`` and ``nx^2``, and
-    the six coefficients of the state and of each collapse branch ``(1, +/-
-    n)``.  ``evaluate(point, t1, t2, t3)`` returns the eight numbers in
-    straight-line code.  By linearity ``exp(L g) (1, +/- n) = exp(L g) e0
-    +/- exp(L g) (0, n)``, so both collapse branches share the exponentials
-    of one time, and with ``t1 = 0`` the (1,2) gap is ``t2`` and shares them
-    with the second measurement.  Each time costs two ``exp`` and one
-    cos/sin pair on floats.  The x slot's exact zeros are left out, not
-    multiplied: each is an exact zero added to a nonzero sum, so the floats
-    are those of the full four-slot arithmetic.
-
-    A lift that ``_lift_modes`` refuses raises its
-    ``DegenerateEvolutionError``.
+    from the closed form of the lift, :func:`nhlgi.dynamics._lift_coefficients`:
+    a propagated vector ``v`` is ``v + C B1 v + S B2 v`` on ``(trace, y,
+    z)``, with ``(C, S) = (E cos(beta t) - 1, E sin(beta t))``, and its x
+    component alone decays by ``X = exp(decay t)`` and adds nothing to the
+    trace.  ``setup(r, n)`` projects ``v``, ``B1 v`` and ``B2 v`` onto the
+    trace and the unit axis ``n`` for the state ``(1, r)`` and for each
+    collapse branch ``(1, +n)`` and ``(1, -n)``, each propagated whole, and
+    returns them with P(+1) of ``r`` itself and the x parts ``nx x`` and
+    ``nx^2``.  ``evaluate(point, t1, t2, t3)`` returns the eight numbers in
+    straight-line code.  Both branches share the weights of one time, and
+    with ``t1 = 0`` the (1,2) gap is ``t2`` and shares them with the second
+    measurement.  Each time costs one ``expm1``, one ``exp`` and one cos/sin
+    pair on floats.
     """
-    (rate_b, alpha, beta), columns, rows = _lift_modes(h, kappa)
-    (ta, ya, za), (tu, yu, zu), (tw, yw, zw) = columns
-    (fa0, fay, faz), (gu0, guy, guz), (gw0, gwy, gwz) = rows
-    exp, cos, sin = math.exp, math.cos, math.sin
+    (_, m, beta, decay), (b1, b2) = _lift_coefficients(h, kappa)
+    (t1p, t1m, t1z), (y1p, y1m, y1z), (z1p, z1m, z1z) = b1
+    (t2p, t2m, t2z), (y2p, y2m, y2z), (z2p, z2m, z2z) = b2
+    weights = _lift_weights
 
     def setup(r, n):
         x, y, z = r
         nx, ny, nz = n
-        # axis projections of the columns, row projections onto the state (k)
-        # and onto (0, n) (j), and rows onto the branches (1, +n) and (1, -n)
-        na, nu, nw = ny * ya + nz * za, ny * yu + nz * zu, ny * yw + nz * zw
-        ka, ku, kw = fa0 + fay * y + faz * z, gu0 + guy * y + guz * z, gw0 + gwy * y + gwz * z
-        ja, ju, jw = fay * ny + faz * nz, guy * ny + guz * nz, gwy * ny + gwz * nz
-        pa, pu, pw, ma, mu, mw = fa0 + ja, gu0 + ju, gw0 + jw, fa0 - ja, gu0 - ju, gw0 - jw
-        # V V^-1 reproduces the state only to about cond(V) ulps, so a first
-        # measurement at t = 0 reads the state itself
-        at_zero = 0.5 * (1.0 + nx * x + ny * y + nz * z)
-        at_zero = at_zero if 0.0 <= at_zero <= 1.0 else (1.0 if at_zero > 1.0 else 0.0)
-        # (trace, axis) coefficients of rate 0 and of the rotation's cos and
-        # sin: the state (s), the + branch (p), the - branch (m); the x slot
-        # adds nx x to the state's axis part and +/- nx^2 to the branches'
+        # the axis rows of B1 and B2, then the trace and axis parts of B1 v
+        # and B2 v for the state (s), the + branch (p) and the - branch (m),
+        # each in (P, M, Z); the - branch swaps P and M and negates Z
+        a1p, a1m, a1z = ny * y1p + nz * z1p, ny * y1m + nz * z1m, ny * y1z + nz * z1z
+        a2p, a2m, a2z = ny * y2p + nz * z2p, ny * y2m + nz * z2m, ny * y2z + nz * z2z
+        sp, sm, pp, pm = 1.0 + y, 1.0 - y, 1.0 + ny, 1.0 - ny
+        first = 0.5 * (1.0 + nx * x + ny * y + nz * z)
         return (
-            at_zero, nx * x, nx * nx,
-            ta * ka, na * ka, tu * ku + tw * kw, tu * kw - tw * ku,
-            nu * ku + nw * kw, nu * kw - nw * ku,
-            ta * pa, na * pa, tu * pu + tw * pw, tu * pw - tw * pu,
-            nu * pu + nw * pw, nu * pw - nw * pu,
-            ta * ma, na * ma, tu * mu + tw * mw, tu * mw - tw * mu,
-            nu * mu + nw * mw, nu * mw - nw * mu,
+            first if 0.0 <= first <= 1.0 else (1.0 if first > 1.0 else 0.0),
+            nx * x, nx * nx, ny * y + nz * z, ny * ny + nz * nz,
+            t1p * sp + t1m * sm + t1z * z, a1p * sp + a1m * sm + a1z * z,
+            t2p * sp + t2m * sm + t2z * z, a2p * sp + a2m * sm + a2z * z,
+            t1p * pp + t1m * pm + t1z * nz, a1p * pp + a1m * pm + a1z * nz,
+            t2p * pp + t2m * pm + t2z * nz, a2p * pp + a2m * pm + a2z * nz,
+            t1p * pm + t1m * pp - t1z * nz, a1p * pm + a1m * pp - a1z * nz,
+            t2p * pm + t2m * pp - t2z * nz, a2p * pm + a2m * pp - a2z * nz,
         )
 
     def evaluate(point, t1, t2, t3):
         (
-            first1, sx, xx, s0, s1, sc0, ss0, sc1, ss1,
-            p0, p1, pc0, ps0, pc1, ps1, m0, m1, mc0, ms0, mc1, ms1,
+            first1, sx, xx, sv, nv, s0, s1, t0, u1,
+            p0, p1, q0, q1, m0, m1, l0, l1,
         ) = point
-        # P(+1) at t1 (the state itself at t1 = 0) and at t2, from the modes
-        # (eb, c, s) of each time
+        # P(+1) at t1 (the state itself at t1 = 0) and at t2, from the
+        # weights (x, c, s) of each time
         if t1 != 0.0:
-            ea = exp(alpha * t1)
-            eb, c, s = exp(rate_b * t1), ea * cos(beta * t1), ea * sin(beta * t1)
-            q = 0.5 * (1.0 + (s1 + eb * sx + c * sc1 + s * ss1) / (s0 + c * sc0 + s * ss0))
+            x, c, s = weights(m, beta, decay, t1)
+            q = 0.5 * (1.0 + (sv + x * sx + c * s1 + s * u1) / (1.0 + c * s0 + s * t0))
             first1 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
-        ea = exp(alpha * t2)
-        eb, c, s = exp(rate_b * t2), ea * cos(beta * t2), ea * sin(beta * t2)
-        q = 0.5 * (1.0 + (s1 + eb * sx + c * sc1 + s * ss1) / (s0 + c * sc0 + s * ss0))
+        x, c, s = weights(m, beta, decay, t2)
+        q = 0.5 * (1.0 + (sv + x * sx + c * s1 + s * u1) / (1.0 + c * s0 + s * t0))
         first2 = q if 0.0 <= q <= 1.0 else (1.0 if q > 1.0 else 0.0)
         # conditional pairs across each gap; with t1 = 0 the (1,2) gap is t2
-        # and keeps its modes
+        # and keeps its weights
         if t1 != 0.0:
-            g = t2 - t1
-            ea = exp(alpha * g)
-            eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
-        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+            x, c, s = weights(m, beta, decay, t2 - t1)
+        qp = 0.5 * (1.0 + (nv + x * xx + c * p1 + s * q1) / (1.0 + c * p0 + s * q0))
+        qm = 0.5 * (1.0 + (-nv - x * xx + c * m1 + s * l1) / (1.0 + c * m0 + s * l0))
         plus12 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
         minus12 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
-        g = t3 - t2
-        ea = exp(alpha * g)
-        eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
-        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+        x, c, s = weights(m, beta, decay, t3 - t2)
+        qp = 0.5 * (1.0 + (nv + x * xx + c * p1 + s * q1) / (1.0 + c * p0 + s * q0))
+        qm = 0.5 * (1.0 + (-nv - x * xx + c * m1 + s * l1) / (1.0 + c * m0 + s * l0))
         plus23 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
         minus23 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
-        g = t3 - t1
-        ea = exp(alpha * g)
-        eb, c, s = exp(rate_b * g), ea * cos(beta * g), ea * sin(beta * g)
-        qp = 0.5 * (1.0 + (p1 + eb * xx + c * pc1 + s * ps1) / (p0 + c * pc0 + s * ps0))
-        qm = 0.5 * (1.0 + (m1 - eb * xx + c * mc1 + s * ms1) / (m0 + c * mc0 + s * ms0))
+        x, c, s = weights(m, beta, decay, t3 - t1)
+        qp = 0.5 * (1.0 + (nv + x * xx + c * p1 + s * q1) / (1.0 + c * p0 + s * q0))
+        qm = 0.5 * (1.0 + (-nv - x * xx + c * m1 + s * l1) / (1.0 + c * m0 + s * l0))
         plus13 = qp if 0.0 <= qp <= 1.0 else (1.0 if qp > 1.0 else 0.0)
         minus13 = qm if 0.0 <= qm <= 1.0 else (1.0 if qm > 1.0 else 0.0)
         return first1, first2, plus12, minus12, plus23, minus23, plus13, minus13
@@ -528,13 +510,13 @@ class CorrelatorEngine:
 
     Building the engine refuses a kappa that :func:`nhlgi.dynamics._check_kappa`
     refuses, and binds its routes once, each the ``(setup, evaluate)`` pair
-    of a frame, with the frame's own setup (with noise, the
-    eigendecomposition of the lift and its real modal form).  None
-    validates; the scans call them per point.
+    of a frame, with the frame's own setup (the closed form of the lift, on
+    floats).  None validates; the scans call them per point.  The kappa fork
+    here is the one place where one of the two Bloch frames is chosen.
 
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
-      frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame of
-      the noiseless density flow, with collapse states ``+/- n``;
+      frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame
+      over the lift's closed form, with collapse states ``+/- n``;
     - ``_circle_route`` for a spinor and an axis on the invariant circle,
       given as the floats :func:`_circle_coordinates` takes from them: the
       circle frame at ``kappa = 0``, and under noise the Bloch route fed
@@ -551,7 +533,7 @@ class CorrelatorEngine:
         _check_kappa(kappa)
         if kappa == 0.0:
             bloch_route = _propagating_frame(
-                _density_propagator(h), _bloch_born, _bloch_collapse
+                _lift_propagator(h, 0.0), _bloch_born, _bloch_collapse
             )
         else:
             bloch_route = _noisy_frame(h, kappa)

@@ -211,8 +211,9 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
     nfev = len(fsim)
     fsim += [math.inf] * (n + 1 - nfev)
 
+    # NaN values go last, as numpy's argsort puts them, in a stable order
     def restore_order():
-        order = sorted(range(n + 1), key=fsim.__getitem__)
+        order = sorted(range(n + 1), key=lambda i: (isnan(fsim[i]), fsim[i]))
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
@@ -292,9 +293,13 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
                 restore_order()
                 continue
         # Only the worst vertex changed, so a stable sort re-inserts it
-        # after every vertex of equal or lower value.
+        # after every vertex of equal or lower value, and a value that is
+        # not NaN before every NaN, which no comparison orders (v != v holds
+        # for NaN alone).
         del sim[-1], fsim[-1]
         i = bisect_right(fsim, new[1])
+        if i and fsim[i - 1] != fsim[i - 1] and new[1] == new[1]:
+            i = bisect_right(fsim, new[1], 0, next(k for k, v in enumerate(fsim) if v != v))
         sim.insert(i, new[0])
         fsim.insert(i, new[1])
 

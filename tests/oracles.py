@@ -88,7 +88,7 @@ def two_time_joint(h_matrix, psi0, direction, t_i, t_j):
     return probs
 
 
-def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
+def noisy_protocol_tables(theta, kappa, rho0, direction, times, dps=30):
     """Joint outcome tables of the invasive protocol under depolarising noise.
 
     For measurement times ``(t1, t2, t3)``, returns the tables of the pairs
@@ -99,10 +99,12 @@ def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
         L = -i (H x I) + i (I x H^*) + kappa (vec(I) tr(.) - 2 I_4)
 
     built entry by entry in mpmath and exponentiated there at ``dps``
-    significant digits, renormalising the trace after each propagation.  The
-    lift is far from normal near the corner, where a double-precision
-    exponential loses digits (5.6e-9 at theta = 1.546875); the extra digits
-    keep this one exact to double precision for the Hamiltonian it is given.
+    significant digits, renormalising the trace after each propagation.
+    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
+    theta`` are formed in mpmath, so ``H`` is ``H(theta)`` itself, not the
+    rounded float matrix.  The lift is far from normal near the corner, where
+    a double-precision exponential loses digits (5.6e-9 at theta =
+    1.546875); the extra digits keep this one exact to double precision.
     Only ``exp(L t1)`` and the gap propagators ``exp(L (t2 - t1))`` and
     ``exp(L (t3 - t2))`` are exponentiated; the other two are their products.
     Collapses onto the projectors ``(I +/- n . sigma)/2`` and reads
@@ -112,7 +114,9 @@ def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
 
     t1, t2, t3 = times
     with mpmath.workdps(dps):
-        hm = mpmath.matrix(np.asarray(h_matrix, dtype=complex).tolist())
+        th = mpmath.mpf(theta)
+        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+        hm = mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
         eye = mpmath.eye(2)
         lift = mpmath.zeros(4, 4)
         for i, j, k, m in np.ndindex(2, 2, 2, 2):
@@ -151,6 +155,38 @@ def noisy_protocol_tables(h_matrix, kappa, rho0, direction, times, dps=30):
         g12 = mpmath.expm(lift * (t2 - t1))
         g23 = mpmath.expm(lift * (t3 - t2))
         return table(u1, g12), table(g12 * u1, g23), table(u1, g23 * g12)
+
+
+def noisy_bloch_trajectory(theta, kappa, r, times, dps=50):
+    """Bloch vectors ``S = r/2`` of the renormalised depolarised flow from the
+    Bloch vector ``r = tr(rho sigma)`` at each of ``times``, in mpmath at
+    ``dps`` digits.
+
+    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
+    theta`` are formed in mpmath.  The unnormalised ``(r0, r)`` obeys the
+    real linear lift ``d r0/dt = 2 tan z``, ``dx/dt = -2 kappa x``, ``dy/dt =
+    -2 sec z - 2 kappa y`` and ``dz/dt = 2 tan r0 + 2 sec y - 2 kappa z``,
+    which mpmath exponentiates; each vector is divided by its trace.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        th, k = mpmath.mpf(theta), mpmath.mpf(kappa)
+        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+        lift = mpmath.matrix(
+            [
+                [0, 0, 0, 2 * tan],
+                [0, -2 * k, 0, 0],
+                [0, 0, -2 * k, -2 * sec],
+                [2 * tan, 0, 2 * sec, -2 * k],
+            ]
+        )
+        v0 = mpmath.matrix([1] + [mpmath.mpf(c) for c in r])
+        rows = []
+        for t in times:
+            v = mpmath.expm(lift * mpmath.mpf(t)) * v0
+            rows.append([v[i] / (2 * v[0]) for i in (1, 2, 3)])
+        return np.array(rows, dtype=float)
 
 
 def pure_bloch_trajectory(h, psi0, times, dps=40):

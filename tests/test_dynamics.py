@@ -636,7 +636,7 @@ def test_theta_domain_is_one_contract(entry, theta):
 
 
 _KAPPA_ENTRIES = {
-    "_noisy_propagator": lambda kappa: nhlgi.dynamics._noisy_propagator(
+    "_lift_propagator": lambda kappa: nhlgi.dynamics._lift_propagator(
         NHHamiltonian.canonical(0.3), kappa
     ),
     "evolve_density_noisy": lambda kappa: evolve_density_noisy(

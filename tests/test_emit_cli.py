@@ -30,7 +30,14 @@ from nhlgi.dynamics import (
 from nhlgi.emit import format_value, write_csv, write_json
 from nhlgi.lgi import CorrelatorEngine, Observable, k3_closed_form
 from nhlgi.qmat import trace_distance
-from oracles import closed_form_k3, pure_bloch_trajectory, read_csv
+from oracles import (
+    closed_form_k3,
+    density_from_bloch,
+    noisy_bloch_trajectory,
+    noisy_protocol_tables,
+    pure_bloch_trajectory,
+    read_csv,
+)
 
 
 class TestFormatValue:
@@ -294,15 +301,16 @@ class TestCliTrajectoryRoute:
         assert np.all(np.isfinite(self._bloch(columns)))
         assert np.all(columns["purity"] <= 1.0 + 1e-12)
 
-    def test_refused_lift_exits_1_as_noise_does(self, capsys):
-        point = ["--theta", repr(THETA_MAX), "--kappa", "1e-9"]
-        assert main(["noise", *point, "--tmax", "0.2", "--step", "0.1"]) == 1
-        noise = capsys.readouterr()
-        assert main(["trajectory", *point]) == 1
-        trajectory = capsys.readouterr()
-        assert trajectory.out == noise.out == ""
-        assert "defective" in trajectory.err
-        assert trajectory.err == noise.err
+    def test_faint_noise_at_the_corner_against_50_digits(self, tmp_path):
+        # the eigendecomposed lift refused this point (exit 1, "numerically
+        # defective"); over all 315 rows the closed form was within 2.2e-16
+        # of the 50-digit lift of H(theta) from the same Bloch vector
+        pytest.importorskip("mpmath")
+        _, columns = read_csv(self._run(tmp_path, "--theta", repr(THETA_MAX), "--kappa", "1e-9"))
+        rows = sorted(np.random.default_rng(11).choice(columns["t"].size, 20, replace=False))
+        start = (2.0 * bloch_of_pure(up_y())).tolist()
+        exact = noisy_bloch_trajectory(THETA_MAX, 1e-9, start, columns["t"][rows].tolist())
+        assert np.max(np.abs(self._bloch(columns)[rows] - exact)) <= 1e-15
 
     @pytest.mark.parametrize(
         "theta, kappa",
@@ -310,8 +318,6 @@ class TestCliTrajectoryRoute:
             (theta, kappa)
             for theta in (0.0, 1.2, math.pi / 2 - 1e-3, THETA_MAX)
             for kappa in ("0", "1e-12", "0.01", "1e5")
-            # the lift at THETA_MAX and kappa = 1e-12 is refused (see above)
-            if (theta, kappa) != (THETA_MAX, "1e-12")
         ],
     )
     def test_invariant_s_x_is_zero(self, tmp_path, theta, kappa):
@@ -541,15 +547,39 @@ class TestCliNoise:
         metadata, _ = read_csv(out)
         assert float(metadata["theta"]) == pytest.approx(math.pi / 2 - 0.4, abs=1e-12)
 
-    def test_defective_lift_exits_1(self, capsys):
-        # at the corner with faint noise the lift cannot be diagonalised
-        # reliably; the command must fail instead of printing C13 = -1
-        rc = main(["noise", "--delta", "1e-6", "--kappa", "1e-9",
-                   "--tmax", "0.2", "--step", "0.1"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert "defective" in captured.err
+    # Faint noise at the corner.  The eigendecomposed lift refused delta =
+    # 1e-6 (exit 1) and was off by up to 4e-4 at delta = 1e-3.  Over every
+    # row, the closed form was within 8.9e-16 at delta = 1e-6 and 1.2e-10
+    # at delta = 1e-3 (at t = 1.57, next to the half period, the last row)
+    # of a 50-digit lift of H(theta) from the same Bloch vector.  That
+    # vector, read off up_y, has |r| = 1 - 2.2e-16; the exactly pure state's
+    # K3 differs from it by 2e-5 in that last row.
+    @pytest.mark.parametrize(
+        "point, kappa, bound",
+        [
+            (("--delta", "1e-6"), "1e-12,1e-9", 1e-14),
+            (("--theta", "1.5697963267948967"), "1e-12", 3e-10),
+        ],
+        ids=["delta-1e-6", "delta-1e-3"],
+    )
+    def test_faint_noise_at_the_corner_against_50_digits(self, tmp_path, point, kappa, bound):
+        pytest.importorskip("mpmath")
+        out = tmp_path / "noise.csv"
+        assert main(["noise", *point, "--kappa", kappa, "--out", str(out)]) == 0
+        metadata, columns = read_csv(out)
+        theta, size = float(metadata["theta"]), columns["t"].size
+        rows = sorted(np.random.default_rng(5).choice(size - 1, 11, replace=False)) + [size - 1]
+        rho0 = density_from_bloch(bloch_of_pure(up_y()))
+        worst = 0.0
+        for i in rows:
+            t = columns["t"][i]
+            tables = noisy_protocol_tables(
+                theta, columns["kappa"][i], rho0, (0.0, -1.0, 0.0), (0.0, t, 2.0 * t), dps=50
+            )
+            c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
+            got = [columns[name][i] for name in ("c12", "c23", "c13", "k3")]
+            worst = max(worst, *(abs(a - b) for a, b in zip(got, (c12, c23, c13, c12 + c23 - c13))))
+        assert worst <= bound
 
 
 class TestCliScan:
