@@ -53,7 +53,7 @@ from .dynamics import (
     up_y,
     validate_pure,
 )
-from .lgi import LgiResult, Observable, _k3_result, _propagating_frame, _pure_born
+from .lgi import LgiResult, Observable, _k3_result
 from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 
 __all__ = [
@@ -81,13 +81,17 @@ def theta_from_delta(delta: float) -> float:
     ``delta = 0`` is rejected: there ``eta`` is no longer defined
     (``sec`` and ``tan`` diverge) and the embedded state collapses onto a
     separable ``|up_z> (x) psi``, so post-selection no longer simulates any
-    non-Hermitian flow.
+    non-Hermitian flow.  A ``delta`` below 1e-6 is refused by name too: its
+    theta lies past ``THETA_MAX``, outside the library's domain;
+    ``delta = 1e-6`` maps to ``THETA_MAX`` exactly.
     """
     if not np.isfinite(delta) or delta <= 0.0:
         raise ValueError(
             "delta must be positive: at delta = 0 the embedded state is "
             "separable and the dilation degenerates"
         )
+    if delta < 1e-6:
+        raise ValueError(f"delta must be at least 1e-6, got {delta!r}")
     theta = math.pi / 2 - delta
     if theta < 0.0:
         raise ValueError(f"delta = {delta!r} exceeds pi/2")
@@ -224,6 +228,52 @@ def evolve_and_postselect(theta: float, psi0, t: float) -> tuple[np.ndarray, flo
     return np.array(upper), p_select
 
 
+def _pure_born(chi, psi) -> float:
+    """Born probability ``|<chi|psi>|^2`` of two spinors."""
+    return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
+
+
+def _propagating_frame(propagate):
+    """Protocol from a renormalised flow on spinors, in the ``(setup,
+    evaluate)`` shape of the frames of :mod:`nhlgi.lgi`.
+
+    ``propagate(t, psi)`` is a renormalised flow on spinor pairs.
+    ``setup(psi, n)`` returns ``(psi, (up, down))``, the eigenbasis of the
+    unit axis ``n`` from :func:`nhlgi.dynamics._axis_basis`.  Each collapse
+    branch is propagated across the gap and its Born probability
+    (:func:`_pure_born`) read off, so the dilation shares no arithmetic with
+    the lift's projected frame.  Born probabilities are clipped to [0, 1];
+    the first measurement's pair is renormalised.  ``evaluate`` validates
+    nothing: callers check their inputs once, outside any loop.
+    """
+
+    def setup(state, n):
+        return state, _axis_basis(n)
+
+    def first(point, t):
+        state, (up, down) = point
+        v = propagate(t, state)
+        p = min(1.0, max(0.0, _pure_born(up, v)))
+        m = min(1.0, max(0.0, _pure_born(down, v)))
+        return p / (p + m)
+
+    def transfer(point, g):
+        branches = point[1]
+        up = branches[0]
+        return tuple(min(1.0, max(0.0, _pure_born(up, propagate(g, c)))) for c in branches)
+
+    def evaluate(point, t1, t2, t3):
+        return (
+            first(point, t1),
+            first(point, t2),
+            *transfer(point, t2 - t1),
+            *transfer(point, t3 - t2),
+            *transfer(point, t3 - t1),
+        )
+
+    return setup, evaluate
+
+
 def k3_via_embedding(
     theta: float,
     q: Observable | None = None,
@@ -245,7 +295,5 @@ def k3_via_embedding(
     psi0 = validate_pure(up_y() if psi0 is None else psi0)
     postselect = _dilation(theta)[1]
     # each leg re-embeds, evolves, post-selects and returns the normalised upper block
-    setup, evaluate = _propagating_frame(
-        lambda t, psi: postselect(t, psi)[0], _pure_born, _axis_basis
-    )
+    setup, evaluate = _propagating_frame(lambda t, psi: postselect(t, psi)[0])
     return _k3_result(partial(evaluate, setup(psi0.tolist(), q.direction)), t1, t2, t3, 0.0)

@@ -30,7 +30,7 @@ arithmetic.
 Every frame is a pair ``(setup, evaluate)`` on plain scalars: ``setup(state,
 n)`` takes a state and a unit axis and returns the point's coefficients as
 floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
-numbers.  No frame builds a function per point.  There are three:
+numbers.  No frame builds a function per point.  There are two:
 
 - pure states at ``kappa = 0`` on the invariant y-z great circle, with an
   axis in its plane (:func:`_circle_frame`): the real circle flow of
@@ -38,21 +38,18 @@ numbers.  No frame builds a function per point.  There are three:
   the frame stays accurate at the corner.  ``evaluate`` runs the three times
   in straight-line code, where both conditionals are column ratios of the
   propagator, so no collapse branch is propagated;
-- any state under noise (``kappa > 0``) as a Bloch vector, with the closed
+- any other state at any ``kappa >= 0`` as a Bloch vector, with the closed
   form of the linear lift of the depolarising flow (its ``(trace, y, z)``
   block from the real root of the characteristic cubic, and x decaying
   alone) projected onto the axis for the state and for each collapse
   branch, so each time costs one ``expm1``, one ``exp`` and one cos/sin
-  pair (:func:`_noisy_frame`);
-- noiseless Bloch vectors (of density matrices and of spinors off the
-  circle), propagated with the same closed form at ``kappa = 0``, and the
-  dilation's spinors: each collapse branch is propagated with a
-  renormalised flow and Born probabilities are read off it
-  (:func:`_propagating_frame`), so the dilation stays an independent
-  cross-check.
+  pair (:func:`_noisy_frame`).
 
-The first two share the cos/sin pair (and the exponentials) of ``t2`` with
-the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
+Both share the cos/sin pair (and the exponentials) of ``t2`` with the (1,2)
+gap when ``t1 = 0``, as every CLI row and search point has it.  The
+dilation's frame, which propagates each collapse branch and reads Born
+probabilities off it so that it stays an independent cross-check, lives in
+:mod:`nhlgi.embedding`.
 The flows, the lift's closed form, the Bloch-vector and Bloch-angle maps
 the frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this module
 keeps no copy of them and reads no rounded ``sec theta``, ``tan theta`` or
@@ -91,7 +88,6 @@ from .dynamics import (
     _circle_state,
     _density_bloch,
     _lift_coefficients,
-    _lift_propagator,
     _lift_weights,
     _spinor_bloch,
     validate_density,
@@ -324,7 +320,7 @@ def _circle_coordinates(psi, n):
 
 
 def _noisy_frame(h: NHHamiltonian, kappa: float):
-    """Protocol of ``h`` at depolarising rate ``kappa > 0``, on Bloch vectors.
+    """Protocol of ``h`` at depolarising rate ``kappa >= 0``, on Bloch vectors.
 
     Returns ``(setup, evaluate)`` on plain scalars, with no closure per point,
     from the closed form of the lift, :func:`nhlgi.dynamics._lift_coefficients`:
@@ -404,63 +400,6 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
     return setup, evaluate
 
 
-def _pure_born(chi, psi) -> float:
-    """Born probability ``|<chi|psi>|^2`` of two spinors."""
-    return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
-
-
-def _bloch_born(n, r) -> float:
-    """Born probability ``(1 + n . r)/2`` of Bloch vectors ``n`` and ``r``."""
-    return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
-
-
-def _bloch_collapse(n):
-    """The collapse states ``(+n, -n)`` of a unit axis ``n``, as Bloch vectors."""
-    return n, (-n[0], -n[1], -n[2])
-
-
-def _propagating_frame(propagate, born, collapse):
-    """Protocol from a renormalised flow and a Born rule.
-
-    Returns ``(setup, evaluate)``, where ``propagate(t, state)`` is a
-    renormalised flow, ``born(c, state)`` the probability of collapsing onto
-    ``c``, and ``collapse(n)`` the pair ``(up, down)`` of collapse states of
-    a unit axis ``n``: spinors with :func:`_pure_born` and
-    :func:`nhlgi.dynamics._axis_basis`, or Bloch vectors with
-    :func:`_bloch_born` and :func:`_bloch_collapse`.  ``setup(state, n)``
-    returns ``(state, collapse(n))``.  Each collapse branch is propagated
-    across the gap.  Born probabilities are clipped to [0, 1]; the first
-    measurement's pair is renormalised.  ``evaluate`` validates nothing:
-    callers check their inputs once, outside any loop.
-    """
-
-    def setup(state, n):
-        return state, collapse(n)
-
-    def first(point, t):
-        state, (up, down) = point
-        v = propagate(t, state)
-        p = min(1.0, max(0.0, born(up, v)))
-        m = min(1.0, max(0.0, born(down, v)))
-        return p / (p + m)
-
-    def transfer(point, g):
-        branches = point[1]
-        up = branches[0]
-        return tuple(min(1.0, max(0.0, born(up, propagate(g, c)))) for c in branches)
-
-    def evaluate(point, t1, t2, t3):
-        return (
-            first(point, t1),
-            first(point, t2),
-            *transfer(point, t2 - t1),
-            *transfer(point, t3 - t2),
-            *transfer(point, t3 - t1),
-        )
-
-    return setup, evaluate
-
-
 def _correlators(values) -> tuple[float, float, float]:
     """``(c12, c23, c13)`` of the eight numbers.
 
@@ -511,12 +450,11 @@ class CorrelatorEngine:
     Building the engine refuses a kappa that :func:`nhlgi.dynamics._check_kappa`
     refuses, and binds its routes once, each the ``(setup, evaluate)`` pair
     of a frame, with the frame's own setup (the closed form of the lift, on
-    floats).  None validates; the scans call them per point.  The kappa fork
-    here is the one place where one of the two Bloch frames is chosen.
+    floats).  None validates; the scans call them per point.  The one kappa
+    fork here chooses the circle route; every Bloch vector takes one frame.
 
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
-      frame at ``kappa > 0``, and at ``kappa = 0`` the propagating frame
-      over the lift's closed form, with collapse states ``+/- n``;
+      frame, at every ``kappa >= 0``;
     - ``_circle_route`` for a spinor and an axis on the invariant circle,
       given as the floats :func:`_circle_coordinates` takes from them: the
       circle frame at ``kappa = 0``, and under noise the Bloch route fed
@@ -531,13 +469,7 @@ class CorrelatorEngine:
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
         _check_kappa(kappa)
-        if kappa == 0.0:
-            bloch_route = _propagating_frame(
-                _lift_propagator(h, 0.0), _bloch_born, _bloch_collapse
-            )
-        else:
-            bloch_route = _noisy_frame(h, kappa)
-        bloch_setup, evaluate = bloch_route
+        bloch_setup, evaluate = bloch_route = _noisy_frame(h, kappa)
 
         def spinor_setup(psi, n):
             x, y, z = _spinor_bloch(psi)

@@ -8,21 +8,13 @@ from nhlgi.qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
 from nhlgi.dynamics import (
     THETA_MAX,
     NHHamiltonian,
-    _axis_basis,
     down_y,
     evolve_pure,
     propagated_norm,
     state_from_bloch_angles,
     up_y,
 )
-from nhlgi.lgi import (
-    CorrelatorEngine,
-    LgiResult,
-    Observable,
-    _propagating_frame,
-    _pure_born,
-    _tables,
-)
+from nhlgi.lgi import CorrelatorEngine, LgiResult, Observable, _tables
 from nhlgi.embedding import (
     EmbeddedState,
     Metric,
@@ -34,7 +26,7 @@ from nhlgi.embedding import (
     k3_via_embedding,
     theta_from_delta,
 )
-from nhlgi.embedding import _dilation
+from nhlgi.embedding import _dilation, _propagating_frame
 
 THETAS = [0.0, 0.3, 1.0, 1.4, theta_from_delta(0.1)]
 
@@ -43,6 +35,7 @@ class TestThetaFromDelta:
     def test_mapping(self):
         assert theta_from_delta(0.1) == pytest.approx(math.pi / 2 - 0.1, abs=1e-15)
         assert theta_from_delta(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        assert theta_from_delta(1e-6) == THETA_MAX
 
     def test_degenerate_corner_rejected(self):
         with pytest.raises(ValueError):
@@ -51,6 +44,9 @@ class TestThetaFromDelta:
             theta_from_delta(-0.2)
         with pytest.raises(ValueError):
             theta_from_delta(2.0)
+        # below 1e-6 theta would leave the domain: refused by its own name
+        with pytest.raises(ValueError, match="delta must be at least 1e-6, got 1e-07"):
+            theta_from_delta(1e-7)
 
 
 class TestMetric:
@@ -256,7 +252,7 @@ def _reference_k3(theta, q, times, psi0):
         upper = _reference_postselect(theta, np.array(psi), t)[2]
         return complex(upper[0]), complex(upper[1])
 
-    setup, evaluate = _propagating_frame(propagate, _pure_born, _axis_basis)
+    setup, evaluate = _propagating_frame(propagate)
     values = evaluate(setup(tuple(psi0.tolist()), q.direction), *times)
     return LgiResult.from_tables(_tables(values), times)
 
@@ -293,9 +289,7 @@ class TestOneDilationPerWorkingPoint:
             upper, p_select = _rebuilt_postselect(theta, psi, times[1])
             got, p = evolve_and_postselect(theta, psi, times[1])
             assert np.array_equal(got, np.array(upper)) and p == p_select
-            setup, evaluate = _propagating_frame(
-                lambda t, c: _rebuilt_postselect(theta, c, t)[0], _pure_born, _axis_basis
-            )
+            setup, evaluate = _propagating_frame(lambda t, c: _rebuilt_postselect(theta, c, t)[0])
             values = evaluate(setup(tuple(psi.tolist()), q.direction), *times)
             want = LgiResult.from_tables(_tables(values), times)
             res = k3_via_embedding(theta, q, *times, psi0=psi)

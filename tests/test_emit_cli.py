@@ -797,6 +797,14 @@ class TestCliErrors:
         assert main(["embed", "--delta", "0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["embed", "noise", "noisescan"])
+    def test_delta_below_the_domain_is_named(self, command, capsys):
+        # the refusal names the delta the user typed, not the theta it maps to
+        assert main([command, "--delta", "1e-7"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid parameters: delta must be at least 1e-6, got 1e-07\n"
+        )
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

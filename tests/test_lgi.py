@@ -23,7 +23,7 @@ from nhlgi.dynamics import (
     state_from_bloch_angles,
     up_y,
 )
-from nhlgi.embedding import _dilation, k3_via_embedding
+from nhlgi.embedding import _dilation, _pure_born, k3_via_embedding
 from nhlgi.lgi import (
     ALGEBRAIC_BOUND,
     LUDER_BOUND,
@@ -31,12 +31,8 @@ from nhlgi.lgi import (
     JointTable,
     LgiResult,
     Observable,
-    _bloch_born,
-    _bloch_collapse,
     _correlators,
     _noisy_frame,
-    _propagating_frame,
-    _pure_born,
     _tables,
     k3_closed_form,
 )
@@ -385,11 +381,12 @@ class TestProtocolAgainstOracle:
         ),
     )
     def test_frames_match_propagating_adapter(self, theta, log_kappa, state, axis, times):
-        # the engine's spinor route runs the noiseless density flow on the
-        # spinor's Bloch vector, and the noisy frame projects the closed form
-        # before it combines it; the adapter propagates every branch (spinors
-        # with the pure flow, Bloch vectors with the eigendecomposed lift in
-        # numpy) and reads Born probabilities, so the tables must agree
+        # the engine's spinor route runs the lift's projected frame on the
+        # spinor's Bloch vector at kappa = 0, and the noisy frame projects
+        # the closed form before it combines it; the adapter propagates every
+        # branch (spinors with the pure flow, Bloch vectors with the
+        # eigendecomposed lift in numpy) and reads Born probabilities, so the
+        # tables must agree
         theta_s, phi_s, length = state
         h = NHHamiltonian.canonical(theta)
         psi = tuple(state_from_bloch_angles(theta_s, phi_s).tolist())
@@ -399,8 +396,8 @@ class TestProtocolAgainstOracle:
         t3 = t2 + times[2]
         setup, evaluate = CorrelatorEngine(h)._spinor_route
         spinor = evaluate(setup(psi, n), t1, t2, t3)
-        setup, evaluate = _propagating_frame(pure_propagator(h), _pure_born, _oracle_basis)
-        expected = evaluate(setup(psi, n), t1, t2, t3)
+        adapter = _closure_propagating_frame(pure_propagator(h), _pure_born)
+        expected = _closure_protocol(*adapter(psi, _oracle_basis(n)), t1, t2, t3)
         # measured over 3000 draws: spinor within 1.8e-15 sec^2(theta) of the
         # adapter, noisy within 9.8e-16 sec^2(theta); scipy's expm of the whole
         # lift is no reference here, it is off by 3.6e-8 at delta = 0.012 and
@@ -414,9 +411,8 @@ class TestProtocolAgainstOracle:
         r = tuple(length * c for c in Observable.from_angles(theta_s, phi_s).direction)
         setup, evaluate = _noisy_frame(h, kappa)
         noisy = evaluate(setup(r, n), t1, t2, t3)
-        propagate = _eig_propagator(h, kappa)
-        setup, evaluate = _propagating_frame(propagate, _bloch_born, _bloch_collapse)
-        expected = evaluate(setup(r, n), t1, t2, t3)
+        adapter = _closure_propagating_frame(_eig_propagator(h, kappa), _bloch_born)
+        expected = _closure_protocol(*adapter(r, (n, (-n[0], -n[1], -n[2]))), t1, t2, t3)
         np.testing.assert_allclose(
             np.array(_tables(noisy)), _tables(expected), rtol=0.0, atol=tol
         )
@@ -629,8 +625,14 @@ def _dot(row, v):
     return a * p + b * q + c * r
 
 
+def _bloch_born(n, r):
+    """Born probability ``(1 + n . r)/2`` of Bloch vectors ``n`` and ``r``."""
+    return 0.5 * (1.0 + n[0] * r[0] + n[1] * r[1] + n[2] * r[2])
+
+
 def _closure_propagating_frame(propagate, born):
-    """The propagating frame as one closure pair per state and collapse pair."""
+    """The propagating frame as one closure pair per state and collapse pair:
+    every collapse branch is propagated and its Born probability read off."""
 
     def frame(state, collapse):
         up, down = collapse
@@ -680,10 +682,11 @@ def test_noisy_evaluator_is_the_closure_arithmetic(theta):
     # engine's spinor route and its public calls on spinors and density
     # matrices) gives the closure pair's eight numbers, bit for bit, also at
     # t1 = 0, where the (1,2) gap shares the exponentials of t2, and for the
-    # joint tables, whose third time repeats the second
+    # joint tables, whose third time repeats the second; at kappa = 0 too,
+    # where it is the engine's one route for states off the circle
     h = NHHamiltonian.canonical(theta)
     rng = np.random.default_rng(2025)
-    for kappa in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+    for kappa in (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
         setup, evaluate = _noisy_frame(h, kappa)
         frame = _closure_noisy_frame(h, kappa)
         engine = CorrelatorEngine(h, kappa)
@@ -708,26 +711,14 @@ def test_noisy_evaluator_is_the_closure_arithmetic(theta):
 
 
 @pytest.mark.parametrize("theta", CLOSURE_THETAS)
-def test_propagating_evaluators_are_the_closure_arithmetic(theta):
-    # the noiseless density route on Bloch vectors, the engine on spinors
-    # off the circle (through their Bloch vectors) and the dilation on
-    # spinors give the closure pair's eight numbers, bit for bit
-    h = NHHamiltonian.canonical(theta)
-    density = _closure_propagating_frame(_lift_propagator(h, 0.0), _bloch_born)
-    engine = CorrelatorEngine(h)
-    setup, evaluate = engine._bloch_route
+def test_dilation_is_the_closure_arithmetic(theta):
+    # the dilation on spinors gives the closure pair's eight numbers, bit
+    # for bit: it propagates every collapse branch through the 4d kernel
     postselect = _dilation(theta)[1]
     dilation = _closure_propagating_frame(lambda t, psi: postselect(t, psi)[0], _pure_born)
     rng = np.random.default_rng(2026)
-    for k, (r, psi, q, times) in enumerate(_closure_cases(rng, 120)):
+    for _, psi, q, times in _closure_cases(rng, 120):
         n = q.direction
-        collapse = (n, (-n[0], -n[1], -n[2]))
-        expected = _closure_protocol(*density(r, collapse), *times)
-        assert evaluate(setup(r, n), *times) == expected
-        x, y, z = _spinor_bloch(psi)
-        expected = _closure_protocol(*density((2.0 * x, 2.0 * y, 2.0 * z), collapse), *times)
-        res = engine.k3(np.array(psi), q, *times)
-        assert (res.c12, res.c23, res.c13) == _correlators(expected)
         expected = _closure_protocol(*dilation(psi, _axis_basis(n)), *times)
         res = k3_via_embedding(theta, q, *times, psi0=np.array(psi))
         assert (res.c12, res.c23, res.c13) == _correlators(expected)
@@ -1089,27 +1080,34 @@ class TestLiftAccuracy:
         # axis, t1 = 0 or not, gaps of 1e-4 to 1e-2 or of 0.1 to 1.5.  Over
         # 896 such draws the closed form was within 3.1e-13 at kappa > 0 and
         # 7.8e-16 at kappa = 0; the eigendecomposed lift was up to 1.6e-9
-        # off and refused 70 of them.
+        # off and refused 70 of them.  A pure draw is evaluated as a density
+        # matrix and as a spinor, which takes the Bloch route off the circle.
+        # With the lift's projected frame at kappa = 0 these draws are within
+        # 2.8e-16 there (density matrices and spinors alike), and 5.6e-16
+        # over 128 wider kappa = 0 draws.
         pytest.importorskip("mpmath")
         theta = math.pi / 2 - delta
         h = NHHamiltonian.canonical(theta)
         rng = np.random.default_rng(round(-10 * math.log10(delta)))
-        worst = 0.0
+        worst = [0.0, 0.0]  # at kappa = 0 and at kappa > 0
         for kappa in self.KAPPAS:
             engine = CorrelatorEngine(h, kappa)
             for lo, hi in ((1e-4, 1e-2), (0.1, 1.5)):
                 length = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.0, 1.0)
-                direction = _bloch_axis(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
-                rho = density_from_bloch(0.5 * length * np.array(direction))
+                angles = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi)
+                rho = density_from_bloch(0.5 * length * np.array(_bloch_axis(*angles)))
                 q = Observable.from_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
                 t1 = 0.0 if rng.uniform() < 0.5 else rng.uniform(lo, hi)
                 t2 = t1 + rng.uniform(lo, hi)
                 t3 = t2 + rng.uniform(lo, hi)
-                got = engine.k3(rho, q, t1, t2, t3).k3
                 tables = noisy_protocol_tables(theta, kappa, rho, q.direction, (t1, t2, t3), dps=40)
                 c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
-                worst = max(worst, abs(got - (c12 + c23 - c13)))
-        assert worst <= 1e-11
+                states = [rho, state_from_bloch_angles(*angles)] if length == 1.0 else [rho]
+                for state in states:
+                    got = engine.k3(state, q, t1, t2, t3).k3
+                    slot = kappa > 0.0
+                    worst[slot] = max(worst[slot], abs(got - (c12 + c23 - c13)))
+        assert worst[0] <= 1e-14 and worst[1] <= 1e-11
 
     def test_faint_noise_canonical_corner(self):
         # the eigendecomposed lift passed its residual check here and was
@@ -1125,8 +1123,8 @@ class TestLiftAccuracy:
         assert abs(got.k3 - (c12 + c23 - c13)) <= 1e-10
 
     def test_off_circle_probe_at_kappa_zero(self):
-        # a state 1e-12 off the circle takes the propagating frame over the
-        # closed form, which is -6.0e-14 off at THETA_MAX; the rounded sec
+        # a state 1e-12 off the circle takes the lift's projected frame (the
+        # Bloch route), which is -6.0e-14 off at THETA_MAX; the rounded sec
         # and tan were -2.0 off, then refused ("propagated trace -2.404e-04")
         pytest.importorskip("mpmath")
         psi = state_from_bloch_angles(math.pi / 2, 3 * math.pi / 2 + 1e-12)
