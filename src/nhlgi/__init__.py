@@ -53,15 +53,8 @@ from .lgi import (
     Observable,
     k3_closed_form,
 )
-from .qmat import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    dagger,
-    is_hermitian,
-    trace_distance,
-)
+from . import qmat
+from .qmat import dagger, is_hermitian, trace_distance
 from .scan import (
     DEFAULT_KAPPA_GRID,
     DEFAULT_THETA_GRID,
@@ -136,3 +129,11 @@ __all__ = [
     "maximize_speed",
     "k3max_vs_noise",
 ]
+
+
+def __getattr__(name):
+    # The Pauli constants are qmat's, built there on first access (PEP 562),
+    # so importing the package loads no numpy.
+    if name in qmat._CONSTANTS:
+        return getattr(qmat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

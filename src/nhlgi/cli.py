@@ -13,9 +13,8 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .dynamics import (
     DegenerateEvolutionError,
     NHHamiltonian,

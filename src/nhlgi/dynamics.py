@@ -22,8 +22,9 @@ approaches ``pi/2``.
 
 This module provides exact propagators, adaptive Runge-Kutta integration of
 the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
-RK45 on plain scalars, so numpy is the only dependency; it is the
-independent route of the acceptance checks and tests), closed-form
+RK45 on plain scalars, so numpy stays the only dependency, imported on
+first use by ``nhlgi._numpy``; it is the independent route of the acceptance
+checks and tests), closed-form
 trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
 B`` (``x``, ``-z`` and ``y``, one constant frame for every member),
 geodesic distances, and the local speed of state evolution, ``|dS/dt|^2``
@@ -59,9 +60,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .qmat import ID2
+from . import qmat
+from ._numpy import np
 
 __all__ = [
     "THETA_MAX",
@@ -370,7 +370,7 @@ class NHHamiltonian:
         closed two-term form applies.
         """
         w = self.omega
-        return math.cos(w * t) * ID2 - (1j * math.sin(w * t) / w) * self.matrix
+        return math.cos(w * t) * qmat.ID2 - (1j * math.sin(w * t) / w) * self.matrix
 
 
 # The unit vectors along a and b and their cross product n, the same floats

@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import numpy as np
-
+from . import qmat
+from ._numpy import np
 from .dynamics import (
     NHHamiltonian,
     _axis_basis,
@@ -54,7 +54,7 @@ from .dynamics import (
     validate_pure,
 )
 from .lgi import LgiResult, Observable, _k3_result
-from .qmat import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger
+from .qmat import dagger
 
 __all__ = [
     "PostselectionStarvationError",
@@ -115,7 +115,7 @@ def build_metric(theta: float) -> Metric:
     cancellation of order ``sec^2(theta)`` down to order one.
     """
     _check_theta(theta)
-    eta = (1.0 / math.cos(theta)) * ID2 + math.tan(theta) * SIGMA_Y
+    eta = (1.0 / math.cos(theta)) * qmat.ID2 + math.tan(theta) * qmat.SIGMA_Y
     if np.linalg.eigvalsh(eta).min() <= 0.0:
         raise RuntimeError("metric lost positivity; construction bug")
     h = NHHamiltonian.canonical(theta).matrix
@@ -136,9 +136,9 @@ def build_HT(theta: float) -> np.ndarray:
     times the upper one).
     """
     metric = build_metric(theta)
-    h_s = math.cos(theta) * SIGMA_X
-    v = -math.sin(theta) * SIGMA_Z
-    h_t = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v)
+    h_s = math.cos(theta) * qmat.SIGMA_X
+    v = -math.sin(theta) * qmat.SIGMA_Z
+    h_t = np.kron(qmat.ID2, h_s) + np.kron(qmat.SIGMA_Y, v)
     square = np.linalg.norm(h_t @ h_t - np.eye(4))
     if max(np.linalg.norm(h_t - dagger(h_t)), square) > 1e-12:
         raise RuntimeError("H_T is not a Hermitian involution; construction bug")

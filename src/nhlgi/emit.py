@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+from ._numpy import np
 
 __all__ = ["format_value", "write_csv", "write_json"]
 

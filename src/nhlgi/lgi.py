@@ -76,8 +76,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
+from ._numpy import np
 from .dynamics import (
     NHHamiltonian,
     _bloch_axis,

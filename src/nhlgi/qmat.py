@@ -12,11 +12,15 @@ The Pauli representation is pinned once for the whole package:
 with basis states ``|up_z> = (1, 0)`` and ``|down_z> = (0, 1)``.  Every sign
 convention downstream (measurement labelling, Bloch-frame components) is
 resolved against this choice.
+
+``SIGMA_X``, ``SIGMA_Y``, ``SIGMA_Z`` and ``ID2`` are built on first access,
+so importing the package loads no numpy, and are read-only: every caller
+shares them, and a write would change every later metric and dilation.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "SIGMA_X",
@@ -28,10 +32,24 @@ __all__ = [
     "trace_distance",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+_CONSTANTS = ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ID2")
+
+
+def __getattr__(name):
+    # PEP 562: the four constants are built together on the first access to
+    # any of them, made read-only (they are shared) and cached as globals.
+    if name not in _CONSTANTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    arrays = (
+        np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+        np.eye(2, dtype=complex),
+    )
+    for key, array in zip(_CONSTANTS, arrays):
+        array.flags.writeable = False
+        globals()[key] = array
+    return globals()[name]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

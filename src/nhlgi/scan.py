@@ -47,8 +47,7 @@ from math import isnan
 from operator import add, sub
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .dynamics import NHHamiltonian, _bloch_state, _speed_route
 from .lgi import CorrelatorEngine, _correlators
 

@@ -717,6 +717,53 @@ class TestCliCornerRows:
         ).k3
         assert again == k3["objective"]
 
+    def test_rescaled_distance_against_50_digits(self, tmp_path):
+        # the flow of H = sigma_x + i sin(theta) sigma_z, whose w is cos
+        # theta, from up_z and down_z: delta is their geodesic angle and
+        # trace_d its sine (measured 2.7e-16 and 2.2e-16)
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "dist.csv"
+        assert main(["distance", "--rescaled", "--theta", self.CORNER, "--out", str(out)]) == 0
+        _, columns = read_csv(out)
+        assert columns["delta"].size == 630
+        worst_delta = worst_trace = 0.0
+        rows = zip(columns["theta"], columns["t"], columns["delta"], columns["trace_d"])
+        with mpmath.workdps(50):
+            for th, t, delta, trace_d in rows:
+                s, t = mpmath.sin(mpmath.mpf(th)), mpmath.mpf(t)
+                w = mpmath.sqrt(1 - s * s)
+                c, r = mpmath.cos(w * t), mpmath.sin(w * t) / w
+                # (cos(w t) I - i sin(w t)/w H) applied to (1, 0) and to (0, 1)
+                a0, a1 = c + r * s, -1j * r
+                b0, b1 = -1j * r, c - r * s
+                overlap = abs(mpmath.conj(a0) * b0 + mpmath.conj(a1) * b1)
+                cos_d = overlap / mpmath.sqrt(
+                    (abs(a0) ** 2 + abs(a1) ** 2) * (abs(b0) ** 2 + abs(b1) ** 2)
+                )
+                sin_d = mpmath.sqrt(1 - cos_d * cos_d)
+                worst_delta = max(worst_delta, abs(delta - mpmath.atan2(sin_d, cos_d)))
+                worst_trace = max(worst_trace, abs(trace_d - sin_d))
+        assert worst_delta <= 1e-15
+        assert worst_trace <= 1e-15
+
+    def test_embed_corner_against_50_digits(self, tmp_path):
+        # the direct route is within 6.7e-16 of the closed form at the exact
+        # theta; the dilation is within 1.9e-12 of it, its worst row t = 1.55,
+        # where the post-selection probability is 4.3e-4
+        pytest.importorskip("mpmath")
+        out = tmp_path / "embed.csv"
+        assert main(["embed", "--delta", "1e-3", "--out", str(out)]) == 0
+        metadata, columns = read_csv(out)
+        theta = float(metadata["theta"])
+        rows = columns["t"] <= math.pi / 2
+        assert rows.sum() == 31
+        worst = max(
+            abs(k3 - closed_form_k3(theta, t)[3])
+            for t, k3 in zip(columns["t"][rows], columns["k3_direct"][rows])
+        )
+        assert worst <= 7e-15
+        assert np.max(np.abs(columns["k3_embedded"] - columns["k3_direct"])) <= 2e-11
+
     def test_embed_direct_meets_the_dilation(self, tmp_path):
         # the dilation reads only cos theta and sin theta; the direct route
         # was 6.3e-11 off it at delta = 1e-6

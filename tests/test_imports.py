@@ -3,9 +3,11 @@
 Importing the package, the CLI paths in closed form or linear algebra, every
 scan (whose hypercube and Nelder-Mead simplex are in-house) and the RK45
 routes (whose Dormand-Prince integrator is in-house) load no scipy module.
-Each check runs in a new isolated interpreter, because this test process has
-scipy loaded already; the last one runs with scipy made unimportable.  The
-last test checks, in process, that every exported name resolves.
+Importing the package and building an engine load no numpy either, until the
+first array.  Each check runs in a new isolated interpreter, because this
+test process has scipy and numpy loaded already; one runs with scipy made
+unimportable.  The last test checks, in process, that every exported name
+resolves.
 """
 
 import importlib
@@ -29,16 +31,55 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(body, tmp_path):
-    code = _PRELUDE + body + _REPORT
+def _run(body, tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(SRC), str(tmp_path)],
+        [sys.executable, "-I", "-c", _PRELUDE + body, str(SRC), str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout
+
+
+def _scipy_modules_after(body, tmp_path):
+    return set(json.loads(_run(body + _REPORT, tmp_path).splitlines()[-1]))
+
+
+def test_numpy_loads_at_the_first_array(tmp_path):
+    # importing, building a Hamiltonian or an engine, the closed form and
+    # --version load no numpy; the first array rebinds every module's np
+    body = """
+def no_numpy(step):
+    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+
+no_numpy("import nhlgi, nhlgi.cli")
+h = nhlgi.NHHamiltonian.canonical(1.2)
+no_numpy("NHHamiltonian.canonical")
+nhlgi.CorrelatorEngine(h)
+no_numpy("CorrelatorEngine(h)")
+nhlgi.CorrelatorEngine(h, 0.1)
+no_numpy("CorrelatorEngine(h, 0.1)")
+nhlgi.k3_closed_form(1.2, 0.5)
+no_numpy("k3_closed_form")
+try:
+    nhlgi.cli.main(["--version"])
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+else:
+    raise AssertionError("--version did not exit")
+no_numpy("--version")
+
+nhlgi.up_y()
+import numpy
+stale = [
+    name for name, module in sys.modules.items()
+    if name.split(".")[0] == "nhlgi" and hasattr(module, "np") and module.np is not numpy
+]
+assert stale == [], stale
+assert nhlgi.SIGMA_X is nhlgi.qmat.SIGMA_X
+"""
+    _run(body, tmp_path)
 
 
 def test_import_and_closed_form_commands_load_no_scipy(tmp_path):

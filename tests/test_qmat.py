@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nhlgi
+from nhlgi.embedding import build_HT, build_metric
 from nhlgi.qmat import (
     ID2,
     SIGMA_X,
@@ -33,6 +35,16 @@ class TestPauliAlgebra:
         np.testing.assert_allclose(
             SIGMA_Z @ SIGMA_X - SIGMA_X @ SIGMA_Z, 2j * SIGMA_Y, atol=1e-15
         )
+
+    def test_constants_are_read_only(self):
+        # every caller shares them: a write would change every later metric
+        # and H_T, while the dilation's per-theta cache kept the old ones
+        eta, h_t = build_metric(0.7).eta, build_HT(0.7)
+        for name in ("SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ID2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(nhlgi, name)[0, 1] = 0
+        np.testing.assert_array_equal(build_metric(0.7).eta, eta)
+        np.testing.assert_array_equal(build_HT(0.7), h_t)
 
     def test_dagger(self):
         m = np.array([[1.0 + 2j, 3.0], [0.5j, -1.0]])
