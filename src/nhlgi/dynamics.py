@@ -23,8 +23,8 @@ approaches ``pi/2``.
 This module provides exact propagators, adaptive Runge-Kutta integration of
 the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
 RK45 on plain scalars, so numpy stays the only dependency, imported on
-first use by ``nhlgi._numpy``; it is the independent route of the acceptance
-checks and tests), closed-form
+first use by ``nhlgi._numpy``; the density lift's independent route in the
+acceptance checks and tests), closed-form
 trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
 B`` (``x``, ``-z`` and ``y``, one constant frame for every member),
 geodesic distances, and the local speed of state evolution, ``|dS/dt|^2``
@@ -603,29 +603,35 @@ def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
     return float(np.linalg.norm(h.propagator(t) @ psi0))
 
 
-def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
-    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
-    propagated on the Bloch vector of ``rho0``."""
-    r = _density_bloch(validate_density(rho0).tolist())
-    _check_finite_times(t=t)
-    x, y, z = _lift_propagator(h, 0.0)(t, r)
+def _lifted_density(h: NHHamiltonian, rho, kappa: float, t: float) -> np.ndarray:
+    """The validated ``rho`` carried to ``t`` by :func:`_lift_propagator` at
+    ``kappa``: the one route of both density flows."""
+    x, y, z = _lift_propagator(h, kappa)(t, _density_bloch(rho.tolist()))
     return np.array(
         [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
         dtype=complex,
     )
 
 
+def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
+    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
+    propagated on the Bloch vector of ``rho0``."""
+    rho0 = validate_density(rho0)
+    _check_finite_times(t=t)
+    return _lifted_density(h, rho0, 0.0, t)
+
+
 def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.ndarray:
     """Propagate the renormalised flow with depolarising noise to time ``t``.
 
-    Integrates, directly in density-matrix form,
+    The flow of the density matrix,
 
         drho/dt = -i[A.sigma, rho] - {B.sigma, rho} + 2 tr(rho B.sigma) rho
-                  + kappa (I - 2 rho)
+                  + kappa (I - 2 rho),
 
-    with an adaptive embedded Runge-Kutta 4(5) pair at ``rtol = 1e-10`` and
-    ``atol = 1e-12``.  At ``kappa = 0`` the result agrees with
-    :func:`evolve_density` to integration tolerance.
+    in the closed form of its linear lift, exact to rounding at every
+    ``kappa`` up to the corner, and :func:`evolve_density` bit for bit at
+    ``kappa = 0``.  ``t < 0`` is refused; ``t = 0`` returns a copy of ``rho0``.
     """
     rho0 = validate_density(rho0)
     _check_kappa(kappa)
@@ -634,27 +640,7 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
         return rho0.copy()
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
-
-    # The first two terms are G rho + rho G^dag with G = -i H, H = (A - iB).sigma;
-    # B.sigma is diag(b_z, -b_z).
-    (g00, g01), (g10, g11) = (-1j * h.matrix).tolist()
-    c00, c01, c10, c11 = (g.conjugate() for g in (g00, g01, g10, g11))
-    bz = h._scaled[1][2]
-
-    def rhs(_t, rho):
-        p, q, r, s = rho
-        pump = 2.0 * (p.real * bz - s.real * bz)
-        return (
-            g00 * p + g01 * r + p * c00 + q * c01 + pump * p + kappa * (1.0 - 2.0 * p),
-            g00 * q + g01 * s + p * c10 + q * c11 + pump * q - 2.0 * kappa * q,
-            g10 * p + g11 * r + r * c00 + s * c01 + pump * r - 2.0 * kappa * r,
-            g10 * q + g11 * s + r * c10 + s * c11 + pump * s + kappa * (1.0 - 2.0 * s),
-        )
-
-    (final,) = _rk45(rhs, rho0.reshape(-1).tolist(), [t], 1e-10, 1e-12, "noisy density")
-    rho = np.array(final).reshape(2, 2)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return _lifted_density(h, rho0, kappa, t)
 
 
 # The Dormand & Prince (1980) 5(4) pair as scipy's RK45 runs it: the nodes
@@ -691,11 +677,11 @@ def _rms(v) -> float:
     return math.hypot(*v) / len(v) ** 0.5
 
 
-def _rk45(fun, y0, times, rtol: float, atol: float, what: str) -> list[list]:
+def _rk45(fun, y0, times, rtol: float, atol: float) -> list[list]:
     """The states at ``times`` of ``dy/dt = fun(t, y)`` from ``y0`` at ``t = 0``:
-    every adaptive run of the library goes through here.
+    the adaptive run of :func:`integrate_bloch`.
 
-    ``y0`` and the states are sequences of plain real or complex scalars;
+    ``y0`` and the states are sequences of plain real scalars;
     ``times`` ascend, and the last of them, positive, is the end time.  The
     method is scipy's ``RK45``: the Dormand-Prince 5(4) pair with local
     extrapolation and its quartic dense output (Dormand & Prince, J. Comput.
@@ -703,7 +689,7 @@ def _rk45(fun, y0, times, rtol: float, atol: float, what: str) -> list[list]:
     Norsett & Wanner, *Solving ODEs I*, sec. II.4 (safety 0.9, factors 0.2
     and 10), the RMS error norm at ``rtol`` and ``atol``, and a step no
     shorter than ``10 ulp(t)``.  A run that needs a shorter (or NaN) step raises
-    :class:`StiffnessError` naming ``what`` and carrying the last time
+    :class:`StiffnessError` carrying the last time
     reached (0.0 when no step was taken); so does a run whose next step would
     take it past ``_RK45_MAX_EVALS`` right-hand sides.
     """
@@ -736,13 +722,13 @@ def _rk45(fun, y0, times, rtol: float, atol: float, what: str) -> list[list]:
         while True:
             if not h_abs >= min_step:
                 raise StiffnessError(
-                    f"{what} integration stalled at t = {t!r}: "
+                    f"Bloch integration stalled at t = {t!r}: "
                     "Required step size is less than spacing between numbers.",
                     time=t,
                 )
             if evals + 6 > budget:
                 raise StiffnessError(
-                    f"{what} integration stopped at t = {t!r} of {t_end!r}: "
+                    f"Bloch integration stopped at t = {t!r} of {t_end!r}: "
                     f"it spent its budget of {budget} right-hand sides",
                     time=t,
                 )
@@ -877,7 +863,8 @@ def integrate_bloch(
 
     ``t_grid`` must be strictly increasing and start at zero.  Uses an
     adaptive embedded Runge-Kutta 4(5) pair at tight tolerances; failure to
-    advance raises :class:`StiffnessError` carrying the failure time.
+    advance raises :class:`StiffnessError` carrying the failure time.  Run
+    on the nonlinear equation, not the lift, it checks :func:`evolve_density_noisy`.
 
     ``rtol`` and ``atol`` bound the local error per step, not the global
     error, which grows towards the corner.  At the defaults, from ``up_y``
@@ -905,7 +892,7 @@ def integrate_bloch(
     def rhs(_t, s):
         return _bloch_rhs(a, b, kappa, s)
 
-    rows = _rk45(rhs, s0.tolist(), t_grid.tolist(), rtol, atol, "Bloch")
+    rows = _rk45(rhs, s0.tolist(), t_grid.tolist(), rtol, atol)
     return Trajectory(t_grid, rows)
 
 
@@ -913,29 +900,30 @@ def analytic_SB_Sn(theta: float, t):
     """Closed-form trajectory components of the canonical ``up_y`` trajectory
     of member ``theta`` at ``t``.
 
-    With ``a = sec(theta)``, ``b = tan(theta)`` and the half gap ``w =
-    sqrt(a^2 - b^2)`` (1 up to rounding) the renormalised flow started from
-    the Bloch vector ``-n/2`` stays in the B-n plane and satisfies
+    The renormalised flow started from the Bloch vector ``-n/2`` stays in
+    the B-n plane (its half gap is ``w = 1``) and satisfies
 
-        |S_B(t)| = w |sin(2 w t)| / (2 (a + b cos(2 w t)))
-        S_n(t)   = -(b + a cos(2 w t)) / (2 (a + b cos(2 w t)))
+        |S_B(t)| = cos(theta) |sin 2t| / (2 D)
+        S_n(t)   = -(sin(theta) + cos 2t) / (2 D),   D = 1 + sin(theta) cos 2t
 
     Returns the pair ``(|S_B|, S_n)``; the component along the B axis
     changes sign every half period, so only its magnitude has a closed form
     free of case analysis.  The signs above were fixed against the
     density-matrix propagator; they correspond to projecting onto the
     family's frame of :func:`abn_frame` (``B_hat = -z``, ``n_hat = +y``).
+    ``D`` and ``sin(theta) + cos 2t``, small near the corner, are written with
+    ``1 - sin theta = cos^2 theta/(1 + sin theta)`` and ``cos 2t = 2 cos^2 t - 1``.
 
     ``t`` may be a scalar or an array; a NaN or infinite time is refused.
     """
     _check_theta(theta)
     t = _finite_times(t)
-    a, b = 1.0 / math.cos(theta), math.tan(theta)
-    w = math.sqrt(a**2 - b**2)
-    c = np.cos(2.0 * w * t)
-    denom = a + b * c
-    s_b = 0.5 * w * np.abs(np.sin(2.0 * w * t)) / denom
-    s_n = 0.5 * (-b - a * c) / denom
+    s, c = math.sin(theta), math.cos(theta)
+    one_minus = c * c / (1.0 + s)  # 1 - sin theta
+    ct2 = np.cos(t) ** 2
+    denom = one_minus + 2.0 * s * ct2
+    s_b = 0.5 * c * np.abs(np.sin(2.0 * t)) / denom
+    s_n = -0.5 * (2.0 * ct2 - one_minus) / denom
     if t.ndim == 0:
         return float(s_b), float(s_n)
     return s_b, s_n

@@ -66,7 +66,7 @@ engine takes from the same state and axis, at every kappa, so a search and
 the public API evaluate a point by the same arithmetic and an argmax
 re-evaluates to the reported float.
 
-The integrator :func:`nhlgi.dynamics.evolve_density_noisy` is the
+The integrator :func:`nhlgi.dynamics.integrate_bloch` is the lift's
 cross-check, not the engine, so scans stay fast and deterministic.
 """
 
@@ -457,10 +457,10 @@ class CorrelatorEngine:
     - ``_circle_route`` for a spinor and an axis on the invariant circle,
       given as the floats :func:`_circle_coordinates` takes from them: the
       circle frame at ``kappa = 0``, and under noise the Bloch route fed
-      ``(0, 2 u v, u^2 - v^2)`` and ``(0, ny, nz)``, the floats the spinor
-      route computes for ``(u, i v)``;
+      ``(0, 2 u v, u^2 - v^2)/(u^2 + v^2)`` and ``(0, ny, nz)``, the floats
+      the spinor route computes for ``(u, i v)``;
     - ``_spinor_route`` for any other spinor: the Bloch route, whose
-      ``setup`` is given the spinor's Bloch vector.
+      ``setup`` is given the spinor's Bloch vector over its squared norm.
 
     Every public call validates its inputs once and takes the route the
     state's shape and, for a spinor, :meth:`_pure_point` select.
@@ -470,14 +470,20 @@ class CorrelatorEngine:
         _check_kappa(kappa)
         bloch_setup, evaluate = bloch_route = _noisy_frame(h, kappa)
 
+        # both divide the Bloch vector by the spinor's squared norm: once
+        # rounded it is a few ulp off 1, a deficit the lift amplifies near pi/2
         def spinor_setup(psi, n):
+            a, b = psi
             x, y, z = _spinor_bloch(psi)
-            return bloch_setup((2.0 * x, 2.0 * y, 2.0 * z), n)
+            norm = (a * a.conjugate()).real + (b * b.conjugate()).real
+            return bloch_setup((2.0 * x / norm, 2.0 * y / norm, 2.0 * z / norm), n)
 
         def noisy_circle_setup(state, axis):
             u, v = state
             ny, nz = axis
-            return bloch_setup((0.0, 2.0 * (u * v), u * u - v * v), (0.0, ny, nz))
+            norm = u * u + v * v
+            r = (0.0, 2.0 * (u * v) / norm, (u * u - v * v) / norm)
+            return bloch_setup(r, (0.0, ny, nz))
 
         self._circle_route = (
             _circle_frame(h) if kappa == 0.0 else (noisy_circle_setup, evaluate)

@@ -44,7 +44,14 @@ from nhlgi.dynamics import (
 )
 from nhlgi.embedding import build_HT, build_metric, evolve_and_postselect, k3_via_embedding
 from nhlgi.lgi import k3_closed_form
-from oracles import bloch_of_density, density_from_bloch, pauli_vector, rk4, taylor_expm
+from oracles import (
+    bloch_of_density,
+    density_from_bloch,
+    noisy_bloch_trajectory,
+    pauli_vector,
+    rk4,
+    taylor_expm,
+)
 
 THETAS = [0.0, math.pi / 6, 0.9, 1.2, 1.4]
 
@@ -230,10 +237,10 @@ class TestHamiltonian:
             assert not hasattr(h, name)
 
     def test_views_repeat_the_vector_form(self):
-        # matrix, _scaled and analytic_SB_Sn are the floats of the general
-        # vector form fed a = sec x and b = -tan z, sign bits included (theta
-        # = 0 has b_z = -0.0 but a +0.0 imaginary part on the diagonal); omega
-        # is the scale, since sec^2 - tan^2 = 1 for every member
+        # matrix and _scaled are the floats of the general vector form fed a
+        # = sec x and b = -tan z, sign bits included (theta = 0 has b_z =
+        # -0.0 but a +0.0 imaginary part on the diagonal); omega is the scale,
+        # since sec^2 - tan^2 = 1 for every member
         def vector_form(theta, scale):
             a = np.array([1.0 / math.cos(theta), 0.0, 0.0])
             b = np.array([0.0, 0.0, -math.tan(theta)])
@@ -241,15 +248,7 @@ class TestHamiltonian:
             scaled = (scale * a).tolist(), (scale * b).tolist()
             return matrix, scaled, float(scale)
 
-        def sb_sn_of_magnitudes(a, b, t):
-            # fed sec and tan directly: np.linalg.norm underflows tan(1e-300)
-            w = math.sqrt(a**2 - b**2)
-            c = np.cos(2.0 * w * t)
-            denom = a + b * c
-            return 0.5 * w * np.abs(np.sin(2.0 * w * t)) / denom, 0.5 * (-b - a * c) / denom
-
         rng = np.random.default_rng(43)
-        grid = np.linspace(0.0, math.pi, 41)
         thetas = [0.0, 1e-300, 0.7, 1.2, THETA_MAX, *rng.uniform(0.0, THETA_MAX, 300).tolist()]
         for theta in thetas:
             for scale in (1.0, math.cos(theta), rng.uniform(0.1, 3.0)):
@@ -260,9 +259,6 @@ class TestHamiltonian:
                 for got, want in zip(h._scaled, scaled):
                     assert same_floats(got, want), (theta, scale)
                 assert same_floats(h.omega, omega), (theta, scale)
-            want = sb_sn_of_magnitudes(1.0 / math.cos(theta), math.tan(theta), grid)
-            for got, expected in zip(analytic_SB_Sn(theta, grid), want):
-                assert same_floats(got, expected), theta
 
 
 class TestPureEvolution:
@@ -369,6 +365,25 @@ class TestBlochFlow:
         np.testing.assert_allclose(np.abs(comps[:, 1]), sb, atol=1e-7)
         np.testing.assert_allclose(comps[:, 2], sn, atol=1e-7)
         np.testing.assert_allclose(comps[:, 0], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-6])
+    def test_closed_form_components_against_50_digits(self, delta):
+        # from cos theta and sin theta of the double theta, with no
+        # cancellation: within 1.9e-16 of 50 digits at the exact theta on t =
+        # 0 to 3.14; formed from the rounded sec and tan, they were 1.4e-7
+        # off at delta = 1e-3 and 2.0e-4 at THETA_MAX
+        mpmath = pytest.importorskip("mpmath")
+        theta = math.pi / 2 - delta
+        grid = np.arange(315) * 0.01
+        sb, sn = analytic_SB_Sn(theta, grid)
+        worst = 0.0
+        with mpmath.workdps(50):
+            s, c = mpmath.sin(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(theta))
+            for t, got_b, got_n in zip(grid.tolist(), sb.tolist(), sn.tolist()):
+                c2t, s2t = mpmath.cos(2 * mpmath.mpf(t)), mpmath.sin(2 * mpmath.mpf(t))
+                d = 2 * (1 + s * c2t)
+                worst = max(worst, abs(got_b - c * abs(s2t) / d), abs(got_n + (s + c2t) / d))
+        assert worst <= 1e-15
 
     def test_purity_preserved_without_noise(self):
         h = NHHamiltonian.canonical(1.3)
@@ -486,13 +501,43 @@ class TestBlochFlow:
 class TestNoisyDensity:
     @pytest.mark.parametrize("t", [0.3, 0.9, 1.7, 2.8])
     def test_zero_noise_reduction(self, t):
+        # at kappa = 0 the noisy flow is evolve_density's lift, bit for bit
         h = NHHamiltonian.canonical(0.9)
         rho0 = projector(up_y())
-        np.testing.assert_allclose(
-            evolve_density_noisy(h, rho0, 0.0, t),
-            evolve_density(h, rho0, t),
-            atol=1e-8,
-        )
+        got, want = evolve_density_noisy(h, rho0, 0.0, t), evolve_density(h, rho0, t)
+        assert same_floats(got.real, want.real) and same_floats(got.imag, want.imag)
+
+    def test_runs_no_rk45(self, monkeypatch):
+        # the closed-form lift at every kappa: no adaptive run, so nothing to
+        # stall, and t = 0 returns a copy of the state
+        def refused(*args):
+            raise AssertionError("evolve_density_noisy ran RK45")
+
+        monkeypatch.setattr(nhlgi.dynamics, "_rk45", refused)
+        h = NHHamiltonian.canonical(THETA_MAX)
+        rho0 = projector(up_y())
+        for kappa in (0.0, 1e-3, 0.25, 10.0, 1e5):
+            for t in (1.55, 2.8, 1e9):
+                validate_density(evolve_density_noisy(h, rho0, kappa, t))
+        rho = evolve_density_noisy(h, rho0, 0.25, 0.0)
+        assert np.array_equal(rho, rho0) and rho is not rho0
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_corner_against_50_digits(self, delta):
+        # within 1.1e-16; the density-matrix RK45 this replaced was up to
+        # 1.5e-9 off here at delta = 1e-3 and 1.3e-6 at THETA_MAX (kappa =
+        # 0), and from up_y it stalled at THETA_MAX
+        pytest.importorskip("mpmath")
+        h = NHHamiltonian.canonical(math.pi / 2 - delta)
+        r, times = (0.1, -0.6, 0.4), (0.3, 0.9, 1.55, 2.8)
+        rho0 = density_from_bloch([0.5 * c for c in r])
+        worst = 0.0
+        for kappa in (0.0, 1e-3, 0.25, 10.0):
+            exact = noisy_bloch_trajectory(h.theta, kappa, r, times, dps=50)
+            for t, s in zip(times, exact):
+                got = bloch_of_density(evolve_density_noisy(h, rho0, kappa, t))
+                worst = max(worst, float(np.max(np.abs(got - s))))
+        assert worst <= 1e-15
 
     def test_density_and_bloch_routes_agree(self):
         h = NHHamiltonian.canonical(1.2)
@@ -656,8 +701,12 @@ def test_bool_kappa_is_refused_by_name(entry, kappa):
         _KAPPA_ENTRIES[entry](kappa)
 
 
+# integrate_bloch is the one route that runs RK45
+_RK45_ROUTES = ["integrate_bloch"]
+
+
 @pytest.mark.parametrize("t, at", [([0.0, 0.3, 0.7], 0.7), ([], 0.0)])
-@pytest.mark.parametrize("route", ["integrate_bloch", "evolve_density_noisy"])
+@pytest.mark.parametrize("route", _RK45_ROUTES)
 def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):
     # A right-hand side that is finite up to the last of the times t and NaN
     # past it (from the start when there is none): the run creeps up to that
@@ -678,23 +727,13 @@ def test_failed_rk45_run_raises_stiffness_error(route, t, at, monkeypatch):
     assert f"stalled at t = {exc.value.time!r}:" in str(exc.value)
 
 
-_UNBOUNDED_RUNS = {
-    "integrate_bloch": lambda: integrate_bloch(
-        bloch_of_pure(up_y()), NHHamiltonian.canonical(0.9), t_grid=[0.0, 1e9]
-    ),
-    "evolve_density_noisy": lambda: evolve_density_noisy(
-        NHHamiltonian.canonical(0.9), projector(up_y()), 0.0, 1e9
-    ),
-}
-
-
-@pytest.mark.parametrize("route", sorted(_UNBOUNDED_RUNS))
+@pytest.mark.parametrize("route", _RK45_ROUTES)
 def test_rk45_run_past_its_budget_is_refused(route, monkeypatch):
     # An end time of 1e9 needs about 1e11 right-hand sides.  The budget,
     # lowered here to keep the test fast, refuses the run where it got to.
     monkeypatch.setattr(nhlgi.dynamics, "_RK45_MAX_EVALS", 3000)
     with pytest.raises(StiffnessError, match="spent its budget of 3000 right-hand") as exc:
-        _UNBOUNDED_RUNS[route]()
+        _TIMED_ROUTES[route](1e9)
     assert 0.0 < exc.value.time < 1e9
 
 

@@ -547,13 +547,13 @@ class TestCliNoise:
         metadata, _ = read_csv(out)
         assert float(metadata["theta"]) == pytest.approx(math.pi / 2 - 0.4, abs=1e-12)
 
-    # Faint noise at the corner.  The eigendecomposed lift refused delta =
-    # 1e-6 (exit 1) and was off by up to 4e-4 at delta = 1e-3.  Over every
-    # row, the closed form was within 8.9e-16 at delta = 1e-6 and 1.2e-10
-    # at delta = 1e-3 (at t = 1.57, next to the half period, the last row)
-    # of a 50-digit lift of H(theta) from the same Bloch vector.  That
-    # vector, read off up_y, has |r| = 1 - 2.2e-16; the exactly pure state's
-    # K3 differs from it by 2e-5 in that last row.
+    # Faint noise at the corner, against a 50-digit lift of H(theta) from the
+    # exactly pure up_y, (0, -1/2, 0).  The eigendecomposed lift refused
+    # delta = 1e-6 (exit 1) and was off by up to 4e-4 at delta = 1e-3.  Fed
+    # the Bloch vector of the rounded up_y, of length 1 - 2.2e-16, the closed
+    # form was 2.0e-5 off at delta = 1e-3 (at t = 1.57, next to the half
+    # period, the last row): near the corner the lift amplifies the purity
+    # deficit.  The engine divides by the spinor's squared norm.
     @pytest.mark.parametrize(
         "point, kappa, bound",
         [
@@ -569,7 +569,7 @@ class TestCliNoise:
         metadata, columns = read_csv(out)
         theta, size = float(metadata["theta"]), columns["t"].size
         rows = sorted(np.random.default_rng(5).choice(size - 1, 11, replace=False)) + [size - 1]
-        rho0 = density_from_bloch(bloch_of_pure(up_y()))
+        rho0 = density_from_bloch((0.0, -0.5, 0.0))
         worst = 0.0
         for i in rows:
             t = columns["t"][i]
@@ -622,6 +622,30 @@ class TestCliNoisescan:
         _, columns = read_csv(out)
         np.testing.assert_allclose(columns["kappa_scaled"], columns["kappa"] * 1e5)
         assert columns["k3_max"][1] <= columns["k3_max"][0] + 1e-6
+
+    def test_corner_rows_by_value(self, tmp_path):
+        # CI's corner noisescan: each argmax re-evaluates through the engine
+        # to the reported float, the pure maximum dominates the canonical
+        # closed form, and the maxima do not rise with kappa
+        out = tmp_path / "nscan.json"
+        assert main(["noisescan", "--theta", "1.5697963267948967", "--kappa", "0,1e-5,1e-3,1",
+                     "--budget", "3000", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [row["kappa"] for row in rows] == [0.0, 1e-5, 1e-3, 1.0]
+        for row in rows:
+            am = row["argmax"]
+            engine = CorrelatorEngine(NHHamiltonian.canonical(row["theta"]), row["kappa"])
+            again = engine.k3(
+                state_from_bloch_angles(am["theta_s"], am["phi_s"]),
+                Observable.from_angles(am["theta_q"], am["phi_q"]),
+                am["t1"],
+                am["t2"],
+                am["t3"],
+            ).k3
+            assert again == row["objective"], row["kappa"]
+        assert rows[0]["objective"] >= k3_closed_form(rows[0]["theta"], math.pi / 4)[3]
+        for before, after in zip(rows, rows[1:]):
+            assert after["objective"] <= before["objective"] + 1e-3
 
 
 class TestCliCornerRows:

@@ -113,8 +113,8 @@ for args in (
 
 
 def test_rk45_does_not_load_scipy_stats(tmp_path):
-    # The RK45 routes and ``nhlgi trajectory`` load no scipy module at all,
-    # scipy.stats included.
+    # The RK45 route, the noisy density flow and ``nhlgi trajectory`` load no
+    # scipy module at all, scipy.stats included.
     body = """
 assert nhlgi.cli.main(["trajectory", "--theta", "1.2", "--tmax", "1.0", "--step", "0.1",
                        "--out", f"{out}/trajectory.csv"]) == 0
@@ -127,8 +127,8 @@ nhlgi.evolve_density_noisy(h, nhlgi.projector(nhlgi.up_y()), 0.1, 1.0)
 
 def test_rk45_routes_run_without_scipy(tmp_path):
     # With scipy unimportable, ``nhlgi trajectory`` (exact propagators) and
-    # the criteria of ``nhlgi check`` that run RK45 (6 and 7 on the Bloch
-    # flow, 8 on the noisy density flow) still run and pass.
+    # the criteria of ``nhlgi check`` that run RK45 on the Bloch flow (6 and
+    # 7, and 8 against the noisy lift) still run and pass.
     code = """
 import sys
 sys.modules["scipy"] = None

@@ -17,7 +17,8 @@ from nhlgi.dynamics import (
     _lift_coefficients,
     _lift_propagator,
     _spinor_bloch,
-    evolve_density_noisy,
+    bloch_of_pure,
+    integrate_bloch,
     projector,
     pure_propagator,
     state_from_bloch_angles,
@@ -694,8 +695,11 @@ def test_noisy_evaluator_is_the_closure_arithmetic(theta):
         for k, (r, psi, q, times) in enumerate(_closure_cases(rng, 60)):
             n = q.direction
             assert evaluate(setup(r, n), *times) == _closure_protocol(*frame(r, n), *times)
-            x, y, z = _spinor_bloch(psi)
-            expected = _closure_protocol(*frame((2.0 * x, 2.0 * y, 2.0 * z), n), *times)
+            # the spinor's Bloch vector r = 2 S over its squared norm
+            (a, b), (x, y, z) = psi, _spinor_bloch(psi)
+            norm = (a * a.conjugate()).real + (b * b.conjugate()).real
+            r_psi = (2.0 * x / norm, 2.0 * y / norm, 2.0 * z / norm)
+            expected = _closure_protocol(*frame(r_psi, n), *times)
             assert spinor_evaluate(spinor_setup(psi, n), *times) == expected
             if k % 6 == 0:
                 res = engine.k3(np.array(psi), q, *times)
@@ -982,25 +986,24 @@ class TestNoisyProtocol:
     @pytest.mark.parametrize("theta", [0.0, 0.9, 1.4])
     @pytest.mark.parametrize("kappa", [1e-4, 0.3, 20.0])
     def test_against_direct_integration(self, theta, kappa):
-        # same protocol rebuilt on the adaptive integrator instead of the
-        # lifted propagator
+        # same protocol rebuilt on RK45 of the nonlinear Bloch equation
+        # instead of the lift: the state's Bloch vector is propagated,
+        # collapsed onto +/- n/2, and each branch propagated across the gap
         h = NHHamiltonian.canonical(theta)
         engine = CorrelatorEngine(h, kappa=kappa)
         q = Observable.from_angles(1.1, 0.6)
-        rho0 = projector(state_from_bloch_angles(0.8, 2.5))
+        psi0 = state_from_bloch_angles(0.8, 2.5)
         t_i, t_j = 0.4, 1.7
-        got = engine.joint_table(rho0, q, t_i, t_j)
+        got = engine.joint_table(projector(psi0), q, t_i, t_j)
 
-        rho_i = evolve_density_noisy(h, rho0, kappa, t_i)
-        plus, minus = (projector(np.array(chi)) for chi in _axis_basis(q.direction))
+        n = np.array(q.direction)
+        s_i = integrate_bloch(bloch_of_pure(psi0), h, kappa, [0.0, t_i]).bloch[-1]
         probs = np.empty((2, 2))
-        for row, p in enumerate((plus, minus)):
-            weight = float(np.trace(p @ rho_i).real)
-            branch = p @ rho_i @ p / weight
-            rho_j = evolve_density_noisy(h, branch, kappa, t_j - t_i)
-            cond = float(np.trace(plus @ rho_j).real)
-            probs[row, 0] = weight * cond
-            probs[row, 1] = weight * (1.0 - cond)
+        for row, sign in enumerate((1.0, -1.0)):
+            weight = 0.5 + sign * float(n @ s_i)
+            s_j = integrate_bloch(0.5 * sign * n, h, kappa, [0.0, t_j - t_i]).bloch[-1]
+            cond = 0.5 + float(n @ s_j)
+            probs[row] = weight * cond, weight * (1.0 - cond)
         np.testing.assert_allclose(got.probs, probs, atol=1e-7)
 
     @pytest.mark.parametrize("theta", [math.pi / 2 - 1e-4, THETA_MAX])

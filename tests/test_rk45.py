@@ -1,10 +1,10 @@
 """The in-house Dormand-Prince run against scipy's RK45, its reference.
 
 ``nhlgi.dynamics._rk45`` repeats scipy's ``RK45`` (tableau, dense output,
-initial step, step control, error norm) on plain scalars.  Each test records
-the runs a public call makes and repeats them with ``solve_ivp`` on the same
-right-hand side: the same number of right-hand sides and the same values to
-1e-12.  scipy is a test-only dependency, imported inside the tests.
+initial step, step control, error norm) on plain scalars; its one caller is
+``integrate_bloch``.  Each test records the runs a public call makes and
+repeats them with ``solve_ivp`` on the same right-hand side: the same number
+of right-hand sides and the same values to 1e-12.  scipy is a test-only dependency, imported inside the tests.
 """
 
 import math
@@ -14,14 +14,8 @@ import pytest
 
 import nhlgi.dynamics
 from nhlgi.cli import _time_grid
-from nhlgi.dynamics import (
-    NHHamiltonian,
-    bloch_of_pure,
-    evolve_density_noisy,
-    integrate_bloch,
-    up_y,
-)
-from oracles import density_from_bloch, pauli_vector, pure_bloch_trajectory
+from nhlgi.dynamics import NHHamiltonian, bloch_of_pure, integrate_bloch, up_y
+from oracles import pure_bloch_trajectory
 
 # ``nhlgi trajectory``'s default grid: 0 to pi in steps of 0.01
 CLI_GRID = _time_grid(math.pi, 0.01)
@@ -33,7 +27,7 @@ def _recorded_runs(monkeypatch, call):
     real_rk45 = nhlgi.dynamics._rk45
     runs = []
 
-    def recording(fun, y0, times, rtol, atol, what):
+    def recording(fun, y0, times, rtol, atol):
         evals = 0
 
         def counted(t, y):
@@ -41,7 +35,7 @@ def _recorded_runs(monkeypatch, call):
             evals += 1
             return fun(t, y)
 
-        states = real_rk45(counted, y0, times, rtol, atol, what)
+        states = real_rk45(counted, y0, times, rtol, atol)
         runs.append((fun, y0, times, rtol, atol, np.array(states), evals))
         return states
 
@@ -78,33 +72,6 @@ def test_bloch_flow_repeats_scipy(theta, kappa, monkeypatch):
         lambda: integrate_bloch(bloch_of_pure(up_y()), h, kappa=kappa, t_grid=CLI_GRID),
     )
     _assert_repeats_scipy(run)
-
-
-@pytest.mark.parametrize(
-    "theta, kappa, s0, t",
-    [
-        (0.9, 0.0, [0.0, -0.5, 0.0], 2.8),
-        (1.2, 0.25, [0.1, -0.3, 0.2], 2.5),
-        (1.0, 50.0, [0.0, -0.5, 0.0], 1.0),
-    ],
-)
-def test_noisy_density_repeats_scipy(theta, kappa, s0, t, monkeypatch):
-    h = NHHamiltonian.canonical(theta)
-    rho0 = density_from_bloch(s0)
-    (run,) = _recorded_runs(monkeypatch, lambda: evolve_density_noisy(h, rho0, kappa, t))
-    _assert_repeats_scipy(run)
-    # ... on the density-matrix equation, entry by entry
-    fun, y0 = run[:2]
-    rho = rho0 + np.array([[0.01, 0.02 - 0.03j], [0.02 + 0.03j, -0.01]])
-    a_op = pauli_vector([1.0 / math.cos(theta), 0.0, 0.0])
-    b_op = pauli_vector([0.0, 0.0, -math.tan(theta)])
-    want = (
-        -1j * (a_op @ rho - rho @ a_op)
-        - (b_op @ rho + rho @ b_op)
-        + 2.0 * np.trace(rho @ b_op).real * rho
-        + kappa * (np.eye(2) - 2.0 * rho)
-    )
-    np.testing.assert_allclose(fun(0.0, rho.reshape(-1).tolist()), want.reshape(-1), atol=1e-13)
 
 
 def test_corner_error_is_scipys(monkeypatch):
