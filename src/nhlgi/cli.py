@@ -23,7 +23,6 @@ from .dynamics import (
     _circle_flow,
     _circle_state,
     _lift_propagator,
-    bloch_of_pure,
     down_y,
     down_z,
     speed,  # not called here: perfbench's tracer test reads ``nhlgi.cli.speed``
@@ -34,12 +33,12 @@ from .dynamics import (
 )
 from .embedding import (
     PostselectionStarvationError,
-    evolve_and_postselect,
-    k3_via_embedding,
+    _dilation,
+    _embedded_run,
     theta_from_delta,
 )
 from .emit import write_csv, write_json
-from .lgi import CorrelatorEngine, Observable, _check_protocol, _correlators, _tables
+from .lgi import CorrelatorEngine, Observable, _check_values, _correlators
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_KAPPA_GRID,
@@ -137,30 +136,33 @@ def _circle_angle(a, b) -> float:
     return math.atan2(abs(p1 * m2 - m1 * p2), abs(p1 * p2 + m1 * m2))
 
 
+def _row(run, t: float) -> tuple[float, float, float, float]:
+    """``(c12, c23, c13, k3)`` of the protocol ``run`` at times ``(0, t,
+    2t)``, refused unless its eight numbers lie in [0, 1]: that check
+    (:func:`nhlgi.lgi._check_values`) implies the range, sum and K3 checks of
+    :class:`nhlgi.lgi.LgiResult`, which the sweeps skip."""
+    values = run(0.0, t, 2.0 * t)
+    _check_values(values)
+    c12, c23, c13 = _correlators(values)
+    return c12, c23, c13, c12 + c23 - c13
+
+
 def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
     """Columns of the protocol at times ``(0, t, 2t)`` from ``up_y`` along ``-y``.
 
     ``engine_of(point)`` builds the engine of each working point, whose
     validated protocol run, set up once, then serves every spacing; each row
-    is checked on plain floats, as :class:`nhlgi.lgi.LgiResult` would check
-    it.
+    is checked once, on its eight numbers (:func:`_row`).
     """
     q, psi0 = Observable.canonical(), up_y()
-    rows = {name: [] for name in (label, "t", "c12", "c23", "c13", "k3")}
+    labels, times, table = [], [], []
     for point in points:
         run = engine_of(point)._protocol_inputs(psi0, q)
-        for t in spacings:
-            values = run(0.0, t, 2.0 * t)
-            c12, c23, c13 = _correlators(values)
-            k3 = c12 + c23 - c13
-            _check_protocol(_tables(values), k3)
-            rows[label].append(point)
-            rows["t"].append(t)
-            rows["c12"].append(c12)
-            rows["c23"].append(c23)
-            rows["c13"].append(c13)
-            rows["k3"].append(k3)
-    return rows
+        table += [_row(run, t) for t in spacings]
+        labels += [point] * len(spacings)
+        times += spacings
+    c12, c23, c13, k3 = (list(column) for column in zip(*table))
+    return {label: labels, "t": times, "c12": c12, "c23": c23, "c13": c13, "k3": k3}
 
 
 def _header(args, **fields) -> dict:
@@ -207,7 +209,9 @@ def _cmd_trajectory(args) -> int:
         rows = [_circle_bloch(*propagate(t, start)) for t in grid.tolist()]
     else:
         propagate = _lift_propagator(h, args.kappa)
-        start = tuple(2.0 * s for s in bloch_of_pure(up_y()).tolist())
+        # the exactly pure (0, -1, 0): the lift amplifies a purity deficit
+        # near pi/2, and a rounded spinor's Bloch vector is an ulp short
+        start = tuple(2.0 * s for s in _circle_bloch(*_circle_point(up_y())))
         rows = [[0.5 * r for r in propagate(t, start)] for t in grid.tolist()]
     # + 0.0 turns a -0.0 left by cancellation (in the invariant s_x) into 0
     traj = Trajectory(grid, np.array(rows) + 0.0)
@@ -386,25 +390,37 @@ def _cmd_noisescan(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    """The dilation against the direct flow from ``up_y`` along ``-y``.
+
+    The state and the axis are validated once per command; each row then
+    runs on unvalidated routes.  The direct state comes from the circle flow
+    and ``k3_direct`` from the engine's protocol run; the post-selected state,
+    ``p_select`` and ``k3_embedded`` come from the dilation's kernel, the
+    latter through its propagating frame.  Each K3 is checked once, on its
+    eight numbers (:func:`_row`).
+    """
     theta = _resolve_theta(args)
     spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
     _, propagate = _circle_flow(h)
-    engine = CorrelatorEngine(h)
-    q = Observable.canonical()
-    psi0 = up_y()
+    q, psi0 = Observable.canonical(), up_y()
+    direct_run = CorrelatorEngine(h)._protocol_inputs(psi0, q)
     start = _circle_point(psi0)
+    psi = psi0.tolist()
+    postselect = _dilation(theta)[1]
+    embedded_run = _embedded_run(theta, psi, q.direction)
     rows = {name: [] for name in ("t", "fidelity", "p_select", "k3_direct", "k3_embedded")}
     for t in spacings:
         p, m = propagate(t, start)  # the state (u, i v) is (p + m, i (p - m))/2
         norm = math.sqrt(2.0 * (p * p + m * m))
         direct = ((p + m) / norm, 1j * (p - m) / norm)
-        emb, p_sel = evolve_and_postselect(theta, psi0, t)
+        emb, p_sel = postselect(t, psi)
         rows["t"].append(t)
-        rows["fidelity"].append(abs(complex(np.vdot(direct, emb))) ** 2)
+        # |<direct|emb>|^2, with direct[0] real
+        rows["fidelity"].append(abs(direct[0] * emb[0] + direct[1].conjugate() * emb[1]) ** 2)
         rows["p_select"].append(p_sel)
-        rows["k3_direct"].append(engine.k3(psi0, q, 0.0, t, 2.0 * t).k3)
-        rows["k3_embedded"].append(k3_via_embedding(theta, q, 0.0, t, 2.0 * t, psi0).k3)
+        rows["k3_direct"].append(_row(direct_run, t)[3])
+        rows["k3_embedded"].append(_row(embedded_run, t)[3])
     metadata = _header(
         args,
         theta=theta,

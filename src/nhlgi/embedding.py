@@ -293,7 +293,14 @@ def k3_via_embedding(
     if q is None:
         q = Observable.canonical()
     psi0 = validate_pure(up_y() if psi0 is None else psi0)
+    return _k3_result(_embedded_run(theta, psi0.tolist(), q.direction), t1, t2, t3, 0.0)
+
+
+def _embedded_run(theta: float, psi: list, n):
+    """The unvalidated protocol run of the dilation from the spinor ``psi``
+    (a list of two complex amplitudes) along the unit axis ``n``: a callable
+    ``run(t1, t2, t3)`` returning the eight numbers of the protocol."""
     postselect = _dilation(theta)[1]
     # each leg re-embeds, evolves, post-selects and returns the normalised upper block
-    setup, evaluate = _propagating_frame(lambda t, psi: postselect(t, psi)[0])
-    return _k3_result(partial(evaluate, setup(psi0.tolist(), q.direction)), t1, t2, t3, 0.0)
+    setup, evaluate = _propagating_frame(lambda t, chi: postselect(t, chi)[0])
+    return partial(evaluate, setup(psi, n))

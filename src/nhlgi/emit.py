@@ -6,9 +6,11 @@ fixed-order block of ``# key = value`` comment lines, and nothing
 time-dependent or host-dependent is ever written.
 
 :func:`format_value` defines the rendering of one cell.  :func:`write_csv`
-reproduces it at C speed: it builds one ``%`` template per table from the
-column dtypes (``%.17g`` for floats, ``%d`` for integers and booleans) and
-formats rows from ``.tolist()`` blocks of bounded size; only columns of other
+reproduces it at C speed: it builds one ``%`` template per table and formats
+rows in blocks of bounded size.  A list of exact Python floats goes to
+``%.17g`` as it is; every other column is converted to a numpy array, whose
+dtype picks its conversion (``%.17g`` for floats, ``%d`` for integers and
+booleans), and formatted from ``.tolist()`` blocks.  Only columns of other
 dtypes, and the metadata, go through :func:`format_value` cell by cell.
 """
 
@@ -39,6 +41,12 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _is_float_list(column) -> bool:
+    """Whether ``column`` is a list of exact Python floats, which renders as
+    it is: numpy would turn it into a float array and back to the same floats."""
+    return type(column) is list and set(map(type, column)) == {float}
+
+
 def _open_target(target):
     """Resolve ``target`` to ``(stream, needs_close)``; '-' or None is stdout."""
     if target is None or target == "-":
@@ -58,14 +66,22 @@ def write_csv(target, columns: dict, metadata: dict | None = None) -> None:
     the column order.  An empty table still emits metadata and the header.
     """
     names = list(columns)
-    series = [np.atleast_1d(np.asarray(columns[name])) for name in names]
-    lengths = {s.shape[0] for s in series}
+    series = [
+        column if _is_float_list(column) else np.atleast_1d(np.asarray(column))
+        for column in columns.values()
+    ]
+    lengths = {len(s) for s in series}
     if len(lengths) > 1:
         raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
 
     # One ``%`` conversion per column; None marks a column of format_value cells.
-    formats = [_KIND_FORMATS.get(s.dtype.kind) if s.ndim == 1 else None for s in series]
+    formats = [
+        "%.17g" if type(s) is list
+        else _KIND_FORMATS.get(s.dtype.kind) if s.ndim == 1
+        else None
+        for s in series
+    ]
     template = ",".join(fmt or "%s" for fmt in formats) + "\n"
 
     stream, needs_close = _open_target(target)
@@ -76,7 +92,8 @@ def write_csv(target, columns: dict, metadata: dict | None = None) -> None:
         for start in range(0, n_rows, _CHUNK_ROWS):
             blocks = [s[start : start + _CHUNK_ROWS] for s in series]
             cells = [
-                block.tolist() if fmt else [format_value(v) for v in block]
+                block if type(block) is list
+                else block.tolist() if fmt else [format_value(v) for v in block]
                 for block, fmt in zip(blocks, formats)
             ]
             stream.writelines([template % row for row in zip(*cells)])

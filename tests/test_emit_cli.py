@@ -68,6 +68,8 @@ _CELLS = {
     "bool": st.booleans(),
     "str": st.text(max_size=4),
     "list": st.one_of(st.integers(-(2**40), 2**40), st.floats()),
+    "floats": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
+    "float64s": st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)),
     "pairs": st.tuples(st.floats(), st.floats()),
 }
 _COLUMN_KINDS = {
@@ -78,6 +80,9 @@ _COLUMN_KINDS = {
     "bool": lambda cells: np.array(cells, dtype=bool),
     "str": lambda cells: np.array(cells, dtype=str),
     "list": list,
+    # a list of exact Python floats skips numpy; one of numpy floats does not
+    "floats": list,
+    "float64s": lambda cells: [np.float64(c) for c in cells],
     "pairs": list,
 }
 
@@ -302,15 +307,23 @@ class TestCliTrajectoryRoute:
         assert np.all(columns["purity"] <= 1.0 + 1e-12)
 
     def test_faint_noise_at_the_corner_against_50_digits(self, tmp_path):
-        # the eigendecomposed lift refused this point (exit 1, "numerically
-        # defective"); over all 315 rows the closed form was within 2.2e-16
-        # of the 50-digit lift of H(theta) from the same Bloch vector
+        # Against the 50-digit lift of H(theta) from the exactly pure up_y,
+        # (0, -1, 0), on 20 seeded rows and the rows at t = 0.3, 0.9, 1.57
+        # and 2.8.  The eigendecomposed lift refused the THETA_MAX point (exit
+        # 1, "numerically defective"); measured 2.2e-16 there.  At delta =
+        # 1e-3 the worst row is t = 1.57, measured 1.7e-11; started from
+        # up_y's rounded Bloch vector, an ulp short, it was 1.7e-5 off.
         pytest.importorskip("mpmath")
-        _, columns = read_csv(self._run(tmp_path, "--theta", repr(THETA_MAX), "--kappa", "1e-9"))
-        rows = sorted(np.random.default_rng(11).choice(columns["t"].size, 20, replace=False))
-        start = (2.0 * bloch_of_pure(up_y())).tolist()
-        exact = noisy_bloch_trajectory(THETA_MAX, 1e-9, start, columns["t"][rows].tolist())
-        assert np.max(np.abs(self._bloch(columns)[rows] - exact)) <= 1e-15
+        for theta, kappa, bound in (
+            (THETA_MAX, "1e-9", 1e-15),
+            (math.pi / 2 - 1e-3, "1e-12", 3e-11),
+        ):
+            _, columns = read_csv(self._run(tmp_path, "--theta", repr(theta), "--kappa", kappa))
+            rng = np.random.default_rng(11)
+            rows = sorted({*rng.choice(columns["t"].size, 20, replace=False), 30, 90, 157, 280})
+            times = columns["t"][rows].tolist()
+            exact = noisy_bloch_trajectory(theta, float(kappa), (0.0, -1.0, 0.0), times)
+            assert np.max(np.abs(self._bloch(columns)[rows] - exact)) <= bound
 
     @pytest.mark.parametrize(
         "theta, kappa",
@@ -518,6 +531,13 @@ class TestCliSweepValidation:
                      "--out", str(out)]) == 0
         assert read_csv(out)[1]["t"].size == 3 * 315
         assert 0 < len(validations) <= 2 * 3
+
+    def test_embed(self, validations, tmp_path):
+        # once for the engine's run and once for the circle flow's start
+        out = tmp_path / "embed.csv"
+        assert main(["embed", "--out", str(out)]) == 0
+        assert read_csv(out)[1]["t"].size == 31
+        assert 0 < len(validations) <= 2
 
     def test_speed(self, validations, tmp_path):
         # the start state is validated once per command, not once per row

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from nhlgi.dynamics import (
     state_from_bloch_angles,
     up_y,
 )
-from nhlgi.embedding import _dilation, _pure_born, k3_via_embedding
+from nhlgi.embedding import _dilation, _propagating_frame, _pure_born, k3_via_embedding
 from nhlgi.lgi import (
     ALGEBRAIC_BOUND,
     LUDER_BOUND,
@@ -188,37 +189,63 @@ def _result(tables, correlators) -> LgiResult:
                      table23=tab23, table13=tab13, times=(0.0, 1.0, 2.0), kappa=0.0)
 
 
+# Values the sweeps' row check refuses in any of the eight numbers.  The K3
+# and sum cases of REFUSED_ROWS stay with the classes alone: their tables come
+# from no eight numbers in [0, 1], which is what the sweeps check.
+REFUSED_VALUES = {
+    "nan entry": math.nan,
+    "+inf entry": math.inf,
+    "-inf entry": -math.inf,
+    "entry -5e-324": -5e-324,
+    "entry -2e-10": -2e-10,
+    "entry 1+2.2e-16": 1.0 + 2.2e-16,
+    "entry 1+2e-10": 1.0 + 2e-10,
+}
+
+
 class TestRowChecks:
-    """One range, sum and K3 check, reached through the classes and the CLI sweeps."""
+    """One range, sum and K3 check for the classes; one range check on the
+    eight numbers for the CLI sweeps, which implies it."""
 
     @pytest.mark.parametrize("case", sorted(REFUSED_ROWS))
     def test_classes_refuse(self, case):
         with pytest.raises(ValueError):
             _result(*REFUSED_ROWS[case])
 
-    @pytest.mark.parametrize("command", ["lgi", "noise"])
-    @pytest.mark.parametrize("case", sorted(REFUSED_ROWS))
+    def test_classes_accept_edges(self):
+        _result(*ACCEPTED_ROW)
+
+    @pytest.mark.parametrize("command", ["lgi", "noise", "embed"])
+    @pytest.mark.parametrize("case", sorted(REFUSED_VALUES))
     def test_sweeps_refuse(self, case, command, monkeypatch, capsys):
         from nhlgi import cli
 
-        tables, correlators = REFUSED_ROWS[case]
-        monkeypatch.setattr(cli, "_correlators", lambda values: correlators)
-        monkeypatch.setattr(cli, "_tables", lambda values: tables)
-        assert cli.main(self._argv(command)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "invalid parameters" in captured.err
+        for route in self._routes(command):
+            for slot in range(8):
+                values = [0.5] * 8
+                values[slot] = REFUSED_VALUES[case]
+                with monkeypatch.context() as patch:
+                    self._inject(patch, route, tuple(values))
+                    assert cli.main(self._argv(command)) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "invalid parameters" in captured.err
 
-    @pytest.mark.parametrize("command", ["lgi", "noise"])
+    @pytest.mark.parametrize("command", ["lgi", "noise", "embed"])
     def test_edge_values_accepted(self, command, monkeypatch, capsys):
         from nhlgi import cli
 
-        _result(*ACCEPTED_ROW)
-        tables, correlators = ACCEPTED_ROW
-        monkeypatch.setattr(cli, "_correlators", lambda values: correlators)
-        monkeypatch.setattr(cli, "_tables", lambda values: tables)
-        assert cli.main(self._argv(command)) == 0
-        capsys.readouterr()
+        for route in self._routes(command):
+            column = {"engine": "k3_direct" if command == "embed" else "k3",
+                      "dilation": "k3_embedded"}[route]
+            # exact 0 and 1 in every slot, giving K3 at the algebraic bounds
+            for values, k3 in [((0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0), 3.0),
+                               ((1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0), -3.0),
+                               ((1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0), 3.0)]:
+                with monkeypatch.context() as patch:
+                    self._inject(patch, route, values)
+                    assert cli.main([*self._argv(command), "--format", "json"]) == 0
+                assert json.loads(capsys.readouterr().out)["data"][column] == [k3]
 
     @pytest.mark.parametrize("slot", range(4))
     def test_check_protocol_boundaries(self, slot):
@@ -236,11 +263,108 @@ class TestRowChecks:
             with pytest.raises(ValueError, match="outside \\[0, 1\\] or not finite"):
                 lgi._check_protocol([table(value, 0.25)])
 
+    def test_values_in_range_pass_the_protocol_check(self):
+        # the sweeps' check implies the classes': seeded eight numbers in [0,
+        # 1], with exact 0 and 1 and their neighbours mixed in, never fail
+        # the range, sum or K3 checks of their tables
+        rng = np.random.default_rng(2024)
+        edges = np.array([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0])
+        for _ in range(20000):
+            values = rng.uniform(0.0, 1.0, 8)
+            on_edge = rng.random(8) < 0.4
+            values[on_edge] = rng.choice(edges, on_edge.sum())
+            values = tuple(values.tolist())
+            lgi._check_values(values)
+            c12, c23, c13 = _correlators(values)
+            lgi._check_protocol(_tables(values), c12 + c23 - c13)
+
+    @staticmethod
+    def _routes(command):
+        return ("engine", "dilation") if command == "embed" else ("engine",)
+
+    @staticmethod
+    def _inject(patch, route, values):
+        """Make every protocol run of one route return ``values``: the
+        engine's (every row of lgi and noise, embed's direct column) or the
+        dilation's (embed's embedded column)."""
+        from nhlgi import cli
+
+        if route == "engine":
+            patch.setattr(
+                CorrelatorEngine, "_protocol_inputs", lambda self, state, q: lambda *t: values
+            )
+        else:
+            patch.setattr(cli, "_embedded_run", lambda theta, psi, n: lambda *t: values)
+
     @staticmethod
     def _argv(command):
         if command == "lgi":
             return ["lgi", "--theta", "0.5", "--t", "0.3"]
+        if command == "embed":
+            return ["embed", "--theta", "0.5", "--tmax", "0.3", "--step", "0.3"]
         return ["noise", "--theta", "0.5", "--kappa", "0.1", "--tmax", "0.3", "--step", "0.3"]
+
+
+def _frame_draws(seed, n):
+    """Seeded ``(theta, times, rng)`` draws: delta = pi/2 - theta log-uniform
+    from 1e-6 (``THETA_MAX``) to pi/2, both ends included; half the draws
+    have ``t1 = 0``, as every CLI row has.  ``rng`` draws the rest."""
+    rng = np.random.default_rng(seed)
+    deltas = [1e-6, math.pi / 2, *(10.0 ** rng.uniform(-6.0, math.log10(math.pi / 2), n - 2))]
+    for delta in deltas:
+        theta = THETA_MAX if delta == 1e-6 else math.pi / 2 - delta
+        t1 = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 3.0)
+        t2 = t1 + rng.uniform(1e-3, 3.0)
+        yield theta, (t1, t2, t2 + rng.uniform(1e-3, 3.0)), rng
+
+
+def _in_range(values):
+    return len(values) == 8 and all(0.0 <= v <= 1.0 for v in values)
+
+
+class TestFramesInRange:
+    """Every frame returns its eight numbers in [0, 1], which the CLI sweeps'
+    row check (:func:`nhlgi.lgi._check_values`) relies on."""
+
+    KAPPAS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e5)
+
+    def test_circle_frame(self):
+        for theta, times, rng in _frame_draws(5, 300):
+            setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta))._circle_route
+            a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+            point = setup((math.cos(a), math.sin(a)), (math.cos(b), math.sin(b)))
+            assert _in_range(evaluate(point, *times)), (theta, times, a, b)
+
+    def test_noisy_frame(self):
+        # Bloch vectors in the ball and on its surface, and spinors on and
+        # off the invariant circle through the engine's dispatch
+        for theta, times, rng in _frame_draws(6, 60):
+            h = NHHamiltonian.canonical(theta)
+            for kappa in self.KAPPAS:
+                engine = CorrelatorEngine(h, kappa)
+                setup, evaluate = engine._bloch_route
+                n = _bloch_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+                r = np.array(_bloch_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)))
+                for radius in (1.0, rng.uniform(0.0, 1.0)):
+                    values = evaluate(setup(tuple((radius * r).tolist()), n), *times)
+                    assert _in_range(values), (theta, kappa, times, radius)
+                a = rng.uniform(0.0, 2.0 * math.pi)
+                for psi, axis in (
+                    ((complex(math.cos(a)), 1j * math.sin(a)), (0.0, n[1], n[2])),
+                    (tuple(random_pure(rng).tolist()), n),
+                ):
+                    norm = math.hypot(*axis)
+                    evaluate, point = engine._pure_point(psi, tuple(x / norm for x in axis))
+                    assert _in_range(evaluate(point, *times)), (theta, kappa, times, psi)
+
+    def test_propagating_frame(self):
+        # the dilation's frame, on random spinors and axes
+        for theta, times, rng in _frame_draws(7, 300):
+            postselect = _dilation(theta)[1]
+            setup, evaluate = _propagating_frame(lambda t, psi: postselect(t, psi)[0])
+            n = _bloch_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            values = evaluate(setup(tuple(random_pure(rng).tolist()), n), *times)
+            assert _in_range(values), (theta, times)
 
 
 def test_pure_propagator_norm_floor():
