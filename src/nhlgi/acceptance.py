@@ -196,7 +196,7 @@ def criterion_6() -> CriterionResult:
     # geodesic distance from the antipodal target
     worst_geo = 0.0
     target = down_y()
-    for theta in (0.0, 0.7, 1.3):
+    for theta in (0.0, 0.7, 1.3, theta_from_delta(1e-6)):
         hh = NHHamiltonian.canonical(theta)
         closed = geodesic_distance_closed_form(theta, np.linspace(0.0, math.pi, 41))
         for t, d_closed in zip(np.linspace(0.0, math.pi, 41), np.atleast_1d(closed)):
@@ -204,7 +204,7 @@ def criterion_6() -> CriterionResult:
             worst_geo = max(worst_geo, abs(d_num - float(d_closed)))
     # fidelity-decay coefficient
     worst_speed = 0.0
-    for theta in (0.0, 0.5, 1.0, 1.4):
+    for theta in (0.0, 0.5, 1.0, 1.4, theta_from_delta(1e-6)):
         hh = NHHamiltonian.canonical(theta)
         for t in np.linspace(0.0, math.pi, 25):
             v_num = speed(hh, up_y(), float(t))

@@ -21,6 +21,7 @@ from .dynamics import (
     StiffnessError,
     Trajectory,
     _circle_flow,
+    _circle_speed,
     _circle_state,
     _lift_propagator,
     down_y,
@@ -280,18 +281,14 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_speed(args) -> int:
-    """``|dS/dt|^2 = (w (K p^2 + m^2/K) / (p^2 + m^2))^2`` along the circle flow."""
+    """``|dS/dt|^2`` along the circle flow, by :func:`nhlgi.dynamics._circle_speed`."""
     grid = _time_grid(args.tmax, args.step)
     times = grid.tolist()
     start = _circle_point(up_y())
     rows_theta, rows_t, rows_v, rows_vcf = [], [], [], []
     for theta in args.theta:
         (w, k, rk), propagate = _circle_flow(NHHamiltonian.canonical(theta))
-        for t in times:
-            p, m = propagate(t, start)
-            pp, mm = p * p, m * m
-            rate = w * (k * pp + mm * rk) / (pp + mm)
-            rows_v.append(rate * rate)
+        rows_v += [_circle_speed(w, k, rk, *propagate(t, start)) for t in times]
         rows_theta += [theta] * len(times)
         rows_t += times
         rows_vcf += np.atleast_1d(speed_closed_form(theta, grid)).tolist()

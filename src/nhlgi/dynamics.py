@@ -23,25 +23,24 @@ approaches ``pi/2``.
 This module provides exact propagators, adaptive Runge-Kutta integration of
 the Bloch flow (an in-house Dormand-Prince 5(4) run that repeats scipy's
 RK45 on plain scalars, so numpy stays the only dependency, imported on
-first use by ``nhlgi._numpy``; the density lift's independent route in the
-acceptance checks and tests), closed-form
-trajectory components in the frame spanned by ``A``, ``B`` and ``n = A x
-B`` (``x``, ``-z`` and ``y``, one constant frame for every member),
-geodesic distances, and the local speed of state evolution, ``|dS/dt|^2``
-evaluated exactly from the equation of motion above.
+first use by ``nhlgi._numpy``; the independent route of the acceptance
+checks and tests), closed-form trajectory components in the frame spanned
+by ``A``, ``B`` and ``n = A x B`` (``x``, ``-z`` and ``y``, one constant
+frame for every member), geodesic distances, and the local speed of state
+evolution, ``|dS/dt|^2``.
 
 Each formula is written once, as a kernel on plain scalars that the scans,
-the protocol and the CLI call per point: the pure flow
-(:func:`pure_propagator`) and its real form on the invariant y-z circle
-(``_circle_state``, ``_circle_flow``), the density lift in closed form at
-every ``kappa >= 0``, from the real root of its characteristic cubic, with
-no eigendecomposition and no numpy (``_lift_coefficients``,
-``_lift_weights``, ``_lift_propagator``), the Bloch equation
-(``_bloch_rhs``) and the speed bound to one Hamiltonian (``_speed_route``),
-the Bloch vectors of spinors and density matrices (``_spinor_bloch``,
-``_density_bloch``), the Bloch-angle maps (``_bloch_state``,
-``_bloch_axis``) and the eigenbasis of a measurement axis
-(``_axis_basis``).  The public numpy functions validate once and call
+the protocol and the CLI call per point: one pure flow, the real map of
+``_circle_flow`` on a spinor's ``(p, m) = (a - i b, a + i b)``
+(``_circle_coordinates``, ``_circle_state``) from the double theta, which
+:func:`pure_propagator`, :func:`propagated_norm` and the speed
+(``_circle_speed``, ``_speed_route``) run; the density lift in closed form
+at every ``kappa >= 0``, from the real root of its characteristic cubic
+(``_lift_coefficients``, ``_lift_weights``, ``_lift_propagator``); RK45's
+right-hand side (``_bloch_rhs``); the Bloch vectors of spinors and density
+matrices (``_spinor_bloch``, ``_density_bloch``), the Bloch-angle maps
+(``_bloch_state``, ``_bloch_axis``) and the eigenbasis of a measurement
+axis (``_axis_basis``).  The public numpy functions validate once and call
 them.
 
 Each input contract that more than one public call makes is checked by one
@@ -50,8 +49,8 @@ private owner here, which every module calls: the working point
 (``_check_kappa``), finite times (``_check_finite_times``, and
 ``_finite_times`` for arrays) and the Bloch ball (``_check_bloch``).  The
 adaptive Runge-Kutta run and its :class:`StiffnessError` live in ``_rk45``.
-:class:`NHHamiltonian` is two floats, ``(theta, scale)``; its matrix and its
-scaled vectors ``(scale a, scale b)`` are built from them.
+:class:`NHHamiltonian` is two floats, ``(theta, scale)``; its rounded sec and
+tan reach only its matrix and RK45's scaled vectors ``(scale a, scale b)``.
 """
 
 from __future__ import annotations
@@ -312,12 +311,12 @@ class NHHamiltonian:
     sigma_z)``, for ``0 <= theta <= pi/2 - 1e-6`` and a positive finite
     ``scale``; a bool for either is refused.
 
-    The member is the two floats ``(theta, scale)``.  ``sec(theta)`` and
-    ``tan(theta)`` are computed once at construction, and ``matrix`` and
-    ``_scaled`` are built from them.  Matching against ``scale * (a - i b) .
-    sigma`` gives ``a = sec(theta) x`` and ``b = -tan(theta) z``; ``a . b =
-    0`` and ``|a| > |b|``, so the spectrum is the real ``+/- omega`` with
-    ``omega = scale * sqrt(sec^2 - tan^2) = scale``.
+    The member is the two floats ``(theta, scale)``.  The rounded
+    ``sec(theta)`` and ``tan(theta)`` are computed once for ``_scaled``
+    (RK45's input) and ``matrix`` (the dilation's checks).  Matching against
+    ``scale * (a - i b) . sigma`` gives ``a = sec(theta) x`` and ``b =
+    -tan(theta) z``; ``a . b = 0`` and ``|a| > |b|``, so the spectrum is the
+    real ``+/- omega`` with ``omega = scale * sqrt(sec^2 - tan^2) = scale``.
     ``scale`` is a plain multiplicative rescaling of the operator (``nhlgi
     distance --rescaled`` passes ``cos theta``, to compare members at equal
     Hermitian-part strength).
@@ -364,11 +363,9 @@ class NHHamiltonian:
         return float(self.scale)
 
     def propagator(self, t: float) -> np.ndarray:
-        """Exact ``exp(-i H t)``.
-
-        The square of the (traceless) operator is ``omega^2 I``, so the
-        closed two-term form applies.
-        """
+        """``exp(-i H t) = cos(w t) I - i sin(w t)/w H`` of the rounded
+        matrix, as ``H^2 = omega^2 I``.  No library route calls it; it stays
+        while ``perfbench``'s tracer binds it."""
         w = self.omega
         return math.cos(w * t) * qmat.ID2 - (1j * math.sin(w * t) / w) * self.matrix
 
@@ -402,21 +399,16 @@ def bloch_to_abn(s) -> np.ndarray:
 def pure_propagator(h: NHHamiltonian):
     """Renormalised pure-state flow of ``h`` on plain complex scalars.
 
-    Returns ``propagate(t, psi) -> psi`` for spinors ``psi = (a, b)``: the
-    closed form ``exp(-i H t) = cos(w t) I - i sin(w t)/w M`` applied to
-    ``psi`` and normalised.  The entries of ``M`` are bound once, so the call
-    does no numpy work and no validation.  A collapsed norm raises
-    ``DegenerateEvolutionError``.
+    Returns ``propagate(t, psi) -> psi`` for spinors ``psi``: the map of
+    :func:`_circle_flow` on :func:`_circle_coordinates`, carried back as
+    ``((p + m)/2, i (p - m)/2)`` and normalised, with no numpy work and no
+    validation.  A collapsed norm raises ``DegenerateEvolutionError``.
     """
-    w = h.omega
-    (m00, m01), (m10, m11) = h.matrix.tolist()
+    _, flow = _circle_flow(h)
 
     def propagate(t, psi):
-        a, b = psi
-        c = math.cos(w * t)
-        s = -1j * (math.sin(w * t) / w)
-        x = c * a + s * (m00 * a + m01 * b)
-        y = c * b + s * (m10 * a + m11 * b)
+        p, m = flow(t, _circle_coordinates(psi))
+        x, y = 0.5 * (p + m), 0.5j * (p - m)
         n = math.hypot(x.real, x.imag, y.real, y.imag)
         if n < _NORM_FLOOR:
             raise DegenerateEvolutionError(
@@ -440,17 +432,22 @@ def _circle_state(psi) -> tuple[float, float] | None:
     return None
 
 
+def _circle_coordinates(psi) -> tuple[complex, complex]:
+    """``(p, m) = (a - i b, a + i b)`` of a spinor ``(a, b)``: :func:`_circle_flow`'s."""
+    a, b = psi
+    return a - 1j * b, a + 1j * b
+
+
 def _circle_flow(h: NHHamiltonian):
-    """The pure flow of ``h`` on the invariant y-z circle: ``((w, K, 1/K),
-    propagate)``, in real arithmetic.
+    """The pure flow of ``h``, ``((w, K, 1/K), propagate)``, with real coefficients.
 
     In ``p = u + v``, ``m = u - v`` of a state ``(u, i v)``, ``exp(-i H t)``
     is ``propagate(t, (p, m)) = (c p - s m/K, c m + s K p)``, ``c, s = cos(w
     t), sin(w t)``, with ``w = scale``, ``K = (1 + sin theta)/cos theta`` and
     ``1/K = cos theta/(1 + sin theta)`` from the double theta: no rounded
-    sec, tan or omega, so the map stays exact at the corner.  (In ``(u, v)``
-    it has the rounded sec and tan again.)  The state is not normalised.
-    """
+    sec, tan or omega, so the map stays exact at the corner.  It is
+    complex-linear, so it carries any spinor's :func:`_circle_coordinates`
+    too.  The state is not normalised."""
     w = float(h.scale)
     sin_t, cos_t = math.sin(h.theta), math.cos(h.theta)
     k, rk = (1.0 + sin_t) / cos_t, cos_t / (1.0 + sin_t)
@@ -461,6 +458,15 @@ def _circle_flow(h: NHHamiltonian):
         return c * p - s * (m * rk), c * m + s * (k * p)
 
     return (w, k, rk), propagate
+
+
+def _circle_speed(w: float, k: float, rk: float, p, m) -> float:
+    """``|dS/dt|^2 = (w |K p^2 + m^2/K| / (|p|^2 + |m|^2))^2``, ``<H^dag H> -
+    |<H>|^2`` for :func:`_circle_flow`'s generator ``i w [[0, -1/K], [K, 0]]``
+    at an unnormalised ``(p, m)``: no term is of size ``1/delta``."""
+    pp, mm = (p * p.conjugate()).real, (m * m.conjugate()).real
+    rate = w * abs(k * (p * p) + (m * m) * rk) / (pp + mm)
+    return rate * rate
 
 
 def _lift_coefficients(h: NHHamiltonian, kappa: float):
@@ -597,10 +603,11 @@ def evolve_pure(h: NHHamiltonian, psi0, t: float) -> np.ndarray:
 
 
 def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
-    """Norm ``||exp(-i H t) psi0||`` of the unnormalised propagated state."""
+    """``||exp(-i H t) psi0||``: ``sqrt((|p|^2 + |m|^2)/2)`` of :func:`_circle_flow`."""
     psi0 = validate_pure(psi0)
     _check_finite_times(t=t)
-    return float(np.linalg.norm(h.propagator(t) @ psi0))
+    p, m = _circle_flow(h)[1](t, _circle_coordinates(psi0.tolist()))
+    return math.sqrt(0.5 * ((p * p.conjugate()).real + (m * m.conjugate()).real))
 
 
 def _lifted_density(h: NHHamiltonian, rho, kappa: float, t: float) -> np.ndarray:
@@ -788,13 +795,12 @@ def _rk45(fun, y0, times, rtol: float, atol: float) -> list[list]:
 
 
 def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
-    """Right-hand side ``2 A x S - B + 4 (B . S) S - 2 kappa S`` on plain
-    float triples ``a``, ``b`` and ``s``.
+    """RK45's right-hand side ``2 A x S - B + 4 (B . S) S - 2 kappa S`` in
+    :func:`integrate_bloch`, on plain float triples ``a``, ``b`` and ``s``.
 
-    ``A`` and ``B`` here include the overall Hamiltonian scale (the pair
-    ``NHHamiltonian._scaled``).  The flow preserves ``|S| = 1/2`` when
-    ``kappa = 0`` and leaves the component along ``A`` invariant if it starts
-    at zero.
+    ``A`` and ``B`` include the scale (``NHHamiltonian._scaled``).  The flow
+    preserves ``|S| = 1/2`` when ``kappa = 0`` and leaves the component along
+    ``A`` invariant if it starts at zero.
     """
     ax, ay, az = a
     bx, by, bz = b
@@ -808,19 +814,14 @@ def _bloch_rhs(a, b, kappa: float, s) -> tuple[float, float, float]:
 
 
 def _speed_route(h: NHHamiltonian):
-    """Squared noiseless Bloch speed of ``h`` on plain scalars.
-
-    Returns ``route(t, psi) -> |dS/dt|^2`` at the state the renormalised flow
-    carries the normalised spinor ``psi`` to at ``t``, with the propagator
-    and the scaled Hamiltonian vectors bound once.  :func:`speed` and the
-    speed search of :mod:`nhlgi.scan` both evaluate the speed here.
-    """
-    propagate = pure_propagator(h)
-    a, b = h._scaled
+    """``route(t, psi) -> |dS/dt|^2`` of ``h`` on plain scalars, at the state
+    the flow carries the spinor ``psi`` to at ``t``: :func:`_circle_speed` on
+    :func:`_circle_flow`'s map.  :func:`speed` and the speed search of
+    :mod:`nhlgi.scan` both evaluate the speed here."""
+    (w, k, rk), flow = _circle_flow(h)
 
     def route(t, psi):
-        dx, dy, dz = _bloch_rhs(a, b, 0.0, _spinor_bloch(propagate(t, psi)))
-        return dx * dx + dy * dy + dz * dz
+        return _circle_speed(w, k, rk, *flow(t, _circle_coordinates(psi)))
 
     return route
 
@@ -967,12 +968,12 @@ def geodesic_distance_closed_form(theta: float, t) -> float | np.ndarray:
 def speed(h: NHHamiltonian, psi0, t: float) -> float:
     """Squared speed ``|dS/dt|^2`` of the Bloch vector at time ``t``.
 
-    ``dS/dt`` is the noiseless ``_bloch_rhs`` at the state evolved from
-    ``psi0``.  Because the flow conserves ``|S| = 1/2``, the overlap fidelity
-    of neighbouring points of the trajectory expands as
-    ``|<psi(t)|psi(t + dt)>|^2 = 1 - |dS/dt|^2 dt^2 + O(dt^3)``, so this is the
-    quadratic decay coefficient of the fidelity, computed exactly.  It is the
-    quantity maximised by :func:`nhlgi.scan.maximize_speed`.
+    As the flow conserves ``|S| = 1/2``, the fidelity of neighbouring points
+    expands as ``|<psi(t)|psi(t + dt)>|^2 = 1 - |dS/dt|^2 dt^2 + O(dt^3)``, so
+    this is its decay coefficient ``<H^dag H> - |<H>|^2``: :func:`_circle_speed`
+    at the state :func:`_circle_flow` carries ``psi0`` to, within 1.1e-15
+    relative of 50 digits down to ``THETA_MAX``.  It is the quantity
+    maximised by :func:`nhlgi.scan.maximize_speed`.
     """
     psi0 = validate_pure(psi0)
     _check_finite_times(t=t)

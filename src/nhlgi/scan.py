@@ -12,7 +12,7 @@ through the state, so its search runs over the initial state alone.
 
 The optimiser is a multi-start Nelder-Mead simplex seeded from a Latin
 hypercube sample plus the analytically known canonical configuration, so the
-returned value never falls below the closed-form benchmark.  Both are
+returned value reaches the closed-form benchmark except at the corner.  Both are
 in-house and load no scipy: the hypercube repeats the draws of scipy's
 ``LatinHypercube`` for the same seed, and :func:`minimize` repeats the
 arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
@@ -496,11 +496,13 @@ def maximize_k3(
     :func:`_planar_point`); ``extra_starts`` are points in them, each a
     sequence of four numbers, clipped into the box.  A start of another length
     is refused with :class:`ScanConfigError`, and one with a NaN coordinate
-    with ``ValueError``.  The canonical configuration is always
-    among the evaluated seeds, so at ``kappa = 0`` the result dominates the
-    closed-form value ``1 + sin(theta) + sin^2(theta)``.  The seeding pass
-    takes 512 evaluations plus one per start, and the simplex restarts share
-    the rest; ``evals`` never exceeds ``budget``, and ``restarts`` counts the
+    with ``ValueError``.  The canonical configuration is always among the
+    evaluated seeds, so at ``kappa = 0`` the result dominates the closed-form
+    value ``1 + sin(theta) + sin^2(theta)``, except below ``delta = pi/2 -
+    theta`` of about 3e-6: the seed's axis angle ``pi/2`` is the axis ``(1,
+    6.1e-17)``, and the result can fall 4.1e-10 short.  The seeding pass takes
+    512 evaluations plus one per start, and the simplex restarts share the
+    rest; ``evals`` never exceeds ``budget``, and ``restarts`` counts the
     restarts run.  The argmax keeps all seven keys, as floats, with ``t1 =
     0``.  Deterministic for a fixed ``(theta, kappa, budget, seed)``.
     """

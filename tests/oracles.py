@@ -224,6 +224,36 @@ def pure_bloch_trajectory(h, psi0, times, dps=40):
         return np.array(rows, dtype=float)
 
 
+def pure_flow(theta, psi, t, dps=50):
+    """``(state, norm, speed)`` of ``exp(-i H t) psi`` for the family member
+    ``theta`` itself, in mpmath at ``dps`` digits.
+
+    ``theta`` and the entries of ``psi`` are taken as their exact binary
+    values, and ``sec theta`` and ``tan theta`` are formed in mpmath, so
+    ``H^2 = I`` to the working precision and ``exp(-i H t) = cos t I - i sin
+    t H``.  ``state`` is the propagated vector over its ``norm``, as a
+    complex array, and ``speed`` the fidelity-decay coefficient ``<H^dag H>
+    - |<H>|^2`` of ``state``.  Near the corner both terms are of size
+    ``sec^2 theta`` and cancel to the speed, which the extra digits absorb.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        th, t = mpmath.mpf(theta), mpmath.mpf(t)
+        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
+        (m00, m01), (m10, m11) = (1j * tan, sec), (sec, -1j * tan)
+        a0, b0 = (mpmath.mpc(v) for v in np.asarray(psi, dtype=complex).tolist())
+        c, s = mpmath.cos(t), -1j * mpmath.sin(t)
+        a = c * a0 + s * (m00 * a0 + m01 * b0)
+        b = c * b0 + s * (m10 * a0 + m11 * b0)
+        norm = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        a, b = a / norm, b / norm
+        ha, hb = m00 * a + m01 * b, m10 * a + m11 * b
+        mean = mpmath.conj(a) * ha + mpmath.conj(b) * hb
+        spread = abs(ha) ** 2 + abs(hb) ** 2 - abs(mean) ** 2
+        return np.array([complex(a), complex(b)]), float(norm), float(spread)
+
+
 def planar_protocol(theta, state, axis, times, dps=50):
     """The eight numbers ``(p1, p2, plus12, minus12, plus23, minus23, plus13,
     minus13)`` of the pure protocol of the family member ``theta`` itself,

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from oracles import (
     density_from_bloch,
     noisy_bloch_trajectory,
     pauli_vector,
+    pure_flow,
     rk4,
     taylor_expm,
 )
@@ -619,7 +622,8 @@ class TestDistanceAndSpeed:
     )
     def test_speed_matches_closed_form(self, theta):
         h = NHHamiltonian.canonical(theta)
-        # the propagator loses about sec^2(theta) ulps near the corner
+        # a loose bound: TestPureRoutesAgainst50Digits holds the speed to
+        # 1.1e-14 relative down to THETA_MAX
         rel = 1e-12 / math.cos(theta) ** 2
         for t in np.linspace(0.1, 3.0, 7):
             assert speed(h, up_y(), t) == pytest.approx(
@@ -657,6 +661,44 @@ class TestDistanceAndSpeed:
             speed_closed_form(2.0, 0.5)
         with pytest.raises(ValueError):
             geodesic_distance_closed_form(-0.2, 0.5)
+
+
+class TestPureRoutesAgainst50Digits:
+    """``evolve_pure``, ``propagated_norm`` and ``speed`` against
+    :func:`oracles.pure_flow` at the exact theta, down to ``THETA_MAX``.
+
+    Each bound is 10x the worst measured over these points (CPython 3.11.7,
+    numpy 2.4.6): 1.6e-16 for the sine of the Fubini-Study angle, 4.0e-16
+    relative for the norm and 1.1e-15 relative for the speed.  Run on the
+    rounded sec and tan, the same routes were up to 1.3e-11, 4.7e-9 and
+    1.4e-3 off over these points.
+    """
+
+    @staticmethod
+    def points(delta):
+        rng = np.random.default_rng(int(round(-math.log10(delta))))
+        yield from ((up_y(), 0.03 * i) for i in range(105))
+        yield up_z(), 1.0
+        for _ in range(30):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            yield psi / np.linalg.norm(psi), float(rng.uniform(-4.0, 4.0))
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-6])
+    def test_within_ten_times_the_measured_worst(self, delta):
+        mpmath = pytest.importorskip("mpmath")
+        theta = THETA_MAX if delta == 1e-6 else math.pi / 2 - delta
+        h = NHHamiltonian.canonical(theta)
+        worst_sine = worst_norm = worst_speed = 0.0
+        for psi, t in self.points(delta):
+            state, norm, rate = pure_flow(theta, psi, t)
+            with mpmath.workdps(50):
+                (a, b), (c, d) = (map(mpmath.mpc, v) for v in (evolve_pure(h, psi, t), state))
+                worst_sine = max(worst_sine, float(abs(a * d - b * c)))
+            worst_norm = max(worst_norm, abs(propagated_norm(h, psi, t) - norm) / norm)
+            worst_speed = max(worst_speed, abs(speed(h, psi, t) - rate) / rate)
+        assert worst_sine <= 1.6e-15
+        assert worst_norm <= 4.0e-15
+        assert worst_speed <= 1.1e-14
 
 
 _THETA_ENTRIES = {
@@ -808,3 +850,53 @@ def test_closed_forms_refuse_a_non_finite_time(form, t, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"time t = {bad!r} must be finite"):
             _CLOSED_FORMS[form](1.2, t)
+
+
+def _readers(names):
+    """``{name: {"module:definition"}}``: where in ``src/nhlgi`` each attribute
+    in ``names`` is read, or each function in ``names`` called.  The
+    definition is the outermost function around the read, with its class if
+    it is a method, such as ``dynamics:NHHamiltonian.matrix``."""
+    found = {name: set() for name in names}
+
+    def visit(node, module, stack):
+        if isinstance(node, ast.ClassDef):
+            stack = [*stack, (node.name, False)]
+        elif isinstance(node, ast.FunctionDef):
+            stack = [*stack, (node.name, True)]
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+        else:
+            name = None
+        if name in found:
+            outer = []
+            for part, is_function in stack:
+                outer.append(part)
+                if is_function:
+                    break
+            found[name].add(f"{module}:{'.'.join(outer)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, stack)
+
+    for path in sorted(Path(nhlgi.dynamics.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+def test_rounded_sec_and_tan_have_only_their_readers():
+    # the pure routes run the circle flow from the double theta; the rounded
+    # sec and tan reach only RK45's right-hand side and the operator matrix,
+    # whose readers are the kept propagator and the dilation's checks
+    assert _readers(["_sec", "_tan", "_scaled", "matrix", "_bloch_rhs"]) == {
+        "_sec": {"dynamics:NHHamiltonian._scaled"},
+        "_tan": {"dynamics:NHHamiltonian._scaled"},
+        "_scaled": {"dynamics:NHHamiltonian.matrix", "dynamics:integrate_bloch"},
+        "matrix": {
+            "dynamics:NHHamiltonian.propagator",
+            "embedding:build_metric",
+            "embedding:build_HT",
+        },
+        "_bloch_rhs": {"dynamics:integrate_bloch"},
+    }

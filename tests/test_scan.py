@@ -627,8 +627,8 @@ class TestPinnedSearches:
             ),
             (
                 lambda: maximize_speed(1.2, budget=3000, seed=2),
-                ("0x1.c6dbdfb08b2ffp+4", 2402, 16, {
-                    "theta_s": "0x1.921fb5491bcebp+0", "phi_s": "0x1.921fb5752796ep+0",
+                ("0x1.c6dbdfb08b2ffp+4", 2390, 16, {
+                    "theta_s": "0x1.921fb5379cf23p+0", "phi_s": "0x1.921fb57e31d1ep+0",
                     "t": "0x0.0p+0",
                 }),
             ),
