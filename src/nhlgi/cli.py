@@ -26,6 +26,7 @@ from .dynamics import (
     _lift_propagator,
     down_y,
     down_z,
+    pure_propagator,
     speed,  # not called here: perfbench's tracer test reads ``nhlgi.cli.speed``
     speed_closed_form,
     up_y,
@@ -164,6 +165,10 @@ def _k3_sweep(label: str, points, engine_of, spacings: list[float]) -> dict:
         times += spacings
     c12, c23, c13, k3 = (list(column) for column in zip(*table))
     return {label: labels, "t": times, "c12": c12, "c23": c23, "c13": c13, "k3": k3}
+
+
+# the metadata of the protocol every K3 sweep runs (:func:`_k3_sweep`)
+_SWEEP_FIELDS = {"times": "0,t,2t", "initial_state": "up_y", "observable": "-y"}
 
 
 def _header(args, **fields) -> dict:
@@ -308,14 +313,7 @@ def _cmd_lgi(args) -> int:
         lambda theta: CorrelatorEngine(NHHamiltonian.canonical(theta), kappa=args.kappa),
         spacings,
     )
-    metadata = _header(
-        args,
-        theta=_joined(args.theta),
-        kappa=args.kappa,
-        times="0,t,2t",
-        initial_state="up_y",
-        observable="-y",
-    )
+    metadata = _header(args, theta=_joined(args.theta), kappa=args.kappa, **_SWEEP_FIELDS)
     _emit(args, metadata, rows)
     return 0
 
@@ -327,14 +325,7 @@ def _cmd_noise(args) -> int:
     rows = _k3_sweep(
         "kappa", args.kappa, lambda kappa: CorrelatorEngine(h, kappa=kappa), spacings
     )
-    metadata = _header(
-        args,
-        theta=theta,
-        kappa=_joined(args.kappa),
-        times="0,t,2t",
-        initial_state="up_y",
-        observable="-y",
-    )
+    metadata = _header(args, theta=theta, kappa=_joined(args.kappa), **_SWEEP_FIELDS)
     _emit(args, metadata, rows)
     return 0
 
@@ -390,31 +381,29 @@ def _cmd_embed(args) -> int:
     """The dilation against the direct flow from ``up_y`` along ``-y``.
 
     The state and the axis are validated once per command; each row then
-    runs on unvalidated routes.  The direct state comes from the circle flow
-    and ``k3_direct`` from the engine's protocol run; the post-selected state,
-    ``p_select`` and ``k3_embedded`` come from the dilation's kernel, the
-    latter through its propagating frame.  Each K3 is checked once, on its
-    eight numbers (:func:`_row`).
+    runs on unvalidated routes.  The direct state comes from
+    :func:`nhlgi.dynamics.pure_propagator` and ``k3_direct`` from the
+    engine's protocol run; the post-selected state, ``p_select`` and
+    ``k3_embedded`` come from the dilation's kernel, the latter through its
+    propagating frame.  Each K3 is checked once, on its eight numbers
+    (:func:`_row`).
     """
     theta = _resolve_theta(args)
     spacings = _spacings(args)
     h = NHHamiltonian.canonical(theta)
-    _, propagate = _circle_flow(h)
+    propagate = pure_propagator(h)
     q, psi0 = Observable.canonical(), up_y()
     direct_run = CorrelatorEngine(h)._protocol_inputs(psi0, q)
-    start = _circle_point(psi0)
     psi = psi0.tolist()
     postselect = _dilation(theta)[1]
     embedded_run = _embedded_run(theta, psi, q.direction)
     rows = {name: [] for name in ("t", "fidelity", "p_select", "k3_direct", "k3_embedded")}
     for t in spacings:
-        p, m = propagate(t, start)  # the state (u, i v) is (p + m, i (p - m))/2
-        norm = math.sqrt(2.0 * (p * p + m * m))
-        direct = ((p + m) / norm, 1j * (p - m) / norm)
-        emb, p_sel = postselect(t, psi)
+        direct, (emb, p_sel) = propagate(t, psi), postselect(t, psi)
         rows["t"].append(t)
-        # |<direct|emb>|^2, with direct[0] real
-        rows["fidelity"].append(abs(direct[0] * emb[0] + direct[1].conjugate() * emb[1]) ** 2)
+        rows["fidelity"].append(
+            abs(direct[0].conjugate() * emb[0] + direct[1].conjugate() * emb[1]) ** 2
+        )
         rows["p_select"].append(p_sel)
         rows["k3_direct"].append(_row(direct_run, t)[3])
         rows["k3_embedded"].append(_row(embedded_run, t)[3])

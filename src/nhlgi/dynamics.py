@@ -572,6 +572,13 @@ def _lift_propagator(h: NHHamiltonian, kappa: float):
     ``expm1``, one ``exp`` and one cos/sin pair whatever ``kappa`` is.  ``t
     = 0`` returns ``r`` itself.  A collapsed trace raises
     ``DegenerateEvolutionError``.
+
+    Near the half period the trace of a pure start falls to about
+    ``delta^2/4`` (``delta = pi/2 - theta``) and the sums cancel: from ``(0,
+    -1, 0)`` on t = 1.50 to 1.65 (step 0.005) this is within 1.3e-12, 5.5e-11
+    and 3.5e-11 of the exact flow at delta = 1e-2, 1e-3 and 1e-6 (4.1e-12,
+    1.7e-11 and 1.7e-16 at kappa = 1e-12), worst at t = 1.570; nearer pi/2
+    it loses more (2.7e-4 at delta = 1e-6, t = pi/2 + 1e-8, kappa = 0).
     """
     (_, m, beta, decay), (b1, b2) = _lift_coefficients(h, kappa)
     (t1p, t1m, t1z), (y1p, y1m, y1z), (z1p, z1m, z1z) = b1
@@ -621,8 +628,9 @@ def _lifted_density(h: NHHamiltonian, rho, kappa: float, t: float) -> np.ndarray
 
 
 def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
-    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``,
-    propagated on the Bloch vector of ``rho0``."""
+    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``, the
+    Bloch vector of ``rho0`` carried by :func:`_lift_propagator`, which states
+    its accuracy near the half period."""
     rho0 = validate_density(rho0)
     _check_finite_times(t=t)
     return _lifted_density(h, rho0, 0.0, t)
@@ -636,9 +644,11 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
         drho/dt = -i[A.sigma, rho] - {B.sigma, rho} + 2 tr(rho B.sigma) rho
                   + kappa (I - 2 rho),
 
-    in the closed form of its linear lift, exact to rounding at every
-    ``kappa`` up to the corner, and :func:`evolve_density` bit for bit at
-    ``kappa = 0``.  ``t < 0`` is refused; ``t = 0`` returns a copy of ``rho0``.
+    in the closed form of its linear lift, :func:`_lift_propagator`: exact to
+    rounding at every ``kappa`` up to the corner, except near the half period
+    where that function states its accuracy, and :func:`evolve_density` bit
+    for bit at ``kappa = 0``.  ``t < 0`` is refused; ``t = 0`` returns a
+    copy of ``rho0``.
     """
     rho0 = validate_density(rho0)
     _check_kappa(kappa)

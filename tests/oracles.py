@@ -1,14 +1,34 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations the tests check the library against.
 
-Everything here is deliberately written from first principles (plain Taylor
-series, explicit branch enumeration, fixed-step integration, mpmath's matrix
-exponential at extra precision) so that agreement with the library is
-evidence, not circularity.  It also holds the
-CSV reader the tests use to check what the CLI writes.
+**The exact-theta reference.**  Every high-precision check evaluates the
+family member ``H(theta) = sec theta sigma_x + i tan theta sigma_z`` itself.
+One builder, :func:`_hamiltonian`, forms ``sec theta`` and ``tan theta`` in
+mpmath from the binary ``theta``, so ``H^2 = I`` holds at the working
+precision (``dps`` digits, 50 unless a caller asks for more) and no rounded
+float matrix enters.  It serves three flows:
+
+- the pure flow ``exp(-i H t) = cos t I - i sin t H``, exact because ``H^2 =
+  I``: :func:`pure_flow` (state, norm and speed), :func:`geodesic`,
+  :func:`propagator` and :func:`pure_bloch_trajectory`;
+- the noisy flow of ``vec(rho)`` under the complex 4x4 lift, exponentiated
+  by ``mpmath.expm``: :func:`noisy_bloch_trajectory`, at any ``kappa``;
+- the invasive protocol, :func:`protocol`: the eight numbers of a spinor or
+  a density matrix, any axis and any times, and from them the joint tables,
+  the correlators with K3 and the deficit ``(1 - C12) + (1 - C23) + (1 +
+  C13)``, each formed at the working precision and rounded once.
+
+Beside it, written from first principles so that agreement is evidence, not
+circularity: the textbook rational forms of the canonical K3
+(:func:`closed_form_k3`), the flow of a given float matrix (the matrix branch
+of :func:`pure_bloch_trajectory`, the rounded matrix an integrator sees), a
+fixed-step RK4, an axis's eigenstates by ``eigh``, float Pauli helpers and
+the CSV reader the tests use to check what the CLI writes.
 """
 
 from pathlib import Path
+from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -16,34 +36,10 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def taylor_expm(m, t=1.0):
-    """Matrix exponential ``exp(m t)`` by scaling and squaring a Taylor sum."""
-    a = np.asarray(m, dtype=complex) * t
-    norm = float(np.linalg.norm(a))
-    squarings = 0
-    while norm > 0.25:
-        norm *= 0.5
-        squarings += 1
-    a = a / (2.0**squarings)
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 30):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def pauli_vector(v):
     """``v . sigma`` of a real 3-vector, from the local Pauli matrices."""
     v = np.asarray(v, dtype=float)
     return v[0] * _SX + v[1] * _SY + v[2] * _SZ
-
-
-def canonical_matrix(theta):
-    """sec(theta) sigma_x + i tan(theta) sigma_z, built from local Paulis."""
-    return _SX / np.cos(theta) + 1j * np.tan(theta) * _SZ
 
 
 def density_from_bloch(s):
@@ -65,242 +61,216 @@ def axis_eigenstates(direction):
     return v[:, int(np.argmax(w))], v[:, int(np.argmin(w))]
 
 
-def two_time_joint(h_matrix, psi0, direction, t_i, t_j):
-    """Joint outcome table of the invasive two-measurement protocol.
-
-    Propagates with ``taylor_expm``, renormalises by hand, and enumerates
-    both collapse branches explicitly.  Returns a 2x2 array indexed by
-    outcomes (+1, -1) for the first and second measurement.
-    """
-    chi_p, chi_m = axis_eigenstates(np.asarray(direction, dtype=float))
-    v = taylor_expm(-1j * h_matrix, t_i) @ np.asarray(psi0, dtype=complex)
-    v = v / np.linalg.norm(v)
-    first = np.array([abs(np.vdot(chi_p, v)) ** 2, abs(np.vdot(chi_m, v)) ** 2])
-    first = first / first.sum()
-    gap_u = taylor_expm(-1j * h_matrix, t_j - t_i)
-    probs = np.empty((2, 2))
-    for i, chi in enumerate((chi_p, chi_m)):
-        w = gap_u @ chi
-        w = w / np.linalg.norm(w)
-        p_plus = abs(np.vdot(chi_p, w)) ** 2
-        probs[i, 0] = first[i] * p_plus
-        probs[i, 1] = first[i] * (1.0 - p_plus)
-    return probs
+# ---------------------------------------------------------------------------
+# the exact-theta reference; the private helpers run at the caller's precision
 
 
-def noisy_protocol_tables(theta, kappa, rho0, direction, times, dps=30):
-    """Joint outcome tables of the invasive protocol under depolarising noise.
+def _hamiltonian(theta, scale=1.0):
+    """``scale H(theta)`` as an mpmath matrix: ``theta`` and ``scale`` are
+    taken as their binary values and ``sec theta`` and ``tan theta`` are
+    formed in mpmath, so ``H^2 = scale^2 I`` to the working precision."""
+    th, scale = mpmath.mpf(theta), mpmath.mpf(scale)
+    sec, tan = scale / mpmath.cos(th), scale * mpmath.tan(th)
+    return mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
 
-    For measurement times ``(t1, t2, t3)``, returns the tables of the pairs
-    (1, 2), (2, 3) and (1, 3), each a 2x2 array indexed like
-    :func:`two_time_joint`.  Propagates ``vec(rho)`` (row-major) with the
-    complex 4x4 lift
 
-        L = -i (H x I) + i (I x H^*) + kappa (vec(I) tr(.) - 2 I_4)
+def _propagator(hm, t):
+    """``exp(-i H t) = cos(w t) I - i sin(w t)/w H`` of a traceless ``H``
+    with real ``H^2 = w^2 I``, exact to the working precision."""
+    w = mpmath.sqrt(mpmath.re(hm[0, 0] ** 2 + hm[0, 1] * hm[1, 0]))
+    wt = w * mpmath.mpf(t)
+    # matrix first: a scalar times a matrix tries a slow conversion first
+    return mpmath.eye(2) * mpmath.cos(wt) - hm * (1j * mpmath.sin(wt) / w)
 
-    built entry by entry in mpmath and exponentiated there at ``dps``
-    significant digits, renormalising the trace after each propagation.
-    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
-    theta`` are formed in mpmath, so ``H`` is ``H(theta)`` itself, not the
-    rounded float matrix.  The lift is far from normal near the corner, where
-    a double-precision exponential loses digits (5.6e-9 at theta =
-    1.546875); the extra digits keep this one exact to double precision.
-    Only ``exp(L t1)`` and the gap propagators ``exp(L (t2 - t1))`` and
-    ``exp(L (t3 - t2))`` are exponentiated; the other two are their products.
-    Collapses onto the projectors ``(I +/- n . sigma)/2`` and reads
-    probabilities as their traces against ``rho``.
-    """
-    import mpmath
 
-    t1, t2, t3 = times
+def _lift(hm, kappa):
+    """The complex 4x4 lift of the depolarised flow on row-major ``vec(rho)``,
+    ``L = -i (H x I) + i (I x H^*) + kappa (vec(I) tr(.) - 2 I_4)``."""
+    eye, lift = mpmath.eye(2), mpmath.zeros(4, 4)
+    for i, j, k, m in np.ndindex(2, 2, 2, 2):
+        # d rho_ij/dt = -i H_ik rho_kj + i rho_im conj(H_jm) + kappa (...)
+        entry = -1j * hm[i, k] * eye[j, m] + 1j * eye[i, k] * mpmath.conj(hm[j, m])
+        entry += kappa * (eye[i, j] * eye[k, m] - 2 * eye[i, k] * eye[j, m])
+        lift[2 * i + j, 2 * k + m] = entry
+    return lift
+
+
+def _spinor(psi):
+    """A spinor's two amplitudes, each its binary value, as an mpmath column."""
+    return mpmath.matrix(np.asarray(psi, dtype=complex).tolist())
+
+
+def _vec(rho):
+    """Row-major ``vec(rho)`` of a 2x2 matrix, each entry its binary value."""
+    return mpmath.matrix(np.asarray(rho, dtype=complex).reshape(-1).tolist())
+
+
+def _outer(v):
+    """Row-major ``vec(v v^dag)`` of a spinor column ``v``."""
+    return mpmath.matrix([v[i] * mpmath.conj(v[j]) for i in (0, 1) for j in (0, 1)])
+
+
+def _bloch(vec):
+    """``S = tr(rho sigma)/(2 tr rho)`` of a row-major ``vec(rho)``, as floats."""
+    r00, r01, r10, r11 = vec
+    trace = 2 * mpmath.re(r00 + r11)
+    return [float(mpmath.re(x) / trace) for x in (r01 + r10, 1j * (r01 - r10), r00 - r11)]
+
+
+def propagator(theta, t, scale=1.0, dps=50):
+    """``exp(-i H t)`` of ``scale H(theta)`` at ``dps`` digits, as a complex array."""
     with mpmath.workdps(dps):
-        th = mpmath.mpf(theta)
-        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-        hm = mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
-        eye = mpmath.eye(2)
-        lift = mpmath.zeros(4, 4)
-        for i, j, k, m in np.ndindex(2, 2, 2, 2):
-            # d rho_ij/dt = -i H_ik rho_kj + i rho_im conj(H_jm) + kappa (...)
-            entry = -1j * hm[i, k] * eye[j, m] + 1j * eye[i, k] * mpmath.conj(hm[j, m])
-            entry += kappa * (eye[i, j] * eye[k, m] - 2 * eye[i, k] * eye[j, m])
-            lift[2 * i + j, 2 * k + m] += entry
+        return np.array(_propagator(_hamiltonian(theta, scale), t).tolist(), dtype=complex)
 
-        def propagate(u, rho):
-            vec = u * rho
-            return vec / (vec[0] + vec[3])
 
-        def born(p, vec):
-            # tr(P rho) with P and rho both as row-major vec
-            return mpmath.re(sum(mpmath.conj(a) * b for a, b in zip(p, vec)))
+def pure_flow(theta, psi, t, scale=1.0, dps=50):
+    """``(state, norm, speed)`` of ``exp(-i H t) psi`` for ``scale H(theta)``,
+    at ``dps`` digits.
 
-        nx, ny, nz = (mpmath.mpf(c) for c in direction)
-        n_op = (nz, nx - 1j * ny, nx + 1j * ny, -nz)
-        proj = [
-            mpmath.matrix([(e + sign * c) / 2 for e, c in zip((1, 0, 0, 1), n_op)])
-            for sign in (1, -1)
-        ]
-        rho0 = mpmath.matrix(np.asarray(rho0, dtype=complex).reshape(-1).tolist())
+    ``state`` is the propagated spinor over its ``norm``, as two mpmath
+    complex numbers at the working precision (:func:`geodesic` reads them as
+    they are, ``complex`` rounds them), and ``speed`` the fidelity-decay
+    coefficient ``<H^dag H> - |<H>|^2`` of ``state``.  Near the corner both
+    terms are of size ``sec^2 theta`` and cancel to the speed, which the extra
+    digits absorb.
+    """
+    with mpmath.workdps(dps):
+        hm = _hamiltonian(theta, scale)
+        v = _propagator(hm, t) * _spinor(psi)
+        norm = mpmath.norm(v)
+        v = v / norm
+        hv = hm * v
+        spread = mpmath.norm(hv) ** 2 - abs((v.H * hv)[0]) ** 2
+        return (v[0], v[1]), float(norm), float(spread)
 
-        def table(u_first, u_gap):
-            rho = propagate(u_first, rho0)
-            first = [born(p, rho) for p in proj]
-            probs = np.empty((2, 2))
-            for row, p in enumerate(proj):
-                cond = born(proj[0], propagate(u_gap, p))
-                weight = first[row] / (first[0] + first[1])
-                probs[row] = float(weight * cond), float(weight * (1 - cond))
-            return probs
 
-        u1 = mpmath.expm(lift * t1)
-        g12 = mpmath.expm(lift * (t2 - t1))
-        g23 = mpmath.expm(lift * (t3 - t2))
-        return table(u1, g12), table(g12 * u1, g23), table(u1, g23 * g12)
+def geodesic(u, v, dps=50):
+    """The Fubini-Study angle between the rays of two spinors of any norm, at
+    ``dps`` digits: ``atan2(|u0 v1 - u1 v0|, |<u|v>|)``, whose arguments are
+    ``|u| |v|`` times its sine and cosine."""
+    with mpmath.workdps(dps):
+        (a, b), (c, d) = ([mpmath.mpc(x) for x in s] for s in (u, v))
+        overlap = mpmath.conj(a) * c + mpmath.conj(b) * d
+        return float(mpmath.atan2(abs(a * d - b * c), abs(overlap)))
+
+
+def pure_bloch_trajectory(h, psi0, times, dps=50):
+    """Bloch vectors ``<sigma>/2`` of ``exp(-i H t) psi0`` renormalised, at
+    each of ``times``, at ``dps`` digits.
+
+    ``h`` is either a family member's ``theta``, for ``H(theta)`` itself, or
+    a traceless 2x2 matrix with real ``H^2 = w^2 I`` whose entries are taken
+    as the binary values given (the rounded float matrix).
+    """
+    with mpmath.workdps(dps):
+        hm = _hamiltonian(h) if np.ndim(h) == 0 else mpmath.matrix(np.asarray(h).tolist())
+        psi = _spinor(psi0)
+        return np.array([_bloch(_outer(_propagator(hm, t) * psi)) for t in times])
 
 
 def noisy_bloch_trajectory(theta, kappa, r, times, dps=50):
-    """Bloch vectors ``S = r/2`` of the renormalised depolarised flow from the
-    Bloch vector ``r = tr(rho sigma)`` at each of ``times``, in mpmath at
-    ``dps`` digits.
+    """Bloch vectors ``S = r/2`` of the renormalised depolarised flow of
+    ``H(theta)`` from the Bloch vector ``r = tr(rho sigma)``, at each of
+    ``times``, at ``dps`` digits.
 
-    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
-    theta`` are formed in mpmath.  The unnormalised ``(r0, r)`` obeys the
-    real linear lift ``d r0/dt = 2 tan z``, ``dx/dt = -2 kappa x``, ``dy/dt =
-    -2 sec z - 2 kappa y`` and ``dz/dt = 2 tan r0 + 2 sec y - 2 kappa z``,
-    which mpmath exponentiates; each vector is divided by its trace.
+    ``vec(rho)`` is carried by the lift from each time to the next, with one
+    ``mpmath.expm`` per distinct gap, so an evenly spaced grid needs few.
     """
-    import mpmath
-
     with mpmath.workdps(dps):
-        th, k = mpmath.mpf(theta), mpmath.mpf(kappa)
-        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-        lift = mpmath.matrix(
-            [
-                [0, 0, 0, 2 * tan],
-                [0, -2 * k, 0, 0],
-                [0, 0, -2 * k, -2 * sec],
-                [2 * tan, 0, 2 * sec, -2 * k],
-            ]
-        )
-        v0 = mpmath.matrix([1] + [mpmath.mpf(c) for c in r])
-        rows = []
-        for t in times:
-            v = mpmath.expm(lift * mpmath.mpf(t)) * v0
-            rows.append([v[i] / (2 * v[0]) for i in (1, 2, 3)])
-        return np.array(rows, dtype=float)
+        lift = _lift(_hamiltonian(theta), mpmath.mpf(kappa))
+        x, y, z = (mpmath.mpf(c) for c in r)
+        vec = mpmath.matrix([1 + z, x - 1j * y, x + 1j * y, 1 - z])
+        steps, last, rows = {}, mpmath.mpf(0), []
+        for t in map(mpmath.mpf, times):
+            if t - last not in steps:
+                steps[t - last] = mpmath.expm(lift * (t - last))
+            vec, last = steps[t - last] * vec, t
+            rows.append(_bloch(vec))
+        return np.array(rows)
 
 
-def pure_bloch_trajectory(h, psi0, times, dps=40):
-    """Bloch vectors ``<sigma>/2`` of ``exp(-i H t) psi0`` renormalised, at
-    each of ``times``, in mpmath at ``dps`` digits.
+class Protocol(NamedTuple):
+    """The invasive protocol's numbers, each rounded once from the working
+    precision."""
 
-    ``h`` is either a family member's ``theta``, taken as its exact binary
-    value with ``sec theta`` and ``tan theta`` formed in mpmath, so ``H`` is
-    ``H(theta)`` itself, or a traceless 2x2 matrix whose entries are taken
-    as the binary values given (the rounded float matrix).  Either has real
-    ``H^2 = w^2 I`` (the family's real spectrum), so ``exp(-i H t) = cos(w t)
-    I - i sin(w t)/w H`` holds exactly.
+    numbers: tuple  # (p1, p2, plus12, minus12, plus23, minus23, plus13, minus13)
+    tables: tuple  # of the pairs (1, 2), (2, 3), (1, 3): 2x2 arrays, rows = first outcome
+    correlators: tuple  # (C12, C23, C13, K3)
+    deficit: float  # (1 - C12) + (1 - C23) + (1 + C13), that is 3 - K3
+
+
+def protocol(theta, state, axis, times, kappa=0.0, dps=50):
+    """The invasive three-time protocol of ``H(theta)`` at ``dps`` digits.
+
+    ``state`` is a spinor or a density matrix, ``axis`` a 3-vector and
+    ``times = (t1, t2, t3)``, each entry its binary value.  ``p1`` and ``p2``
+    are the probabilities of +1 at ``t1`` and ``t2``; each pair ``(i, j)``
+    collapses at ``t_i`` and gives the probabilities ``(plus, minus)`` of +1
+    at ``t_j`` after each outcome.  Every probability is ``tr(P rho) /
+    tr(rho)`` of the unnormalised propagated state.
+
+    A spinor at ``kappa = 0`` runs the pure flow and collapses onto the
+    eigenstates of ``n . sigma`` of the normalised axis.  A density matrix,
+    or a spinor at ``kappa > 0``, runs the lift and collapses onto ``(I +/- n
+    . sigma)/2`` of the axis as given, as the library's Bloch route does.
+    The two differ only for an axis off unit length, but near the corner
+    that can show: at ``THETA_MAX`` an axis 2e-33 off unit length moves a K3
+    by 3e-8.  Only the propagators of ``t1``, ``t2 - t1`` and ``t3 - t2`` are
+    formed; those of ``t2`` and ``t3 - t1`` are their products.
     """
-    import mpmath
-
     with mpmath.workdps(dps):
-        if np.ndim(h) == 0:
-            th = mpmath.mpf(h)
-            sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-            (m00, m01), (m10, m11) = (1j * tan, sec), (sec, -1j * tan)
+        hm = _hamiltonian(theta)
+        nx, ny, nz = (mpmath.mpf(c) for c in axis)
+        n_sigma = mpmath.matrix([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
+        if np.ndim(state) == 1 and kappa == 0:
+            n_sigma /= mpmath.sqrt(nx * nx + ny * ny + nz * nz)
+            plus, minus = ((mpmath.eye(2) + sign * n_sigma) / 2 for sign in (1, -1))
+            start = _spinor(state)
+            # each outcome's eigenstate: its projector's larger column
+            collapsed = [max((p[:, k] for k in (0, 1)), key=mpmath.norm) for p in (plus, minus)]
+
+            def step(gap):
+                return _propagator(hm, gap)
+
+            def born(v):
+                return mpmath.re((v.H * plus * v)[0]) / mpmath.norm(v) ** 2
+
         else:
-            (m00, m01), (m10, m11) = (
-                [mpmath.mpc(v) for v in row] for row in np.asarray(h, dtype=complex).tolist()
-            )
-        w = mpmath.sqrt(mpmath.re(m00 * m00 + m01 * m10))
-        a0, b0 = (mpmath.mpc(v) for v in np.asarray(psi0, dtype=complex).tolist())
-        rows = []
-        for t in times:
-            c, s = mpmath.cos(w * t), -1j * mpmath.sin(w * t) / w
-            a = c * a0 + s * (m00 * a0 + m01 * b0)
-            b = c * b0 + s * (m10 * a0 + m11 * b0)
-            n2 = abs(a) ** 2 + abs(b) ** 2
-            ab = mpmath.conj(a) * b / n2
-            rows.append([ab.real, ab.imag, (abs(a) ** 2 - abs(b) ** 2) / (2 * n2)])
-        return np.array(rows, dtype=float)
+            plus, minus = ((mpmath.eye(2) + sign * n_sigma) / 2 for sign in (1, -1))
+            start = _outer(_spinor(state)) if np.ndim(state) == 1 else _vec(state)
+            collapsed = [
+                mpmath.matrix([p[0, 0], p[0, 1], p[1, 0], p[1, 1]]) for p in (plus, minus)
+            ]
+            lift = _lift(hm, mpmath.mpf(kappa))
+
+            def step(gap):
+                return mpmath.expm(lift * gap)
+
+            def born(v):
+                # tr(P rho) of the Hermitian P, both row-major vec
+                return mpmath.re((collapsed[0].H * v)[0]) / mpmath.re(v[0] + v[3])
+
+        t1, t2, t3 = (mpmath.mpf(t) for t in times)
+        u1, g12, g23 = step(t1), step(t2 - t1), step(t3 - t2)
+        values = [born(u1 * start), born(g12 * u1 * start)]
+        values += [born(g * c) for g in (g12, g23, g23 * g12) for c in collapsed]
+        return _rounded(values)
 
 
-def pure_flow(theta, psi, t, dps=50):
-    """``(state, norm, speed)`` of ``exp(-i H t) psi`` for the family member
-    ``theta`` itself, in mpmath at ``dps`` digits.
-
-    ``theta`` and the entries of ``psi`` are taken as their exact binary
-    values, and ``sec theta`` and ``tan theta`` are formed in mpmath, so
-    ``H^2 = I`` to the working precision and ``exp(-i H t) = cos t I - i sin
-    t H``.  ``state`` is the propagated vector over its ``norm``, as a
-    complex array, and ``speed`` the fidelity-decay coefficient ``<H^dag H>
-    - |<H>|^2`` of ``state``.  Near the corner both terms are of size
-    ``sec^2 theta`` and cancel to the speed, which the extra digits absorb.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        th, t = mpmath.mpf(theta), mpmath.mpf(t)
-        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-        (m00, m01), (m10, m11) = (1j * tan, sec), (sec, -1j * tan)
-        a0, b0 = (mpmath.mpc(v) for v in np.asarray(psi, dtype=complex).tolist())
-        c, s = mpmath.cos(t), -1j * mpmath.sin(t)
-        a = c * a0 + s * (m00 * a0 + m01 * b0)
-        b = c * b0 + s * (m10 * a0 + m11 * b0)
-        norm = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a, b = a / norm, b / norm
-        ha, hb = m00 * a + m01 * b, m10 * a + m11 * b
-        mean = mpmath.conj(a) * ha + mpmath.conj(b) * hb
-        spread = abs(ha) ** 2 + abs(hb) ** 2 - abs(mean) ** 2
-        return np.array([complex(a), complex(b)]), float(norm), float(spread)
-
-
-def planar_protocol(theta, state, axis, times, dps=50):
-    """The eight numbers ``(p1, p2, plus12, minus12, plus23, minus23, plus13,
-    minus13)`` of the pure protocol of the family member ``theta`` itself,
-    in mpmath at ``dps`` digits.
-
-    ``theta`` is taken as its exact binary value and ``sec theta`` and ``tan
-    theta`` are formed in mpmath, so this is ``H(theta)``, not the rounded
-    float matrix; ``exp(-i H t)`` is mpmath's matrix exponential.  ``state =
-    (u, v)`` is the spinor ``(u, i v)`` and ``axis = (ny, nz)`` the axis ``(0,
-    ny, nz)``, normalised here, each entry the binary value given.  The axis
-    eigenstates are the normalised larger columns of the projectors ``(I +/-
-    n . sigma)/2``; every Born probability is read on the unnormalised
-    propagated vector and divided by its squared norm.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        th = mpmath.mpf(theta)
-        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-        generator = -1j * mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
-        u, v = (mpmath.mpf(c) for c in state)
-        psi = mpmath.matrix([u, 1j * v])
-        ny, nz = (mpmath.mpf(c) for c in axis)
-        norm = mpmath.sqrt(ny * ny + nz * nz)
-        n_sigma = mpmath.matrix([[nz, -1j * ny], [1j * ny, -nz]]) / norm
-
-        def eigenstate(sign):
-            proj = (mpmath.eye(2) + sign * n_sigma) / 2
-            cols = [proj[:, k] for k in range(2)]
-            col = max(cols, key=mpmath.norm)
-            return col / mpmath.norm(col)
-
-        up, down = eigenstate(1), eigenstate(-1)
-
-        def born(vec):
-            amp = mpmath.conj(up[0]) * vec[0] + mpmath.conj(up[1]) * vec[1]
-            return abs(amp) ** 2 / (abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
-
-        def propagator(t):
-            return mpmath.expm(generator * mpmath.mpf(t))
-
-        t1, t2, t3 = times
-        out = [born(propagator(t1) * psi), born(propagator(t2) * psi)]
-        for gap in (mpmath.mpf(t2) - t1, mpmath.mpf(t3) - t2, mpmath.mpf(t3) - t1):
-            u_gap = mpmath.expm(generator * gap)
-            out += [born(u_gap * up), born(u_gap * down)]
-        return tuple(float(x) for x in out)
+def _rounded(values):
+    """:class:`Protocol` of the eight numbers at the working precision."""
+    p1, p2, plus12, minus12, plus23, minus23, plus13, minus13 = values
+    tables = [
+        ((p * up, p * (1 - up)), ((1 - p) * down, (1 - p) * (1 - down)))
+        for p, up, down in ((p1, plus12, minus12), (p2, plus23, minus23), (p1, plus13, minus13))
+    ]
+    c12, c23, c13 = ((a - b) - (c - d) for (a, b), (c, d) in tables)
+    return Protocol(
+        tuple(float(x) for x in values),
+        tuple(np.array(table, dtype=float) for table in tables),
+        tuple(float(x) for x in (c12, c23, c13, c12 + c23 - c13)),
+        float((1 - c12) + (1 - c23) + (1 + c13)),
+    )
 
 
 def closed_form_k3(theta, t, dps=50):
@@ -308,8 +278,6 @@ def closed_form_k3(theta, t, dps=50):
     ``t`` (state ``up_y``, axis ``-y``, times ``(0, t, 2t)``) for the family
     member ``theta`` itself, from the textbook rational forms in mpmath at
     ``dps`` digits, where their cancellations near the corner cost nothing."""
-    import mpmath
-
     with mpmath.workdps(dps):
         s, t = mpmath.sin(mpmath.mpf(theta)), mpmath.mpf(t)
         c2, c4 = mpmath.cos(2 * t), mpmath.cos(4 * t)

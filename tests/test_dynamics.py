@@ -4,6 +4,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from nhlgi.dynamics import (
     _bloch_rhs,
     _bloch_state,
     _density_bloch,
+    _lift_propagator,
     _spinor_bloch,
     analytic_SB_Sn,
     abn_frame,
@@ -47,13 +49,17 @@ from nhlgi.dynamics import (
 from nhlgi.embedding import build_HT, build_metric, evolve_and_postselect, k3_via_embedding
 from nhlgi.lgi import k3_closed_form
 from oracles import (
+    _hamiltonian,
+    _propagator,
     bloch_of_density,
     density_from_bloch,
+    geodesic,
     noisy_bloch_trajectory,
     pauli_vector,
+    propagator,
+    pure_bloch_trajectory,
     pure_flow,
     rk4,
-    taylor_expm,
 )
 
 THETAS = [0.0, math.pi / 6, 0.9, 1.2, 1.4]
@@ -189,14 +195,27 @@ class TestHamiltonian:
             )
 
     def test_propagator_against_oracle(self):
+        # the rounded matrix's propagator, within 8.9e-16 of exp(-i H t) of
+        # the exact theta and scale over these draws
         rng = np.random.default_rng(11)
         for _ in range(100):
             theta = rng.uniform(0.0, 1.45)
             h = NHHamiltonian.canonical(theta, scale=rng.uniform(0.5, 2.0))
             t = rng.uniform(-math.pi, math.pi)
             np.testing.assert_allclose(
-                h.propagator(t), taylor_expm(-1j * h.matrix, t), atol=1e-11
+                h.propagator(t), propagator(theta, t, h.scale), rtol=0.0, atol=1e-14
             )
+
+    @pytest.mark.parametrize("theta", [0.0, 0.9, math.pi / 2 - 1e-3, THETA_MAX])
+    def test_reference_propagator_is_the_exponential(self, theta):
+        # the reference's cos t I - i sin t H against mpmath's expm of -i H t
+        # at 50 digits: 8.1e-39 relative at THETA_MAX, 2.0e-50 at theta = 0.9
+        with mpmath.workdps(50):
+            hm = _hamiltonian(theta)
+            for t in (0.3, 1.57, 3.0):
+                closed = _propagator(hm, t)
+                diff = closed - mpmath.expm(-1j * mpmath.mpf(t) * hm)
+                assert mpmath.mnorm(diff, 1) <= mpmath.mpf(1e-37) * mpmath.mnorm(closed, 1)
 
     def test_propagator_group_property(self):
         h = NHHamiltonian.canonical(1.1)
@@ -372,21 +391,15 @@ class TestBlochFlow:
     @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-6])
     def test_closed_form_components_against_50_digits(self, delta):
         # from cos theta and sin theta of the double theta, with no
-        # cancellation: within 1.9e-16 of 50 digits at the exact theta on t =
-        # 0 to 3.14; formed from the rounded sec and tan, they were 1.4e-7
-        # off at delta = 1e-3 and 2.0e-4 at THETA_MAX
-        mpmath = pytest.importorskip("mpmath")
+        # cancellation: within 1.7e-16 of the exact-theta flow from up_y on t
+        # = 0 to 3.14; formed from the rounded sec and tan, they were 1.4e-7
+        # off at delta = 1e-3 and 2.0e-4 at THETA_MAX.  S_B is -S_z, S_n S_y.
         theta = math.pi / 2 - delta
         grid = np.arange(315) * 0.01
         sb, sn = analytic_SB_Sn(theta, grid)
-        worst = 0.0
-        with mpmath.workdps(50):
-            s, c = mpmath.sin(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(theta))
-            for t, got_b, got_n in zip(grid.tolist(), sb.tolist(), sn.tolist()):
-                c2t, s2t = mpmath.cos(2 * mpmath.mpf(t)), mpmath.sin(2 * mpmath.mpf(t))
-                d = 2 * (1 + s * c2t)
-                worst = max(worst, abs(got_b - c * abs(s2t) / d), abs(got_n + (s + c2t) / d))
-        assert worst <= 1e-15
+        exact = pure_bloch_trajectory(theta, up_y(), grid)
+        assert np.max(np.abs(sb - np.abs(exact[:, 2]))) <= 1e-15
+        assert np.max(np.abs(sn - exact[:, 1])) <= 1e-15
 
     def test_purity_preserved_without_noise(self):
         h = NHHamiltonian.canonical(1.3)
@@ -530,7 +543,6 @@ class TestNoisyDensity:
         # within 1.1e-16; the density-matrix RK45 this replaced was up to
         # 1.5e-9 off here at delta = 1e-3 and 1.3e-6 at THETA_MAX (kappa =
         # 0), and from up_y it stalled at THETA_MAX
-        pytest.importorskip("mpmath")
         h = NHHamiltonian.canonical(math.pi / 2 - delta)
         r, times = (0.1, -0.6, 0.4), (0.3, 0.9, 1.55, 2.8)
         rho0 = density_from_bloch([0.5 * c for c in r])
@@ -541,6 +553,28 @@ class TestNoisyDensity:
                 got = bloch_of_density(evolve_density_noisy(h, rho0, kappa, t))
                 worst = max(worst, float(np.max(np.abs(got - s))))
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize(
+        "delta, kappa, bound",
+        [
+            (1e-2, 0.0, 1.3e-11),
+            (1e-3, 0.0, 5.5e-10),
+            (1e-6, 0.0, 3.5e-10),
+            (1e-2, 1e-12, 4.1e-11),
+            (1e-3, 1e-12, 1.7e-10),
+            (1e-6, 1e-12, 1.7e-15),
+        ],
+    )
+    def test_lift_near_the_half_period(self, delta, kappa, bound):
+        # from the pure (0, -1, 0) the propagated trace falls to about
+        # delta^2/4 at t = pi/2, where the closed form's sum cancels; each
+        # bound is 10x the worst on this grid, all at t = 1.570
+        h = NHHamiltonian.canonical(math.pi / 2 - delta)
+        times = [1.5 + 0.005 * k for k in range(31)]
+        exact = noisy_bloch_trajectory(h.theta, kappa, (0.0, -1.0, 0.0), times)
+        propagate = _lift_propagator(h, kappa)
+        got = [[0.5 * c for c in propagate(t, (0.0, -1.0, 0.0))] for t in times]
+        assert np.max(np.abs(np.array(got) - exact)) <= bound
 
     def test_density_and_bloch_routes_agree(self):
         h = NHHamiltonian.canonical(1.2)
@@ -581,20 +615,16 @@ class TestDistanceAndSpeed:
         # on a 0.01 grid over one period; written with 1 - sin theta and
         # 1 + cos 2t sin theta as they stand, the forms were off by up to
         # 1.4e-10 relative (speed) and 2.8e-8 (distance) at delta = 1e-6,
-        # while these stayed within 9.0e-16 and 1.6e-16 at every delta
-        mpmath = pytest.importorskip("mpmath")
+        # while these stayed within 8.7e-16 relative and 2.2e-16 of the
+        # exact-theta flow from up_y (its speed, and its angle to down_y)
         theta = math.pi / 2 - delta
         grid = np.arange(315) * 0.01
         speeds = speed_closed_form(theta, grid).tolist()
         distances = geodesic_distance_closed_form(theta, grid).tolist()
-        with mpmath.workdps(50):
-            s, cc = mpmath.sin(theta), mpmath.cos(theta) ** 2
-            for t, v, d in zip(grid.tolist(), speeds, distances):
-                den = 1 + mpmath.cos(2 * mpmath.mpf(t)) * s
-                exact_v = cc / den**2
-                exact_d = mpmath.acos(mpmath.sqrt(mpmath.sin(t) ** 2 * (1 - s) / den))
-                assert abs(v - exact_v) <= 2e-15 * exact_v, t
-                assert abs(d - exact_d) <= 5e-16, t
+        for t, v, d in zip(grid.tolist(), speeds, distances):
+            state, _, exact_v = pure_flow(theta, up_y(), t)
+            assert abs(v - exact_v) <= 2e-15 * exact_v, t
+            assert abs(d - geodesic(state, down_y())) <= 5e-16, t
 
     def test_geodesic_vanishes_at_half_period(self):
         for theta in THETAS:
@@ -668,10 +698,10 @@ class TestPureRoutesAgainst50Digits:
     :func:`oracles.pure_flow` at the exact theta, down to ``THETA_MAX``.
 
     Each bound is 10x the worst measured over these points (CPython 3.11.7,
-    numpy 2.4.6): 1.6e-16 for the sine of the Fubini-Study angle, 4.0e-16
-    relative for the norm and 1.1e-15 relative for the speed.  Run on the
-    rounded sec and tan, the same routes were up to 1.3e-11, 4.7e-9 and
-    1.4e-3 off over these points.
+    numpy 2.4.6): 1.6e-16 for the Fubini-Study angle, 4.0e-16 relative for
+    the norm and 1.1e-15 relative for the speed.  Run on the rounded sec and
+    tan, the same routes were up to 1.3e-11, 4.7e-9 and 1.4e-3 off over these
+    points.
     """
 
     @staticmethod
@@ -685,18 +715,15 @@ class TestPureRoutesAgainst50Digits:
 
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-6])
     def test_within_ten_times_the_measured_worst(self, delta):
-        mpmath = pytest.importorskip("mpmath")
         theta = THETA_MAX if delta == 1e-6 else math.pi / 2 - delta
         h = NHHamiltonian.canonical(theta)
-        worst_sine = worst_norm = worst_speed = 0.0
+        worst_angle = worst_norm = worst_speed = 0.0
         for psi, t in self.points(delta):
             state, norm, rate = pure_flow(theta, psi, t)
-            with mpmath.workdps(50):
-                (a, b), (c, d) = (map(mpmath.mpc, v) for v in (evolve_pure(h, psi, t), state))
-                worst_sine = max(worst_sine, float(abs(a * d - b * c)))
+            worst_angle = max(worst_angle, geodesic(evolve_pure(h, psi, t), state))
             worst_norm = max(worst_norm, abs(propagated_norm(h, psi, t) - norm) / norm)
             worst_speed = max(worst_speed, abs(speed(h, psi, t) - rate) / rate)
-        assert worst_sine <= 1.6e-15
+        assert worst_angle <= 1.6e-15
         assert worst_norm <= 4.0e-15
         assert worst_speed <= 1.1e-14
 

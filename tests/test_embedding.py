@@ -14,7 +14,7 @@ from nhlgi.dynamics import (
     state_from_bloch_angles,
     up_y,
 )
-from nhlgi.lgi import CorrelatorEngine, LgiResult, Observable, _tables
+from nhlgi.lgi import CorrelatorEngine, LgiResult, Observable, _correlators, _tables
 from nhlgi.embedding import (
     EmbeddedState,
     Metric,
@@ -26,7 +26,8 @@ from nhlgi.embedding import (
     k3_via_embedding,
     theta_from_delta,
 )
-from nhlgi.embedding import _dilation, _propagating_frame
+from nhlgi.embedding import _dilation, _embedded_run, _propagating_frame
+from oracles import protocol
 
 THETAS = [0.0, 0.3, 1.0, 1.4, theta_from_delta(0.1)]
 
@@ -321,6 +322,26 @@ class TestOneDilationPerWorkingPoint:
         # point, with no sec/tan cancellation on the way.
         s = math.cos(delta)
         assert abs(k3_via_embedding(theta_from_delta(delta)).k3 - (1.0 + s + s * s)) <= 4e-15
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-6])
+    def test_against_the_exact_theta_protocol(self, delta):
+        # the dilation as the corner's second route: over these 40 seeded
+        # draws per delta it was within 6.7e-16 of the reference's eight
+        # numbers and 1.4e-15 of its K3; each bound is 10x that
+        theta = theta_from_delta(delta)
+        rng = np.random.default_rng(round(-math.log10(delta)))
+        for _ in range(40):
+            psi = state_from_bloch_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            q = Observable.from_angles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+            n = q.direction
+            t1 = rng.uniform(0.0, 1.5)
+            t2 = t1 + rng.uniform(1e-3, 1.5)
+            t3 = t2 + rng.uniform(1e-3, 1.5)
+            got = _embedded_run(theta, psi.tolist(), n)(t1, t2, t3)
+            exact = protocol(theta, psi, n, (t1, t2, t3))
+            assert max(abs(a - b) for a, b in zip(got, exact.numbers)) <= 6.7e-15
+            c12, c23, c13 = _correlators(got)
+            assert abs(c12 + c23 - c13 - exact.correlators[3]) <= 1.4e-14
 
     def test_validates_once_per_public_call(self, monkeypatch):
         counts = {"validate_pure": 0, "EmbeddedState": 0}

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from nhlgi.dynamics import (
     NHHamiltonian,
     analytic_SB_Sn,
     bloch_of_pure,
+    down_y,
     down_z,
     evolve_pure,
     geodesic_distance_closed_form,
@@ -33,9 +35,11 @@ from nhlgi.qmat import trace_distance
 from oracles import (
     closed_form_k3,
     density_from_bloch,
+    geodesic,
     noisy_bloch_trajectory,
-    noisy_protocol_tables,
+    protocol,
     pure_bloch_trajectory,
+    pure_flow,
     read_csv,
 )
 
@@ -273,7 +277,6 @@ class TestCliTrajectoryRoute:
         "theta", [1.2, math.pi / 2 - 1e-3, math.pi / 2 - 1e-5, math.pi / 2 - 1e-6]
     )
     def test_pure_route_against_closed_form(self, tmp_path, theta):
-        pytest.importorskip("mpmath")
         _, columns = read_csv(self._run(tmp_path, "--theta", repr(theta)))
         grid = _time_grid(math.pi, 0.01)
         assert columns["t"].tolist() == grid.tolist()
@@ -313,7 +316,6 @@ class TestCliTrajectoryRoute:
         # 1, "numerically defective"); measured 2.2e-16 there.  At delta =
         # 1e-3 the worst row is t = 1.57, measured 1.7e-11; started from
         # up_y's rounded Bloch vector, an ulp short, it was 1.7e-5 off.
-        pytest.importorskip("mpmath")
         for theta, kappa, bound in (
             (THETA_MAX, "1e-9", 1e-15),
             (math.pi / 2 - 1e-3, "1e-12", 3e-11),
@@ -583,7 +585,6 @@ class TestCliNoise:
         ids=["delta-1e-6", "delta-1e-3"],
     )
     def test_faint_noise_at_the_corner_against_50_digits(self, tmp_path, point, kappa, bound):
-        pytest.importorskip("mpmath")
         out = tmp_path / "noise.csv"
         assert main(["noise", *point, "--kappa", kappa, "--out", str(out)]) == 0
         metadata, columns = read_csv(out)
@@ -593,12 +594,9 @@ class TestCliNoise:
         worst = 0.0
         for i in rows:
             t = columns["t"][i]
-            tables = noisy_protocol_tables(
-                theta, columns["kappa"][i], rho0, (0.0, -1.0, 0.0), (0.0, t, 2.0 * t), dps=50
-            )
-            c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
+            exact = protocol(theta, rho0, (0.0, -1.0, 0.0), (0.0, t, 2.0 * t), columns["kappa"][i])
             got = [columns[name][i] for name in ("c12", "c23", "c13", "k3")]
-            worst = max(worst, *(abs(a - b) for a, b in zip(got, (c12, c23, c13, c12 + c23 - c13))))
+            worst = max(worst, *(abs(a - b) for a, b in zip(got, exact.correlators)))
         assert worst <= bound
 
 
@@ -677,22 +675,16 @@ class TestCliCornerRows:
     def test_speed_against_50_digits(self, tmp_path):
         # the complex flow of the rounded sec, tan and omega was off by up to
         # 2.01 relative at THETA_MAX
-        mpmath = pytest.importorskip("mpmath")
         out = tmp_path / "speed.csv"
         assert main(["speed", "--theta", self.CORNER, "--out", str(out)]) == 0
         _, columns = read_csv(out)
         assert columns["v"].size == 630
-        worst = 0.0
-        with mpmath.workdps(50):
-            for th, t, v in zip(columns["theta"], columns["t"], columns["v"]):
-                th, t = mpmath.mpf(th), mpmath.mpf(t)
-                exact = mpmath.cos(th) ** 2 / (1 + mpmath.cos(2 * t) * mpmath.sin(th)) ** 2
-                worst = max(worst, abs(v / exact - 1))
+        rows = zip(columns["theta"], columns["t"], columns["v"])
+        worst = max(abs(v / pure_flow(th, up_y(), t)[2] - 1) for th, t, v in rows)
         assert worst <= 4e-15
 
     def test_trajectory_against_50_digits(self, tmp_path):
         # the complex flow of the rounded sec, tan and omega was off by 1.4e-7
-        pytest.importorskip("mpmath")
         out = tmp_path / "traj.csv"
         assert main(["trajectory", "--theta", "1.5697963267948967", "--out", str(out)]) == 0
         _, columns = read_csv(out)
@@ -701,22 +693,14 @@ class TestCliCornerRows:
         assert np.max(np.abs(bloch - exact)) <= 1e-15
 
     def test_distance_against_50_digits(self, tmp_path):
-        # the closed form's angle, whose sine and cosine are proportional to
-        # |sin t| cos theta and |cos t| (1 + sin theta); the complex flow of
-        # the rounded sec, tan and omega was off by 2.0e-4 at THETA_MAX
-        mpmath = pytest.importorskip("mpmath")
+        # the angle from the flow of up_y to down_y; the complex flow of the
+        # rounded sec, tan and omega was off by 2.0e-4 at THETA_MAX
         out = tmp_path / "dist.csv"
         assert main(["distance", "--theta", self.CORNER, "--out", str(out)]) == 0
         _, columns = read_csv(out)
         assert columns["delta"].size == 630
-        worst = 0.0
-        with mpmath.workdps(50):
-            for th, t, d in zip(columns["theta"], columns["t"], columns["delta"]):
-                th, t = mpmath.mpf(th), mpmath.mpf(t)
-                exact = mpmath.atan2(
-                    abs(mpmath.cos(t)) * (1 + mpmath.sin(th)), abs(mpmath.sin(t)) * mpmath.cos(th)
-                )
-                worst = max(worst, abs(d - exact))
+        rows = zip(columns["theta"], columns["t"], columns["delta"])
+        worst = max(abs(d - geodesic(pure_flow(th, up_y(), t)[0], down_y())) for th, t, d in rows)
         assert worst <= 1e-15
 
     def test_lgi_against_50_digits(self, tmp_path):
@@ -739,7 +723,6 @@ class TestCliCornerRows:
         # it here) and re-evaluates through the engine; the speed maximum is
         # compared with 50 digits, since the float closed form is itself off
         # by 1.6e-11 at this theta
-        mpmath = pytest.importorskip("mpmath")
         out = tmp_path / "scan.json"
         assert main(["scan", "--theta", "1.5697963267948967", "--budget", "3000",
                      "--seed", "2", "--format", "json", "--out", str(out)]) == 0
@@ -762,31 +745,20 @@ class TestCliCornerRows:
         assert again == k3["objective"]
 
     def test_rescaled_distance_against_50_digits(self, tmp_path):
-        # the flow of H = sigma_x + i sin(theta) sigma_z, whose w is cos
-        # theta, from up_z and down_z: delta is their geodesic angle and
-        # trace_d its sine (measured 2.7e-16 and 2.2e-16)
-        mpmath = pytest.importorskip("mpmath")
+        # the flow of cos(theta) H(theta) = sigma_x + i sin(theta) sigma_z
+        # from up_z and down_z: delta is their geodesic angle and trace_d its
+        # sine (measured 4.4e-16 and 3.3e-16)
         out = tmp_path / "dist.csv"
         assert main(["distance", "--rescaled", "--theta", self.CORNER, "--out", str(out)]) == 0
         _, columns = read_csv(out)
         assert columns["delta"].size == 630
         worst_delta = worst_trace = 0.0
         rows = zip(columns["theta"], columns["t"], columns["delta"], columns["trace_d"])
-        with mpmath.workdps(50):
-            for th, t, delta, trace_d in rows:
-                s, t = mpmath.sin(mpmath.mpf(th)), mpmath.mpf(t)
-                w = mpmath.sqrt(1 - s * s)
-                c, r = mpmath.cos(w * t), mpmath.sin(w * t) / w
-                # (cos(w t) I - i sin(w t)/w H) applied to (1, 0) and to (0, 1)
-                a0, a1 = c + r * s, -1j * r
-                b0, b1 = -1j * r, c - r * s
-                overlap = abs(mpmath.conj(a0) * b0 + mpmath.conj(a1) * b1)
-                cos_d = overlap / mpmath.sqrt(
-                    (abs(a0) ** 2 + abs(a1) ** 2) * (abs(b0) ** 2 + abs(b1) ** 2)
-                )
-                sin_d = mpmath.sqrt(1 - cos_d * cos_d)
-                worst_delta = max(worst_delta, abs(delta - mpmath.atan2(sin_d, cos_d)))
-                worst_trace = max(worst_trace, abs(trace_d - sin_d))
+        for th, t, delta, trace_d in rows:
+            a, b = (pure_flow(th, psi, t, scale=math.cos(th))[0] for psi in (up_z(), down_z()))
+            angle = geodesic(a, b)
+            worst_delta = max(worst_delta, abs(delta - angle))
+            worst_trace = max(worst_trace, abs(trace_d - math.sin(angle)))
         assert worst_delta <= 1e-15
         assert worst_trace <= 1e-15
 
@@ -794,7 +766,6 @@ class TestCliCornerRows:
         # the direct route is within 6.7e-16 of the closed form at the exact
         # theta; the dilation is within 1.9e-12 of it, its worst row t = 1.55,
         # where the post-selection probability is 4.3e-4
-        pytest.importorskip("mpmath")
         out = tmp_path / "embed.csv"
         assert main(["embed", "--delta", "1e-3", "--out", str(out)]) == 0
         metadata, columns = read_csv(out)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,15 +40,7 @@ from nhlgi.lgi import (
     k3_closed_form,
 )
 from nhlgi.scan import GAP_FLOOR
-from oracles import (
-    axis_eigenstates,
-    closed_form_k3,
-    density_from_bloch,
-    noisy_protocol_tables,
-    pauli_vector,
-    planar_protocol,
-    two_time_joint,
-)
+from oracles import axis_eigenstates, closed_form_k3, density_from_bloch, pauli_vector, protocol
 
 THETAS = [0.0, math.pi / 6, 1.0, 1.4]
 
@@ -380,9 +373,10 @@ def test_density_propagator_trace_floor():
 
 
 class TestProtocolAgainstOracle:
-    """Branch-enumeration oracle with its own propagator and eigenbasis."""
+    """The engine's tables against the exact-theta reference's protocol."""
 
     def test_joint_tables(self):
+        # within 3.9e-16 over these draws
         rng = np.random.default_rng(43)
         engine_cache = {}
         for _ in range(250):
@@ -395,8 +389,8 @@ class TestProtocolAgainstOracle:
             t_i = rng.uniform(0.0, 1.5)
             t_j = t_i + rng.uniform(1e-3, 1.5)
             got = CorrelatorEngine(h).joint_table(psi, q, t_i, t_j)
-            expected = two_time_joint(h.matrix, psi, q.direction, t_i, t_j)
-            np.testing.assert_allclose(got.probs, expected, atol=1e-10)
+            expected = protocol(theta, psi, q.direction, (t_i, t_j, t_j)).tables[0]
+            np.testing.assert_allclose(got.probs, expected, rtol=0.0, atol=4e-15)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -425,13 +419,14 @@ class TestProtocolAgainstOracle:
         t3 = t2 + times[2]
         setup, evaluate = CorrelatorEngine(h)._spinor_route
         out = evaluate(setup(tuple(psi.tolist()), direction), t1, t2, t3)
-        # Both routes lose about sec(theta)^2 ulps to the cancellation in the
-        # renormalised propagator near the corner (measured error / sec^2
-        # stays below 1e-13), so the per-entry tolerance scales with it.
-        tol = 1e-12 / math.cos(theta) ** 2
-        for table, (t_i, t_j) in zip(_tables(out), ((t1, t2), (t2, t3), (t1, t3))):
-            expected = two_time_joint(h.matrix, psi, direction, t_i, t_j)
-            np.testing.assert_allclose(np.array(table), expected, rtol=0.0, atol=tol)
+        # The Bloch route loses up to about sec(theta)^2 ulps where the
+        # propagated trace falls: 1.2e-15 sec^2(theta) at worst over 3000
+        # such draws, and 1.9e-15 sec^2(theta) (2.2e-14, at delta = 0.3)
+        # over 3500 seeded ones
+        tol = 2e-14 / math.cos(theta) ** 2
+        expected = protocol(theta, psi, direction, (t1, t2, t3)).tables
+        for table, reference in zip(_tables(out), expected):
+            np.testing.assert_allclose(np.array(table), reference, rtol=0.0, atol=tol)
         for c, table in zip(_correlators(out), _tables(out)):
             assert c == JointTable(table, 0.0, 1.0).correlator
 
@@ -458,7 +453,6 @@ class TestProtocolAgainstOracle:
         times=(0.0, 1.5, 1.5),
     )
     def test_noisy_kernel_tables(self, theta, log_kappa, state, axis, times):
-        pytest.importorskip("mpmath")
         theta_s, phi_s, length = state
         kappa = 10.0**log_kappa
         h = NHHamiltonian.canonical(theta)
@@ -487,7 +481,7 @@ class TestProtocolAgainstOracle:
         # seeded draws of this domain the closed form was within 1.2e-15 at
         # every theta (6.0e-16 sec^2(theta)).
         tol = 1e-14
-        expected = noisy_protocol_tables(theta, kappa, rho0, n, (t1, t2, t3))
+        expected = protocol(theta, rho0, n, (t1, t2, t3), kappa, dps=30).tables
         for table, reference in zip(_tables(out), expected):
             np.testing.assert_allclose(np.array(table), reference, rtol=0.0, atol=tol)
         for c, table in zip(_correlators(out), _tables(out)):
@@ -544,14 +538,8 @@ class TestProtocolAgainstOracle:
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3])
     def test_corner_tables_against_50_digits(self, delta):
-        # near the corner the propagator loses about sec^2(theta) ulps; over
-        # 300 such draws the engine's tables were within 8.1e-19 sec^2(theta)
-        # of a 50-digit evaluation of the rounded matrix (the Taylor oracle
-        # of two_time_joint within 9.1e-12 at delta = 1e-2 and 6.1e-10 at
-        # 1e-3), so allow 1e-17 sec^2.  Against H(theta) itself these 40
-        # draws are within 4.5e-16 at both deltas; an omega formed from the
-        # rounded sec and tan put them 2.1e-13 off at delta = 1e-2.
-        mpmath = pytest.importorskip("mpmath")
+        # within 2.2e-16 at delta = 1e-2 and 3.3e-16 at 1e-3; an omega formed
+        # from the rounded sec and tan put them 2.1e-13 off at delta = 1e-2
         theta = math.pi / 2 - delta
         h = NHHamiltonian.canonical(theta)
         engine = CorrelatorEngine(h)
@@ -563,9 +551,9 @@ class TestProtocolAgainstOracle:
             t_i = rng.uniform(0.0, 3.0)
             t_j = t_i + rng.uniform(1e-3, 3.0)
             got = engine.joint_table(psi, q, t_i, t_j).probs
-            expected = _pure_joint_reference(mpmath, h, psi, q, t_i, t_j)
+            expected = protocol(theta, psi, q.direction, (t_i, t_j, t_j)).tables[0]
             worst = max(worst, float(np.max(np.abs(got - expected))))
-        assert worst <= 1e-17 / math.cos(theta) ** 2
+        assert worst <= 3.3e-15
 
     def test_pure_and_density_paths_agree(self):
         rng = np.random.default_rng(47)
@@ -626,7 +614,6 @@ class TestNoisySpectrum:
         # its beta was up to 7.4e-11 of the largest root off; the 40-digit
         # roots of the cubic of the exact tan(theta) were within 7.3e-16 (r)
         # and 3.3e-16 (beta) relative of the Newton root over these points
-        mpmath = pytest.importorskip("mpmath")
         h = NHHamiltonian.canonical(theta)
         for kappa in [0.0] + SPECTRUM_KAPPAS:
             (r, m, beta, decay), _ = _lift_coefficients(h, kappa)
@@ -887,7 +874,7 @@ class TestCircleFrame:
             t1 = 0.0 if first_at_zero else _dyadic(rng.uniform(0.0, 1.5))
             times = (t1, t1 + g1, t1 + g1 + g2)
             got = evaluate(setup(state, axis), *times)
-            expected = planar_protocol(theta, state, axis, times)
+            expected = protocol(theta, (state[0], 1j * state[1]), (0.0, *axis), times).numbers
             worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
         assert worst <= 1e-14
 
@@ -1040,6 +1027,22 @@ class TestClosedForm:
             worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
         assert worst <= 2e-15
 
+    @pytest.mark.parametrize("delta", [0.37, 1e-3, 1e-6])
+    def test_reference_protocol_is_the_rational_forms(self, delta):
+        # two routes at 50 digits, each rounded once: the exact-theta flow's
+        # protocol and the textbook forms give the same floats.  At the float
+        # time pi/4 the deficit is (1 - sin theta)(2 + sin theta) to 2.2e-16
+        # relative at delta = 1e-3; at 1e-6 the time's rounding alone moves
+        # it by 2.0e-8.
+        theta = math.pi / 2 - delta
+        for t in (0.1, 0.5, math.pi / 4, 1.2, 1.57):
+            exact = protocol(theta, up_y(), (0.0, -1.0, 0.0), (0.0, t, 2.0 * t))
+            assert exact.correlators == closed_form_k3(theta, t)
+        s, c = math.sin(theta), math.cos(theta)
+        exact = protocol(theta, up_y(), (0.0, -1.0, 0.0), (0.0, math.pi / 4, math.pi / 2))
+        rel = 3e-8 if delta == 1e-6 else 1e-15
+        assert exact.deficit == pytest.approx(c * c / (1.0 + s) * (2.0 + s), rel=rel)
+
     @pytest.mark.parametrize("theta", [0.0, 0.4, 0.9, 1.3, math.pi / 2 - 1e-3])
     def test_matches_protocol(self, theta):
         h = NHHamiltonian.canonical(theta)
@@ -1135,15 +1138,12 @@ class TestNoisyProtocol:
         # faint noise at the corner, where the eigendecomposed lift was
         # nearly defective and refused at THETA_MAX: the closed form returns
         # the exact lift's table at both, never a silently wrong (or NaN) one
-        pytest.importorskip("mpmath")
         h = NHHamiltonian.canonical(theta)
         q = Observable.from_angles(1.1, 0.6)
         rho0 = projector(state_from_bloch_angles(0.8, 2.5))
         t_i, t_j, kappa = 0.4, 1.7, 1e-9
         got = CorrelatorEngine(h, kappa=kappa).joint_table(rho0, q, t_i, t_j)
-        expected = noisy_protocol_tables(
-            theta, kappa, rho0, q.direction, (t_i, t_j, t_j), dps=60
-        )[0]
+        expected = protocol(theta, rho0, q.direction, (t_i, t_j, t_j), kappa, dps=60).tables[0]
         np.testing.assert_allclose(got.probs, expected, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("kappa", [1e-5, 1e-3])
@@ -1153,7 +1153,6 @@ class TestNoisyProtocol:
         # over these draws the engine is within 1.3e-11 of a 60-digit
         # evaluation, while a pair row taken as twice one row of V^-1 is off
         # by 2.6e-6 at kappa = 1e-5 and 1.5e-9 at 1e-3
-        pytest.importorskip("mpmath")
         h = NHHamiltonian.canonical(math.pi / 2 - 1e-3)
         engine = CorrelatorEngine(h, kappa=kappa)
         rng = np.random.default_rng(17)
@@ -1165,9 +1164,7 @@ class TestNoisyProtocol:
             t2 = t1 + rng.uniform(1e-4, 1e-3)
             t3 = t2 + rng.uniform(1e-4, 1e-3)
             got = engine.k3(rho0, q, t1, t2, t3)
-            expected = noisy_protocol_tables(
-                h.theta, kappa, rho0, q.direction, (t1, t2, t3), dps=60
-            )
+            expected = protocol(h.theta, rho0, q.direction, (t1, t2, t3), kappa, dps=60).tables
             for table, reference in zip((got.table12, got.table23, got.table13), expected):
                 np.testing.assert_allclose(table.probs, reference, rtol=0.0, atol=1e-9)
 
@@ -1212,7 +1209,6 @@ class TestLiftAccuracy:
         # With the lift's projected frame at kappa = 0 these draws are within
         # 2.8e-16 there (density matrices and spinors alike), and 5.6e-16
         # over 128 wider kappa = 0 draws.
-        pytest.importorskip("mpmath")
         theta = math.pi / 2 - delta
         h = NHHamiltonian.canonical(theta)
         rng = np.random.default_rng(round(-10 * math.log10(delta)))
@@ -1227,40 +1223,35 @@ class TestLiftAccuracy:
                 t1 = 0.0 if rng.uniform() < 0.5 else rng.uniform(lo, hi)
                 t2 = t1 + rng.uniform(lo, hi)
                 t3 = t2 + rng.uniform(lo, hi)
-                tables = noisy_protocol_tables(theta, kappa, rho, q.direction, (t1, t2, t3), dps=40)
-                c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
+                k3 = protocol(theta, rho, q.direction, (t1, t2, t3), kappa, dps=40).correlators[3]
                 states = [rho, state_from_bloch_angles(*angles)] if length == 1.0 else [rho]
                 for state in states:
                     got = engine.k3(state, q, t1, t2, t3).k3
                     slot = kappa > 0.0
-                    worst[slot] = max(worst[slot], abs(got - (c12 + c23 - c13)))
+                    worst[slot] = max(worst[slot], abs(got - k3))
         assert worst[0] <= 1e-14 and worst[1] <= 1e-11
 
     def test_faint_noise_canonical_corner(self):
         # the eigendecomposed lift passed its residual check here and was
         # off by -4.1e-4; the closed form is -5.8e-11 off
-        pytest.importorskip("mpmath")
         theta, kappa = math.pi / 2 - 1e-3, 1e-12
         times = (0.0, math.pi / 4, math.pi / 2)
         got = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa).k3(
             up_y(), Observable.canonical(), *times
         )
-        tables = noisy_protocol_tables(theta, kappa, projector(up_y()), (0.0, -1.0, 0.0), times, dps=50)
-        c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
-        assert abs(got.k3 - (c12 + c23 - c13)) <= 1e-10
+        k3 = protocol(theta, projector(up_y()), (0.0, -1.0, 0.0), times, kappa).correlators[3]
+        assert abs(got.k3 - k3) <= 1e-10
 
     def test_off_circle_probe_at_kappa_zero(self):
         # a state 1e-12 off the circle takes the lift's projected frame (the
         # Bloch route), which is -6.0e-14 off at THETA_MAX; the rounded sec
         # and tan were -2.0 off, then refused ("propagated trace -2.404e-04")
-        pytest.importorskip("mpmath")
         psi = state_from_bloch_angles(math.pi / 2, 3 * math.pi / 2 + 1e-12)
         q = Observable.from_angles(math.pi / 2, math.pi / 2)
         times = (0.0, math.pi / 4, math.pi / 2)
         got = CorrelatorEngine(NHHamiltonian.canonical(THETA_MAX)).k3(psi, q, *times)
-        tables = noisy_protocol_tables(THETA_MAX, 0.0, projector(psi), q.direction, times, dps=60)
-        c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
-        assert abs(got.k3 - (c12 + c23 - c13)) <= 1e-12
+        k3 = protocol(THETA_MAX, projector(psi), q.direction, times, dps=60).correlators[3]
+        assert abs(got.k3 - k3) <= 1e-12
 
 
 def _oracle_basis(n):
@@ -1280,34 +1271,6 @@ def _eig_propagator(h, kappa):
         return tuple((x[1:] / x[0]).tolist())
 
     return propagate
-
-
-def _pure_joint_reference(mpmath, h, psi, q, t_i, t_j, dps=50):
-    """Pure-state joint table with ``exp(-i H t)`` exponentiated in mpmath,
-    for ``H(theta)`` itself: ``sec theta`` and ``tan theta`` of the binary
-    theta are formed in mpmath, not read from the rounded ``h.matrix``."""
-    with mpmath.workdps(dps):
-        th = mpmath.mpf(h.theta)
-        sec, tan = 1 / mpmath.cos(th), mpmath.tan(th)
-        hm = mpmath.mpf(h.scale) * mpmath.matrix([[1j * tan, sec], [sec, -1j * tan]])
-
-        def propagate(v, t):
-            return mpmath.expm(-1j * t * hm) * mpmath.matrix(list(v))
-
-        def born(chi, v):
-            amp = sum(mpmath.conj(c) * x for c, x in zip(chi, v))
-            return abs(amp) ** 2 / sum(abs(x) ** 2 for x in v)
-
-        up, down = (mpmath.matrix(list(e)) for e in _axis_basis(q.direction))
-        up, down = up / mpmath.norm(up), down / mpmath.norm(down)
-        v_i = propagate(psi, t_i)
-        first = [born(up, v_i), born(down, v_i)]
-        probs = np.empty((2, 2))
-        for row, chi in enumerate((up, down)):
-            cond = born(up, propagate(chi, t_j - t_i))
-            weight = first[row] / (first[0] + first[1])
-            probs[row] = float(weight * cond), float(weight * (1 - cond))
-        return probs
 
 
 class TestValidation:

@@ -39,7 +39,7 @@ from nhlgi.scan import (
     _speed_objective,
     _start_from_argmax,
 )
-from oracles import noisy_protocol_tables
+from oracles import protocol
 
 
 class TestScanConfig:
@@ -711,7 +711,6 @@ class TestNoiseSeries:
         # re-evaluates in 60 digits to the reported value, which the closed
         # form reads 5.1e-12, 9.0e-13 and 2.8e-14 high (the eigendecomposed
         # lift read it up to 5.3e-9 high at kappa = 1e-5)
-        pytest.importorskip("mpmath")
         theta = math.pi / 2 - 1e-3
         results = k3max_vs_noise(theta, (1e-5, 1e-3, 1.0), budget=20000, seed=0)
         assert results[0].objective >= 2.98
@@ -719,11 +718,9 @@ class TestNoiseSeries:
             am = res.argmax
             rho0 = projector(state_from_bloch_angles(am["theta_s"], am["phi_s"]))
             axis = Observable.from_angles(am["theta_q"], am["phi_q"]).direction
-            tables = noisy_protocol_tables(
-                theta, res.kappa, rho0, axis, (am["t1"], am["t2"], am["t3"]), dps=60
-            )
-            c12, c23, c13 = (p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1] for p in tables)
-            assert abs(c12 + c23 - c13 - res.objective) <= 1e-11
+            times = (am["t1"], am["t2"], am["t3"])
+            k3 = protocol(theta, rho0, axis, times, res.kappa, dps=60).correlators[3]
+            assert abs(k3 - res.objective) <= 1e-11
 
     @pytest.mark.parametrize(
         "theta, expected",
