@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    THETA_MAX,
     NHHamiltonian,
     analytic_SB_Sn,
     bloch_of_pure,
@@ -50,9 +51,12 @@ __all__ = [
     "CRITERIA",
 ]
 
-# Family members from the Hermitian limit to just below the degenerate
-# corner; the last member stresses the strong-amplification regime.
-ACCEPTANCE_THETAS = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, 1.4, math.pi / 2 - 1e-3)
+# Family members from the Hermitian limit to the advertised corner
+# (delta = 1e-6, ``THETA_MAX``); the last two stress the strong-amplification
+# regime.
+ACCEPTANCE_THETAS = (
+    0.0, math.pi / 6, math.pi / 4, math.pi / 3, 1.4, math.pi / 2 - 1e-3, theta_from_delta(1e-6)
+)
 
 DEFAULT_SCAN_BUDGET = 60_000
 
@@ -136,17 +140,22 @@ def criterion_3(family: tuple[list[ScanResult], list[ScanResult]]) -> CriterionR
 
 
 def criterion_4() -> CriterionResult:
-    """Dilated-protocol K3 at the strong working point matches the direct value."""
+    """Dilated-protocol K3 at the strong working point matches the direct
+    value, and at the corner (delta = 1e-6) the quarter-period closed form."""
     tol = 5e-3
     target = 2.985
-    theta = theta_from_delta(0.1)
-    res = k3_via_embedding(theta)
-    passed = abs(res.k3 - target) <= tol
+    tol_corner = 1e-12
+    k3 = k3_via_embedding(theta_from_delta(0.1)).k3
+    corner = abs(
+        k3_via_embedding(theta_from_delta(1e-6)).k3 - k3_closed_form(THETA_MAX, math.pi / 4)[3]
+    )
+    passed = abs(k3 - target) <= tol and corner <= tol_corner
     return CriterionResult(
         4,
         "post-selected dilation reproduces K3 near the ceiling",
         passed,
-        f"K3 = {res.k3:.6f} vs {target} (tol {tol})",
+        f"K3 = {k3:.6f} vs {target} (tol {tol}), "
+        f"corner |diff| = {corner:.3e} (tol {tol_corner:.0e})",
     )
 
 

@@ -15,7 +15,8 @@ hypercube sample plus the analytically known canonical configuration, so the
 returned value reaches the closed-form benchmark except at the corner.  Both are
 in-house and load no scipy: the hypercube repeats the draws of scipy's
 ``LatinHypercube`` for the same seed, and :func:`minimize` repeats the
-arithmetic of scipy's bounded adaptive Nelder-Mead on lists of floats, with
+arithmetic of scipy's bounded adaptive Nelder-Mead on Python floats, one
+coordinate at a time in a step loop written out per dimension, with
 vertices kept in stable order so tied values cannot reorder between runs or
 machines.  Every reported objective is the re-evaluable value of an actually
 visited point: the K3 objective calls the route of
@@ -39,12 +40,12 @@ be a non-negative one; anything else is refused by name before any work.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
 from math import isnan
-from operator import add, sub
 from typing import NamedTuple
 
 from ._numpy import np
@@ -174,11 +175,15 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
     Nelder-Mead simplex of Gao and Han (Comput. Optim. Appl. 51, 2012).
 
     The arithmetic is that of scipy's bounded ``Nelder-Mead`` with
-    ``adaptive=True``, written out on lists of floats: the same initial
-    simplex, centroid, trial points, comparisons and clipping.  Vertices are
-    kept in stable order of their values, so tied values keep their order and
-    runs repeat exactly.  ``fun`` takes a sequence of floats and must not
-    change it; it is called directly, with no wrapper.  The budget is counted
+    ``adaptive=True``: the same initial simplex, centroid, trial points,
+    comparisons and clipping.  Its steps run in a loop written out for the
+    dimension, coordinate by coordinate, and compiled on the first call for
+    that dimension.  Vertices are kept in stable order of their values, so
+    tied values keep their order and runs repeat exactly.  ``fun`` takes a
+    list of floats, a new one for every point, and must not change it; it is
+    called directly, with no wrapper.  A start with no coordinates, of
+    another length than the bounds or outside them is refused with a
+    ``ValueError`` before any evaluation.  The budget is counted
     where each evaluation is made: one happens only while fewer than
     ``maxfev`` have been made, and the step that would exceed the budget ends
     the run and leaves the simplex as it was.  The run converges when all
@@ -187,6 +192,13 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
     attribute, so tracing can wrap each restart by name.
     """
     n = len(x0)
+    if n == 0:
+        raise ValueError("start [] has no coordinates")
+    if len(lower) != n or len(upper) != n:
+        raise ValueError(
+            f"start {list(x0)!r} has {n} coordinates, "
+            f"but lower has {len(lower)} and upper {len(upper)}"
+        )
     bounds = tuple(zip(lower, upper))
     if not all(lo <= v <= hi for v, (lo, hi) in zip(x0, bounds)):
         raise ValueError(f"start {list(x0)!r} lies outside the bounds")
@@ -216,20 +228,28 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
-    # Trial points are ``a * centroid + c * worst`` with scipy's coefficients
-    # at rho = 1.  Adding ``c * worst`` for a negative ``c`` rounds exactly as
-    # subtracting ``-c * worst`` does, so the reflection below is written
-    # ``2 * centroid - worst``.
-    def trial(a, c):
-        x = []
-        for k, (lo, hi) in enumerate(bounds):
-            v = a * xbar[k] + c * worst[k]
-            x.append((v if v < hi else hi) if v > lo else lo)
-        return x
-
     restore_order()
+    nfev = _step_loop(n)(
+        fun, sim, fsim, nfev, maxfev, xatol, fatol, bounds, chi, psi, sigma, restore_order
+    )
+    return SimplexResult(sim[0], fsim[0], nfev, 1 if nfev >= maxfev else 0)
+
+
+# The step loop of :func:`minimize`, written out for ``d`` coordinates.  Vertex
+# ``i`` of the sorted simplex is held in the locals ``x{i}_{k}``, so the worst
+# is ``x{d}_{k}``; the centroid of the others is ``m_{k}`` and the bounds are
+# ``lo_{k}`` and ``hi_{k}``.  Trial points are ``a * centroid + c * worst``
+# with scipy's coefficients at rho = 1.  Adding ``c * worst`` for a negative
+# ``c`` rounds exactly as subtracting ``-c * worst`` does, so the reflection
+# is written ``2 * centroid - worst``.
+_STEP_LOOP = """\
+def step_loop(fun, sim, fsim, nfev, maxfev, xatol, fatol, bounds, chi, psi, sigma, restore_order):
+    {bounds}, = bounds
+    expand_a, expand_c = 1 + chi, -chi
+    outside_a, outside_c = 1 + psi, -psi
+    inside_a, inside_c = 1 - psi, psi
     while nfev < maxfev:
-        best = sim[0]
+        {vertices}, = sim
         fbest = fsim[0]
         # The values are sorted unless one is a NaN, which no comparison
         # orders: with none, a worst value within fatol of the best puts
@@ -238,28 +258,20 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
         if (
             fsim[-1] - fbest <= fatol
             and not any(map(isnan, fsim))
-            and all(max(map(abs, map(sub, x, best))) <= xatol for x in reversed(sim))
+            and {spread}
         ):
             break
-        worst = sim[-1]
         # The centroid of all but the worst vertex, summed in vertex order
         # with plain ``+`` as numpy reduces rows; ``sum`` would round
         # differently (it compensates since Python 3.12).
-        total = best
-        for k in range(1, n):
-            total = map(add, total, sim[k])
-        xbar, xr = [], []
-        for t, w, (lo, hi) in zip(total, worst, bounds):
-            b = t / n
-            xbar.append(b)
-            v = 2 * b - w
-            xr.append((v if v < hi else hi) if v > lo else lo)
+        {centroid}
+        {reflect}
         fxr = fun(xr)
         nfev += 1
         if fxr < fbest:
             if nfev >= maxfev:
                 break
-            xe = trial(1 + chi, -chi)
+            {expand}
             fxe = fun(xe)
             nfev += 1
             new = (xe, fxe) if fxe < fxr else (xr, fxr)
@@ -270,14 +282,15 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
                 break
             nfev += 1
             if fxr < fsim[-1]:
-                xc = trial(1 + psi, -psi)
+                {outside}
                 fxc = fun(xc)
                 new = (xc, fxc) if fxc <= fxr else None
             else:
-                xcc = trial(1 - psi, psi)
+                {inside}
                 fxcc = fun(xcc)
                 new = (xcc, fxcc) if fxcc < fsim[-1] else None
             if new is None:
+                best = sim[0]
                 shrunk = [
                     [_clip(b + sigma * (v - b), lo, hi)
                      for b, v, (lo, hi) in zip(best, x, bounds)]
@@ -285,7 +298,7 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
                 ]
                 values = [fun(x) for x in shrunk[: maxfev - nfev]]
                 nfev += len(values)
-                if len(values) < n:
+                if len(values) < {d}:
                     break
                 sim[1:] = shrunk
                 fsim[1:] = values
@@ -301,8 +314,45 @@ def minimize(fun, x0, lower, upper, *, maxfev: int, xatol: float, fatol: float):
             i = bisect_right(fsim, new[1], 0, next(k for k, v in enumerate(fsim) if v != v))
         sim.insert(i, new[0])
         fsim.insert(i, new[1])
+    return nfev
+"""
 
-    return SimplexResult(sim[0], fsim[0], nfev, 1 if nfev >= maxfev else 0)
+
+@functools.cache
+def _step_loop(d: int):
+    """The step loop of :func:`minimize` for ``d`` coordinates, compiled from
+    ``_STEP_LOOP`` on the first call for that ``d``."""
+    ks = range(d)
+
+    def clipped(name, value, indent):
+        # the point ``value``, clipped coordinate by coordinate, as a new list
+        lines = []
+        for k in ks:
+            lines.append("v = " + value.format(d=d, k=k))
+            lines.append(f"{name}_{k} = (v if v < hi_{k} else hi_{k}) if v > lo_{k} else lo_{k}")
+        lines.append(f"{name} = [{', '.join(f'{name}_{k}' for k in ks)}]")
+        return ("\n" + " " * indent).join(lines)
+
+    def spread(i):
+        terms = [f"abs(x{i}_{k} - x0_{k})" for k in ks]
+        return (f"max({', '.join(terms)})" if d > 1 else terms[0]) + " <= xatol"
+
+    source = _STEP_LOOP.format(
+        d=d,
+        bounds=", ".join(f"(lo_{k}, hi_{k})" for k in ks),
+        vertices=", ".join(f"({', '.join(f'x{i}_{k}' for k in ks)},)" for i in range(d + 1)),
+        spread="\n            and ".join(spread(i) for i in range(d, -1, -1)),
+        centroid="\n        ".join(
+            f"m_{k} = ({' + '.join(f'x{i}_{k}' for i in range(d))}) / {d}" for k in ks
+        ),
+        reflect=clipped("xr", "2 * m_{k} - x{d}_{k}", 8),
+        expand=clipped("xe", "expand_a * m_{k} + expand_c * x{d}_{k}", 12),
+        outside=clipped("xc", "outside_a * m_{k} + outside_c * x{d}_{k}", 16),
+        inside=clipped("xcc", "inside_a * m_{k} + inside_c * x{d}_{k}", 16),
+    )
+    namespace = {"_clip": _clip, "bisect_right": bisect_right, "isnan": isnan}
+    exec(compile(source, f"<nhlgi.scan simplex d={d}>", "exec"), namespace)
+    return namespace["step_loop"]
 
 
 def _latin_hypercube(n: int, d: int, seed) -> np.ndarray:

@@ -4,10 +4,10 @@ Importing the package, the CLI paths in closed form or linear algebra, every
 scan (whose hypercube and Nelder-Mead simplex are in-house) and the RK45
 routes (whose Dormand-Prince integrator is in-house) load no scipy module.
 Importing the package and building an engine load no numpy either, until the
-first array.  Each check runs in a new isolated interpreter, because this
-test process has scipy and numpy loaded already; one runs with scipy made
-unimportable.  The last test checks, in process, that every exported name
-resolves.
+first array, and compile no simplex step loop.  Each check runs in a new
+isolated interpreter, because this test process has scipy and numpy loaded
+already; one runs with scipy made unimportable.  The last test checks, in
+process, that every exported name resolves.
 """
 
 import importlib
@@ -60,6 +60,8 @@ nhlgi.CorrelatorEngine(h)
 no_numpy("CorrelatorEngine(h)")
 nhlgi.CorrelatorEngine(h, 0.1)
 no_numpy("CorrelatorEngine(h, 0.1)")
+# the simplex's step loop is compiled at the first search, not at import
+assert nhlgi.scan._step_loop.cache_info().currsize == 0
 nhlgi.k3_closed_form(1.2, 0.5)
 no_numpy("k3_closed_form")
 try:

@@ -128,17 +128,20 @@ def _scipy_steps(fun, x0, lower, upper):
 class TestSimplex:
     """:func:`nhlgi.scan.minimize` against scipy's simplex, the oracle."""
 
-    # d = 2 and 4 are the dimensions of the scans' own searches.
+    # d = 2 and 4 are the dimensions of the scans' own searches; the step
+    # loop is written out for each dimension, so every d up to 8 is run.  At
+    # d = 1 the Rosenbrock sum has no neighbouring pair and is identically 0:
+    # that run converges by shrinking, with no expansion to stop on.
     @pytest.mark.parametrize(
         "fun, d, ending",
         [
             (fun, d, ending)
-            for fun, ending in [
-                (_shifted_rosenbrock, "converged"),
-                (_shifted_rosenbrock, "expand"),
-                (_shifted_ripple, "shrink"),
+            for fun, ending, dims in [
+                (_shifted_rosenbrock, "converged", range(1, 9)),
+                (_shifted_rosenbrock, "expand", range(2, 9)),
+                (_shifted_ripple, "shrink", range(1, 9)),
             ]
-            for d in (2, 3, 4, 7)
+            for d in dims
         ],
     )
     def test_repeats_scipy_bit_for_bit(self, fun, d, ending):
@@ -149,19 +152,25 @@ class TestSimplex:
             # Stop in the middle of the run, on the call of the given step
             # that would exceed the budget: the expansion after its
             # reflection, or the third vertex of a shrink (the second at
-            # d = 2, whose shrink has two).
+            # d = 2 and the first at d = 1, whose shrinks have two and one).
             starts = [s for s, kind in _scipy_steps(fun, x0, lower, upper) if kind == ending]
             start = starts[len(starts) // 2]
             maxfev = start + (1 if ending == "expand" else min(4, d + 1))
         expected, expected_points = _scipy_simplex(fun, x0, lower, upper, maxfev)
-        points = []
+        points, handed = [], []
 
         def recorded(x):
             points.append(list(x))
+            handed.append(x)
             return fun(x)
 
         res = minimize(recorded, x0, lower, upper, maxfev=maxfev, xatol=1e-8, fatol=1e-8)
         assert points == expected_points
+        # a new list for every point, unchanged after the run: the scans
+        # keep their best point by reference
+        assert all(type(x) is list for x in handed)
+        assert len({id(x) for x in handed}) == len(handed)
+        assert handed == points
         assert (res.status, res.nfev) == (expected.status, expected.nfev)
         assert res.status == (0 if ending == "converged" else 1)
         if ending == "converged":
@@ -275,11 +284,28 @@ class TestSimplex:
                        maxfev=200, xatol=1.0, fatol=1.0)
         assert (res.status, res.nfev) == (1, 200)
 
-    @pytest.mark.parametrize("x0", [[1.5, 0.5], [0.5, -1e-300], [math.nan, 0.5]])
+    @pytest.mark.parametrize(
+        "x0", [[1.5, 0.5], [0.5, -1e-300], [math.nan, 0.5], [], [0.5], [0.5, 0.5, 0.5]]
+    )
     def test_start_outside_bounds_is_refused(self, x0):
-        with pytest.raises(ValueError, match="outside the bounds"):
-            minimize(lambda x: 0.0, x0, [0.0, 0.0], [1.0, 1.0],
+        # A start of another length than the bounds is refused by name before
+        # any evaluation, not truncated by zip or failed on an index.
+        match = {
+            0: r"^start \[\] has no coordinates$",
+            1: r"^start \[0\.5\] has 1 coordinates, but lower has 2 and upper 2$",
+            2: "outside the bounds",
+            3: r"has 3 coordinates, but lower has 2 and upper 2$",
+        }[len(x0)]
+        points = []
+        with pytest.raises(ValueError, match=match):
+            minimize(points.append, x0, [0.0, 0.0], [1.0, 1.0],
                      maxfev=100, xatol=1e-8, fatol=1e-8)
+        assert points == []
+
+    @pytest.mark.parametrize("lower, upper", [([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0])])
+    def test_bounds_of_another_length_are_refused(self, lower, upper):
+        with pytest.raises(ValueError, match=f"lower has {len(lower)} and upper {len(upper)}$"):
+            minimize(lambda x: 0.0, [0.5], lower, upper, maxfev=100, xatol=1e-8, fatol=1e-8)
 
 
 def _k3_reference(theta, kappa):
