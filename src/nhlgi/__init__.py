@@ -17,7 +17,6 @@ from .dynamics import (
     bloch_to_abn,
     down_y,
     down_z,
-    evolve_density,
     evolve_density_noisy,
     evolve_pure,
     geodesic_distance,
@@ -94,7 +93,6 @@ __all__ = [
     "bloch_to_abn",
     "evolve_pure",
     "propagated_norm",
-    "evolve_density",
     "evolve_density_noisy",
     "integrate_bloch",
     "analytic_SB_Sn",

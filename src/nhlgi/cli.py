@@ -384,8 +384,8 @@ def _cmd_embed(args) -> int:
     runs on unvalidated routes.  The direct state comes from
     :func:`nhlgi.dynamics.pure_propagator` and ``k3_direct`` from the
     engine's protocol run; the post-selected state, ``p_select`` and
-    ``k3_embedded`` come from the dilation's kernel, the latter through its
-    propagating frame.  Each K3 is checked once, on its eight numbers
+    ``k3_embedded`` come from the dilation's kernel, the latter through
+    :func:`nhlgi.lgi._propagating_frame`.  Each K3 is checked once, on its eight numbers
     (:func:`_row`).
     """
     theta = _resolve_theta(args)

@@ -82,7 +82,6 @@ __all__ = [
     "pure_propagator",
     "evolve_pure",
     "propagated_norm",
-    "evolve_density",
     "evolve_density_noisy",
     "integrate_bloch",
     "analytic_SB_Sn",
@@ -617,25 +616,6 @@ def propagated_norm(h: NHHamiltonian, psi0, t: float) -> float:
     return math.sqrt(0.5 * ((p * p.conjugate()).real + (m * m.conjugate()).real))
 
 
-def _lifted_density(h: NHHamiltonian, rho, kappa: float, t: float) -> np.ndarray:
-    """The validated ``rho`` carried to ``t`` by :func:`_lift_propagator` at
-    ``kappa``: the one route of both density flows."""
-    x, y, z = _lift_propagator(h, kappa)(t, _density_bloch(rho.tolist()))
-    return np.array(
-        [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
-        dtype=complex,
-    )
-
-
-def evolve_density(h: NHHamiltonian, rho0, t: float) -> np.ndarray:
-    """Renormalised density evolution ``U rho0 U^dag / tr(U rho0 U^dag)``, the
-    Bloch vector of ``rho0`` carried by :func:`_lift_propagator`, which states
-    its accuracy near the half period."""
-    rho0 = validate_density(rho0)
-    _check_finite_times(t=t)
-    return _lifted_density(h, rho0, 0.0, t)
-
-
 def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.ndarray:
     """Propagate the renormalised flow with depolarising noise to time ``t``.
 
@@ -646,9 +626,9 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
 
     in the closed form of its linear lift, :func:`_lift_propagator`: exact to
     rounding at every ``kappa`` up to the corner, except near the half period
-    where that function states its accuracy, and :func:`evolve_density` bit
-    for bit at ``kappa = 0``.  ``t < 0`` is refused; ``t = 0`` returns a
-    copy of ``rho0``.
+    where that function states its accuracy.  It is the library's one
+    density flow: at ``kappa = 0``, ``U rho0 U^dag / tr(U rho0 U^dag)``.
+    ``t < 0`` is refused; ``t = 0`` returns a copy of ``rho0``.
     """
     rho0 = validate_density(rho0)
     _check_kappa(kappa)
@@ -657,7 +637,11 @@ def evolve_density_noisy(h: NHHamiltonian, rho0, kappa: float, t: float) -> np.n
         return rho0.copy()
     if t < 0.0:
         raise ValueError("noisy evolution runs forward in time only")
-    return _lifted_density(h, rho0, kappa, t)
+    x, y, z = _lift_propagator(h, kappa)(t, _density_bloch(rho0.tolist()))
+    return np.array(
+        [[0.5 * (1.0 + z), 0.5 * complex(x, -y)], [0.5 * complex(x, y), 0.5 * (1.0 - z)]],
+        dtype=complex,
+    )
 
 
 # The Dormand & Prince (1980) 5(4) pair as scipy's RK45 runs it: the nodes

@@ -47,13 +47,12 @@ from . import qmat
 from ._numpy import np
 from .dynamics import (
     NHHamiltonian,
-    _axis_basis,
     _check_finite_times,
     _check_theta,
     up_y,
     validate_pure,
 )
-from .lgi import LgiResult, Observable, _k3_result
+from .lgi import LgiResult, Observable, _k3_result, _propagating_frame
 from .qmat import dagger
 
 __all__ = [
@@ -85,7 +84,7 @@ def theta_from_delta(delta: float) -> float:
     theta lies past ``THETA_MAX``, outside the library's domain;
     ``delta = 1e-6`` maps to ``THETA_MAX`` exactly.
     """
-    if not np.isfinite(delta) or delta <= 0.0:
+    if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError(
             "delta must be positive: at delta = 0 the embedded state is "
             "separable and the dilation degenerates"
@@ -228,52 +227,6 @@ def evolve_and_postselect(theta: float, psi0, t: float) -> tuple[np.ndarray, flo
     return np.array(upper), p_select
 
 
-def _pure_born(chi, psi) -> float:
-    """Born probability ``|<chi|psi>|^2`` of two spinors."""
-    return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
-
-
-def _propagating_frame(propagate):
-    """Protocol from a renormalised flow on spinors, in the ``(setup,
-    evaluate)`` shape of the frames of :mod:`nhlgi.lgi`.
-
-    ``propagate(t, psi)`` is a renormalised flow on spinor pairs.
-    ``setup(psi, n)`` returns ``(psi, (up, down))``, the eigenbasis of the
-    unit axis ``n`` from :func:`nhlgi.dynamics._axis_basis`.  Each collapse
-    branch is propagated across the gap and its Born probability
-    (:func:`_pure_born`) read off, so the dilation shares no arithmetic with
-    the lift's projected frame.  Born probabilities are clipped to [0, 1];
-    the first measurement's pair is renormalised.  ``evaluate`` validates
-    nothing: callers check their inputs once, outside any loop.
-    """
-
-    def setup(state, n):
-        return state, _axis_basis(n)
-
-    def first(point, t):
-        state, (up, down) = point
-        v = propagate(t, state)
-        p = min(1.0, max(0.0, _pure_born(up, v)))
-        m = min(1.0, max(0.0, _pure_born(down, v)))
-        return p / (p + m)
-
-    def transfer(point, g):
-        branches = point[1]
-        up = branches[0]
-        return tuple(min(1.0, max(0.0, _pure_born(up, propagate(g, c)))) for c in branches)
-
-    def evaluate(point, t1, t2, t3):
-        return (
-            first(point, t1),
-            first(point, t2),
-            *transfer(point, t2 - t1),
-            *transfer(point, t3 - t2),
-            *transfer(point, t3 - t1),
-        )
-
-    return setup, evaluate
-
-
 def k3_via_embedding(
     theta: float,
     q: Observable | None = None,
@@ -299,7 +252,8 @@ def k3_via_embedding(
 def _embedded_run(theta: float, psi: list, n):
     """The unvalidated protocol run of the dilation from the spinor ``psi``
     (a list of two complex amplitudes) along the unit axis ``n``: a callable
-    ``run(t1, t2, t3)`` returning the eight numbers of the protocol."""
+    ``run(t1, t2, t3)`` returning the eight numbers of the protocol, from
+    :func:`nhlgi.lgi._propagating_frame` over the post-selected flow."""
     postselect = _dilation(theta)[1]
     # each leg re-embeds, evolves, post-selects and returns the normalised upper block
     setup, evaluate = _propagating_frame(lambda t, chi: postselect(t, chi)[0])

@@ -31,7 +31,7 @@ callers that build no table.
 Every frame is a pair ``(setup, evaluate)`` on plain scalars: ``setup(state,
 n)`` takes a state and a unit axis and returns the point's coefficients as
 floats or tuples, and ``evaluate(point, t1, t2, t3)`` returns the eight
-numbers.  No frame builds a function per point.  There are two:
+numbers.  No frame builds a function per point.  There are three:
 
 - pure states at ``kappa = 0`` on the invariant y-z great circle, with an
   axis in its plane (:func:`_circle_frame`): the real circle flow of
@@ -44,15 +44,19 @@ numbers.  No frame builds a function per point.  There are two:
   block from the real root of the characteristic cubic, and x decaying
   alone) projected onto the axis for the state and for each collapse
   branch, so each time costs one ``expm1``, one ``exp`` and one cos/sin
-  pair (:func:`_noisy_frame`).
+  pair (:func:`_noisy_frame`);
+- a spinor under any renormalised flow on spinors (:func:`_propagating_frame`):
+  each collapse branch is propagated across the gap and its Born
+  probability read off.  The dilation of :mod:`nhlgi.embedding` runs it
+  over its post-selected flow, so it shares no arithmetic with the other
+  two frames and stays an independent cross-check.
 
-Both share the cos/sin pair (and the exponentials) of ``t2`` with the (1,2)
-gap when ``t1 = 0``, as every CLI row and search point has it.  The
-dilation's frame, which propagates each collapse branch and reads Born
-probabilities off it so that it stays an independent cross-check, lives in
-:mod:`nhlgi.embedding`.
-The flows, the lift's closed form, the Bloch-vector and Bloch-angle maps
-the frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this module
+The first two share the cos/sin pair (and the exponentials) of ``t2`` with
+the (1,2) gap when ``t1 = 0``, as every CLI row and search point has it.
+This module alone turns a flow into the eight numbers: the clipping, the
+renormalised first pair and the Born reads.  The flows, the lift's closed
+form, the Bloch-vector and Bloch-angle maps and the axis eigenbasis the
+frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this module
 keeps no copy of them and reads no rounded ``sec theta``, ``tan theta`` or
 omega itself.
 
@@ -80,6 +84,7 @@ from functools import partial
 from ._numpy import np
 from .dynamics import (
     NHHamiltonian,
+    _axis_basis,
     _bloch_axis,
     _check_finite_times,
     _check_kappa,
@@ -330,15 +335,6 @@ def _circle_frame(h: NHHamiltonian):
     return setup, evaluate
 
 
-def _circle_coordinates(psi, n):
-    """``((u, v), (ny, nz))`` of a spinor on the invariant circle (see
-    :func:`nhlgi.dynamics._circle_state`) and an axis with ``nx`` exactly
-    zero, or None."""
-    nx, ny, nz = n
-    state = None if nx != 0.0 else _circle_state(psi)
-    return None if state is None else (state, (ny, nz))
-
-
 def _noisy_frame(h: NHHamiltonian, kappa: float):
     """Protocol of ``h`` at depolarising rate ``kappa >= 0``, on Bloch vectors.
 
@@ -420,6 +416,52 @@ def _noisy_frame(h: NHHamiltonian, kappa: float):
     return setup, evaluate
 
 
+def _pure_born(chi, psi) -> float:
+    """Born probability ``|<chi|psi>|^2`` of two spinors."""
+    return abs(chi[0].conjugate() * psi[0] + chi[1].conjugate() * psi[1]) ** 2
+
+
+def _propagating_frame(propagate):
+    """Protocol from a renormalised flow on spinors, in the ``(setup,
+    evaluate)`` shape of the other frames.
+
+    ``propagate(t, psi)`` is a renormalised flow on spinor pairs.
+    ``setup(psi, n)`` returns ``(psi, (up, down))``, the eigenbasis of the
+    unit axis ``n`` from :func:`nhlgi.dynamics._axis_basis`.  Each collapse
+    branch is propagated across the gap and its Born probability
+    (:func:`_pure_born`) read off, so the dilation shares no arithmetic with
+    the lift's projected frame.  Born probabilities are clipped to [0, 1];
+    the first measurement's pair is renormalised.  ``evaluate`` validates
+    nothing: callers check their inputs once, outside any loop.
+    """
+
+    def setup(state, n):
+        return state, _axis_basis(n)
+
+    def first(point, t):
+        state, (up, down) = point
+        v = propagate(t, state)
+        p = min(1.0, max(0.0, _pure_born(up, v)))
+        m = min(1.0, max(0.0, _pure_born(down, v)))
+        return p / (p + m)
+
+    def transfer(point, g):
+        branches = point[1]
+        up = branches[0]
+        return tuple(min(1.0, max(0.0, _pure_born(up, propagate(g, c)))) for c in branches)
+
+    def evaluate(point, t1, t2, t3):
+        return (
+            first(point, t1),
+            first(point, t2),
+            *transfer(point, t2 - t1),
+            *transfer(point, t3 - t2),
+            *transfer(point, t3 - t1),
+        )
+
+    return setup, evaluate
+
+
 def _correlators(values) -> tuple[float, float, float]:
     """``(c12, c23, c13)`` of the eight numbers.
 
@@ -476,15 +518,27 @@ class CorrelatorEngine:
     - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
       frame, at every ``kappa >= 0``;
     - ``_circle_route`` for a spinor and an axis on the invariant circle,
-      given as the floats :func:`_circle_coordinates` takes from them: the
-      circle frame at ``kappa = 0``, and under noise the Bloch route fed
-      ``(0, 2 u v, u^2 - v^2)/(u^2 + v^2)`` and ``(0, ny, nz)``, the floats
-      the spinor route computes for ``(u, i v)``;
+      given as the floats ``((u, v), (ny, nz))`` :meth:`_pure_point` takes
+      from them: the circle frame at ``kappa = 0``, and under noise the
+      Bloch route fed ``(0, 2 u v, u^2 - v^2)/(u^2 + v^2)`` and ``(0, ny,
+      nz)``, the floats the spinor route computes for ``(u, i v)``;
     - ``_spinor_route`` for any other spinor: the Bloch route, whose
       ``setup`` is given the spinor's Bloch vector over its squared norm.
 
     Every public call validates its inputs once and takes the route the
     state's shape and, for a spinor, :meth:`_pure_point` select.
+
+    README's accuracy figures for the Bloch route (seeded draws within
+    3.1e-13 of 40 digits, and 5.6e-16 at ``kappa = 0``) leave out a
+    collapse near the half period.  At ``kappa = 0`` a density matrix or an
+    off-circle spinor whose branch collapses there loses digits:
+    ``projector(up_y())`` on the canonical axis at times (0, 1.57, 3.14) is
+    2.0e-4 off at delta = 1e-3 and 5.1e-4 at 1e-4, and 4.9e-3 off at
+    ``THETA_MAX`` and times (0, 1.5707963, 3.1415926); off-circle spinors
+    are up to 2.0e-10, 6.0e-8 and 6.0e-4 off at delta = 1e-3, 1e-4 and
+    1e-6.  ``up_y`` as a spinor takes the circle frame and stays within
+    8.9e-16 on those rows.  Item 24 of ROADMAP.md has the probes and the
+    planned fix.
     """
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
@@ -514,14 +568,17 @@ class CorrelatorEngine:
 
     def _pure_point(self, psi, n):
         """``(evaluate, point)`` of a spinor and a unit axis, unvalidated: the
-        circle route when both lie on the invariant circle (see
-        :func:`_circle_coordinates`), else the spinor route, which evaluates
-        the spinor's Bloch vector on the Bloch route.  Under noise the two
-        give the same floats on the circle, so the dispatch moves no value."""
-        circle = _circle_coordinates(psi, n)
-        if circle is not None:
+        circle route when both lie on the invariant circle, an axis with
+        ``nx`` exactly zero and a spinor that
+        :func:`nhlgi.dynamics._circle_state` maps to ``(u, v)``, else the
+        spinor route, which evaluates the spinor's Bloch vector on the Bloch
+        route.  Under noise the two give the same floats on the circle, so
+        the dispatch moves no value."""
+        nx, ny, nz = n
+        state = None if nx != 0.0 else _circle_state(psi)
+        if state is not None:
             setup, evaluate = self._circle_route
-            return evaluate, setup(*circle)
+            return evaluate, setup(state, (ny, nz))
         setup, evaluate = self._spinor_route
         return evaluate, setup(psi, n)
 

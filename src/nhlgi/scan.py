@@ -49,7 +49,7 @@ from math import isnan
 from typing import NamedTuple
 
 from ._numpy import np
-from .dynamics import NHHamiltonian, _bloch_state, _speed_route
+from .dynamics import NHHamiltonian, _bloch_state, _check_kappa, _speed_route
 from .lgi import CorrelatorEngine, _correlators
 
 __all__ = [
@@ -670,10 +670,10 @@ def k3max_vs_noise(
     if len(grid) == 0:
         raise ScanConfigError("kappa grid is empty")
     for kappa in grid:
-        if isinstance(kappa, (bool, np.bool_)):
-            raise ScanConfigError(f"kappa must be a float, not the bool {kappa!r} in grid")
-        if not math.isfinite(kappa) or kappa < 0.0:
-            raise ScanConfigError(f"invalid kappa {kappa!r} in grid")
+        try:
+            _check_kappa(kappa)
+        except ValueError as exc:
+            raise ScanConfigError(f"{exc} (grid entry {kappa!r})") from exc
 
     children = np.random.SeedSequence(seed).spawn(len(grid))
     seeds = [int(child.generate_state(1)[0]) for child in children]

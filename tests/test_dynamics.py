@@ -29,7 +29,6 @@ from nhlgi.dynamics import (
     bloch_to_abn,
     down_y,
     down_z,
-    evolve_density,
     evolve_density_noisy,
     evolve_pure,
     geodesic_distance,
@@ -328,7 +327,7 @@ class TestPureEvolution:
                 rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
             )
             t = rng.uniform(0.0, math.pi)
-            rho = evolve_density(h, projector(psi0), t)
+            rho = evolve_density_noisy(h, projector(psi0), 0.0, t)
             np.testing.assert_allclose(
                 rho, projector(evolve_pure(h, psi0, t)), atol=1e-12
             )
@@ -515,14 +514,6 @@ class TestBlochFlow:
 
 
 class TestNoisyDensity:
-    @pytest.mark.parametrize("t", [0.3, 0.9, 1.7, 2.8])
-    def test_zero_noise_reduction(self, t):
-        # at kappa = 0 the noisy flow is evolve_density's lift, bit for bit
-        h = NHHamiltonian.canonical(0.9)
-        rho0 = projector(up_y())
-        got, want = evolve_density_noisy(h, rho0, 0.0, t), evolve_density(h, rho0, t)
-        assert same_floats(got.real, want.real) and same_floats(got.imag, want.imag)
-
     def test_runs_no_rk45(self, monkeypatch):
         # the closed-form lift at every kappa: no adaptive run, so nothing to
         # stall, and t = 0 returns a copy of the state
@@ -832,7 +823,6 @@ _H = NHHamiltonian.canonical(0.9)
 _TIMED_ROUTES = {
     "evolve_pure": lambda t: evolve_pure(_H, up_y(), t),
     "propagated_norm": lambda t: propagated_norm(_H, up_y(), t),
-    "evolve_density": lambda t: evolve_density(_H, projector(up_y()), t),
     "speed": lambda t: speed(_H, up_y(), t),
     "evolve_density_noisy": lambda t: evolve_density_noisy(_H, projector(up_y()), 0.1, t),
     "integrate_bloch": lambda t: integrate_bloch(

@@ -26,7 +26,8 @@ from nhlgi.embedding import (
     k3_via_embedding,
     theta_from_delta,
 )
-from nhlgi.embedding import _dilation, _embedded_run, _propagating_frame
+from nhlgi.embedding import _dilation, _embedded_run
+from nhlgi.lgi import _propagating_frame
 from oracles import protocol
 
 THETAS = [0.0, 0.3, 1.0, 1.4, theta_from_delta(0.1)]
@@ -45,6 +46,9 @@ class TestThetaFromDelta:
             theta_from_delta(-0.2)
         with pytest.raises(ValueError):
             theta_from_delta(2.0)
+        for delta in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                theta_from_delta(delta)
         # below 1e-6 theta would leave the domain: refused by its own name
         with pytest.raises(ValueError, match="delta must be at least 1e-6, got 1e-07"):
             theta_from_delta(1e-7)

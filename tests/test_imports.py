@@ -6,10 +6,12 @@ routes (whose Dormand-Prince integrator is in-house) load no scipy module.
 Importing the package and building an engine load no numpy either, until the
 first array, and compile no simplex step loop.  Each check runs in a new
 isolated interpreter, because this test process has scipy and numpy loaded
-already; one runs with scipy made unimportable.  The last test checks, in
-process, that every exported name resolves.
+already; one runs with scipy made unimportable.  The last two tests check,
+in process, that every exported name resolves and that the library itself
+reads it.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -47,8 +49,9 @@ def _scipy_modules_after(body, tmp_path):
 
 
 def test_numpy_loads_at_the_first_array(tmp_path):
-    # importing, building a Hamiltonian or an engine, the closed form and
-    # --version load no numpy; the first array rebinds every module's np
+    # importing, building a Hamiltonian or an engine, the closed form,
+    # theta_from_delta and --version load no numpy; the first array rebinds
+    # every module's np
     body = """
 def no_numpy(step):
     assert "numpy" not in sys.modules, f"{step} loaded numpy"
@@ -64,6 +67,8 @@ no_numpy("CorrelatorEngine(h, 0.1)")
 assert nhlgi.scan._step_loop.cache_info().currsize == 0
 nhlgi.k3_closed_form(1.2, 0.5)
 no_numpy("k3_closed_form")
+nhlgi.theta_from_delta(1e-3)
+no_numpy("theta_from_delta")
 try:
     nhlgi.cli.main(["--version"])
 except SystemExit as exit:
@@ -162,3 +167,29 @@ def test_every_exported_name_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], (module.__name__, missing)
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
+
+
+# Exported names that no library module reads, each with the reason it stays.
+_UNREAD_EXPORTS = {
+    "LUDER_BOUND": "the paper's Hermitian bound on K3, which README and the tests read",
+}
+
+
+def test_every_exported_name_is_read_by_the_library():
+    # each name in the package's and every submodule's ``__all__`` is read,
+    # as a name or an attribute, by some module of the package other than
+    # ``__init__``; an export the library never calls must be removed or
+    # listed above with its reason
+    import nhlgi
+
+    names = [m.name for m in pkgutil.iter_modules(nhlgi.__path__)]
+    modules = [importlib.import_module(f"nhlgi.{name}") for name in names]
+    read = set()
+    for module in modules:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    exported = {name for module in (nhlgi, *modules) for name in module.__all__}
+    assert sorted(exported - read) == sorted(_UNREAD_EXPORTS)

@@ -770,6 +770,13 @@ class TestNoiseSeries:
         with pytest.raises(ScanConfigError):
             k3max_vs_noise(0.9, kappa_grid=(0.0, math.inf), budget=2000)
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+    def test_grid_entry_refused_with_the_kappa_message(self, value):
+        # the grid takes the engine's kappa contract and names the entry
+        message = rf"^kappa must be a finite non-negative rate \(grid entry {value!r}\)$"
+        with pytest.raises(ScanConfigError, match=message):
+            k3max_vs_noise(0.9, kappa_grid=(0.0, value), budget=2000)
+
     @pytest.mark.parametrize("value", [True, False, np.True_])
     def test_bool_kappa_is_refused_by_name(self, value):
         # True used to run at kappa = 1 and come back as ScanResult.kappa True
