@@ -40,7 +40,7 @@ from .embedding import (
     theta_from_delta,
 )
 from .emit import write_csv, write_json
-from .lgi import CorrelatorEngine, Observable, _check_values, _correlators
+from .lgi import CorrelatorEngine, Observable, _check_values, _correlators, _pure_born
 from .scan import (
     DEFAULT_BUDGET,
     DEFAULT_KAPPA_GRID,
@@ -401,9 +401,7 @@ def _cmd_embed(args) -> int:
     for t in spacings:
         direct, (emb, p_sel) = propagate(t, psi), postselect(t, psi)
         rows["t"].append(t)
-        rows["fidelity"].append(
-            abs(direct[0].conjugate() * emb[0] + direct[1].conjugate() * emb[1]) ** 2
-        )
+        rows["fidelity"].append(_pure_born(direct, emb))
         rows["p_select"].append(p_sel)
         rows["k3_direct"].append(_row(direct_run, t)[3])
         rows["k3_embedded"].append(_row(embedded_run, t)[3])

@@ -149,8 +149,11 @@ def state_from_bloch_angles(theta_s: float, phi_s: float) -> np.ndarray:
 
 def _cos_sin(phi: float) -> tuple[float, float]:
     """``(cos phi, sin phi)``, exact at the quarter turns ``phi = pi/2`` and
-    ``3 pi/2``, where ``math.cos`` leaves 6.1e-17 and -1.8e-16: the y-z great
-    circle is then exactly the states and axes with no x part."""
+    ``3 pi/2``, where ``math.cos`` leaves 6.1e-17 and -1.8e-16.  Both Bloch
+    angles of an axis go through it: in the azimuth the y-z great circle is
+    then exactly the states and axes with no x part, and in the polar angle
+    the axis ``theta = pi/2`` has no z part, as the K3 search's canonical
+    axis needs."""
     if phi == 0.5 * math.pi:
         return 0.0, 1.0
     if phi == 1.5 * math.pi:
@@ -166,9 +169,9 @@ def _bloch_state(theta: float, phi: float) -> tuple[complex, complex]:
 
 def _bloch_axis(theta: float, phi: float) -> tuple[float, float, float]:
     """``(sin theta cos phi, sin theta sin phi, cos theta)`` as plain scalars."""
-    s = math.sin(theta)
+    ct, st = _cos_sin(theta)
     c, si = _cos_sin(phi)
-    return s * c, s * si, math.cos(theta)
+    return st * c, st * si, ct
 
 
 def _axis_basis(n) -> tuple[tuple[complex, complex], tuple[complex, complex]]:

@@ -49,6 +49,7 @@ from .dynamics import (
     NHHamiltonian,
     _check_finite_times,
     _check_theta,
+    _is_bool,
     up_y,
     validate_pure,
 )
@@ -82,8 +83,11 @@ def theta_from_delta(delta: float) -> float:
     separable ``|up_z> (x) psi``, so post-selection no longer simulates any
     non-Hermitian flow.  A ``delta`` below 1e-6 is refused by name too: its
     theta lies past ``THETA_MAX``, outside the library's domain;
-    ``delta = 1e-6`` maps to ``THETA_MAX`` exactly.
+    ``delta = 1e-6`` maps to ``THETA_MAX`` exactly.  A bool is refused by
+    name, as every theta and kappa is.
     """
+    if _is_bool(delta):
+        raise ValueError(f"delta must be a float, not the bool {delta!r}")
     if not math.isfinite(delta) or delta <= 0.0:
         raise ValueError(
             "delta must be positive: at delta = 0 the embedded state is "

@@ -60,16 +60,16 @@ frames use are the scalar kernels of :mod:`nhlgi.dynamics`; this module
 keeps no copy of them and reads no rounded ``sec theta``, ``tan theta`` or
 omega itself.
 
-:class:`CorrelatorEngine` binds the frames once per Hamiltonian and noise
-strength as unvalidated routes: from a spinor and an axis on the circle (the
-circle frame at ``kappa = 0``, the noisy frame fed the state's Bloch vector
-under noise), and from a Bloch vector and an axis, which any other spinor
-reaches through its Bloch vector.  Its public calls validate, take the route
-the inputs select and set the point up once for all their times.  The K3
-search of :mod:`nhlgi.scan` feeds the circle route per point the floats the
-engine takes from the same state and axis, at every kappa, so a search and
-the public API evaluate a point by the same arithmetic and an argmax
-re-evaluates to the reported float.
+:class:`CorrelatorEngine` binds two unvalidated routes once per Hamiltonian
+and noise strength: from a spinor and an axis on the circle (the circle
+frame at ``kappa = 0``, the noisy frame fed the state's Bloch vector under
+noise), and from a Bloch vector and an axis.  Its one entry validates the
+inputs of every public call, sends any other spinor and every density
+matrix to the second route as a Bloch vector, and sets the point up once
+for all the call's times.  The K3 search of :mod:`nhlgi.scan` feeds the
+circle route per point the floats the engine takes from the same state and
+axis, at every kappa, so a search and the public API evaluate a point by
+the same arithmetic and an argmax re-evaluates to the reported float.
 
 The integrator :func:`nhlgi.dynamics.integrate_bloch` is the lift's
 cross-check, not the engine, so scans stay fast and deterministic.
@@ -510,23 +510,23 @@ class CorrelatorEngine:
     """Protocol evaluator bound to one Hamiltonian and one noise strength.
 
     Building the engine refuses a kappa that :func:`nhlgi.dynamics._check_kappa`
-    refuses, and binds its routes once, each the ``(setup, evaluate)`` pair
+    refuses, and binds two routes once, each the ``(setup, evaluate)`` pair
     of a frame, with the frame's own setup (the closed form of the lift, on
-    floats).  None validates; the scans call them per point.  The one kappa
-    fork here chooses the circle route; every Bloch vector takes one frame.
+    floats).  Neither validates; the scans call them per point.
 
-    - ``_bloch_route`` for a Bloch vector ``r = tr(rho sigma)``: the noisy
-      frame, at every ``kappa >= 0``;
-    - ``_circle_route`` for a spinor and an axis on the invariant circle,
-      given as the floats ``((u, v), (ny, nz))`` :meth:`_pure_point` takes
-      from them: the circle frame at ``kappa = 0``, and under noise the
-      Bloch route fed ``(0, 2 u v, u^2 - v^2)/(u^2 + v^2)`` and ``(0, ny,
-      nz)``, the floats the spinor route computes for ``(u, i v)``;
-    - ``_spinor_route`` for any other spinor: the Bloch route, whose
-      ``setup`` is given the spinor's Bloch vector over its squared norm.
+    - ``_circle_route`` for a spinor ``(u, i v)`` and an axis ``(0, ny,
+      nz)`` on the invariant circle, given as the floats ``((u, v), (ny,
+      nz))``: the circle frame at ``kappa = 0``, and under noise the Bloch
+      route fed ``(0, 2 u v, u^2 - v^2)/(u^2 + v^2)`` and ``(0, ny, nz)``,
+      the floats it is fed for ``(u, i v)`` off the circle;
+    - ``_bloch_route`` for a Bloch vector and a unit axis: the noisy frame,
+      at every ``kappa >= 0``.
 
-    Every public call validates its inputs once and takes the route the
-    state's shape and, for a spinor, :meth:`_pure_point` select.
+    Every public call goes through one entry, :meth:`_protocol_inputs`,
+    which validates once.  A spinor on the circle (``nx`` exactly zero and
+    a spinor :func:`nhlgi.dynamics._circle_state` maps to ``(u, v)``) takes
+    the circle route; any other spinor enters the Bloch route as ``2
+    S/|psi|^2``, a density matrix as ``tr(rho sigma)``.
 
     README's accuracy figures for the Bloch route (seeded draws within
     3.1e-13 of 40 digits, and 5.6e-16 at ``kappa = 0``) leave out a
@@ -543,15 +543,7 @@ class CorrelatorEngine:
 
     def __init__(self, h: NHHamiltonian, kappa: float = 0.0):
         _check_kappa(kappa)
-        bloch_setup, evaluate = bloch_route = _noisy_frame(h, kappa)
-
-        # both divide the Bloch vector by the spinor's squared norm: once
-        # rounded it is a few ulp off 1, a deficit the lift amplifies near pi/2
-        def spinor_setup(psi, n):
-            a, b = psi
-            x, y, z = _spinor_bloch(psi)
-            norm = (a * a.conjugate()).real + (b * b.conjugate()).real
-            return bloch_setup((2.0 * x / norm, 2.0 * y / norm, 2.0 * z / norm), n)
+        bloch_setup, evaluate = self._bloch_route = _noisy_frame(h, kappa)
 
         def noisy_circle_setup(state, axis):
             u, v = state
@@ -563,39 +555,31 @@ class CorrelatorEngine:
         self._circle_route = (
             _circle_frame(h) if kappa == 0.0 else (noisy_circle_setup, evaluate)
         )
-        self._spinor_route, self._bloch_route = (spinor_setup, evaluate), bloch_route
         self.kappa = float(kappa)
 
-    def _pure_point(self, psi, n):
-        """``(evaluate, point)`` of a spinor and a unit axis, unvalidated: the
-        circle route when both lie on the invariant circle, an axis with
-        ``nx`` exactly zero and a spinor that
-        :func:`nhlgi.dynamics._circle_state` maps to ``(u, v)``, else the
-        spinor route, which evaluates the spinor's Bloch vector on the Bloch
-        route.  Under noise the two give the same floats on the circle, so
-        the dispatch moves no value."""
-        nx, ny, nz = n
-        state = None if nx != 0.0 else _circle_state(psi)
-        if state is not None:
-            setup, evaluate = self._circle_route
-            return evaluate, setup(state, (ny, nz))
-        setup, evaluate = self._spinor_route
-        return evaluate, setup(psi, n)
-
     def _protocol_inputs(self, state, q: Observable):
-        """Validated ``run(t1, t2, t3)`` -> the eight numbers, with the state
-        and axis set up once for any number of times."""
+        """Validated ``run(t1, t2, t3)`` -> the eight numbers, on the route
+        the inputs select, with the state and axis set up once for any
+        number of times."""
         state = np.asarray(state, dtype=complex)
+        n = q.direction
         if state.ndim == 1:
-            evaluate, point = self._pure_point(
-                tuple(validate_pure(state).tolist()), q.direction
-            )
+            psi = tuple(validate_pure(state).tolist())
+            pure = None if n[0] != 0.0 else _circle_state(psi)
+            if pure is not None:
+                setup, evaluate = self._circle_route
+                return partial(evaluate, setup(pure, n[1:]))
+            # 2 S over the squared norm, which rounds a few ulp off 1: a
+            # deficit the lift amplifies near pi/2
+            (a, b), (x, y, z) = psi, _spinor_bloch(psi)
+            norm = (a * a.conjugate()).real + (b * b.conjugate()).real
+            r = (2.0 * x / norm, 2.0 * y / norm, 2.0 * z / norm)
         elif state.ndim == 2:
-            setup, evaluate = self._bloch_route
-            point = setup(_density_bloch(validate_density(state).tolist()), q.direction)
+            r = _density_bloch(validate_density(state).tolist())
         else:
             raise ValueError("state must be a 2-vector or a 2x2 density matrix")
-        return partial(evaluate, point)
+        setup, evaluate = self._bloch_route
+        return partial(evaluate, setup(r, n))
 
     def joint_table(self, state, q: Observable, t_i: float, t_j: float) -> JointTable:
         """Joint distribution of outcomes at ``t_i < t_j`` from time zero."""

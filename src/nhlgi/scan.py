@@ -500,15 +500,16 @@ def _k3_objective(theta: float, kappa: float):
     and of the axis eigenbasis, so no other route would do.
     """
     setup, evaluate = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)._circle_route
-    cos, sin = math.cos, math.sin
+    cos, sin, quarter = math.cos, math.sin, 0.5 * math.pi
 
     def objective(x):
         theta_s, phi_s, theta_q, _, _, g1, g2 = _planar_point(x)
         half = 0.5 * theta_s
         v = sin(half)
-        point = setup(
-            (cos(half), v if phi_s < math.pi else -v), (sin(theta_q), cos(theta_q))
-        )
+        # the axis of nhlgi.dynamics._bloch_axis, whose _cos_sin is exact at
+        # theta_q = pi/2 (the canonical seed); theta_q never reaches 3 pi/2
+        axis = (1.0, 0.0) if theta_q == quarter else (sin(theta_q), cos(theta_q))
+        point = setup((cos(half), v if phi_s < math.pi else -v), axis)
         c12, c23, c13 = _correlators(evaluate(point, 0.0, g1, g1 + g2))
         return c12 + c23 - c13
 
@@ -548,9 +549,7 @@ def maximize_k3(
     is refused with :class:`ScanConfigError`, and one with a NaN coordinate
     with ``ValueError``.  The canonical configuration is always among the
     evaluated seeds, so at ``kappa = 0`` the result dominates the closed-form
-    value ``1 + sin(theta) + sin^2(theta)``, except below ``delta = pi/2 -
-    theta`` of about 3e-6: the seed's axis angle ``pi/2`` is the axis ``(1,
-    6.1e-17)``, and the result can fall 4.1e-10 short.  The seeding pass takes
+    value ``1 + sin(theta) + sin^2(theta)``.  The seeding pass takes
     512 evaluations plus one per start, and the simplex restarts share the
     rest; ``evals`` never exceeds ``budget``, and ``restarts`` counts the
     restarts run.  The argmax keeps all seven keys, as floats, with ``t1 =

@@ -52,6 +52,12 @@ class TestThetaFromDelta:
         # below 1e-6 theta would leave the domain: refused by its own name
         with pytest.raises(ValueError, match="delta must be at least 1e-6, got 1e-07"):
             theta_from_delta(1e-7)
+        # a bool is no distance: True would read as delta = 1
+        for delta in (True, np.True_):
+            with pytest.raises(ValueError, match="^delta must be a float, not the bool"):
+                theta_from_delta(delta)
+        with pytest.raises(ValueError, match="^delta must be a float, not the bool True$"):
+            theta_from_delta(True)
 
 
 class TestMetric:

@@ -7,6 +7,7 @@ import pytest
 
 import nhlgi.scan
 from nhlgi.dynamics import (
+    THETA_MAX,
     NHHamiltonian,
     _bloch_axis,
     _bloch_state,
@@ -312,18 +313,18 @@ def _k3_reference(theta, kappa):
     """``objective(x) -> K3`` over the seven coordinates
     ``x = (theta_s, phi_s, theta_q, phi_q, t1, g1, g2)``, with the times
     ``(t1, t1 + g1, t1 + g1 + g2)``: the scan's planar objective without
-    the plane, on the route the engine's public calls take for the state
-    and the axis (the circle route on the plane and, off it, the Bloch
-    route on the state's Bloch vector)."""
+    the plane, through the validated entry of the engine's public calls
+    (the circle route on the plane and, off it, the Bloch route on the
+    state's Bloch vector)."""
     engine = CorrelatorEngine(NHHamiltonian.canonical(theta), kappa)
 
     def objective(x):
         theta_s, phi_s, theta_q, phi_q, t1, g1, g2 = x
         t2 = t1 + g1
-        evaluate, point = engine._pure_point(
-            _bloch_state(theta_s, phi_s), _bloch_axis(theta_q, phi_q)
+        run = engine._protocol_inputs(
+            np.array(_bloch_state(theta_s, phi_s)), Observable(_bloch_axis(theta_q, phi_q))
         )
-        c12, c23, c13 = _correlators(evaluate(point, t1, t2, t2 + g2))
+        c12, c23, c13 = _correlators(run(t1, t2, t2 + g2))
         return c12 + c23 - c13
 
     return objective
@@ -384,6 +385,21 @@ class TestMaximizeK3:
         s = math.sin(theta)
         res = maximize_k3(theta, budget=2000, seed=1)
         assert res.objective >= 1.0 + s + s * s - 1e-9
+
+    def test_corner_seed_is_the_closed_form(self):
+        # the seed's axis angle pi/2 is the axis (0, 1, 0) exactly, its polar
+        # angle taken through _cos_sin too: math.cos leaves 6.1e-17 there,
+        # which cost the seed 3.0e-12 at delta = 1e-5 and 3.0e-8 at
+        # THETA_MAX, and the search up to 4.1e-10 below delta = 3e-6
+        assert Observable.from_angles(math.pi / 2, math.pi / 2).direction == (0.0, 1.0, 0.0)
+        for theta in (math.pi / 2 - 1e-5, THETA_MAX):
+            s = math.sin(theta)
+            assert _k3_objective(theta, 0.0)(_CANONICAL_K3_START) == 1.0 + s + s * s
+        for delta in (2.5e-6, 1.7e-6, 1.1e-6, 1e-6):
+            theta = THETA_MAX if delta == 1e-6 else math.pi / 2 - delta
+            s = math.sin(theta)
+            res = maximize_k3(theta, budget=20000, seed=0)
+            assert res.objective >= 1.0 + s + s * s - 8.9e-16, delta
 
     def test_deterministic(self):
         a = maximize_k3(0.9, budget=2000, seed=7)
@@ -720,7 +736,7 @@ class TestNoiseSeries:
     @pytest.mark.parametrize("seed", range(12))
     def test_corner_argmax_reevaluates_exactly(self, seed):
         # the search feeds the engine's circle route the state's real parts,
-        # which form its Bloch vector as the spinor route does, so the
+        # which form its Bloch vector as the engine does off the circle, so the
         # re-evaluation is bit for bit; built from the Bloch angles it
         # differs in the last ulp, which moved K3 by up to 4.4e-16 in half of
         # these argmaxes
